@@ -68,7 +68,6 @@ from .solver import (
     Nonlinearity,
     SolutionReport,
     SolverConfig,
-    assemble_grushin,
     embedding_check,
     energy,
     energy_gradient,

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from grushin3d import AlphaParam, DegeneracyError, DomainError
+from grushin3d import AlphaParam, DegeneracyError, DomainError, IterationError
 from grushin3d.fields import random_bump_corpus
 from grushin3d.solver import (
     Domain,
     GrushinOperator,
     Nonlinearity,
     SolverConfig,
+    _line_quadratic,
     embedding_check,
     energy,
     energy_gradient,
@@ -35,6 +36,28 @@ def manufactured(domain):
     w = (X1**2 + X2**2) ** 1.0
     rhs = (np.pi / (2 * L)) ** 2 * (2.0 + w) * u
     return u, rhs
+
+
+class CountingOperator:
+    """Forwards to a GrushinOperator and counts its applications."""
+
+    def __init__(self, op):
+        self.op = op
+        self.calls = 0
+
+    def __call__(self, u):
+        self.calls += 1
+        return self.op(u)
+
+    def __getattr__(self, name):
+        return getattr(self.op, name)
+
+
+class NegatedOperator(CountingOperator):
+    """-A: negative definite, so CG must report a breakdown."""
+
+    def __call__(self, u):
+        return -super().__call__(u)
 
 
 class TestDomain:
@@ -114,6 +137,52 @@ class TestLinearSolve:
             errs.append(math.sqrt(float(np.sum((u_h - u_exact) ** 2)) * dom.cell_volume))
         order = math.log2(errs[0] / errs[2]) / 2
         assert order >= 1.8
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_box_pcg_matches_plain_cg(self, alpha):
+        # an all-True mask sends the same box problem through plain CG
+        bbox = np.array([(-1.0, 1.2), (-0.8, 0.9), (-1.3, 1.1)])
+        dims = (12, 16, 10)
+        rng = np.random.default_rng(11)
+        rhs = rng.standard_normal(dims)
+        cfg = SolverConfig(cg_tol=1e-12)
+        fast = linear_solve(GrushinOperator(Domain(bbox, dims), alpha), rhs, cfg)
+        plain = linear_solve(GrushinOperator(Domain(bbox, dims, np.ones(dims, dtype=bool)), alpha), rhs, cfg)
+        assert np.abs(fast - plain).max() <= 1e-9 * np.abs(plain).max()
+
+    @pytest.mark.parametrize("n", [16, 48])
+    @pytest.mark.parametrize("alpha, limit", [(0.5, 25), (1.0, 2), (2.0, 25)])
+    def test_pcg_applications_independent_of_grid(self, n, alpha, limit):
+        # the separable preconditioner is exact at alpha = 1 and within a
+        # factor 2^|alpha - 1| of the operator otherwise
+        dom = Domain.cube(1.0, n)
+        op = CountingOperator(GrushinOperator(dom, alpha))
+        rhs = np.random.default_rng(5).standard_normal(dom.dims)
+        x = linear_solve(op, rhs, SolverConfig(cg_tol=1e-11))
+        assert op.calls <= limit
+        assert np.linalg.norm(op.op(x) - rhs) <= 1e-11 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_non_finite_input_raises_at_once(self, masked):
+        mask = np.ones((8, 8, 8), dtype=bool) if masked else None
+        dom = Domain(np.array([(-1, 1)] * 3), (8, 8, 8), mask=mask)
+        rhs = np.ones(dom.dims)
+        for bad_rhs, x0 in ((np.full(dom.dims, np.nan), None), (rhs, np.full(dom.dims, np.nan))):
+            op = CountingOperator(GrushinOperator(dom, AP))
+            with pytest.raises(IterationError) as err:
+                linear_solve(op, bad_rhs, x0=x0)
+            assert op.calls <= 1
+            assert err.value.last_residual is not None
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_indefinite_operator_breaks_down(self, masked):
+        mask = np.ones((8, 8, 8), dtype=bool) if masked else None
+        dom = Domain(np.array([(-1, 1)] * 3), (8, 8, 8), mask=mask)
+        op = NegatedOperator(GrushinOperator(dom, AP))
+        with pytest.raises(IterationError) as err:
+            linear_solve(op, np.ones(dom.dims))
+        assert op.calls <= 2
+        assert err.value.last_residual == pytest.approx(1.0)
 
     def test_discrete_maximum_principle(self):
         dom = Domain.cube(1.0, 12)
@@ -255,6 +324,20 @@ class TestGroundState:
         assert e_abs <= e_u + 1e-10
         # the path max over t -> t u equals the critical level on the manifold
         assert sol.mountain_pass_level == pytest.approx(sol.energy, rel=1e-10)
+
+    def test_line_search_quadratic_matches_direct_form(self):
+        bbox = np.array([(-1.0, 1.2), (-0.8, 0.9), (-1.3, 1.1)])
+        rng = np.random.default_rng(12)
+        holed = rng.uniform(size=(12, 16, 10)) < 0.9
+        holed[4:7, 6:9, 4:7] = True  # around the origin cell
+        for mask in (None, holed):
+            dom = Domain(bbox, (12, 16, 10), mask=mask)
+            op = GrushinOperator(dom, 0.5)
+            u = np.where(dom.active(), rng.standard_normal(dom.dims), 0.0)
+            d = np.where(dom.active(), rng.standard_normal(dom.dims), 0.0)
+            a0, a1, a2 = _line_quadratic(op(u), op(d), u, d, dom.cell_volume)
+            for tau in (4.0, 1.0, 0.3, 2.0**-15):
+                assert a0 + tau * (a1 + tau * a2) == pytest.approx(op.quadratic_form(u + tau * d), rel=1e-12)
 
     def test_rejects_bad_exponents(self):
         dom = Domain.cube(1.0, 8)

@@ -19,10 +19,14 @@ minimises the quotient per^{3/2} / vol at fixed weighted volume; this module
 computes all of those quantities numerically and evaluates the corresponding
 isoperimetric deficit.
 
-Volumes use cell-centred voxel sums with recursive subdivision of cells the
-level function marks as boundary-crossing.  Surface integrals use analytic
-surface patches when the shape provides them and marching-tetrahedra
-triangulation otherwise.
+Shapes that carry analytic surface patches are measured on those patches
+alone: surface integrals by midpoint quadrature over the patches, and
+volumes through the divergence identity, as a flux through the same
+patches.  Shapes without patches (flattened images, user level sets) fall
+back to marching-tetrahedra triangulation for surface integrals and to
+cell-centred voxel sums with recursive subdivision of boundary-crossing
+cells for volumes; ``voxel_integral`` is also the independent cross-check
+of the patch route.
 """
 
 from __future__ import annotations
@@ -185,8 +189,10 @@ class ImplicitShape:
     """Bounded open set E = {level < 0} inside an axis-aligned bbox.
 
     ``level`` must be vectorised: (m, 3) points -> (m,) values, negative
-    strictly inside, positive strictly outside.  ``patches`` optionally
-    cover bd(E) for analytic surface quadrature.  ``sector`` marks shapes
+    strictly inside, positive strictly outside.  ``patches``, when given,
+    must cover the whole of bd(E), outward oriented: the weighted perimeter
+    and the divergence-identity volume are both computed from them alone,
+    so a missing piece silently falsifies both.  ``sector`` marks shapes
     contained in the closure of one angular sector; for those the
     isoperimetric quotient uses the relative (wall-free) perimeter.
     """
@@ -331,8 +337,16 @@ def voxel_integral(level, bbox, weight, cfg: QuadratureConfig) -> float:
 
 
 def weighted_volume(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Weighted volume vol_w(E) by boundary-refined voxel quadrature."""
+    """Weighted volume vol_w(E).
+
+    Uses the divergence identity on the shape's analytic patches when
+    present (``weighted_volume_from_patches``; ``volume_resolution`` and
+    ``refine_depth`` play no part), otherwise boundary-refined voxel
+    quadrature of the level set (``voxel_integral``).
+    """
     ap = _as_alpha(alpha)
+    if shape.patches:
+        return weighted_volume_from_patches(shape, ap, cfg)
     return voxel_integral(shape.level, shape.bbox, _weight_of(ap.alpha), cfg)
 
 
@@ -425,7 +439,8 @@ def weighted_volume_from_patches(shape: ImplicitShape, alpha, cfg: QuadratureCon
 
     div(|x|^{2a} (x1, x2, 0)) = (2a + 2) |x|^{2a}, so the weighted volume
     equals the flux of |x|^{2a} (x1, x2, 0) / (2a + 2) through bd(E).
-    Second, independent route used to cross-check the voxel engine.
+    The route ``weighted_volume`` takes for every shape with patches; the
+    voxel engine (``voxel_integral``) is its independent cross-check.
     """
     ap = _as_alpha(alpha)
     a = ap.alpha
@@ -490,12 +505,21 @@ def isoperimetric_quotient(shape: ImplicitShape, alpha, cfg: QuadratureConfig = 
     sharp sector comparison bounds from below.
     """
     vol = weighted_volume(shape, alpha, cfg)
-    if vol <= 0.0:
-        raise DomainError(f"shape {shape.name!r} has zero weighted volume")
     if shape.sector is not None:
         per = sector_perimeter(shape, alpha, shape.sector, cfg)
     else:
         per = weighted_perimeter(shape, alpha, cfg)
+    return _quotient(shape, per, vol)
+
+
+def _quotient(shape: ImplicitShape, per: float, vol: float) -> float:
+    """per^{3/2} / vol for measures already computed; rejects a zero volume.
+
+    ``per`` must be the relative perimeter when ``shape.sector`` is set and
+    the full weighted perimeter otherwise.
+    """
+    if vol <= 0.0:
+        raise DomainError(f"shape {shape.name!r} has zero weighted volume")
     return per**1.5 / vol
 
 

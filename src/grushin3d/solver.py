@@ -239,8 +239,9 @@ class SolverConfig:
     collapse_threshold: float = 1e-12
 
     def __post_init__(self):
-        if min(self.cg_tol, self.outer_tol) <= 0:
-            raise DomainError("tolerances must be positive")
+        # written so that NaN fails too: every comparison with NaN is false
+        if not all(0.0 < t < math.inf for t in (self.cg_tol, self.outer_tol)):
+            raise DomainError(f"tolerances must be positive and finite: cg_tol={self.cg_tol}, outer_tol={self.outer_tol}")
         if min(self.cg_max_iter, self.outer_max_iter) < 1:
             raise DomainError("iteration limits must be positive")
 
@@ -261,8 +262,11 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, cfg: SolverConfig = Solve
         return np.zeros_like(b)
     if not math.isfinite(bnorm):
         raise IterationError("CG right-hand side is not finite", last_residual=bnorm)
-    x = np.zeros_like(b) if x0 is None else x0.copy()
-    r = b - op(x)
+    if x0 is None:
+        x, r = np.zeros_like(b), b.copy()  # op(0) == 0 exactly
+    else:
+        x = x0.copy()
+        r = b - op(x)
     rs = float(np.sum(r * r))
     if math.sqrt(rs) <= cfg.cg_tol * bnorm:
         return x

@@ -1,13 +1,16 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from grushin3d import AlphaParam
+from grushin3d import AlphaParam, cli, geometry
 from grushin3d.cli import main
 from grushin3d.fields import cosine_bump, radial_field
-from grushin3d.grids import GRID_MAGIC, save_grid
+from grushin3d.grids import GRID_MAGIC, load_grid, save_grid
+from grushin3d.rearrangement import polya_szego_gap
+from grushin3d.shapes import cylinder
 
 
 def run_cli(args, capsys):
@@ -73,6 +76,49 @@ class TestGeometryCommand:
             )
             assert margin == pytest.approx(chk["margin"], abs=0)
 
+    @pytest.mark.parametrize(
+        "shape_args, num_sectors",
+        [
+            (["--shape", "ellipsoid", "--alpha", "0.5", "--semiaxes", "1.3", "0.8", "0.6"], 4),
+            (["--shape", "ball-sector", "--alpha", "1"], 4),
+            (["--shape", "ball-sector", "--alpha", "2.5", "--sector", "3"], 8),
+        ],
+    )
+    def test_each_measure_computed_once(self, shape_args, num_sectors, monkeypatch, capsys):
+        calls = {"voxel_integral": 0, "patch_surface_integral": 0}
+        for name in calls:
+            original = getattr(geometry, name)
+
+            def spy(*a, _name=name, _original=original, **kw):
+                calls[_name] += 1
+                return _original(*a, **kw)
+
+            monkeypatch.setattr(geometry, name, spy)
+        code, rep = run_cli(["geometry", *shape_args, *FAST_GEO], capsys)
+        assert code == 0
+        # volume, perimeter and one relative perimeter per sector
+        assert calls == {"voxel_integral": 0, "patch_surface_integral": 2 + num_sectors}
+        assert rep["resolutions"]["volume_route"] == "patches"
+        res = rep["results"]
+        sector = rep["params"]["sector"] if "ball-sector" in shape_args else None
+        per = res["weighted_perimeter"] if sector is None else res[f"sector_perimeter_{sector}"]
+        assert res["isoperimetric_quotient"] == per**1.5 / res["weighted_volume"]
+
+    def test_patch_free_shape_takes_voxels(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_shape_from_args", lambda args: replace(cylinder(1.0, 1.0), patches=None))
+        code, rep = run_cli(["geometry", "--shape", "cylinder", "--alpha", "1", *FAST_GEO], capsys)
+        assert code == 0
+        assert rep["resolutions"]["volume_route"] == "voxels"
+        assert rep["results"]["weighted_volume"] == pytest.approx(math.pi, rel=1e-2)
+
+    def test_zero_volume_is_usage_error(self, capsys):
+        # |x|^2 underflows to 0 on a ball of radius 1e-200
+        code, rep = run_cli(
+            ["geometry", "--shape", "ball", "--alpha", "1", "--radius", "1e-200", *FAST_GEO], capsys
+        )
+        assert code == 2
+        assert rep is None
+
 
 class TestTransformCheckCommand:
     def test_ball_sector(self, capsys):
@@ -103,6 +149,15 @@ class TestRearrangeCommand:
         assert rep["all_passed"]
         header = csv_path.read_text().splitlines()[0]
         assert header == "r,phi"
+
+    def test_polya_szego_gap_matches_library(self, tmp_path, capsys):
+        grid = radial_field(cosine_bump, AlphaParam(1.0), 1.0, resolution=24)
+        path = tmp_path / "bump.grid"
+        save_grid(grid, path)
+        code, rep = run_cli(["rearrange", "--input", str(path), "--alpha", "1", "--levels", "64"], capsys)
+        assert code == 0
+        gap = polya_szego_gap(load_grid(path), AlphaParam(1.0), 64)
+        assert rep["results"]["polya_szego_gap"] == pytest.approx(gap, abs=1e-12 * max(abs(gap), 1.0))
 
     def test_zero_field(self, tmp_path, capsys):
         from grushin3d.grids import GridFunction3D
@@ -174,6 +229,17 @@ class TestSolveCommand:
         )
         assert code == 0
         assert rep["results"]["weak_residual"] <= 1e-5
+
+    @pytest.mark.parametrize("key", ["cg_tol", "outer_tol"])
+    def test_config_nan_tolerance_is_usage_error(self, key, tmp_path, capsys):
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(json.dumps({key: float("nan")}))
+        assert "NaN" in cfg.read_text()
+        code, rep = run_cli(
+            ["solve", "--alpha", "1", "--q", "4", "--grid", "16", "--config", str(cfg)], capsys
+        )
+        assert code == 2
+        assert rep is None
 
     def test_config_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "solver.json"

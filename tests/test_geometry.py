@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from grushin3d import (
     weighted_volume,
     weighted_volume_from_patches,
 )
-from grushin3d.geometry import sector_index
+from grushin3d.geometry import sector_index, voxel_integral
+from grushin3d.transform import flatten_shape
 from grushin3d.shapes import ball, ball_sector, box, corpus_shapes, cylinder, ellipsoid, make_shape
 
 
@@ -83,7 +85,7 @@ class TestWeightedVolume:
 
     def test_against_midpoint_oracle(self, fast_cfg):
         shape = ellipsoid((1.3, 0.8, 0.6))
-        vol = weighted_volume(shape, 1.0, fast_cfg)
+        vol = weighted_volume(replace(shape, patches=None), 1.0, fast_cfg)
         oracle_lo = midpoint_weighted_volume(shape.level, shape.bbox, 1.0, 48)
         oracle_hi = midpoint_weighted_volume(shape.level, shape.bbox, 1.0, 96)
         assert abs(vol - oracle_hi) <= 2.5 * abs(oracle_hi - oracle_lo) + 1e-12
@@ -111,12 +113,12 @@ class TestWeightedVolume:
         errs = {}
         for n in (32, 128):
             cfg = QuadratureConfig(volume_resolution=n, refine_depth=2)
-            errs[n] = abs(weighted_volume(shape, 1.0, cfg) - exact)
+            errs[n] = abs(weighted_volume(replace(shape, patches=None), 1.0, cfg) - exact)
         # two resolution doublings; order >= 1 means a factor >= ~4
         assert errs[128] <= errs[32] / 2.5
 
     def test_thread_count_does_not_change_bits(self, fast_cfg):
-        shape = ellipsoid((1.1, 0.9, 0.7))
+        shape = replace(ellipsoid((1.1, 0.9, 0.7)), patches=None)
         v1 = weighted_volume(shape, 1.0, fast_cfg)
         cfg3 = QuadratureConfig(
             volume_resolution=fast_cfg.volume_resolution,
@@ -125,6 +127,18 @@ class TestWeightedVolume:
             threads=3,
         )
         assert weighted_volume(shape, 1.0, cfg3) == v1
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_patch_shapes_take_the_patch_route(self, alpha, fast_cfg):
+        for shape in corpus_shapes(alpha):
+            assert weighted_volume(shape, alpha, fast_cfg) == weighted_volume_from_patches(shape, alpha, fast_cfg)
+
+    def test_patch_free_shapes_take_the_voxel_route(self):
+        cfg = QuadratureConfig(volume_resolution=32, refine_depth=1)
+        flat = flatten_shape(ball_sector(1.0), 1.0)
+        assert flat.patches is None
+        expected = voxel_integral(flat.level, flat.bbox, lambda x1, x2: (x1 * x1 + x2 * x2) ** 1.0, cfg)
+        assert weighted_volume(flat, 1.0, cfg) == expected
 
 
 class TestWeightedPerimeter:
@@ -293,7 +307,7 @@ class TestPatchVolumeRoute:
             (box((1, 0.7, 0.9)), 3e-2),
         ):
             v_patch = weighted_volume_from_patches(shape, 1.0, fast_cfg)
-            v_voxel = weighted_volume(shape, 1.0, fast_cfg)
+            v_voxel = weighted_volume(replace(shape, patches=None), 1.0, fast_cfg)
             assert v_voxel == pytest.approx(v_patch, rel=rel)
 
     def test_box_closed_form_via_patches(self, fast_cfg):

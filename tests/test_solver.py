@@ -113,6 +113,14 @@ class TestOperator:
         assert float(np.sum(v * op(u))) == pytest.approx(float(np.sum(u * op(v))), rel=1e-12)
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("key", ["cg_tol", "outer_tol"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_rejects_bad_tolerances(self, key, bad):
+        with pytest.raises(DomainError):
+            SolverConfig(**{key: bad})
+
+
 class TestLinearSolve:
     def test_recovers_known_field(self):
         dom = Domain.cube(1.0, 16)
@@ -183,6 +191,20 @@ class TestLinearSolve:
             linear_solve(op, np.ones(dom.dims))
         assert op.calls <= 2
         assert err.value.last_residual == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_cold_start_skips_zero_application(self, masked):
+        # x0 = 0 costs one application of the operator to the zero vector;
+        # the cold start begins from r = b and must give the same bits
+        mask = np.ones((8, 8, 8), dtype=bool) if masked else None
+        dom = Domain(np.array([(-1, 1)] * 3), (8, 8, 8), mask=mask)
+        rhs = np.random.default_rng(2).standard_normal(dom.dims)
+        cold = CountingOperator(GrushinOperator(dom, AP))
+        warm = CountingOperator(GrushinOperator(dom, AP))
+        x_cold = linear_solve(cold, rhs)
+        x_warm = linear_solve(warm, rhs, x0=np.zeros(dom.dims))
+        assert np.array_equal(x_cold, x_warm)
+        assert cold.calls == warm.calls - 1
 
     def test_discrete_maximum_principle(self):
         dom = Domain.cube(1.0, 12)

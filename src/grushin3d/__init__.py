@@ -28,7 +28,7 @@ from .geometry import (
     weighted_volume,
     weighted_volume_from_patches,
 )
-from .grids import GridFunction3D, load_grid, save_grid
+from .grids import CellGrid, GridFunction3D, load_grid, save_grid
 from .pohozaev import (
     PohozaevReport,
     nonexistence_classify,
@@ -66,18 +66,15 @@ from .solver import (
     Domain,
     GrushinOperator,
     Nonlinearity,
+    Problem,
     SolutionReport,
     SolverConfig,
     embedding_check,
-    energy,
-    energy_gradient,
     linear_solve,
-    nehari_scale,
     poincare_constant,
     power_nonlinearity,
     solve_ground_state,
     validate_growth_conditions,
-    weak_residual,
 )
 from .transform import (
     PolarTriple,

@@ -70,7 +70,6 @@ def _quad_cfg(args) -> QuadratureConfig:
         volume_resolution=args.resolution,
         surface_resolution=args.surface_resolution,
         refine_depth=args.refine_depth,
-        threads=args.threads,
     )
 
 
@@ -236,12 +235,12 @@ def cmd_solve(args) -> RunReport:
                 overrides = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise GridFormatError(f"solver config: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise DomainError("solver config must be a JSON object")
         known = {f.name for f in SolverConfig.__dataclass_fields__.values()}
         bad = set(overrides) - known
         if bad:
             raise DomainError(f"unknown solver config keys: {sorted(bad)}")
-        if "initial_center" in overrides and overrides["initial_center"] is not None:
-            overrides["initial_center"] = tuple(overrides["initial_center"])
         cfg = SolverConfig(**{**{f: getattr(cfg, f) for f in known}, **overrides})
     domain = Domain.cube(args.half_width, args.grid)
     nl = power_nonlinearity(args.q, ap)
@@ -300,7 +299,6 @@ def _add_quad_args(p):
     p.add_argument("--resolution", type=int, default=128, help=f"voxel cells per axis ({only})")
     p.add_argument("--surface-resolution", type=int, default=256, help="patch samples per axis")
     p.add_argument("--refine-depth", type=int, default=3, help=f"voxel boundary refinement depth ({only})")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (results identical for any count)")
 
 
 def build_parser() -> argparse.ArgumentParser:

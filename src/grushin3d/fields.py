@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import _as_alpha, sector_index
-from .grids import GridFunction3D
+from .grids import CellGrid, GridFunction3D
 from .rearrangement import anisotropic_radius
 
 __all__ = [
@@ -89,11 +89,9 @@ def sector_extremal_grid(
     ry = R / (aa + 1.0)
     width = ap.sector_width
     x2max = rx * math.sin(width) if width < math.pi / 2 else rx
-    bbox = np.array([(0.0, rx), (0.0, x2max), (-ry, ry)])
     n = int(resolution)
-    hs = (bbox[:, 1] - bbox[:, 0]) / n
-    axes = [bbox[i, 0] + (np.arange(n) + 0.5) * hs[i] for i in range(3)]
-    X1, X2, Y = np.meshgrid(*axes, indexing="ij")
+    cells = CellGrid([(0.0, rx), (0.0, x2max), (-ry, ry)], (n, n, n))
+    X1, X2, Y = cells.centers(sparse=True)
     r = anisotropic_radius(X1, X2, Y, ap)
     shift = (a + b * R * R) ** -0.5
     u = np.maximum((a + b * r * r) ** -0.5 - shift, 0.0)
@@ -102,9 +100,10 @@ def sector_extremal_grid(
             continue
         g = np.sin((i + 1) * np.pi * np.clip(r / R, 0.0, 1.0)) * compact_bump(r / R)
         u = u * (1.0 + perturbation_size * c * g)
-    pts = np.stack([X1, X2, Y], axis=-1).reshape(-1, 3)
-    mask = (sector_index(pts, ap) == 1).reshape(u.shape)
-    return GridFunction3D(bbox, u, mask)
+    # sector membership depends on (x1, x2) only
+    x1x2 = np.stack(np.broadcast_arrays(X1[:, :, 0], X2[:, :, 0]), axis=-1)
+    mask = np.broadcast_to((sector_index(x1x2, ap) == 1)[:, :, None], u.shape)
+    return GridFunction3D(cells.bbox, u, mask)
 
 
 def random_bump_corpus(
@@ -121,14 +120,11 @@ def random_bump_corpus(
     and amplitudes, supported strictly inside the box.
     """
     rng = np.random.default_rng(seed)
-    bbox = np.array([(-bbox_half, bbox_half)] * 3)
-    n = int(resolution)
-    hs = (bbox[:, 1] - bbox[:, 0]) / n
-    axes = [bbox[i, 0] + (np.arange(n) + 0.5) * hs[i] for i in range(3)]
-    X1, X2, Y = np.meshgrid(*axes, indexing="ij")
+    cells = CellGrid([(-bbox_half, bbox_half)] * 3, (resolution,) * 3)
+    X1, X2, Y = cells.centers(sparse=True)
     out = []
     for _ in range(count):
-        u = np.zeros_like(X1)
+        u = np.zeros(cells.dims)
         for _ in range(bumps_per_field):
             ctr = rng.uniform(-0.45 * bbox_half, 0.45 * bbox_half, size=3)
             width = rng.uniform(0.18, 0.4) * bbox_half
@@ -137,5 +133,5 @@ def random_bump_corpus(
                 2.2 * width
             )
             u += amp * compact_bump(rho)
-        out.append(GridFunction3D(bbox, u))
+        out.append(GridFunction3D(cells.bbox, u))
     return out

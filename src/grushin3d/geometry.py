@@ -38,6 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ComputationError, DomainError
+from .grids import CellGrid
 
 __all__ = [
     "AlphaParam",
@@ -121,34 +122,19 @@ def sector_of_point(p, alpha) -> Optional[int]:
 class QuadratureConfig:
     """Resolution knobs for voxel and patch quadrature.
 
-    ``threads`` may speed up quadrature; work is split into fixed chunks
-    and partial sums are reduced in chunk order, so results are identical
-    for every thread count (threads = 1 is the sequential reference).
+    Boundary refinement and patch sums run in fixed-size chunks, which
+    bounds memory; their partial sums are reduced in chunk order.
     """
 
     volume_resolution: int = 128
     surface_resolution: int = 256
     refine_depth: int = 3
-    threads: int = 1
 
     def __post_init__(self):
         if min(self.volume_resolution, self.surface_resolution) < 1:
             raise DomainError("quadrature resolutions must be positive")
         if not 0 <= self.refine_depth <= 8:
             raise DomainError("refine_depth must lie in 0..8")
-        if self.threads < 1:
-            raise DomainError("threads must be positive")
-
-
-def _ordered_map(fn, jobs, threads):
-    """Map preserving job order; thread count never changes the output."""
-    jobs = list(jobs)
-    if threads <= 1 or len(jobs) <= 1:
-        return [fn(j) for j in jobs]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, jobs))
 
 
 @dataclass(frozen=True)
@@ -209,19 +195,6 @@ class ImplicitShape:
         if not np.all(bbox[:, 1] > bbox[:, 0]):
             raise DomainError(f"degenerate bbox {bbox.tolist()}")
 
-    def lipschitz_bound(self, samples: int = 33) -> float:
-        """Finite-difference estimate of max |grad level| over the bbox."""
-        axes = [np.linspace(a, b, samples) for a, b in self.bbox]
-        G1, G2, G3 = np.meshgrid(*axes, indexing="ij")
-        pts = np.column_stack([G1.ravel(), G2.ravel(), G3.ravel()])
-        h = 1e-6 * float(np.max(self.bbox[:, 1] - self.bbox[:, 0]))
-        grad2 = np.zeros(len(pts))
-        for ax in range(3):
-            e = np.zeros(3)
-            e[ax] = h
-            grad2 += ((self.level(pts + e) - self.level(pts - e)) / (2 * h)) ** 2
-        return float(np.sqrt(np.max(grad2)))
-
 
 def _weight_of(alpha: float):
     def weight(x1, x2):
@@ -273,9 +246,10 @@ def _refine_chunk(level, weight, origins, h, depth, chunk=300_000):
     return total
 
 
-def _refine_crossed(level, weight, origins, h, depth, threads=1, chunk=300_000):
-    jobs = [origins[s : s + chunk] for s in range(0, len(origins), chunk)]
-    partials = _ordered_map(lambda o: _refine_chunk(level, weight, o, h, depth, chunk), jobs, threads)
+def _refine_crossed(level, weight, origins, h, depth, chunk=300_000):
+    partials = [
+        _refine_chunk(level, weight, origins[s : s + chunk], h, depth, chunk) for s in range(0, len(origins), chunk)
+    ]
     return float(np.sum(partials)) if partials else 0.0
 
 
@@ -286,12 +260,9 @@ def voxel_integral(level, bbox, weight, cfg: QuadratureConfig) -> float:
     weight array contracted against per-column inside counts, which is what
     makes volume_resolution = 128 affordable.
     """
-    bbox = np.asarray(bbox, dtype=float).reshape(3, 2)
-    lo, hi = bbox[:, 0], bbox[:, 1]
-    if not np.all(hi > lo):
-        raise DomainError("degenerate bbox")
     n = cfg.volume_resolution
-    hs = (hi - lo) / n
+    cells = CellGrid(bbox, (n, n, n))
+    lo, hs = cells.bbox[:, 0], cells.spacing
 
     # corner sign grid, filled in slabs to bound memory
     neg = np.empty((n + 1, n + 1, n + 1), dtype=bool)
@@ -300,20 +271,14 @@ def voxel_integral(level, bbox, weight, cfg: QuadratureConfig) -> float:
     c3 = lo[2] + np.arange(n + 1) * hs[2]
     C2, C3 = np.meshgrid(c2, c3, indexing="ij")
     slab = max(1, int(2e6 // ((n + 1) * (n + 1))))
-
-    def fill_slab(bounds):
-        s, e = bounds
+    for s in range(0, n + 1, slab):
+        e = min(n + 1, s + slab)
         pts = np.empty((e - s, n + 1, n + 1, 3))
         pts[..., 0] = c1[s:e, None, None]
         pts[..., 1] = C2[None]
         pts[..., 2] = C3[None]
         neg[s:e] = (level(pts.reshape(-1, 3)) < 0).reshape(e - s, n + 1, n + 1)
-
-    _ordered_map(
-        fill_slab,
-        [(s, min(n + 1, s + slab)) for s in range(0, n + 1, slab)],
-        cfg.threads,
-    )
+        del pts  # one slab of points alive at a time
 
     cnt = np.zeros((n, n, n), dtype=np.int8)
     for di in (0, 1):
@@ -323,16 +288,14 @@ def voxel_integral(level, bbox, weight, cfg: QuadratureConfig) -> float:
     del neg
 
     inside_cols = (cnt == 8).sum(axis=2)
-    x1c = lo[0] + (np.arange(n) + 0.5) * hs[0]
-    x2c = lo[1] + (np.arange(n) + 0.5) * hs[1]
-    w2d = weight(x1c[:, None], x2c[None, :])
+    w2d = weight(cells.axis_centers(0)[:, None], cells.axis_centers(1)[None, :])
     total = float(np.sum(w2d * inside_cols)) * float(hs.prod())
 
     crossed = (cnt > 0) & (cnt < 8)
     del cnt
     origins = lo + np.argwhere(crossed).astype(float) * hs
     del crossed
-    total += _refine_crossed(level, weight, origins, hs, cfg.refine_depth, cfg.threads)
+    total += _refine_crossed(level, weight, origins, hs, cfg.refine_depth)
     return total
 
 
@@ -376,26 +339,24 @@ def patch_surface_integral(
     if not shape.patches:
         raise ComputationError(f"shape {shape.name!r} carries no surface patches")
 
-    def patch_block(job):
-        patch, st, dst = job
-        pts = patch.param(st)
-        cross = patch.cross(st)
-        area = np.linalg.norm(cross, axis=-1)
-        ok = area > 0
-        pts, cross, area = pts[ok], cross[ok], area[ok]
-        normals = cross / area[:, None]
-        vals = integrand(pts, normals) * area
-        if sector_filter is not None:
-            j, ap = sector_filter
-            vals = vals[sector_index(pts, ap) == j]
-        return float(np.sum(vals)) * dst
-
-    jobs = []
+    partials = []
     block = 1 << 15
     for patch in shape.patches:
-        st, dst = patch.midpoint_nodes(cfg.surface_resolution)
-        jobs += [(patch, st[s : s + block], dst) for s in range(0, len(st), block)]
-    return float(np.sum(_ordered_map(patch_block, jobs, cfg.threads)))
+        nodes, dst = patch.midpoint_nodes(cfg.surface_resolution)
+        for s in range(0, len(nodes), block):
+            st = nodes[s : s + block]
+            pts = patch.param(st)
+            cross = patch.cross(st)
+            area = np.linalg.norm(cross, axis=-1)
+            ok = area > 0
+            pts, cross, area = pts[ok], cross[ok], area[ok]
+            normals = cross / area[:, None]
+            vals = integrand(pts, normals) * area
+            if sector_filter is not None:
+                j, ap = sector_filter
+                vals = vals[sector_index(pts, ap) == j]
+            partials.append(float(np.sum(vals)) * dst)
+    return float(np.sum(partials))
 
 
 def _triangulated_perimeter(shape, ap, cfg, sector_j=None):

@@ -1,9 +1,15 @@
-"""Scalar fields on uniform cell-centred grids, plus their text format.
+"""Uniform cell-centred grids, scalar fields on them, and their text format.
 
-A GridFunction3D holds values at cell centres of a uniform axis-aligned
-grid, ordered [i, j, k] for (x1, x2, y), with an optional mask of active
-cells.  Functions meant as compactly supported test functions should be
-zero outside the mask; fields that merely restrict a smooth function to a
+The grid geometry lives here, once: ``CellGrid`` is a box of n1 x n2 x n3
+cells ordered [i, j, k] for (x1, x2, y), with an optional mask of active
+cells.  It gives the spacing, the cell volume, the cell centres and the
+weight |x|^{2a} at the centres.  The solver's ``Domain`` and the field
+container ``GridFunction3D`` both take their geometry from it, so every
+grid quantity of the package is computed by the same arithmetic.
+
+A GridFunction3D holds values at the cell centres of such a grid.
+Functions meant as compactly supported test functions should be zero
+outside the mask; fields that merely restrict a smooth function to a
 region (e.g. a sector) may keep smooth values everywhere and let the mask
 gate integration.
 
@@ -27,34 +33,37 @@ import numpy as np
 
 from .errors import DomainError, GridFormatError
 
-__all__ = ["GridFunction3D", "load_grid", "save_grid", "resample", "GRID_MAGIC"]
+__all__ = ["CellGrid", "GridFunction3D", "load_grid", "save_grid", "resample", "GRID_MAGIC"]
 
 GRID_MAGIC = "grushin-grid v1"
 
 
-@dataclass
-class GridFunction3D:
-    bbox: np.ndarray  # (3, 2)
-    values: np.ndarray  # (n1, n2, n3)
-    mask: Optional[np.ndarray] = None  # bool, same shape; None = all active
+def check_grid(bbox, dims, mask=None):
+    """(bbox, dims, mask) as a (3, 2) float array, three ints and a bool
+    array or None; raises DomainError unless they describe a grid."""
+    bbox = np.asarray(bbox, dtype=float).reshape(3, 2)
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != 3 or min(dims) < 1:
+        raise DomainError(f"grid needs three positive dims, got {dims}")
+    if not np.all(bbox[:, 1] > bbox[:, 0]):
+        raise DomainError("degenerate bbox")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != dims:
+            raise DomainError(f"mask shape {mask.shape} must match dims {dims}")
+    return bbox, dims, mask
 
-    def __post_init__(self):
-        self.bbox = np.asarray(self.bbox, dtype=float).reshape(3, 2)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 3:
-            raise DomainError("values must be a 3D array")
-        if not np.all(self.bbox[:, 1] > self.bbox[:, 0]):
-            raise DomainError("degenerate bbox")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("grid values must be finite")
-        if self.mask is not None:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.values.shape:
-                raise DomainError("mask shape must match values shape")
 
-    @property
-    def dims(self):
-        return self.values.shape
+class CellGrid:
+    """Geometry of a uniform cell-centred grid on an axis-aligned box.
+
+    ``bbox`` is (3, 2), ``dims`` the cell counts along (x1, x2, y) and
+    ``mask`` an optional bool array of active cells (None: all active).
+    Cell [i, j, k] is centred at bbox[:, 0] + ((i, j, k) + 1/2) * spacing.
+    """
+
+    def __init__(self, bbox, dims, mask=None):
+        self.bbox, self.dims, self.mask = check_grid(bbox, dims, mask)
 
     @property
     def spacing(self) -> np.ndarray:
@@ -68,16 +77,38 @@ class GridFunction3D:
         h = self.spacing[axis]
         return self.bbox[axis, 0] + (np.arange(self.dims[axis]) + 0.5) * h
 
+    def centers(self, sparse: bool = False):
+        """Cell-centre coordinates (X1, X2, Y): full (n1, n2, n3) arrays, or
+        with ``sparse`` the broadcastable (n1, 1, 1), (1, n2, 1), (1, 1, n3)."""
+        return np.meshgrid(*(self.axis_centers(k) for k in range(3)), indexing="ij", sparse=sparse)
+
+    def active(self) -> np.ndarray:
+        if self.mask is None:
+            return np.ones(self.dims, dtype=bool)
+        return self.mask
+
     def weight2d(self, alpha: float) -> np.ndarray:
         """|x|^{2*alpha} at cell centres; constant along the y axis."""
         x1 = self.axis_centers(0)
         x2 = self.axis_centers(1)
         return (x1[:, None] ** 2 + x2[None, :] ** 2) ** alpha
 
-    def active(self) -> np.ndarray:
-        if self.mask is None:
-            return np.ones(self.dims, dtype=bool)
-        return self.mask
+
+@dataclass
+class GridFunction3D(CellGrid):
+    bbox: np.ndarray  # (3, 2)
+    values: np.ndarray  # (n1, n2, n3)
+    mask: Optional[np.ndarray] = None  # bool, same shape; None = all active
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        self.bbox, _, self.mask = check_grid(self.bbox, self.values.shape, self.mask)
+        if not np.all(np.isfinite(self.values)):
+            raise DomainError("grid values must be finite")
+
+    @property
+    def dims(self):
+        return self.values.shape
 
     def masked_values(self) -> np.ndarray:
         if self.mask is None:
@@ -86,31 +117,24 @@ class GridFunction3D:
 
     @classmethod
     def from_callable(cls, fn, bbox, dims, mask=None) -> "GridFunction3D":
-        bbox = np.asarray(bbox, dtype=float).reshape(3, 2)
-        dims = tuple(int(d) for d in dims)
-        hs = (bbox[:, 1] - bbox[:, 0]) / np.array(dims)
-        axes = [bbox[i, 0] + (np.arange(dims[i]) + 0.5) * hs[i] for i in range(3)]
-        X1, X2, Y = np.meshgrid(*axes, indexing="ij")
-        return cls(bbox, np.asarray(fn(X1, X2, Y), dtype=float), mask)
+        cells = CellGrid(bbox, dims, mask)
+        return cls(cells.bbox, np.asarray(fn(*cells.centers()), dtype=float), cells.mask)
 
 
 def resample(grid: GridFunction3D, dims, bbox=None) -> GridFunction3D:
     """Trilinear resampling onto a new cell-centred grid (zero outside)."""
     from scipy.interpolate import RegularGridInterpolator
 
-    bbox = grid.bbox if bbox is None else np.asarray(bbox, dtype=float).reshape(3, 2)
+    cells = CellGrid(grid.bbox if bbox is None else bbox, dims)
     interp = RegularGridInterpolator(
         tuple(grid.axis_centers(ax) for ax in range(3)),
         grid.values,
         bounds_error=False,
         fill_value=0.0,
     )
-    dims = tuple(int(d) for d in dims)
-    hs = (bbox[:, 1] - bbox[:, 0]) / np.array(dims)
-    axes = [bbox[i, 0] + (np.arange(dims[i]) + 0.5) * hs[i] for i in range(3)]
-    X1, X2, Y = np.meshgrid(*axes, indexing="ij")
-    vals = interp(np.column_stack([X1.ravel(), X2.ravel(), Y.ravel()])).reshape(dims)
-    return GridFunction3D(bbox, vals)
+    X1, X2, Y = cells.centers()
+    vals = interp(np.column_stack([X1.ravel(), X2.ravel(), Y.ravel()])).reshape(cells.dims)
+    return GridFunction3D(cells.bbox, vals)
 
 
 def save_grid(grid: GridFunction3D, path) -> None:
@@ -125,8 +149,11 @@ def save_grid(grid: GridFunction3D, path) -> None:
 
 
 def load_grid(path) -> GridFunction3D:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GridFormatError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0].strip() != GRID_MAGIC:
         raise GridFormatError(f"expected header {GRID_MAGIC!r}", line=1)
     if len(lines) < 3:

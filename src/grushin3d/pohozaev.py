@@ -152,21 +152,14 @@ def pohozaev_rhs(u: GridFunction3D, domain: Domain, alpha) -> float:
     a = _as_alpha(alpha).alpha
     h = domain.spacing
     total = 0.0
-    centers = [domain.axis_centers(k) for k in range(3)]
     for axis in range(3):
-        others = [k for k in range(3) if k != axis]
-        area = float(np.prod([h[k] for k in others]))
-        C0, C1 = np.meshgrid(centers[others[0]], centers[others[1]], indexing="ij")
+        area = float(np.prod([h[k] for k in range(3) if k != axis]))
+        # X . nu is constant on a face; only the y-faces carry |x|^{2a}
+        wmag = domain.weight2d(a) if axis == 2 else 1.0
         for side, sign in ((0, -1.0), (1, 1.0)):
             coord = domain.bbox[axis, side]
             dd = _face_normal_derivative(u.values, axis, side, h[axis])
-            pt = {axis: coord, others[0]: C0, others[1]: C1}
-            if axis == 2:
-                g = (1.0 + a) * pt[2] * sign
-                wmag = (pt[0] ** 2 + pt[1] ** 2) ** a
-            else:
-                g = pt[axis] * sign
-                wmag = 1.0
+            g = ((1.0 + a) * coord if axis == 2 else coord) * sign
             total += float(np.sum(g * wmag * dd**2)) * area
     return 0.5 * total
 

@@ -246,6 +246,8 @@ def rearrange(u: GridFunction3D, alpha, levels=None) -> RadialProfile:
 
 
 def _grid_gradients(u: GridFunction3D):
+    if min(u.dims) < 2:
+        raise DomainError(f"grid energies need at least 2 cells per axis, got dims {u.dims}")
     h = u.spacing
     g = np.gradient(u.values, *h, edge_order=2 if min(u.dims) >= 3 else 1)
     return g

@@ -10,14 +10,20 @@ Dirichlet data is imposed at cell faces through odd-reflection ghosts
 and the scheme second order in L2; plain ghost-centre zeros would shift
 the boundary by h/2 and drop to first order.
 
-The energy functional of the problem is
+The domain is a ``Domain``, whose cell geometry (spacing, centres, active
+mask, the weight |x|^{2a} at the centres) is the shared ``CellGrid`` of
+the grids module.  A ``Problem`` ties a domain, alpha and a nonlinearity
+together, builds the stencil operator A once, and holds the discrete
+algebra of (P): the energy functional
 
     Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV,
 
-with A the stencil operator, so the discrete gradient A u - f(., u) is the
-exact derivative of the discrete energy.  Ground states are computed by
+its gradient A u - f(., u) (the exact derivative of the discrete energy),
+the weak residual and the Nehari scaling.  Ground states are computed by
 preconditioned descent on the Nehari manifold: move toward A^{-1} f(u),
-line-search on Phi, rescale so <Phi'(u), u> = 0.
+line-search on Phi, rescale so <Phi'(u), u> = 0; the solver loop uses the
+same ``Problem`` methods, so its reported residual is the one
+``Problem.residual`` computes.
 
 Linear systems are solved by conjugate gradients.  On a box (no mask) CG is
 preconditioned with the exact inverse of the box operator whose weight is
@@ -33,14 +39,15 @@ reference the fast path is tested against.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegeneracyError, DomainError, IterationError
-from .geometry import _as_alpha
-from .grids import GridFunction3D
+from .geometry import AlphaParam, _as_alpha
+from .grids import CellGrid, GridFunction3D, check_grid
 
 __all__ = [
     "Domain",
@@ -50,10 +57,7 @@ __all__ = [
     "SolutionReport",
     "GrushinOperator",
     "linear_solve",
-    "energy",
-    "energy_gradient",
-    "weak_residual",
-    "nehari_scale",
+    "Problem",
     "solve_ground_state",
     "poincare_constant",
     "embedding_check",
@@ -62,11 +66,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Domain:
+class Domain(CellGrid):
     """Axis-aligned box (optionally masked) containing the origin strictly.
 
     ``mask`` selects active cells; None means the full box.  Dirichlet data
-    lives on the faces between active and inactive/outside cells.
+    lives on the faces between active and inactive/outside cells.  The cell
+    geometry is ``CellGrid``'s; a domain adds the solver's rules: the origin
+    strictly inside, even x1/x2 counts and an active origin cell.
     """
 
     bbox: np.ndarray  # (3, 2)
@@ -74,58 +80,24 @@ class Domain:
     mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        bbox = np.asarray(self.bbox, dtype=float).reshape(3, 2)
-        object.__setattr__(self, "bbox", bbox)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if not np.all(bbox[:, 1] > bbox[:, 0]):
-            raise DomainError("degenerate bbox")
+        for name, value in zip(("bbox", "dims", "mask"), check_grid(self.bbox, self.dims, self.mask)):
+            object.__setattr__(self, name, value)
+        bbox = self.bbox
         if not (np.all(bbox[:, 0] < 0) and np.all(bbox[:, 1] > 0)):
             raise DomainError("domain must contain the origin strictly inside")
         if self.dims[0] % 2 or self.dims[1] % 2:
             raise DomainError("dims in x1 and x2 must be even (centres off the y-axis)")
         if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool)
-            if m.shape != self.dims:
-                raise DomainError("mask shape must match dims")
-            object.__setattr__(self, "mask", m)
-            ctr = np.floor(
-                (0 - bbox[:, 0]) / ((bbox[:, 1] - bbox[:, 0]) / np.array(self.dims))
-            ).astype(int)
-            if not m[tuple(ctr)]:
+            ctr = np.floor((0 - bbox[:, 0]) / self.spacing).astype(int)
+            if not self.mask[tuple(ctr)]:
                 raise DomainError("origin cell must be active")
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return (self.bbox[:, 1] - self.bbox[:, 0]) / np.array(self.dims)
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
-    def axis_centers(self, axis: int) -> np.ndarray:
-        h = self.spacing[axis]
-        return self.bbox[axis, 0] + (np.arange(self.dims[axis]) + 0.5) * h
-
-    def active(self) -> np.ndarray:
-        if self.mask is None:
-            return np.ones(self.dims, dtype=bool)
-        return self.mask
-
-    def centers(self):
-        return np.meshgrid(
-            self.axis_centers(0), self.axis_centers(1), self.axis_centers(2), indexing="ij"
-        )
 
     def grid_function(self, values) -> GridFunction3D:
         return GridFunction3D(self.bbox, values, self.mask)
 
     def weighted_measure(self, alpha) -> float:
-        a = _as_alpha(alpha).alpha
-        x1 = self.axis_centers(0)
-        x2 = self.axis_centers(1)
-        w2d = (x1[:, None] ** 2 + x2[None, :] ** 2) ** a
-        act = self.active()
-        return float(np.sum(w2d * act.sum(axis=2))) * self.cell_volume
+        w2d = self.weight2d(_as_alpha(alpha).alpha)
+        return float(np.sum(w2d * self.active().sum(axis=2))) * self.cell_volume
 
     @classmethod
     def cube(cls, half_width: float = 1.0, n: int = 48) -> "Domain":
@@ -139,9 +111,7 @@ class GrushinOperator:
     def __init__(self, domain: Domain, alpha):
         self.domain = domain
         self.alpha = _as_alpha(alpha)
-        x1 = domain.axis_centers(0)
-        x2 = domain.axis_centers(1)
-        self.weight2d = (x1[:, None] ** 2 + x2[None, :] ** 2) ** self.alpha.alpha
+        self.weight2d = domain.weight2d(self.alpha.alpha)
         self._mask = domain.mask
         self._box_basis = None
 
@@ -239,11 +209,28 @@ class SolverConfig:
     collapse_threshold: float = 1e-12
 
     def __post_init__(self):
+        # values may come from a JSON file, so check their types first
+        for name in ("cg_tol", "outer_tol", "line_search_start", "initial_width", "collapse_threshold"):
+            if not _is_real(getattr(self, name)):
+                raise DomainError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in ("cg_max_iter", "outer_max_iter", "line_search_halvings"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        c = self.initial_center
+        if c is not None:
+            if not (isinstance(c, (tuple, list)) and len(c) == 3 and all(_is_real(x) and math.isfinite(x) for x in c)):
+                raise DomainError(f"initial_center must be None or three finite numbers, got {c!r}")
+            object.__setattr__(self, "initial_center", tuple(c))
         # written so that NaN fails too: every comparison with NaN is false
         if not all(0.0 < t < math.inf for t in (self.cg_tol, self.outer_tol)):
             raise DomainError(f"tolerances must be positive and finite: cg_tol={self.cg_tol}, outer_tol={self.outer_tol}")
         if min(self.cg_max_iter, self.outer_max_iter) < 1:
             raise DomainError("iteration limits must be positive")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def linear_solve(op: GrushinOperator, rhs: np.ndarray, cfg: SolverConfig = SolverConfig(), x0=None):
@@ -342,51 +329,75 @@ def power_nonlinearity(q: float, alpha) -> Nonlinearity:
     return Nonlinearity(f=f, F=F, kind="power", q=float(q), growth=growth)
 
 
-def _eval_cellwise(domain: Domain, fn, u):
-    X1, X2, Y = domain.centers()
-    return fn(X1, X2, Y, u)
+@dataclass(frozen=True)
+class Problem:
+    """Problem (P) on a domain: the stencil operator A, built once, and the
+    discrete energy algebra on it.
 
-
-def energy(u: np.ndarray, nonlinearity: Nonlinearity, domain: Domain, alpha, op: Optional[GrushinOperator] = None) -> float:
-    """Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV."""
-    op = op or GrushinOperator(domain, alpha)
-    act = domain.active()
-    Fvals = _eval_cellwise(domain, nonlinearity.F, u)
-    return 0.5 * op.quadratic_form(u) - float(np.sum(Fvals[act])) * domain.cell_volume
-
-
-def energy_gradient(u: np.ndarray, nonlinearity: Nonlinearity, domain: Domain, alpha, op=None) -> np.ndarray:
-    """L2 gradient density A u - f(., u); zero on inactive cells."""
-    op = op or GrushinOperator(domain, alpha)
-    g = op(u) - _eval_cellwise(domain, nonlinearity.f, u)
-    if domain.mask is not None:
-        g = np.where(domain.mask, g, 0.0)
-    return g
-
-
-def weak_residual(u: np.ndarray, nonlinearity: Nonlinearity, domain: Domain, alpha, op=None) -> float:
-    g = energy_gradient(u, nonlinearity, domain, alpha, op)
-    return math.sqrt(float(np.sum(g * g)) * domain.cell_volume)
-
-
-def nehari_scale(u: np.ndarray, nonlinearity: Nonlinearity, domain: Domain, alpha, op=None) -> float:
-    """t with <Phi'(t u), t u> = 0 for the homogeneous power term.
-
-    t = (a/b)^{1/(q-2)} with a = <A u, u> dV and b = sum |x|^{2a} |u|^q dV.
+    ``f`` and ``F`` of the nonlinearity are evaluated on the broadcastable
+    cell-centre axes (``CellGrid.centers(sparse=True)``), so they must
+    broadcast like numpy ufuncs.  Integrals run over active cells with the
+    cell volume dV.
     """
-    if nonlinearity.kind != "power":
-        raise DomainError("Nehari projection requires a power nonlinearity")
-    q = nonlinearity.q
-    if q <= 2:
-        raise DomainError("Nehari projection requires q > 2")
-    op = op or GrushinOperator(domain, alpha)
-    a = op.quadratic_form(u)
-    act = domain.active()
-    w = op.weight2d[:, :, None]
-    b = float(np.sum((w * np.abs(u) ** q)[act])) * domain.cell_volume
-    if b <= 0.0:
-        raise DomainError("cannot project the zero function onto the Nehari set")
-    return (a / b) ** (1.0 / (q - 2.0))
+
+    domain: Domain
+    alpha: AlphaParam  # a float is converted
+    nonlinearity: Nonlinearity
+    op: GrushinOperator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ap = _as_alpha(self.alpha)
+        object.__setattr__(self, "alpha", ap)
+        object.__setattr__(self, "op", GrushinOperator(self.domain, ap))
+        object.__setattr__(self, "_centers", self.domain.centers(sparse=True))
+        object.__setattr__(self, "_active", self.domain.active())
+
+    def energy(self, u: np.ndarray) -> float:
+        """Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV."""
+        Fvals = self.nonlinearity.F(*self._centers, u)
+        return 0.5 * self.op.quadratic_form(u) - float(np.sum(Fvals[self._active])) * self.domain.cell_volume
+
+    def evaluate(self, u: np.ndarray):
+        """(A u, f(., u), the L2 gradient density A u - f(., u)); the
+        gradient is zero on inactive cells."""
+        Au = self.op(u)
+        fu = self.nonlinearity.f(*self._centers, u)
+        g = Au - fu
+        if self.domain.mask is not None:
+            g = np.where(self.domain.mask, g, 0.0)
+        return Au, fu, g
+
+    def gradient(self, u: np.ndarray) -> np.ndarray:
+        return self.evaluate(u)[2]
+
+    def norm(self, v: np.ndarray) -> float:
+        """Discrete L2 norm (sum v^2 dV)^{1/2}."""
+        return math.sqrt(float(np.sum(v * v)) * self.domain.cell_volume)
+
+    def residual(self, u: np.ndarray) -> float:
+        """Weak residual ||A u - f(., u)||, the norm of the gradient."""
+        return self.norm(self.gradient(u))
+
+    def power_term(self, u: np.ndarray) -> float:
+        """sum |x|^{2a} |u|^q dV, q the exponent of the power nonlinearity."""
+        w = self.op.weight2d[:, :, None]
+        return float(np.sum((w * np.abs(u) ** self.nonlinearity.q)[self._active])) * self.domain.cell_volume
+
+    def nehari_factor(self, a: float, b: float) -> float:
+        """t with t v on the Nehari set, given a = <A v, v> dV and
+        b = power_term(v): t = (a/b)^{1/(q-2)}."""
+        return (a / b) ** (1.0 / (self.nonlinearity.q - 2.0))
+
+    def nehari_scale(self, u: np.ndarray) -> float:
+        """t with <Phi'(t u), t u> = 0 for the homogeneous power term."""
+        if self.nonlinearity.kind != "power":
+            raise DomainError("Nehari projection requires a power nonlinearity")
+        if self.nonlinearity.q <= 2:
+            raise DomainError("Nehari projection requires q > 2")
+        b = self.power_term(u)
+        if b <= 0.0:
+            raise DomainError("cannot project the zero function onto the Nehari set")
+        return self.nehari_factor(self.op.quadratic_form(u), b)
 
 
 @dataclass
@@ -397,11 +408,10 @@ class SolutionReport:
     nehari_residual: float
     iterations: int
     mountain_pass_level: float
-    converged: bool
 
 
-def _default_initial(domain: Domain, cfg: SolverConfig, centers) -> np.ndarray:
-    X1, X2, Y = centers
+def _default_initial(domain: Domain, cfg: SolverConfig) -> np.ndarray:
+    X1, X2, Y = domain.centers(sparse=True)
     half = 0.5 * (domain.bbox[:, 1] - domain.bbox[:, 0])
     if cfg.initial_center is not None:
         c = np.asarray(cfg.initial_center, dtype=float)
@@ -434,32 +444,20 @@ def solve_ground_state(
     q = nonlinearity.q
     if not 2.0 < q < 6.0:
         raise DomainError(f"subcritical existence run needs 2 < q < 6, got q={q}")
-    ap = _as_alpha(alpha)
-    op = GrushinOperator(domain, ap)
-    act = domain.active()
+    prob = Problem(domain, alpha, nonlinearity)
+    op, b_term = prob.op, prob.power_term
     vol = domain.cell_volume
-    w = op.weight2d[:, :, None]
-    centers = domain.centers()
-
-    def b_term(v):
-        return float(np.sum((w * np.abs(v) ** q)[act])) * vol
 
     def nehari_factor(a, b):
-        # t with t v on the Nehari set, given a = <A v, v> dV and b = b_term(v)
         if b <= cfg.collapse_threshold:
             raise DegeneracyError("iterate collapsed toward zero")
-        return (a / b) ** (1.0 / (q - 2.0))
+        return prob.nehari_factor(a, b)
 
     def evaluate(v):
-        # A v, f(v) and the weak residual ||A v - f(v)|| (as weak_residual)
-        Av = op(v)
-        fv = nonlinearity.f(*centers, v)
-        g = Av - fv
-        if domain.mask is not None:
-            g = np.where(domain.mask, g, 0.0)
-        return Av, fv, math.sqrt(float(np.sum(g * g)) * vol)
+        Av, fv, g = prob.evaluate(v)
+        return Av, fv, prob.norm(g)
 
-    u = initial.copy() if initial is not None else _default_initial(domain, cfg, centers)
+    u = initial.copy() if initial is not None else _default_initial(domain, cfg)
     if domain.mask is not None:
         u = np.where(domain.mask, u, 0.0)
     if float(np.max(np.abs(u))) <= 0:
@@ -516,8 +514,7 @@ def solve_ground_state(
         if residual <= cfg.outer_tol:
             break
 
-    norm = math.sqrt(float(np.sum(u * u)) * vol)
-    if norm <= cfg.collapse_threshold:
+    if prob.norm(u) <= cfg.collapse_threshold:
         raise DegeneracyError("solver collapsed onto the trivial solution")
     if residual > cfg.outer_tol:
         raise IterationError(
@@ -535,7 +532,6 @@ def solve_ground_state(
         iterations=it,
         # max of Phi along t -> t u, attained at t = 1 on the Nehari set
         mountain_pass_level=(0.5 - 1.0 / q) * a,
-        converged=True,
     )
 
 
@@ -589,16 +585,14 @@ def embedding_check(domain: Domain, q: float, alpha, fields, slack: float = 0.02
     if not 1.0 <= q <= 6.0:
         raise DomainError("embedding range is 1 <= q <= 6")
     ap = _as_alpha(alpha)
-    op = GrushinOperator(domain, ap)
+    prob = Problem(domain, ap, power_nonlinearity(q, ap))
     L = sobolev_lower_bound(ap)
     c_q = domain.weighted_measure(ap) ** (1.0 / q - 1.0 / 6.0) / L
-    act = domain.active()
-    w = op.weight2d[:, :, None]
     ratios = []
     for fld in fields:
         u = fld.values if isinstance(fld, GridFunction3D) else np.asarray(fld)
-        norm_q = (float(np.sum((w * np.abs(u) ** q)[act])) * domain.cell_volume) ** (1.0 / q)
-        grad = math.sqrt(op.quadratic_form(u))
+        norm_q = prob.power_term(u) ** (1.0 / q)
+        grad = math.sqrt(prob.op.quadratic_form(u))
         if grad == 0.0:
             continue
         ratios.append(norm_q / (c_q * grad))
@@ -625,9 +619,8 @@ def validate_growth_conditions(nonlinearity: Nonlinearity, domain: Domain, alpha
     keys = ("A1", "A2", "A3", "A4", "A5")
     if not g:
         return {k: "not-applicable" for k in keys}
-    a = _as_alpha(alpha).alpha
     X1, X2, Y = (c[::stride, ::stride, ::stride] for c in domain.centers())
-    w = (X1**2 + X2**2) ** a
+    w = domain.weight2d(_as_alpha(alpha).alpha)[::stride, ::stride, None]
     verdicts = {}
 
     # A1: |f| <= |x|^{2a}(f1 + f2 |xi|^{q-1}) plus the exponent constraints

@@ -45,9 +45,8 @@ from grushin3d.sobolev import (
 from grushin3d.solver import (
     Domain,
     GrushinOperator,
+    Problem,
     SolverConfig,
-    energy,
-    energy_gradient,
     linear_solve,
     poincare_constant,
     power_nonlinearity,
@@ -251,16 +250,15 @@ def test_criterion_08_solver_correctness(ground_states):
     order = math.log2(errs[0] / errs[-1]) / 3.0
 
     dom = Domain.cube(1.0, 24)
-    op = GrushinOperator(dom, ap)
-    nl = power_nonlinearity(4.0, ap)
+    prob = Problem(dom, ap, power_nonlinearity(4.0, ap))
     rng = np.random.default_rng(6)
     grad_rel = 0.0
     for _ in range(3):
         u = rng.standard_normal(dom.dims) * 0.5
         v = rng.standard_normal(dom.dims)
         eps = 1e-5
-        fd = (energy(u + eps * v, nl, dom, ap, op) - energy(u - eps * v, nl, dom, ap, op)) / (2 * eps)
-        an = float(np.sum(energy_gradient(u, nl, dom, ap, op) * v)) * dom.cell_volume
+        fd = (prob.energy(u + eps * v) - prob.energy(u - eps * v)) / (2 * eps)
+        an = float(np.sum(prob.gradient(u) * v)) * dom.cell_volume
         grad_rel = max(grad_rel, abs(fd - an) / abs(an))
 
     sol48 = ground_states(48)

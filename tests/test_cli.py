@@ -268,6 +268,45 @@ class TestPohozaevCommand:
         assert code == 2
 
 
+SOLVE = ["solve", "--alpha", "1", "--q", "4", "--grid", "8"]
+
+
+class TestBadInput:
+    """Bad grids, files and configs end in their documented exit code with a
+    one-line diagnosis, never in a traceback (exit 1 means a failed check)."""
+
+    @pytest.mark.parametrize(
+        "argv, file_bytes, code",
+        [
+            (["solve", "--alpha", "1", "--q", "4", "--grid", "0"], None, 2),
+            (["solve", "--alpha", "1", "--q", "4", "--grid", "-2"], None, 2),
+            (["pohozaev", "--p", "3", "--alpha", "1", "--solve", "--grid", "0"], None, 2),
+            (["sobolev", "--alphas", "1", "--minimize", "--resolution", "0"], None, 2),
+            (["sobolev", "--alphas", "1", "--minimize", "--resolution", "1"], None, 2),
+            (["rearrange", "--alpha", "1", "--input", "FILE"], None, 3),
+            (["rearrange", "--alpha", "1", "--input", "FILE"], b"\xff\xfe\x00binary", 3),
+            ([*SOLVE, "--config", "FILE"], b'{"cg_tol": null}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"cg_max_iter": "x"}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"outer_max_iter": 10.5}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"line_search_start": null}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"initial_width": true}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"initial_center": [0.1]}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"initial_center": 5}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"initial_center": [0.1, "a", 0.0]}', 2),
+            ([*SOLVE, "--config", "FILE"], b"[1, 2]", 2),
+        ],
+    )
+    def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):
+        path = tmp_path / "input"  # missing unless file_bytes is given
+        if file_bytes is not None:
+            path.write_bytes(file_bytes)
+        assert main([str(path) if a == "FILE" else a for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith("input error: " if code == 3 else "usage error: ")
+
+
 class TestReportPlumbing:
     def test_output_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -117,17 +117,6 @@ class TestWeightedVolume:
         # two resolution doublings; order >= 1 means a factor >= ~4
         assert errs[128] <= errs[32] / 2.5
 
-    def test_thread_count_does_not_change_bits(self, fast_cfg):
-        shape = replace(ellipsoid((1.1, 0.9, 0.7)), patches=None)
-        v1 = weighted_volume(shape, 1.0, fast_cfg)
-        cfg3 = QuadratureConfig(
-            volume_resolution=fast_cfg.volume_resolution,
-            surface_resolution=fast_cfg.surface_resolution,
-            refine_depth=fast_cfg.refine_depth,
-            threads=3,
-        )
-        assert weighted_volume(shape, 1.0, cfg3) == v1
-
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_patch_shapes_take_the_patch_route(self, alpha, fast_cfg):
         for shape in corpus_shapes(alpha):
@@ -335,8 +324,3 @@ class TestCorpus:
         assert len(shapes) >= 12
         names = {s.name for s in shapes}
         assert {"ellipsoid", "cylinder", "box", "ball", "ball-sector"} <= names
-
-    def test_lipschitz_bound_finite(self):
-        shape = ellipsoid((1.0, 0.8, 0.6))
-        bound = shape.lipschitz_bound(samples=9)
-        assert 0 < bound < 100

@@ -5,22 +5,20 @@ import pytest
 
 from grushin3d import AlphaParam, DegeneracyError, DomainError, IterationError
 from grushin3d.fields import random_bump_corpus
+from grushin3d.grids import GridFunction3D
 from grushin3d.solver import (
     Domain,
     GrushinOperator,
     Nonlinearity,
+    Problem,
     SolverConfig,
     _line_quadratic,
     embedding_check,
-    energy,
-    energy_gradient,
     linear_solve,
-    nehari_scale,
     poincare_constant,
     power_nonlinearity,
     solve_ground_state,
     validate_growth_conditions,
-    weak_residual,
 )
 
 AP = AlphaParam(1.0)
@@ -79,6 +77,26 @@ class TestDomain:
         mask[2, 2, 2] = False
         with pytest.raises(DomainError):
             Domain(np.array([(-1, 1)] * 3), (4, 4, 4), mask=mask)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_geometry_shared_with_grid_functions(self, masked):
+        # Domain and GridFunction3D take their geometry from one CellGrid
+        bbox = np.array([(-1.0, 1.2), (-0.8, 0.9), (-1.3, 1.1)])
+        dims = (12, 16, 10)
+        mask = None
+        if masked:
+            mask = np.random.default_rng(3).uniform(size=dims) < 0.8
+            mask[4:7, 6:9, 4:7] = True
+        dom = Domain(bbox, dims, mask)
+        grid = GridFunction3D(bbox, np.zeros(dims), mask)
+        assert np.array_equal(dom.spacing, grid.spacing)
+        assert dom.cell_volume == grid.cell_volume
+        for axis in range(3):
+            assert np.array_equal(dom.axis_centers(axis), grid.axis_centers(axis))
+        assert np.array_equal(dom.active(), grid.active())
+        for alpha in (0.5, 1.0, 2.0):
+            assert np.array_equal(dom.weight2d(alpha), grid.weight2d(alpha))
+            assert np.array_equal(GrushinOperator(dom, alpha).weight2d, grid.weight2d(alpha))
 
 
 class TestOperator:
@@ -219,19 +237,20 @@ class TestEnergyAndGradient:
     def test_energy_zero_at_zero(self):
         dom = Domain.cube(1.0, 12)
         nl = power_nonlinearity(4.0, AP)
-        assert energy(np.zeros(dom.dims), nl, dom, AP) == 0.0
+        assert Problem(dom, AP, nl).energy(np.zeros(dom.dims)) == 0.0
 
     def test_power_homogeneity(self):
         dom = Domain.cube(1.0, 12)
         nl = power_nonlinearity(4.0, AP)
-        op = GrushinOperator(dom, AP)
+        prob = Problem(dom, AP, nl)
+        op = prob.op
         X1, X2, Y = dom.centers()
         v = np.exp(-3 * (X1**2 + X2**2 + Y**2))
         a = op.quadratic_form(v)
         w = op.weight2d[:, :, None]
         b = float(np.sum(w * np.abs(v) ** 4)) * dom.cell_volume
         for t in (0.5, 1.0, 2.0):
-            direct = energy(t * v, nl, dom, AP, op)
+            direct = prob.energy(t * v)
             assert direct == pytest.approx(t**2 / 2 * a - t**4 / 4 * b, rel=1e-10)
 
     def test_energy_tends_to_minus_infinity(self):
@@ -239,35 +258,33 @@ class TestEnergyAndGradient:
         nl = power_nonlinearity(4.0, AP)
         X1, X2, Y = dom.centers()
         v = np.exp(-3 * ((X1 - 0.4) ** 2 + (X2 - 0.4) ** 2 + Y**2))
-        assert energy(1e3 * v, nl, dom, AP) < 0
+        assert Problem(dom, AP, nl).energy(1e3 * v) < 0
 
     def test_gradient_matches_finite_differences(self):
         dom = Domain.cube(1.0, 12)
-        op = GrushinOperator(dom, AP)
         rng = np.random.default_rng(8)
         for nl in (power_nonlinearity(4.0, AP), power_nonlinearity(3.0, AP)):
+            prob = Problem(dom, AP, nl)
             u = rng.standard_normal(dom.dims) * 0.5
             v = rng.standard_normal(dom.dims)
             eps = 1e-5
-            fd = (energy(u + eps * v, nl, dom, AP, op) - energy(u - eps * v, nl, dom, AP, op)) / (
-                2 * eps
-            )
-            an = float(np.sum(energy_gradient(u, nl, dom, AP, op) * v)) * dom.cell_volume
+            fd = (prob.energy(u + eps * v) - prob.energy(u - eps * v)) / (2 * eps)
+            an = float(np.sum(prob.gradient(u) * v)) * dom.cell_volume
             assert fd == pytest.approx(an, rel=1e-6)
 
     def test_gradient_zero_at_zero(self):
         dom = Domain.cube(1.0, 8)
         nl = power_nonlinearity(4.0, AP)
-        assert np.all(energy_gradient(np.zeros(dom.dims), nl, dom, AP) == 0.0)
+        assert np.all(Problem(dom, AP, nl).gradient(np.zeros(dom.dims)) == 0.0)
 
     def test_linear_case_gradient_is_operator(self):
         dom = Domain.cube(1.0, 8)
         zero = lambda x1, x2, y, xi: np.zeros_like(np.asarray(x1) + xi)  # noqa: E731
         nl = Nonlinearity(f=zero, F=zero, kind="custom")
-        op = GrushinOperator(dom, AP)
+        prob = Problem(dom, AP, nl)
         rng = np.random.default_rng(2)
         u = rng.standard_normal(dom.dims)
-        assert np.allclose(energy_gradient(u, nl, dom, AP, op), op(u), atol=1e-14)
+        assert np.allclose(prob.gradient(u), prob.op(u), atol=1e-14)
 
     def test_weak_residual_of_solved_system(self):
         dom = Domain.cube(1.0, 16)
@@ -282,42 +299,38 @@ class TestEnergyAndGradient:
             return (np.pi / 2) ** 2 * (2.0 + w) * c(x1) * c(x2) * c(y) + 0.0 * xi
 
         nl = Nonlinearity(f=f, F=f, kind="custom")
-        rel = weak_residual(u, nl, dom, AP, op) / math.sqrt(float(np.sum(rhs**2)) * dom.cell_volume)
+        rel = Problem(dom, AP, nl).residual(u) / math.sqrt(float(np.sum(rhs**2)) * dom.cell_volume)
         assert rel <= 1e-8
 
     def test_weak_residual_zero_function(self):
         dom = Domain.cube(1.0, 8)
         nl = power_nonlinearity(4.0, AP)
-        assert weak_residual(np.zeros(dom.dims), nl, dom, AP) == 0.0
+        assert Problem(dom, AP, nl).residual(np.zeros(dom.dims)) == 0.0
 
 
 class TestNehari:
     def test_scale_one_when_balanced(self):
         dom = Domain.cube(1.0, 16)
-        nl = power_nonlinearity(4.0, AP)
-        op = GrushinOperator(dom, AP)
+        prob = Problem(dom, AP, power_nonlinearity(4.0, AP))
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.4) ** 2 + (X2 - 0.4) ** 2 + Y**2))
-        t = nehari_scale(u, nl, dom, AP, op)
-        assert nehari_scale(t * u, nl, dom, AP, op) == pytest.approx(1.0, abs=1e-10)
+        t = prob.nehari_scale(u)
+        assert prob.nehari_scale(t * u) == pytest.approx(1.0, abs=1e-10)
 
     def test_amplitude_scaling_law(self):
         dom = Domain.cube(1.0, 16)
-        nl = power_nonlinearity(4.0, AP)
-        op = GrushinOperator(dom, AP)
+        prob = Problem(dom, AP, power_nonlinearity(4.0, AP))
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.4) ** 2 + X2**2 + Y**2))
-        assert nehari_scale(2 * u, nl, dom, AP, op) == pytest.approx(
-            nehari_scale(u, nl, dom, AP, op) / 2, rel=1e-12
-        )
+        assert prob.nehari_scale(2 * u) == pytest.approx(prob.nehari_scale(u) / 2, rel=1e-12)
 
     def test_projection_annihilates_pairing(self):
         dom = Domain.cube(1.0, 16)
-        nl = power_nonlinearity(4.0, AP)
-        op = GrushinOperator(dom, AP)
+        prob = Problem(dom, AP, power_nonlinearity(4.0, AP))
+        op = prob.op
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.3) ** 2 + (X2 + 0.2) ** 2 + Y**2))
-        t = nehari_scale(u, nl, dom, AP, op)
+        t = prob.nehari_scale(u)
         ut = t * u
         a = op.quadratic_form(ut)
         b = float(np.sum(op.weight2d[:, :, None] * np.abs(ut) ** 4)) * dom.cell_volume
@@ -327,7 +340,7 @@ class TestNehari:
         dom = Domain.cube(1.0, 8)
         nl = power_nonlinearity(4.0, AP)
         with pytest.raises(DomainError):
-            nehari_scale(np.zeros(dom.dims), nl, dom, AP)
+            Problem(dom, AP, nl).nehari_scale(np.zeros(dom.dims))
 
 
 class TestGroundState:
@@ -335,17 +348,31 @@ class TestGroundState:
         dom = Domain.cube(1.0, 24)
         nl = power_nonlinearity(4.0, AP)
         sol = solve_ground_state(dom, nl, AP, SolverConfig(outer_tol=1e-6))
-        assert sol.converged
         assert sol.gradient_norm <= 1e-6
         assert sol.energy > 0
         assert float(np.abs(sol.u.values).max()) > 1.0
         # modulus has no larger energy: facewise |a - b| <= |a| + |b|
-        op = GrushinOperator(dom, AP)
-        e_u = energy(sol.u.values, nl, dom, AP, op)
-        e_abs = energy(np.abs(sol.u.values), nl, dom, AP, op)
+        prob = Problem(dom, AP, nl)
+        e_u = prob.energy(sol.u.values)
+        e_abs = prob.energy(np.abs(sol.u.values))
         assert e_abs <= e_u + 1e-10
         # the path max over t -> t u equals the critical level on the manifold
         assert sol.mountain_pass_level == pytest.approx(sol.energy, rel=1e-10)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_report_comes_from_problem_algebra(self, masked):
+        # the solver loop must not fork its own copy of the energy algebra
+        bbox = np.array([(-1.0, 1.1), (-0.9, 1.0), (-1.05, 1.0)])
+        mask = None
+        if masked:
+            X1, X2, Y = Domain(bbox, (16, 16, 16)).centers()
+            mask = X1**2 + X2**2 + Y**2 < 0.9**2
+        dom = Domain(bbox, (16, 16, 16), mask)
+        nl = power_nonlinearity(4.0, AP)
+        sol = solve_ground_state(dom, nl, AP, SolverConfig(outer_tol=1e-6))
+        prob = Problem(dom, AP, nl)
+        assert sol.gradient_norm == prob.residual(sol.u.values)
+        assert sol.energy == pytest.approx(prob.energy(sol.u.values), rel=1e-12)
 
     def test_line_search_quadratic_matches_direct_form(self):
         bbox = np.array([(-1.0, 1.2), (-0.8, 0.9), (-1.3, 1.1)])

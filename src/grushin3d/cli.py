@@ -3,8 +3,9 @@
 Subcommands: geometry, transform-check, rearrange, sobolev, solve,
 pohozaev.  Every run emits a RunReport as JSON (stdout, and --output FILE
 when given); table-like results are additionally written as CSV.  Exit
-codes: 0 success (all checks passed), 1 a check failed, 2 usage error,
-3 input-file error, 4 numerical failure.
+codes: 0 success (all checks passed), 1 a check failed, 2 usage error
+(also an output path that cannot be written), 3 input-file error,
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -31,6 +33,15 @@ from .grids import load_grid, save_grid
 from .report import RunReport, write_csv
 
 USAGE_EXIT, INPUT_EXIT, NUMERICAL_EXIT = 2, 3, 4
+
+
+@contextmanager
+def _writing(path):
+    """An output path that cannot be written is a usage error, not a crash."""
+    try:
+        yield
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _shape_from_args(args):
@@ -134,9 +145,9 @@ def cmd_transform_check(args) -> RunReport:
 
 def cmd_rearrange(args) -> RunReport:
     from .rearrangement import (
+        RadialProfile,
         distribution_function,
         grushin_energy,
-        rearrange,
         weighted_lq_norm,
     )
 
@@ -146,13 +157,14 @@ def cmd_rearrange(args) -> RunReport:
         raise GridFormatError("rearrangement input must be nonnegative")
     rep = RunReport("rearrange", vars(args).copy(), version=__version__)
     rep.resolutions = {"dims": list(grid.dims), "levels": args.levels}
-    profile = rearrange(grid, ap, args.levels)
-    top = float(grid.values.max(initial=0.0))
+    # one sort of the cells serves both the profile and the equimeasurability check
+    dist = distribution_function(grid, ap, args.levels)
+    profile = RadialProfile.from_distribution(dist, ap)
+    top = dist.top
     rep.results["max_input"] = top
     rep.results["max_profile"] = profile.max_value if top > 0 else 0.0
     rep.add_check("max_preserved", abs(rep.results["max_profile"] - top), 0.0, "<=")
 
-    dist = distribution_function(grid, ap, args.levels)
     support = float(dist.measures[0]) if len(dist.measures) else 0.0
     gap = float(np.max(np.abs(dist.measures - profile.measure_above(dist.levels)))) if top > 0 else 0.0
     rep.results["support_measure"] = support
@@ -177,7 +189,8 @@ def cmd_rearrange(args) -> RunReport:
 
     if args.profile_csv:
         s, v = profile.nodes() if top > 0 else (np.zeros(1), np.zeros(1))
-        write_csv(args.profile_csv, ["r", "phi"], list(zip(map(float, s), map(float, v))))
+        with _writing(args.profile_csv):
+            write_csv(args.profile_csv, ["r", "phi"], list(zip(map(float, s), map(float, v))))
         rep.results["profile_csv_rows"] = float(len(s))
     return rep
 
@@ -220,7 +233,8 @@ def cmd_sobolev(args) -> RunReport:
             rep.add_check(f"{key}_rayleigh_above_bound", ray, L * 0.97, ">=")
         rows.append([float(alpha), ap.sector_count, D, L, Lp, ray])
     if args.csv:
-        write_csv(args.csv, ["alpha", "n_alpha", "D", "L_derived", "L_alt", "rayleigh_min"], rows)
+        with _writing(args.csv):
+            write_csv(args.csv, ["alpha", "n_alpha", "D", "L_derived", "L_alt", "rayleigh_min"], rows)
     return rep
 
 
@@ -259,7 +273,8 @@ def cmd_solve(args) -> RunReport:
     rep.add_check("nontrivial", unorm, 1e-8, ">=")
     rep.add_check("positive_energy", sol.energy, 0.0, ">=")
     if args.solution_out:
-        save_grid(sol.u, args.solution_out)
+        with _writing(args.solution_out):
+            save_grid(sol.u, args.solution_out)
     return rep
 
 
@@ -371,6 +386,12 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         rep = args.func(args)
+        rep.wall_time_s = time.perf_counter() - t0
+        rep.params.pop("func", None)
+        text = rep.to_json()
+        if args.output:
+            with _writing(args.output), open(args.output, "w") as fh:
+                fh.write(text + "\n")
     except GridFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_EXIT
@@ -380,13 +401,7 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    rep.wall_time_s = time.perf_counter() - t0
-    rep.params.pop("func", None)
-    text = rep.to_json()
     print(text)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
     return 0 if rep.all_passed else 1
 
 

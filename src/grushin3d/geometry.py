@@ -123,7 +123,9 @@ class QuadratureConfig:
     """Resolution knobs for voxel and patch quadrature.
 
     Boundary refinement and patch sums run in fixed-size chunks, which
-    bounds memory; their partial sums are reduced in chunk order.
+    bounds memory; their partial sums are reduced in chunk order.  A
+    refinement chunk holds 30k boundary cells (``_REFINE_CHUNK``), each
+    expanded to 27 corner points.
     """
 
     volume_resolution: int = 128
@@ -203,13 +205,17 @@ def _weight_of(alpha: float):
     return weight
 
 
+# boundary cells refined together; 27 corner points and the level
+# function's temporaries per cell set the voxel engine's peak memory
+_REFINE_CHUNK = 30_000
+
 _SUBCELLS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
 _CORNERS27 = np.array(
     [[i, j, k] for i in range(3) for j in range(3) for k in range(3)], dtype=float
 )
 
 
-def _refine_chunk(level, weight, origins, h, depth, chunk=300_000):
+def _refine_chunk(level, weight, origins, h, depth, chunk=_REFINE_CHUNK):
     """Weighted volume carried by boundary-crossing cells of edge h.
 
     Recursively splits cells into octants down to ``depth``; the deepest
@@ -246,7 +252,7 @@ def _refine_chunk(level, weight, origins, h, depth, chunk=300_000):
     return total
 
 
-def _refine_crossed(level, weight, origins, h, depth, chunk=300_000):
+def _refine_crossed(level, weight, origins, h, depth, chunk=_REFINE_CHUNK):
     partials = [
         _refine_chunk(level, weight, origins[s : s + chunk], h, depth, chunk) for s in range(0, len(origins), chunk)
     ]

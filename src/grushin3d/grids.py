@@ -22,10 +22,23 @@ Text format (version 1):
 
 All numbers are written with 17 significant digits so a write/read round
 trip is bit-exact.
+
+``save_grid`` formats the values in blocks of whole rows with one ``%``
+format per block; the bytes equal those of formatting each value on its
+own (``_format_row``, which still writes the bbox line).  ``load_grid``
+checks the three header lines, then parses the body with one
+``np.loadtxt`` call and keeps the result only when it holds exactly
+n1*n2*n3 finite values.  Anything else (a ragged layout, a token that
+``loadtxt`` rejects but ``float`` accepts, such as ``1_0``, a wrong count,
+a non-finite value) goes through the per-line reference parser
+``_parse_body``, which gives the values or the ``GridFormatError`` and
+line number.  A path ``save_grid`` cannot write raises ``OSError``; the
+CLI reports it as a usage error (exit 2).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +49,9 @@ from .errors import DomainError, GridFormatError
 __all__ = ["CellGrid", "GridFunction3D", "load_grid", "save_grid", "resample", "GRID_MAGIC"]
 
 GRID_MAGIC = "grushin-grid v1"
+
+# values per formatted block in save_grid; bounds the block string's memory
+_BLOCK_VALUES = 1 << 13
 
 
 def check_grid(bbox, dims, mask=None):
@@ -137,15 +153,23 @@ def resample(grid: GridFunction3D, dims, bbox=None) -> GridFunction3D:
     return GridFunction3D(cells.bbox, vals)
 
 
+def _format_row(values) -> str:
+    """One line of values, each formatted on its own with 17 significant digits."""
+    return " ".join(f"{v:.17g}" for v in values) + "\n"
+
+
 def save_grid(grid: GridFunction3D, path) -> None:
     n1, n2, n3 = grid.dims
     flat = grid.values.ravel(order="F")  # x1 fastest, then x2, then y
+    rows = max(1, _BLOCK_VALUES // n1)
+    row_fmt = " ".join(["%.17g"] * n1) + "\n"
     with open(path, "w") as fh:
         fh.write(GRID_MAGIC + "\n")
         fh.write(f"{n1} {n2} {n3}\n")
-        fh.write(" ".join(f"{v:.17g}" for v in grid.bbox.ravel()) + "\n")
-        for start in range(0, flat.size, n1):
-            fh.write(" ".join(f"{v:.17g}" for v in flat[start : start + n1]) + "\n")
+        fh.write(_format_row(grid.bbox.ravel()))
+        for start in range(0, flat.size, rows * n1):
+            block = flat[start : start + rows * n1].tolist()
+            fh.write((row_fmt * (len(block) // n1)) % tuple(block))
 
 
 def load_grid(path) -> GridFunction3D:
@@ -175,6 +199,31 @@ def load_grid(path) -> GridFunction3D:
         raise GridFormatError("bbox is degenerate", line=3)
 
     total = dims[0] * dims[1] * dims[2]
+    vals = _parse_body_bulk(lines, total)
+    if vals is None:
+        vals = _parse_body(lines, total)
+    return GridFunction3D(bbox, vals.reshape(dims, order="F"))
+
+
+def _parse_body_bulk(lines, total):
+    """The body values in one C-level parse, or None when they are not
+    exactly ``total`` finite numbers in a layout ``loadtxt`` reads."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body warns
+            # comments=None: a '#' must be a malformed value, as in _parse_body
+            vals = np.loadtxt(lines[3:], dtype=float, comments=None, ndmin=2)
+    except Exception:
+        return None
+    if vals.size != total or not np.all(np.isfinite(vals)):
+        return None
+    return vals.ravel()
+
+
+def _parse_body(lines, total) -> np.ndarray:
+    """Reference parser of the body (lines 4 on): ``total`` finite values,
+    any number per line, blank lines skipped; raises GridFormatError with
+    the line number of the first fault."""
     vals = np.empty(total)
     count = 0
     for lineno, line in enumerate(lines[3:], start=4):
@@ -194,4 +243,4 @@ def load_grid(path) -> GridFunction3D:
         raise GridFormatError(
             f"expected {total} values, found {count}", line=len(lines)
         )
-    return GridFunction3D(bbox, vals.reshape(dims, order="F"))
+    return vals

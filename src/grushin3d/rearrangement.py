@@ -75,10 +75,12 @@ def radius_from_measure(m, alpha):
 
 @dataclass(frozen=True)
 class DistributionFunction:
-    """Weighted measures lambda(t_k) = |{u > t_k}|_w at increasing levels."""
+    """Weighted measures lambda(t_k) = |{u > t_k}|_w at increasing levels,
+    and the field's maximum ``top`` (0 for a zero field)."""
 
     levels: np.ndarray
     measures: np.ndarray
+    top: float
 
     def __call__(self, t):
         # right-continuous step interpolation between sampled levels
@@ -119,7 +121,7 @@ def distribution_function(u: GridFunction3D, alpha, levels=None) -> Distribution
     cum = np.concatenate([[0.0], np.cumsum(sorted_meas)])
     # measure of {u > t}: cells strictly above t (values sorted descending)
     counts = np.searchsorted(-sorted_vals, -lv, side="left")
-    return DistributionFunction(lv, cum[counts])
+    return DistributionFunction(lv, cum[counts], top)
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,34 @@ class RadialProfile:
             raise DomainError("values must be nonnegative and nonincreasing")
         object.__setattr__(self, "radii", r)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def from_distribution(cls, dist: DistributionFunction, alpha) -> "RadialProfile":
+        """The profile whose superlevel set {phi > t_k} is the anisotropic
+        ball of weighted sector measure lambda(t_k), level by level.
+
+        The top level is max u itself when the levels are a count, so the
+        profile then attains max u exactly on its innermost interval.  A
+        zero field gives the zero profile on [0, tiny).
+        """
+        ap = _as_alpha(alpha)
+        zero = cls(np.array([np.finfo(float).tiny]), np.array([0.0]), ap)
+        if dist.top == 0.0:
+            return zero
+        lv, meas = dist.levels, dist.measures
+        radii_desc = radius_from_measure(meas, ap)  # nonincreasing with level
+        # interval [R_k, R_{k-1}) carries value t_k; innermost interval keeps max u
+        b = radii_desc[:-1][::-1]  # R_{K-1} ... R_1  (increasing)
+        support = radius_from_measure(meas[0], ap)
+        b = np.append(b, support)
+        v = lv[::-1]  # t_K ... t_1  (decreasing)
+        # empty intervals (equal consecutive radii) belong to the earlier, larger
+        # value; drop the later duplicate
+        keep = np.concatenate([[True], b[1:] > b[:-1]]) & (b > 0)
+        b, v = b[keep], v[keep]
+        if len(b) == 0:
+            return zero
+        return cls(b, v, ap)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -220,29 +250,11 @@ class RadialProfile:
 def rearrange(u: GridFunction3D, alpha, levels=None) -> RadialProfile:
     """Weighted decreasing rearrangement of u as a radial step profile.
 
-    Levels default to 256 uniform values in (0, max u]; the top level is
-    max u itself, so the profile attains max u exactly on its innermost
-    interval.
+    Levels default to 256 uniform values in (0, max u]; see
+    ``RadialProfile.from_distribution``.
     """
     ap = _as_alpha(alpha)
-    dist = distribution_function(u, ap, levels)
-    top = float(u.masked_values().max(initial=0.0))
-    if top == 0.0:
-        return RadialProfile(np.array([np.finfo(float).tiny]), np.array([0.0]), ap)
-    lv, meas = dist.levels, dist.measures
-    radii_desc = radius_from_measure(meas, ap)  # nonincreasing with level
-    # interval [R_k, R_{k-1}) carries value t_k; innermost interval keeps max u
-    b = radii_desc[:-1][::-1]  # R_{K-1} ... R_1  (increasing)
-    support = radius_from_measure(meas[0], ap)
-    b = np.append(b, support)
-    v = lv[::-1]  # t_K ... t_1  (decreasing)
-    # empty intervals (equal consecutive radii) belong to the earlier, larger
-    # value; drop the later duplicate
-    keep = np.concatenate([[True], b[1:] > b[:-1]]) & (b > 0)
-    b, v = b[keep], v[keep]
-    if len(b) == 0:
-        return RadialProfile(np.array([np.finfo(float).tiny]), np.array([0.0]), ap)
-    return RadialProfile(b, v, ap)
+    return RadialProfile.from_distribution(distribution_function(u, ap, levels), ap)
 
 
 def _grid_gradients(u: GridFunction3D):

@@ -225,6 +225,13 @@ class SolverConfig:
         # written so that NaN fails too: every comparison with NaN is false
         if not all(0.0 < t < math.inf for t in (self.cg_tol, self.outer_tol)):
             raise DomainError(f"tolerances must be positive and finite: cg_tol={self.cg_tol}, outer_tol={self.outer_tol}")
+        if not all(0.0 < v < math.inf for v in (self.initial_width, self.line_search_start)):
+            raise DomainError(
+                "initial_width and line_search_start must be positive and finite: "
+                f"initial_width={self.initial_width}, line_search_start={self.line_search_start}"
+            )
+        if not 0.0 <= self.collapse_threshold < math.inf:
+            raise DomainError(f"collapse_threshold must be finite and >= 0, got {self.collapse_threshold}")
         if min(self.cg_max_iter, self.outer_max_iter) < 1:
             raise DomainError("iteration limits must be positive")
 

@@ -1,10 +1,18 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from grushin3d import AlphaParam, QuadratureConfig
 from grushin3d.grids import resample
 from grushin3d.solver import Domain, SolverConfig, power_nonlinearity, solve_ground_state
 
 ALPHAS = (0.5, 1.0, 2.0)
+
+# CI selects "ci" (HYPOTHESIS_PROFILE=ci): a fixed example sequence and no
+# per-example deadline, so property tests cannot flake on a slow host
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

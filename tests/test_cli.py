@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from grushin3d import AlphaParam, cli, geometry
+from grushin3d import AlphaParam, cli, geometry, rearrangement
 from grushin3d.cli import main
 from grushin3d.fields import cosine_bump, radial_field
 from grushin3d.grids import GRID_MAGIC, load_grid, save_grid
-from grushin3d.rearrangement import polya_szego_gap
+from grushin3d.rearrangement import distribution_function, polya_szego_gap, rearrange, weighted_lq_norm
 from grushin3d.shapes import cylinder
 
 
@@ -159,6 +159,27 @@ class TestRearrangeCommand:
         gap = polya_szego_gap(load_grid(path), AlphaParam(1.0), 64)
         assert rep["results"]["polya_szego_gap"] == pytest.approx(gap, abs=1e-12 * max(abs(gap), 1.0))
 
+    def test_one_distribution_per_run(self, tmp_path, capsys, monkeypatch):
+        grid = radial_field(cosine_bump, AlphaParam(1.0), 1.0, resolution=24)
+        path = tmp_path / "bump.grid"
+        save_grid(grid, path)
+        calls = []
+        real = rearrangement.distribution_function
+        monkeypatch.setattr(rearrangement, "distribution_function", lambda *a, **k: calls.append(a) or real(*a, **k))
+        code, rep = run_cli(["rearrange", "--input", str(path), "--alpha", "1", "--levels", "64"], capsys)
+        assert code == 0
+        assert len(calls) == 1
+        # the same numbers as the library's rearrange and distribution_function called apart
+        u, ap = load_grid(path), AlphaParam(1.0)
+        prof, dist = rearrange(u, ap, 64), distribution_function(u, ap, 64)
+        res = rep["results"]
+        assert res["max_profile"] == prof.max_value
+        assert res["support_measure"] == float(dist.measures[0])
+        assert res["equimeasurability_gap"] == float(np.max(np.abs(dist.measures - prof.measure_above(dist.levels))))
+        assert res["energy_profile"] == prof.dirichlet_energy()
+        for q in (2, 4, 6):
+            assert res[f"l{q}_norm_profile"] == weighted_lq_norm(prof, q, ap)
+
     def test_zero_field(self, tmp_path, capsys):
         from grushin3d.grids import GridFunction3D
 
@@ -269,6 +290,7 @@ class TestPohozaevCommand:
 
 
 SOLVE = ["solve", "--alpha", "1", "--q", "4", "--grid", "8"]
+SMALL_GRID = f"{GRID_MAGIC}\n2 2 2\n-1 1 -1 1 -1 1\n0 0 0 0 0 1 0 0\n".encode()
 
 
 class TestBadInput:
@@ -294,17 +316,30 @@ class TestBadInput:
             ([*SOLVE, "--config", "FILE"], b'{"initial_center": 5}', 2),
             ([*SOLVE, "--config", "FILE"], b'{"initial_center": [0.1, "a", 0.0]}', 2),
             ([*SOLVE, "--config", "FILE"], b"[1, 2]", 2),
+            ([*SOLVE, "--config", "FILE"], b'{"initial_width": 0}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"initial_width": NaN}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"initial_width": -0.25}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"line_search_start": -1}', 2),
+            ([*SOLVE, "--config", "FILE"], b'{"collapse_threshold": -1}', 2),
+            # output paths in a directory that does not exist
+            ([*SOLVE, "--solution-out", "NOWHERE"], None, 2),
+            (["rearrange", "--alpha", "1", "--input", "FILE", "--profile-csv", "NOWHERE"], SMALL_GRID, 2),
+            (["pohozaev", "--p", "3", "--alpha", "1", "--output", "NOWHERE"], None, 2),
+            (["sobolev", "--alphas", "1", "--csv", "NOWHERE"], None, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):
         path = tmp_path / "input"  # missing unless file_bytes is given
         if file_bytes is not None:
             path.write_bytes(file_bytes)
-        assert main([str(path) if a == "FILE" else a for a in argv]) == code
+        nowhere = tmp_path / "missing-dir" / "out"
+        assert main([{"FILE": str(path), "NOWHERE": str(nowhere)}.get(a, a) for a in argv]) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
         assert captured.err.startswith("input error: " if code == 3 else "usage error: ")
+        if "NOWHERE" in argv:
+            assert captured.err == f"usage error: cannot write {nowhere}: No such file or directory\n"
 
 
 class TestReportPlumbing:

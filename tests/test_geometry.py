@@ -23,7 +23,9 @@ from grushin3d import (
     weighted_volume,
     weighted_volume_from_patches,
 )
+from grushin3d import geometry
 from grushin3d.geometry import sector_index, voxel_integral
+from grushin3d.grids import CellGrid
 from grushin3d.transform import flatten_shape
 from grushin3d.shapes import ball, ball_sector, box, corpus_shapes, cylinder, ellipsoid, make_shape
 
@@ -128,6 +130,24 @@ class TestWeightedVolume:
         assert flat.patches is None
         expected = voxel_integral(flat.level, flat.bbox, lambda x1, x2: (x1 * x1 + x2 * x2) ** 1.0, cfg)
         assert weighted_volume(flat, 1.0, cfg) == expected
+
+
+class TestRefinementChunks:
+    def test_chunking_does_not_change_the_sum(self):
+        # crossed cells of a patch-free ball, as voxel_integral finds them
+        shape = replace(ball(1.0), patches=None)
+        n = 96
+        cells = CellGrid(shape.bbox, (n, n, n))
+        lo, h = cells.bbox[:, 0], cells.spacing
+        corners = np.meshgrid(*(lo[k] + np.arange(n + 1) * h[k] for k in range(3)), indexing="ij")
+        neg = (shape.level(np.stack(corners, axis=-1).reshape(-1, 3)) < 0).reshape((n + 1,) * 3)
+        cnt = sum(neg[i : n + i, j : n + j, k : n + k].astype(int) for i in (0, 1) for j in (0, 1) for k in (0, 1))
+        origins = lo + np.argwhere((cnt > 0) & (cnt < 8)) * h
+        assert len(origins) > geometry._REFINE_CHUNK
+        weight = lambda x1, x2: x1 * x1 + x2 * x2  # noqa: E731
+        chunked = geometry._refine_crossed(shape.level, weight, origins, h, 2)
+        whole = geometry._refine_crossed(shape.level, weight, origins, h, 2, chunk=len(origins))
+        assert chunked == pytest.approx(whole, rel=1e-14)
 
 
 class TestWeightedPerimeter:

@@ -1,7 +1,14 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from grushin3d import DomainError, GridFormatError
+from grushin3d import DomainError, GridFormatError, grids
 from grushin3d.grids import GRID_MAGIC, GridFunction3D, load_grid, resample, save_grid
 
 
@@ -98,6 +105,107 @@ class TestFileFormat:
         path.write_text(f"{GRID_MAGIC}\n1 1 1\n0 1 0 1 0 1\n1 2\n")
         with pytest.raises(GridFormatError):
             load_grid(path)
+
+
+EDGE_VALUES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1]
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_VALUES)
+BBOX = np.array([(-1.0, 1.0), (-0.5, 0.5), (0.0, 2.0)])
+HEADER = f"{GRID_MAGIC}\n"
+
+
+def reference_bytes(grid):
+    """The file as formatted one value at a time."""
+    n1, n2, n3 = grid.dims
+    flat = grid.values.ravel(order="F")
+    rows = "".join(grids._format_row(flat[s : s + n1]) for s in range(0, flat.size, n1))
+    return (HEADER + f"{n1} {n2} {n3}\n" + grids._format_row(grid.bbox.ravel()) + rows).encode()
+
+
+def parse_outcome(parse):
+    """('ok', value bytes) or ('error', message, line) of one parse."""
+    try:
+        return ("ok", parse().tobytes())
+    except GridFormatError as exc:
+        return ("error", str(exc), exc.line)
+
+
+class TestBulkWrite:
+    @given(
+        arrays(np.float64, st.tuples(*[st.integers(1, 6)] * 3), elements=FINITE),
+        st.integers(1, 40),
+    )
+    def test_bytes_equal_per_value_formatting(self, values, block):
+        grid = GridFunction3D(BBOX, values)
+        # small blocks put block boundaries inside the grid, and inside rows' reach
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(grids, "_BLOCK_VALUES", block):
+            path = Path(tmp) / "grid.txt"
+            save_grid(grid, path)
+            assert path.read_bytes() == reference_bytes(grid)
+            loaded = load_grid(path)
+        assert loaded.values.tobytes() == grid.values.tobytes()  # bit-exact, signed zeros too
+
+    def test_default_block_spans_several_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        grid = GridFunction3D(BBOX, rng.standard_normal((40, 30, 20)) * 1e-3)
+        assert grid.values.size > 2 * grids._BLOCK_VALUES
+        save_grid(grid, tmp_path / "grid.txt")
+        assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
+
+
+# tokens loadtxt reads where the reference parser rejects them: a '#' that
+# would end the line as a comment, and numbers that are not finite
+HAZARD_TOKENS = ["#", "nan", "inf", "1e400", "-1e400"]
+ODD_TOKENS = HAZARD_TOKENS + ["1_0", "\u0661\u0662", "0x10", "1,5", "+.5", "5.", "1e", "--1", "\u00a0", "\u200b", "\x00", "'1'"]
+NUMBER = st.one_of(FINITE.map(lambda v: f"{v:.17g}"), FINITE.map(repr), st.integers(-(10**6), 10**6).map(str))
+SEPARATOR = st.sampled_from([" ", "  ", "\t", "\n", "\n\n", " \n ", "\n\t\n", "\r\n"])
+
+
+class TestBulkRead:
+    @pytest.mark.parametrize("odd_tokens", [HAZARD_TOKENS, ODD_TOKENS])
+    @settings(max_examples=300)
+    @given(st.tuples(*[st.integers(1, 3)] * 3), st.sampled_from([0, 0, 0, -1, 1, 2]), st.data())
+    def test_matches_reference_parser(self, odd_tokens, dims, extra, data):
+        total = dims[0] * dims[1] * dims[2]
+        tokens = data.draw(st.lists(NUMBER, min_size=total + extra, max_size=total + extra))
+        # up to two odd tokens, each put in place of a number or between two
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(tokens)))
+            odd = data.draw(st.sampled_from(odd_tokens))
+            if i < len(tokens) and data.draw(st.booleans()):
+                tokens[i] = odd
+            else:
+                tokens.insert(i, odd)
+        seps = data.draw(st.lists(SEPARATOR, min_size=len(tokens), max_size=len(tokens)))
+        body = "".join(t + s for t, s in zip(tokens, seps))
+        text = HEADER + "{} {} {}\n".format(*dims) + "-1 1 -1 1 -1 1\n" + body
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "grid.txt"
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            actual = parse_outcome(lambda: load_grid(path).values.ravel(order="F"))
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+        expected = parse_outcome(lambda: grids._parse_body(lines, total))
+        assert actual == expected
+
+    def test_well_formed_file_skips_reference_parser(self, small_grid, tmp_path, monkeypatch):
+        save_grid(small_grid, tmp_path / "grid.txt")
+        monkeypatch.setattr(grids, "_parse_body", mock.Mock(side_effect=AssertionError("reference parser used")))
+        assert np.array_equal(load_grid(tmp_path / "grid.txt").values, small_grid.values)
+
+    def test_python_only_token_falls_back(self, tmp_path):
+        # loadtxt rejects 1_0, float() reads it as 10
+        path = tmp_path / "grid.txt"
+        path.write_text(f"{GRID_MAGIC}\n2 1 1\n0 1 0 1 0 1\n1_0 2\n")
+        assert load_grid(path).values.ravel().tolist() == [10.0, 2.0]
+
+    def test_hash_is_not_a_comment(self, tmp_path):
+        # read as a comment, '# note' would leave the two values the header asks for
+        path = tmp_path / "grid.txt"
+        path.write_text(f"{GRID_MAGIC}\n2 1 1\n0 1 0 1 0 1\n1 2 # note\n")
+        with pytest.raises(GridFormatError, match="more values than") as err:
+            load_grid(path)
+        assert err.value.line == 4
 
 
 class TestResample:

@@ -99,6 +99,13 @@ class TestRearrange:
         assert prof.max_value == 0.0
         assert grushin_energy(prof) == 0.0
 
+    @pytest.mark.parametrize("levels", [None, 8, np.array([0.1, 0.2]), np.array([-1.0, 0.5])])
+    def test_zero_field_gives_tiny_profile(self, levels):
+        grid = GridFunction3D(np.array([(-1, 1)] * 3), np.zeros((4, 4, 4)))
+        prof = rearrange(grid, 1.0, levels)
+        assert prof.radii.tolist() == [np.finfo(float).tiny]
+        assert prof.values.tolist() == [0.0]
+
     def test_max_preserved_exactly(self):
         u = radial_field(cosine_bump, 1.0, 1.0, resolution=48)
         prof = rearrange(u, 1.0)

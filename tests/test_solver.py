@@ -138,6 +138,18 @@ class TestSolverConfig:
         with pytest.raises(DomainError):
             SolverConfig(**{key: bad})
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [(k, v) for k in ("initial_width", "line_search_start") for v in (float("nan"), float("inf"), 0.0, -0.25)]
+        + [("collapse_threshold", v) for v in (float("nan"), float("inf"), -1.0)],
+    )
+    def test_rejects_bad_ranges(self, key, bad):
+        with pytest.raises(DomainError):
+            SolverConfig(**{key: bad})
+
+    def test_zero_collapse_threshold_allowed(self):
+        assert SolverConfig(collapse_threshold=0.0).collapse_threshold == 0.0
+
 
 class TestLinearSolve:
     def test_recovers_known_field(self):

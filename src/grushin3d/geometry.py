@@ -65,8 +65,8 @@ _WALL_TOL = 1e-12
 
 def sector_count(alpha: float) -> int:
     """Smallest positive integer n with n >= alpha + 1."""
-    if not alpha > 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise DomainError(f"alpha must be positive and finite, got {alpha}")
     return int(math.ceil(alpha + 1.0))
 
 

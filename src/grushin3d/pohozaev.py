@@ -49,8 +49,8 @@ CRITICAL_POWER = 5.0
 
 def pohozaev_coefficient(p: float, alpha) -> float:
     """(3a+3)/(p+1) - (a+1)/2; zero exactly at p = 5 for every alpha."""
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p}")
     a = _as_alpha(alpha).alpha
     return (3.0 * a + 3.0) / (p + 1.0) - (a + 1.0) / 2.0
 
@@ -62,8 +62,8 @@ def nonexistence_classify(p: float) -> str:
     star-shaped domains; the artifact reports the regime, it does not
     attempt a numerical nonexistence proof.
     """
-    if p < 1:
-        raise DomainError("p must be >= 1")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p}")
     if p < CRITICAL_POWER:
         return "subcritical"
     if p == CRITICAL_POWER:

@@ -112,6 +112,8 @@ def distribution_function(u: GridFunction3D, alpha, levels=None) -> Distribution
         levels = 256
     if np.isscalar(levels):
         K = int(levels)
+        if K < 1:
+            raise DomainError(f"levels must be a positive count, got {levels}")
         lv = np.linspace(top / K, top, K) if top > 0 else np.zeros(1)
     else:
         lv = np.asarray(levels, dtype=float)

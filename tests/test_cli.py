@@ -326,6 +326,11 @@ class TestBadInput:
             (["rearrange", "--alpha", "1", "--input", "FILE", "--profile-csv", "NOWHERE"], SMALL_GRID, 2),
             (["pohozaev", "--p", "3", "--alpha", "1", "--output", "NOWHERE"], None, 2),
             (["sobolev", "--alphas", "1", "--csv", "NOWHERE"], None, 2),
+            # level counts and exponents out of range
+            (["rearrange", "--alpha", "1", "--input", "FILE", "--levels", "0"], SMALL_GRID, 2),
+            (["rearrange", "--alpha", "1", "--input", "FILE", "--levels", "-3"], SMALL_GRID, 2),
+            (["geometry", "--shape", "ball-sector", "--alpha", "inf"], None, 2),
+            (["pohozaev", "--p", "nan", "--alpha", "1"], None, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

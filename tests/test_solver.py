@@ -413,7 +413,66 @@ class TestGroundState:
             solve_ground_state(dom, nl, AP, initial=np.zeros(dom.dims))
 
 
+def ball_domain(n, radius=0.95):
+    box = Domain.cube(1.0, n)
+    X1, X2, Y = box.centers()
+    return Domain(box.bbox, box.dims, X1**2 + X2**2 + Y**2 < radius**2)
+
+
+POINCARE_DOMAINS = {
+    "cube": lambda: Domain.cube(1.0, 24),
+    "slab": lambda: Domain(np.array([(-1.0, 1.0), (-0.8, 0.8), (-1.3, 1.3)]), (24, 24, 24)),
+    "tall": lambda: Domain(np.array([(-0.7, 0.7), (-0.7, 0.7), (-1.5, 1.5)]), (24, 24, 24)),
+    "ball": lambda: ball_domain(24),
+}
+
+
+def lanczos_lambda1(domain, alpha):
+    """Smallest eigenvalue of the stencil on the active cells by ARPACK
+    Lanczos, without preconditioner or shift: the reference for LOBPCG."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    op = GrushinOperator(domain, alpha)
+    act = domain.active()
+    size = int(act.sum())
+
+    def apply(x):
+        u = np.zeros(domain.dims)
+        u[act] = x.ravel()
+        return op(u)[act]
+
+    A = LinearOperator((size, size), matvec=apply, dtype=float)
+    return float(eigsh(A, k=1, which="SA", tol=1e-13, v0=np.ones(size), ncv=40, maxiter=100_000)[0][0])
+
+
 class TestPoincare:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("name", sorted(POINCARE_DOMAINS))
+    def test_matches_lanczos(self, name, alpha):
+        dom = POINCARE_DOMAINS[name]()
+        assert poincare_constant(dom, alpha) == pytest.approx(lanczos_lambda1(dom, alpha), rel=1e-9)
+
+    def test_deterministic(self):
+        dom = ball_domain(16)
+        assert repr(poincare_constant(dom, 2.0)) == repr(poincare_constant(dom, 2.0))
+
+    def test_iteration_limit(self):
+        with pytest.raises(IterationError) as info:
+            poincare_constant(ball_domain(16), AP, max_iter=1)
+        assert math.isfinite(info.value.last_residual) and info.value.last_residual > 1e-9
+
+    def test_operator_applications(self, monkeypatch):
+        calls = []
+        apply = GrushinOperator.__call__
+
+        def counting(self, u):
+            calls.append(None)
+            return apply(self, u)
+
+        monkeypatch.setattr(GrushinOperator, "__call__", counting)
+        poincare_constant(ball_domain(32), AP)
+        assert 0 < len(calls) <= 100
+
     def test_positive_and_domain_monotone(self):
         lam1 = poincare_constant(Domain.cube(1.0, 16), AP)
         lam2 = poincare_constant(Domain.cube(2.0, 16), AP)

@@ -11,7 +11,9 @@ codes: 0 success (all checks passed), 1 a check failed, 2 usage error
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -44,57 +46,30 @@ def _writing(path):
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+# CLI option -> builder parameter; each builder gets the options it takes
+_SHAPE_OPTIONS = {"radius": "radius", "halfheight": "half_height", "semiaxes": "semiaxes",
+                  "half_widths": "half_widths", "center": "center", "alpha": "alpha", "sector": "j"}
+
+
 def _shape_from_args(args):
-    from .shapes import make_shape
+    from .shapes import SHAPE_BUILDERS, make_shape
 
+    builder = SHAPE_BUILDERS.get(args.shape)
+    takes = inspect.signature(builder).parameters if builder else {}
     params = {}
-    if args.shape in ("ball", "ball-sector"):
-        if args.radius is not None:
-            params["radius"] = args.radius
-    if args.shape == "ball" and args.center is not None:
-        params["center"] = tuple(args.center)
-    if args.shape == "ellipsoid":
-        if args.semiaxes is not None:
-            params["semiaxes"] = tuple(args.semiaxes)
-        if args.center is not None:
-            params["center"] = tuple(args.center)
-    if args.shape == "cylinder":
-        if args.radius is not None:
-            params["radius"] = args.radius
-        if args.halfheight is not None:
-            params["half_height"] = args.halfheight
-        if args.center is not None:
-            params["center"] = tuple(args.center)
-    if args.shape == "box":
-        if args.half_widths is not None:
-            params["half_widths"] = tuple(args.half_widths)
-        if args.center is not None:
-            params["center"] = tuple(args.center)
-    if args.shape == "ball-sector":
-        params["alpha"] = args.alpha
-        params["j"] = args.sector
+    for option, name in _SHAPE_OPTIONS.items():
+        value = getattr(args, option)
+        if name in takes and value is not None:
+            params[name] = tuple(value) if isinstance(value, list) else value
     return make_shape(args.shape, **params)
-
-
-def _quad_cfg(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        volume_resolution=args.resolution,
-        surface_resolution=args.surface_resolution,
-        refine_depth=args.refine_depth,
-    )
 
 
 def cmd_geometry(args) -> RunReport:
     ap = _as_alpha(args.alpha)
     shape = _shape_from_args(args)
-    cfg = _quad_cfg(args)
+    cfg = QuadratureConfig(surface_resolution=args.surface_resolution)
     rep = RunReport("geometry", vars(args).copy(), version=__version__)
-    rep.resolutions = {
-        "volume_resolution": cfg.volume_resolution,
-        "surface_resolution": cfg.surface_resolution,
-        "refine_depth": cfg.refine_depth,
-        "volume_route": "patches" if shape.patches else "voxels",
-    }
+    rep.resolutions = {"surface_resolution": cfg.surface_resolution}
     vol = weighted_volume(shape, ap, cfg)
     per = weighted_perimeter(shape, ap, cfg)
     rep.results["weighted_volume"] = vol
@@ -118,18 +93,16 @@ def cmd_transform_check(args) -> RunReport:
     from .transform import pushforward_perimeter_check, pushforward_volume_check
 
     ap = _as_alpha(args.alpha)
-    cfg = _quad_cfg(args)
+    cfg = QuadratureConfig(surface_resolution=args.surface_resolution)
     if args.shape == "ball-sector":
         shape = ball_sector(ap, j=1)
     elif args.shape == "small-ball":
-        width = ap.sector_width
-        d = 1.0
-        ctr = (d * np.cos(width / 2), d * np.sin(width / 2), 0.0)
-        shape = ball(0.35 * d * np.sin(width / 2), center=ctr)
+        half = ap.sector_width / 2
+        shape = ball(0.35 * np.sin(half), center=(np.cos(half), np.sin(half), 0.0))
     else:
         raise DomainError(f"transform-check shape must be ball-sector or small-ball, got {args.shape!r}")
     rep = RunReport("transform-check", vars(args).copy(), version=__version__)
-    rep.resolutions = {"volume_resolution": cfg.volume_resolution, "surface_resolution": cfg.surface_resolution}
+    rep.resolutions = {"surface_resolution": cfg.surface_resolution}
     volchk = pushforward_volume_check(shape, ap, cfg)
     rep.results["volume_weighted"] = volchk.weighted
     rep.results["volume_euclidean"] = volchk.euclidean
@@ -310,10 +283,9 @@ def cmd_pohozaev(args) -> RunReport:
 
 
 def _add_quad_args(p):
-    only = "patch-free shapes and the flattened image only"
-    p.add_argument("--resolution", type=int, default=128, help=f"voxel cells per axis ({only})")
-    p.add_argument("--surface-resolution", type=int, default=256, help="patch samples per axis")
-    p.add_argument("--refine-depth", type=int, default=3, help=f"voxel boundary refinement depth ({only})")
+    # every CLI shape and its flattened image carry analytic patches, so
+    # patch quadrature alone sets the accuracy
+    p.add_argument("--surface-resolution", type=int, default=256, help="midpoint nodes per patch axis")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,12 +352,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _non_finite(items):
+    """Key of the first value that is, or holds, a NaN or an infinity."""
+    for key, value in items:
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            return key
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        rep = args.func(args)
+        bad = _non_finite(vars(args).items())
+        if bad is not None:
+            raise DomainError(f"--{bad.replace('_', '-')} must be finite")
+        # a NaN or overflow shows as the one line below, not as numpy warnings
+        with np.errstate(all="ignore"):
+            rep = args.func(args)
+        checks = ((f"check {c.name}", [c.value, c.threshold, c.margin]) for c in rep.checks)
+        bad = _non_finite([*rep.results.items(), *checks])
+        if bad is not None:
+            raise ComputationError(f"{bad} is not finite")
         rep.wall_time_s = time.perf_counter() - t0
         rep.params.pop("func", None)
         text = rep.to_json()

@@ -22,11 +22,11 @@ isoperimetric deficit.
 Shapes that carry analytic surface patches are measured on those patches
 alone: surface integrals by midpoint quadrature over the patches, and
 volumes through the divergence identity, as a flux through the same
-patches.  Shapes without patches (flattened images, user level sets) fall
-back to marching-tetrahedra triangulation for surface integrals and to
-cell-centred voxel sums with recursive subdivision of boundary-crossing
-cells for volumes; ``voxel_integral`` is also the independent cross-check
-of the patch route.
+patches.  Every corpus shape and its flattened image carry patches.
+Shapes without patches (user level sets) fall back to marching-tetrahedra
+triangulation for surface integrals and to cell-centred voxel sums with
+recursive subdivision of boundary-crossing cells for volumes;
+``voxel_integral`` is also the independent cross-check of the patch route.
 """
 
 from __future__ import annotations
@@ -122,10 +122,12 @@ def sector_of_point(p, alpha) -> Optional[int]:
 class QuadratureConfig:
     """Resolution knobs for voxel and patch quadrature.
 
-    Boundary refinement and patch sums run in fixed-size chunks, which
-    bounds memory; their partial sums are reduced in chunk order.  A
-    refinement chunk holds 30k boundary cells (``_REFINE_CHUNK``), each
-    expanded to 27 corner points.
+    ``surface_resolution`` sets the patch route; ``volume_resolution`` and
+    ``refine_depth`` only the voxel and triangulation routes of patch-free
+    shapes, which no CLI command reaches.  Boundary refinement and patch
+    sums run in fixed-size chunks, which bounds memory; their partial sums
+    are reduced in chunk order.  A refinement chunk holds 30k boundary
+    cells (``_REFINE_CHUNK``), each expanded to 27 corner points.
     """
 
     volume_resolution: int = 128

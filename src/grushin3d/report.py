@@ -79,7 +79,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2, allow_nan=False)
 
 
 def write_csv(path, header, rows) -> None:

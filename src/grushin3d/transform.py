@@ -17,6 +17,12 @@ the reference ball sector onto the Euclidean unit-ball wedge, and satisfies
 for sets E contained in the closed sector.  ``unflatten_point`` is its
 inverse; round trips are exact to ~1e-12.
 
+``flatten_shape`` carries a shape's analytic patches to the image: each
+image patch is flatten_point o param, with tangent cross product
+cof(DF) (d_s x d_t) in closed form (Nanson's formula).  Both pushforward
+checks measure on those patches, so neither needs a voxel grid of the
+image, whose bbox grows like r^{a+1}.
+
 Composition-order note: the flattening direction is the map that composes
 "flat polar" after "inverse cartesian polar", acting on points of the
 original sector.  Both directions are exported so callers never have to
@@ -31,9 +37,12 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
+    AlphaParam,
     ImplicitShape,
     QuadratureConfig,
+    SurfacePatch,
     _as_alpha,
+    patch_surface_integral,
     sector_index,
     sector_perimeter,
     voxel_integral,
@@ -121,23 +130,48 @@ def unflatten_point(p, alpha, check_sector: bool = True):
     return out[0] if np.asarray(p).ndim == 1 else out
 
 
+def _image_patch(patch: SurfacePatch, ap: AlphaParam) -> SurfacePatch:
+    """Image of a first-sector patch under the flattening map.
+
+    F acts on x as the conformal map z -> z^{a+1}/(a+1), so
+    DF = blockdiag(r^a R(a theta), 1) and Nanson's formula carries the
+    tangent cross product by cof(DF) = blockdiag(r^a R(a theta), r^{2a}).
+    """
+    a = ap.alpha
+    param, cross = patch.param, patch.cross
+
+    def image_cross(st):
+        _, r, theta = _split_polar(param(st))
+        c = cross(st)
+        ra, cos, sin = r**a, np.cos(a * theta), np.sin(a * theta)
+        return np.column_stack(
+            [ra * (cos * c[:, 0] - sin * c[:, 1]), ra * (sin * c[:, 0] + cos * c[:, 1]), ra * ra * c[:, 2]]
+        )
+
+    return SurfacePatch(
+        param=lambda st: flatten_point(param(st), ap, check_sector=False),
+        cross=image_cross,
+        s_range=patch.s_range,
+        t_range=patch.t_range,
+    )
+
+
 def flatten_shape(shape: ImplicitShape, alpha) -> ImplicitShape:
-    """Implicit description of the flattened image of a first-sector shape."""
+    """Implicit description of the flattened image of a first-sector shape.
+
+    The image carries the images of the shape's patches (none for a
+    patch-free shape).
+    """
     ap = _as_alpha(alpha)
     a = ap.alpha
     level = shape.level
 
     def flat_level(pts):
         pts = np.asarray(pts, dtype=float)
-        rad = np.hypot(pts[..., 0], pts[..., 1])
-        ang = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2.0 * np.pi)
-        r = ((a + 1.0) * rad) ** (1.0 / (a + 1.0))
-        theta = ang / (a + 1.0)
-        orig = np.stack(
-            [r * np.cos(theta), r * np.sin(theta), pts[..., 2]], axis=-1
-        )
-        vals = level(orig)
+        orig = unflatten_point(pts.reshape(-1, 3), ap, check_sector=False)
+        vals = level(orig.reshape(pts.shape))
         # outside the image wedge nothing is inside the image shape
+        ang = np.arctan2(pts[..., 1], pts[..., 0])
         outside = (ang <= 0.0) | (ang >= (a + 1.0) * ap.sector_width)
         return np.where(outside, np.maximum(vals, 1.0), vals)
 
@@ -147,7 +181,8 @@ def flatten_shape(shape: ImplicitShape, alpha) -> ImplicitShape:
     # the image wedge lies in {xi2 >= 0}; putting that wall exactly on the
     # bbox face keeps the voxel classification bias-free along it
     bbox = np.array([(-pad, pad), (0.0, pad), tuple(shape.bbox[2])])
-    return ImplicitShape(flat_level, bbox, name=f"flat({shape.name})")
+    patches = [_image_patch(p, ap) for p in shape.patches] if shape.patches else None
+    return ImplicitShape(flat_level, bbox, patches=patches, name=f"flat({shape.name})")
 
 
 @dataclass(frozen=True)
@@ -158,19 +193,33 @@ class PushforwardReport:
 
 
 def _gap(a, b, eps=1e-300):
+    """Relative gap; 0 when both sides are 0."""
     return abs(a - b) / max(abs(a), abs(b), eps)
+
+
+def _euclidean_flux(points, normals):
+    """(1/3) xi . nu: its flux through bd(F(E)) is the Lebesgue volume |F(E)|."""
+    return np.sum(points * normals, axis=1) / 3.0
 
 
 def pushforward_volume_check(
     shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()
 ) -> PushforwardReport:
-    """Compare vol_w(E) with the Lebesgue volume of the flattened image."""
+    """Compare vol_w(E) with the Lebesgue volume of the flattened image.
+
+    |F(E)| is the flux of xi / 3 through the image patches, by the same
+    midpoint quadrature as the weighted side but with the 3D identity
+    div(xi) = 3 (the 2D flux of (xi1, xi2) / 2 equals the weighted flux
+    node by node, which would make the check vacuous).  A patch-free image
+    falls back to voxel quadrature, as ``weighted_volume`` does.
+    """
     _require_in_sector(shape, alpha)
     weighted = weighted_volume(shape, alpha, cfg)
     flat = flatten_shape(shape, alpha)
-    euclidean = voxel_integral(flat.level, flat.bbox, lambda x1, x2: np.ones_like(x1 + x2), cfg)
-    if weighted == 0.0 and euclidean == 0.0:
-        return PushforwardReport(0.0, 0.0, 0.0)
+    if flat.patches:
+        euclidean = patch_surface_integral(flat, _euclidean_flux, cfg)
+    else:
+        euclidean = voxel_integral(flat.level, flat.bbox, lambda x1, x2: np.ones_like(x1 + x2), cfg)
     return PushforwardReport(weighted, euclidean, _gap(weighted, euclidean))
 
 
@@ -179,9 +228,10 @@ def pushforward_perimeter_check(
 ) -> PushforwardReport:
     """Compare the relative weighted perimeter with the flattened Euclidean area.
 
-    The Euclidean side pushes the shape's analytic patches through the
-    flattening map and measures their area with finite-difference tangents,
-    an independent route from the weighted-integrand quadrature.
+    The Euclidean side is the area of the image patches, |cof(DF) cross|
+    summed over the nodes whose source point lies in sector 1.  That equals
+    the weighted integrand node by node, so the gap measures rounding; the
+    tests check the closed-form cross product against finite differences.
     """
     ap = _as_alpha(alpha)
     _require_in_sector(shape, ap)
@@ -190,26 +240,10 @@ def pushforward_perimeter_check(
         raise DomainError("perimeter pushforward requires analytic patches")
 
     total = 0.0
-    m = cfg.surface_resolution
-    for patch in shape.patches:
-        st, dst = patch.midpoint_nodes(m)
-        pts = patch.param(st)
-        keep = sector_index(pts, ap) == 1
-        if not keep.any():
-            continue
-        st = st[keep]
-        hs = (patch.s_range[1] - patch.s_range[0]) / m * 1e-4
-        ht = (patch.t_range[1] - patch.t_range[0]) / m * 1e-4
-
-        def image(st_):
-            return flatten_point(patch.param(st_), ap, check_sector=False)
-
-        ds = (image(st + [hs, 0.0]) - image(st - [hs, 0.0])) / (2 * hs)
-        dt = (image(st + [0.0, ht]) - image(st - [0.0, ht])) / (2 * ht)
-        total += float(np.sum(np.linalg.norm(np.cross(ds, dt), axis=1))) * dst
-
-    if weighted == 0.0 and total == 0.0:
-        return PushforwardReport(0.0, 0.0, 0.0)
+    for patch, image in zip(shape.patches, flatten_shape(shape, ap).patches):
+        st, dst = patch.midpoint_nodes(cfg.surface_resolution)
+        st = st[sector_index(patch.param(st), ap) == 1]
+        total += float(np.sum(image.area_element(st))) * dst
     return PushforwardReport(weighted, total, _gap(weighted, total))
 
 

@@ -1,16 +1,14 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from grushin3d import AlphaParam, cli, geometry, rearrangement
+from grushin3d import AlphaParam, cli, geometry, rearrangement, shapes, transform, triangulate
 from grushin3d.cli import main
 from grushin3d.fields import cosine_bump, radial_field
 from grushin3d.grids import GRID_MAGIC, load_grid, save_grid
 from grushin3d.rearrangement import distribution_function, polya_szego_gap, rearrange, weighted_lq_norm
-from grushin3d.shapes import cylinder
 
 
 def run_cli(args, capsys):
@@ -19,7 +17,7 @@ def run_cli(args, capsys):
     return code, (json.loads(out) if out.strip() else None)
 
 
-FAST_GEO = ["--resolution", "48", "--surface-resolution", "96", "--refine-depth", "2"]
+FAST_GEO = ["--surface-resolution", "96"]
 
 
 class TestGeometryCommand:
@@ -98,18 +96,10 @@ class TestGeometryCommand:
         assert code == 0
         # volume, perimeter and one relative perimeter per sector
         assert calls == {"voxel_integral": 0, "patch_surface_integral": 2 + num_sectors}
-        assert rep["resolutions"]["volume_route"] == "patches"
         res = rep["results"]
         sector = rep["params"]["sector"] if "ball-sector" in shape_args else None
         per = res["weighted_perimeter"] if sector is None else res[f"sector_perimeter_{sector}"]
         assert res["isoperimetric_quotient"] == per**1.5 / res["weighted_volume"]
-
-    def test_patch_free_shape_takes_voxels(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "_shape_from_args", lambda args: replace(cylinder(1.0, 1.0), patches=None))
-        code, rep = run_cli(["geometry", "--shape", "cylinder", "--alpha", "1", *FAST_GEO], capsys)
-        assert code == 0
-        assert rep["resolutions"]["volume_route"] == "voxels"
-        assert rep["results"]["weighted_volume"] == pytest.approx(math.pi, rel=1e-2)
 
     def test_zero_volume_is_usage_error(self, capsys):
         # |x|^2 underflows to 0 on a ball of radius 1e-200
@@ -123,13 +113,95 @@ class TestGeometryCommand:
 class TestTransformCheckCommand:
     def test_ball_sector(self, capsys):
         code, rep = run_cli(
-            ["transform-check", "--alpha", "1", "--resolution", "96",
-             "--surface-resolution", "128", "--refine-depth", "2"],
+            ["transform-check", "--alpha", "1", "--surface-resolution", "128"],
             capsys,
         )
         assert code == 0
         assert rep["results"]["volume_rel_gap"] <= 1e-3
         assert rep["results"]["perimeter_rel_gap"] <= 1e-2
+
+    def test_large_alpha(self, capsys):
+        # the image of the ball sector spans ~1e11 at alpha = 400; its
+        # patches still see the unit half-ball
+        code, rep = run_cli(["transform-check", "--alpha", "400"], capsys)
+        assert code == 0
+        assert rep["results"]["volume_rel_gap"] <= 1e-3
+        assert rep["results"]["volume_euclidean"] == pytest.approx(2 * math.pi / 3, rel=1e-3)
+
+
+class TestPatchOnlyCli:
+    """No CLI input reaches the voxel engine or the triangulation."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["geometry", "--shape", "ellipsoid", "--alpha", "0.5", "--semiaxes", "1.3", "0.8", "0.6", *FAST_GEO],
+            ["geometry", "--shape", "cylinder", "--alpha", "1", *FAST_GEO],
+            ["geometry", "--shape", "ball-sector", "--alpha", "2", *FAST_GEO],
+            ["transform-check", "--alpha", "1", *FAST_GEO],
+            ["transform-check", "--alpha", "1", "--shape", "small-ball", *FAST_GEO],
+        ],
+    )
+    def test_no_voxel_or_triangulation_calls(self, argv, monkeypatch, capsys):
+        calls = []
+        for module, name in (
+            (geometry, "voxel_integral"),
+            (transform, "voxel_integral"),
+            (triangulate, "marching_tetrahedra"),
+        ):
+            original = getattr(module, name)
+
+            def spy(*a, _name=name, _original=original, **kw):
+                calls.append(_name)
+                return _original(*a, **kw)
+
+            monkeypatch.setattr(module, name, spy)
+        code, rep = run_cli(argv, capsys)
+        assert code == 0
+        assert calls == []
+        assert rep["resolutions"] == {"surface_resolution": 96}
+
+    @pytest.mark.parametrize("flag", ["--resolution", "--refine-depth"])
+    @pytest.mark.parametrize(
+        "argv", [["geometry", "--shape", "ball", "--alpha", "1"], ["transform-check", "--alpha", "1"]]
+    )
+    def test_voxel_flags_are_rejected(self, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, flag, "2"])
+        assert err.value.code == 2
+
+
+# every shape flag, passed to every shape; each builder takes its own
+ALL_SHAPE_FLAGS = [
+    "--radius", "0.8", "--halfheight", "1.4", "--semiaxes", "1.3", "0.8", "0.6",
+    "--half-widths", "1.2", "0.7", "0.9", "--center", "0.5", "0.1", "-0.2", "--sector", "3",
+]
+
+
+class TestShapeFromArgs:
+    @pytest.mark.parametrize(
+        "name, builder, params",
+        [
+            ("ball", shapes.ball, dict(radius=0.8, center=(0.5, 0.1, -0.2))),
+            ("ellipsoid", shapes.ellipsoid, dict(semiaxes=(1.3, 0.8, 0.6), center=(0.5, 0.1, -0.2))),
+            ("cylinder", shapes.cylinder, dict(radius=0.8, half_height=1.4, center=(0.5, 0.1, -0.2))),
+            ("box", shapes.box, dict(half_widths=(1.2, 0.7, 0.9), center=(0.5, 0.1, -0.2))),
+            ("ball-sector", shapes.ball_sector, dict(alpha=1.5, j=3, radius=0.8)),
+        ],
+    )
+    def test_cli_flags_build_the_direct_shape(self, name, builder, params):
+        args = cli.build_parser().parse_args(["geometry", "--shape", name, "--alpha", "1.5", *ALL_SHAPE_FLAGS])
+        via_cli, direct = cli._shape_from_args(args), builder(**params)
+        assert via_cli.name == direct.name == name
+        assert np.array_equal(via_cli.bbox, direct.bbox)
+        pts = np.random.default_rng(3).uniform(-2.0, 2.0, (2000, 3))
+        assert np.array_equal(via_cli.level(pts), direct.level(pts))
+
+    @pytest.mark.parametrize("name", ["ball", "ellipsoid", "cylinder", "box", "ball-sector"])
+    def test_defaults_without_flags(self, name):
+        args = cli.build_parser().parse_args(["geometry", "--shape", name, "--alpha", "1"])
+        direct = shapes.ball_sector(1.0) if name == "ball-sector" else shapes.SHAPE_BUILDERS[name]()
+        assert np.array_equal(cli._shape_from_args(args).bbox, direct.bbox)
 
 
 class TestRearrangeCommand:
@@ -331,6 +403,11 @@ class TestBadInput:
             (["rearrange", "--alpha", "1", "--input", "FILE", "--levels", "-3"], SMALL_GRID, 2),
             (["geometry", "--shape", "ball-sector", "--alpha", "inf"], None, 2),
             (["pohozaev", "--p", "nan", "--alpha", "1"], None, 2),
+            # a non-finite flag is a usage error even where the shape ignores it
+            (["geometry", "--shape", "ball", "--alpha", "1", "--halfheight", "inf"], None, 2),
+            # finite inputs whose measures overflow: no NaN report, exit 4
+            (["geometry", "--shape", "ellipsoid", "--alpha", "1", "--semiaxes", "1e200", "1", "1"], None, 4),
+            (["geometry", "--shape", "ball-sector", "--alpha", "1", "--radius", "1e300"], None, 4),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):
@@ -342,7 +419,10 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Traceback" not in captured.err
-        assert captured.err.startswith("input error: " if code == 3 else "usage error: ")
+        prefix = {2: "usage error: ", 3: "input error: ", 4: "numerical failure: "}[code]
+        assert captured.err.startswith(prefix)
+        if code == 4:
+            assert captured.err == "numerical failure: weighted_volume is not finite\n"
         if "NOWHERE" in argv:
             assert captured.err == f"usage error: cannot write {nowhere}: No such file or directory\n"
 
@@ -359,3 +439,11 @@ class TestReportPlumbing:
 
     def test_sorted_keys(self, capsys):
         _, _ = run_cli(["pohozaev", "--p", "3", "--alpha", "1"], capsys)
+
+    def test_non_finite_report_does_not_serialise(self):
+        from grushin3d.report import RunReport
+
+        rep = RunReport("geometry", {})
+        rep.results["weighted_volume"] = math.nan
+        with pytest.raises(ValueError):
+            rep.to_json()

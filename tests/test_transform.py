@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from grushin3d import AlphaParam, DomainError, QuadratureConfig, reference_ball
+from grushin3d.geometry import voxel_integral
 from grushin3d.shapes import ball, ball_sector
 from grushin3d.transform import (
     PolarTriple,
@@ -155,3 +157,45 @@ class TestPushforward:
         flat = flatten_shape(shape, 0.5)
         assert flat.name.startswith("flat(")
         assert rep.euclidean > 0
+
+
+def _image_shapes():
+    for alpha in (0.5, 1.0, 2.0):
+        yield alpha, reference_ball(alpha, 1)[0]
+        yield alpha, small_sector_ball(alpha)
+
+
+class TestImagePatches:
+    @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
+    def test_cross_matches_central_differences(self, alpha, shape):
+        # reference: finite-difference tangents of flatten_point o param
+        flat = flatten_shape(shape, alpha)
+        assert len(flat.patches) == len(shape.patches)
+        for patch, image in zip(shape.patches, flat.patches):
+            st, _ = patch.midpoint_nodes(64)
+            hs = (patch.s_range[1] - patch.s_range[0]) / 64 * 1e-4
+            ht = (patch.t_range[1] - patch.t_range[0]) / 64 * 1e-4
+
+            def f(st_):
+                return flatten_point(patch.param(st_), alpha, check_sector=False)
+
+            ds = (f(st + [hs, 0.0]) - f(st - [hs, 0.0])) / (2 * hs)
+            dt = (f(st + [0.0, ht]) - f(st - [0.0, ht])) / (2 * ht)
+            fd = np.cross(ds, dt)
+            closed = image.cross(st)
+            sign = np.sign(np.sum(fd * closed))  # patches may be parametrised inward
+            err = np.linalg.norm(closed - sign * fd, axis=1) / np.linalg.norm(closed, axis=1)
+            assert err.max() <= 1e-6
+            assert np.array_equal(image.param(st), f(st))
+
+    @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
+    def test_patch_volume_matches_voxels(self, alpha, shape):
+        rep = pushforward_volume_check(shape, alpha)
+        flat = flatten_shape(shape, alpha)
+        cfg = QuadratureConfig(volume_resolution=64, refine_depth=3)
+        voxels = voxel_integral(flat.level, flat.bbox, lambda x1, x2: np.ones_like(x1 + x2), cfg)
+        assert abs(rep.euclidean - voxels) <= 1e-4 * voxels
+
+    def test_patch_free_source_gives_patch_free_image(self):
+        shape = replace(small_sector_ball(1.0), patches=None)
+        assert flatten_shape(shape, 1.0).patches is None

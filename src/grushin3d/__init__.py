@@ -14,19 +14,18 @@ from .errors import (
 from .geometry import (
     AlphaParam,
     ImplicitShape,
+    Perimeters,
     QuadratureConfig,
     SurfacePatch,
     anisotropic_scale,
     isoperimetric_deficit,
     isoperimetric_quotient,
+    perimeters,
     reference_ball,
     reference_quotient,
     sector_count,
     sector_of_point,
-    sector_perimeter,
-    weighted_perimeter,
     weighted_volume,
-    weighted_volume_from_patches,
 )
 from .grids import CellGrid, GridFunction3D, load_grid, save_grid
 from .pohozaev import (

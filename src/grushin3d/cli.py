@@ -24,9 +24,8 @@ from . import __version__
 from .errors import ComputationError, DomainError, GridFormatError
 from .geometry import (
     QuadratureConfig,
+    perimeters,
     reference_quotient,
-    sector_perimeter,
-    weighted_perimeter,
     weighted_volume,
     _as_alpha,
     _quotient,
@@ -71,14 +70,12 @@ def cmd_geometry(args) -> RunReport:
     rep = RunReport("geometry", vars(args).copy(), version=__version__)
     rep.resolutions = {"surface_resolution": cfg.surface_resolution}
     vol = weighted_volume(shape, ap, cfg)
-    per = weighted_perimeter(shape, ap, cfg)
+    per = perimeters(shape, ap, cfg)
     rep.results["weighted_volume"] = vol
-    rep.results["weighted_perimeter"] = per
-    for j in range(1, ap.num_sectors + 1):
-        rep.results[f"sector_perimeter_{j}"] = sector_perimeter(shape, ap, j, cfg)
-    # a sector shape is compared through its relative (wall-free) perimeter
-    per_q = per if shape.sector is None else rep.results[f"sector_perimeter_{shape.sector}"]
-    q = _quotient(shape, per_q, vol)
+    rep.results["weighted_perimeter"] = per.total
+    for j, part in enumerate(per.sectors, start=1):
+        rep.results[f"sector_perimeter_{j}"] = part
+    q = _quotient(shape, per, vol)
     q_ref = reference_quotient(ap)
     deficit = q - q_ref
     rep.results["isoperimetric_quotient"] = q
@@ -390,6 +387,9 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except ComputationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_EXIT
+    except MemoryError as exc:
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return NUMERICAL_EXIT
     print(text)
     return 0 if rep.all_passed else 1

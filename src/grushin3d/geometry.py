@@ -27,6 +27,11 @@ Shapes without patches (user level sets) fall back to marching-tetrahedra
 triangulation for surface integrals and to cell-centred voxel sums with
 recursive subdivision of boundary-crossing cells for volumes;
 ``voxel_integral`` is also the independent cross-check of the patch route.
+
+Each measure evaluates the boundary once: ``weighted_volume`` sweeps the
+patch nodes for the flux, and ``perimeters`` sweeps them (or one
+triangulation) for the weighted perimeter and all 2n(a) relative sector
+perimeters together, classifying every node by sector as it goes.
 """
 
 from __future__ import annotations
@@ -49,9 +54,8 @@ __all__ = [
     "sector_of_point",
     "sector_index",
     "weighted_volume",
-    "weighted_volume_from_patches",
-    "weighted_perimeter",
-    "sector_perimeter",
+    "Perimeters",
+    "perimeters",
     "reference_ball",
     "reference_quotient",
     "isoperimetric_quotient",
@@ -254,13 +258,6 @@ def _refine_chunk(level, weight, origins, h, depth, chunk=_REFINE_CHUNK):
     return total
 
 
-def _refine_crossed(level, weight, origins, h, depth, chunk=_REFINE_CHUNK):
-    partials = [
-        _refine_chunk(level, weight, origins[s : s + chunk], h, depth, chunk) for s in range(0, len(origins), chunk)
-    ]
-    return float(np.sum(partials)) if partials else 0.0
-
-
 def voxel_integral(level, bbox, weight, cfg: QuadratureConfig) -> float:
     """integral over {level < 0} of weight(x1, x2), by refined voxel sums.
 
@@ -303,22 +300,35 @@ def voxel_integral(level, bbox, weight, cfg: QuadratureConfig) -> float:
     del cnt
     origins = lo + np.argwhere(crossed).astype(float) * hs
     del crossed
-    total += _refine_crossed(level, weight, origins, hs, cfg.refine_depth)
+    total += _refine_chunk(level, weight, origins, hs, cfg.refine_depth)
     return total
 
 
 def weighted_volume(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Weighted volume vol_w(E).
 
-    Uses the divergence identity on the shape's analytic patches when
-    present (``weighted_volume_from_patches``; ``volume_resolution`` and
-    ``refine_depth`` play no part), otherwise boundary-refined voxel
-    quadrature of the level set (``voxel_integral``).
+    A shape with analytic patches is measured through the divergence
+    identity: div(|x|^{2a} (x1, x2, 0)) = (2a + 2) |x|^{2a}, so the weighted
+    volume equals the flux of |x|^{2a} (x1, x2, 0) / (2a + 2) through bd(E)
+    (``volume_resolution`` and ``refine_depth`` play no part).  A shape
+    without patches falls back to boundary-refined voxel quadrature of the
+    level set (``voxel_integral``), which is also the independent
+    cross-check of the patch route.
     """
     ap = _as_alpha(alpha)
-    if shape.patches:
-        return weighted_volume_from_patches(shape, ap, cfg)
-    return voxel_integral(shape.level, shape.bbox, _weight_of(ap.alpha), cfg)
+    a = ap.alpha
+    if not shape.patches:
+        return voxel_integral(shape.level, shape.bbox, _weight_of(a), cfg)
+
+    def flux(points, normals):
+        r2 = points[:, 0] ** 2 + points[:, 1] ** 2
+        return (
+            r2**a
+            * (points[:, 0] * normals[:, 0] + points[:, 1] * normals[:, 1])
+            / (2.0 * a + 2.0)
+        )
+
+    return patch_surface_integral(shape, flux, cfg)
 
 
 def _area_integrand(alpha: float):
@@ -333,96 +343,71 @@ def _area_integrand(alpha: float):
     return integrand
 
 
-def patch_surface_integral(
-    shape: ImplicitShape,
-    integrand,
-    cfg: QuadratureConfig,
-    sector_filter: Optional[tuple[int, AlphaParam]] = None,
-) -> float:
-    """Sum of integrand(points, unit normals) * dH^2 over the shape's patches.
+def _patch_blocks(shape: ImplicitShape, cfg: QuadratureConfig):
+    """Midpoint nodes of the shape's patches, one block of 32768 at a time.
 
-    With ``sector_filter = (j, alpha)`` only samples strictly inside sector j
-    contribute; samples on walls are discarded.
+    Yields (points, unit normals, area elements, ds*dt) per (patch, block),
+    in patch order; nodes whose area element vanishes are dropped.
     """
     if not shape.patches:
         raise ComputationError(f"shape {shape.name!r} carries no surface patches")
-
-    partials = []
     block = 1 << 15
     for patch in shape.patches:
         nodes, dst = patch.midpoint_nodes(cfg.surface_resolution)
         for s in range(0, len(nodes), block):
             st = nodes[s : s + block]
-            pts = patch.param(st)
-            cross = patch.cross(st)
+            pts, cross = patch.param(st), patch.cross(st)
             area = np.linalg.norm(cross, axis=-1)
             ok = area > 0
-            pts, cross, area = pts[ok], cross[ok], area[ok]
-            normals = cross / area[:, None]
-            vals = integrand(pts, normals) * area
-            if sector_filter is not None:
-                j, ap = sector_filter
-                vals = vals[sector_index(pts, ap) == j]
-            partials.append(float(np.sum(vals)) * dst)
+            yield pts[ok], cross[ok] / area[ok, None], area[ok], dst
+
+
+def patch_surface_integral(shape: ImplicitShape, integrand, cfg: QuadratureConfig) -> float:
+    """Sum of integrand(points, unit normals) * dH^2 over the shape's patches.
+
+    One partial per block, reduced in block order.
+    """
+    partials = [float(np.sum(integrand(pts, nu) * area)) * dst for pts, nu, area, dst in _patch_blocks(shape, cfg)]
     return float(np.sum(partials))
 
 
-def _triangulated_perimeter(shape, ap, cfg, sector_j=None):
-    from .triangulate import marching_tetrahedra
+@dataclass(frozen=True)
+class Perimeters:
+    """Weighted perimeter per_w(E) and the relative perimeter of each sector.
 
-    centroids, areas, normals = marching_tetrahedra(
-        shape.level, shape.bbox, cfg.volume_resolution
-    )
-    if len(areas) == 0:
-        return 0.0
-    vals = _area_integrand(ap.alpha)(centroids, normals) * areas
-    if sector_j is not None:
-        vals = vals[sector_index(centroids, ap) == sector_j]
-    return float(np.sum(vals))
+    ``sectors[j - 1]`` is the weighted area of bd(E) strictly inside the open
+    sector j; boundary on a sector wall or on the y-axis counts in ``total``
+    only.
+    """
+
+    total: float
+    sectors: tuple[float, ...]
 
 
-def weighted_perimeter(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Weighted surface area per_w(E).
+def perimeters(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> Perimeters:
+    """Weighted perimeter and all 2n(a) sector perimeters from one set of nodes.
 
-    Uses the shape's analytic patches when present, otherwise a
-    marching-tetrahedra triangulation of the level set.
+    The nodes are the shape's patch midpoints when it has patches, otherwise
+    the triangles of one marching-tetrahedra triangulation of the level set
+    at ``volume_resolution``.  Each (patch, block) contributes one partial to
+    the total and one to every sector, reduced in block order.
     """
     ap = _as_alpha(alpha)
+    density = _area_integrand(ap.alpha)
     if shape.patches:
-        return patch_surface_integral(shape, _area_integrand(ap.alpha), cfg)
-    return _triangulated_perimeter(shape, ap, cfg)
+        blocks = ((density(pts, nu) * area, pts, dst) for pts, nu, area, dst in _patch_blocks(shape, cfg))
+    else:
+        from .triangulate import marching_tetrahedra
 
-
-def sector_perimeter(shape: ImplicitShape, alpha, j: int, cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Weighted area of bd(E) restricted to the open sector j (walls excluded)."""
-    ap = _as_alpha(alpha)
-    if not 1 <= j <= ap.num_sectors:
-        raise DomainError(f"sector index {j} outside 1..{ap.num_sectors}")
-    if shape.patches:
-        return patch_surface_integral(shape, _area_integrand(ap.alpha), cfg, sector_filter=(j, ap))
-    return _triangulated_perimeter(shape, ap, cfg, sector_j=j)
-
-
-def weighted_volume_from_patches(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Weighted volume through the divergence identity.
-
-    div(|x|^{2a} (x1, x2, 0)) = (2a + 2) |x|^{2a}, so the weighted volume
-    equals the flux of |x|^{2a} (x1, x2, 0) / (2a + 2) through bd(E).
-    The route ``weighted_volume`` takes for every shape with patches; the
-    voxel engine (``voxel_integral``) is its independent cross-check.
-    """
-    ap = _as_alpha(alpha)
-    a = ap.alpha
-
-    def flux(points, normals):
-        r2 = points[:, 0] ** 2 + points[:, 1] ** 2
-        return (
-            r2**a
-            * (points[:, 0] * normals[:, 0] + points[:, 1] * normals[:, 1])
-            / (2.0 * a + 2.0)
-        )
-
-    return patch_surface_integral(shape, flux, cfg)
+        centroids, areas, normals = marching_tetrahedra(shape.level, shape.bbox, cfg.volume_resolution)
+        blocks = [(density(centroids, normals) * areas, centroids, 1.0)]
+    partials = []
+    for vals, pts, dst in blocks:
+        idx = sector_index(pts, ap)
+        parts = [vals[idx == j] for j in range(1, ap.num_sectors + 1)]
+        partials.append([float(np.sum(v)) * dst for v in (vals, *parts)])
+    total, *sectors = (float(np.sum(col)) for col in zip(*partials))
+    return Perimeters(total, tuple(sectors))
 
 
 # ---------------------------------------------------------------------------
@@ -473,23 +458,22 @@ def isoperimetric_quotient(shape: ImplicitShape, alpha, cfg: QuadratureConfig = 
     (sector walls excluded) enters the quotient; that is the quantity the
     sharp sector comparison bounds from below.
     """
-    vol = weighted_volume(shape, alpha, cfg)
-    if shape.sector is not None:
-        per = sector_perimeter(shape, alpha, shape.sector, cfg)
-    else:
-        per = weighted_perimeter(shape, alpha, cfg)
-    return _quotient(shape, per, vol)
+    return _quotient(shape, perimeters(shape, alpha, cfg), weighted_volume(shape, alpha, cfg))
 
 
-def _quotient(shape: ImplicitShape, per: float, vol: float) -> float:
+def _quotient(shape: ImplicitShape, per: Perimeters, vol: float) -> float:
     """per^{3/2} / vol for measures already computed; rejects a zero volume.
 
-    ``per`` must be the relative perimeter when ``shape.sector`` is set and
-    the full weighted perimeter otherwise.
+    A sector shape enters through the relative perimeter of its sector, any
+    other shape through its whole weighted perimeter.
     """
     if vol <= 0.0:
         raise DomainError(f"shape {shape.name!r} has zero weighted volume")
-    return per**1.5 / vol
+    if shape.sector is None:
+        return per.total**1.5 / vol
+    if not 1 <= shape.sector <= len(per.sectors):
+        raise DomainError(f"sector index {shape.sector} outside 1..{len(per.sectors)}")
+    return per.sectors[shape.sector - 1] ** 1.5 / vol
 
 
 def isoperimetric_deficit(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:

@@ -43,8 +43,8 @@ from .geometry import (
     SurfacePatch,
     _as_alpha,
     patch_surface_integral,
+    perimeters,
     sector_index,
-    sector_perimeter,
     voxel_integral,
     weighted_volume,
 )
@@ -235,9 +235,9 @@ def pushforward_perimeter_check(
     """
     ap = _as_alpha(alpha)
     _require_in_sector(shape, ap)
-    weighted = sector_perimeter(shape, ap, 1, cfg)
     if not shape.patches:
         raise DomainError("perimeter pushforward requires analytic patches")
+    weighted = perimeters(shape, ap, cfg).sectors[0]
 
     total = 0.0
     for patch, image in zip(shape.patches, flatten_shape(shape, ap).patches):

@@ -16,8 +16,8 @@ from grushin3d import (
     AlphaParam,
     QuadratureConfig,
     isoperimetric_deficit,
+    perimeters,
     reference_quotient,
-    weighted_perimeter,
     weighted_volume,
 )
 from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus, sector_extremal_grid
@@ -125,7 +125,7 @@ def test_criterion_04_scaling_laws():
         )
         ep = abs(
             math.log2(
-                weighted_perimeter(scaled, alpha, cfg) / weighted_perimeter(shape, alpha, cfg)
+                perimeters(scaled, alpha, cfg).total / perimeters(shape, alpha, cfg).total
             )
             - (2 * alpha + 2)
         )

@@ -83,7 +83,7 @@ class TestGeometryCommand:
         ],
     )
     def test_each_measure_computed_once(self, shape_args, num_sectors, monkeypatch, capsys):
-        calls = {"voxel_integral": 0, "patch_surface_integral": 0}
+        calls = {"voxel_integral": 0, "_patch_blocks": 0}
         for name in calls:
             original = getattr(geometry, name)
 
@@ -94,9 +94,12 @@ class TestGeometryCommand:
             monkeypatch.setattr(geometry, name, spy)
         code, rep = run_cli(["geometry", *shape_args, *FAST_GEO], capsys)
         assert code == 0
-        # volume, perimeter and one relative perimeter per sector
-        assert calls == {"voxel_integral": 0, "patch_surface_integral": 2 + num_sectors}
+        # one sweep of the patch nodes for the volume, one for every perimeter
+        assert calls == {"voxel_integral": 0, "_patch_blocks": 2}
         res = rep["results"]
+        assert sorted(k for k in res if k.startswith("sector_perimeter_")) == sorted(
+            f"sector_perimeter_{j}" for j in range(1, num_sectors + 1)
+        )
         sector = rep["params"]["sector"] if "ball-sector" in shape_args else None
         per = res["weighted_perimeter"] if sector is None else res[f"sector_perimeter_{sector}"]
         assert res["isoperimetric_quotient"] == per**1.5 / res["weighted_volume"]
@@ -408,6 +411,8 @@ class TestBadInput:
             # finite inputs whose measures overflow: no NaN report, exit 4
             (["geometry", "--shape", "ellipsoid", "--alpha", "1", "--semiaxes", "1e200", "1", "1"], None, 4),
             (["geometry", "--shape", "ball-sector", "--alpha", "1", "--radius", "1e300"], None, 4),
+            # 10^14 midpoint nodes per patch: an allocation the system refuses at once
+            (["geometry", "--shape", "ball", "--alpha", "1", "--surface-resolution", "10000000"], None, 4),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):
@@ -421,8 +426,10 @@ class TestBadInput:
         assert "Traceback" not in captured.err
         prefix = {2: "usage error: ", 3: "input error: ", 4: "numerical failure: "}[code]
         assert captured.err.startswith(prefix)
+        assert captured.err.count("\n") == 1
         if code == 4:
-            assert captured.err == "numerical failure: weighted_volume is not finite\n"
+            oom = "--surface-resolution" in argv
+            assert ("Unable to allocate" if oom else "weighted_volume is not finite") in captured.err
         if "NOWHERE" in argv:
             assert captured.err == f"usage error: cannot write {nowhere}: No such file or directory\n"
 

@@ -14,16 +14,14 @@ from grushin3d import (
     anisotropic_scale,
     isoperimetric_deficit,
     isoperimetric_quotient,
+    perimeters,
     reference_ball,
     reference_quotient,
     sector_count,
     sector_of_point,
-    sector_perimeter,
-    weighted_perimeter,
     weighted_volume,
-    weighted_volume_from_patches,
 )
-from grushin3d import geometry
+from grushin3d import geometry, triangulate
 from grushin3d.geometry import sector_index, voxel_integral
 from grushin3d.grids import CellGrid
 from grushin3d.transform import flatten_shape
@@ -120,9 +118,12 @@ class TestWeightedVolume:
         assert errs[128] <= errs[32] / 2.5
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_patch_shapes_take_the_patch_route(self, alpha, fast_cfg):
+    def test_patch_shapes_take_the_patch_route(self, alpha, fast_cfg, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geometry, "voxel_integral", lambda *a, **k: calls.append(a))
         for shape in corpus_shapes(alpha):
-            assert weighted_volume(shape, alpha, fast_cfg) == weighted_volume_from_patches(shape, alpha, fast_cfg)
+            assert weighted_volume(shape, alpha, fast_cfg) > 0.0
+        assert calls == []
 
     def test_patch_free_shapes_take_the_voxel_route(self):
         cfg = QuadratureConfig(volume_resolution=32, refine_depth=1)
@@ -144,8 +145,8 @@ class TestRefinementChunks:
         origins = lo + np.argwhere((cnt > 0) & (cnt < 8)) * h
         assert len(origins) > geometry._REFINE_CHUNK
         weight = lambda x1, x2: x1 * x1 + x2 * x2  # noqa: E731
-        chunked = geometry._refine_crossed(shape.level, weight, origins, h, 2)
-        whole = geometry._refine_crossed(shape.level, weight, origins, h, 2, chunk=len(origins))
+        chunked = geometry._refine_chunk(shape.level, weight, origins, h, 2)
+        whole = geometry._refine_chunk(shape.level, weight, origins, h, 2, chunk=len(origins))
         assert chunked == pytest.approx(whole, rel=1e-14)
 
 
@@ -153,7 +154,7 @@ class TestWeightedPerimeter:
     def test_cylinder_closed_form(self, fast_cfg):
         # lateral 4 pi plus two caps of pi/2 each
         shape = cylinder(1.0, 1.0)
-        per = weighted_perimeter(shape, 1.0, fast_cfg)
+        per = perimeters(shape, 1.0, fast_cfg).total
         assert per == pytest.approx(5 * math.pi, rel=1e-4)
 
     def test_empty_shape_triangulation(self, fast_cfg):
@@ -161,7 +162,7 @@ class TestWeightedPerimeter:
             level=lambda p: np.ones(len(np.atleast_2d(p))),
             bbox=np.array([(-1, 1)] * 3),
         )
-        assert weighted_perimeter(empty, 1.0, fast_cfg) == 0.0
+        assert perimeters(empty, 1.0, fast_cfg) == geometry.Perimeters(0.0, (0.0,) * 4)
 
     def test_marching_tetrahedra_vs_patches(self):
         # Euclidean unit ball, weighted area via 1D reduction:
@@ -174,9 +175,19 @@ class TestWeightedPerimeter:
             bbox=np.array([(-1.07, 1.07)] * 3),
         )
         cfg = QuadratureConfig(volume_resolution=96, refine_depth=2)
-        assert weighted_perimeter(bare, 1.0, cfg) == pytest.approx(exact, rel=2e-3)
+        assert perimeters(bare, 1.0, cfg).total == pytest.approx(exact, rel=2e-3)
         withp = ball(1.0)
-        assert weighted_perimeter(withp, 1.0, cfg) == pytest.approx(exact, rel=1e-6)
+        assert perimeters(withp, 1.0, cfg).total == pytest.approx(exact, rel=1e-6)
+
+    def test_one_triangulation_per_call(self, monkeypatch):
+        calls = []
+        original = triangulate.marching_tetrahedra
+        monkeypatch.setattr(triangulate, "marching_tetrahedra", lambda *a: calls.append(a) or original(*a))
+        bare = replace(cylinder(1.0, 1.0), patches=None)
+        per = perimeters(bare, 1.0, QuadratureConfig(volume_resolution=32))
+        assert len(calls) == 1
+        assert len(per.sectors) == 4
+        assert per.total == pytest.approx(5 * math.pi, rel=3e-2)
 
     def test_patch_normals_are_unit(self):
         for shape in (ellipsoid((1.3, 0.8, 0.6)), cylinder(0.7, 1.4), box((1, 0.7, 0.9)), ball_sector(1.0)):
@@ -190,25 +201,35 @@ class TestSectorPerimeter:
     def test_reference_sector_values(self, fast_cfg):
         shape, vals = reference_ball(1.0, 1)
         assert vals.sector_perimeter == pytest.approx(2 * math.pi, abs=1e-15)
-        assert sector_perimeter(shape, 1.0, 1, fast_cfg) == pytest.approx(2 * math.pi, rel=1e-4)
-        assert sector_perimeter(shape, 1.0, 2, fast_cfg) == 0.0
+        assert perimeters(shape, 1.0, fast_cfg).sectors[0] == pytest.approx(2 * math.pi, rel=1e-4)
+
+    @pytest.mark.parametrize("alpha, j", [(1.0, 2), (2.5, 3)])
+    def test_ball_sector_reads_zero_elsewhere(self, alpha, j, fast_cfg):
+        ap = AlphaParam(alpha)
+        per = perimeters(ball_sector(ap, j), ap, fast_cfg)
+        assert len(per.sectors) == ap.num_sectors
+        assert per.sectors[j - 1] > 0.0
+        assert [p for k, p in enumerate(per.sectors, start=1) if k != j] == [0.0] * (ap.num_sectors - 1)
+        # the two walls count in the total only
+        assert per.total > per.sectors[j - 1]
 
     def test_index_range_checked(self, fast_cfg):
+        # the quotient reads the sector a shape is marked with
         shape, _ = reference_ball(1.0, 1)
-        with pytest.raises(DomainError):
-            sector_perimeter(shape, 1.0, 0, fast_cfg)
-        with pytest.raises(DomainError):
-            sector_perimeter(shape, 1.0, 5, fast_cfg)
+        for bad in (0, 5):
+            with pytest.raises(DomainError):
+                isoperimetric_quotient(replace(shape, sector=bad), 1.0, fast_cfg)
 
     def test_additivity_and_superadditivity(self, fast_cfg):
-        ap = AlphaParam(1.0)
-        for shape in (ellipsoid((1.2, 0.9, 0.7)), ball(0.8, center=(0.5, 0.0, 0.0))):
-            per = weighted_perimeter(shape, ap, fast_cfg)
-            sector_parts = [
-                sector_perimeter(shape, ap, j, fast_cfg) for j in range(1, ap.num_sectors + 1)
-            ]
-            assert sum(sector_parts) <= per * (1 + 1e-6)
-            assert per**1.5 >= sum(p**1.5 for p in sector_parts) - 1e-9
+        # no corpus shape but the ball sectors has boundary on a sector wall,
+        # so its sector parts add up to the whole perimeter
+        for alpha in (0.5, 1.0, 2.0):
+            for shape in corpus_shapes(alpha):
+                if shape.sector is not None:
+                    continue
+                per = perimeters(shape, alpha, fast_cfg)
+                assert sum(per.sectors) == pytest.approx(per.total, rel=1e-12)
+                assert per.total**1.5 >= sum(p**1.5 for p in per.sectors) - 1e-9
 
 
 class TestReferenceBall:
@@ -229,7 +250,7 @@ class TestReferenceBall:
         for alpha in (0.5, 2.0):
             shape, vals = reference_ball(alpha, 1)
             assert weighted_volume(shape, alpha, fast_cfg) == pytest.approx(vals.volume, rel=8e-3)
-            assert sector_perimeter(shape, alpha, 1, fast_cfg) == pytest.approx(
+            assert perimeters(shape, alpha, fast_cfg).sectors[0] == pytest.approx(
                 vals.sector_perimeter, rel=1e-3
             )
 
@@ -288,8 +309,8 @@ class TestAnisotropicScale:
         v1 = weighted_volume(shape, alpha, fast_cfg)
         v2 = weighted_volume(scaled, alpha, fast_cfg)
         assert abs(math.log2(v2 / v1) - (3 * alpha + 3)) <= 1e-3
-        p1 = weighted_perimeter(shape, alpha, fast_cfg)
-        p2 = weighted_perimeter(scaled, alpha, fast_cfg)
+        p1 = perimeters(shape, alpha, fast_cfg).total
+        p2 = perimeters(scaled, alpha, fast_cfg).total
         assert abs(math.log2(p2 / p1) - (2 * alpha + 2)) <= 1e-3
 
     def test_quotient_invariance(self, fast_cfg):
@@ -314,7 +335,7 @@ class TestPatchVolumeRoute:
             (ellipsoid((1.3, 0.8, 0.6)), 6e-3),
             (box((1, 0.7, 0.9)), 3e-2),
         ):
-            v_patch = weighted_volume_from_patches(shape, 1.0, fast_cfg)
+            v_patch = weighted_volume(shape, 1.0, fast_cfg)
             v_voxel = weighted_volume(replace(shape, patches=None), 1.0, fast_cfg)
             assert v_voxel == pytest.approx(v_patch, rel=rel)
 
@@ -323,11 +344,11 @@ class TestPatchVolumeRoute:
         # midpoint quadrature of the quadratic flux carries an O(h^2) error
         a1, a2, a3 = 1.0, 0.7, 0.9
         exact = 8 * a1 * a2 * a3 * (a1**2 + a2**2) / 3
-        v = weighted_volume_from_patches(box((a1, a2, a3)), 1.0, fast_cfg)
+        v = weighted_volume(box((a1, a2, a3)), 1.0, fast_cfg)
         assert v == pytest.approx(exact, rel=1e-4)
 
     def test_cylinder_exact(self, fast_cfg):
-        assert weighted_volume_from_patches(cylinder(1.0, 1.0), 1.0, fast_cfg) == pytest.approx(
+        assert weighted_volume(cylinder(1.0, 1.0), 1.0, fast_cfg) == pytest.approx(
             math.pi, rel=1e-12
         )
 

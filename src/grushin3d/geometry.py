@@ -404,7 +404,9 @@ def perimeters(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureCo
     partials = []
     for vals, pts, dst in blocks:
         idx = sector_index(pts, ap)
-        parts = [vals[idx == j] for j in range(1, ap.num_sectors + 1)]
+        # a stable sort keeps each sector's nodes in block order, as a mask would
+        order = np.argsort(idx, kind="stable")
+        parts = np.split(vals[order], np.searchsorted(idx[order], np.arange(1, ap.num_sectors + 1)))[1:]
         partials.append([float(np.sum(v)) * dst for v in (vals, *parts)])
     total, *sectors = (float(np.sum(col)) for col in zip(*partials))
     return Perimeters(total, tuple(sectors))

@@ -427,9 +427,10 @@ class TestBadInput:
         prefix = {2: "usage error: ", 3: "input error: ", 4: "numerical failure: "}[code]
         assert captured.err.startswith(prefix)
         assert captured.err.count("\n") == 1
-        if code == 4:
-            oom = "--surface-resolution" in argv
-            assert ("Unable to allocate" if oom else "weighted_volume is not finite") in captured.err
+        if "--surface-resolution" in argv:
+            assert "Unable to allocate" in captured.err
+        elif code == 4:
+            assert captured.err == "numerical failure: weighted_volume is not finite\n"
         if "NOWHERE" in argv:
             assert captured.err == f"usage error: cannot write {nowhere}: No such file or directory\n"
 

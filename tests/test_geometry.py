@@ -203,7 +203,7 @@ class TestSectorPerimeter:
         assert vals.sector_perimeter == pytest.approx(2 * math.pi, abs=1e-15)
         assert perimeters(shape, 1.0, fast_cfg).sectors[0] == pytest.approx(2 * math.pi, rel=1e-4)
 
-    @pytest.mark.parametrize("alpha, j", [(1.0, 2), (2.5, 3)])
+    @pytest.mark.parametrize("alpha, j", [(1.0, 1), (1.0, 2), (2.5, 3)])
     def test_ball_sector_reads_zero_elsewhere(self, alpha, j, fast_cfg):
         ap = AlphaParam(alpha)
         per = perimeters(ball_sector(ap, j), ap, fast_cfg)

@@ -5,7 +5,7 @@ pohozaev.  Every run emits a RunReport as JSON (stdout, and --output FILE
 when given); table-like results are additionally written as CSV.  Exit
 codes: 0 success (all checks passed), 1 a check failed, 2 usage error
 (also an output path that cannot be written), 3 input-file error,
-4 numerical failure.
+4 numerical failure (any unexpected exception too, as one stderr line).
 """
 
 from __future__ import annotations
@@ -388,8 +388,8 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except MemoryError as exc:
-        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
+    except Exception as exc:  # an unforeseen failure, MemoryError included
+        print(f"numerical failure: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return NUMERICAL_EXIT
     print(text)
     return 0 if rep.all_passed else 1

@@ -31,7 +31,10 @@ recursive subdivision of boundary-crossing cells for volumes;
 Each measure evaluates the boundary once: ``weighted_volume`` sweeps the
 patch nodes for the flux, and ``perimeters`` sweeps them (or one
 triangulation) for the weighted perimeter and all 2n(a) relative sector
-perimeters together, classifying every node by sector as it goes.
+perimeters together, classifying every node by sector as it goes.  Every
+patch sweep in the package, here and in ``transform`` and ``pohozaev``,
+draws its nodes from ``_patch_blocks``, which builds them block by block,
+so patch quadrature memory is bounded by the block, not by the resolution.
 """
 
 from __future__ import annotations
@@ -122,16 +125,24 @@ def sector_of_point(p, alpha) -> Optional[int]:
     return j if j > 0 else None
 
 
+# largest surface_resolution: m^2 = 2^28 nodes per patch in 8192 blocks; a
+# sweep's memory is bounded but its time grows like m^2
+_MAX_SURFACE_RESOLUTION = 1 << 14
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Resolution knobs for voxel and patch quadrature.
 
-    ``surface_resolution`` sets the patch route; ``volume_resolution`` and
-    ``refine_depth`` only the voxel and triangulation routes of patch-free
-    shapes, which no CLI command reaches.  Boundary refinement and patch
-    sums run in fixed-size chunks, which bounds memory; their partial sums
-    are reduced in chunk order.  A refinement chunk holds 30k boundary
-    cells (``_REFINE_CHUNK``), each expanded to 27 corner points.
+    ``surface_resolution`` sets the patch route (m midpoint nodes per patch
+    axis, at most 16384, ``_MAX_SURFACE_RESOLUTION``); ``volume_resolution``
+    and ``refine_depth`` only the voxel and triangulation routes of
+    patch-free shapes, which no CLI command reaches.  Boundary refinement
+    and patch sums run in fixed-size chunks, which bounds memory whatever
+    the resolution; their partial sums are reduced in chunk order.  A
+    refinement chunk holds 30k boundary cells (``_REFINE_CHUNK``), each
+    expanded to 27 corner points; a patch block holds 32768 nodes
+    (``_PATCH_BLOCK``).
     """
 
     volume_resolution: int = 128
@@ -141,6 +152,10 @@ class QuadratureConfig:
     def __post_init__(self):
         if min(self.volume_resolution, self.surface_resolution) < 1:
             raise DomainError("quadrature resolutions must be positive")
+        if self.surface_resolution > _MAX_SURFACE_RESOLUTION:
+            raise DomainError(
+                f"surface_resolution must be at most {_MAX_SURFACE_RESOLUTION}, got {self.surface_resolution}"
+            )
         if not 0 <= self.refine_depth <= 8:
             raise DomainError("refine_depth must lie in 0..8")
 
@@ -152,30 +167,14 @@ class SurfacePatch:
     ``param`` maps an (m, 2) array of (s, t) parameters to (m, 3) points;
     ``cross`` returns the outward-oriented tangent cross product
     d(param)/ds x d(param)/dt (unnormalised).  Its direction is the unit
-    normal and its magnitude the Hausdorff area Jacobian.
+    normal and its magnitude the Hausdorff area Jacobian.  Quadrature
+    nodes on the patch come from ``_patch_blocks`` alone.
     """
 
     param: Callable[[np.ndarray], np.ndarray]
     cross: Callable[[np.ndarray], np.ndarray]
     s_range: tuple[float, float]
     t_range: tuple[float, float]
-
-    def normal(self, st: np.ndarray) -> np.ndarray:
-        c = self.cross(np.asarray(st, dtype=float))
-        return c / np.linalg.norm(c, axis=-1, keepdims=True)
-
-    def area_element(self, st: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.cross(np.asarray(st, dtype=float)), axis=-1)
-
-    def midpoint_nodes(self, m: int):
-        """Product-midpoint nodes and the constant cell weight ds*dt."""
-        s0, s1 = self.s_range
-        t0, t1 = self.t_range
-        ds, dt = (s1 - s0) / m, (t1 - t0) / m
-        s = s0 + (np.arange(m) + 0.5) * ds
-        t = t0 + (np.arange(m) + 0.5) * dt
-        S, T = np.meshgrid(s, t, indexing="ij")
-        return np.column_stack([S.ravel(), T.ravel()]), ds * dt
 
 
 @dataclass(frozen=True)
@@ -343,23 +342,38 @@ def _area_integrand(alpha: float):
     return integrand
 
 
+# midpoint nodes per patch block; blocks cut the patch's flat node order (s
+# slowest) every 32768 nodes whatever m, and the partial sums follow the cuts
+_PATCH_BLOCK = 1 << 15
+
+
 def _patch_blocks(shape: ImplicitShape, cfg: QuadratureConfig):
     """Midpoint nodes of the shape's patches, one block of 32768 at a time.
 
-    Yields (points, unit normals, area elements, ds*dt) per (patch, block),
-    in patch order; nodes whose area element vanishes are dropped.
+    Node k of an m x m patch sits at (s_k, t_k) = (s_ax[k // m], t_ax[k % m])
+    on the cell-centre axes, and each block is built from its own range of
+    k, so memory stays O(block) at any resolution.  This is the one place
+    that turns a patch into nodes.  Yields (points, unit normals, area
+    elements, ds*dt) per (patch, block), in patch order; nodes whose area
+    element vanishes are dropped.
     """
     if not shape.patches:
         raise ComputationError(f"shape {shape.name!r} carries no surface patches")
-    block = 1 << 15
+    m = cfg.surface_resolution
     for patch in shape.patches:
-        nodes, dst = patch.midpoint_nodes(cfg.surface_resolution)
-        for s in range(0, len(nodes), block):
-            st = nodes[s : s + block]
+        (s0, s1), (t0, t1) = patch.s_range, patch.t_range
+        ds, dt = (s1 - s0) / m, (t1 - t0) / m
+        s_ax = s0 + (np.arange(m) + 0.5) * ds
+        t_ax = t0 + (np.arange(m) + 0.5) * dt
+        for start in range(0, m * m, _PATCH_BLOCK):
+            i, j = np.divmod(np.arange(start, min(start + _PATCH_BLOCK, m * m)), m)
+            st = np.column_stack([s_ax[i], t_ax[j]])
             pts, cross = patch.param(st), patch.cross(st)
             area = np.linalg.norm(cross, axis=-1)
             ok = area > 0
-            yield pts[ok], cross[ok] / area[ok, None], area[ok], dst
+            if not ok.all():  # masking copies every array, so only when needed
+                pts, cross, area = pts[ok], cross[ok], area[ok]
+            yield pts, cross / area[:, None], area, ds * dt
 
 
 def patch_surface_integral(shape: ImplicitShape, integrand, cfg: QuadratureConfig) -> float:

@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ImplicitShape, QuadratureConfig, _as_alpha
+from .geometry import ImplicitShape, QuadratureConfig, _as_alpha, _patch_blocks
 from .grids import GridFunction3D
 from .solver import Domain
 
@@ -83,7 +83,10 @@ def star_shaped_check(
     """Evaluate g = x1 nu1 + x2 nu2 + (1+a) y nu3 over the boundary.
 
     The domain is star-shaped for the anisotropic dilation iff g >= 0
-    everywhere on the boundary (and the origin lies inside).
+    everywhere on the boundary (and the origin lies inside).  A box domain
+    is checked at its face corners, where the affine g attains its
+    extremes; a shape takes the minimum of g over its patch midpoint
+    nodes, swept block by block by ``_patch_blocks``.
     """
     a = _as_alpha(alpha).alpha
     if isinstance(target, Domain):
@@ -112,12 +115,9 @@ def star_shaped_check(
     if not shape.patches:
         raise DomainError("star-shaped check needs analytic patches")
     m = math.inf
-    for patch in shape.patches:
-        st, _ = patch.midpoint_nodes(cfg.surface_resolution)
-        pts = patch.param(st)
-        nu = patch.normal(st)
+    for pts, nu, _, _ in _patch_blocks(shape, cfg):
         g = pts[:, 0] * nu[:, 0] + pts[:, 1] * nu[:, 1] + (1.0 + a) * pts[:, 2] * nu[:, 2]
-        m = min(m, float(g.min()))
+        m = min(m, float(g.min(initial=math.inf)))
     return StarShapedReport(m >= -1e-10, m)
 
 

@@ -19,9 +19,10 @@ inverse; round trips are exact to ~1e-12.
 
 ``flatten_shape`` carries a shape's analytic patches to the image: each
 image patch is flatten_point o param, with tangent cross product
-cof(DF) (d_s x d_t) in closed form (Nanson's formula).  Both pushforward
-checks measure on those patches, so neither needs a voxel grid of the
-image, whose bbox grows like r^{a+1}.
+cof(DF) (d_s x d_t) in closed form (Nanson's formula, ``_cofactor``).  The
+volume check measures on those image patches, and the perimeter check
+applies the same cofactor to the source patches' normals, so neither needs
+a voxel grid of the image, whose bbox grows like r^{a+1}.
 
 Composition-order note: the flattening direction is the map that composes
 "flat polar" after "inverse cartesian polar", acting on points of the
@@ -130,27 +131,28 @@ def unflatten_point(p, alpha, check_sector: bool = True):
     return out[0] if np.asarray(p).ndim == 1 else out
 
 
-def _image_patch(patch: SurfacePatch, ap: AlphaParam) -> SurfacePatch:
-    """Image of a first-sector patch under the flattening map.
+def _cofactor(points, v, a):
+    """cof(DF) v = (r^a R(a theta) v_x, r^{2a} v_y) at first-sector points.
 
     F acts on x as the conformal map z -> z^{a+1}/(a+1), so
-    DF = blockdiag(r^a R(a theta), 1) and Nanson's formula carries the
-    tangent cross product by cof(DF) = blockdiag(r^a R(a theta), r^{2a}).
+    DF = blockdiag(r^a R(a theta), 1) and its cofactor matrix is
+    blockdiag(r^a R(a theta), r^{2a}); by Nanson's formula it carries a
+    tangent cross product (or a normal) of the source to the image.
     """
-    a = ap.alpha
+    _, r, theta = _split_polar(points)
+    ra, cos, sin = r**a, np.cos(a * theta), np.sin(a * theta)
+    return np.column_stack(
+        [ra * (cos * v[:, 0] - sin * v[:, 1]), ra * (sin * v[:, 0] + cos * v[:, 1]), ra * ra * v[:, 2]]
+    )
+
+
+def _image_patch(patch: SurfacePatch, ap: AlphaParam) -> SurfacePatch:
+    """Image of a first-sector patch under the flattening map, with the
+    tangent cross product carried by ``_cofactor``."""
     param, cross = patch.param, patch.cross
-
-    def image_cross(st):
-        _, r, theta = _split_polar(param(st))
-        c = cross(st)
-        ra, cos, sin = r**a, np.cos(a * theta), np.sin(a * theta)
-        return np.column_stack(
-            [ra * (cos * c[:, 0] - sin * c[:, 1]), ra * (sin * c[:, 0] + cos * c[:, 1]), ra * ra * c[:, 2]]
-        )
-
     return SurfacePatch(
         param=lambda st: flatten_point(param(st), ap, check_sector=False),
-        cross=image_cross,
+        cross=lambda st: _cofactor(param(st), cross(st), ap.alpha),
         s_range=patch.s_range,
         t_range=patch.t_range,
     )
@@ -228,10 +230,12 @@ def pushforward_perimeter_check(
 ) -> PushforwardReport:
     """Compare the relative weighted perimeter with the flattened Euclidean area.
 
-    The Euclidean side is the area of the image patches, |cof(DF) cross|
-    summed over the nodes whose source point lies in sector 1.  That equals
-    the weighted integrand node by node, so the gap measures rounding; the
-    tests check the closed-form cross product against finite differences.
+    The Euclidean side is the area of the image of bd(E) inside sector 1:
+    a patch integral over the source nodes of |cof(DF) nu|, which is the
+    image's area element per unit source area, on the nodes in sector 1
+    and 0 elsewhere.  That equals the weighted integrand node by node, so
+    the gap measures rounding; the tests check the closed-form cofactor
+    against finite differences.
     """
     ap = _as_alpha(alpha)
     _require_in_sector(shape, ap)
@@ -239,12 +243,16 @@ def pushforward_perimeter_check(
         raise DomainError("perimeter pushforward requires analytic patches")
     weighted = perimeters(shape, ap, cfg).sectors[0]
 
-    total = 0.0
-    for patch, image in zip(shape.patches, flatten_shape(shape, ap).patches):
-        st, dst = patch.midpoint_nodes(cfg.surface_resolution)
-        st = st[sector_index(patch.param(st), ap) == 1]
-        total += float(np.sum(image.area_element(st))) * dst
-    return PushforwardReport(weighted, total, _gap(weighted, total))
+    def image_area(points, normals):
+        # nodes outside sector 1, its walls included, weigh nothing: only
+        # sector-1 nodes get a cofactor
+        inside = sector_index(points, ap) == 1
+        out = np.zeros(len(points))
+        out[inside] = np.linalg.norm(_cofactor(points[inside], normals[inside], ap.alpha), axis=1)
+        return out
+
+    euclidean = patch_surface_integral(shape, image_area, cfg)
+    return PushforwardReport(weighted, euclidean, _gap(weighted, euclidean))
 
 
 def _require_in_sector(shape: ImplicitShape, alpha, samples: int = 17) -> None:

@@ -368,6 +368,16 @@ SOLVE = ["solve", "--alpha", "1", "--q", "4", "--grid", "8"]
 SMALL_GRID = f"{GRID_MAGIC}\n2 2 2\n-1 1 -1 1 -1 1\n0 0 0 0 0 1 0 0\n".encode()
 
 
+# the stderr line of bad-input cases whose diagnosis is not a file or a non-finite result
+BAD_INPUT_LINES = {
+    "geometry --shape ball --alpha 1 --surface-resolution 10000000":
+        "usage error: surface_resolution must be at most 16384, got 10000000\n",
+    "solve --alpha 1 --q 4 --grid 8 --half-width 1e300":
+        "numerical failure: OverflowError: (34, 'Numerical result out of range')\n",
+    "geometry --shape ball --alpha 1e300": "numerical failure: ValueError: Maximum allowed size exceeded\n",
+}
+
+
 class TestBadInput:
     """Bad grids, files and configs end in their documented exit code with a
     one-line diagnosis, never in a traceback (exit 1 means a failed check)."""
@@ -411,8 +421,11 @@ class TestBadInput:
             # finite inputs whose measures overflow: no NaN report, exit 4
             (["geometry", "--shape", "ellipsoid", "--alpha", "1", "--semiaxes", "1e200", "1", "1"], None, 4),
             (["geometry", "--shape", "ball-sector", "--alpha", "1", "--radius", "1e300"], None, 4),
-            # 10^14 midpoint nodes per patch: an allocation the system refuses at once
-            (["geometry", "--shape", "ball", "--alpha", "1", "--surface-resolution", "10000000"], None, 4),
+            # 10^14 midpoint nodes per patch: above the resolution cap
+            (["geometry", "--shape", "ball", "--alpha", "1", "--surface-resolution", "10000000"], None, 2),
+            # failures no check foresees: one line naming the exception, exit 4
+            (["solve", "--alpha", "1", "--q", "4", "--grid", "8", "--half-width", "1e300"], None, 4),
+            (["geometry", "--shape", "ball", "--alpha", "1e300"], None, 4),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):
@@ -427,8 +440,9 @@ class TestBadInput:
         prefix = {2: "usage error: ", 3: "input error: ", 4: "numerical failure: "}[code]
         assert captured.err.startswith(prefix)
         assert captured.err.count("\n") == 1
-        if "--surface-resolution" in argv:
-            assert "Unable to allocate" in captured.err
+        exact = BAD_INPUT_LINES.get(" ".join(argv))
+        if exact is not None:
+            assert captured.err == exact
         elif code == 4:
             assert captured.err == "numerical failure: weighted_volume is not finite\n"
         if "NOWHERE" in argv:

@@ -190,11 +190,60 @@ class TestWeightedPerimeter:
         assert per.total == pytest.approx(5 * math.pi, rel=3e-2)
 
     def test_patch_normals_are_unit(self):
+        cfg = QuadratureConfig(surface_resolution=17)
         for shape in (ellipsoid((1.3, 0.8, 0.6)), cylinder(0.7, 1.4), box((1, 0.7, 0.9)), ball_sector(1.0)):
-            for patch in shape.patches:
-                st_, _ = patch.midpoint_nodes(17)
-                norms = np.linalg.norm(patch.normal(st_), axis=1)
+            for _, nu, _, _ in geometry._patch_blocks(shape, cfg):
+                norms = np.linalg.norm(nu, axis=1)
                 assert np.abs(norms - 1.0).max() <= 1e-12
+
+
+def half_degenerate_square():
+    """A flat unit square whose area element vanishes for s < 1/2."""
+    patch = geometry.SurfacePatch(
+        param=lambda st_: np.column_stack([st_, np.zeros(len(st_))]),
+        cross=lambda st_: np.column_stack([np.zeros((len(st_), 2)), (st_[:, 0] > 0.5).astype(float)]),
+        s_range=(0.0, 1.0),
+        t_range=(0.0, 1.0),
+    )
+    return ImplicitShape(level=lambda p: np.ones(len(p)), bbox=np.array([(0, 1), (0, 1), (-1, 1)]), patches=[patch])
+
+
+class TestPatchBlocks:
+    @pytest.mark.parametrize("m", [96, 300])
+    @pytest.mark.parametrize(
+        "shape",
+        [ellipsoid((1.3, 0.8, 0.6)), ball_sector(1.0), half_degenerate_square()],
+        ids=["ellipsoid", "ball-sector", "half-degenerate"],
+    )
+    def test_blocks_match_whole_patch_reference(self, shape, m, midpoint_st):
+        rows = []
+
+        def spied(patch):
+            def param(st_):
+                rows.append(len(st_))
+                return patch.param(st_)
+
+            return replace(patch, param=param)
+
+        spy = replace(shape, patches=[spied(p) for p in shape.patches])
+        blocks = geometry._patch_blocks(spy, QuadratureConfig(surface_resolution=m))
+        block = 1 << 15
+        for patch in shape.patches:
+            # the reference builds all m^2 nodes at once, then cuts 32768-node blocks
+            nodes, dst = midpoint_st(patch, m)
+            for s in range(0, m * m, block):
+                st_ = nodes[s : s + block]
+                cross = patch.cross(st_)
+                area = np.linalg.norm(cross, axis=1)
+                ok = area > 0
+                pts, nu, got_area, got_dst = next(blocks)
+                assert np.array_equal(pts, patch.param(st_)[ok])
+                assert np.array_equal(nu, cross[ok] / area[ok, None])
+                assert np.array_equal(got_area, area[ok])
+                assert got_dst == dst
+        assert next(blocks, None) is None
+        assert max(rows) <= block
+        assert sum(rows) == len(shape.patches) * m * m
 
 
 class TestSectorPerimeter:

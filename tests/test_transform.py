@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grushin3d import AlphaParam, DomainError, QuadratureConfig, reference_ball
-from grushin3d.geometry import voxel_integral
+from grushin3d.geometry import sector_index, voxel_integral
 from grushin3d.shapes import ball, ball_sector
 from grushin3d.transform import (
     PolarTriple,
@@ -83,20 +83,20 @@ class TestFlattenRoundTrip:
 
 class TestReferenceBallImage:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_cap_maps_to_unit_sphere(self, alpha):
+    def test_cap_maps_to_unit_sphere(self, alpha, midpoint_st):
         shape, _ = reference_ball(alpha, 1)
         cap = shape.patches[0]
-        st, _ = cap.midpoint_nodes(40)
+        st, _ = midpoint_st(cap, 40)
         pts = cap.param(st)
         image = flatten_point(pts, alpha, check_sector=False)
         radii = np.linalg.norm(image, axis=1)
         assert np.abs(radii - 1.0).max() <= 1e-10
 
-    def test_image_wedge_angle(self):
+    def test_image_wedge_angle(self, midpoint_st):
         ap = AlphaParam(2.0)
         shape, _ = reference_ball(ap, 1)
         cap = shape.patches[0]
-        st, _ = cap.midpoint_nodes(60)
+        st, _ = midpoint_st(cap, 60)
         image = flatten_point(cap.param(st), ap, check_sector=False)
         ang = np.arctan2(image[:, 1], image[:, 0])
         width = (ap.alpha + 1.0) * ap.sector_width
@@ -167,12 +167,12 @@ def _image_shapes():
 
 class TestImagePatches:
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
-    def test_cross_matches_central_differences(self, alpha, shape):
+    def test_cross_matches_central_differences(self, alpha, shape, midpoint_st):
         # reference: finite-difference tangents of flatten_point o param
         flat = flatten_shape(shape, alpha)
         assert len(flat.patches) == len(shape.patches)
         for patch, image in zip(shape.patches, flat.patches):
-            st, _ = patch.midpoint_nodes(64)
+            st, _ = midpoint_st(patch, 64)
             hs = (patch.s_range[1] - patch.s_range[0]) / 64 * 1e-4
             ht = (patch.t_range[1] - patch.t_range[0]) / 64 * 1e-4
 
@@ -187,6 +187,19 @@ class TestImagePatches:
             err = np.linalg.norm(closed - sign * fd, axis=1) / np.linalg.norm(closed, axis=1)
             assert err.max() <= 1e-6
             assert np.array_equal(image.param(st), f(st))
+
+    @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
+    def test_perimeter_check_matches_per_patch_loop(self, alpha, shape, midpoint_st):
+        # reference: the image patches' area elements summed patch by patch
+        # over the source nodes that lie in sector 1
+        m = 300
+        total = 0.0
+        for patch, image in zip(shape.patches, flatten_shape(shape, alpha).patches):
+            st, dst = midpoint_st(patch, m)
+            st = st[sector_index(patch.param(st), alpha) == 1]
+            total += float(np.sum(np.linalg.norm(image.cross(st), axis=1))) * dst
+        rep = pushforward_perimeter_check(shape, alpha, QuadratureConfig(surface_resolution=m))
+        assert abs(rep.euclidean - total) <= 1e-14 * total
 
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
     def test_patch_volume_matches_voxels(self, alpha, shape):

@@ -239,6 +239,7 @@ def cmd_solve(args) -> RunReport:
     rep.results["solution_max"] = float(np.max(np.abs(sol.u.values)))
     rep.results["mountain_pass_level"] = sol.mountain_pass_level
     rep.results["iterations"] = float(sol.iterations)
+    rep.results["newton_steps"] = float(sol.newton_steps)
     rep.add_check("weak_residual", sol.gradient_norm, cfg.outer_tol, "<=")
     rep.add_check("nontrivial", unorm, 1e-8, ">=")
     rep.add_check("positive_energy", sol.energy, 0.0, ">=")

@@ -369,7 +369,10 @@ def _patch_blocks(shape: ImplicitShape, cfg: QuadratureConfig):
             i, j = np.divmod(np.arange(start, min(start + _PATCH_BLOCK, m * m)), m)
             st = np.column_stack([s_ax[i], t_ax[j]])
             pts, cross = patch.param(st), patch.cross(st)
-            area = np.linalg.norm(cross, axis=-1)
+            # the sum np.linalg.norm would reduce, in its order, without its
+            # generic-reduction overhead
+            c0, c1, c2 = cross.T
+            area = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
             ok = area > 0
             if not ok.all():  # masking copies every array, so only when needed
                 pts, cross, area = pts[ok], cross[ok], area[ok]

@@ -21,9 +21,14 @@ algebra of (P): the energy functional
 its gradient A u - f(., u) (the exact derivative of the discrete energy),
 the weak residual and the Nehari scaling.  Ground states are computed by
 preconditioned descent on the Nehari manifold: move toward A^{-1} f(u),
-line-search on Phi, rescale so <Phi'(u), u> = 0; the solver loop uses the
-same ``Problem`` methods, so its reported residual is the one
-``Problem.residual`` computes.
+line-search on Phi, rescale so <Phi'(u), u> = 0.  The descent converges
+only linearly, so on a box it is finished by Newton steps on
+A u - f(u) = 0, each solved by MINRES (the Jacobian A - f'(u) is indefinite
+at a mountain-pass point) and projected back onto the Nehari set: the
+descent-then-Newton split of Choi & McKenna.  The descent alone stays as
+the reference the Newton finish is tested against, and as the only path on
+masked domains.  The solver loop uses the same ``Problem`` methods, so its
+reported residual is the one ``Problem.residual`` computes.
 
 Linear systems are solved by conjugate gradients.  On a box (no mask) CG is
 preconditioned with the exact inverse of the box operator whose weight is
@@ -160,7 +165,8 @@ class GrushinOperator:
 
     def _separable_inverse(self, r: np.ndarray) -> np.ndarray:
         """Solve the box system whose weight |x|^{2a} is replaced by
-        |x1|^{2a} + |x2|^{2a}; the preconditioner of box-domain CG.
+        |x1|^{2a} + |x2|^{2a}; the preconditioner of box-domain CG and of the
+        Newton finish's MINRES.
 
         The odd-reflection y-difference is diagonalised by the DST-II: mode
         k = 1..n3 has eigenvalue mu_k = 4 sin^2(pi k / 2 n3) / h3^2.  Per
@@ -422,6 +428,8 @@ class SolutionReport:
     nehari_residual: float
     iterations: int
     mountain_pass_level: float
+    newton_steps: int
+    minres_iterations: int
 
 
 def _default_initial(domain: Domain, cfg: SolverConfig) -> np.ndarray:
@@ -446,13 +454,28 @@ def solve_ground_state(
     cfg: SolverConfig = SolverConfig(),
     initial: Optional[np.ndarray] = None,
 ) -> SolutionReport:
-    """Nehari-projected preconditioned descent for the subcritical problem.
+    """Nehari-projected preconditioned descent with a Newton finish, for the
+    subcritical problem.
 
     Requires the power kind with 2 < q < 6 (the compact embedding range).
-    Each step moves toward A^{-1} f(u), line-searches the energy along that
-    direction (start factor cfg.line_search_start, halving), and projects
-    back onto the Nehari set; the energy is monotone along the iteration.
+    A descent step moves toward A^{-1} f(u), line-searches the energy along
+    that direction (start factor cfg.line_search_start, halving), and
+    projects back onto the Nehari set; its line search keeps only candidates
+    that lower the energy.  On a box (no mask) each outer step first tries
+    a Newton step (``_newton_step``) while the residual is at most a gate,
+    which starts at the initial residual: it is kept when it halves the
+    residual and stays in the positive cone, so Newton steps are guarded by
+    the residual, not by the energy.  A rejected try sets the gate to a
+    tenth of the residual, and that outer step descends instead.
+    ``iterations`` counts outer steps, Newton or descent.  Masked domains
+    only descend.
     """
+    return _ground_state(domain, nonlinearity, alpha, cfg, initial, newton=domain.mask is None)
+
+
+def _ground_state(domain, nonlinearity, alpha, cfg, initial, newton):
+    """The solver loop; ``newton=False`` is the descent alone, the reference
+    the Newton finish is tested against."""
     if nonlinearity.kind != "power":
         raise DomainError("ground-state solver requires a power nonlinearity")
     q = nonlinearity.q
@@ -479,6 +502,9 @@ def solve_ground_state(
     u = nehari_factor(op.quadratic_form(u), b_term(u)) * u
     Au, fu, residual = evaluate(u)
     sqrt_vol = math.sqrt(vol)
+    # Newton is tried while residual <= gate; -1 never lets it
+    gate = residual if newton else -1.0
+    newton_steps = minres_iterations = 0
 
     def inner_cfg(f):
         # solve the inner system just accurately enough that CG error stays
@@ -490,6 +516,19 @@ def solve_ground_state(
 
     it = 0
     for it in range(1, cfg.outer_max_iter + 1):
+        if residual <= gate:
+            cand, iters = _newton_step(prob, u, fu - Au)
+            minres_iterations += iters
+            # kept only if it stays in the positive cone and halves the residual
+            if cand is not None and cand.min() >= 0:
+                A_cand, f_cand, cand_res = evaluate(cand)
+                if cand_res < 0.5 * residual:
+                    u, Au, fu, residual = cand, A_cand, f_cand, cand_res
+                    newton_steps += 1
+                    if residual <= cfg.outer_tol:
+                        break
+                    continue
+            gate = residual / 10
         v = linear_solve(op, fu, inner_cfg(fu), x0=u)
         d = v - u
         # <A(u + tau d), u + tau d> dV = a0 + tau (a1 + tau a2); A d comes
@@ -546,7 +585,57 @@ def solve_ground_state(
         iterations=it,
         # max of Phi along t -> t u, attained at t = 1 on the Nehari set
         mountain_pass_level=(0.5 - 1.0 / q) * a,
+        newton_steps=newton_steps,
+        minres_iterations=minres_iterations,
     )
+
+
+def _newton_step(prob: Problem, u: np.ndarray, rhs: np.ndarray):
+    """One inexact Newton step on A u - f(u) = 0 on a box, projected back
+    onto the Nehari set.
+
+    Solves (A - f'(u)) delta = rhs = f(u) - A u, with
+    f'(u) = (q - 1) |x|^{2a} |u|^{q-2}, by MINRES (Paige & Saunders 1975):
+    the Jacobian is symmetric but indefinite at a mountain-pass point, so CG
+    does not apply.  MINRES is preconditioned with the SPD separable box
+    solver and stops at a relative residual of 1e-3 or after 50 iterations.
+    Returns (candidate, MINRES iterations); the candidate is None when
+    u + delta has no finite, nonzero Nehari multiple.
+    """
+    from scipy.sparse.linalg import LinearOperator, minres
+
+    op, dims = prob.op, prob.domain.dims
+    q = prob.nonlinearity.q
+    fprime = (q - 1.0) * op.weight2d[:, :, None] * np.abs(u) ** (q - 2.0)
+    size = rhs.size
+
+    def jacobian(x):
+        x = x.reshape(dims)
+        return (op(x) - fprime * x).ravel()
+
+    def precondition(x):
+        return op._separable_inverse(x.reshape(dims)).ravel()
+
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    delta, _ = minres(
+        LinearOperator((size, size), matvec=jacobian, dtype=float),
+        rhs.ravel(),
+        rtol=1e-3,
+        maxiter=50,
+        M=LinearOperator((size, size), matvec=precondition, dtype=float),
+        callback=count,
+    )
+    cand = u + delta.reshape(dims)
+    a, b = op.quadratic_form(cand), prob.power_term(cand)
+    # written so that NaN fails too
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        return None, iters
+    return prob.nehari_factor(a, b) * cand, iters
 
 
 def _line_quadratic(Au, Ad, u, d, vol):

@@ -313,6 +313,13 @@ class TestSolveCommand:
         assert res["energy"] > 0
         assert out.exists()
 
+    def test_converges_where_descent_stalls(self, capsys):
+        code, rep = run_cli(["solve", "--alpha", "0.5", "--q", "3", "--grid", "16"], capsys)
+        assert code == 0
+        res = rep["results"]
+        assert res["weak_residual"] <= 1e-6
+        assert 0 < res["newton_steps"] <= res["iterations"]
+
     def test_bad_q_usage_error(self, capsys):
         code, _ = run_cli(["solve", "--alpha", "1", "--q", "6", "--grid", "16"], capsys)
         assert code == 2

@@ -12,6 +12,7 @@ from grushin3d.solver import (
     Nonlinearity,
     Problem,
     SolverConfig,
+    _ground_state,
     _line_quadratic,
     embedding_check,
     linear_solve,
@@ -385,6 +386,45 @@ class TestGroundState:
         prob = Problem(dom, AP, nl)
         assert sol.gradient_norm == prob.residual(sol.u.values)
         assert sol.energy == pytest.approx(prob.energy(sol.u.values), rel=1e-12)
+        if masked:
+            # masked domains only descend: the reference loop, bit for bit
+            ref = _ground_state(dom, nl, AP, SolverConfig(outer_tol=1e-6), None, newton=False)
+            assert np.array_equal(sol.u.values, ref.u.values)
+            assert (sol.energy, sol.gradient_norm, sol.iterations) == (ref.energy, ref.gradient_norm, ref.iterations)
+            assert sol.newton_steps == sol.minres_iterations == 0
+        else:
+            assert sol.newton_steps > 0
+
+    def test_newton_finish_converges_where_descent_stalls(self):
+        # at alpha = 0.5, q = 3 the descent alone stalls near 2.8e-4
+        ap = AlphaParam(0.5)
+        dom = Domain.cube(1.0, 16)
+        nl = power_nonlinearity(3.0, ap)
+        cfg = SolverConfig(outer_tol=1e-6)
+        with pytest.raises(IterationError):
+            _ground_state(dom, nl, ap, cfg, None, newton=False)
+        sol = solve_ground_state(dom, nl, ap, cfg)
+        assert sol.gradient_norm <= 1e-6
+        assert sol.newton_steps > 0 and sol.minres_iterations >= sol.newton_steps
+        assert sol.nehari_residual <= 1e-12 * sol.energy
+        assert float(sol.u.values.min()) >= 0.0
+
+    @pytest.mark.parametrize(
+        "alpha, q", [(a, q) for a in (0.5, 1.0, 2.0) for q in (3.0, 4.0, 5.0) if (a, q) != (0.5, 3.0)]
+    )
+    def test_newton_finish_matches_descent(self, alpha, q):
+        ap = AlphaParam(alpha)
+        dom = Domain.cube(1.0, 16)
+        nl = power_nonlinearity(q, ap)
+        cfg = SolverConfig(outer_tol=1e-6)
+        sol = solve_ground_state(dom, nl, ap, cfg)
+        ref = _ground_state(dom, nl, ap, cfg, None, newton=False)
+        assert sol.newton_steps > 0
+        assert ref.newton_steps == ref.minres_iterations == 0
+        assert sol.energy == pytest.approx(ref.energy, rel=1e-12)
+        assert np.abs(sol.u.values - ref.u.values).max() <= 1e-6 * np.abs(ref.u.values).max()
+        assert sol.nehari_residual <= 1e-12 * sol.energy
+        assert sol.gradient_norm <= 1e-6
 
     def test_line_search_quadratic_matches_direct_form(self):
         bbox = np.array([(-1.0, 1.2), (-0.8, 0.9), (-1.3, 1.1)])

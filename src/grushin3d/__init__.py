@@ -67,7 +67,6 @@ from .solver import (
     Nonlinearity,
     Problem,
     SolutionReport,
-    SolverConfig,
     embedding_check,
     linear_solve,
     poincare_constant,

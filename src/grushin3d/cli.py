@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import math
 import sys
 import time
@@ -209,28 +208,14 @@ def cmd_sobolev(args) -> RunReport:
 
 
 def cmd_solve(args) -> RunReport:
-    from .solver import Domain, SolverConfig, power_nonlinearity, solve_ground_state
+    from .solver import Domain, power_nonlinearity, solve_ground_state
 
     ap = _as_alpha(args.alpha)
-    cfg = SolverConfig(outer_tol=args.tol)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise GridFormatError(f"solver config: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise DomainError("solver config must be a JSON object")
-        known = {f.name for f in SolverConfig.__dataclass_fields__.values()}
-        bad = set(overrides) - known
-        if bad:
-            raise DomainError(f"unknown solver config keys: {sorted(bad)}")
-        cfg = SolverConfig(**{**{f: getattr(cfg, f) for f in known}, **overrides})
     domain = Domain.cube(args.half_width, args.grid)
     nl = power_nonlinearity(args.q, ap)
     rep = RunReport("solve", vars(args).copy(), version=__version__)
     rep.resolutions = {"grid": args.grid}
-    sol = solve_ground_state(domain, nl, ap, cfg)
+    sol = solve_ground_state(domain, nl, ap, args.tol)
     unorm = float(np.sqrt(np.sum(sol.u.values**2) * domain.cell_volume))
     rep.results["energy"] = sol.energy
     rep.results["weak_residual"] = sol.gradient_norm
@@ -240,7 +225,7 @@ def cmd_solve(args) -> RunReport:
     rep.results["mountain_pass_level"] = sol.mountain_pass_level
     rep.results["iterations"] = float(sol.iterations)
     rep.results["newton_steps"] = float(sol.newton_steps)
-    rep.add_check("weak_residual", sol.gradient_norm, cfg.outer_tol, "<=")
+    rep.add_check("weak_residual", sol.gradient_norm, args.tol, "<=")
     rep.add_check("nontrivial", unorm, 1e-8, ">=")
     rep.add_check("positive_energy", sol.energy, 0.0, ">=")
     if args.solution_out:
@@ -255,7 +240,7 @@ def cmd_pohozaev(args) -> RunReport:
         pohozaev_coefficient,
         pohozaev_residual,
     )
-    from .solver import Domain, SolverConfig, power_nonlinearity, solve_ground_state
+    from .solver import Domain, power_nonlinearity, solve_ground_state
 
     ap = _as_alpha(args.alpha)
     rep = RunReport("pohozaev", vars(args).copy(), version=__version__)
@@ -268,7 +253,7 @@ def cmd_pohozaev(args) -> RunReport:
             raise DomainError("identity runs need a subcritical power p < 5")
         domain = Domain.cube(args.half_width, args.grid)
         nl = power_nonlinearity(args.p + 1.0, ap)
-        sol = solve_ground_state(domain, nl, ap, SolverConfig(outer_tol=args.tol))
+        sol = solve_ground_state(domain, nl, ap, args.tol)
         por = pohozaev_residual(sol.u, args.p, domain, ap)
         rep.resolutions = {"grid": args.grid}
         rep.results["lhs"] = por.lhs
@@ -332,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--grid", type=int, default=48)
     so.add_argument("--half-width", type=float, default=1.0)
     so.add_argument("--tol", type=float, default=1e-6)
-    so.add_argument("--config", default=None, help="JSON file with SolverConfig overrides")
     so.add_argument("--solution-out", default=None)
     so.set_defaults(func=cmd_solve)
 

@@ -70,11 +70,20 @@ __all__ = [
 _WALL_TOL = 1e-12
 
 
+# work and report size grow linearly in the 2 n(alpha) sectors, so n(alpha)
+# is capped: alpha at most MAX_SECTOR_COUNT - 1 = 16383
+MAX_SECTOR_COUNT = 2**14
+
+
 def sector_count(alpha: float) -> int:
-    """Smallest positive integer n with n >= alpha + 1."""
+    """Smallest positive integer n with n >= alpha + 1; at most
+    ``MAX_SECTOR_COUNT``."""
     if not 0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    return int(math.ceil(alpha + 1.0))
+    n = int(math.ceil(alpha + 1.0))
+    if n > MAX_SECTOR_COUNT:
+        raise DomainError(f"alpha must be at most {MAX_SECTOR_COUNT - 1}, got {alpha:g}")
+    return n
 
 
 @dataclass(frozen=True)

@@ -83,30 +83,22 @@ def star_shaped_check(
     """Evaluate g = x1 nu1 + x2 nu2 + (1+a) y nu3 over the boundary.
 
     The domain is star-shaped for the anisotropic dilation iff g >= 0
-    everywhere on the boundary (and the origin lies inside).  A box domain
-    is checked at its face corners, where the affine g attains its
-    extremes; a shape takes the minimum of g over its patch midpoint
-    nodes, swept block by block by ``_patch_blocks``.
+    everywhere on the boundary (and the origin lies inside).  On a box
+    domain g is constant on each face, sign * coef * bbox[axis, side] with
+    coef = 1 + a on the y faces, so the minimum is taken over the six
+    faces; a shape takes the minimum of g over its patch midpoint nodes,
+    swept block by block by ``_patch_blocks``.
     """
     a = _as_alpha(alpha).alpha
     if isinstance(target, Domain):
         bbox = target.bbox
-        gs = []
-        for axis in range(3):
-            for side, sign in ((0, -1.0), (1, 1.0)):
-                coord = bbox[axis, side]
-                lo = [bbox[k, 0] for k in range(3) if k != axis]
-                hi = [bbox[k, 1] for k in range(3) if k != axis]
-                # g is affine per face; extremes occur at face corners
-                for c0 in (lo[0], hi[0]):
-                    for c1 in (lo[1], hi[1]):
-                        pt = np.empty(3)
-                        pt[axis] = coord
-                        others = [k for k in range(3) if k != axis]
-                        pt[others[0]], pt[others[1]] = c0, c1
-                        coef = (1.0 + a) if axis == 2 else 1.0
-                        gs.append(sign * coef * pt[axis])
-        m = float(min(gs))
+        m = float(
+            min(
+                sign * ((1.0 + a) if axis == 2 else 1.0) * bbox[axis, side]
+                for axis in range(3)
+                for side, sign in ((0, -1.0), (1, 1.0))
+            )
+        )
         return StarShapedReport(m >= -1e-10, m)
 
     shape = target

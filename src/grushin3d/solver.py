@@ -50,9 +50,8 @@ the mask.  Tests check it against ARPACK Lanczos on the same stencil.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,7 +64,6 @@ __all__ = [
     "Domain",
     "Nonlinearity",
     "power_nonlinearity",
-    "SolverConfig",
     "SolutionReport",
     "GrushinOperator",
     "linear_solve",
@@ -77,6 +75,11 @@ __all__ = [
 ]
 
 
+# a domain has at most 256^3 cells: one float64 field is then 128 MiB, and
+# the solver holds a few dozen of them
+MAX_CELLS = 256**3
+
+
 @dataclass(frozen=True)
 class Domain(CellGrid):
     """Axis-aligned box (optionally masked) containing the origin strictly.
@@ -84,7 +87,8 @@ class Domain(CellGrid):
     ``mask`` selects active cells; None means the full box.  Dirichlet data
     lives on the faces between active and inactive/outside cells.  The cell
     geometry is ``CellGrid``'s; a domain adds the solver's rules: the origin
-    strictly inside, even x1/x2 counts and an active origin cell.
+    strictly inside, even x1/x2 counts, an active origin cell and at most
+    ``MAX_CELLS`` cells, checked before any field is allocated.
     """
 
     bbox: np.ndarray  # (3, 2)
@@ -94,6 +98,8 @@ class Domain(CellGrid):
     def __post_init__(self):
         for name, value in zip(("bbox", "dims", "mask"), check_grid(self.bbox, self.dims, self.mask)):
             object.__setattr__(self, name, value)
+        if math.prod(self.dims) > MAX_CELLS:
+            raise DomainError(f"grid {self.dims} has more than {MAX_CELLS} = 256^3 cells")
         bbox = self.bbox
         if not (np.all(bbox[:, 0] < 0) and np.all(bbox[:, 1] > 0)):
             raise DomainError("domain must contain the origin strictly inside")
@@ -209,58 +215,33 @@ class GrushinOperator:
         return vecs[0], vecs[1], inv
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 8000
-    outer_tol: float = 1e-6
-    outer_max_iter: int = 400
-    line_search_start: float = 4.0
-    line_search_halvings: int = 16
-    initial_center: Optional[tuple[float, float, float]] = None
-    initial_width: float = 0.25
-    collapse_threshold: float = 1e-12
-
-    def __post_init__(self):
-        # values may come from a JSON file, so check their types first
-        for name in ("cg_tol", "outer_tol", "line_search_start", "initial_width", "collapse_threshold"):
-            if not _is_real(getattr(self, name)):
-                raise DomainError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in ("cg_max_iter", "outer_max_iter", "line_search_halvings"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-        c = self.initial_center
-        if c is not None:
-            if not (isinstance(c, (tuple, list)) and len(c) == 3 and all(_is_real(x) and math.isfinite(x) for x in c)):
-                raise DomainError(f"initial_center must be None or three finite numbers, got {c!r}")
-            object.__setattr__(self, "initial_center", tuple(c))
-        # written so that NaN fails too: every comparison with NaN is false
-        if not all(0.0 < t < math.inf for t in (self.cg_tol, self.outer_tol)):
-            raise DomainError(f"tolerances must be positive and finite: cg_tol={self.cg_tol}, outer_tol={self.outer_tol}")
-        if not all(0.0 < v < math.inf for v in (self.initial_width, self.line_search_start)):
-            raise DomainError(
-                "initial_width and line_search_start must be positive and finite: "
-                f"initial_width={self.initial_width}, line_search_start={self.line_search_start}"
-            )
-        if not 0.0 <= self.collapse_threshold < math.inf:
-            raise DomainError(f"collapse_threshold must be finite and >= 0, got {self.collapse_threshold}")
-        if min(self.cg_max_iter, self.outer_max_iter) < 1:
-            raise DomainError("iteration limits must be positive")
+# limits and shape of the CG and ground-state iterations; only the
+# tolerances are arguments, since no caller sets any of these to another value
+_CG_TOL = 1e-10
+_CG_MAX_ITER = 8000
+_OUTER_MAX_ITER = 400
+_LINE_SEARCH_START = 4.0
+_LINE_SEARCH_HALVINGS = 16
+_INITIAL_WIDTH = 0.25  # Gaussian start, in units of the box's smallest half-width
+_COLLAPSE_THRESHOLD = 1e-12
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _check_tol(tol):
+    # written so that NaN fails too: every comparison with NaN is false
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
 
 
-def linear_solve(op: GrushinOperator, rhs: np.ndarray, cfg: SolverConfig = SolverConfig(), x0=None):
-    """Conjugate gradients on the SPD stencil; relative-residual stopping.
+def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=None):
+    """Conjugate gradients on the SPD stencil; stops once the residual is at
+    most ``tol`` times ||rhs||.
 
     On a box (no mask) CG is preconditioned with the separable box solver,
     so the iteration count does not grow with the grid; masked domains run
     plain CG.  Breakdown (a non-positive curvature or a non-finite
     reduction) raises IterationError at once instead of iterating on NaNs.
     """
+    _check_tol(tol)
     mask = op.domain.mask
     b = rhs if mask is None else np.where(mask, rhs, 0.0)
     precondition = op._separable_inverse if mask is None else None
@@ -275,12 +256,12 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, cfg: SolverConfig = Solve
         x = x0.copy()
         r = b - op(x)
     rs = float(np.sum(r * r))
-    if math.sqrt(rs) <= cfg.cg_tol * bnorm:
+    if math.sqrt(rs) <= tol * bnorm:
         return x
     z = r if precondition is None else precondition(r)
     rz = rs if precondition is None else float(np.sum(r * z))
     p = z.copy()
-    for _ in range(cfg.cg_max_iter):
+    for _ in range(_CG_MAX_ITER):
         # comparisons with NaN are false, so these also catch non-finite values
         if not 0.0 < rz < math.inf:
             raise IterationError(f"CG broke down: <r, z> = {rz!r}", last_residual=math.sqrt(rs) / bnorm)
@@ -292,14 +273,14 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, cfg: SolverConfig = Solve
         x += alpha_k * p
         r -= alpha_k * Ap
         rs = float(np.sum(r * r))
-        if math.sqrt(rs) <= cfg.cg_tol * bnorm:
+        if math.sqrt(rs) <= tol * bnorm:
             return x
         z = r if precondition is None else precondition(r)
         rz_new = rs if precondition is None else float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise IterationError(
-        f"CG did not reach {cfg.cg_tol:g} in {cfg.cg_max_iter} iterations",
+        f"CG did not reach {tol:g} in {_CG_MAX_ITER} iterations",
         last_residual=math.sqrt(rs) / bnorm,
     )
 
@@ -408,17 +389,6 @@ class Problem:
         b = power_term(v): t = (a/b)^{1/(q-2)}."""
         return (a / b) ** (1.0 / (self.nonlinearity.q - 2.0))
 
-    def nehari_scale(self, u: np.ndarray) -> float:
-        """t with <Phi'(t u), t u> = 0 for the homogeneous power term."""
-        if self.nonlinearity.kind != "power":
-            raise DomainError("Nehari projection requires a power nonlinearity")
-        if self.nonlinearity.q <= 2:
-            raise DomainError("Nehari projection requires q > 2")
-        b = self.power_term(u)
-        if b <= 0.0:
-            raise DomainError("cannot project the zero function onto the Nehari set")
-        return self.nehari_factor(self.op.quadratic_form(u), b)
-
 
 @dataclass
 class SolutionReport:
@@ -432,15 +402,12 @@ class SolutionReport:
     minres_iterations: int
 
 
-def _default_initial(domain: Domain, cfg: SolverConfig) -> np.ndarray:
+def _default_initial(domain: Domain) -> np.ndarray:
     X1, X2, Y = domain.centers(sparse=True)
     half = 0.5 * (domain.bbox[:, 1] - domain.bbox[:, 0])
-    if cfg.initial_center is not None:
-        c = np.asarray(cfg.initial_center, dtype=float)
-    else:
-        # off the degeneracy axis, well inside the boundary
-        c = np.array([0.45 * half[0], 0.45 * half[1], 0.0])
-    width = cfg.initial_width * float(half.min())
+    # off the degeneracy axis, well inside the boundary
+    c = np.array([0.45 * half[0], 0.45 * half[1], 0.0])
+    width = _INITIAL_WIDTH * float(half.min())
     u = np.exp(-((X1 - c[0]) ** 2 + (X2 - c[1]) ** 2 + (Y - c[2]) ** 2) / (2 * width**2))
     if domain.mask is not None:
         u = np.where(domain.mask, u, 0.0)
@@ -451,15 +418,15 @@ def solve_ground_state(
     domain: Domain,
     nonlinearity: Nonlinearity,
     alpha,
-    cfg: SolverConfig = SolverConfig(),
+    tol: float = 1e-6,
     initial: Optional[np.ndarray] = None,
 ) -> SolutionReport:
     """Nehari-projected preconditioned descent with a Newton finish, for the
-    subcritical problem.
+    subcritical problem, run until the weak residual is at most ``tol``.
 
     Requires the power kind with 2 < q < 6 (the compact embedding range).
     A descent step moves toward A^{-1} f(u), line-searches the energy along
-    that direction (start factor cfg.line_search_start, halving), and
+    that direction (a halving ladder of step factors), and
     projects back onto the Nehari set; its line search keeps only candidates
     that lower the energy.  On a box (no mask) each outer step first tries
     a Newton step (``_newton_step``) while the residual is at most a gate,
@@ -470,12 +437,13 @@ def solve_ground_state(
     ``iterations`` counts outer steps, Newton or descent.  Masked domains
     only descend.
     """
-    return _ground_state(domain, nonlinearity, alpha, cfg, initial, newton=domain.mask is None)
+    return _ground_state(domain, nonlinearity, alpha, tol, initial, newton=domain.mask is None)
 
 
-def _ground_state(domain, nonlinearity, alpha, cfg, initial, newton):
+def _ground_state(domain, nonlinearity, alpha, tol, initial, newton):
     """The solver loop; ``newton=False`` is the descent alone, the reference
     the Newton finish is tested against."""
+    _check_tol(tol)
     if nonlinearity.kind != "power":
         raise DomainError("ground-state solver requires a power nonlinearity")
     q = nonlinearity.q
@@ -486,7 +454,7 @@ def _ground_state(domain, nonlinearity, alpha, cfg, initial, newton):
     vol = domain.cell_volume
 
     def nehari_factor(a, b):
-        if b <= cfg.collapse_threshold:
+        if b <= _COLLAPSE_THRESHOLD:
             raise DegeneracyError("iterate collapsed toward zero")
         return prob.nehari_factor(a, b)
 
@@ -494,7 +462,7 @@ def _ground_state(domain, nonlinearity, alpha, cfg, initial, newton):
         Av, fv, g = prob.evaluate(v)
         return Av, fv, prob.norm(g)
 
-    u = initial.copy() if initial is not None else _default_initial(domain, cfg)
+    u = initial.copy() if initial is not None else _default_initial(domain)
     if domain.mask is not None:
         u = np.where(domain.mask, u, 0.0)
     if float(np.max(np.abs(u))) <= 0:
@@ -506,16 +474,16 @@ def _ground_state(domain, nonlinearity, alpha, cfg, initial, newton):
     gate = residual if newton else -1.0
     newton_steps = minres_iterations = 0
 
-    def inner_cfg(f):
+    def inner_tol(f):
         # solve the inner system just accurately enough that CG error stays
         # two orders below the current outer residual (both measured in the
         # volume-weighted L2 norm)
         fnorm = math.sqrt(float(np.sum(f * f))) * sqrt_vol
         rel = 0.01 * residual / fnorm if fnorm > 0 else 1e-6
-        return replace(cfg, cg_tol=float(np.clip(rel, cfg.cg_tol, 1e-6)))
+        return float(np.clip(rel, _CG_TOL, 1e-6))
 
     it = 0
-    for it in range(1, cfg.outer_max_iter + 1):
+    for it in range(1, _OUTER_MAX_ITER + 1):
         if residual <= gate:
             cand, iters = _newton_step(prob, u, fu - Au)
             minres_iterations += iters
@@ -525,11 +493,11 @@ def _ground_state(domain, nonlinearity, alpha, cfg, initial, newton):
                 if cand_res < 0.5 * residual:
                     u, Au, fu, residual = cand, A_cand, f_cand, cand_res
                     newton_steps += 1
-                    if residual <= cfg.outer_tol:
+                    if residual <= tol:
                         break
                     continue
             gate = residual / 10
-        v = linear_solve(op, fu, inner_cfg(fu), x0=u)
+        v = linear_solve(op, fu, inner_tol(fu), x0=u)
         d = v - u
         # <A(u + tau d), u + tau d> dV = a0 + tau (a1 + tau a2); A d comes
         # from the operator, not from f - A u, since inner solves are inexact
@@ -537,9 +505,9 @@ def _ground_state(domain, nonlinearity, alpha, cfg, initial, newton):
         phi0 = 0.5 * a0 - b_term(u) / q
         # walk the step ladder, keep the best candidate; the profile in tau
         # is close to unimodal, so stop after two consecutive non-improvements
-        tau = cfg.line_search_start
+        tau = _LINE_SEARCH_START
         best, best_phi, worse_streak = None, phi0 - 1e-14 * abs(phi0), 0
-        for _ in range(cfg.line_search_halvings):
+        for _ in range(_LINE_SEARCH_HALVINGS):
             cand = u + tau * d
             a, b = a0 + tau * (a1 + tau * a2), b_term(cand)
             t = nehari_factor(a, b)
@@ -558,18 +526,18 @@ def _ground_state(domain, nonlinearity, alpha, cfg, initial, newton):
             A_cand, f_cand, cand_res = evaluate(cand)
             if cand_res < 0.999 * residual:
                 u, Au, fu, residual = cand, A_cand, f_cand, cand_res
-                if residual <= cfg.outer_tol:
+                if residual <= tol:
                     break
                 continue
             break
         u = best
         Au, fu, residual = evaluate(u)
-        if residual <= cfg.outer_tol:
+        if residual <= tol:
             break
 
-    if prob.norm(u) <= cfg.collapse_threshold:
+    if prob.norm(u) <= _COLLAPSE_THRESHOLD:
         raise DegeneracyError("solver collapsed onto the trivial solution")
-    if residual > cfg.outer_tol:
+    if residual > tol:
         raise IterationError(
             f"ground-state iteration stalled at residual {residual:.3e}",
             last_residual=residual,

@@ -71,16 +71,6 @@ class PolarTriple:
     theta: float
     y: float
 
-    def validate(self, alpha) -> "PolarTriple":
-        ap = _as_alpha(alpha)
-        if not self.r > 0:
-            raise DomainError(f"r must be positive, got {self.r}")
-        if not 0.0 < self.theta < ap.sector_width:
-            raise DomainError(
-                f"theta={self.theta} outside the open sector (0, {ap.sector_width})"
-            )
-        return self
-
 
 def polar_to_point(t: PolarTriple) -> np.ndarray:
     """Cartesian point of the polar triple (the wedge parametrisation)."""

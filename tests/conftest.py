@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from grushin3d import AlphaParam, QuadratureConfig
 from grushin3d.grids import resample
-from grushin3d.solver import Domain, SolverConfig, power_nonlinearity, solve_ground_state
+from grushin3d.solver import Domain, power_nonlinearity, solve_ground_state
 
 ALPHAS = (0.5, 1.0, 2.0)
 
@@ -52,8 +52,7 @@ def ground_states():
         if smaller:
             src = cache[max(smaller)]
             initial = resample(src.u, (n, n, n), domain.bbox).values
-        cfg = SolverConfig(outer_tol=tol)
-        cache[n] = solve_ground_state(domain, nl, ap, cfg, initial=initial)
+        cache[n] = solve_ground_state(domain, nl, ap, tol, initial=initial)
         return cache[n]
 
     return get

@@ -46,7 +46,6 @@ from grushin3d.solver import (
     Domain,
     GrushinOperator,
     Problem,
-    SolverConfig,
     linear_solve,
     poincare_constant,
     power_nonlinearity,
@@ -245,7 +244,7 @@ def test_criterion_08_solver_correctness(ground_states):
         c = lambda z: np.cos(np.pi * z / 2)  # noqa: E731
         u_exact = c(X1) * c(X2) * c(Y)
         rhs = (np.pi**2 / 4) * (2.0 + op.weight2d[:, :, None]) * u_exact
-        u_h = linear_solve(op, rhs, SolverConfig(cg_tol=1e-11))
+        u_h = linear_solve(op, rhs, 1e-11)
         errs.append(math.sqrt(float(np.sum((u_h - u_exact) ** 2)) * dom.cell_volume))
     order = math.log2(errs[0] / errs[-1]) / 3.0
 

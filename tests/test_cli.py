@@ -324,33 +324,12 @@ class TestSolveCommand:
         code, _ = run_cli(["solve", "--alpha", "1", "--q", "6", "--grid", "16"], capsys)
         assert code == 2
 
-    def test_config_file_overrides(self, tmp_path, capsys):
-        cfg = tmp_path / "solver.json"
-        cfg.write_text(json.dumps({"outer_tol": 1e-5, "initial_width": 0.3}))
-        code, rep = run_cli(
-            ["solve", "--alpha", "1", "--q", "4", "--grid", "16", "--config", str(cfg)], capsys
-        )
-        assert code == 0
-        assert rep["results"]["weak_residual"] <= 1e-5
-
-    @pytest.mark.parametrize("key", ["cg_tol", "outer_tol"])
-    def test_config_nan_tolerance_is_usage_error(self, key, tmp_path, capsys):
-        cfg = tmp_path / "solver.json"
-        cfg.write_text(json.dumps({key: float("nan")}))
-        assert "NaN" in cfg.read_text()
-        code, rep = run_cli(
-            ["solve", "--alpha", "1", "--q", "4", "--grid", "16", "--config", str(cfg)], capsys
-        )
-        assert code == 2
-        assert rep is None
-
-    def test_config_unknown_key(self, tmp_path, capsys):
-        cfg = tmp_path / "solver.json"
-        cfg.write_text(json.dumps({"not_a_key": 1}))
-        code, _ = run_cli(
-            ["solve", "--alpha", "1", "--q", "4", "--grid", "16", "--config", str(cfg)], capsys
-        )
-        assert code == 2
+    def test_config_option_is_gone(self, tmp_path, capsys):
+        # the solver's one setting is --tol; argparse rejects anything else
+        with pytest.raises(SystemExit) as exc:
+            main([*SOLVE, "--config", str(tmp_path / "solver.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 class TestPohozaevCommand:
@@ -381,12 +360,16 @@ BAD_INPUT_LINES = {
         "usage error: surface_resolution must be at most 16384, got 10000000\n",
     "solve --alpha 1 --q 4 --grid 8 --half-width 1e300":
         "numerical failure: OverflowError: (34, 'Numerical result out of range')\n",
-    "geometry --shape ball --alpha 1e300": "numerical failure: ValueError: Maximum allowed size exceeded\n",
+    "geometry --shape ball --alpha 1e300": "usage error: alpha must be at most 16383, got 1e+300\n",
+    "geometry --shape ball --alpha 16383.5": "usage error: alpha must be at most 16383, got 16383.5\n",
+    "solve --alpha 1 --q 4 --grid 8 --tol 0": "usage error: tolerance must be positive and finite, got 0.0\n",
+    "solve --alpha 1 --q 4 --grid 100000":
+        "usage error: grid (100000, 100000, 100000) has more than 16777216 = 256^3 cells\n",
 }
 
 
 class TestBadInput:
-    """Bad grids, files and configs end in their documented exit code with a
+    """Bad grids, files and options end in their documented exit code with a
     one-line diagnosis, never in a traceback (exit 1 means a failed check)."""
 
     @pytest.mark.parametrize(
@@ -399,20 +382,21 @@ class TestBadInput:
             (["sobolev", "--alphas", "1", "--minimize", "--resolution", "1"], None, 2),
             (["rearrange", "--alpha", "1", "--input", "FILE"], None, 3),
             (["rearrange", "--alpha", "1", "--input", "FILE"], b"\xff\xfe\x00binary", 3),
-            ([*SOLVE, "--config", "FILE"], b'{"cg_tol": null}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"cg_max_iter": "x"}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"outer_max_iter": 10.5}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"line_search_start": null}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"initial_width": true}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"initial_center": [0.1]}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"initial_center": 5}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"initial_center": [0.1, "a", 0.0]}', 2),
-            ([*SOLVE, "--config", "FILE"], b"[1, 2]", 2),
-            ([*SOLVE, "--config", "FILE"], b'{"initial_width": 0}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"initial_width": NaN}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"initial_width": -0.25}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"line_search_start": -1}', 2),
-            ([*SOLVE, "--config", "FILE"], b'{"collapse_threshold": -1}', 2),
+            # tolerances, grids and alphas out of range, rejected before any work
+            ([*SOLVE, "--tol", "0"], None, 2),
+            ([*SOLVE, "--tol", "-1"], None, 2),
+            (["pohozaev", "--p", "3", "--alpha", "1", "--solve", "--grid", "8", "--tol", "0"], None, 2),
+            (["solve", "--alpha", "1", "--q", "4", "--grid", "100000"], None, 2),
+            (["pohozaev", "--p", "3", "--alpha", "1", "--solve", "--grid", "100000"], None, 2),
+            (["solve", "--alpha", "1", "--q", "4", "--grid", "258"], None, 2),
+            (["solve", "--alpha", "1", "--q", "4", "--grid", "7"], None, 2),
+            (["solve", "--alpha", "1", "--q", "2", "--grid", "8"], None, 2),
+            (["geometry", "--shape", "ball", "--alpha", "16383.5"], None, 2),
+            (["transform-check", "--alpha", "1e300"], None, 2),
+            (["sobolev", "--alphas", "1e300"], None, 2),
+            (["solve", "--alpha", "1e300", "--q", "4", "--grid", "8"], None, 2),
+            (["pohozaev", "--p", "3", "--alpha", "1e300"], None, 2),
+            (["rearrange", "--alpha", "1e300", "--input", "FILE"], SMALL_GRID, 2),
             # output paths in a directory that does not exist
             ([*SOLVE, "--solution-out", "NOWHERE"], None, 2),
             (["rearrange", "--alpha", "1", "--input", "FILE", "--profile-csv", "NOWHERE"], SMALL_GRID, 2),
@@ -432,7 +416,8 @@ class TestBadInput:
             (["geometry", "--shape", "ball", "--alpha", "1", "--surface-resolution", "10000000"], None, 2),
             # failures no check foresees: one line naming the exception, exit 4
             (["solve", "--alpha", "1", "--q", "4", "--grid", "8", "--half-width", "1e300"], None, 4),
-            (["geometry", "--shape", "ball", "--alpha", "1e300"], None, 4),
+            # 2 (1e300 + 1) sectors: above the sector cap
+            (["geometry", "--shape", "ball", "--alpha", "1e300"], None, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

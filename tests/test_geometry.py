@@ -52,6 +52,13 @@ class TestSectorCount:
         with pytest.raises(DomainError):
             sector_count(-1.0)
 
+    def test_cap(self):
+        assert sector_count(16383.0) == 16384
+        with pytest.raises(DomainError):
+            sector_count(16383.5)
+        with pytest.raises(DomainError):
+            AlphaParam(1e300)
+
     @given(st.floats(min_value=1e-3, max_value=50.0, allow_nan=False))
     def test_minimality(self, alpha):
         n = sector_count(alpha)

@@ -65,6 +65,12 @@ class TestStarShaped:
         assert rep.verdict
         assert rep.min_value == pytest.approx(1.0, abs=1e-12)
 
+    def test_box_faces(self):
+        # g is sign * coef * bbox[axis, side] on each face, coef = 1 + a on y faces
+        dom = Domain(np.array([(-1.0, 2.0), (-0.5, 3.0), (-0.2, 1.0)]), (4, 4, 4))
+        assert star_shaped_check(dom, AP).min_value == 2.0 * 0.2
+        assert star_shaped_check(dom, AlphaParam(2.0)).min_value == 0.5
+
     def test_origin_ball(self):
         rep = star_shaped_check(ball(1.0), AP)
         assert rep.verdict

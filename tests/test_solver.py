@@ -11,7 +11,6 @@ from grushin3d.solver import (
     GrushinOperator,
     Nonlinearity,
     Problem,
-    SolverConfig,
     _ground_state,
     _line_quadratic,
     embedding_check,
@@ -73,6 +72,12 @@ class TestDomain:
         with pytest.raises(DomainError):
             Domain(np.array([(-1, 1)] * 3), (5, 4, 4))
 
+    def test_cell_cap(self):
+        # checked before any field exists, so the rejected grid costs nothing
+        assert Domain.cube(1.0, 256).dims == (256, 256, 256)
+        with pytest.raises(DomainError):
+            Domain(np.array([(-1, 1)] * 3), (256, 256, 257))
+
     def test_origin_cell_must_be_active(self):
         mask = np.ones((4, 4, 4), dtype=bool)
         mask[2, 2, 2] = False
@@ -133,23 +138,19 @@ class TestOperator:
 
 
 class TestSolverConfig:
+    """The solver's two settable values: the CG tolerance of ``linear_solve``
+    (cg_tol) and the weak-residual tolerance of ``solve_ground_state``
+    (outer_tol)."""
+
     @pytest.mark.parametrize("key", ["cg_tol", "outer_tol"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-8])
     def test_rejects_bad_tolerances(self, key, bad):
+        dom = Domain.cube(1.0, 8)
         with pytest.raises(DomainError):
-            SolverConfig(**{key: bad})
-
-    @pytest.mark.parametrize(
-        "key, bad",
-        [(k, v) for k in ("initial_width", "line_search_start") for v in (float("nan"), float("inf"), 0.0, -0.25)]
-        + [("collapse_threshold", v) for v in (float("nan"), float("inf"), -1.0)],
-    )
-    def test_rejects_bad_ranges(self, key, bad):
-        with pytest.raises(DomainError):
-            SolverConfig(**{key: bad})
-
-    def test_zero_collapse_threshold_allowed(self):
-        assert SolverConfig(collapse_threshold=0.0).collapse_threshold == 0.0
+            if key == "cg_tol":
+                linear_solve(GrushinOperator(dom, AP), np.ones(dom.dims), bad)
+            else:
+                solve_ground_state(dom, power_nonlinearity(4.0, AP), AP, bad)
 
 
 class TestLinearSolve:
@@ -158,7 +159,7 @@ class TestLinearSolve:
         op = GrushinOperator(dom, AP)
         rng = np.random.default_rng(1)
         u_known = rng.standard_normal(dom.dims)
-        x = linear_solve(op, op(u_known), SolverConfig(cg_tol=1e-12))
+        x = linear_solve(op, op(u_known), 1e-12)
         assert np.abs(x - u_known).max() <= 1e-8 * np.abs(u_known).max()
 
     def test_zero_rhs(self):
@@ -172,7 +173,7 @@ class TestLinearSolve:
             dom = Domain.cube(1.0, n)
             op = GrushinOperator(dom, AP)
             u_exact, rhs = manufactured(dom)
-            u_h = linear_solve(op, rhs, SolverConfig(cg_tol=1e-11))
+            u_h = linear_solve(op, rhs, 1e-11)
             errs.append(math.sqrt(float(np.sum((u_h - u_exact) ** 2)) * dom.cell_volume))
         order = math.log2(errs[0] / errs[2]) / 2
         assert order >= 1.8
@@ -184,9 +185,8 @@ class TestLinearSolve:
         dims = (12, 16, 10)
         rng = np.random.default_rng(11)
         rhs = rng.standard_normal(dims)
-        cfg = SolverConfig(cg_tol=1e-12)
-        fast = linear_solve(GrushinOperator(Domain(bbox, dims), alpha), rhs, cfg)
-        plain = linear_solve(GrushinOperator(Domain(bbox, dims, np.ones(dims, dtype=bool)), alpha), rhs, cfg)
+        fast = linear_solve(GrushinOperator(Domain(bbox, dims), alpha), rhs, 1e-12)
+        plain = linear_solve(GrushinOperator(Domain(bbox, dims, np.ones(dims, dtype=bool)), alpha), rhs, 1e-12)
         assert np.abs(fast - plain).max() <= 1e-9 * np.abs(plain).max()
 
     @pytest.mark.parametrize("n", [16, 48])
@@ -197,7 +197,7 @@ class TestLinearSolve:
         dom = Domain.cube(1.0, n)
         op = CountingOperator(GrushinOperator(dom, alpha))
         rhs = np.random.default_rng(5).standard_normal(dom.dims)
-        x = linear_solve(op, rhs, SolverConfig(cg_tol=1e-11))
+        x = linear_solve(op, rhs, 1e-11)
         assert op.calls <= limit
         assert np.linalg.norm(op.op(x) - rhs) <= 1e-11 * np.linalg.norm(rhs)
 
@@ -242,7 +242,7 @@ class TestLinearSolve:
         op = GrushinOperator(dom, AP)
         rng = np.random.default_rng(3)
         rhs = rng.uniform(0.0, 1.0, dom.dims)
-        x = linear_solve(op, rhs, SolverConfig(cg_tol=1e-12))
+        x = linear_solve(op, rhs, 1e-12)
         assert x.min() >= -1e-10
 
 
@@ -303,7 +303,7 @@ class TestEnergyAndGradient:
         dom = Domain.cube(1.0, 16)
         op = GrushinOperator(dom, AP)
         _, rhs = manufactured(dom)
-        u = linear_solve(op, rhs, SolverConfig(cg_tol=1e-12))
+        u = linear_solve(op, rhs, 1e-12)
 
         def f(x1, x2, y, xi):
             L = 1.0
@@ -321,21 +321,26 @@ class TestEnergyAndGradient:
         assert Problem(dom, AP, nl).residual(np.zeros(dom.dims)) == 0.0
 
 
+def nehari_scale(prob, u):
+    """t with t u on the Nehari set, <Phi'(t u), t u> = 0."""
+    return prob.nehari_factor(prob.op.quadratic_form(u), prob.power_term(u))
+
+
 class TestNehari:
     def test_scale_one_when_balanced(self):
         dom = Domain.cube(1.0, 16)
         prob = Problem(dom, AP, power_nonlinearity(4.0, AP))
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.4) ** 2 + (X2 - 0.4) ** 2 + Y**2))
-        t = prob.nehari_scale(u)
-        assert prob.nehari_scale(t * u) == pytest.approx(1.0, abs=1e-10)
+        t = nehari_scale(prob, u)
+        assert nehari_scale(prob, t * u) == pytest.approx(1.0, abs=1e-10)
 
     def test_amplitude_scaling_law(self):
         dom = Domain.cube(1.0, 16)
         prob = Problem(dom, AP, power_nonlinearity(4.0, AP))
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.4) ** 2 + X2**2 + Y**2))
-        assert prob.nehari_scale(2 * u) == pytest.approx(prob.nehari_scale(u) / 2, rel=1e-12)
+        assert nehari_scale(prob, 2 * u) == pytest.approx(nehari_scale(prob, u) / 2, rel=1e-12)
 
     def test_projection_annihilates_pairing(self):
         dom = Domain.cube(1.0, 16)
@@ -343,7 +348,7 @@ class TestNehari:
         op = prob.op
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.3) ** 2 + (X2 + 0.2) ** 2 + Y**2))
-        t = prob.nehari_scale(u)
+        t = nehari_scale(prob, u)
         ut = t * u
         a = op.quadratic_form(ut)
         b = float(np.sum(op.weight2d[:, :, None] * np.abs(ut) ** 4)) * dom.cell_volume
@@ -352,15 +357,15 @@ class TestNehari:
     def test_zero_rejected(self):
         dom = Domain.cube(1.0, 8)
         nl = power_nonlinearity(4.0, AP)
-        with pytest.raises(DomainError):
-            Problem(dom, AP, nl).nehari_scale(np.zeros(dom.dims))
+        with pytest.raises(DegeneracyError):
+            solve_ground_state(dom, nl, AP, initial=np.zeros(dom.dims))
 
 
 class TestGroundState:
     def test_small_run(self):
         dom = Domain.cube(1.0, 24)
         nl = power_nonlinearity(4.0, AP)
-        sol = solve_ground_state(dom, nl, AP, SolverConfig(outer_tol=1e-6))
+        sol = solve_ground_state(dom, nl, AP, 1e-6)
         assert sol.gradient_norm <= 1e-6
         assert sol.energy > 0
         assert float(np.abs(sol.u.values).max()) > 1.0
@@ -382,13 +387,13 @@ class TestGroundState:
             mask = X1**2 + X2**2 + Y**2 < 0.9**2
         dom = Domain(bbox, (16, 16, 16), mask)
         nl = power_nonlinearity(4.0, AP)
-        sol = solve_ground_state(dom, nl, AP, SolverConfig(outer_tol=1e-6))
+        sol = solve_ground_state(dom, nl, AP, 1e-6)
         prob = Problem(dom, AP, nl)
         assert sol.gradient_norm == prob.residual(sol.u.values)
         assert sol.energy == pytest.approx(prob.energy(sol.u.values), rel=1e-12)
         if masked:
             # masked domains only descend: the reference loop, bit for bit
-            ref = _ground_state(dom, nl, AP, SolverConfig(outer_tol=1e-6), None, newton=False)
+            ref = _ground_state(dom, nl, AP, 1e-6, None, newton=False)
             assert np.array_equal(sol.u.values, ref.u.values)
             assert (sol.energy, sol.gradient_norm, sol.iterations) == (ref.energy, ref.gradient_norm, ref.iterations)
             assert sol.newton_steps == sol.minres_iterations == 0
@@ -400,10 +405,9 @@ class TestGroundState:
         ap = AlphaParam(0.5)
         dom = Domain.cube(1.0, 16)
         nl = power_nonlinearity(3.0, ap)
-        cfg = SolverConfig(outer_tol=1e-6)
         with pytest.raises(IterationError):
-            _ground_state(dom, nl, ap, cfg, None, newton=False)
-        sol = solve_ground_state(dom, nl, ap, cfg)
+            _ground_state(dom, nl, ap, 1e-6, None, newton=False)
+        sol = solve_ground_state(dom, nl, ap, 1e-6)
         assert sol.gradient_norm <= 1e-6
         assert sol.newton_steps > 0 and sol.minres_iterations >= sol.newton_steps
         assert sol.nehari_residual <= 1e-12 * sol.energy
@@ -416,9 +420,8 @@ class TestGroundState:
         ap = AlphaParam(alpha)
         dom = Domain.cube(1.0, 16)
         nl = power_nonlinearity(q, ap)
-        cfg = SolverConfig(outer_tol=1e-6)
-        sol = solve_ground_state(dom, nl, ap, cfg)
-        ref = _ground_state(dom, nl, ap, cfg, None, newton=False)
+        sol = solve_ground_state(dom, nl, ap, 1e-6)
+        ref = _ground_state(dom, nl, ap, 1e-6, None, newton=False)
         assert sol.newton_steps > 0
         assert ref.newton_steps == ref.minres_iterations == 0
         assert sol.energy == pytest.approx(ref.energy, rel=1e-12)

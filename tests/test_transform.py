@@ -29,7 +29,7 @@ def small_sector_ball(alpha):
 
 class TestPolarMaps:
     def test_cartesian_map(self):
-        p = polar_to_point(PolarTriple(1.0, math.pi / 4, 0.0).validate(1.0))
+        p = polar_to_point(PolarTriple(1.0, math.pi / 4, 0.0))
         assert np.allclose(p, [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0], atol=1e-15)
 
     def test_flat_map_quarter_turn(self):
@@ -41,12 +41,6 @@ class TestPolarMaps:
         p = polar_to_flat_point(PolarTriple(2.0, 1e-9, 3.0), 1.0)
         assert p[0] == pytest.approx(2.0, rel=1e-12)
         assert p[2] == 3.0
-
-    def test_validate_rejects_walls(self):
-        with pytest.raises(DomainError):
-            PolarTriple(1.0, 0.0, 0.0).validate(1.0)
-        with pytest.raises(DomainError):
-            PolarTriple(0.0, 0.3, 0.0).validate(1.0)
 
 
 class TestFlattenRoundTrip:

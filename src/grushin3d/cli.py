@@ -117,10 +117,12 @@ def cmd_rearrange(args) -> RunReport:
         RadialProfile,
         distribution_function,
         grushin_energy,
+        level_count,
         weighted_lq_norm,
     )
 
     ap = _as_alpha(args.alpha)
+    level_count(args.levels)  # a bad count exits 2 before the grid is read
     grid = load_grid(args.input)
     if np.any(grid.values < 0):
         raise GridFormatError("rearrangement input must be nonnegative")

@@ -19,6 +19,7 @@ __all__ = [
     "compact_bump",
     "cosine_bump",
     "radial_field",
+    "sector_extremal_family",
     "sector_extremal_grid",
     "random_bump_corpus",
 ]
@@ -64,23 +65,27 @@ def radial_field(profile, alpha, support_radius: float, resolution: int = 96, pa
     return GridFunction3D.from_callable(fn, bbox, (resolution, resolution, resolution))
 
 
-def sector_extremal_grid(
+def sector_extremal_family(
     alpha,
-    b: float = 4.0,
     truncation_radius: float = 20.0,
     resolution: int = 128,
     a: float = 1.0,
-    perturbation: Sequence[float] = (),
-    perturbation_size: float = 0.05,
-) -> GridFunction3D:
-    """Truncated radial extremal sampled on a first-sector grid.
+):
+    """Builder of truncated radial extremals on one first-sector grid.
 
-    u = (a + b r^2)^{-1/2} - (a + b R^2)^{-1/2}, clipped at zero beyond the
-    truncation radius R; the grid covers the sector's bounding box and the
-    mask keeps cells whose centres lie strictly inside the sector, so the
-    Rayleigh quotient approximates the sector quotient of the profile.
-    Optional perturbation coefficients c_i multiply by (1 + s c_i g_i) with
-    smooth bump factors g_i, to probe non-extremal directions.
+    The grid, the anisotropic radius r at the cell centres and the sector
+    mask are built once; the returned ``grid(b, perturbation=(),
+    perturbation_size=0.05)`` samples
+
+        u = (a + b r^2)^{-1/2} - (a + b R^2)^{-1/2}, clipped at zero,
+
+    with R the truncation radius, on that grid.  The grid covers the
+    sector's bounding box and the mask keeps cells whose centres lie
+    strictly inside the sector, so the Rayleigh quotient approximates the
+    sector quotient of the profile.  Perturbation coefficients c_i multiply
+    u by (1 + s c_i g_i) with smooth bump factors g_i, to probe
+    non-extremal directions.  Every call returns a new array of values; the
+    radius and the mask are read-only and shared by all returned grids.
     """
     ap = _as_alpha(alpha)
     aa = ap.alpha
@@ -93,17 +98,38 @@ def sector_extremal_grid(
     cells = CellGrid([(0.0, rx), (0.0, x2max), (-ry, ry)], (n, n, n))
     X1, X2, Y = cells.centers(sparse=True)
     r = anisotropic_radius(X1, X2, Y, ap)
-    shift = (a + b * R * R) ** -0.5
-    u = np.maximum((a + b * r * r) ** -0.5 - shift, 0.0)
-    for i, c in enumerate(perturbation):
-        if c == 0.0:
-            continue
-        g = np.sin((i + 1) * np.pi * np.clip(r / R, 0.0, 1.0)) * compact_bump(r / R)
-        u = u * (1.0 + perturbation_size * c * g)
+    r.flags.writeable = False
     # sector membership depends on (x1, x2) only
     x1x2 = np.stack(np.broadcast_arrays(X1[:, :, 0], X2[:, :, 0]), axis=-1)
-    mask = np.broadcast_to((sector_index(x1x2, ap) == 1)[:, :, None], u.shape)
-    return GridFunction3D(cells.bbox, u, mask)
+    mask = np.broadcast_to((sector_index(x1x2, ap) == 1)[:, :, None], r.shape)
+
+    def grid(
+        b: float = 4.0, perturbation: Sequence[float] = (), perturbation_size: float = 0.05
+    ) -> GridFunction3D:
+        shift = (a + b * R * R) ** -0.5
+        u = np.maximum((a + b * r * r) ** -0.5 - shift, 0.0)
+        for i, c in enumerate(perturbation):
+            if c == 0.0:
+                continue
+            g = np.sin((i + 1) * np.pi * np.clip(r / R, 0.0, 1.0)) * compact_bump(r / R)
+            u = u * (1.0 + perturbation_size * c * g)
+        return GridFunction3D(cells.bbox, u, mask)
+
+    return grid
+
+
+def sector_extremal_grid(
+    alpha,
+    b: float = 4.0,
+    truncation_radius: float = 20.0,
+    resolution: int = 128,
+    a: float = 1.0,
+    perturbation: Sequence[float] = (),
+    perturbation_size: float = 0.05,
+) -> GridFunction3D:
+    """One truncated radial extremal on a first-sector grid; see
+    ``sector_extremal_family``, which builds the grid."""
+    return sector_extremal_family(alpha, truncation_radius, resolution, a)(b, perturbation, perturbation_size)
 
 
 def random_bump_corpus(

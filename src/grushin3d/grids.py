@@ -38,6 +38,7 @@ CLI reports it as a usage error (exit 2).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -46,21 +47,28 @@ import numpy as np
 
 from .errors import DomainError, GridFormatError
 
-__all__ = ["CellGrid", "GridFunction3D", "load_grid", "save_grid", "resample", "GRID_MAGIC"]
+__all__ = ["CellGrid", "GridFunction3D", "load_grid", "save_grid", "resample", "GRID_MAGIC", "MAX_CELLS"]
 
 GRID_MAGIC = "grushin-grid v1"
 
 # values per formatted block in save_grid; bounds the block string's memory
 _BLOCK_VALUES = 1 << 13
 
+# a grid has at most 256^3 cells: one float64 field is then 128 MiB, and
+# the solver holds a few dozen of them
+MAX_CELLS = 256**3
+
 
 def check_grid(bbox, dims, mask=None):
     """(bbox, dims, mask) as a (3, 2) float array, three ints and a bool
-    array or None; raises DomainError unless they describe a grid."""
+    array or None; raises DomainError unless they describe a grid of at
+    most ``MAX_CELLS`` cells."""
     bbox = np.asarray(bbox, dtype=float).reshape(3, 2)
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or min(dims) < 1:
         raise DomainError(f"grid needs three positive dims, got {dims}")
+    if math.prod(dims) > MAX_CELLS:
+        raise DomainError(f"grid {dims} has more than {MAX_CELLS} = 256^3 cells")
     if not np.all(bbox[:, 1] > bbox[:, 0]):
         raise DomainError("degenerate bbox")
     if mask is not None:
@@ -188,6 +196,8 @@ def load_grid(path) -> GridFunction3D:
         raise GridFormatError("dimensions must be integers", line=2) from None
     if len(dims) != 3 or min(dims) < 1:
         raise GridFormatError("need three positive dimensions", line=2)
+    if math.prod(dims) > MAX_CELLS:
+        raise GridFormatError(f"grid {dims} has more than {MAX_CELLS} = 256^3 cells", line=2)
     try:
         bvals = [float(tok) for tok in lines[2].split()]
     except ValueError:

@@ -35,12 +35,16 @@ from .errors import DomainError
 from .geometry import AlphaParam, _as_alpha
 from .grids import GridFunction3D
 
+# at most 2^20 uniform levels: the level and measure arrays then take 8 MiB each
+MAX_LEVELS = 1 << 20
+
 __all__ = [
     "DistributionFunction",
     "RadialProfile",
     "anisotropic_radius",
     "sector_measure_of_radius",
     "radius_from_measure",
+    "level_count",
     "distribution_function",
     "rearrange",
     "weighted_lq_norm",
@@ -97,23 +101,33 @@ def _sorted_cell_data(u: GridFunction3D, alpha: AlphaParam):
     return vals[order], w[order] * u.cell_volume
 
 
+def level_count(levels) -> int:
+    """``levels`` as a count of uniform levels, from 1 to ``MAX_LEVELS``;
+    raises DomainError otherwise."""
+    K = int(levels)
+    if K < 1:
+        raise DomainError(f"levels must be a positive count, got {levels}")
+    if K > MAX_LEVELS:
+        raise DomainError(f"levels must be at most {MAX_LEVELS}, got {levels}")
+    return K
+
+
 def distribution_function(u: GridFunction3D, alpha, levels=None) -> DistributionFunction:
     """lambda(t) = |{u > t}|_w by weighted voxel sums on the superlevel sets.
 
-    ``levels``: an int (count of uniform levels in (0, max u]), an explicit
-    increasing array, or None for the default 256.
+    ``levels``: an int (count of uniform levels in (0, max u], at most
+    ``MAX_LEVELS``), an explicit increasing array, or None for the default
+    256.
     """
     ap = _as_alpha(alpha)
+    if levels is None:
+        levels = 256
+    K = level_count(levels) if np.isscalar(levels) else None
     vals = u.masked_values()
     if np.any(vals < 0):
         raise DomainError("rearrangement requires a nonnegative field")
     top = float(vals.max(initial=0.0))
-    if levels is None:
-        levels = 256
-    if np.isscalar(levels):
-        K = int(levels)
-        if K < 1:
-            raise DomainError(f"levels must be a positive count, got {levels}")
+    if K is not None:
         lv = np.linspace(top / K, top, K) if top > 0 else np.zeros(1)
     else:
         lv = np.asarray(levels, dtype=float)

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from .errors import DomainError
 from .geometry import _as_alpha
@@ -211,44 +212,43 @@ def minimize_rayleigh(
 
     Only the critical exponent is accepted: for q != 6 the infimum is 0 or
     degenerate by the anisotropic scaling law.  The family is the truncated
-    radial extremal (a + b r^2)^{-1/2} with the concentration b optimised by
-    golden-section search on log b; optional low-dimensional perturbations
-    multiply the profile by (1 + c_i g_i) with smooth angular bumps g_i and
-    are searched coordinate-wise.  Deterministic throughout.
+    radial extremal (a + b r^2)^{-1/2} on one sector grid, built once.  The
+    concentration b is found by Brent's bounded search (parabolic steps
+    with golden-section fallback, to 1e-3 on log b in [log 0.5, log 32]);
+    ``_golden_min`` is the reference it replaced.  Optional
+    low-dimensional perturbations multiply the profile by (1 + c_i g_i)
+    with smooth angular bumps g_i, and each c_i in {-1, 1} is tried in
+    turn.  Deterministic throughout.
     """
     if q != 6:
         raise DomainError(
             "minimize_rayleigh requires q = 6: for subcritical q the quotient "
             "scales to 0 under anisotropic dilation, for q > 6 to infinity"
         )
-    from .fields import sector_extremal_grid
+    from .fields import sector_extremal_family
 
     ap = _as_alpha(alpha)
+    family = sector_extremal_family(ap, truncation_radius, resolution)
     evals = 0
 
     def quotient_of(log_b, coeffs=()):
         nonlocal evals
         evals += 1
-        u = sector_extremal_grid(
-            ap,
-            b=math.exp(log_b),
-            truncation_radius=truncation_radius,
-            resolution=resolution,
-            perturbation=coeffs,
-            perturbation_size=perturbation_size,
-        )
+        u = family(math.exp(log_b), coeffs, perturbation_size)
         return rayleigh_quotient(u, 6, ap).quotient
 
-    log_b, best, n = _golden_min(lambda lb: quotient_of(lb), math.log(0.5), math.log(32.0))
-    coeffs = tuple(0.0 for _ in range(perturbations))
-    if perturbations:
-        coeffs = list(coeffs)
-        for i in range(perturbations):
-            for c in (-1.0, 0.0, 1.0):
-                trial = list(coeffs)
-                trial[i] = c
-                val = quotient_of(log_b, tuple(trial))
-                if val < best:
-                    best, coeffs = val, trial
-        coeffs = tuple(coeffs)
+    res = minimize_scalar(
+        quotient_of, bounds=(math.log(0.5), math.log(32.0)), method="bounded", options={"xatol": 1e-3}
+    )
+    log_b, best = float(res.x), float(res.fun)
+    coeffs = [0.0] * perturbations
+    # c_i = 0 is the current coefficients (value best) or the ones just
+    # beaten, so only -1 and 1 can lower the quotient
+    for i in range(perturbations):
+        for c in (-1.0, 1.0):
+            trial = list(coeffs)
+            trial[i] = c
+            val = quotient_of(log_b, tuple(trial))
+            if val < best:
+                best, coeffs = val, trial
     return RayleighMinimum(best, math.exp(log_b), tuple(coeffs), evals)

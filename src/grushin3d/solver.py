@@ -75,11 +75,6 @@ __all__ = [
 ]
 
 
-# a domain has at most 256^3 cells: one float64 field is then 128 MiB, and
-# the solver holds a few dozen of them
-MAX_CELLS = 256**3
-
-
 @dataclass(frozen=True)
 class Domain(CellGrid):
     """Axis-aligned box (optionally masked) containing the origin strictly.
@@ -87,8 +82,9 @@ class Domain(CellGrid):
     ``mask`` selects active cells; None means the full box.  Dirichlet data
     lives on the faces between active and inactive/outside cells.  The cell
     geometry is ``CellGrid``'s; a domain adds the solver's rules: the origin
-    strictly inside, even x1/x2 counts, an active origin cell and at most
-    ``MAX_CELLS`` cells, checked before any field is allocated.
+    strictly inside, even x1/x2 counts and an active origin cell.  Like every
+    grid it has at most ``grids.MAX_CELLS`` cells, checked before any field
+    is allocated.
     """
 
     bbox: np.ndarray  # (3, 2)
@@ -98,8 +94,6 @@ class Domain(CellGrid):
     def __post_init__(self):
         for name, value in zip(("bbox", "dims", "mask"), check_grid(self.bbox, self.dims, self.mask)):
             object.__setattr__(self, name, value)
-        if math.prod(self.dims) > MAX_CELLS:
-            raise DomainError(f"grid {self.dims} has more than {MAX_CELLS} = 256^3 cells")
         bbox = self.bbox
         if not (np.all(bbox[:, 0] < 0) and np.all(bbox[:, 1] > 0)):
             raise DomainError("domain must contain the origin strictly inside")

@@ -352,6 +352,8 @@ class TestPohozaevCommand:
 
 SOLVE = ["solve", "--alpha", "1", "--q", "4", "--grid", "8"]
 SMALL_GRID = f"{GRID_MAGIC}\n2 2 2\n-1 1 -1 1 -1 1\n0 0 0 0 0 1 0 0\n".encode()
+# a header one cell over the cap, and a body that is never parsed
+OVER_CAP_GRID = f"{GRID_MAGIC}\n257 256 256\n-1 1 -1 1 -1 1\n0\n".encode()
 
 
 # the stderr line of bad-input cases whose diagnosis is not a file or a non-finite result
@@ -365,6 +367,9 @@ BAD_INPUT_LINES = {
     "solve --alpha 1 --q 4 --grid 8 --tol 0": "usage error: tolerance must be positive and finite, got 0.0\n",
     "solve --alpha 1 --q 4 --grid 100000":
         "usage error: grid (100000, 100000, 100000) has more than 16777216 = 256^3 cells\n",
+    "sobolev --alphas 1 --minimize --resolution 257":
+        "usage error: grid (257, 257, 257) has more than 16777216 = 256^3 cells\n",
+    "rearrange --alpha 1 --input FILE --levels 1048577": "usage error: levels must be at most 1048576, got 1048577\n",
 }
 
 
@@ -418,6 +423,11 @@ class TestBadInput:
             (["solve", "--alpha", "1", "--q", "4", "--grid", "8", "--half-width", "1e300"], None, 4),
             # 2 (1e300 + 1) sectors: above the sector cap
             (["geometry", "--shape", "ball", "--alpha", "1e300"], None, 2),
+            # one cell more than the 256^3 cap, on every grid
+            (["sobolev", "--alphas", "1", "--minimize", "--resolution", "257"], None, 2),
+            (["rearrange", "--alpha", "1", "--input", "FILE"], OVER_CAP_GRID, 3),
+            # one level more than the cap; refused before the grid is read
+            (["rearrange", "--alpha", "1", "--input", "FILE", "--levels", str(2**20 + 1)], OVER_CAP_GRID, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

@@ -30,6 +30,12 @@ class TestContainer:
                 np.array([(-1, 1)] * 3), np.zeros((2, 2, 2)), mask=np.ones((3, 2, 2), bool)
             )
 
+    def test_cell_cap(self):
+        # checked before any array exists, so the rejected grid costs nothing
+        assert grids.CellGrid(np.array([(-1, 1)] * 3), (256, 256, 256)).dims == (256, 256, 256)
+        with pytest.raises(DomainError, match="256\\^3"):
+            grids.CellGrid(np.array([(-1, 1)] * 3), (256, 256, 257))
+
     def test_cell_geometry(self, small_grid):
         assert small_grid.dims == (4, 3, 5)
         assert np.allclose(small_grid.spacing, [0.5, 1 / 3, 0.4])
@@ -76,6 +82,14 @@ class TestFileFormat:
     def test_bad_dims(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text(f"{GRID_MAGIC}\ntwo 2 2\n0 1 0 1 0 1\n")
+        with pytest.raises(GridFormatError) as err:
+            load_grid(path)
+        assert err.value.line == 2
+
+    def test_dims_over_cell_cap(self, tmp_path):
+        # rejected at the dims line; the malformed body is never parsed
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{GRID_MAGIC}\n257 256 256\n0 1 0 1 0 1\nnot-a-number\n")
         with pytest.raises(GridFormatError) as err:
             load_grid(path)
         assert err.value.line == 2

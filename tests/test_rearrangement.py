@@ -10,6 +10,7 @@ from grushin3d import AlphaParam, DomainError
 from grushin3d.fields import compact_bump, cosine_bump, radial_field, random_bump_corpus
 from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import (
+    MAX_LEVELS,
     anisotropic_radius,
     coarea_derivative_compare,
     distribution_function,
@@ -35,6 +36,12 @@ class TestDistributionFunction:
         grid = GridFunction3D(np.array([(-1, 1)] * 3), np.zeros((8, 8, 8)))
         dist = distribution_function(grid, 1.0)
         assert np.all(dist.measures == 0.0)
+
+    def test_level_cap(self):
+        # rejected before any level array exists; only cap + 1 is tried
+        grid = GridFunction3D(np.array([(-1, 1)] * 3), np.ones((2, 2, 2)))
+        with pytest.raises(DomainError, match="at most 1048576"):
+            distribution_function(grid, 1.0, MAX_LEVELS + 1)
 
     def test_plateau_cylinder(self):
         # indicator of the unit cylinder: lambda(t) = weighted volume pi below 1

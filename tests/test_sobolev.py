@@ -5,11 +5,18 @@ import pytest
 from scipy.integrate import quad
 
 from grushin3d import AlphaParam, DomainError
-from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus, sector_extremal_grid
+from grushin3d.fields import (
+    cosine_bump,
+    radial_field,
+    random_bump_corpus,
+    sector_extremal_family,
+    sector_extremal_grid,
+)
 from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import grushin_energy, weighted_lq_norm
 from grushin3d.sobolev import (
     ExtremalProfile,
+    _golden_min,
     critical_exponent,
     minimize_rayleigh,
     rayleigh_quotient,
@@ -191,3 +198,67 @@ class TestMinimizeRayleigh:
         ap = AlphaParam(1.0)
         rep = minimize_rayleigh(ap, resolution=48, perturbations=2)
         assert rep.estimate >= sobolev_lower_bound(ap) * 0.97
+
+
+def same_grid(u, v):
+    """Bit-for-bit equal values, bbox and mask."""
+    return (
+        u.values.tobytes() == v.values.tobytes()
+        and u.bbox.tobytes() == v.bbox.tobytes()
+        and np.array_equal(u.mask, v.mask)
+    )
+
+
+class TestSectorExtremalFamily:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_family_matches_fresh_grids(self, alpha):
+        # one family serves every call; α = 2 has a sector wall inside the box
+        family = sector_extremal_family(alpha, resolution=32)
+        calls = [(0.7, ()), (4.0, ()), (22.77, ()), (4.0, (-1.0, 0.0, 1.0))]
+        for b, coeffs in calls:
+            got = family(b, coeffs, 0.05)
+            fresh = sector_extremal_grid(alpha, b=b, resolution=32, perturbation=coeffs)
+            assert same_grid(got, fresh)
+        if alpha == 2.0:
+            assert not got.mask.all()
+
+
+def golden_reference(alpha, resolution):
+    """Reference search: golden section on log b, a fresh grid per value."""
+    ap = AlphaParam(alpha)
+
+    def quotient(log_b):
+        u = sector_extremal_grid(ap, b=math.exp(log_b), truncation_radius=20.0, resolution=resolution)
+        return rayleigh_quotient(u, 6, ap).quotient
+
+    return _golden_min(quotient, math.log(0.5), math.log(32.0))
+
+
+class TestBrentSearch:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_matches_golden_section(self, alpha):
+        rep = minimize_rayleigh(alpha, resolution=48)
+        _, golden, golden_evals = golden_reference(alpha, 48)
+        assert rep.estimate == pytest.approx(golden, rel=1e-9)
+        assert rep.evaluations <= 12 < golden_evals
+        assert rep.perturbation == ()
+
+    def test_perturbation_trials_skip_zero(self):
+        # a c_i = 0 trial can never win, so the search tries only -1 and 1:
+        # the same result as the three-value loop below, at 2 trials per c_i
+        ap = AlphaParam(1.0)
+        base = minimize_rayleigh(ap, resolution=24)
+        rep = minimize_rayleigh(ap, resolution=24, perturbations=2)
+        assert rep.evaluations == base.evaluations + 4
+        assert rep.profile_scale == base.profile_scale
+        family = sector_extremal_family(ap, resolution=24)
+        best, coeffs = base.estimate, [0.0, 0.0]
+        for i in range(2):
+            for c in (-1.0, 0.0, 1.0):
+                trial = list(coeffs)
+                trial[i] = c
+                val = rayleigh_quotient(family(base.profile_scale, tuple(trial)), 6, ap).quotient
+                if val < best:
+                    best, coeffs = val, trial
+        assert rep.estimate == best
+        assert rep.perturbation == tuple(coeffs)

@@ -175,6 +175,10 @@ def cmd_sobolev(args) -> RunReport:
         talenti_radial_constant,
     )
 
+    # equal keys (--alphas 1 1, or 0.5 0.5000001) would overwrite each other's results
+    keys = [f"alpha_{a:g}" for a in args.alphas]
+    if len(set(keys)) < len(keys):
+        raise DomainError(f"--alphas must give distinct report keys, got {' '.join(keys)}")
     rep = RunReport("sobolev", vars(args).copy(), version=__version__)
     rep.resolutions = {"rayleigh_resolution": args.resolution}
     D = talenti_radial_constant()
@@ -189,11 +193,10 @@ def cmd_sobolev(args) -> RunReport:
     rep.add_check("talenti_matches_closed_form", abs(quad_vals[4] - D), 1e-9, "<=")
 
     rows = []
-    for alpha in args.alphas:
+    for alpha, key in zip(args.alphas, keys):
         ap = _as_alpha(alpha)
         L = sobolev_lower_bound(ap)
         Lp = sobolev_lower_bound_alt(ap)
-        key = f"alpha_{alpha:g}"
         rep.results[f"{key}_n"] = float(ap.sector_count)
         rep.results[f"{key}_lower_bound"] = L
         rep.results[f"{key}_lower_bound_alt"] = Lp

@@ -86,12 +86,6 @@ class DistributionFunction:
     measures: np.ndarray
     top: float
 
-    def __call__(self, t):
-        # right-continuous step interpolation between sampled levels
-        idx = np.searchsorted(self.levels, np.asarray(t, dtype=float), side="right") - 1
-        vals = np.where(idx >= 0, self.measures[np.clip(idx, 0, None)], self.measures[0])
-        return float(vals) if np.ndim(t) == 0 else vals
-
 
 def _sorted_cell_data(u: GridFunction3D, alpha: AlphaParam):
     """Cell values and weighted cell measures, sorted by value descending."""

@@ -6,9 +6,11 @@ Discretisation: uniform cell-centred grid, 7-point stencil; the second
 y-difference is scaled by |x|^{2a} evaluated at cell centres (grid counts
 in x1, x2 are kept even so centres never sit on the degeneracy line x = 0).
 Dirichlet data is imposed at cell faces through odd-reflection ghosts
-(ghost = -u_inner), which keeps the operator symmetric positive definite
-and the scheme second order in L2; plain ghost-centre zeros would shift
-the boundary by h/2 and drop to first order.
+(ghost = -u_inner): each ghost adds one more 1/h^2 (times |x|^{2a} along
+y) to the diagonal D, built once per operator, so A u is D u minus the
+couplings to active neighbours.  That keeps the operator symmetric
+positive definite and the scheme second order in L2; plain ghost-centre
+zeros would shift the boundary by h/2 and drop to first order.
 
 The domain is a ``Domain``, whose cell geometry (spacing, centres, active
 mask, the weight |x|^{2a} at the centres) is the shared ``CellGrid`` of
@@ -117,6 +119,21 @@ class Domain(CellGrid):
         return cls(np.array([(-b, b)] * 3), (n, n, n))
 
 
+def _dirichlet_faces(active: np.ndarray, axis: int) -> np.ndarray:
+    """How many of each cell's two faces along ``axis`` are Dirichlet faces
+    (0, 1 or 2): faces whose neighbour is outside the box or inactive."""
+    pad = [(0, 0)] * active.ndim
+    pad[axis] = (1, 1)
+    outside = np.moveaxis(~np.pad(active, pad), axis, 0)
+    return np.moveaxis(outside[:-2].astype(np.int8) + outside[2:], 0, axis)
+
+
+def _dirichlet_spectrum(n: int, h: float, k):
+    """Eigenvalues 4 sin^2(pi k / 2n) / h^2, k = 1..n, of the second
+    difference on n cells of width h with a Dirichlet face at both ends."""
+    return 4.0 * np.sin(np.pi * k / (2 * n)) ** 2 / h**2
+
+
 class GrushinOperator:
     """Matrix-free SPD stencil for -Delta_x - |x|^{2a} d2/dy2 with Dirichlet faces."""
 
@@ -126,39 +143,25 @@ class GrushinOperator:
         self.weight2d = domain.weight2d(self.alpha.alpha)
         self._mask = domain.mask
         self._box_basis = None
+        h = domain.spacing
+        # neighbour couplings 1/h^2 (times |x|^{2a} along y); D holds two per axis and one per ghost
+        self._coupling = (1.0 / h[0] ** 2, 1.0 / h[1] ** 2, self.weight2d[:, :, None] / h[2] ** 2)
+        active = domain.active()
+        self._diagonal = sum(c * (2 + _dirichlet_faces(active, axis)) for axis, c in enumerate(self._coupling))
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        h = self.domain.spacing
-        w = self.weight2d[:, :, None]
+        """A u = D u minus the neighbour couplings; inactive cells read and return 0."""
         if self._mask is not None:
             u = np.where(self._mask, u, 0.0)
-        out = np.zeros_like(u)
-        for axis, coef in ((0, None), (1, None), (2, w)):
-            ghosted = self._neighbor_sum(u, axis)
-            term = (2.0 * u - ghosted) / h[axis] ** 2
-            out += term if coef is None else coef * term
+        out = self._diagonal * u
+        padded = np.pad(u, 1)  # a neighbour outside the box couples with 0
+        for axis, c in enumerate(self._coupling):
+            lower, upper = [slice(1, -1)] * 3, [slice(1, -1)] * 3
+            lower[axis], upper[axis] = slice(None, -2), slice(2, None)
+            out -= c * (padded[tuple(lower)] + padded[tuple(upper)])
         if self._mask is not None:
             out = np.where(self._mask, out, 0.0)
         return out
-
-    def _neighbor_sum(self, u, axis):
-        """Sum of the two axis neighbours with odd-reflection ghosts."""
-        lo = np.roll(u, 1, axis=axis)
-        hi = np.roll(u, -1, axis=axis)
-        edge_lo = [slice(None)] * 3
-        edge_lo[axis] = 0
-        edge_hi = [slice(None)] * 3
-        edge_hi[axis] = -1
-        lo[tuple(edge_lo)] = -u[tuple(edge_lo)]
-        hi[tuple(edge_hi)] = -u[tuple(edge_hi)]
-        if self._mask is not None:
-            inactive_lo = np.roll(self._mask, 1, axis=axis) == False  # noqa: E712
-            inactive_lo[tuple(edge_lo)] = True
-            inactive_hi = np.roll(self._mask, -1, axis=axis) == False  # noqa: E712
-            inactive_hi[tuple(edge_hi)] = True
-            lo = np.where(inactive_lo, -u, lo)
-            hi = np.where(inactive_hi, -u, hi)
-        return lo + hi
 
     def quadratic_form(self, u: np.ndarray) -> float:
         return float(np.sum(u * self(u))) * self.domain.cell_volume
@@ -191,14 +194,12 @@ class GrushinOperator:
 
         n3 = self.domain.dims[2]
         h = self.domain.spacing
-        mu = 4.0 * np.sin(np.pi * np.arange(1, n3 + 1) / (2 * n3)) ** 2 / h[2] ** 2
+        mu = _dirichlet_spectrum(n3, h[2], np.arange(1, n3 + 1))
         lams, vecs = [], []
         for axis in (0, 1):
             n = self.domain.dims[axis]
             wx = np.abs(self.domain.axis_centers(axis)) ** (2.0 * self.alpha.alpha)
-            diag = np.full(n, 2.0 / h[axis] ** 2)
-            diag[0] += 1.0 / h[axis] ** 2  # odd-reflection ghosts at both faces
-            diag[-1] += 1.0 / h[axis] ** 2
+            diag = (2 + _dirichlet_faces(np.ones(n, dtype=bool), 0)) / h[axis] ** 2
             off = np.full(n - 1, -1.0 / h[axis] ** 2)
             lam, V = np.empty((n3, n)), np.empty((n3, n, n))
             for k in range(n3):
@@ -637,7 +638,7 @@ def poincare_constant(domain: Domain, alpha, max_iter: int = 200) -> float:
 
     A = on_active(op)
     h, n = domain.spacing, domain.dims
-    lower = sum(4.0 * math.sin(math.pi / (2 * n[i])) ** 2 / h[i] ** 2 for i in (0, 1))
+    lower = sum(_dirichlet_spectrum(n[i], h[i], 1) for i in (0, 1))
     with warnings.catch_warnings():
         # a run that misses the tolerance is reported below, not warned about
         warnings.simplefilter("ignore", UserWarning)

@@ -370,6 +370,9 @@ BAD_INPUT_LINES = {
     "sobolev --alphas 1 --minimize --resolution 257":
         "usage error: grid (257, 257, 257) has more than 16777216 = 256^3 cells\n",
     "rearrange --alpha 1 --input FILE --levels 1048577": "usage error: levels must be at most 1048576, got 1048577\n",
+    "sobolev --alphas 0.5 0.5000001":
+        "usage error: --alphas must give distinct report keys, got alpha_0.5 alpha_0.5\n",
+    "sobolev --alphas 1 1": "usage error: --alphas must give distinct report keys, got alpha_1 alpha_1\n",
 }
 
 
@@ -428,6 +431,9 @@ class TestBadInput:
             (["rearrange", "--alpha", "1", "--input", "FILE"], OVER_CAP_GRID, 3),
             # one level more than the cap; refused before the grid is read
             (["rearrange", "--alpha", "1", "--input", "FILE", "--levels", str(2**20 + 1)], OVER_CAP_GRID, 2),
+            # alphas that share a report key would overwrite each other's results
+            (["sobolev", "--alphas", "0.5", "0.5000001"], None, 2),
+            (["sobolev", "--alphas", "1", "1"], None, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

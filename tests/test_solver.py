@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grushin3d import AlphaParam, DegeneracyError, DomainError, IterationError
 from grushin3d.fields import random_bump_corpus
@@ -11,6 +14,7 @@ from grushin3d.solver import (
     GrushinOperator,
     Nonlinearity,
     Problem,
+    _dirichlet_spectrum,
     _ground_state,
     _line_quadratic,
     embedding_check,
@@ -34,6 +38,62 @@ def manufactured(domain):
     w = (X1**2 + X2**2) ** 1.0
     rhs = (np.pi / (2 * L)) ** 2 * (2.0 + w) * u
     return u, rhs
+
+
+def assembled_stencil(domain, alpha):
+    """The stencil as a sparse matrix over all cells, entry by entry from the
+    ghost rule, without GrushinOperator: c = 1/h^2 (times |x|^{2a} on the y
+    axis) per side of an active cell; a neighbour inside the box and active
+    couples with -c, a missing one is a ghost -u and adds c more to the
+    diagonal.  Rows and columns of inactive cells are empty."""
+    dims, h, active = domain.dims, domain.spacing, domain.active()
+    x1, x2 = domain.axis_centers(0), domain.axis_centers(1)
+    rows, cols, vals = [], [], []
+    for cell in np.ndindex(dims):
+        if not active[cell]:
+            continue
+        row = np.ravel_multi_index(cell, dims)
+        for axis in range(3):
+            c = 1.0 / h[axis] ** 2
+            if axis == 2:
+                c *= (x1[cell[0]] ** 2 + x2[cell[1]] ** 2) ** alpha
+            for step in (-1, 1):
+                nb = list(cell)
+                nb[axis] += step
+                if 0 <= nb[axis] < dims[axis] and active[tuple(nb)]:
+                    rows += [row, row]
+                    cols += [row, np.ravel_multi_index(nb, dims)]
+                    vals += [c, -c]
+                else:
+                    rows.append(row)
+                    cols.append(row)
+                    vals.append(2.0 * c)
+    size = int(np.prod(dims))
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+
+
+def check_against_assembled(domain, alpha, seed=0):
+    op = GrushinOperator(domain, alpha)
+    u = np.random.default_rng(seed).standard_normal(domain.dims)
+    out = op(u)
+    ref = (assembled_stencil(domain, alpha) @ u.ravel()).reshape(domain.dims)
+    assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.all(out[~domain.active()] == 0.0)
+    assert np.all(op(np.zeros(domain.dims)) == 0.0)
+
+
+ANISOTROPIC_BOX = np.array([(-1.0, 1.2), (-0.8, 0.9), (-1.3, 1.1)])
+
+
+@st.composite
+def masked_domains(draw):
+    """Small masked domains with random bits and an active origin cell."""
+    dims = (2 * draw(st.integers(1, 4)), 2 * draw(st.integers(1, 4)), draw(st.integers(2, 7)))
+    bits = draw(st.lists(st.booleans(), min_size=int(np.prod(dims)), max_size=int(np.prod(dims))))
+    mask = np.array(bits).reshape(dims)
+    origin = np.floor(-ANISOTROPIC_BOX[:, 0] / ((ANISOTROPIC_BOX[:, 1] - ANISOTROPIC_BOX[:, 0]) / dims))
+    mask[tuple(origin.astype(int))] = True
+    return Domain(ANISOTROPIC_BOX, dims, mask)
 
 
 class CountingOperator:
@@ -106,6 +166,30 @@ class TestDomain:
 
 
 class TestOperator:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_matches_assembled_on_box(self, alpha):
+        check_against_assembled(Domain(ANISOTROPIC_BOX, (12, 16, 10)), alpha)
+
+    def test_matches_assembled_on_full_mask(self):
+        check_against_assembled(Domain(ANISOTROPIC_BOX, (12, 16, 10), np.ones((12, 16, 10), dtype=bool)), 1.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_matches_assembled_on_ball(self, alpha):
+        dom = Domain.cube(1.0, 16)
+        X1, X2, Y = dom.centers()
+        check_against_assembled(Domain(dom.bbox, dom.dims, X1**2 + X2**2 + Y**2 < 0.9**2), alpha)
+
+    @given(masked_domains(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 2**32 - 1))
+    def test_matches_assembled_on_drawn_masks(self, domain, alpha, seed):
+        check_against_assembled(domain, alpha, seed)
+
+    def test_dirichlet_spectrum(self):
+        # eigenvalues of the 1D second difference with a ghost -u at each end
+        n, h = 9, 0.3
+        T = (np.diag(np.r_[3.0, np.full(n - 2, 2.0), 3.0]) - np.eye(n, k=1) - np.eye(n, k=-1)) / h**2
+        k = np.arange(1, n + 1)
+        assert np.allclose(np.linalg.eigvalsh(T), _dirichlet_spectrum(n, h, k), rtol=1e-13, atol=0)
+
     def test_exact_on_quadratics(self):
         dom = Domain.cube(1.0, 16)
         op = GrushinOperator(dom, AP)

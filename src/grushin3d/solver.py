@@ -24,29 +24,27 @@ its gradient A u - f(., u) (the exact derivative of the discrete energy),
 the weak residual and the Nehari scaling.  Ground states are computed by
 preconditioned descent on the Nehari manifold: move toward A^{-1} f(u),
 line-search on Phi, rescale so <Phi'(u), u> = 0.  The descent converges
-only linearly, so on a box it is finished by Newton steps on
-A u - f(u) = 0, each solved by MINRES (the Jacobian A - f'(u) is indefinite
-at a mountain-pass point) and projected back onto the Nehari set: the
-descent-then-Newton split of Choi & McKenna.  The descent alone stays as
-the reference the Newton finish is tested against, and as the only path on
-masked domains.  The solver loop uses the same ``Problem`` methods, so its
-reported residual is the one ``Problem.residual`` computes.
+only linearly, so it is finished by Newton steps on A u - f(u) = 0, each
+solved by MINRES (the Jacobian A - f'(u) is indefinite at a mountain-pass
+point) and projected back onto the Nehari set: the descent-then-Newton
+split of Choi & McKenna.  The descent alone stays as the reference the
+Newton finish is tested against.  The solver loop uses the same
+``Problem`` methods, so its reported residual is the one
+``Problem.residual`` computes.
 
-Linear systems are solved by conjugate gradients.  On a box (no mask) CG is
-preconditioned with the exact inverse of the box operator whose weight is
-replaced by the separable |x1|^{2a} + |x2|^{2a}: a DST-II in y and two
-tridiagonal eigenbases per y-mode (the fast direct solver of Buzbee, Golub
-& Nielsen, used as a preconditioner as in Concus & Golub).  Because
-(s + t)^a lies within a factor 2^{|a-1|} of s^a + t^a, the preconditioned
-condition number is at most 2^{|a-1|}, independent of the grid; at a = 1
-the preconditioner is A^{-1}.  Masked linear solves still run plain CG,
-which stays the reference the fast path is tested against.
-
-The Poincare constant lambda_1 (the smallest eigenvalue) comes from LOBPCG
-(Knyazev 2001) with block size 1 on the active cells, preconditioned with
-the same box solver; on a masked domain that is the bounding box's solver
-restricted to the mask, z = P M^{-1} P r, whose basis does not depend on
-the mask.  Tests check it against ARPACK Lanczos on the same stencil.
+Linear systems are solved by conjugate gradients, preconditioned with the
+exact inverse of the box operator whose weight is replaced by the separable
+|x1|^{2a} + |x2|^{2a}: a DST-II in y and two tridiagonal eigenbases per
+y-mode (the fast direct solver of Buzbee, Golub & Nielsen, used as a
+preconditioner as in Concus & Golub).  Because (s + t)^a lies within a
+factor 2^{|a-1|} of s^a + t^a, the preconditioned condition number on a box
+is at most 2^{|a-1|}, independent of the grid; at a = 1 the preconditioner
+is A^{-1}.  On a mask the box solver is restricted to the active cells,
+z = P M^{-1} P r, and is the identity on inactive ones, which keeps it SPD.
+MINRES and LOBPCG use the same preconditioner.  Tests check CG against a
+sparse direct solve of the stencil assembled entry by entry, and the
+Poincare constant lambda_1 (the smallest eigenvalue, from LOBPCG with block
+size 1 on the active cells, Knyazev 2001) against ARPACK Lanczos.
 """
 
 from __future__ import annotations
@@ -166,10 +164,11 @@ class GrushinOperator:
     def quadratic_form(self, u: np.ndarray) -> float:
         return float(np.sum(u * self(u))) * self.domain.cell_volume
 
-    def _separable_inverse(self, r: np.ndarray) -> np.ndarray:
+    def _precondition(self, r: np.ndarray) -> np.ndarray:
         """Solve the box system whose weight |x|^{2a} is replaced by
-        |x1|^{2a} + |x2|^{2a}; the preconditioner of box-domain CG and of the
-        Newton finish's MINRES.
+        |x1|^{2a} + |x2|^{2a}: the SPD preconditioner of CG, MINRES and
+        LOBPCG.  On a mask it is P M^{-1} P r on active cells and r on
+        inactive ones.
 
         The odd-reflection y-difference is diagonalised by the DST-II: mode
         k = 1..n3 has eigenvalue mu_k = 4 sin^2(pi k / 2 n3) / h3^2.  Per
@@ -182,10 +181,14 @@ class GrushinOperator:
         if self._box_basis is None:
             self._box_basis = self._build_box_basis()
         V1, V2, inv = self._box_basis
-        g = dst(r, type=2, axis=2, norm="ortho").transpose(2, 0, 1)
+        g = r if self._mask is None else np.where(self._mask, r, 0.0)
+        g = dst(g, type=2, axis=2, norm="ortho").transpose(2, 0, 1)
         g = V1.transpose(0, 2, 1) @ g @ V2
         g = V1 @ (g * inv) @ V2.transpose(0, 2, 1)
-        return idst(g.transpose(1, 2, 0), type=2, axis=2, norm="ortho")
+        z = idst(g.transpose(1, 2, 0), type=2, axis=2, norm="ortho")
+        if self._mask is not None:
+            z = np.where(self._mask, z, r)
+        return z
 
     def _build_box_basis(self):
         """Per y-mode eigenbases of the x1 and x2 factors and the inverse
@@ -228,18 +231,15 @@ def _check_tol(tol):
 
 
 def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=None):
-    """Conjugate gradients on the SPD stencil; stops once the residual is at
-    most ``tol`` times ||rhs||.
-
-    On a box (no mask) CG is preconditioned with the separable box solver,
-    so the iteration count does not grow with the grid; masked domains run
-    plain CG.  Breakdown (a non-positive curvature or a non-finite
-    reduction) raises IterationError at once instead of iterating on NaNs.
+    """Conjugate gradients on the SPD stencil, preconditioned with the box
+    solver (restricted to the mask on a masked domain); stops once the
+    residual is at most ``tol`` times ||rhs||.  Breakdown (a non-positive
+    curvature or a non-finite reduction) raises IterationError at once
+    instead of iterating on NaNs.
     """
     _check_tol(tol)
     mask = op.domain.mask
     b = rhs if mask is None else np.where(mask, rhs, 0.0)
-    precondition = op._separable_inverse if mask is None else None
     bnorm = math.sqrt(float(np.sum(b * b)))
     if bnorm == 0.0:
         return np.zeros_like(b)
@@ -253,8 +253,8 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=
     rs = float(np.sum(r * r))
     if math.sqrt(rs) <= tol * bnorm:
         return x
-    z = r if precondition is None else precondition(r)
-    rz = rs if precondition is None else float(np.sum(r * z))
+    z = op._precondition(r)
+    rz = float(np.sum(r * z))
     p = z.copy()
     for _ in range(_CG_MAX_ITER):
         # comparisons with NaN are false, so these also catch non-finite values
@@ -270,8 +270,8 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=
         rs = float(np.sum(r * r))
         if math.sqrt(rs) <= tol * bnorm:
             return x
-        z = r if precondition is None else precondition(r)
-        rz_new = rs if precondition is None else float(np.sum(r * z))
+        z = op._precondition(r)
+        rz_new = float(np.sum(r * z))
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise IterationError(
@@ -403,10 +403,7 @@ def _default_initial(domain: Domain) -> np.ndarray:
     # off the degeneracy axis, well inside the boundary
     c = np.array([0.45 * half[0], 0.45 * half[1], 0.0])
     width = _INITIAL_WIDTH * float(half.min())
-    u = np.exp(-((X1 - c[0]) ** 2 + (X2 - c[1]) ** 2 + (Y - c[2]) ** 2) / (2 * width**2))
-    if domain.mask is not None:
-        u = np.where(domain.mask, u, 0.0)
-    return u
+    return np.exp(-((X1 - c[0]) ** 2 + (X2 - c[1]) ** 2 + (Y - c[2]) ** 2) / (2 * width**2))
 
 
 def solve_ground_state(
@@ -423,16 +420,15 @@ def solve_ground_state(
     A descent step moves toward A^{-1} f(u), line-searches the energy along
     that direction (a halving ladder of step factors), and
     projects back onto the Nehari set; its line search keeps only candidates
-    that lower the energy.  On a box (no mask) each outer step first tries
-    a Newton step (``_newton_step``) while the residual is at most a gate,
-    which starts at the initial residual: it is kept when it halves the
-    residual and stays in the positive cone, so Newton steps are guarded by
-    the residual, not by the energy.  A rejected try sets the gate to a
-    tenth of the residual, and that outer step descends instead.
-    ``iterations`` counts outer steps, Newton or descent.  Masked domains
-    only descend.
+    that lower the energy.  Each outer step first tries a Newton step
+    (``_newton_step``) while the residual is at most a gate, which starts at
+    the initial residual: it is kept when it halves the residual and stays
+    in the positive cone, so Newton steps are guarded by the residual, not
+    by the energy.  A rejected try sets the gate to a tenth of the residual,
+    and that outer step descends instead.  ``iterations`` counts outer
+    steps, Newton or descent.  Boxes and masked domains take the same path.
     """
-    return _ground_state(domain, nonlinearity, alpha, tol, initial, newton=domain.mask is None)
+    return _ground_state(domain, nonlinearity, alpha, tol, initial, newton=True)
 
 
 def _ground_state(domain, nonlinearity, alpha, tol, initial, newton):
@@ -554,14 +550,14 @@ def _ground_state(domain, nonlinearity, alpha, tol, initial, newton):
 
 
 def _newton_step(prob: Problem, u: np.ndarray, rhs: np.ndarray):
-    """One inexact Newton step on A u - f(u) = 0 on a box, projected back
-    onto the Nehari set.
+    """One inexact Newton step on A u - f(u) = 0, projected back onto the
+    Nehari set.
 
     Solves (A - f'(u)) delta = rhs = f(u) - A u, with
     f'(u) = (q - 1) |x|^{2a} |u|^{q-2}, by MINRES (Paige & Saunders 1975):
     the Jacobian is symmetric but indefinite at a mountain-pass point, so CG
-    does not apply.  MINRES is preconditioned with the SPD separable box
-    solver and stops at a relative residual of 1e-3 or after 50 iterations.
+    does not apply.  MINRES is preconditioned with the operator's SPD box
+    solver (restricted to the active cells on a mask) and stops at a relative residual of 1e-3 or after 50 iterations.
     Returns (candidate, MINRES iterations); the candidate is None when
     u + delta has no finite, nonzero Nehari multiple.
     """
@@ -577,7 +573,7 @@ def _newton_step(prob: Problem, u: np.ndarray, rhs: np.ndarray):
         return (op(x) - fprime * x).ravel()
 
     def precondition(x):
-        return op._separable_inverse(x.reshape(dims)).ravel()
+        return op._precondition(x.reshape(dims)).ravel()
 
     iters = 0
 
@@ -615,7 +611,7 @@ def poincare_constant(domain: Domain, alpha, max_iter: int = 200) -> float:
     ||u||_L2 <= lambda_1^{-1/2} ||grad_G u||.
 
     LOBPCG with block size 1 on the active cells, preconditioned with the
-    separable box solver (restricted to the mask, P M^{-1} P, on a masked
+    operator's box solver (restricted to the mask, P M^{-1} P, on a masked
     domain) and started from the ones vector, so runs are deterministic.
     It stops once ||A x - lambda x|| <= 1e-9 lambda ||x||: its absolute
     tolerance is 1e-9 times the lowest -Delta_x eigenvalue of the bounding
@@ -643,7 +639,7 @@ def poincare_constant(domain: Domain, alpha, max_iter: int = 200) -> float:
         # a run that misses the tolerance is reported below, not warned about
         warnings.simplefilter("ignore", UserWarning)
         lams, X = lobpcg(
-            A, np.ones((size, 1)), M=on_active(op._separable_inverse), tol=1e-9 * lower, maxiter=max_iter, largest=False
+            A, np.ones((size, 1)), M=on_active(op._precondition), tol=1e-9 * lower, maxiter=max_iter, largest=False
         )
     lam, x = float(lams[0]), X[:, 0]
     rel = float(np.linalg.norm(A @ x - lam * x) / (abs(lam) * np.linalg.norm(x)))

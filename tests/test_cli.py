@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grushin3d import AlphaParam, cli, geometry, rearrangement, shapes, transform, triangulate
 from grushin3d.cli import main
@@ -455,6 +459,111 @@ class TestBadInput:
             assert captured.err == "numerical failure: weighted_volume is not finite\n"
         if "NOWHERE" in argv:
             assert captured.err == f"usage error: cannot write {nowhere}: No such file or directory\n"
+
+
+# values a user might type, half of them in range and half small, junk,
+# non-finite or out of range; counts stay at most 8 or go past their caps,
+# so no drawn run does much work
+FUZZ_REALS = st.one_of(
+    st.sampled_from(["0.5", "1", "2.5", "3", "4"]),
+    st.sampled_from(["0", "-1", "1e-300", "1e300", "nan", "inf", "-inf", "x", ""]),
+)
+FUZZ_COUNTS = st.one_of(st.sampled_from(["2", "8"]), st.sampled_from(["-2", "0", "1", "7", "1.5", "x", "20000"]))
+FUZZ_FLAG = st.just([])
+
+
+def _values(strategy, low=1, high=1):
+    return st.lists(strategy, min_size=low, max_size=high)
+
+
+# per subcommand: options always given (the required ones, and the
+# resolutions, so that no run falls back to a costly default) and options
+# given or left out
+FUZZ_COMMANDS = {
+    "geometry": (
+        {
+            "--shape": _values(st.sampled_from(["ball", "ellipsoid", "cylinder", "box", "ball-sector", "torus", ""])),
+            "--alpha": _values(FUZZ_REALS),
+            "--surface-resolution": _values(FUZZ_COUNTS),
+        },
+        {
+            "--radius": _values(FUZZ_REALS),
+            "--halfheight": _values(FUZZ_REALS),
+            "--semiaxes": _values(FUZZ_REALS, 2, 3),
+            "--half-widths": _values(FUZZ_REALS, 3, 3),
+            "--center": _values(FUZZ_REALS, 3, 3),
+            "--sector": _values(FUZZ_COUNTS),
+        },
+    ),
+    "transform-check": (
+        {"--alpha": _values(FUZZ_REALS), "--surface-resolution": _values(FUZZ_COUNTS)},
+        {"--shape": _values(st.sampled_from(["ball-sector", "small-ball", "ball"]))},
+    ),
+    "rearrange": (
+        {"--input": _values(st.sampled_from(["GRID", "JUNK", "MISSING"])), "--alpha": _values(FUZZ_REALS)},
+        {"--levels": _values(FUZZ_COUNTS)},
+    ),
+    "sobolev": (
+        {"--resolution": _values(FUZZ_COUNTS)},
+        {"--alphas": _values(FUZZ_REALS, 1, 3), "--minimize": FUZZ_FLAG},
+    ),
+    "solve": (
+        {"--alpha": _values(FUZZ_REALS), "--q": _values(FUZZ_REALS), "--grid": _values(FUZZ_COUNTS)},
+        {"--half-width": _values(FUZZ_REALS), "--tol": _values(FUZZ_REALS)},
+    ),
+    "pohozaev": (
+        {"--p": _values(FUZZ_REALS), "--alpha": _values(FUZZ_REALS), "--grid": _values(FUZZ_COUNTS)},
+        {"--solve": FUZZ_FLAG, "--half-width": _values(FUZZ_REALS), "--tol": _values(FUZZ_REALS)},
+    ),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    always, optional = FUZZ_COMMANDS[command]
+    chosen = draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=len(optional)))
+    argv = [command]
+    for option in [*always, *chosen]:
+        argv += [option, *draw({**always, **optional}[option])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The files a fuzzed --input names: a valid grid, junk bytes, a missing path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "grid").write_bytes(SMALL_GRID)
+    (root / "junk").write_bytes(b"\xff\xfe\x00junk")
+    return {"GRID": str(root / "grid"), "JUNK": str(root / "junk"), "MISSING": str(root / "missing")}
+
+
+def run_fuzzed(argv):
+    """(exit code, stdout, stderr) of one in-process run; an exception that
+    escapes main, which a shell would show as a traceback, fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCliFuzz:
+    @settings(max_examples=40)
+    @given(cli_argvs())
+    def test_documented_exit_and_valid_json(self, fuzz_inputs, argv):
+        code, out, err = run_fuzzed([fuzz_inputs.get(a, a) for a in argv])
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err
+        if code in (0, 1):
+            strict = lambda c: pytest.fail(f"non-finite {c} in the report")  # noqa: E731
+            assert isinstance(json.loads(out, parse_constant=strict), dict)
+            assert err == ""
+        else:
+            assert out == ""
+            assert err
 
 
 class TestReportPlumbing:

@@ -212,11 +212,24 @@ def cmd_sobolev(args) -> RunReport:
     return rep
 
 
+def _cube(args):
+    """The solver's cube of --half-width and --grid; a half-width whose
+    couplings 1/h^2 are not finite is a usage error."""
+    from .solver import Domain
+
+    domain = Domain.cube(args.half_width, args.grid)
+    if not np.all(np.isfinite(1.0 / domain.spacing**2)):
+        raise DomainError(
+            f"--half-width {args.half_width!r} is too small for --grid {args.grid}: 1/h^2 is not finite"
+        )
+    return domain
+
+
 def cmd_solve(args) -> RunReport:
-    from .solver import Domain, power_nonlinearity, solve_ground_state
+    from .solver import power_nonlinearity, solve_ground_state
 
     ap = _as_alpha(args.alpha)
-    domain = Domain.cube(args.half_width, args.grid)
+    domain = _cube(args)
     nl = power_nonlinearity(args.q, ap)
     rep = RunReport("solve", vars(args).copy(), version=__version__)
     rep.resolutions = {"grid": args.grid}
@@ -245,7 +258,7 @@ def cmd_pohozaev(args) -> RunReport:
         pohozaev_coefficient,
         pohozaev_residual,
     )
-    from .solver import Domain, power_nonlinearity, solve_ground_state
+    from .solver import power_nonlinearity, solve_ground_state
 
     ap = _as_alpha(args.alpha)
     rep = RunReport("pohozaev", vars(args).copy(), version=__version__)
@@ -256,7 +269,7 @@ def cmd_pohozaev(args) -> RunReport:
     if args.solve:
         if regime != "subcritical":
             raise DomainError("identity runs need a subcritical power p < 5")
-        domain = Domain.cube(args.half_width, args.grid)
+        domain = _cube(args)
         nl = power_nonlinearity(args.p + 1.0, ap)
         sol = solve_ground_state(domain, nl, ap, args.tol)
         por = pohozaev_residual(sol.u, args.p, domain, ap)

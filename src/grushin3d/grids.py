@@ -23,17 +23,22 @@ Text format (version 1):
 All numbers are written with 17 significant digits so a write/read round
 trip is bit-exact.
 
-``save_grid`` formats the values in blocks of whole rows with one ``%``
-format per block; the bytes equal those of formatting each value on its
-own (``_format_row``, which still writes the bbox line).  ``load_grid``
-checks the three header lines, then parses the body with one
-``np.loadtxt`` call and keeps the result only when it holds exactly
-n1*n2*n3 finite values.  Anything else (a ragged layout, a token that
-``loadtxt`` rejects but ``float`` accepts, such as ``1_0``, a wrong count,
-a non-finite value) goes through the per-line reference parser
-``_parse_body``, which gives the values or the ``GridFormatError`` and
-line number.  A path ``save_grid`` cannot write raises ``OSError``; the
-CLI reports it as a usage error (exit 2).
+``save_grid`` formats the values in blocks of ``_BLOCK_VALUES`` with a
+numpy kernel whose bytes equal those of formatting each value on its own
+with ``'%.17g'`` (``_format_row``, the reference, which still writes the
+bbox line).  For 1e-6 < |x| < 1e17 the kernel scales |x| by an exact
+power of ten with Dekker's exact two-product, rounds half-even to 17
+digits in int64, reads the digits from a table of four-digit groups and
+lays each exponent out by ``%g``'s rules.  Zeros are written directly;
+every other value (|x| <= 1e-6, subnormals included, and |x| >= 1e17) is
+formatted on its own with ``%``.  ``load_grid`` checks the three header
+lines, then parses the body with one ``np.loadtxt`` call and keeps the
+result only when it holds exactly n1*n2*n3 finite values.  Anything else
+(a ragged layout, a token that ``loadtxt`` rejects but ``float`` accepts,
+such as ``1_0``, a wrong count, a non-finite value) goes through the
+per-line reference parser ``_parse_body``, which gives the values or the
+``GridFormatError`` and line number.  A path ``save_grid`` cannot write
+raises ``OSError``; the CLI reports it as a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ __all__ = ["CellGrid", "GridFunction3D", "load_grid", "save_grid", "resample", "
 
 GRID_MAGIC = "grushin-grid v1"
 
-# values per formatted block in save_grid; bounds the block string's memory
+# values per formatted block in save_grid; bounds the block's memory
 _BLOCK_VALUES = 1 << 13
 
 # a grid has at most 256^3 cells: one float64 field is then 128 MiB, and
@@ -111,6 +116,13 @@ class CellGrid:
             return np.ones(self.dims, dtype=bool)
         return self.mask
 
+    def active_sum(self, values) -> float:
+        """Sum of ``values`` over the active cells, in C order.  With every
+        cell active it sums the array itself, not a masked copy of it."""
+        if self.mask is None or self.mask.all():
+            return float(np.sum(values.ravel()))  # a view when C-ordered
+        return float(np.sum(values[self.mask]))
+
     def weight2d(self, alpha: float) -> np.ndarray:
         """|x|^{2*alpha} at cell centres; constant along the y axis."""
         x1 = self.axis_centers(0)
@@ -166,18 +178,176 @@ def _format_row(values) -> str:
     return " ".join(f"{v:.17g}" for v in values) + "\n"
 
 
+# -- the block writer: '%.17g' for whole arrays
+#
+# For 1e-6 < |x| < 1e17 the power 10^p, p = 16 - X <= 22, is an exact double,
+# so Dekker's two-product gives x * 10^p exactly as hi + lo and its 17 digits
+# follow by integer rounding.  Each value becomes a cell of _CELL bytes plus a
+# separator, padded with NULs anywhere; deleting the NULs leaves the text.
+
+_CELL = 24  # the widest '%.17g' text: '-2.2250738585072014e-308'
+_SPLIT = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
+_POW10 = np.array([float(10**p) for p in range(23)])
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _digit_groups():
+    """The ASCII of 0000 ... 9999 as uint32 words, then the same with
+    trailing zeros turned to NULs."""
+    groups = np.arange(10000)
+    chars = np.empty((2, 10000, 4), np.uint8)
+    trailing = np.ones(10000, bool)  # the digits from column k on are zeros
+    for k in (3, 2, 1, 0):
+        chars[:, :, k] = groups // 10 ** (3 - k) % 10 + ord("0")
+        trailing &= chars[0, :, k] == ord("0")
+        chars[1, trailing, k] = 0
+    return chars.view(np.uint32).ravel()
+
+
+_GROUPS = _digit_groups()
+
+# columns of a digit row: constants, the 17 digits (a lead digit, then four
+# groups of four that start on a uint32 word), the characters of an exponent
+_NUL, _POINT, _ZERO, _LEAD, _E, _MINUS, _PLUS, _CHARS = 0, 1, 2, 3, 20, 21, 22, 24
+_DIGIT_ROW = np.zeros(36, np.uint8)
+_DIGIT_ROW[[_POINT, _ZERO, _E, _MINUS, _PLUS]] = np.frombuffer(b".0e-+", np.uint8)
+_DIGIT_ROW[_CHARS : _CHARS + 10] = np.frombuffer(b"0123456789", np.uint8)
+
+
+def _cell_layout(X):
+    """Cell columns 1.._CELL-1 of a value with decimal exponent X (column 0
+    holds the sign), as digit-row columns, and the index of a point that
+    '%g' drops when no fraction digit follows it (or None)."""
+    digits = list(range(_LEAD, _LEAD + 17))
+    point = None
+    if 0 <= X < 17:
+        cols = digits[: X + 1]
+        if X < 16:
+            point = len(cols)
+            cols += [_POINT] + digits[X + 1 :]
+    elif -4 <= X < 0:
+        cols = [_ZERO, _POINT] + [_ZERO] * (-X - 1) + digits
+    else:
+        point = 1
+        cols = [digits[0], _POINT] + digits[1:] + [_E, _MINUS if X < 0 else _PLUS]
+        cols += [_CHARS + abs(X) // 10, _CHARS + abs(X) % 10]
+    return np.array(cols + [_NUL] * (_CELL - 1 - len(cols)), dtype=np.intp), point
+
+
+_LAYOUTS = [_cell_layout(X) for X in range(-6, 18)]
+
+
+def _two_product(a, p):
+    """(hi, lo) with hi + lo == a * 10^p exactly (Dekker, 1971)."""
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    hi = a * _POW10[p]
+    P_hi, P_lo = _POW10_HI[p], _POW10_LO[p]
+    lo = ((a_hi * P_hi - hi) + a_hi * P_lo + a_lo * P_hi) + a_lo * P_lo
+    return hi, lo
+
+
+def _seventeen_digits(a):
+    """(N, X) with 10^16 <= N < 10^17 and N * 10^(X-16) the value of
+    1e-6 < a < 1e17 rounded half-even to 17 significant digits."""
+    X = np.floor(np.log10(a)).astype(np.intp)
+    np.clip(X, -6, 16, out=X)  # keeps 10^(16 - X) in the exact table
+    hi, lo = _two_product(a, 16 - X)
+    # log10 can miss by one next to a power of ten: then hi + lo leaves
+    # [1e16, 1e17) and the value is scaled again
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        X[fix] += np.where(high[fix], 1, -1)
+        hi[fix], lo[fix] = _two_product(a[fix], 16 - X[fix])
+    # hi >= 1e16 > 2^53 is an even integer, so rint (half-even) of lo rounds
+    # hi + lo half-even
+    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # a carry to the next power of ten (the doubles nearest below 1e-14 and
+    # 1e98 have one; none between 1e-6 and 1e17 does)
+    carry = N == 10**17
+    N[carry] = 10**16
+    X += carry
+    return N, X
+
+
+def _lay_out(a):
+    """(order, text): row i of the uint8 array ``text`` is '%.17g' of
+    a[order[i]] (1e-6 < a < 1e17), NUL-padded to _CELL - 1 bytes."""
+    N, X = _seventeen_digits(a)
+    order = np.argsort(X.astype(np.int8), kind="stable")
+    N = N[order]
+    rows = np.empty((N.size, _DIGIT_ROW.size), np.uint8)
+    rows[:] = _DIGIT_ROW
+    rows[:, _LEAD] = N // 10**16 + ord("0")
+    low8 = N % 10**8
+    groups = [N % 10**16 // 10**12, N % 10**12 // 10**8, low8 // 10**4, low8 % 10**4]
+    # a group takes the stripped table when every later group is zero
+    zero_after = np.ones(N.size, bool)
+    words = rows.view(np.uint32)
+    for k in (3, 2, 1, 0):
+        words[:, 1 + k] = _GROUPS[groups[k] + 10000 * zero_after]
+        zero_after &= groups[k] == 0
+    # the values are sorted by exponent, and each exponent has one layout
+    text = np.empty((N.size, _CELL - 1), np.uint8)
+    start = 0
+    for exp, count in enumerate(np.bincount(X + 6, minlength=len(_LAYOUTS)).tolist(), start=-6):
+        if not count:
+            continue
+        cols, point = _LAYOUTS[exp + 6]
+        part = text[start : start + count]
+        np.take(rows[start : start + count], cols, axis=1, out=part)
+        if 0 < exp < 17:
+            # the stripped table must not strip integer digits
+            ints = part[:, 1 : exp + 1]
+            np.maximum(ints, ord("0"), out=ints)
+        if point is not None:
+            part[:, point] = np.where(part[:, point + 1], ord("."), 0)
+        start += count
+    return order, text
+
+
+def _format_block(values, start, n1) -> bytes:
+    """The bytes of '%.17g' % v for each value, followed by a space, or by
+    a newline when it ends a row of n1 values; ``values`` starts at flat
+    index ``start`` of the grid."""
+    cells = np.zeros((values.size, _CELL + 1), np.uint8)
+    cells[:, 0] = np.signbit(values) * ord("-")
+    cells[:, 1] = ord("0")  # zeros are written directly: '0' or '-0'
+    cells[:, _CELL] = ord(" ")
+    cells[(n1 - 1 - start) % n1 :: n1, _CELL] = ord("\n")
+    mag = np.abs(values)
+    fast = (mag > 1e-6) & (mag < 1e17)
+    rows = np.flatnonzero(fast)
+    if rows.size:
+        order, text = _lay_out(mag[rows])
+        cells[rows[order], 1:_CELL] = text
+    rows = np.flatnonzero(~fast & (mag != 0))
+    if rows.size:
+        cells[rows, :_CELL] = _format_each(values[rows])
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _format_each(values) -> np.ndarray:
+    """The fallback: '%.17g' % v of each value on its own, as rows of _CELL
+    bytes padded with NULs."""
+    text = (f"%-{_CELL}.17g" * values.size % tuple(values.tolist())).encode()
+    text = np.frombuffer(text, np.uint8).reshape(values.size, _CELL)
+    return np.where(text == ord(" "), 0, text)
+
+
 def save_grid(grid: GridFunction3D, path) -> None:
     n1, n2, n3 = grid.dims
     flat = grid.values.ravel(order="F")  # x1 fastest, then x2, then y
-    rows = max(1, _BLOCK_VALUES // n1)
-    row_fmt = " ".join(["%.17g"] * n1) + "\n"
     with open(path, "w") as fh:
         fh.write(GRID_MAGIC + "\n")
         fh.write(f"{n1} {n2} {n3}\n")
         fh.write(_format_row(grid.bbox.ravel()))
-        for start in range(0, flat.size, rows * n1):
-            block = flat[start : start + rows * n1].tolist()
-            fh.write((row_fmt * (len(block) // n1)) % tuple(block))
+        for start in range(0, flat.size, _BLOCK_VALUES):
+            fh.write(_format_block(flat[start : start + _BLOCK_VALUES], start, n1).decode("ascii"))
 
 
 def load_grid(path) -> GridFunction3D:

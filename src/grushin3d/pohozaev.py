@@ -118,7 +118,7 @@ def pohozaev_lhs(u: GridFunction3D, p: float, alpha) -> float:
     ap = _as_alpha(alpha)
     coef = pohozaev_coefficient(p, ap)
     w = u.weight2d(ap.alpha)[:, :, None]
-    integral = float(np.sum((w * np.abs(u.values) ** (p + 1.0))[u.active()])) * u.cell_volume
+    integral = u.active_sum(w * np.abs(u.values) ** (p + 1.0)) * u.cell_volume
     return coef * integral
 
 

@@ -87,12 +87,15 @@ class DistributionFunction:
     top: float
 
 
-def _sorted_cell_data(u: GridFunction3D, alpha: AlphaParam):
-    """Cell values and weighted cell measures, sorted by value descending."""
-    w = (u.weight2d(alpha.alpha)[:, :, None] * np.ones(u.dims[2])[None, None, :]).ravel()
+def _sorted_cell_data(u: GridFunction3D, alpha: AlphaParam, floor: float):
+    """Values above ``floor`` and their weighted cell measures, sorted by
+    value descending (stably, so in C order among equal values)."""
     vals = u.masked_values().ravel()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], w[order] * u.cell_volume
+    above = np.flatnonzero(vals > floor)
+    order = above[np.argsort(-vals[above], kind="stable")]
+    # the weight is constant along y, the fastest axis of the C order
+    w = u.weight2d(alpha.alpha).ravel()[order // u.dims[2]]
+    return vals[order], w * u.cell_volume
 
 
 def level_count(levels) -> int:
@@ -127,7 +130,9 @@ def distribution_function(u: GridFunction3D, alpha, levels=None) -> Distribution
         lv = np.asarray(levels, dtype=float)
         if np.any(np.diff(lv) <= 0):
             raise DomainError("levels must be strictly increasing")
-    sorted_vals, sorted_meas = _sorted_cell_data(u, ap)
+    # no level counts a cell at or below the lowest level, so only the cells
+    # above it are sorted
+    sorted_vals, sorted_meas = _sorted_cell_data(u, ap, lv[0])
     cum = np.concatenate([[0.0], np.cumsum(sorted_meas)])
     # measure of {u > t}: cells strictly above t (values sorted descending)
     counts = np.searchsorted(-sorted_vals, -lv, side="left")
@@ -285,9 +290,13 @@ def grushin_energy(u: Union[GridFunction3D, RadialProfile], alpha=None) -> float
         return u.dirichlet_energy()
     ap = _as_alpha(alpha)
     ux1, ux2, uy = _grid_gradients(u)
-    w = u.weight2d(ap.alpha)[:, :, None]
-    dens = ux1**2 + ux2**2 + w * uy**2
-    return float(np.sum(dens[u.active()])) * u.cell_volume
+    # ux1^2 + ux2^2 + w uy^2, squared, weighted and added in place
+    dens = np.square(ux1, out=ux1)
+    dens += np.square(ux2, out=ux2)
+    np.square(uy, out=uy)
+    uy *= u.weight2d(ap.alpha)[:, :, None]
+    dens += uy
+    return u.active_sum(dens) * u.cell_volume
 
 
 def weighted_lq_norm(u: Union[GridFunction3D, RadialProfile], q: float, alpha=None) -> float:
@@ -297,9 +306,10 @@ def weighted_lq_norm(u: Union[GridFunction3D, RadialProfile], q: float, alpha=No
     if q < 1:
         raise DomainError("q must be >= 1")
     ap = _as_alpha(alpha)
-    w = u.weight2d(ap.alpha)[:, :, None]
-    dens = w * np.abs(u.values) ** q
-    return (float(np.sum(dens[u.active()])) * u.cell_volume) ** (1.0 / q)
+    dens = np.abs(u.values)
+    dens **= q
+    dens *= u.weight2d(ap.alpha)[:, :, None]
+    return (u.active_sum(dens) * u.cell_volume) ** (1.0 / q)
 
 
 def polya_szego_gap(u: GridFunction3D, alpha, levels=None) -> float:

@@ -377,6 +377,10 @@ BAD_INPUT_LINES = {
     "sobolev --alphas 0.5 0.5000001":
         "usage error: --alphas must give distinct report keys, got alpha_0.5 alpha_0.5\n",
     "sobolev --alphas 1 1": "usage error: --alphas must give distinct report keys, got alpha_1 alpha_1\n",
+    "solve --alpha 1 --q 4 --grid 8 --half-width 1e-300":
+        "usage error: --half-width 1e-300 is too small for --grid 8: 1/h^2 is not finite\n",
+    "pohozaev --p 3 --alpha 1 --solve --grid 8 --half-width 1e-300":
+        "usage error: --half-width 1e-300 is too small for --grid 8: 1/h^2 is not finite\n",
 }
 
 
@@ -438,6 +442,9 @@ class TestBadInput:
             # alphas that share a report key would overwrite each other's results
             (["sobolev", "--alphas", "0.5", "0.5000001"], None, 2),
             (["sobolev", "--alphas", "1", "1"], None, 2),
+            # a half-width so small that the couplings 1/h^2 overflow
+            (["solve", "--alpha", "1", "--q", "4", "--grid", "8", "--half-width", "1e-300"], None, 2),
+            (["pohozaev", "--p", "3", "--alpha", "1", "--solve", "--grid", "8", "--half-width", "1e-300"], None, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

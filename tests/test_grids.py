@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from grushin3d import DomainError, GridFormatError, grids
+from grushin3d.fields import random_bump_corpus
 from grushin3d.grids import GRID_MAGIC, GridFunction3D, load_grid, resample, save_grid
 
 
@@ -126,6 +127,27 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE
 BBOX = np.array([(-1.0, 1.0), (-0.5, 0.5), (0.0, 2.0)])
 HEADER = f"{GRID_MAGIC}\n"
 
+# values and their '%.17g' text: half-even ties, the switch to scientific
+# notation below 1e-4 (log10 also puts 9.9999999999999991e-05 one decade too
+# high) and at 1e17, a 17-digit carry to the next power of ten (1e-14 is
+# 9.99999999999999998819e-15; no double the vectorised path formats carries),
+# signed zeros, subnormals and large exponents
+PINNED = [
+    (26215 * 2.0**-18, "0.10000228881835938"),
+    (26217 * 2.0**-18, "0.10000991821289062"),
+    (3 * 2.0**-24, "1.7881393432617188e-07"),
+    (1e-4, "0.0001"),
+    (9.9999999999999991e-05, "9.9999999999999991e-05"),
+    (1e16, "10000000000000000"),
+    (1e17, "1e+17"),
+    (1e-14, "1e-14"),
+    (0.0, "0"),
+    (-0.0, "-0"),
+    (5e-324, "4.9406564584124654e-324"),
+    (-5e-324, "-4.9406564584124654e-324"),
+    (1e308, "1e+308"),
+]
+
 
 def reference_bytes(grid):
     """The file as formatted one value at a time."""
@@ -150,7 +172,7 @@ class TestBulkWrite:
     )
     def test_bytes_equal_per_value_formatting(self, values, block):
         grid = GridFunction3D(BBOX, values)
-        # small blocks put block boundaries inside the grid, and inside rows' reach
+        # small blocks put block boundaries inside the grid and inside rows
         with tempfile.TemporaryDirectory() as tmp, mock.patch.object(grids, "_BLOCK_VALUES", block):
             path = Path(tmp) / "grid.txt"
             save_grid(grid, path)
@@ -163,6 +185,69 @@ class TestBulkWrite:
         grid = GridFunction3D(BBOX, rng.standard_normal((40, 30, 20)) * 1e-3)
         assert grid.values.size > 2 * grids._BLOCK_VALUES
         save_grid(grid, tmp_path / "grid.txt")
+        assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
+
+    def test_rows_longer_than_a_block_are_split(self, tmp_path):
+        values = np.random.default_rng(6).standard_normal((3 * grids._BLOCK_VALUES // 2, 2, 1))
+        grid = GridFunction3D(BBOX, values)
+        sizes = []
+
+        def recorded(values, start, n1, format_block=grids._format_block):
+            sizes.append(values.size)
+            return format_block(values, start, n1)
+
+        with mock.patch.object(grids, "_format_block", recorded):
+            save_grid(grid, tmp_path / "grid.txt")
+        assert max(sizes) == grids._BLOCK_VALUES
+        assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
+
+    @pytest.mark.parametrize("value, text", PINNED)
+    def test_pinned_value_alone(self, value, text, tmp_path):
+        save_grid(GridFunction3D(BBOX, np.full((1, 1, 1), value)), tmp_path / "grid.txt")
+        assert (tmp_path / "grid.txt").read_text().splitlines()[3] == text
+
+    @pytest.mark.parametrize("value, text", PINNED)
+    def test_pinned_value_in_block(self, value, text, tmp_path):
+        values = np.random.default_rng(3).uniform(-2.0, 2.0, (8, 8, 8))
+        values[3, 5, 2] = value
+        grid = GridFunction3D(BBOX, values)
+        save_grid(grid, tmp_path / "grid.txt")
+        tokens = (tmp_path / "grid.txt").read_text().split()[11:]  # after the three header lines
+        assert tokens[3 + 8 * 5 + 64 * 2] == text
+        assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
+
+    def test_values_next_to_powers_of_ten(self, tmp_path):
+        # log10 misses the exponent of some of these by one
+        bits = np.array([10.0**k for k in range(-7, 19)]).view(np.int64)
+        near = (bits[:, None] + np.arange(-64, 65)).view(np.float64)
+        grid = GridFunction3D(BBOX, np.concatenate([near, -near]).reshape(-1, 26, 129))
+        save_grid(grid, tmp_path / "grid.txt")
+        assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
+
+    def test_half_even_ties(self, tmp_path):
+        # m 2^-(p+1) * 10^p = m 5^p / 2 with m odd lies halfway between two
+        # 17-digit integers when 1e16 <= m 5^p / 2 < 1e17
+        rng = np.random.default_rng(4)
+        ties = []
+        for p in range(23):
+            lo, hi = int(2e16) // 5**p + 1, min(int(2e17) // 5**p, 2**53)
+            if lo < hi:
+                ties += [float(int(m) | 1) * 2.0 ** -(p + 1) for m in rng.integers(lo, hi, 40)]
+        grid = GridFunction3D(BBOX, np.array(ties).reshape(1, 1, -1))
+        save_grid(grid, tmp_path / "grid.txt")
+        assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
+
+    def test_fallback_formats_few_values_of_a_bump_field(self, tmp_path):
+        grid = random_bump_corpus(1, 1.0, resolution=96, seed=7)[0]
+        counts = []
+
+        def counted(values, format_each=grids._format_each):
+            counts.append(values.size)
+            return format_each(values)
+
+        with mock.patch.object(grids, "_format_each", counted):
+            save_grid(grid, tmp_path / "grid.txt")
+        assert 0 < sum(counts) < 0.1 * grid.values.size
         assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
 
 

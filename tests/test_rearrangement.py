@@ -56,6 +56,24 @@ class TestDistributionFunction:
             dist = distribution_function(field, 1.0)
             assert np.all(np.diff(dist.measures) <= 1e-15)
 
+    @pytest.mark.parametrize("levels", [[-1.0, 0.0, 0.5], [0.0], [-2.0, -1.0], [0.0, 1e-300, 0.3]])
+    def test_levels_at_or_below_zero_match_full_sort(self, levels):
+        # only cells above the lowest level are sorted; a sort of every cell
+        # must give the same measures bit for bit, zeros counted where t < 0
+        rng = np.random.default_rng(8)
+        values = np.maximum(rng.standard_normal((6, 8, 10)), 0.0)
+        mask = rng.uniform(size=values.shape) < 0.9
+        grid = GridFunction3D(np.array([(-1.0, 1.2), (-0.5, 1.0), (-1.0, 1.0)]), values, mask)
+        vals = grid.masked_values().ravel()
+        weights = np.broadcast_to(grid.weight2d(1.0)[:, :, None], grid.dims).ravel()
+        order = np.argsort(-vals, kind="stable")
+        cum = np.concatenate([[0.0], np.cumsum(weights[order] * grid.cell_volume)])
+        counts = [np.count_nonzero(vals > t) for t in levels]
+        dist = distribution_function(grid, 1.0, levels=np.array(levels))
+        assert dist.measures.tobytes() == cum[counts].tobytes()
+        if levels[0] < 0:
+            assert dist.measures[0] == cum[-1]  # every cell, zeros included
+
     def test_rejects_negative_values(self):
         grid = GridFunction3D(np.array([(-1, 1)] * 3), -np.ones((4, 4, 4)))
         with pytest.raises(DomainError):
@@ -199,6 +217,34 @@ class TestGrushinEnergy:
             errs.append(abs(grushin_energy(u, ap) - exact))
         order = math.log2(errs[0] / errs[2]) / 2
         assert order >= 1.8
+
+
+def quotient_grids():
+    """Fields whose quotients sum every cell (no mask, an all-true mask, a
+    broadcast one as on the sector grids, Fortran order as load_grid gives)
+    or a masked copy (a partial mask)."""
+    rng = np.random.default_rng(1)
+    # a wide range of values, so that summing in another order changes bits
+    values = np.exp(2.0 * rng.standard_normal((10, 12, 9)))
+    bbox = np.array([(-1.0, 1.0), (-0.5, 1.5), (0.0, 1.0)])
+    yield GridFunction3D(bbox, values)
+    yield GridFunction3D(bbox, np.asfortranarray(values))
+    yield GridFunction3D(bbox, values, np.ones(values.shape, bool))
+    yield GridFunction3D(bbox, values, np.broadcast_to(np.ones((10, 12, 1), bool), values.shape))
+    yield GridFunction3D(bbox, np.asfortranarray(values), rng.uniform(size=values.shape) < 0.7)
+
+
+@pytest.mark.parametrize("grid", list(quotient_grids()), ids=["none", "fortran", "all", "broadcast", "partial"])
+def test_quotients_match_masked_copy_sums(grid):
+    # the reference: whole arrays, then a masked copy of the density, in C order
+    active = np.ones(grid.dims, bool) if grid.mask is None else grid.mask
+    w = grid.weight2d(1.0)[:, :, None]
+    ux1, ux2, uy = np.gradient(grid.values, *grid.spacing, edge_order=2)
+    energy = float(np.sum((ux1**2 + ux2**2 + w * uy**2)[active])) * grid.cell_volume
+    assert grushin_energy(grid, 1.0) == energy
+    for q in (2.0, 3.5, 6.0):
+        norm = (float(np.sum((w * np.abs(grid.values) ** q)[active])) * grid.cell_volume) ** (1.0 / q)
+        assert weighted_lq_norm(grid, q, 1.0) == norm
 
 
 class TestPolyaSzego:

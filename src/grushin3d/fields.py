@@ -14,11 +14,13 @@ import numpy as np
 from .geometry import _as_alpha, sector_index
 from .grids import CellGrid, GridFunction3D
 from .rearrangement import anisotropic_radius
+from .sobolev import RayleighReport, rayleigh_quotient
 
 __all__ = [
     "compact_bump",
     "cosine_bump",
     "radial_field",
+    "SectorExtremalFamily",
     "sector_extremal_family",
     "sector_extremal_grid",
     "random_bump_corpus",
@@ -65,16 +67,11 @@ def radial_field(profile, alpha, support_radius: float, resolution: int = 96, pa
     return GridFunction3D.from_callable(fn, bbox, (resolution, resolution, resolution))
 
 
-def sector_extremal_family(
-    alpha,
-    truncation_radius: float = 20.0,
-    resolution: int = 128,
-    a: float = 1.0,
-):
-    """Builder of truncated radial extremals on one first-sector grid.
+class SectorExtremalFamily:
+    """Truncated radial extremals on one first-sector grid.
 
     The grid, the anisotropic radius r at the cell centres and the sector
-    mask are built once; the returned ``grid(b, perturbation=(),
+    mask are built once; ``family(b, perturbation=(),
     perturbation_size=0.05)`` samples
 
         u = (a + b r^2)^{-1/2} - (a + b R^2)^{-1/2}, clipped at zero,
@@ -86,26 +83,47 @@ def sector_extremal_family(
     u by (1 + s c_i g_i) with smooth bump factors g_i, to probe
     non-extremal directions.  Every call returns a new array of values; the
     radius and the mask are read-only and shared by all returned grids.
-    """
-    ap = _as_alpha(alpha)
-    aa = ap.alpha
-    R = float(truncation_radius)
-    rx = R ** (1.0 / (aa + 1.0))
-    ry = R / (aa + 1.0)
-    width = ap.sector_width
-    x2max = rx * math.sin(width) if width < math.pi / 2 else rx
-    n = int(resolution)
-    cells = CellGrid([(0.0, rx), (0.0, x2max), (-ry, ry)], (n, n, n))
-    X1, X2, Y = cells.centers(sparse=True)
-    r = anisotropic_radius(X1, X2, Y, ap)
-    r.flags.writeable = False
-    # sector membership depends on (x1, x2) only
-    x1x2 = np.stack(np.broadcast_arrays(X1[:, :, 0], X2[:, :, 0]), axis=-1)
-    mask = np.broadcast_to((sector_index(x1x2, ap) == 1)[:, :, None], r.shape)
 
-    def grid(
-        b: float = 4.0, perturbation: Sequence[float] = (), perturbation_size: float = 0.05
-    ) -> GridFunction3D:
+    ``quotient`` gives the Rayleigh quotient of the same field.  Every
+    member is even in y and the grid is centred on y = 0, so at even
+    resolution n it samples u only on the planes k >= n/2 - 1 (a view of
+    r): the integrals run over k >= n/2, plane n/2 - 1 is the mirror
+    neighbour of the y-differences and is masked out, and both integrals
+    are doubled.  The cell centres are mirror images only up to rounding,
+    so the quotient moves in its last bits.  At odd n it is
+    ``rayleigh_quotient`` of the full grid, the reference.
+    """
+
+    def __init__(self, alpha, truncation_radius: float = 20.0, resolution: int = 128, a: float = 1.0):
+        ap = _as_alpha(alpha)
+        aa = ap.alpha
+        R = float(truncation_radius)
+        rx = R ** (1.0 / (aa + 1.0))
+        ry = R / (aa + 1.0)
+        width = ap.sector_width
+        x2max = rx * math.sin(width) if width < math.pi / 2 else rx
+        n = int(resolution)
+        cells = CellGrid([(0.0, rx), (0.0, x2max), (-ry, ry)], (n, n, n))
+        X1, X2, Y = cells.centers(sparse=True)
+        r = anisotropic_radius(X1, X2, Y, ap)
+        r.flags.writeable = False
+        # sector membership depends on (x1, x2) only
+        x1x2 = np.stack(np.broadcast_arrays(X1[:, :, 0], X2[:, :, 0]), axis=-1)
+        sector = (sector_index(x1x2, ap) == 1)[:, :, None]
+        self.alpha, self.a, self.truncation_radius = ap, float(a), R
+        self.cells, self.r, self.mask = cells, r, np.broadcast_to(sector, r.shape)
+        self._half = None
+        if n % 2 == 0:
+            # planes n/2 - 1 .. n - 1; the first is the mirror plane, inactive
+            m = n // 2 - 1
+            half_mask = np.repeat(sector, n - m, axis=2)
+            half_mask[:, :, 0] = False
+            ylo = cells.bbox[2, 0] + m * cells.spacing[2]
+            self._half = CellGrid([(0.0, rx), (0.0, x2max), (ylo, ry)], (n, n, n - m), half_mask)
+            self._half_r = r[:, :, m:]
+
+    def _profile(self, r, b, perturbation, perturbation_size) -> np.ndarray:
+        a, R = self.a, self.truncation_radius
         shift = (a + b * R * R) ** -0.5
         u = np.maximum((a + b * r * r) ** -0.5 - shift, 0.0)
         for i, c in enumerate(perturbation):
@@ -113,9 +131,33 @@ def sector_extremal_family(
                 continue
             g = np.sin((i + 1) * np.pi * np.clip(r / R, 0.0, 1.0)) * compact_bump(r / R)
             u = u * (1.0 + perturbation_size * c * g)
-        return GridFunction3D(cells.bbox, u, mask)
+        return u
 
-    return grid
+    def __call__(
+        self, b: float = 4.0, perturbation: Sequence[float] = (), perturbation_size: float = 0.05
+    ) -> GridFunction3D:
+        return GridFunction3D(self.cells.bbox, self._profile(self.r, b, perturbation, perturbation_size), self.mask)
+
+    def quotient(
+        self, b: float = 4.0, q: float = 6, perturbation: Sequence[float] = (), perturbation_size: float = 0.05
+    ) -> RayleighReport:
+        """Rayleigh quotient of ``self(b, perturbation, perturbation_size)``,
+        on the y >= 0 half of the grid when the resolution is even."""
+        if self._half is None:
+            return rayleigh_quotient(self(b, perturbation, perturbation_size), q, self.alpha)
+        u = self._profile(self._half_r, b, perturbation, perturbation_size)
+        return rayleigh_quotient(GridFunction3D(self._half.bbox, u, self._half.mask), q, self.alpha, copies=2)
+
+
+def sector_extremal_family(
+    alpha,
+    truncation_radius: float = 20.0,
+    resolution: int = 128,
+    a: float = 1.0,
+) -> SectorExtremalFamily:
+    """Builder of truncated radial extremals on one first-sector grid; see
+    ``SectorExtremalFamily``."""
+    return SectorExtremalFamily(alpha, truncation_radius, resolution, a)
 
 
 def sector_extremal_grid(

@@ -80,9 +80,9 @@ def sector_count(alpha: float) -> int:
     ``MAX_SECTOR_COUNT``."""
     if not 0 < alpha < math.inf:
         raise DomainError(f"alpha must be positive and finite, got {alpha}")
-    n = int(math.ceil(alpha + 1.0))
+    n = math.ceil(alpha) + 1  # exact; ceil(alpha + 1.0) rounds alpha + 1 first
     if n > MAX_SECTOR_COUNT:
-        raise DomainError(f"alpha must be at most {MAX_SECTOR_COUNT - 1}, got {alpha:g}")
+        raise DomainError(f"alpha must be at most {MAX_SECTOR_COUNT - 1}, got {float(alpha)!r}")
     return n
 
 

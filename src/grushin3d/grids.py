@@ -37,8 +37,10 @@ result only when it holds exactly n1*n2*n3 finite values.  Anything else
 (a ragged layout, a token that ``loadtxt`` rejects but ``float`` accepts,
 such as ``1_0``, a wrong count, a non-finite value) goes through the
 per-line reference parser ``_parse_body``, which gives the values or the
-``GridFormatError`` and line number.  A path ``save_grid`` cannot write
-raises ``OSError``; the CLI reports it as a usage error (exit 2).
+``GridFormatError`` and line number.  The values are then copied once
+into C order, so that sums over the loaded grid need no copy of their own.
+A path ``save_grid`` cannot write raises ``OSError``; the CLI reports it as
+a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -382,7 +384,8 @@ def load_grid(path) -> GridFunction3D:
     vals = _parse_body_bulk(lines, total)
     if vals is None:
         vals = _parse_body(lines, total)
-    return GridFunction3D(bbox, vals.reshape(dims, order="F"))
+    del lines  # free the text before the values are copied into C order
+    return GridFunction3D(bbox, np.ascontiguousarray(vals.reshape(dims, order="F")))
 
 
 def _parse_body_bulk(lines, total):

@@ -159,11 +159,15 @@ class RayleighReport:
     q: float
 
 
-def rayleigh_quotient(u: GridFunction3D, q: float, alpha) -> RayleighReport:
-    """energy(u)^{1/2} / ||u||_{Lq_w} on the grid function's active cells."""
+def rayleigh_quotient(u: GridFunction3D, q: float, alpha, copies: int = 1) -> RayleighReport:
+    """energy(u)^{1/2} / ||u||_{Lq_w} on the grid function's active cells.
+
+    ``copies`` counts both integrals that many times: a grid that holds one
+    of two mirror-image halves of a field passes 2 and gets the quotient of
+    the whole field."""
     ap = _as_alpha(alpha)
-    num = grushin_energy(u, ap)
-    den = weighted_lq_norm(u, q, ap)
+    num = copies * grushin_energy(u, ap)
+    den = copies ** (1.0 / q) * weighted_lq_norm(u, q, ap)
     if den == 0.0:
         raise DomainError("Rayleigh quotient of the zero function")
     return RayleighReport(num, den, math.sqrt(num) / den, ap.alpha, q)
@@ -212,13 +216,17 @@ def minimize_rayleigh(
 
     Only the critical exponent is accepted: for q != 6 the infimum is 0 or
     degenerate by the anisotropic scaling law.  The family is the truncated
-    radial extremal (a + b r^2)^{-1/2} on one sector grid, built once.  The
-    concentration b is found by Brent's bounded search (parabolic steps
-    with golden-section fallback, to 1e-3 on log b in [log 0.5, log 32]);
-    ``_golden_min`` is the reference it replaced.  Optional
-    low-dimensional perturbations multiply the profile by (1 + c_i g_i)
-    with smooth angular bumps g_i, and each c_i in {-1, 1} is tried in
-    turn.  Deterministic throughout.
+    radial extremal (a + b r^2)^{-1/2} on one sector grid, built once, and
+    each quotient is the family's ``quotient``: at even ``resolution`` it
+    is taken on the y >= 0 half of the grid, which the y -> -y symmetry of
+    the family makes exact up to rounding (the last bits move against
+    ``rayleigh_quotient`` of the full grid); at odd ``resolution`` it is
+    that full-grid quotient.  The concentration b is found by Brent's
+    bounded search (parabolic steps with golden-section fallback, to 1e-3
+    on log b in [log 0.5, log 32]); ``_golden_min`` is the reference it
+    replaced.  Optional low-dimensional perturbations multiply the profile
+    by (1 + c_i g_i) with smooth radial bumps g_i, which keep u even in y,
+    and each c_i in {-1, 1} is tried in turn.  Deterministic throughout.
     """
     if q != 6:
         raise DomainError(
@@ -234,8 +242,7 @@ def minimize_rayleigh(
     def quotient_of(log_b, coeffs=()):
         nonlocal evals
         evals += 1
-        u = family(math.exp(log_b), coeffs, perturbation_size)
-        return rayleigh_quotient(u, 6, ap).quotient
+        return family.quotient(math.exp(log_b), 6, coeffs, perturbation_size).quotient
 
     res = minimize_scalar(
         quotient_of, bounds=(math.log(0.5), math.log(32.0)), method="bounded", options={"xatol": 1e-3}

@@ -56,14 +56,25 @@ class TestSectorCount:
         assert sector_count(16383.0) == 16384
         with pytest.raises(DomainError):
             sector_count(16383.5)
+        with pytest.raises(DomainError, match="got 16383.000000000002"):
+            sector_count(16383.000000000002)
         with pytest.raises(DomainError):
             AlphaParam(1e300)
 
+    def test_alpha_near_integers(self):
+        # alpha + 1.0 rounds these to an integer, but n >= alpha + 1 holds
+        # in exact arithmetic only for the larger n
+        assert sector_count(1e-300) == 2
+        assert sector_count(1.0000000000000002) == 3
+        assert sector_count(math.nextafter(2.0, 0.0)) == 3
+
     @given(st.floats(min_value=1e-3, max_value=50.0, allow_nan=False))
     def test_minimality(self, alpha):
+        # n - 1 and n - 2 are exact integers, so these compare alpha + 1
+        # with n without rounding it
         n = sector_count(alpha)
-        assert n >= alpha + 1
-        assert n - 1 < alpha + 1
+        assert n - 1 >= alpha
+        assert n - 2 < alpha
 
 
 class TestSectorOfPoint:

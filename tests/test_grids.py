@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from grushin3d import DomainError, GridFormatError, grids
 from grushin3d.fields import random_bump_corpus
 from grushin3d.grids import GRID_MAGIC, GridFunction3D, load_grid, resample, save_grid
+from grushin3d.rearrangement import distribution_function, grushin_energy, weighted_lq_norm
 
 
 @pytest.fixture
@@ -305,6 +306,30 @@ class TestBulkRead:
         with pytest.raises(GridFormatError, match="more values than") as err:
             load_grid(path)
         assert err.value.line == 4
+
+
+class TestLoadedLayout:
+    @pytest.mark.parametrize("bulk", [True, False])
+    def test_values_c_ordered_and_equal_to_reference(self, bulk, tmp_path, monkeypatch):
+        grid = random_bump_corpus(1, 1.0, resolution=6, seed=3)[0]
+        path = tmp_path / "grid.txt"
+        save_grid(grid, path)
+        if not bulk:
+            monkeypatch.setattr(grids, "_parse_body_bulk", lambda lines, total: None)
+        values = load_grid(path).values
+        lines = path.read_text().splitlines()
+        assert values.flags.c_contiguous
+        assert values.tobytes() == grids._parse_body(lines, grid.values.size).reshape(grid.dims, order="F").tobytes()
+
+    def test_sums_equal_on_either_layout(self):
+        c_grid = random_bump_corpus(1, 1.0, resolution=24, seed=5)[0]
+        f_grid = GridFunction3D(c_grid.bbox, np.asfortranarray(c_grid.values))
+        assert f_grid.values.flags.f_contiguous and not f_grid.values.flags.c_contiguous
+        dist_c, dist_f = distribution_function(c_grid, 1.0), distribution_function(f_grid, 1.0)
+        assert dist_f.measures.tobytes() == dist_c.measures.tobytes()
+        for q in (2, 6):
+            assert weighted_lq_norm(f_grid, q, 1.0) == weighted_lq_norm(c_grid, q, 1.0)
+        assert grushin_energy(f_grid, 1.0) == grushin_energy(c_grid, 1.0)
 
 
 class TestResample:

@@ -223,6 +223,40 @@ class TestSectorExtremalFamily:
             assert not got.mask.all()
 
 
+class TestHalfGridQuotient:
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 25, 32])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_matches_full_grid(self, alpha, resolution):
+        # even n: the y >= 0 half with its mirror plane; odd n: the full grid
+        # (n = 2 differences with edge order 1); α = 2 has a sector wall
+        family = sector_extremal_family(alpha, resolution=resolution)
+        for b in (0.7, 4.0, 22.77):
+            for coeffs in ((), (-1.0, 0.0, 1.0)):
+                half = family.quotient(b, 6, coeffs)
+                full = rayleigh_quotient(family(b, coeffs), 6, alpha)
+                assert half.quotient == pytest.approx(full.quotient, rel=1e-13, abs=0.0)
+                assert half.numerator_sq == pytest.approx(full.numerator_sq, rel=1e-13, abs=0.0)
+                assert half.denominator == pytest.approx(full.denominator, rel=1e-13, abs=0.0)
+                if resolution % 2:
+                    assert half == full
+
+    def test_half_grid_drops_mirror_plane(self):
+        family = sector_extremal_family(2.0, resolution=8)
+        half = family._half
+        assert half.dims == (8, 8, 5)
+        assert half.spacing == pytest.approx(family.cells.spacing, rel=1e-15, abs=0.0)
+        assert not half.mask[:, :, 0].any()
+        assert np.array_equal(half.mask[:, :, 1:], family.mask[:, :, 4:])
+        assert np.shares_memory(family._half_r, family.r)
+
+    def test_copies_scale_the_quotient(self):
+        # twice both integrals: the quotient grows by 2^(1/2 - 1/q)
+        u = sector_extremal_grid(1.0, b=4.0, resolution=16)
+        one, two = rayleigh_quotient(u, 6, 1.0), rayleigh_quotient(u, 6, 1.0, copies=2)
+        assert two.numerator_sq == 2 * one.numerator_sq
+        assert two.quotient == pytest.approx(2 ** (1 / 3) * one.quotient, rel=1e-15)
+
+
 def golden_reference(alpha, resolution):
     """Reference search: golden section on log b, a fresh grid per value."""
     ap = AlphaParam(alpha)
@@ -245,7 +279,8 @@ class TestBrentSearch:
 
     def test_perturbation_trials_skip_zero(self):
         # a c_i = 0 trial can never win, so the search tries only -1 and 1:
-        # the same result as the three-value loop below, at 2 trials per c_i
+        # the same result as the three-value loop below, at 2 trials per c_i;
+        # the loop takes the search's own quotient, so the match is exact
         ap = AlphaParam(1.0)
         base = minimize_rayleigh(ap, resolution=24)
         rep = minimize_rayleigh(ap, resolution=24, perturbations=2)
@@ -257,7 +292,7 @@ class TestBrentSearch:
             for c in (-1.0, 0.0, 1.0):
                 trial = list(coeffs)
                 trial[i] = c
-                val = rayleigh_quotient(family(base.profile_scale, tuple(trial)), 6, ap).quotient
+                val = family.quotient(base.profile_scale, 6, tuple(trial)).quotient
                 if val < best:
                     best, coeffs = val, trial
         assert rep.estimate == best

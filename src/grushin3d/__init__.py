@@ -64,15 +64,11 @@ from .sobolev import (
 from .solver import (
     Domain,
     GrushinOperator,
-    Nonlinearity,
     Problem,
     SolutionReport,
-    embedding_check,
     linear_solve,
     poincare_constant,
-    power_nonlinearity,
     solve_ground_state,
-    validate_growth_conditions,
 )
 from .transform import (
     PolarTriple,

@@ -226,14 +226,13 @@ def _cube(args):
 
 
 def cmd_solve(args) -> RunReport:
-    from .solver import power_nonlinearity, solve_ground_state
+    from .solver import solve_ground_state
 
     ap = _as_alpha(args.alpha)
     domain = _cube(args)
-    nl = power_nonlinearity(args.q, ap)
     rep = RunReport("solve", vars(args).copy(), version=__version__)
     rep.resolutions = {"grid": args.grid}
-    sol = solve_ground_state(domain, nl, ap, args.tol)
+    sol = solve_ground_state(domain, args.q, ap, args.tol)
     unorm = float(np.sqrt(np.sum(sol.u.values**2) * domain.cell_volume))
     rep.results["energy"] = sol.energy
     rep.results["weak_residual"] = sol.gradient_norm
@@ -258,7 +257,7 @@ def cmd_pohozaev(args) -> RunReport:
         pohozaev_coefficient,
         pohozaev_residual,
     )
-    from .solver import power_nonlinearity, solve_ground_state
+    from .solver import solve_ground_state
 
     ap = _as_alpha(args.alpha)
     rep = RunReport("pohozaev", vars(args).copy(), version=__version__)
@@ -270,8 +269,7 @@ def cmd_pohozaev(args) -> RunReport:
         if regime != "subcritical":
             raise DomainError("identity runs need a subcritical power p < 5")
         domain = _cube(args)
-        nl = power_nonlinearity(args.p + 1.0, ap)
-        sol = solve_ground_state(domain, nl, ap, args.tol)
+        sol = solve_ground_state(domain, args.p + 1.0, ap, args.tol)
         por = pohozaev_residual(sol.u, args.p, domain, ap)
         rep.resolutions = {"grid": args.grid}
         rep.results["lhs"] = por.lhs

@@ -14,11 +14,12 @@ zeros would shift the boundary by h/2 and drop to first order.
 
 The domain is a ``Domain``, whose cell geometry (spacing, centres, active
 mask, the weight |x|^{2a} at the centres) is the shared ``CellGrid`` of
-the grids module.  A ``Problem`` ties a domain, alpha and a nonlinearity
-together, builds the stencil operator A once, and holds the discrete
-algebra of (P): the energy functional
+the grids module.  A ``Problem`` ties a domain, alpha and the exponent q
+of the power nonlinearity f(x, y, u) = |x|^{2a} |u|^{q-2} u together,
+builds the stencil operator A once, and holds the discrete algebra of (P):
+the energy functional
 
-    Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV,
+    Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV,   F = |x|^{2a} |u|^q / q,
 
 its gradient A u - f(., u) (the exact derivative of the discrete energy),
 the weak residual and the Nehari scaling.  Ground states are computed by
@@ -52,7 +53,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -62,16 +63,12 @@ from .grids import CellGrid, GridFunction3D, check_grid
 
 __all__ = [
     "Domain",
-    "Nonlinearity",
-    "power_nonlinearity",
     "SolutionReport",
     "GrushinOperator",
     "linear_solve",
     "Problem",
     "solve_ground_state",
     "poincare_constant",
-    "embedding_check",
-    "validate_growth_conditions",
 ]
 
 
@@ -106,10 +103,6 @@ class Domain(CellGrid):
 
     def grid_function(self, values) -> GridFunction3D:
         return GridFunction3D(self.bbox, values, self.mask)
-
-    def weighted_measure(self, alpha) -> float:
-        w2d = self.weight2d(_as_alpha(alpha).alpha)
-        return float(np.sum(w2d * self.active().sum(axis=2))) * self.cell_volume
 
     @classmethod
     def cube(cls, half_width: float = 1.0, n: int = 48) -> "Domain":
@@ -281,83 +274,44 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=
 
 
 @dataclass(frozen=True)
-class Nonlinearity:
-    """Reaction term f(x1, x2, y, xi) with primitive F and growth metadata."""
-
-    f: Callable
-    F: Callable
-    kind: str = "custom"
-    q: Optional[float] = None
-    # witnesses for the growth conditions, when known
-    growth: Optional[dict] = None
-
-    def __post_init__(self):
-        if self.kind == "power" and not self.q:
-            raise DomainError("power nonlinearity needs an exponent q")
-
-
-def power_nonlinearity(q: float, alpha) -> Nonlinearity:
-    """f = |x|^{2a} |xi|^{q-2} xi, F = |x|^{2a} |xi|^q / q."""
-    a = _as_alpha(alpha).alpha
-
-    def f(x1, x2, y, xi):
-        w = (np.asarray(x1) ** 2 + np.asarray(x2) ** 2) ** a
-        return w * np.abs(xi) ** (q - 2.0) * xi
-
-    def F(x1, x2, y, xi):
-        w = (np.asarray(x1) ** 2 + np.asarray(x2) ** 2) ** a
-        return w * np.abs(xi) ** q / q
-
-    ones = lambda x1, x2, y: np.ones_like(np.asarray(x1), dtype=float)  # noqa: E731
-    zeros = lambda x1, x2, y: np.zeros_like(np.asarray(x1), dtype=float)  # noqa: E731
-    growth = {
-        # witnesses: |f| <= |x|^{2a}(0 + 1 * |xi|^{q-1}); p2 saturates the
-        # embedding constraint q p2/(p2-1) <= 6, f1 = 0 admits any p1
-        "p1": 2.0,
-        "p2": 6.0 / (6.0 - q) if q < 6.0 else math.inf,
-        "q": float(q),
-        "C": 1.0,
-        "f1": zeros,
-        "f2": ones,
-        "psi": ones,
-        "phi_lower": zeros,
-    }
-    return Nonlinearity(f=f, F=F, kind="power", q=float(q), growth=growth)
-
-
-@dataclass(frozen=True)
 class Problem:
-    """Problem (P) on a domain: the stencil operator A, built once, and the
-    discrete energy algebra on it.
+    """Problem (P) on a domain with the power nonlinearity of exponent q:
+    the stencil operator A, built once, and the discrete energy algebra on
+    it.
 
-    ``f`` and ``F`` of the nonlinearity are evaluated on the broadcastable
-    cell-centre axes (``CellGrid.centers(sparse=True)``), so they must
-    broadcast like numpy ufuncs.  Integrals run over active cells with the
-    cell volume dV.
+    f(x, y, u) = w |u|^{q-2} u and F(x, y, u) = w |u|^q / q, with the weight
+    w = |x|^{2a} = ``op.weight2d`` at the cell centres.  Integrals run over
+    active cells with the cell volume dV.
     """
 
     domain: Domain
     alpha: AlphaParam  # a float is converted
-    nonlinearity: Nonlinearity
+    q: float
     op: GrushinOperator = field(init=False, repr=False)
 
     def __post_init__(self):
+        q = float(self.q)
+        # written so that NaN fails too
+        if not 2.0 < q < math.inf:
+            raise DomainError(f"power exponent needs 2 < q < inf, got q={q}")
         ap = _as_alpha(self.alpha)
+        op = GrushinOperator(self.domain, ap)
+        object.__setattr__(self, "q", q)
         object.__setattr__(self, "alpha", ap)
-        object.__setattr__(self, "op", GrushinOperator(self.domain, ap))
-        object.__setattr__(self, "_centers", self.domain.centers(sparse=True))
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "_weight", op.weight2d[:, :, None])
         object.__setattr__(self, "_active", self.domain.active())
 
     def energy(self, u: np.ndarray) -> float:
         """Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV."""
-        Fvals = self.nonlinearity.F(*self._centers, u)
+        Fvals = self._weight * np.abs(u) ** self.q / self.q
         return 0.5 * self.op.quadratic_form(u) - float(np.sum(Fvals[self._active])) * self.domain.cell_volume
 
     def evaluate(self, u: np.ndarray):
         """(A u, f(., u), the L2 gradient density A u - f(., u)); the
         gradient is zero on inactive cells."""
         Au = self.op(u)
-        fu = self.nonlinearity.f(*self._centers, u)
+        fu = self._weight * np.abs(u) ** (self.q - 2.0) * u
         g = Au - fu
         if self.domain.mask is not None:
             g = np.where(self.domain.mask, g, 0.0)
@@ -375,14 +329,13 @@ class Problem:
         return self.norm(self.gradient(u))
 
     def power_term(self, u: np.ndarray) -> float:
-        """sum |x|^{2a} |u|^q dV, q the exponent of the power nonlinearity."""
-        w = self.op.weight2d[:, :, None]
-        return float(np.sum((w * np.abs(u) ** self.nonlinearity.q)[self._active])) * self.domain.cell_volume
+        """sum |x|^{2a} |u|^q dV."""
+        return float(np.sum((self._weight * np.abs(u) ** self.q)[self._active])) * self.domain.cell_volume
 
     def nehari_factor(self, a: float, b: float) -> float:
         """t with t v on the Nehari set, given a = <A v, v> dV and
         b = power_term(v): t = (a/b)^{1/(q-2)}."""
-        return (a / b) ** (1.0 / (self.nonlinearity.q - 2.0))
+        return (a / b) ** (1.0 / (self.q - 2.0))
 
 
 @dataclass
@@ -408,7 +361,7 @@ def _default_initial(domain: Domain) -> np.ndarray:
 
 def solve_ground_state(
     domain: Domain,
-    nonlinearity: Nonlinearity,
+    q: float,
     alpha,
     tol: float = 1e-6,
     initial: Optional[np.ndarray] = None,
@@ -416,7 +369,7 @@ def solve_ground_state(
     """Nehari-projected preconditioned descent with a Newton finish, for the
     subcritical problem, run until the weak residual is at most ``tol``.
 
-    Requires the power kind with 2 < q < 6 (the compact embedding range).
+    f = |x|^{2a} |u|^{q-2} u with 2 < q < 6 (the compact embedding range).
     A descent step moves toward A^{-1} f(u), line-searches the energy along
     that direction (a halving ladder of step factors), and
     projects back onto the Nehari set; its line search keeps only candidates
@@ -428,20 +381,17 @@ def solve_ground_state(
     and that outer step descends instead.  ``iterations`` counts outer
     steps, Newton or descent.  Boxes and masked domains take the same path.
     """
-    return _ground_state(domain, nonlinearity, alpha, tol, initial, newton=True)
+    return _ground_state(domain, q, alpha, tol, initial, newton=True)
 
 
-def _ground_state(domain, nonlinearity, alpha, tol, initial, newton):
+def _ground_state(domain, q, alpha, tol, initial, newton):
     """The solver loop; ``newton=False`` is the descent alone, the reference
     the Newton finish is tested against."""
     _check_tol(tol)
-    if nonlinearity.kind != "power":
-        raise DomainError("ground-state solver requires a power nonlinearity")
-    q = nonlinearity.q
     if not 2.0 < q < 6.0:
         raise DomainError(f"subcritical existence run needs 2 < q < 6, got q={q}")
-    prob = Problem(domain, alpha, nonlinearity)
-    op, b_term = prob.op, prob.power_term
+    prob = Problem(domain, alpha, q)
+    op, b_term, q = prob.op, prob.power_term, prob.q
     vol = domain.cell_volume
 
     def nehari_factor(a, b):
@@ -557,15 +507,16 @@ def _newton_step(prob: Problem, u: np.ndarray, rhs: np.ndarray):
     f'(u) = (q - 1) |x|^{2a} |u|^{q-2}, by MINRES (Paige & Saunders 1975):
     the Jacobian is symmetric but indefinite at a mountain-pass point, so CG
     does not apply.  MINRES is preconditioned with the operator's SPD box
-    solver (restricted to the active cells on a mask) and stops at a relative residual of 1e-3 or after 50 iterations.
+    solver (restricted to the active cells on a mask) and stops at a
+    relative residual of 1e-3 or after 50 iterations.
     Returns (candidate, MINRES iterations); the candidate is None when
     u + delta has no finite, nonzero Nehari multiple.
     """
     from scipy.sparse.linalg import LinearOperator, minres
 
     op, dims = prob.op, prob.domain.dims
-    q = prob.nonlinearity.q
-    fprime = (q - 1.0) * op.weight2d[:, :, None] * np.abs(u) ** (q - 2.0)
+    q = prob.q
+    fprime = (q - 1.0) * prob._weight * np.abs(u) ** (q - 2.0)
     size = rhs.size
 
     def jacobian(x):
@@ -647,117 +598,3 @@ def poincare_constant(domain: Domain, alpha, max_iter: int = 200) -> float:
     if not rel <= 1e-9:
         raise IterationError(f"LOBPCG did not converge in {max_iter} iterations", last_residual=rel)
     return lam
-
-
-@dataclass(frozen=True)
-class EmbeddingReport:
-    q: float
-    constant: float
-    worst_ratio: float
-    margins: np.ndarray
-    violations: int
-
-
-def embedding_check(domain: Domain, q: float, alpha, fields, slack: float = 0.02) -> EmbeddingReport:
-    """Check ||u||_{Lq_w} <= C_q ||grad_G u|| for each field supported in Omega.
-
-    C_q couples the critical-exponent lower bound with Hoelder interpolation:
-    C_q = |Omega|_w^{1/q - 1/6} / L_w(alpha).  Ratios above 1 + slack count
-    as violations.
-    """
-    from .sobolev import sobolev_lower_bound
-
-    if not 1.0 <= q <= 6.0:
-        raise DomainError("embedding range is 1 <= q <= 6")
-    ap = _as_alpha(alpha)
-    prob = Problem(domain, ap, power_nonlinearity(q, ap))
-    L = sobolev_lower_bound(ap)
-    c_q = domain.weighted_measure(ap) ** (1.0 / q - 1.0 / 6.0) / L
-    ratios = []
-    for fld in fields:
-        u = fld.values if isinstance(fld, GridFunction3D) else np.asarray(fld)
-        norm_q = prob.power_term(u) ** (1.0 / q)
-        grad = math.sqrt(prob.op.quadratic_form(u))
-        if grad == 0.0:
-            continue
-        ratios.append(norm_q / (c_q * grad))
-    margins = np.asarray(ratios)
-    return EmbeddingReport(
-        q=q,
-        constant=c_q,
-        worst_ratio=float(margins.max(initial=0.0)),
-        margins=margins,
-        violations=int(np.sum(margins > 1.0 + slack)),
-    )
-
-
-def validate_growth_conditions(nonlinearity: Nonlinearity, domain: Domain, alpha, stride: int = 4):
-    """Sampling-based verdicts for the five superlinear growth conditions.
-
-    Probes the growth bound, local boundedness, the integrable lower bound,
-    the asymptotic limits of f/(|x|^{2a} xi) at 0 and infinity, and the
-    monotonicity of f/xi on finite sample grids.  A "pass" is heuristic
-    evidence (finite sampling cannot certify limits); a "fail" is a
-    definite counterexample.
-    """
-    g = nonlinearity.growth
-    keys = ("A1", "A2", "A3", "A4", "A5")
-    if not g:
-        return {k: "not-applicable" for k in keys}
-    X1, X2, Y = (c[::stride, ::stride, ::stride] for c in domain.centers())
-    w = domain.weight2d(_as_alpha(alpha).alpha)[::stride, ::stride, None]
-    verdicts = {}
-
-    # A1: |f| <= |x|^{2a}(f1 + f2 |xi|^{q-1}) plus the exponent constraints
-    q, p1, p2 = g["q"], g["p1"], g["p2"]
-    exponents_ok = (
-        p2 > 1.0
-        and q * p2 / (p2 - 1.0) <= 6.0 + 1e-12
-        and p1 > 6.0 * p2 / (p2 * (q - 1.0) + 6.0)
-        and p1 > 1.5
-    )
-    bound_ok = all(
-        bool(
-            np.all(
-                np.abs(nonlinearity.f(X1, X2, Y, xi))
-                <= w * (g["f1"](X1, X2, Y) + g["f2"](X1, X2, Y) * abs(xi) ** (q - 1.0)) * (1 + 1e-9)
-                + 1e-300
-            )
-        )
-        for xi in (-50.0, -2.0, -0.5, 0.5, 2.0, 50.0)
-    )
-    verdicts["A1"] = "pass (heuristic)" if (exponents_ok and bound_ok) else "fail"
-
-    # A2: |f| <= |x|^{2a} psi for |xi| <= C
-    C = g["C"]
-    ok = all(
-        bool(np.all(np.abs(nonlinearity.f(X1, X2, Y, xi)) <= w * g["psi"](X1, X2, Y) + 1e-300))
-        for xi in np.linspace(-C, C, 9)
-    )
-    verdicts["A2"] = "pass (heuristic)" if ok else "fail"
-
-    # A3: phi_lower <= f(., xi)/xi for xi > 0, with phi_lower non-positive
-    ok = bool(np.all(g["phi_lower"](X1, X2, Y) <= 0.0)) and all(
-        bool(np.all(g["phi_lower"](X1, X2, Y) <= nonlinearity.f(X1, X2, Y, xi) / xi + 1e-12))
-        for xi in (1e-3, 0.1, 1.0, 10.0)
-    )
-    verdicts["A3"] = "pass (heuristic)" if ok else "fail"
-
-    # A4: f(., 0) = 0; f/(|x|^{2a} xi) -> 0 at 0 and -> infinity at infinity
-    zero_ok = bool(np.all(np.abs(nonlinearity.f(X1, X2, Y, 0.0)) <= 1e-300))
-    wpos = np.where(w > 0, w, np.inf)
-    small = np.abs(nonlinearity.f(X1, X2, Y, 1e-6)) / (wpos * 1e-6)
-    big = np.abs(nonlinearity.f(X1, X2, Y, 1e6)) / (wpos * 1e6)
-    limits_ok = bool(np.all(small <= 1e-3)) and bool(np.all(big >= 1e3))
-    verdicts["A4"] = "pass (heuristic)" if (zero_ok and limits_ok) else "fail"
-
-    # A5: f/xi nondecreasing for xi >= C and nonincreasing in xi on xi <= -C;
-    # the latter sampled at xi = -x with x increasing, so the ratio must rise
-    xs = np.geomspace(C, 100 * C, 8)
-    up = [float(np.mean(nonlinearity.f(X1, X2, Y, x) / x)) for x in xs]
-    down = [float(np.mean(nonlinearity.f(X1, X2, Y, -x) / -x)) for x in xs]
-    mono = all(b >= a_ - 1e-12 for a_, b in zip(up, up[1:])) and all(
-        b >= a_ - 1e-12 for a_, b in zip(down, down[1:])
-    )
-    verdicts["A5"] = "pass (heuristic)" if mono else "fail"
-    return verdicts

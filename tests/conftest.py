@@ -6,7 +6,7 @@ from hypothesis import settings
 
 from grushin3d import AlphaParam, QuadratureConfig
 from grushin3d.grids import resample
-from grushin3d.solver import Domain, power_nonlinearity, solve_ground_state
+from grushin3d.solver import Domain, solve_ground_state
 
 ALPHAS = (0.5, 1.0, 2.0)
 
@@ -41,7 +41,6 @@ def ground_states():
     the resolution ladder and cached for the whole session."""
     cache = {}
     ap = AlphaParam(1.0)
-    nl = power_nonlinearity(4.0, ap)
 
     def get(n, tol=1e-6):
         if n in cache:
@@ -52,7 +51,7 @@ def ground_states():
         if smaller:
             src = cache[max(smaller)]
             initial = resample(src.u, (n, n, n), domain.bbox).values
-        cache[n] = solve_ground_state(domain, nl, ap, tol, initial=initial)
+        cache[n] = solve_ground_state(domain, 4.0, ap, tol, initial=initial)
         return cache[n]
 
     return get

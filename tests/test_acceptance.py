@@ -48,7 +48,6 @@ from grushin3d.solver import (
     Problem,
     linear_solve,
     poincare_constant,
-    power_nonlinearity,
 )
 
 ALPHAS = (0.5, 1.0, 2.0)
@@ -249,7 +248,7 @@ def test_criterion_08_solver_correctness(ground_states):
     order = math.log2(errs[0] / errs[-1]) / 3.0
 
     dom = Domain.cube(1.0, 24)
-    prob = Problem(dom, ap, power_nonlinearity(4.0, ap))
+    prob = Problem(dom, ap, 4.0)
     rng = np.random.default_rng(6)
     grad_rel = 0.0
     for _ in range(3):

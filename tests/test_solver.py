@@ -12,18 +12,15 @@ from grushin3d.grids import GridFunction3D
 from grushin3d.solver import (
     Domain,
     GrushinOperator,
-    Nonlinearity,
     Problem,
     _dirichlet_spectrum,
     _ground_state,
     _line_quadratic,
-    embedding_check,
     linear_solve,
     poincare_constant,
-    power_nonlinearity,
     solve_ground_state,
-    validate_growth_conditions,
 )
+from grushin3d.sobolev import sobolev_lower_bound
 
 AP = AlphaParam(1.0)
 
@@ -269,7 +266,7 @@ class TestSolverConfig:
             if key == "cg_tol":
                 linear_solve(GrushinOperator(dom, AP), np.ones(dom.dims), bad)
             else:
-                solve_ground_state(dom, power_nonlinearity(4.0, AP), AP, bad)
+                solve_ground_state(dom, 4.0, AP, bad)
 
 
 class TestLinearSolve:
@@ -380,13 +377,11 @@ class TestLinearSolve:
 class TestEnergyAndGradient:
     def test_energy_zero_at_zero(self):
         dom = Domain.cube(1.0, 12)
-        nl = power_nonlinearity(4.0, AP)
-        assert Problem(dom, AP, nl).energy(np.zeros(dom.dims)) == 0.0
+        assert Problem(dom, AP, 4.0).energy(np.zeros(dom.dims)) == 0.0
 
     def test_power_homogeneity(self):
         dom = Domain.cube(1.0, 12)
-        nl = power_nonlinearity(4.0, AP)
-        prob = Problem(dom, AP, nl)
+        prob = Problem(dom, AP, 4.0)
         op = prob.op
         X1, X2, Y = dom.centers()
         v = np.exp(-3 * (X1**2 + X2**2 + Y**2))
@@ -399,16 +394,15 @@ class TestEnergyAndGradient:
 
     def test_energy_tends_to_minus_infinity(self):
         dom = Domain.cube(1.0, 12)
-        nl = power_nonlinearity(4.0, AP)
         X1, X2, Y = dom.centers()
         v = np.exp(-3 * ((X1 - 0.4) ** 2 + (X2 - 0.4) ** 2 + Y**2))
-        assert Problem(dom, AP, nl).energy(1e3 * v) < 0
+        assert Problem(dom, AP, 4.0).energy(1e3 * v) < 0
 
     def test_gradient_matches_finite_differences(self):
         dom = Domain.cube(1.0, 12)
         rng = np.random.default_rng(8)
-        for nl in (power_nonlinearity(4.0, AP), power_nonlinearity(3.0, AP)):
-            prob = Problem(dom, AP, nl)
+        for q in (4.0, 3.0):
+            prob = Problem(dom, AP, q)
             u = rng.standard_normal(dom.dims) * 0.5
             v = rng.standard_normal(dom.dims)
             eps = 1e-5
@@ -418,38 +412,54 @@ class TestEnergyAndGradient:
 
     def test_gradient_zero_at_zero(self):
         dom = Domain.cube(1.0, 8)
-        nl = power_nonlinearity(4.0, AP)
-        assert np.all(Problem(dom, AP, nl).gradient(np.zeros(dom.dims)) == 0.0)
+        assert np.all(Problem(dom, AP, 4.0).gradient(np.zeros(dom.dims)) == 0.0)
 
-    def test_linear_case_gradient_is_operator(self):
-        dom = Domain.cube(1.0, 8)
-        zero = lambda x1, x2, y, xi: np.zeros_like(np.asarray(x1) + xi)  # noqa: E731
-        nl = Nonlinearity(f=zero, F=zero, kind="custom")
-        prob = Problem(dom, AP, nl)
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("q", [3.0, 4.5])
+    def test_closed_form_weight_times_power(self, q, alpha, masked):
+        # f = |x|^{2a} |u|^{q-2} u and F = |x|^{2a} |u|^q / q bit for bit,
+        # with the weight from the sparse cell centres, and the gradient is
+        # A u - f exactly
+        bbox = np.array([(-1.0, 1.2), (-0.8, 0.9), (-1.3, 1.1)])
         rng = np.random.default_rng(2)
-        u = rng.standard_normal(dom.dims)
-        assert np.allclose(prob.gradient(u), prob.op(u), atol=1e-14)
+        mask = None
+        if masked:
+            mask = rng.uniform(size=(12, 16, 10)) < 0.9
+            mask[4:7, 6:9, 4:7] = True  # around the origin cell
+        dom = Domain(bbox, (12, 16, 10), mask)
+        prob = Problem(dom, alpha, q)
+        u = np.where(dom.active(), rng.standard_normal(dom.dims), 0.0)
+        X1, X2, _ = dom.centers(sparse=True)
+        w = (X1**2 + X2**2) ** alpha
+        f = w * np.abs(u) ** (q - 2.0) * u
+        F = w * np.abs(u) ** q / q
+        Au, fu, g = prob.evaluate(u)
+        assert np.all(fu == f)
+        assert np.all(Au == prob.op(u))
+        assert np.all(g == np.where(dom.active(), Au - f, 0.0))
+        assert np.all(prob.gradient(u) == g)
+        energy = 0.5 * prob.op.quadratic_form(u) - float(np.sum(F[dom.active()])) * dom.cell_volume
+        assert prob.energy(u) == energy
+        assert prob.power_term(u) == float(np.sum((q * F)[dom.active()])) * dom.cell_volume
+
+    @pytest.mark.parametrize("q", [2.0, 1.0, math.nan, math.inf])
+    def test_problem_rejects_bad_exponents(self, q):
+        with pytest.raises(DomainError):
+            Problem(Domain.cube(1.0, 8), AP, q)
 
     def test_weak_residual_of_solved_system(self):
+        # the manufactured right-hand side is met by a linear solve
         dom = Domain.cube(1.0, 16)
         op = GrushinOperator(dom, AP)
         _, rhs = manufactured(dom)
         u = linear_solve(op, rhs, 1e-12)
-
-        def f(x1, x2, y, xi):
-            L = 1.0
-            c = lambda z: np.cos(np.pi * z / (2 * L))  # noqa: E731
-            w = np.asarray(x1) ** 2 + np.asarray(x2) ** 2
-            return (np.pi / 2) ** 2 * (2.0 + w) * c(x1) * c(x2) * c(y) + 0.0 * xi
-
-        nl = Nonlinearity(f=f, F=f, kind="custom")
-        rel = Problem(dom, AP, nl).residual(u) / math.sqrt(float(np.sum(rhs**2)) * dom.cell_volume)
+        rel = math.sqrt(float(np.sum((op(u) - rhs) ** 2)) / float(np.sum(rhs**2)))
         assert rel <= 1e-8
 
     def test_weak_residual_zero_function(self):
         dom = Domain.cube(1.0, 8)
-        nl = power_nonlinearity(4.0, AP)
-        assert Problem(dom, AP, nl).residual(np.zeros(dom.dims)) == 0.0
+        assert Problem(dom, AP, 4.0).residual(np.zeros(dom.dims)) == 0.0
 
 
 def nehari_scale(prob, u):
@@ -460,7 +470,7 @@ def nehari_scale(prob, u):
 class TestNehari:
     def test_scale_one_when_balanced(self):
         dom = Domain.cube(1.0, 16)
-        prob = Problem(dom, AP, power_nonlinearity(4.0, AP))
+        prob = Problem(dom, AP, 4.0)
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.4) ** 2 + (X2 - 0.4) ** 2 + Y**2))
         t = nehari_scale(prob, u)
@@ -468,14 +478,14 @@ class TestNehari:
 
     def test_amplitude_scaling_law(self):
         dom = Domain.cube(1.0, 16)
-        prob = Problem(dom, AP, power_nonlinearity(4.0, AP))
+        prob = Problem(dom, AP, 4.0)
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.4) ** 2 + X2**2 + Y**2))
         assert nehari_scale(prob, 2 * u) == pytest.approx(nehari_scale(prob, u) / 2, rel=1e-12)
 
     def test_projection_annihilates_pairing(self):
         dom = Domain.cube(1.0, 16)
-        prob = Problem(dom, AP, power_nonlinearity(4.0, AP))
+        prob = Problem(dom, AP, 4.0)
         op = prob.op
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.3) ** 2 + (X2 + 0.2) ** 2 + Y**2))
@@ -487,21 +497,20 @@ class TestNehari:
 
     def test_zero_rejected(self):
         dom = Domain.cube(1.0, 8)
-        nl = power_nonlinearity(4.0, AP)
         with pytest.raises(DegeneracyError):
-            solve_ground_state(dom, nl, AP, initial=np.zeros(dom.dims))
+            solve_ground_state(dom, 4.0, AP, initial=np.zeros(dom.dims))
 
 
 class TestGroundState:
     def test_small_run(self):
         dom = Domain.cube(1.0, 24)
-        nl = power_nonlinearity(4.0, AP)
-        sol = solve_ground_state(dom, nl, AP, 1e-6)
+        q = 4.0
+        sol = solve_ground_state(dom, q, AP, 1e-6)
         assert sol.gradient_norm <= 1e-6
         assert sol.energy > 0
         assert float(np.abs(sol.u.values).max()) > 1.0
         # modulus has no larger energy: facewise |a - b| <= |a| + |b|
-        prob = Problem(dom, AP, nl)
+        prob = Problem(dom, AP, q)
         e_u = prob.energy(sol.u.values)
         e_abs = prob.energy(np.abs(sol.u.values))
         assert e_abs <= e_u + 1e-10
@@ -517,15 +526,15 @@ class TestGroundState:
             X1, X2, Y = Domain(bbox, (16, 16, 16)).centers()
             mask = X1**2 + X2**2 + Y**2 < 0.9**2
         dom = Domain(bbox, (16, 16, 16), mask)
-        nl = power_nonlinearity(4.0, AP)
-        sol = solve_ground_state(dom, nl, AP, 1e-6)
-        prob = Problem(dom, AP, nl)
+        q = 4.0
+        sol = solve_ground_state(dom, q, AP, 1e-6)
+        prob = Problem(dom, AP, q)
         assert sol.gradient_norm == prob.residual(sol.u.values)
         assert sol.energy == pytest.approx(prob.energy(sol.u.values), rel=1e-12)
         assert sol.newton_steps > 0
         if masked:
             # the descent alone is the reference the Newton finish is tested against
-            ref = _ground_state(dom, nl, AP, 1e-6, None, newton=False)
+            ref = _ground_state(dom, q, AP, 1e-6, None, newton=False)
             assert ref.newton_steps == 0
             assert sol.energy == pytest.approx(ref.energy, rel=1e-12)
             assert np.abs(sol.u.values - ref.u.values).max() <= 1e-6 * np.abs(ref.u.values).max()
@@ -537,22 +546,21 @@ class TestGroundState:
         # energy of a tighter solve
         ap = AlphaParam(alpha)
         dom = ball_domain(16, 0.9)
-        nl = power_nonlinearity(q, ap)
-        sol = solve_ground_state(dom, nl, ap, 1e-6)
+        sol = solve_ground_state(dom, q, ap, 1e-6)
         assert sol.gradient_norm <= 1e-6 and sol.newton_steps > 0
         assert sol.nehari_residual <= 1e-12 * sol.energy
         assert float(sol.u.values.min()) >= 0.0
-        tight = solve_ground_state(dom, nl, ap, 1e-8)
+        tight = solve_ground_state(dom, q, ap, 1e-8)
         assert sol.energy == pytest.approx(tight.energy, rel=1e-12)
 
     def test_newton_finish_converges_where_descent_stalls(self):
         # at alpha = 0.5, q = 3 the descent alone stalls near 2.8e-4
         ap = AlphaParam(0.5)
         dom = Domain.cube(1.0, 16)
-        nl = power_nonlinearity(3.0, ap)
+        q = 3.0
         with pytest.raises(IterationError):
-            _ground_state(dom, nl, ap, 1e-6, None, newton=False)
-        sol = solve_ground_state(dom, nl, ap, 1e-6)
+            _ground_state(dom, q, ap, 1e-6, None, newton=False)
+        sol = solve_ground_state(dom, q, ap, 1e-6)
         assert sol.gradient_norm <= 1e-6
         assert sol.newton_steps > 0 and sol.minres_iterations >= sol.newton_steps
         assert sol.nehari_residual <= 1e-12 * sol.energy
@@ -564,9 +572,8 @@ class TestGroundState:
     def test_newton_finish_matches_descent(self, alpha, q):
         ap = AlphaParam(alpha)
         dom = Domain.cube(1.0, 16)
-        nl = power_nonlinearity(q, ap)
-        sol = solve_ground_state(dom, nl, ap, 1e-6)
-        ref = _ground_state(dom, nl, ap, 1e-6, None, newton=False)
+        sol = solve_ground_state(dom, q, ap, 1e-6)
+        ref = _ground_state(dom, q, ap, 1e-6, None, newton=False)
         assert sol.newton_steps > 0
         assert ref.newton_steps == ref.minres_iterations == 0
         assert sol.energy == pytest.approx(ref.energy, rel=1e-12)
@@ -592,13 +599,12 @@ class TestGroundState:
         dom = Domain.cube(1.0, 8)
         for q in (2.0, 6.0, 7.0):
             with pytest.raises(DomainError):
-                solve_ground_state(dom, power_nonlinearity(q, AP), AP)
+                solve_ground_state(dom, q, AP)
 
     def test_zero_initial_guess_degenerate(self):
         dom = Domain.cube(1.0, 8)
-        nl = power_nonlinearity(4.0, AP)
         with pytest.raises(DegeneracyError):
-            solve_ground_state(dom, nl, AP, initial=np.zeros(dom.dims))
+            solve_ground_state(dom, 4.0, AP, initial=np.zeros(dom.dims))
 
 
 POINCARE_DOMAINS = {
@@ -667,24 +673,20 @@ class TestPoincare:
         assert lam_b == pytest.approx(lam_a, rel=1e-2)
 
 
+def critical_ratios(dom, fields):
+    """L_w(alpha) ||u||_{L6_w} / ||grad_G u|| per field, with the stencil's
+    own gradient: the critical embedding bounds each by 1."""
+    prob = Problem(dom, AP, 6.0)
+    L = sobolev_lower_bound(AP)
+    us = [f.values for f in fields]
+    return np.array([prob.power_term(u) ** (1.0 / 6.0) * L / math.sqrt(prob.op.quadratic_form(u)) for u in us])
+
+
 class TestEmbedding:
     def test_critical_exponent_no_violations(self):
         dom = Domain.cube(1.0, 32)
         fields = random_bump_corpus(8, AP, resolution=32)
-        rep = embedding_check(dom, 6.0, AP, fields)
-        assert rep.violations == 0
-
-    def test_subcritical_ratio_finite(self):
-        dom = Domain.cube(1.0, 32)
-        fields = random_bump_corpus(4, AP, resolution=32)
-        rep = embedding_check(dom, 2.0, AP, fields)
-        assert np.all(np.isfinite(rep.margins))
-        assert rep.worst_ratio < 1.0
-
-    def test_range_checked(self):
-        dom = Domain.cube(1.0, 8)
-        with pytest.raises(DomainError):
-            embedding_check(dom, 7.0, AP, [])
+        assert np.all(critical_ratios(dom, fields) <= 1.02)
 
     def test_truncated_extremal_has_smallest_margin(self):
         # the near-extremal profile sits closest to the critical bound
@@ -695,39 +697,6 @@ class TestEmbedding:
         r = anisotropic_radius(X1, X2, Y, AP)
         shift = (1 + 4 * 1.0) ** -0.5  # truncation radius 1 fits in the cube
         extremal = dom.grid_function(np.maximum((1 + 4 * r * r) ** -0.5 - shift, 0.0))
-        fields = random_bump_corpus(6, AP, resolution=32) + [extremal]
-        rep = embedding_check(dom, 6.0, AP, fields)
-        assert rep.violations == 0
-        assert rep.margins[-1] == rep.margins.max()
-
-
-class TestGrowthConditions:
-    def test_power_four_passes(self):
-        dom = Domain.cube(1.0, 16)
-        verdicts = validate_growth_conditions(power_nonlinearity(4.0, AP), dom, AP)
-        assert all(v.startswith("pass") for v in verdicts.values())
-
-    def test_power_two_fails_superlinearity(self):
-        dom = Domain.cube(1.0, 16)
-        verdicts = validate_growth_conditions(power_nonlinearity(2.0, AP), dom, AP)
-        assert verdicts["A4"] == "fail"
-
-    def test_nonzero_at_origin_fails(self):
-        dom = Domain.cube(1.0, 16)
-        base = power_nonlinearity(4.0, AP)
-        shifted = Nonlinearity(
-            f=lambda x1, x2, y, xi: base.f(x1, x2, y, xi) + 1.0,
-            F=base.F,
-            kind="power",
-            q=4.0,
-            growth=base.growth,
-        )
-        verdicts = validate_growth_conditions(shifted, dom, AP)
-        assert verdicts["A4"] == "fail"
-
-    def test_missing_metadata(self):
-        dom = Domain.cube(1.0, 8)
-        zero = lambda x1, x2, y, xi: np.zeros_like(np.asarray(x1) + xi)  # noqa: E731
-        nl = Nonlinearity(f=zero, F=zero, kind="custom")
-        verdicts = validate_growth_conditions(nl, dom, AP)
-        assert set(verdicts.values()) == {"not-applicable"}
+        ratios = critical_ratios(dom, random_bump_corpus(6, AP, resolution=32) + [extremal])
+        assert np.all(ratios <= 1.02)
+        assert ratios[-1] == ratios.max()

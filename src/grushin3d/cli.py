@@ -62,11 +62,10 @@ def _shape_from_args(args):
     return make_shape(args.shape, **params)
 
 
-def cmd_geometry(args) -> RunReport:
+def cmd_geometry(args, rep: RunReport) -> None:
     ap = _as_alpha(args.alpha)
     shape = _shape_from_args(args)
     cfg = QuadratureConfig(surface_resolution=args.surface_resolution)
-    rep = RunReport("geometry", vars(args).copy(), version=__version__)
     rep.resolutions = {"surface_resolution": cfg.surface_resolution}
     vol = weighted_volume(shape, ap, cfg)
     per = perimeters(shape, ap, cfg)
@@ -81,10 +80,9 @@ def cmd_geometry(args) -> RunReport:
     rep.results["reference_quotient"] = q_ref
     rep.results["isoperimetric_deficit"] = deficit
     rep.add_check("deficit_nonnegative", deficit, -0.01 * q_ref, ">=")
-    return rep
 
 
-def cmd_transform_check(args) -> RunReport:
+def cmd_transform_check(args, rep: RunReport) -> None:
     from .shapes import ball, ball_sector
     from .transform import pushforward_perimeter_check, pushforward_volume_check
 
@@ -97,7 +95,6 @@ def cmd_transform_check(args) -> RunReport:
         shape = ball(0.35 * np.sin(half), center=(np.cos(half), np.sin(half), 0.0))
     else:
         raise DomainError(f"transform-check shape must be ball-sector or small-ball, got {args.shape!r}")
-    rep = RunReport("transform-check", vars(args).copy(), version=__version__)
     rep.resolutions = {"surface_resolution": cfg.surface_resolution}
     volchk = pushforward_volume_check(shape, ap, cfg)
     rep.results["volume_weighted"] = volchk.weighted
@@ -109,10 +106,9 @@ def cmd_transform_check(args) -> RunReport:
     rep.results["perimeter_euclidean"] = perchk.euclidean
     rep.results["perimeter_rel_gap"] = perchk.rel_gap
     rep.add_check("perimeter_pushforward_gap", perchk.rel_gap, 1e-2, "<=")
-    return rep
 
 
-def cmd_rearrange(args) -> RunReport:
+def cmd_rearrange(args, rep: RunReport) -> None:
     from .rearrangement import (
         RadialProfile,
         distribution_function,
@@ -126,7 +122,6 @@ def cmd_rearrange(args) -> RunReport:
     grid = load_grid(args.input)
     if np.any(grid.values < 0):
         raise GridFormatError("rearrangement input must be nonnegative")
-    rep = RunReport("rearrange", vars(args).copy(), version=__version__)
     rep.resolutions = {"dims": list(grid.dims), "levels": args.levels}
     # one sort of the cells serves both the profile and the equimeasurability check
     dist = distribution_function(grid, ap, args.levels)
@@ -163,10 +158,9 @@ def cmd_rearrange(args) -> RunReport:
         with _writing(args.profile_csv):
             write_csv(args.profile_csv, ["r", "phi"], list(zip(map(float, s), map(float, v))))
         rep.results["profile_csv_rows"] = float(len(s))
-    return rep
 
 
-def cmd_sobolev(args) -> RunReport:
+def cmd_sobolev(args, rep: RunReport) -> None:
     from .sobolev import (
         minimize_rayleigh,
         sobolev_lower_bound,
@@ -179,7 +173,6 @@ def cmd_sobolev(args) -> RunReport:
     keys = [f"alpha_{a:g}" for a in args.alphas]
     if len(set(keys)) < len(keys):
         raise DomainError(f"--alphas must give distinct report keys, got {' '.join(keys)}")
-    rep = RunReport("sobolev", vars(args).copy(), version=__version__)
     rep.resolutions = {"rayleigh_resolution": args.resolution}
     D = talenti_radial_constant()
     rep.results["talenti_closed_form"] = D
@@ -209,7 +202,6 @@ def cmd_sobolev(args) -> RunReport:
     if args.csv:
         with _writing(args.csv):
             write_csv(args.csv, ["alpha", "n_alpha", "D", "L_derived", "L_alt", "rayleigh_min"], rows)
-    return rep
 
 
 def _cube(args):
@@ -225,12 +217,11 @@ def _cube(args):
     return domain
 
 
-def cmd_solve(args) -> RunReport:
+def cmd_solve(args, rep: RunReport) -> None:
     from .solver import solve_ground_state
 
     ap = _as_alpha(args.alpha)
     domain = _cube(args)
-    rep = RunReport("solve", vars(args).copy(), version=__version__)
     rep.resolutions = {"grid": args.grid}
     sol = solve_ground_state(domain, args.q, ap, args.tol)
     unorm = float(np.sqrt(np.sum(sol.u.values**2) * domain.cell_volume))
@@ -248,10 +239,9 @@ def cmd_solve(args) -> RunReport:
     if args.solution_out:
         with _writing(args.solution_out):
             save_grid(sol.u, args.solution_out)
-    return rep
 
 
-def cmd_pohozaev(args) -> RunReport:
+def cmd_pohozaev(args, rep: RunReport) -> None:
     from .pohozaev import (
         nonexistence_classify,
         pohozaev_coefficient,
@@ -260,7 +250,6 @@ def cmd_pohozaev(args) -> RunReport:
     from .solver import solve_ground_state
 
     ap = _as_alpha(args.alpha)
-    rep = RunReport("pohozaev", vars(args).copy(), version=__version__)
     coef = pohozaev_coefficient(args.p, ap)
     rep.results["coefficient"] = coef
     regime = nonexistence_classify(args.p)
@@ -278,7 +267,6 @@ def cmd_pohozaev(args) -> RunReport:
         rep.results["star_shaped_min"] = por.star_shaped.min_value
         rep.add_check("identity_residual", por.residual, 0.10, "<=")
         rep.add_check("star_shaped", por.star_shaped.min_value, -1e-10, ">=")
-    return rep
 
 
 def _add_quad_args(p):
@@ -367,15 +355,15 @@ def main(argv=None) -> int:
         bad = _non_finite(vars(args).items())
         if bad is not None:
             raise DomainError(f"--{bad.replace('_', '-')} must be finite")
+        rep = RunReport(args.command, {k: v for k, v in vars(args).items() if k != "func"})
         # a NaN or overflow shows as the one line below, not as numpy warnings
         with np.errstate(all="ignore"):
-            rep = args.func(args)
+            args.func(args, rep)
         checks = ((f"check {c.name}", [c.value, c.threshold, c.margin]) for c in rep.checks)
         bad = _non_finite([*rep.results.items(), *checks])
         if bad is not None:
             raise ComputationError(f"{bad} is not finite")
         rep.wall_time_s = time.perf_counter() - t0
-        rep.params.pop("func", None)
         text = rep.to_json()
         if args.output:
             with _writing(args.output), open(args.output, "w") as fh:

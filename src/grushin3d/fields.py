@@ -7,7 +7,6 @@ randomness is seeded, so corpora are reproducible.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -21,10 +20,12 @@ __all__ = [
     "cosine_bump",
     "radial_field",
     "SectorExtremalFamily",
-    "sector_extremal_family",
     "sector_extremal_grid",
     "random_bump_corpus",
 ]
+
+# the sector extremals are cut off at r = 20
+TRUNCATION_RADIUS = 20.0
 
 
 def compact_bump(rho):
@@ -47,17 +48,17 @@ def cosine_bump(rho):
     return out
 
 
-def radial_field(profile, alpha, support_radius: float, resolution: int = 96, pad: float = 1.12) -> GridFunction3D:
+def radial_field(profile, alpha, support_radius: float, resolution: int = 96) -> GridFunction3D:
     """u(x, y) = profile(r / support_radius) on a box holding {r < radius}.
 
     ``profile`` takes the normalised radius rho in [0, 1]; values beyond
     the support are zero.  The box is the smallest axis-aligned one around
-    the anisotropic ball, slightly padded.
+    the anisotropic ball, padded by 12 %.
     """
     ap = _as_alpha(alpha)
     a = ap.alpha
-    rx = support_radius ** (1.0 / (a + 1.0)) * pad
-    ry = support_radius / (a + 1.0) * pad
+    rx = support_radius ** (1.0 / (a + 1.0)) * 1.12
+    ry = support_radius / (a + 1.0) * 1.12
     bbox = np.array([(-rx, rx), (-rx, rx), (-ry, ry)])
 
     def fn(X1, X2, Y):
@@ -71,33 +72,32 @@ class SectorExtremalFamily:
     """Truncated radial extremals on one first-sector grid.
 
     The grid, the anisotropic radius r at the cell centres and the sector
-    mask are built once; ``family(b, perturbation=(),
-    perturbation_size=0.05)`` samples
+    mask are built once; ``family(b)`` samples
 
-        u = (a + b r^2)^{-1/2} - (a + b R^2)^{-1/2}, clipped at zero,
+        u = (1 + b r^2)^{-1/2} - (1 + b R^2)^{-1/2}, clipped at zero,
 
-    with R the truncation radius, on that grid.  The grid covers the
+    with R = ``TRUNCATION_RADIUS``, on that grid.  The grid covers the
     sector's bounding box and the mask keeps cells whose centres lie
     strictly inside the sector, so the Rayleigh quotient approximates the
-    sector quotient of the profile.  Perturbation coefficients c_i multiply
-    u by (1 + s c_i g_i) with smooth bump factors g_i, to probe
-    non-extremal directions.  Every call returns a new array of values; the
-    radius and the mask are read-only and shared by all returned grids.
+    sector quotient of the profile.  Every call returns a new array of
+    values; the radius and the mask are read-only and shared by all
+    returned grids.
 
-    ``quotient`` gives the Rayleigh quotient of the same field.  Every
-    member is even in y and the grid is centred on y = 0, so at even
-    resolution n it samples u only on the planes k >= n/2 - 1 (a view of
-    r): the integrals run over k >= n/2, plane n/2 - 1 is the mirror
-    neighbour of the y-differences and is masked out, and both integrals
-    are doubled.  The cell centres are mirror images only up to rounding,
-    so the quotient moves in its last bits.  At odd n it is
-    ``rayleigh_quotient`` of the full grid, the reference.
+    ``quotient`` gives the Rayleigh quotient of the same field at the
+    critical exponent q = 6.  Every member is even in y and the grid is
+    centred on y = 0, so at even resolution n it samples u only on the
+    planes k >= n/2 - 1 (a view of r): the integrals run over k >= n/2,
+    plane n/2 - 1 is the mirror neighbour of the y-differences and is
+    masked out, and both integrals are doubled.  The cell centres are
+    mirror images only up to rounding, so the quotient moves in its last
+    bits.  At odd n it is ``rayleigh_quotient`` of the full grid, the
+    reference.
     """
 
-    def __init__(self, alpha, truncation_radius: float = 20.0, resolution: int = 128, a: float = 1.0):
+    def __init__(self, alpha, resolution: int = 128):
         ap = _as_alpha(alpha)
         aa = ap.alpha
-        R = float(truncation_radius)
+        R = TRUNCATION_RADIUS
         rx = R ** (1.0 / (aa + 1.0))
         ry = R / (aa + 1.0)
         width = ap.sector_width
@@ -110,8 +110,7 @@ class SectorExtremalFamily:
         # sector membership depends on (x1, x2) only
         x1x2 = np.stack(np.broadcast_arrays(X1[:, :, 0], X2[:, :, 0]), axis=-1)
         sector = (sector_index(x1x2, ap) == 1)[:, :, None]
-        self.alpha, self.a, self.truncation_radius = ap, float(a), R
-        self.cells, self.r, self.mask = cells, r, np.broadcast_to(sector, r.shape)
+        self.alpha, self.cells, self.r, self.mask = ap, cells, r, np.broadcast_to(sector, r.shape)
         self._half = None
         if n % 2 == 0:
             # planes n/2 - 1 .. n - 1; the first is the mirror plane, inactive
@@ -122,80 +121,44 @@ class SectorExtremalFamily:
             self._half = CellGrid([(0.0, rx), (0.0, x2max), (ylo, ry)], (n, n, n - m), half_mask)
             self._half_r = r[:, :, m:]
 
-    def _profile(self, r, b, perturbation, perturbation_size) -> np.ndarray:
-        a, R = self.a, self.truncation_radius
-        shift = (a + b * R * R) ** -0.5
-        u = np.maximum((a + b * r * r) ** -0.5 - shift, 0.0)
-        for i, c in enumerate(perturbation):
-            if c == 0.0:
-                continue
-            g = np.sin((i + 1) * np.pi * np.clip(r / R, 0.0, 1.0)) * compact_bump(r / R)
-            u = u * (1.0 + perturbation_size * c * g)
-        return u
+    @staticmethod
+    def _profile(r, b) -> np.ndarray:
+        R = TRUNCATION_RADIUS
+        return np.maximum((1.0 + b * r * r) ** -0.5 - (1.0 + b * R * R) ** -0.5, 0.0)
 
-    def __call__(
-        self, b: float = 4.0, perturbation: Sequence[float] = (), perturbation_size: float = 0.05
-    ) -> GridFunction3D:
-        return GridFunction3D(self.cells.bbox, self._profile(self.r, b, perturbation, perturbation_size), self.mask)
+    def __call__(self, b: float = 4.0) -> GridFunction3D:
+        return GridFunction3D(self.cells.bbox, self._profile(self.r, b), self.mask)
 
-    def quotient(
-        self, b: float = 4.0, q: float = 6, perturbation: Sequence[float] = (), perturbation_size: float = 0.05
-    ) -> RayleighReport:
-        """Rayleigh quotient of ``self(b, perturbation, perturbation_size)``,
-        on the y >= 0 half of the grid when the resolution is even."""
+    def quotient(self, b: float = 4.0) -> RayleighReport:
+        """Rayleigh quotient of ``self(b)`` at q = 6, on the y >= 0 half of
+        the grid when the resolution is even."""
         if self._half is None:
-            return rayleigh_quotient(self(b, perturbation, perturbation_size), q, self.alpha)
-        u = self._profile(self._half_r, b, perturbation, perturbation_size)
-        return rayleigh_quotient(GridFunction3D(self._half.bbox, u, self._half.mask), q, self.alpha, copies=2)
+            return rayleigh_quotient(self(b), 6, self.alpha)
+        u = self._profile(self._half_r, b)
+        return rayleigh_quotient(GridFunction3D(self._half.bbox, u, self._half.mask), 6, self.alpha, copies=2)
 
 
-def sector_extremal_family(
-    alpha,
-    truncation_radius: float = 20.0,
-    resolution: int = 128,
-    a: float = 1.0,
-) -> SectorExtremalFamily:
-    """Builder of truncated radial extremals on one first-sector grid; see
-    ``SectorExtremalFamily``."""
-    return SectorExtremalFamily(alpha, truncation_radius, resolution, a)
-
-
-def sector_extremal_grid(
-    alpha,
-    b: float = 4.0,
-    truncation_radius: float = 20.0,
-    resolution: int = 128,
-    a: float = 1.0,
-    perturbation: Sequence[float] = (),
-    perturbation_size: float = 0.05,
-) -> GridFunction3D:
+def sector_extremal_grid(alpha, b: float = 4.0, resolution: int = 128) -> GridFunction3D:
     """One truncated radial extremal on a first-sector grid; see
-    ``sector_extremal_family``, which builds the grid."""
-    return sector_extremal_family(alpha, truncation_radius, resolution, a)(b, perturbation, perturbation_size)
+    ``SectorExtremalFamily``, which builds the grid."""
+    return SectorExtremalFamily(alpha, resolution)(b)
 
 
-def random_bump_corpus(
-    count: int,
-    alpha,
-    resolution: int = 64,
-    seed: int = 20250809,
-    bumps_per_field: int = 3,
-    bbox_half: float = 1.0,
-) -> list[GridFunction3D]:
+def random_bump_corpus(count: int, resolution: int = 64, seed: int = 20250809) -> list[GridFunction3D]:
     """Deterministic corpus of nonnegative smooth compactly supported fields.
 
-    Each field is a sum of a few positive bumps with random centres, widths
-    and amplitudes, supported strictly inside the box.
+    Each field is a sum of three positive bumps with random centres, widths
+    and amplitudes, supported strictly inside the box [-1, 1]^3.
     """
     rng = np.random.default_rng(seed)
-    cells = CellGrid([(-bbox_half, bbox_half)] * 3, (resolution,) * 3)
+    cells = CellGrid([(-1.0, 1.0)] * 3, (resolution,) * 3)
     X1, X2, Y = cells.centers(sparse=True)
     out = []
     for _ in range(count):
         u = np.zeros(cells.dims)
-        for _ in range(bumps_per_field):
-            ctr = rng.uniform(-0.45 * bbox_half, 0.45 * bbox_half, size=3)
-            width = rng.uniform(0.18, 0.4) * bbox_half
+        for _ in range(3):
+            ctr = rng.uniform(-0.45, 0.45, size=3)
+            width = rng.uniform(0.18, 0.4)
             amp = rng.uniform(0.3, 1.0)
             rho = np.sqrt((X1 - ctr[0]) ** 2 + (X2 - ctr[1]) ** 2 + (Y - ctr[2]) ** 2) / (
                 2.2 * width

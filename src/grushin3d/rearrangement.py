@@ -221,11 +221,11 @@ class RadialProfile:
         v = np.concatenate([self.values, [0.0]])
         return s, v
 
-    def dirichlet_energy(self, window: int = 3) -> float:
+    def dirichlet_energy(self) -> float:
         """(2 pi / n) int r^2 phi'(r)^2 dr for the interpolated profile.
 
-        Slopes are secants over +-window nodes around each segment.
-        Adjacent-node secants (window = 0) square the level-measurement
+        Slopes are secants over +-3 nodes around each segment.
+        Adjacent-node secants square the level-measurement
         noise of the breakpoint radii into a systematic positive bias;
         widening the secant suppresses that while staying exact for
         linear stretches.  Segments thinner than 1e-9 of the support
@@ -235,8 +235,8 @@ class RadialProfile:
         s, v = self.nodes()
         n = len(s)
         idx = np.arange(n - 1)
-        j1 = np.maximum(idx - window, 0)
-        j2 = np.minimum(idx + 1 + window, n - 1)
+        j1 = np.maximum(idx - 3, 0)
+        j2 = np.minimum(idx + 4, n - 1)
         ds_w = s[j2] - s[j1]
         ok = (ds_w > 0) & (np.diff(s) > 1e-9 * self.support_radius)
         slope = (v[j2] - v[j1])[ok] / ds_w[ok]
@@ -328,19 +328,21 @@ class CoareaComparison:
     plateau_detected: bool
 
 
-def coarea_derivative_compare(u: GridFunction3D, alpha, t: float, rel_step: float = 0.05) -> CoareaComparison:
+def coarea_derivative_compare(u: GridFunction3D, alpha, t: float) -> CoareaComparison:
     """Estimate integral of |x|^{2a}/|grad u| over {u = t} on both sides.
 
-    Both sides are the negative derivative of a distribution function; they
-    agree wherever the level t is not a plateau value of u.  A plateau is
-    flagged when the mass captured between t - dt and t + dt exceeds 5 % of
-    the support measure.
+    Both sides are the negative derivative of a distribution function,
+    taken as a difference quotient over [t - dt, t + dt] with dt = 5 % of
+    max u; they agree wherever the level t is not a plateau value of u.
+    A plateau is flagged when the band between the two ends holds more than
+    1 % of the measure above its lower end and the quarter-width band
+    keeps more than 60 % of that mass.
     """
     ap = _as_alpha(alpha)
     top = float(u.masked_values().max(initial=0.0))
     if not 0.0 < t < top:
         raise DomainError(f"level t={t} must lie strictly between 0 and max u={top}")
-    dt = rel_step * top
+    dt = 0.05 * top
     lo, hi = max(t - dt, top * 1e-12), min(t + dt, top * (1 - 1e-12))
     narrow = distribution_function(u, ap, levels=np.array(sorted({lo, hi, t - dt / 4, t + dt / 4})))
     lam = dict(zip(narrow.levels, narrow.measures))

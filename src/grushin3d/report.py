@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from . import __version__
+
 __all__ = ["Check", "RunReport", "write_csv"]
 
 
@@ -56,7 +58,7 @@ class RunReport:
     results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     wall_time_s: Optional[float] = None
-    version: str = "0.1.0"
+    version: str = __version__
 
     def add_check(self, name, value, threshold, op) -> Check:
         chk = Check(name, float(value), float(threshold), op)

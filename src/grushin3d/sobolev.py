@@ -177,7 +177,6 @@ def rayleigh_quotient(u: GridFunction3D, q: float, alpha, copies: int = 1) -> Ra
 class RayleighMinimum:
     estimate: float
     profile_scale: float
-    perturbation: tuple[float, ...]
     evaluations: int
 
 
@@ -204,58 +203,29 @@ def _golden_min(fn, lo, hi, tol=1e-3, max_iter=60):
     return (c, fc, n) if fc < fd else (d, fd, n)
 
 
-def minimize_rayleigh(
-    alpha,
-    q: float = 6,
-    resolution: int = 96,
-    truncation_radius: float = 20.0,
-    perturbations: int = 0,
-    perturbation_size: float = 0.05,
-) -> RayleighMinimum:
+def minimize_rayleigh(alpha, resolution: int = 96) -> RayleighMinimum:
     """Minimise the sector-grid Rayleigh quotient over the extremal family.
 
-    Only the critical exponent is accepted: for q != 6 the infimum is 0 or
-    degenerate by the anisotropic scaling law.  The family is the truncated
-    radial extremal (a + b r^2)^{-1/2} on one sector grid, built once, and
-    each quotient is the family's ``quotient``: at even ``resolution`` it
-    is taken on the y >= 0 half of the grid, which the y -> -y symmetry of
+    The quotient is taken at the critical exponent q = 6; for any other q
+    the infimum is 0 or degenerate by the anisotropic scaling law.  The
+    family is ``fields.SectorExtremalFamily``, the truncated radial
+    extremal (1 + b r^2)^{-1/2} on one sector grid, built once, and each
+    quotient is the family's ``quotient``: at even ``resolution`` it is
+    taken on the y >= 0 half of the grid, which the y -> -y symmetry of
     the family makes exact up to rounding (the last bits move against
     ``rayleigh_quotient`` of the full grid); at odd ``resolution`` it is
     that full-grid quotient.  The concentration b is found by Brent's
     bounded search (parabolic steps with golden-section fallback, to 1e-3
     on log b in [log 0.5, log 32]); ``_golden_min`` is the reference it
-    replaced.  Optional low-dimensional perturbations multiply the profile
-    by (1 + c_i g_i) with smooth radial bumps g_i, which keep u even in y,
-    and each c_i in {-1, 1} is tried in turn.  Deterministic throughout.
+    replaced.  Deterministic throughout.
     """
-    if q != 6:
-        raise DomainError(
-            "minimize_rayleigh requires q = 6: for subcritical q the quotient "
-            "scales to 0 under anisotropic dilation, for q > 6 to infinity"
-        )
-    from .fields import sector_extremal_family
+    from .fields import SectorExtremalFamily
 
-    ap = _as_alpha(alpha)
-    family = sector_extremal_family(ap, truncation_radius, resolution)
-    evals = 0
-
-    def quotient_of(log_b, coeffs=()):
-        nonlocal evals
-        evals += 1
-        return family.quotient(math.exp(log_b), 6, coeffs, perturbation_size).quotient
-
+    family = SectorExtremalFamily(alpha, resolution)
     res = minimize_scalar(
-        quotient_of, bounds=(math.log(0.5), math.log(32.0)), method="bounded", options={"xatol": 1e-3}
+        lambda log_b: family.quotient(math.exp(log_b)).quotient,
+        bounds=(math.log(0.5), math.log(32.0)),
+        method="bounded",
+        options={"xatol": 1e-3},
     )
-    log_b, best = float(res.x), float(res.fun)
-    coeffs = [0.0] * perturbations
-    # c_i = 0 is the current coefficients (value best) or the ones just
-    # beaten, so only -1 and 1 can lower the quotient
-    for i in range(perturbations):
-        for c in (-1.0, 1.0):
-            trial = list(coeffs)
-            trial[i] = c
-            val = quotient_of(log_b, tuple(trial))
-            if val < best:
-                best, coeffs = val, trial
-    return RayleighMinimum(best, math.exp(log_b), tuple(coeffs), evals)
+    return RayleighMinimum(float(res.fun), math.exp(float(res.x)), int(res.nfev))

@@ -79,7 +79,7 @@ def test_criterion_02_sobolev_lower_bound_vs_grid():
     for alpha in ALPHAS:
         ap = AlphaParam(alpha)
         L = sobolev_lower_bound(ap)
-        u = sector_extremal_grid(ap, b=4.0, truncation_radius=20.0, resolution=128)
+        u = sector_extremal_grid(ap, b=4.0, resolution=128)
         q = rayleigh_quotient(u, 6, ap).quotient
         rel = abs(q - L) / L
         ok &= rel <= 0.03
@@ -176,7 +176,7 @@ def test_criterion_05_polya_szego():
         ok &= rel <= 0.02
         details.append(f"a={alpha}: {rel:.2%}")
     worst_gap = math.inf
-    for field in random_bump_corpus(20, 1.0, resolution=48):
+    for field in random_bump_corpus(20, resolution=48):
         gap = polya_szego_gap(field, 1.0)
         margin = gap / grushin_energy(field, 1.0)
         worst_gap = min(worst_gap, margin)
@@ -305,7 +305,7 @@ def test_criterion_09_pohozaev_identity(ground_states):
 
 def test_criterion_10_embedding_property():
     ap = AlphaParam(1.0)
-    fields = random_bump_corpus(50, ap, resolution=48)
+    fields = random_bump_corpus(50, resolution=48)
     L = sobolev_lower_bound(ap)
     violations = 0
     worst = 0.0

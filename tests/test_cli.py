@@ -353,6 +353,16 @@ class TestPohozaevCommand:
         code, _ = run_cli(["pohozaev", "--p", "6", "--alpha", "1", "--solve"], capsys)
         assert code == 2
 
+    def test_subcritical_solve_satisfies_identity(self, capsys):
+        code, rep = run_cli(["pohozaev", "--p", "3", "--alpha", "1", "--solve", "--grid", "24"], capsys)
+        assert code == 0
+        assert rep["all_passed"]
+        res = rep["results"]
+        assert res["identity_residual"] <= 0.10
+        assert res["star_shaped_min"] == 1.0
+        assert res["lhs"] > 0 and res["rhs"] > 0
+        assert rep["resolutions"] == {"grid": 24}
+
 
 SOLVE = ["solve", "--alpha", "1", "--q", "4", "--grid", "8"]
 SMALL_GRID = f"{GRID_MAGIC}\n2 2 2\n-1 1 -1 1 -1 1\n0 0 0 0 0 1 0 0\n".encode()

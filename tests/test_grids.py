@@ -239,7 +239,7 @@ class TestBulkWrite:
         assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
 
     def test_fallback_formats_few_values_of_a_bump_field(self, tmp_path):
-        grid = random_bump_corpus(1, 1.0, resolution=96, seed=7)[0]
+        grid = random_bump_corpus(1, resolution=96, seed=7)[0]
         counts = []
 
         def counted(values, format_each=grids._format_each):
@@ -311,7 +311,7 @@ class TestBulkRead:
 class TestLoadedLayout:
     @pytest.mark.parametrize("bulk", [True, False])
     def test_values_c_ordered_and_equal_to_reference(self, bulk, tmp_path, monkeypatch):
-        grid = random_bump_corpus(1, 1.0, resolution=6, seed=3)[0]
+        grid = random_bump_corpus(1, resolution=6, seed=3)[0]
         path = tmp_path / "grid.txt"
         save_grid(grid, path)
         if not bulk:
@@ -322,7 +322,7 @@ class TestLoadedLayout:
         assert values.tobytes() == grids._parse_body(lines, grid.values.size).reshape(grid.dims, order="F").tobytes()
 
     def test_sums_equal_on_either_layout(self):
-        c_grid = random_bump_corpus(1, 1.0, resolution=24, seed=5)[0]
+        c_grid = random_bump_corpus(1, resolution=24, seed=5)[0]
         f_grid = GridFunction3D(c_grid.bbox, np.asfortranarray(c_grid.values))
         assert f_grid.values.flags.f_contiguous and not f_grid.values.flags.c_contiguous
         dist_c, dist_f = distribution_function(c_grid, 1.0), distribution_function(f_grid, 1.0)

@@ -52,7 +52,7 @@ class TestDistributionFunction:
         assert top.measures[0] == 0.0
 
     def test_monotone_nonincreasing(self):
-        for field in random_bump_corpus(3, 1.0, resolution=32):
+        for field in random_bump_corpus(3, resolution=32):
             dist = distribution_function(field, 1.0)
             assert np.all(np.diff(dist.measures) <= 1e-15)
 
@@ -146,7 +146,7 @@ class TestRearrange:
         assert np.abs(prof(rs) - expected).max() <= 6e-3  # one level step + grid noise
 
     def test_profile_monotone_right_continuous(self):
-        for field in random_bump_corpus(3, 1.0, resolution=32):
+        for field in random_bump_corpus(3, resolution=32):
             prof = rearrange(field, 1.0)
             assert np.all(np.diff(prof.values) <= 0)
             assert np.all(np.diff(prof.radii) > 0)
@@ -263,7 +263,7 @@ class TestPolyaSzego:
 
     def test_random_bumps_gap_nonnegative(self):
         ap = AlphaParam(1.0)
-        for field in random_bump_corpus(5, ap, resolution=48):
+        for field in random_bump_corpus(5, resolution=48):
             gap = polya_szego_gap(field, ap)
             assert gap >= -0.02 * grushin_energy(field, ap)
 

@@ -6,10 +6,10 @@ from scipy.integrate import quad
 
 from grushin3d import AlphaParam, DomainError
 from grushin3d.fields import (
+    SectorExtremalFamily,
     cosine_bump,
     radial_field,
     random_bump_corpus,
-    sector_extremal_family,
     sector_extremal_grid,
 )
 from grushin3d.grids import GridFunction3D
@@ -176,28 +176,19 @@ class TestRayleighQuotient:
     def test_sobolev_inequality_on_corpus(self):
         ap = AlphaParam(1.0)
         L = sobolev_lower_bound(ap)
-        for field in random_bump_corpus(10, ap, resolution=48):
+        for field in random_bump_corpus(10, resolution=48):
             lhs = weighted_lq_norm(field, 6, ap)
             rhs = math.sqrt(grushin_energy(field, ap)) / L
             assert lhs <= rhs * 1.02
 
 
 class TestMinimizeRayleigh:
-    def test_rejects_noncritical_q(self):
-        with pytest.raises(DomainError):
-            minimize_rayleigh(1.0, q=4)
-
     def test_extremal_family_minimum(self):
         ap = AlphaParam(1.0)
         rep = minimize_rayleigh(ap, resolution=64)
         L = sobolev_lower_bound(ap)
         assert rep.estimate == pytest.approx(L, rel=3e-2)
         assert rep.estimate >= L * 0.97
-
-    def test_perturbed_family_stays_above_bound(self):
-        ap = AlphaParam(1.0)
-        rep = minimize_rayleigh(ap, resolution=48, perturbations=2)
-        assert rep.estimate >= sobolev_lower_bound(ap) * 0.97
 
 
 def same_grid(u, v):
@@ -213,11 +204,10 @@ class TestSectorExtremalFamily:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_family_matches_fresh_grids(self, alpha):
         # one family serves every call; α = 2 has a sector wall inside the box
-        family = sector_extremal_family(alpha, resolution=32)
-        calls = [(0.7, ()), (4.0, ()), (22.77, ()), (4.0, (-1.0, 0.0, 1.0))]
-        for b, coeffs in calls:
-            got = family(b, coeffs, 0.05)
-            fresh = sector_extremal_grid(alpha, b=b, resolution=32, perturbation=coeffs)
+        family = SectorExtremalFamily(alpha, resolution=32)
+        for b in (0.7, 4.0, 22.77):
+            got = family(b)
+            fresh = sector_extremal_grid(alpha, b=b, resolution=32)
             assert same_grid(got, fresh)
         if alpha == 2.0:
             assert not got.mask.all()
@@ -229,19 +219,18 @@ class TestHalfGridQuotient:
     def test_matches_full_grid(self, alpha, resolution):
         # even n: the y >= 0 half with its mirror plane; odd n: the full grid
         # (n = 2 differences with edge order 1); α = 2 has a sector wall
-        family = sector_extremal_family(alpha, resolution=resolution)
+        family = SectorExtremalFamily(alpha, resolution=resolution)
         for b in (0.7, 4.0, 22.77):
-            for coeffs in ((), (-1.0, 0.0, 1.0)):
-                half = family.quotient(b, 6, coeffs)
-                full = rayleigh_quotient(family(b, coeffs), 6, alpha)
-                assert half.quotient == pytest.approx(full.quotient, rel=1e-13, abs=0.0)
-                assert half.numerator_sq == pytest.approx(full.numerator_sq, rel=1e-13, abs=0.0)
-                assert half.denominator == pytest.approx(full.denominator, rel=1e-13, abs=0.0)
-                if resolution % 2:
-                    assert half == full
+            half = family.quotient(b)
+            full = rayleigh_quotient(family(b), 6, alpha)
+            assert half.quotient == pytest.approx(full.quotient, rel=1e-13, abs=0.0)
+            assert half.numerator_sq == pytest.approx(full.numerator_sq, rel=1e-13, abs=0.0)
+            assert half.denominator == pytest.approx(full.denominator, rel=1e-13, abs=0.0)
+            if resolution % 2:
+                assert half == full
 
     def test_half_grid_drops_mirror_plane(self):
-        family = sector_extremal_family(2.0, resolution=8)
+        family = SectorExtremalFamily(2.0, resolution=8)
         half = family._half
         assert half.dims == (8, 8, 5)
         assert half.spacing == pytest.approx(family.cells.spacing, rel=1e-15, abs=0.0)
@@ -262,7 +251,7 @@ def golden_reference(alpha, resolution):
     ap = AlphaParam(alpha)
 
     def quotient(log_b):
-        u = sector_extremal_grid(ap, b=math.exp(log_b), truncation_radius=20.0, resolution=resolution)
+        u = sector_extremal_grid(ap, b=math.exp(log_b), resolution=resolution)
         return rayleigh_quotient(u, 6, ap).quotient
 
     return _golden_min(quotient, math.log(0.5), math.log(32.0))
@@ -275,25 +264,18 @@ class TestBrentSearch:
         _, golden, golden_evals = golden_reference(alpha, 48)
         assert rep.estimate == pytest.approx(golden, rel=1e-9)
         assert rep.evaluations <= 12 < golden_evals
-        assert rep.perturbation == ()
 
-    def test_perturbation_trials_skip_zero(self):
-        # a c_i = 0 trial can never win, so the search tries only -1 and 1:
-        # the same result as the three-value loop below, at 2 trials per c_i;
-        # the loop takes the search's own quotient, so the match is exact
-        ap = AlphaParam(1.0)
-        base = minimize_rayleigh(ap, resolution=24)
-        rep = minimize_rayleigh(ap, resolution=24, perturbations=2)
-        assert rep.evaluations == base.evaluations + 4
-        assert rep.profile_scale == base.profile_scale
-        family = sector_extremal_family(ap, resolution=24)
-        best, coeffs = base.estimate, [0.0, 0.0]
-        for i in range(2):
-            for c in (-1.0, 0.0, 1.0):
-                trial = list(coeffs)
-                trial[i] = c
-                val = family.quotient(base.profile_scale, 6, tuple(trial)).quotient
-                if val < best:
-                    best, coeffs = val, trial
-        assert rep.estimate == best
-        assert rep.perturbation == tuple(coeffs)
+    def test_evaluations_count_quotients(self, monkeypatch):
+        # the report's count and minimum are those of the quotients taken
+        seen = {}
+        quotient = SectorExtremalFamily.quotient
+
+        def counted(self, b):
+            rep = quotient(self, b)
+            seen[b] = rep.quotient
+            return rep
+
+        monkeypatch.setattr(SectorExtremalFamily, "quotient", counted)
+        rep = minimize_rayleigh(1.0, resolution=16)
+        assert rep.evaluations == len(seen)
+        assert rep.estimate == seen[rep.profile_scale] == min(seen.values())

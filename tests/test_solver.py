@@ -685,7 +685,7 @@ def critical_ratios(dom, fields):
 class TestEmbedding:
     def test_critical_exponent_no_violations(self):
         dom = Domain.cube(1.0, 32)
-        fields = random_bump_corpus(8, AP, resolution=32)
+        fields = random_bump_corpus(8, resolution=32)
         assert np.all(critical_ratios(dom, fields) <= 1.02)
 
     def test_truncated_extremal_has_smallest_margin(self):
@@ -697,6 +697,6 @@ class TestEmbedding:
         r = anisotropic_radius(X1, X2, Y, AP)
         shift = (1 + 4 * 1.0) ** -0.5  # truncation radius 1 fits in the cube
         extremal = dom.grid_function(np.maximum((1 + 4 * r * r) ** -0.5 - shift, 0.0))
-        ratios = critical_ratios(dom, random_bump_corpus(6, AP, resolution=32) + [extremal])
+        ratios = critical_ratios(dom, random_bump_corpus(6, resolution=32) + [extremal])
         assert np.all(ratios <= 1.02)
         assert ratios[-1] == ratios.max()

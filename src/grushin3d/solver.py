@@ -42,16 +42,19 @@ factor 2^{|a-1|} of s^a + t^a, the preconditioned condition number on a box
 is at most 2^{|a-1|}, independent of the grid; at a = 1 the preconditioner
 is A^{-1}.  On a mask the box solver is restricted to the active cells,
 z = P M^{-1} P r, and is the identity on inactive ones, which keeps it SPD.
-MINRES and LOBPCG use the same preconditioner.  Tests check CG against a
-sparse direct solve of the stencil assembled entry by entry, and the
-Poincare constant lambda_1 (the smallest eigenvalue, from LOBPCG with block
-size 1 on the active cells, Knyazev 2001) against ARPACK Lanczos.
+MINRES and LOBPCG use the same preconditioner.  Both are written here and
+take every inner product as a numpy pairwise sum (``_dot``), like CG, so no
+long reduction goes to a threaded BLAS and the results do not depend on the
+BLAS thread count.  Tests check CG against a sparse direct solve of the
+stencil assembled entry by entry, MINRES against scipy's, and the Poincare
+constant lambda_1 (the smallest eigenvalue, from LOBPCG with block size 1
+on the active cells, Knyazev 2001) against ARPACK Lanczos.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -155,7 +158,7 @@ class GrushinOperator:
         return out
 
     def quadratic_form(self, u: np.ndarray) -> float:
-        return float(np.sum(u * self(u))) * self.domain.cell_volume
+        return _dot(u, self(u)) * self.domain.cell_volume
 
     def _precondition(self, r: np.ndarray) -> np.ndarray:
         """Solve the box system whose weight |x|^{2a} is replaced by
@@ -206,8 +209,9 @@ class GrushinOperator:
         return vecs[0], vecs[1], inv
 
 
-# limits and shape of the CG and ground-state iterations; only the
-# tolerances are arguments, since no caller sets any of these to another value
+# limits and shape of the CG, MINRES and ground-state iterations; only the CG
+# and outer tolerances are arguments, since no caller sets any of these to
+# another value
 _CG_TOL = 1e-10
 _CG_MAX_ITER = 8000
 _OUTER_MAX_ITER = 400
@@ -215,12 +219,20 @@ _LINE_SEARCH_START = 4.0
 _LINE_SEARCH_HALVINGS = 16
 _INITIAL_WIDTH = 0.25  # Gaussian start, in units of the box's smallest half-width
 _COLLAPSE_THRESHOLD = 1e-12
+_MINRES_RTOL = 1e-3
+_MINRES_MAX_ITER = 50
 
 
 def _check_tol(tol):
     # written so that NaN fails too: every comparison with NaN is false
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> as numpy's pairwise sum: one thread, the same bits whatever
+    the BLAS thread count, unlike a BLAS ddot that splits long vectors."""
+    return float(np.sum(a * b))
 
 
 def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=None):
@@ -233,7 +245,7 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=
     _check_tol(tol)
     mask = op.domain.mask
     b = rhs if mask is None else np.where(mask, rhs, 0.0)
-    bnorm = math.sqrt(float(np.sum(b * b)))
+    bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
         return np.zeros_like(b)
     if not math.isfinite(bnorm):
@@ -243,28 +255,28 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=
     else:
         x = x0.copy()
         r = b - op(x)
-    rs = float(np.sum(r * r))
+    rs = _dot(r, r)
     if math.sqrt(rs) <= tol * bnorm:
         return x
     z = op._precondition(r)
-    rz = float(np.sum(r * z))
+    rz = _dot(r, z)
     p = z.copy()
     for _ in range(_CG_MAX_ITER):
         # comparisons with NaN are false, so these also catch non-finite values
         if not 0.0 < rz < math.inf:
             raise IterationError(f"CG broke down: <r, z> = {rz!r}", last_residual=math.sqrt(rs) / bnorm)
         Ap = op(p)
-        pAp = float(np.sum(p * Ap))
+        pAp = _dot(p, Ap)
         if not 0.0 < pAp < math.inf:
             raise IterationError(f"CG broke down: <p, A p> = {pAp!r}", last_residual=math.sqrt(rs) / bnorm)
         alpha_k = rz / pAp
         x += alpha_k * p
         r -= alpha_k * Ap
-        rs = float(np.sum(r * r))
+        rs = _dot(r, r)
         if math.sqrt(rs) <= tol * bnorm:
             return x
         z = op._precondition(r)
-        rz_new = float(np.sum(r * z))
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise IterationError(
@@ -322,7 +334,7 @@ class Problem:
 
     def norm(self, v: np.ndarray) -> float:
         """Discrete L2 norm (sum v^2 dV)^{1/2}."""
-        return math.sqrt(float(np.sum(v * v)) * self.domain.cell_volume)
+        return math.sqrt(_dot(v, v) * self.domain.cell_volume)
 
     def residual(self, u: np.ndarray) -> float:
         """Weak residual ||A u - f(., u)||, the norm of the gradient."""
@@ -419,7 +431,7 @@ def _ground_state(domain, q, alpha, tol, initial, newton):
         # solve the inner system just accurately enough that CG error stays
         # two orders below the current outer residual (both measured in the
         # volume-weighted L2 norm)
-        fnorm = math.sqrt(float(np.sum(f * f))) * sqrt_vol
+        fnorm = math.sqrt(_dot(f, f)) * sqrt_vol
         rel = 0.01 * residual / fnorm if fnorm > 0 else 1e-6
         return float(np.clip(rel, _CG_TOL, 1e-6))
 
@@ -484,7 +496,7 @@ def _ground_state(domain, q, alpha, tol, initial, newton):
             last_residual=residual,
         )
 
-    a = float(np.sum(u * Au)) * vol
+    a = _dot(u, Au) * vol
     b = b_term(u)
     return SolutionReport(
         u=domain.grid_function(u),
@@ -504,43 +516,18 @@ def _newton_step(prob: Problem, u: np.ndarray, rhs: np.ndarray):
     Nehari set.
 
     Solves (A - f'(u)) delta = rhs = f(u) - A u, with
-    f'(u) = (q - 1) |x|^{2a} |u|^{q-2}, by MINRES (Paige & Saunders 1975):
-    the Jacobian is symmetric but indefinite at a mountain-pass point, so CG
-    does not apply.  MINRES is preconditioned with the operator's SPD box
-    solver (restricted to the active cells on a mask) and stops at a
-    relative residual of 1e-3 or after 50 iterations.
+    f'(u) = (q - 1) |x|^{2a} |u|^{q-2}, by ``_minres``: the Jacobian is
+    symmetric but indefinite at a mountain-pass point, so CG does not apply.
+    MINRES is preconditioned with the operator's SPD box solver (restricted
+    to the active cells on a mask) and stops at a relative residual of 1e-3
+    or after 50 iterations.
     Returns (candidate, MINRES iterations); the candidate is None when
     u + delta has no finite, nonzero Nehari multiple.
     """
-    from scipy.sparse.linalg import LinearOperator, minres
-
-    op, dims = prob.op, prob.domain.dims
-    q = prob.q
+    op, q = prob.op, prob.q
     fprime = (q - 1.0) * prob._weight * np.abs(u) ** (q - 2.0)
-    size = rhs.size
-
-    def jacobian(x):
-        x = x.reshape(dims)
-        return (op(x) - fprime * x).ravel()
-
-    def precondition(x):
-        return op._precondition(x.reshape(dims)).ravel()
-
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    delta, _ = minres(
-        LinearOperator((size, size), matvec=jacobian, dtype=float),
-        rhs.ravel(),
-        rtol=1e-3,
-        maxiter=50,
-        M=LinearOperator((size, size), matvec=precondition, dtype=float),
-        callback=count,
-    )
-    cand = u + delta.reshape(dims)
+    delta, iters = _minres(lambda x: op(x) - fprime * x, op._precondition, rhs)
+    cand = u + delta
     a, b = op.quadratic_form(cand), prob.power_term(cand)
     # written so that NaN fails too
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
@@ -548,53 +535,171 @@ def _newton_step(prob: Problem, u: np.ndarray, rhs: np.ndarray):
     return prob.nehari_factor(a, b) * cand, iters
 
 
+def _minres(apply, precondition, b):
+    """Preconditioned MINRES (Paige & Saunders 1975) for the symmetric,
+    possibly indefinite system apply(x) = b, from x = 0.
+
+    The recurrences and stopping tests are those of scipy 1.17's
+    ``scipy.sparse.linalg.minres`` without shift, at rtol = 1e-3 and at most
+    50 iterations; the inner products and norms reduce with ``_dot``.
+    ``precondition`` must be SPD.  Returns (x, iterations).
+    """
+    eps = np.finfo(float).eps
+    x = np.zeros_like(b)
+    r1 = b
+    y = precondition(r1)
+    beta1 = _dot(r1, y)
+    if beta1 < 0:
+        raise IterationError("MINRES preconditioner is not positive definite")
+    if beta1 == 0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+
+    oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(float).max
+    cs, sn = -1.0, 0.0
+    w, w2 = np.zeros_like(b), np.zeros_like(b)
+    r2 = r1
+    for itn in range(1, _MINRES_MAX_ITER + 1):
+        # Lanczos step: v_k and the next preconditioned vector
+        v = (1.0 / beta) * y
+        y = apply(v)
+        if itn >= 2:
+            y -= (beta / oldb) * r1
+        alfa = _dot(v, y)
+        y -= (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = precondition(r2)
+        oldb, beta = beta, _dot(r2, y)
+        if beta < 0:
+            raise IterationError("MINRES preconditioner is not positive definite")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+
+        # apply the previous rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.sqrt(gbar * gbar + dbar * dbar)
+        gamma = max(math.sqrt(gbar * gbar + beta * beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x += phi * w
+
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)  # > 0: tnorm2 includes beta1^2
+        ynorm = math.sqrt(_dot(x, x))
+        # scipy's tests: b is an eigenvector (first step only), ||r|| / (||A|| ||x||)
+        # or ||A r|| / (||A|| ||r||) at most rtol, cond(A) near 1/eps, or x so
+        # large that ||A|| ||x|| eps reaches ||b||
+        if (
+            (itn == 1 and beta / beta1 <= 10 * eps)
+            or (ynorm > 0 and phibar / (anorm * ynorm) <= _MINRES_RTOL)
+            or root / anorm <= _MINRES_RTOL
+            or gmax / gmin >= 0.1 / eps
+            or anorm * ynorm * eps >= beta1
+        ):
+            break
+    return x, itn
+
+
 def _line_quadratic(Au, Ad, u, d, vol):
     """(a0, a1, a2) with <A(u + tau d), u + tau d> dV = a0 + a1 tau + a2 tau^2."""
-    return (
-        float(np.sum(u * Au)) * vol,
-        2.0 * float(np.sum(d * Au)) * vol,
-        float(np.sum(d * Ad)) * vol,
-    )
+    return _dot(u, Au) * vol, 2.0 * _dot(d, Au) * vol, _dot(d, Ad) * vol
 
 
 def poincare_constant(domain: Domain, alpha, max_iter: int = 200) -> float:
     """Smallest eigenvalue lambda_1 of the discrete operator, the constant of
     ||u||_L2 <= lambda_1^{-1/2} ||grad_G u||.
 
-    LOBPCG with block size 1 on the active cells, preconditioned with the
-    operator's box solver (restricted to the mask, P M^{-1} P, on a masked
-    domain) and started from the ones vector, so runs are deterministic.
-    It stops once ||A x - lambda x|| <= 1e-9 lambda ||x||: its absolute
-    tolerance is 1e-9 times the lowest -Delta_x eigenvalue of the bounding
-    box, a lower bound of lambda_1 for every mask.  Raises IterationError
-    when max_iter steps do not get there.
+    ``_lobpcg`` on the active cells, preconditioned with the operator's box
+    solver (restricted to the mask, P M^{-1} P, on a masked domain) and
+    started from the ones vector, so runs are deterministic.  It stops once
+    ||A x - lambda x|| <= 1e-9 lambda ||x||: its absolute tolerance is 1e-9
+    times the lowest -Delta_x eigenvalue of the bounding box, a lower bound
+    of lambda_1 for every mask.  Raises IterationError when max_iter steps do
+    not get there, DomainError unless max_iter is a positive integer.
     """
-    from scipy.sparse.linalg import LinearOperator, lobpcg
-
+    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise DomainError(f"max_iter must be a positive integer, got {max_iter!r}")
     op = GrushinOperator(domain, alpha)
-    act = domain.active()
-    size = int(act.sum())
-
-    def on_active(apply):
-        def compressed(x):
-            u = np.zeros(domain.dims)
-            u[act] = x.ravel()
-            return apply(u)[act]
-
-        return LinearOperator((size, size), matvec=compressed, dtype=float)
-
-    A = on_active(op)
     h, n = domain.spacing, domain.dims
     lower = sum(_dirichlet_spectrum(n[i], h[i], 1) for i in (0, 1))
-    with warnings.catch_warnings():
-        # a run that misses the tolerance is reported below, not warned about
-        warnings.simplefilter("ignore", UserWarning)
-        lams, X = lobpcg(
-            A, np.ones((size, 1)), M=on_active(op._precondition), tol=1e-9 * lower, maxiter=max_iter, largest=False
-        )
-    lam, x = float(lams[0]), X[:, 0]
-    rel = float(np.linalg.norm(A @ x - lam * x) / (abs(lam) * np.linalg.norm(x)))
+    lam, x = _lobpcg(op, domain.active().astype(float), 1e-9 * lower, max_iter)
+    r = op(x) - lam * x
+    rel = math.sqrt(_dot(r, r) / _dot(x, x)) / abs(lam)
     # written so that NaN fails too
     if not rel <= 1e-9:
         raise IterationError(f"LOBPCG did not converge in {max_iter} iterations", last_residual=rel)
     return lam
+
+
+# a Rayleigh-Ritz basis whose Gram matrix has a larger condition number drops
+# its search direction p
+_GRAM_COND_LIMIT = 1e10
+
+
+def _lobpcg(op: GrushinOperator, x: np.ndarray, tol: float, max_iter: int):
+    """LOBPCG with block size 1 (Knyazev 2001) for the smallest eigenpair of
+    ``op``, preconditioned with ``op._precondition``, from ``x``.
+
+    Each step applies the operator once, to w = M r, and runs Rayleigh-Ritz
+    on span{x, w, p}: 3x3 Gram matrices from ``_dot`` and the generalised
+    eigenproblem by ``scipy.linalg.eigh``.  A x and A p are carried along as
+    the same combinations.  Stops when the residual of the unit vector x is
+    at most ``tol`` or after ``max_iter`` steps.  Returns (lambda, x), with
+    ||x|| = 1.
+    """
+    from scipy.linalg import eigh
+
+    x = x / math.sqrt(_dot(x, x))
+    ax = op(x)
+    lam = _dot(x, ax)
+    p = ap = None
+    for _ in range(max_iter):
+        r = ax - lam * x
+        if math.sqrt(_dot(r, r)) <= tol:
+            break
+        w = op._precondition(r)
+        # r, and w and A w below, are dropped as soon as they are used, and
+        # x, A x, p and A p are updated in place: this sets the peak memory
+        del r
+        w /= math.sqrt(_dot(w, w))
+        aw = op(w)
+        basis, images = [x, w], [ax, aw]
+        if p is not None:
+            basis.append(p)
+            images.append(ap)
+        gram = np.array([[_dot(u, v) for v in basis] for u in basis])
+        if len(basis) == 3 and np.linalg.cond(gram) > _GRAM_COND_LIMIT:
+            del basis[2], images[2]
+            gram = gram[:2, :2]
+        stiff = np.array([[_dot(u, av) for av in images] for u in basis])
+        vals, vecs = eigh(0.5 * (stiff + stiff.T), gram)
+        c = vecs[:, 0]
+        # the new direction p = c1 w + c2 p is the step away from x; x takes it
+        if len(c) == 3:
+            p *= c[2]
+            p += c[1] * w
+            ap *= c[2]
+            ap += c[1] * aw
+        else:
+            p, ap = c[1] * w, c[1] * aw
+        del w, aw, basis, images
+        x *= c[0]
+        x += p
+        ax *= c[0]
+        ax += ap
+        scale = 1.0 / math.sqrt(_dot(x, x))
+        x *= scale
+        ax *= scale
+        scale = 1.0 / math.sqrt(_dot(p, p))
+        p *= scale
+        ap *= scale
+        lam = float(vals[0])
+    return lam, x

@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from grushin3d import (
@@ -40,7 +39,6 @@ from grushin3d.sobolev import (
     scaling_exponent,
     sobolev_lower_bound,
     talenti_constant_general,
-    talenti_radial_constant,
 )
 from grushin3d.solver import (
     Domain,

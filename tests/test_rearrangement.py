@@ -21,7 +21,6 @@ from grushin3d.rearrangement import (
     sector_measure_of_radius,
     weighted_lq_norm,
 )
-from grushin3d.shapes import cylinder
 
 
 def cylinder_indicator(resolution=64):

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
+import grushin3d
 from grushin3d import AlphaParam, DegeneracyError, DomainError, IterationError
 from grushin3d.fields import random_bump_corpus
 from grushin3d.grids import GridFunction3D
@@ -16,6 +21,7 @@ from grushin3d.solver import (
     _dirichlet_spectrum,
     _ground_state,
     _line_quadratic,
+    _minres,
     linear_solve,
     poincare_constant,
     solve_ground_state,
@@ -607,6 +613,44 @@ class TestGroundState:
             solve_ground_state(dom, 4.0, AP, initial=np.zeros(dom.dims))
 
 
+class TestMinres:
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_matches_scipy(self, alpha, masked):
+        # the Jacobian system of _newton_step at an n = 16 ground-state iterate
+        from scipy.sparse.linalg import LinearOperator, minres
+
+        dom = ball_domain(16, 0.9) if masked else Domain.cube(1.0, 16)
+        q = 4.0
+        u = solve_ground_state(dom, q, alpha, 1e-3).u.values
+        prob = Problem(dom, alpha, q)
+        Au, fu, _ = prob.evaluate(u)
+        rhs = fu - Au
+        fprime = (q - 1.0) * prob._weight * np.abs(u) ** (q - 2.0)
+
+        def jacobian(x):
+            return prob.op(x) - fprime * x
+
+        x, iters = _minres(jacobian, prob.op._precondition, rhs)
+        size, dims = rhs.size, dom.dims
+        calls = []
+        ref, info = minres(
+            LinearOperator((size, size), matvec=lambda v: jacobian(v.reshape(dims)).ravel(), dtype=float),
+            rhs.ravel(),
+            rtol=1e-3,
+            maxiter=50,
+            M=LinearOperator((size, size), matvec=lambda v: prob.op._precondition(v.reshape(dims)).ravel(), dtype=float),
+            callback=calls.append,
+        )
+        assert info == 0 and iters == len(calls) > 1
+        assert np.linalg.norm(x.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_zero_rhs(self):
+        op = GrushinOperator(Domain.cube(1.0, 8), AP)
+        x, iters = _minres(op, op._precondition, np.zeros(op.domain.dims))
+        assert iters == 0 and np.all(x == 0.0)
+
+
 POINCARE_DOMAINS = {
     "cube": lambda: Domain.cube(1.0, 24),
     "slab": lambda: Domain(np.array([(-1.0, 1.0), (-0.8, 0.8), (-1.3, 1.3)]), (24, 24, 24)),
@@ -649,6 +693,19 @@ class TestPoincare:
             poincare_constant(ball_domain(16), AP, max_iter=1)
         assert math.isfinite(info.value.last_residual) and info.value.last_residual > 1e-9
 
+    def test_without_search_direction(self, monkeypatch):
+        # a Gram limit of 1 drops p at every step: preconditioned steepest
+        # descent, slower but converging to the same eigenvalue
+        dom = ball_domain(16)
+        ref = poincare_constant(dom, AP)
+        monkeypatch.setattr(grushin3d.solver, "_GRAM_COND_LIMIT", 1.0)
+        assert poincare_constant(dom, AP) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5])
+    def test_rejects_bad_iteration_limit(self, max_iter):
+        with pytest.raises(DomainError):
+            poincare_constant(Domain.cube(1.0, 8), AP, max_iter=max_iter)
+
     def test_operator_applications(self, monkeypatch):
         calls = []
         apply = GrushinOperator.__call__
@@ -671,6 +728,43 @@ class TestPoincare:
         lam_a = poincare_constant(Domain.cube(1.0, 24), AP)
         lam_b = poincare_constant(Domain.cube(1.0, 36), AP)
         assert lam_b == pytest.approx(lam_a, rel=1e-2)
+
+
+def run_with_blas_threads(threads, args):
+    """stdout of ``python args`` in a fresh process whose BLAS may use
+    ``threads`` threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(grushin3d.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+class TestBlasThreadCount:
+    """The solve path makes no threaded BLAS reduction, so its numbers do
+    not depend on how many threads the BLAS may use."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["solve", "--alpha", "1", "--q", "4", "--grid", "24"],
+            ["pohozaev", "--p", "3", "--alpha", "1", "--solve", "--grid", "24"],
+        ],
+    )
+    def test_cli_reports(self, args):
+        reports = [json.loads(run_with_blas_threads(t, ["-m", "grushin3d.cli", *args])) for t in (1, 2)]
+        kept = [json.dumps({k: r[k] for k in ("results", "checks")}, sort_keys=True) for r in reports]
+        assert kept[0] == kept[1]
+
+    def test_poincare_constant(self):
+        code = (
+            "from grushin3d.solver import Domain, poincare_constant\n"
+            "box = Domain.cube(1.0, 32)\n"
+            "X1, X2, Y = box.centers()\n"
+            "ball = Domain(box.bbox, box.dims, X1**2 + X2**2 + Y**2 < 0.95**2)\n"
+            "print(repr(poincare_constant(ball, 1.0)))"
+        )
+        assert run_with_blas_threads(1, ["-c", code]) == run_with_blas_threads(2, ["-c", code])
 
 
 def critical_ratios(dom, fields):

@@ -4,8 +4,9 @@ Subcommands: geometry, transform-check, rearrange, sobolev, solve,
 pohozaev.  Every run emits a RunReport as JSON (stdout, and --output FILE
 when given); table-like results are additionally written as CSV.  Exit
 codes: 0 success (all checks passed), 1 a check failed, 2 usage error
-(also an output path that cannot be written), 3 input-file error,
-4 numerical failure (any unexpected exception too, as one stderr line).
+(also an output path or a stdout that cannot be written), 3 input-file
+error, 4 numerical failure (any unexpected exception too, as one stderr
+line).
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ from __future__ import annotations
 import argparse
 import inspect
 import math
+import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -380,7 +382,14 @@ def main(argv=None) -> int:
     except Exception as exc:  # an unforeseen failure, MemoryError included
         print(f"numerical failure: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return NUMERICAL_EXIT
-    print(text)
+    try:
+        print(text, flush=True)  # a closed pipe raises here, not at exit
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit; that goes to devnull
+        with suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"usage error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_EXIT
     return 0 if rep.all_passed else 1
 
 

@@ -19,22 +19,18 @@ minimises the quotient per^{3/2} / vol at fixed weighted volume; this module
 computes all of those quantities numerically and evaluates the corresponding
 isoperimetric deficit.
 
-Shapes that carry analytic surface patches are measured on those patches
-alone: surface integrals by midpoint quadrature over the patches, and
-volumes through the divergence identity, as a flux through the same
-patches.  Every corpus shape and its flattened image carry patches.
-Shapes without patches (user level sets) fall back to marching-tetrahedra
-triangulation for surface integrals and to cell-centred voxel sums with
-recursive subdivision of boundary-crossing cells for volumes;
-``voxel_integral`` is also the independent cross-check of the patch route.
+Every shape carries analytic surface patches that cover its boundary, and
+it is measured on those patches alone: surface integrals by midpoint
+quadrature over the patches, and volumes through the divergence identity,
+as a flux through the same patches.
 
 Each measure evaluates the boundary once: ``weighted_volume`` sweeps the
-patch nodes for the flux, and ``perimeters`` sweeps them (or one
-triangulation) for the weighted perimeter and all 2n(a) relative sector
-perimeters together, classifying every node by sector as it goes.  Every
-patch sweep in the package, here and in ``transform`` and ``pohozaev``,
-draws its nodes from ``_patch_blocks``, which builds them block by block,
-so patch quadrature memory is bounded by the block, not by the resolution.
+patch nodes for the flux, and ``perimeters`` sweeps them for the weighted
+perimeter and all 2n(a) relative sector perimeters together, classifying
+every node by sector as it goes.  Every patch sweep in the package, here
+and in ``transform`` and ``pohozaev``, draws its nodes from
+``_patch_blocks``, which builds them block by block, so patch quadrature
+memory is bounded by the block, not by the resolution.
 """
 
 from __future__ import annotations
@@ -45,8 +41,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ComputationError, DomainError
-from .grids import CellGrid
+from .errors import DomainError
 
 __all__ = [
     "AlphaParam",
@@ -141,32 +136,22 @@ _MAX_SURFACE_RESOLUTION = 1 << 14
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Resolution knobs for voxel and patch quadrature.
+    """Resolution of patch quadrature.
 
-    ``surface_resolution`` sets the patch route (m midpoint nodes per patch
-    axis, at most 16384, ``_MAX_SURFACE_RESOLUTION``); ``volume_resolution``
-    and ``refine_depth`` only the voxel and triangulation routes of
-    patch-free shapes, which no CLI command reaches.  Boundary refinement
-    and patch sums run in fixed-size chunks, which bounds memory whatever
-    the resolution; their partial sums are reduced in chunk order.  A
-    refinement chunk holds 30k boundary cells (``_REFINE_CHUNK``), each
-    expanded to 27 corner points; a patch block holds 32768 nodes
-    (``_PATCH_BLOCK``).
+    ``surface_resolution`` is m, the midpoint nodes per patch axis, from 1
+    to 16384 (``_MAX_SURFACE_RESOLUTION``).  Patch sums run in blocks of
+    32768 nodes (``_PATCH_BLOCK``), which bounds memory whatever the
+    resolution; their partial sums are reduced in block order.
     """
 
-    volume_resolution: int = 128
     surface_resolution: int = 256
-    refine_depth: int = 3
 
     def __post_init__(self):
-        if min(self.volume_resolution, self.surface_resolution) < 1:
-            raise DomainError("quadrature resolutions must be positive")
-        if self.surface_resolution > _MAX_SURFACE_RESOLUTION:
-            raise DomainError(
-                f"surface_resolution must be at most {_MAX_SURFACE_RESOLUTION}, got {self.surface_resolution}"
-            )
-        if not 0 <= self.refine_depth <= 8:
-            raise DomainError("refine_depth must lie in 0..8")
+        m = self.surface_resolution
+        if m < 1:
+            raise DomainError(f"surface_resolution must be positive, got {m}")
+        if m > _MAX_SURFACE_RESOLUTION:
+            raise DomainError(f"surface_resolution must be at most {_MAX_SURFACE_RESOLUTION}, got {m}")
 
 
 @dataclass(frozen=True)
@@ -191,17 +176,18 @@ class ImplicitShape:
     """Bounded open set E = {level < 0} inside an axis-aligned bbox.
 
     ``level`` must be vectorised: (m, 3) points -> (m,) values, negative
-    strictly inside, positive strictly outside.  ``patches``, when given,
-    must cover the whole of bd(E), outward oriented: the weighted perimeter
-    and the divergence-identity volume are both computed from them alone,
-    so a missing piece silently falsifies both.  ``sector`` marks shapes
-    contained in the closure of one angular sector; for those the
-    isoperimetric quotient uses the relative (wall-free) perimeter.
+    strictly inside, positive strictly outside; containment checks sample
+    it.  ``patches`` is required and must cover the whole of bd(E),
+    outward oriented: the weighted perimeter and the divergence-identity
+    volume are both computed from them alone, so a missing piece silently
+    falsifies both.  ``sector`` marks shapes contained in the closure of
+    one angular sector; for those the isoperimetric quotient uses the
+    relative (wall-free) perimeter.
     """
 
     level: Callable[[np.ndarray], np.ndarray]
     bbox: np.ndarray  # shape (3, 2)
-    patches: Optional[Sequence[SurfacePatch]] = None
+    patches: Sequence[SurfacePatch]
     sector: Optional[int] = None
     name: str = "shape"
 
@@ -210,123 +196,19 @@ class ImplicitShape:
         object.__setattr__(self, "bbox", bbox)
         if not np.all(bbox[:, 1] > bbox[:, 0]):
             raise DomainError(f"degenerate bbox {bbox.tolist()}")
-
-
-def _weight_of(alpha: float):
-    def weight(x1, x2):
-        return (x1 * x1 + x2 * x2) ** alpha
-
-    return weight
-
-
-# boundary cells refined together; 27 corner points and the level
-# function's temporaries per cell set the voxel engine's peak memory
-_REFINE_CHUNK = 30_000
-
-_SUBCELLS = np.array([[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)])
-_CORNERS27 = np.array(
-    [[i, j, k] for i in range(3) for j in range(3) for k in range(3)], dtype=float
-)
-
-
-def _refine_chunk(level, weight, origins, h, depth, chunk=_REFINE_CHUNK):
-    """Weighted volume carried by boundary-crossing cells of edge h.
-
-    Recursively splits cells into octants down to ``depth``; the deepest
-    generation is resolved by a centre-point membership test.
-    """
-    total = 0.0
-    for s in range(0, len(origins), chunk):
-        o = origins[s : s + chunk]
-        if depth == 0:
-            ctr = o + 0.5 * h
-            ctr = ctr[level(ctr) < 0]
-            total += float(np.sum(weight(ctr[:, 0], ctr[:, 1]))) * float(h.prod())
-            continue
-        h2 = h / 2.0
-        corners = (o[:, None, :] + (_CORNERS27 * h2)[None, :, :]).reshape(-1, 3)
-        neg = (level(corners) < 0).reshape(len(o), 3, 3, 3)
-        carry = []
-        subvol = float(h2.prod())
-        for so in _SUBCELLS:
-            cnt = np.zeros(len(o), dtype=np.int8)
-            for di in (0, 1):
-                for dj in (0, 1):
-                    for dk in (0, 1):
-                        cnt += neg[:, so[0] + di, so[1] + dj, so[2] + dk]
-            ins = cnt == 8
-            cro = (cnt > 0) & (cnt < 8)
-            if ins.any():
-                ctr = o[ins] + (so + 0.5) * h2
-                total += float(np.sum(weight(ctr[:, 0], ctr[:, 1]))) * subvol
-            if cro.any():
-                carry.append(o[cro] + so * h2)
-        if carry:
-            total += _refine_chunk(level, weight, np.concatenate(carry), h2, depth - 1, chunk)
-    return total
-
-
-def voxel_integral(level, bbox, weight, cfg: QuadratureConfig) -> float:
-    """integral over {level < 0} of weight(x1, x2), by refined voxel sums.
-
-    The weight may only depend on (x1, x2); that keeps the bulk term a 2D
-    weight array contracted against per-column inside counts, which is what
-    makes volume_resolution = 128 affordable.
-    """
-    n = cfg.volume_resolution
-    cells = CellGrid(bbox, (n, n, n))
-    lo, hs = cells.bbox[:, 0], cells.spacing
-
-    # corner sign grid, filled in slabs to bound memory
-    neg = np.empty((n + 1, n + 1, n + 1), dtype=bool)
-    c1 = lo[0] + np.arange(n + 1) * hs[0]
-    c2 = lo[1] + np.arange(n + 1) * hs[1]
-    c3 = lo[2] + np.arange(n + 1) * hs[2]
-    C2, C3 = np.meshgrid(c2, c3, indexing="ij")
-    slab = max(1, int(2e6 // ((n + 1) * (n + 1))))
-    for s in range(0, n + 1, slab):
-        e = min(n + 1, s + slab)
-        pts = np.empty((e - s, n + 1, n + 1, 3))
-        pts[..., 0] = c1[s:e, None, None]
-        pts[..., 1] = C2[None]
-        pts[..., 2] = C3[None]
-        neg[s:e] = (level(pts.reshape(-1, 3)) < 0).reshape(e - s, n + 1, n + 1)
-        del pts  # one slab of points alive at a time
-
-    cnt = np.zeros((n, n, n), dtype=np.int8)
-    for di in (0, 1):
-        for dj in (0, 1):
-            for dk in (0, 1):
-                cnt += neg[di : n + di, dj : n + dj, dk : n + dk]
-    del neg
-
-    inside_cols = (cnt == 8).sum(axis=2)
-    w2d = weight(cells.axis_centers(0)[:, None], cells.axis_centers(1)[None, :])
-    total = float(np.sum(w2d * inside_cols)) * float(hs.prod())
-
-    crossed = (cnt > 0) & (cnt < 8)
-    del cnt
-    origins = lo + np.argwhere(crossed).astype(float) * hs
-    del crossed
-    total += _refine_chunk(level, weight, origins, hs, cfg.refine_depth)
-    return total
+        if not self.patches:
+            raise DomainError(f"shape {self.name!r} carries no surface patches")
 
 
 def weighted_volume(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:
     """Weighted volume vol_w(E).
 
-    A shape with analytic patches is measured through the divergence
-    identity: div(|x|^{2a} (x1, x2, 0)) = (2a + 2) |x|^{2a}, so the weighted
-    volume equals the flux of |x|^{2a} (x1, x2, 0) / (2a + 2) through bd(E)
-    (``volume_resolution`` and ``refine_depth`` play no part).  A shape
-    without patches falls back to boundary-refined voxel quadrature of the
-    level set (``voxel_integral``), which is also the independent
-    cross-check of the patch route.
+    Measured through the divergence identity:
+    div(|x|^{2a} (x1, x2, 0)) = (2a + 2) |x|^{2a}, so the weighted volume
+    equals the flux of |x|^{2a} (x1, x2, 0) / (2a + 2) through the shape's
+    patches.
     """
-    ap = _as_alpha(alpha)
-    a = ap.alpha
-    if not shape.patches:
-        return voxel_integral(shape.level, shape.bbox, _weight_of(a), cfg)
+    a = _as_alpha(alpha).alpha
 
     def flux(points, normals):
         r2 = points[:, 0] ** 2 + points[:, 1] ** 2
@@ -366,8 +248,6 @@ def _patch_blocks(shape: ImplicitShape, cfg: QuadratureConfig):
     elements, ds*dt) per (patch, block), in patch order; nodes whose area
     element vanishes are dropped.
     """
-    if not shape.patches:
-        raise ComputationError(f"shape {shape.name!r} carries no surface patches")
     m = cfg.surface_resolution
     for patch in shape.patches:
         (s0, s1), (t0, t1) = patch.s_range, patch.t_range
@@ -411,24 +291,17 @@ class Perimeters:
 
 
 def perimeters(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> Perimeters:
-    """Weighted perimeter and all 2n(a) sector perimeters from one set of nodes.
+    """Weighted perimeter and all 2n(a) sector perimeters from one sweep of
+    the shape's patch midpoints.
 
-    The nodes are the shape's patch midpoints when it has patches, otherwise
-    the triangles of one marching-tetrahedra triangulation of the level set
-    at ``volume_resolution``.  Each (patch, block) contributes one partial to
-    the total and one to every sector, reduced in block order.
+    Each (patch, block) contributes one partial to the total and one to
+    every sector, reduced in block order.
     """
     ap = _as_alpha(alpha)
     density = _area_integrand(ap.alpha)
-    if shape.patches:
-        blocks = ((density(pts, nu) * area, pts, dst) for pts, nu, area, dst in _patch_blocks(shape, cfg))
-    else:
-        from .triangulate import marching_tetrahedra
-
-        centroids, areas, normals = marching_tetrahedra(shape.level, shape.bbox, cfg.volume_resolution)
-        blocks = [(density(centroids, normals) * areas, centroids, 1.0)]
     partials = []
-    for vals, pts, dst in blocks:
+    for pts, nu, area, dst in _patch_blocks(shape, cfg):
+        vals = density(pts, nu) * area
         idx = sector_index(pts, ap)
         # a stable sort keeps each sector's nodes in block order, as a mask would
         order = np.argsort(idx, kind="stable")
@@ -529,13 +402,10 @@ def anisotropic_scale(shape: ImplicitShape, lam: float, alpha) -> ImplicitShape:
 
     # tangent cross products transform by the cofactor matrix of diag(scale)
     cof = np.array([lam * lam_y, lam * lam_y, lam * lam])
-    patches = None
-    if shape.patches:
-        patches = [_scale_patch(p, scale, cof) for p in shape.patches]
     return ImplicitShape(
         level=scaled_level,
         bbox=shape.bbox * scale[:, None],
-        patches=patches,
+        patches=[_scale_patch(p, scale, cof) for p in shape.patches],
         sector=shape.sector,
         name=f"{shape.name}*scale({lam:g})",
     )

@@ -104,8 +104,6 @@ def star_shaped_check(
     shape = target
     if shape.level(np.zeros((1, 3)))[0] >= 0:
         raise DomainError("star-shapedness is relative to the origin, which must lie inside")
-    if not shape.patches:
-        raise DomainError("star-shaped check needs analytic patches")
     m = math.inf
     for pts, nu, _, _ in _patch_blocks(shape, cfg):
         g = pts[:, 0] * nu[:, 0] + pts[:, 1] * nu[:, 1] + (1.0 + a) * pts[:, 2] * nu[:, 2]

@@ -224,7 +224,7 @@ def ball_sector(alpha, j: int = 1, radius: float = 1.0) -> ImplicitShape:
 
     def padded(lo_, hi_):
         # axis-aligned sector walls sit exactly on bbox faces, which keeps
-        # voxel classification bias-free there
+        # a voxel sum over the bbox bias-free there
         lo_ = 0.0 if abs(lo_) < 1e-12 * rx else lo_ - pad
         hi_ = 0.0 if abs(hi_) < 1e-12 * rx else hi_ + pad
         return (lo_, hi_)

@@ -21,8 +21,8 @@ inverse; round trips are exact to ~1e-12.
 image patch is flatten_point o param, with tangent cross product
 cof(DF) (d_s x d_t) in closed form (Nanson's formula, ``_cofactor``).  The
 volume check measures on those image patches, and the perimeter check
-applies the same cofactor to the source patches' normals, so neither needs
-a voxel grid of the image, whose bbox grows like r^{a+1}.
+applies the same cofactor to the source patches' normals, so neither
+samples the image, whose bbox grows like r^{a+1}.
 
 Composition-order note: the flattening direction is the map that composes
 "flat polar" after "inverse cartesian polar", acting on points of the
@@ -46,7 +46,6 @@ from .geometry import (
     patch_surface_integral,
     perimeters,
     sector_index,
-    voxel_integral,
     weighted_volume,
 )
 
@@ -151,8 +150,7 @@ def _image_patch(patch: SurfacePatch, ap: AlphaParam) -> SurfacePatch:
 def flatten_shape(shape: ImplicitShape, alpha) -> ImplicitShape:
     """Implicit description of the flattened image of a first-sector shape.
 
-    The image carries the images of the shape's patches (none for a
-    patch-free shape).
+    The image carries the images of the shape's patches, one per patch.
     """
     ap = _as_alpha(alpha)
     a = ap.alpha
@@ -171,9 +169,9 @@ def flatten_shape(shape: ImplicitShape, alpha) -> ImplicitShape:
     rmax = np.hypot(*rx) ** (a + 1.0) / (a + 1.0)
     pad = 1.0239 * rmax
     # the image wedge lies in {xi2 >= 0}; putting that wall exactly on the
-    # bbox face keeps the voxel classification bias-free along it
+    # bbox face keeps a voxel sum over the bbox bias-free along it
     bbox = np.array([(-pad, pad), (0.0, pad), tuple(shape.bbox[2])])
-    patches = [_image_patch(p, ap) for p in shape.patches] if shape.patches else None
+    patches = [_image_patch(p, ap) for p in shape.patches]
     return ImplicitShape(flat_level, bbox, patches=patches, name=f"flat({shape.name})")
 
 
@@ -202,16 +200,11 @@ def pushforward_volume_check(
     |F(E)| is the flux of xi / 3 through the image patches, by the same
     midpoint quadrature as the weighted side but with the 3D identity
     div(xi) = 3 (the 2D flux of (xi1, xi2) / 2 equals the weighted flux
-    node by node, which would make the check vacuous).  A patch-free image
-    falls back to voxel quadrature, as ``weighted_volume`` does.
+    node by node, which would make the check vacuous).
     """
     _require_in_sector(shape, alpha)
     weighted = weighted_volume(shape, alpha, cfg)
-    flat = flatten_shape(shape, alpha)
-    if flat.patches:
-        euclidean = patch_surface_integral(flat, _euclidean_flux, cfg)
-    else:
-        euclidean = voxel_integral(flat.level, flat.bbox, lambda x1, x2: np.ones_like(x1 + x2), cfg)
+    euclidean = patch_surface_integral(flatten_shape(shape, alpha), _euclidean_flux, cfg)
     return PushforwardReport(weighted, euclidean, _gap(weighted, euclidean))
 
 
@@ -229,8 +222,6 @@ def pushforward_perimeter_check(
     """
     ap = _as_alpha(alpha)
     _require_in_sector(shape, ap)
-    if not shape.patches:
-        raise DomainError("perimeter pushforward requires analytic patches")
     weighted = perimeters(shape, ap, cfg).sectors[0]
 
     def image_area(points, normals):
@@ -245,10 +236,14 @@ def pushforward_perimeter_check(
     return PushforwardReport(weighted, euclidean, _gap(weighted, euclidean))
 
 
-def _require_in_sector(shape: ImplicitShape, alpha, samples: int = 17) -> None:
+# level-function samples per bbox axis of the containment check
+_CONTAINMENT_SAMPLES = 17
+
+
+def _require_in_sector(shape: ImplicitShape, alpha) -> None:
     """Sampled containment check: inside points must lie in the closed sector."""
     ap = _as_alpha(alpha)
-    axes = [np.linspace(a, b, samples) for a, b in shape.bbox]
+    axes = [np.linspace(a, b, _CONTAINMENT_SAMPLES) for a, b in shape.bbox]
     G1, G2, G3 = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([G1.ravel(), G2.ravel(), G3.ravel()])
     inside = pts[shape.level(pts) < 0]

@@ -18,7 +18,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 @pytest.fixture(scope="session")
 def fast_cfg():
-    return QuadratureConfig(volume_resolution=64, surface_resolution=128, refine_depth=2)
+    return QuadratureConfig(surface_resolution=128)
 
 
 @pytest.fixture(scope="session")

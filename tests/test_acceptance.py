@@ -86,7 +86,7 @@ def test_criterion_02_sobolev_lower_bound_vs_grid():
 
 
 def test_criterion_03_isoperimetric_sweep():
-    cfg = QuadratureConfig(volume_resolution=128, surface_resolution=192, refine_depth=3)
+    cfg = QuadratureConfig(surface_resolution=192)
     worst = math.inf
     ref_gap = 0.0
     count = 0
@@ -110,7 +110,7 @@ def test_criterion_03_isoperimetric_sweep():
 
 
 def test_criterion_04_scaling_laws():
-    cfg = QuadratureConfig(volume_resolution=96, surface_resolution=192, refine_depth=3)
+    cfg = QuadratureConfig(surface_resolution=192)
     shape = ellipsoid((1.3, 0.8, 0.6))
     worst_vol = worst_per = 0.0
     for alpha in ALPHAS:
@@ -212,7 +212,7 @@ def test_criterion_07_transform_identities():
     from grushin3d.shapes import ball
     from grushin3d.transform import pushforward_perimeter_check, pushforward_volume_check
 
-    cfg = QuadratureConfig(volume_resolution=128, surface_resolution=192, refine_depth=3)
+    cfg = QuadratureConfig(surface_resolution=192)
     ok = True
     worst_v = worst_p = 0.0
     for alpha in ALPHAS:

@@ -2,13 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushin3d import AlphaParam, cli, geometry, rearrangement, shapes, transform, triangulate
+from grushin3d import AlphaParam, cli, geometry, rearrangement, shapes
 from grushin3d.cli import main
 from grushin3d.fields import cosine_bump, radial_field
 from grushin3d.grids import GRID_MAGIC, load_grid, save_grid
@@ -87,19 +90,18 @@ class TestGeometryCommand:
         ],
     )
     def test_each_measure_computed_once(self, shape_args, num_sectors, monkeypatch, capsys):
-        calls = {"voxel_integral": 0, "_patch_blocks": 0}
-        for name in calls:
-            original = getattr(geometry, name)
+        calls = {"_patch_blocks": 0}
+        original = geometry._patch_blocks
 
-            def spy(*a, _name=name, _original=original, **kw):
-                calls[_name] += 1
-                return _original(*a, **kw)
+        def spy(*a, **kw):
+            calls["_patch_blocks"] += 1
+            return original(*a, **kw)
 
-            monkeypatch.setattr(geometry, name, spy)
+        monkeypatch.setattr(geometry, "_patch_blocks", spy)
         code, rep = run_cli(["geometry", *shape_args, *FAST_GEO], capsys)
         assert code == 0
         # one sweep of the patch nodes for the volume, one for every perimeter
-        assert calls == {"voxel_integral": 0, "_patch_blocks": 2}
+        assert calls == {"_patch_blocks": 2}
         res = rep["results"]
         assert sorted(k for k in res if k.startswith("sector_perimeter_")) == sorted(
             f"sector_perimeter_{j}" for j in range(1, num_sectors + 1)
@@ -137,7 +139,7 @@ class TestTransformCheckCommand:
 
 
 class TestPatchOnlyCli:
-    """No CLI input reaches the voxel engine or the triangulation."""
+    """Patch quadrature sets the accuracy of every geometric CLI result."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -149,23 +151,9 @@ class TestPatchOnlyCli:
             ["transform-check", "--alpha", "1", "--shape", "small-ball", *FAST_GEO],
         ],
     )
-    def test_no_voxel_or_triangulation_calls(self, argv, monkeypatch, capsys):
-        calls = []
-        for module, name in (
-            (geometry, "voxel_integral"),
-            (transform, "voxel_integral"),
-            (triangulate, "marching_tetrahedra"),
-        ):
-            original = getattr(module, name)
-
-            def spy(*a, _name=name, _original=original, **kw):
-                calls.append(_name)
-                return _original(*a, **kw)
-
-            monkeypatch.setattr(module, name, spy)
+    def test_no_voxel_or_triangulation_calls(self, argv, capsys):
         code, rep = run_cli(argv, capsys)
         assert code == 0
-        assert calls == []
         assert rep["resolutions"] == {"surface_resolution": 96}
 
     @pytest.mark.parametrize("flag", ["--resolution", "--refine-depth"])
@@ -476,6 +464,23 @@ class TestBadInput:
             assert captured.err == "numerical failure: weighted_volume is not finite\n"
         if "NOWHERE" in argv:
             assert captured.err == f"usage error: cannot write {nowhere}: No such file or directory\n"
+
+    def test_closed_stdout_is_usage_error(self):
+        # the reader of the pipe has closed its end before the report is printed
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "grushin3d.cli", "pohozaev", "--p", "3", "--alpha", "1"],
+                stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr == "usage error: cannot write stdout: Broken pipe\n"
+        assert "Traceback" not in done.stderr
 
 
 # values a user might type, half of them in range and half small, junk,

@@ -21,11 +21,11 @@ from grushin3d import (
     sector_of_point,
     weighted_volume,
 )
-from grushin3d import geometry, triangulate
-from grushin3d.geometry import sector_index, voxel_integral
+from grushin3d import geometry
+from grushin3d.geometry import sector_index
 from grushin3d.grids import CellGrid
-from grushin3d.transform import flatten_shape
 from grushin3d.shapes import ball, ball_sector, box, corpus_shapes, cylinder, ellipsoid, make_shape
+from voxel_reference import REFINE_CHUNK, refine_chunk, voxel_integral, weighted
 
 
 def midpoint_weighted_volume(level, bbox, alpha, n):
@@ -101,9 +101,9 @@ class TestWeightedVolume:
         vol = weighted_volume(shape, 1.0, fast_cfg)
         assert vol == pytest.approx(math.pi, rel=5e-3)
 
-    def test_against_midpoint_oracle(self, fast_cfg):
+    def test_against_midpoint_oracle(self):
         shape = ellipsoid((1.3, 0.8, 0.6))
-        vol = weighted_volume(replace(shape, patches=None), 1.0, fast_cfg)
+        vol = voxel_integral(shape.level, shape.bbox, weighted(1.0), 64, 2)
         oracle_lo = midpoint_weighted_volume(shape.level, shape.bbox, 1.0, 48)
         oracle_hi = midpoint_weighted_volume(shape.level, shape.bbox, 1.0, 96)
         assert abs(vol - oracle_hi) <= 2.5 * abs(oracle_hi - oracle_lo) + 1e-12
@@ -115,45 +115,43 @@ class TestWeightedVolume:
         assert weighted_volume(shape, 1.0, fast_cfg) == pytest.approx(vals.volume, rel=5e-3)
 
     def test_empty_shape(self, fast_cfg):
-        empty = ImplicitShape(
-            level=lambda p: np.ones(len(np.atleast_2d(p))),
-            bbox=np.array([(-1, 1)] * 3),
-        )
-        assert weighted_volume(empty, 1.0, fast_cfg) == 0.0
+        # |x|^2 and the area elements underflow to 0 on a ball of radius 1e-200
+        assert weighted_volume(ball(1e-200), 1.0, fast_cfg) == 0.0
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(DomainError):
-            ImplicitShape(level=lambda p: p[:, 0], bbox=np.array([(0, 0), (0, 1), (0, 1)]))
+            ImplicitShape(level=lambda p: p[:, 0], bbox=np.array([(0, 0), (0, 1), (0, 1)]), patches=ball(1.0).patches)
+
+    @pytest.mark.parametrize("patches", [None, []])
+    def test_shape_without_patches_rejected(self, patches):
+        with pytest.raises(DomainError, match="carries no surface patches"):
+            ImplicitShape(level=lambda p: p[:, 0], bbox=np.array([(-1, 1)] * 3), patches=patches)
 
     def test_quadrature_convergence_order(self):
         shape = ellipsoid((1.3, 0.8, 0.6))
         exact = 4 * math.pi / 15 * 1.3 * 0.8 * 0.6 * (1.3**2 + 0.8**2)
         errs = {}
         for n in (32, 128):
-            cfg = QuadratureConfig(volume_resolution=n, refine_depth=2)
-            errs[n] = abs(weighted_volume(replace(shape, patches=None), 1.0, cfg) - exact)
+            errs[n] = abs(voxel_integral(shape.level, shape.bbox, weighted(1.0), n, 2) - exact)
         # two resolution doublings; order >= 1 means a factor >= ~4
         assert errs[128] <= errs[32] / 2.5
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_patch_shapes_take_the_patch_route(self, alpha, fast_cfg, monkeypatch):
-        calls = []
-        monkeypatch.setattr(geometry, "voxel_integral", lambda *a, **k: calls.append(a))
-        for shape in corpus_shapes(alpha):
+        sweeps = []
+        original = geometry._patch_blocks
+        monkeypatch.setattr(geometry, "_patch_blocks", lambda *a: sweeps.append(a) or original(*a))
+        shapes = corpus_shapes(alpha)
+        for shape in shapes:
             assert weighted_volume(shape, alpha, fast_cfg) > 0.0
-        assert calls == []
-
-    def test_patch_free_shapes_take_the_voxel_route(self):
-        cfg = QuadratureConfig(volume_resolution=32, refine_depth=1)
-        flat = replace(flatten_shape(ball_sector(1.0), 1.0), patches=None)
-        expected = voxel_integral(flat.level, flat.bbox, lambda x1, x2: (x1 * x1 + x2 * x2) ** 1.0, cfg)
-        assert weighted_volume(flat, 1.0, cfg) == expected
+        # one sweep of the patch nodes per volume
+        assert len(sweeps) == len(shapes)
 
 
 class TestRefinementChunks:
     def test_chunking_does_not_change_the_sum(self):
-        # crossed cells of a patch-free ball, as voxel_integral finds them
-        shape = replace(ball(1.0), patches=None)
+        # crossed cells of a ball, as voxel_integral finds them
+        shape = ball(1.0)
         n = 96
         cells = CellGrid(shape.bbox, (n, n, n))
         lo, h = cells.bbox[:, 0], cells.spacing
@@ -161,10 +159,10 @@ class TestRefinementChunks:
         neg = (shape.level(np.stack(corners, axis=-1).reshape(-1, 3)) < 0).reshape((n + 1,) * 3)
         cnt = sum(neg[i : n + i, j : n + j, k : n + k].astype(int) for i in (0, 1) for j in (0, 1) for k in (0, 1))
         origins = lo + np.argwhere((cnt > 0) & (cnt < 8)) * h
-        assert len(origins) > geometry._REFINE_CHUNK
+        assert len(origins) > REFINE_CHUNK
         weight = lambda x1, x2: x1 * x1 + x2 * x2  # noqa: E731
-        chunked = geometry._refine_chunk(shape.level, weight, origins, h, 2)
-        whole = geometry._refine_chunk(shape.level, weight, origins, h, 2, chunk=len(origins))
+        chunked = refine_chunk(shape.level, weight, origins, h, 2)
+        whole = refine_chunk(shape.level, weight, origins, h, 2, chunk=len(origins))
         assert chunked == pytest.approx(whole, rel=1e-14)
 
 
@@ -175,37 +173,13 @@ class TestWeightedPerimeter:
         per = perimeters(shape, 1.0, fast_cfg).total
         assert per == pytest.approx(5 * math.pi, rel=1e-4)
 
-    def test_empty_shape_triangulation(self, fast_cfg):
-        empty = ImplicitShape(
-            level=lambda p: np.ones(len(np.atleast_2d(p))),
-            bbox=np.array([(-1, 1)] * 3),
-        )
-        assert perimeters(empty, 1.0, fast_cfg) == geometry.Perimeters(0.0, (0.0,) * 4)
-
-    def test_marching_tetrahedra_vs_patches(self):
+    def test_ball_patches_vs_closed_form(self):
         # Euclidean unit ball, weighted area via 1D reduction:
         # 2 pi int_{-1}^{1} (1 - c^2) sqrt(1 + c^2) dc
         from scipy.integrate import quad
 
         exact = 2 * math.pi * quad(lambda c: (1 - c * c) * math.sqrt(1 + c * c), -1, 1)[0]
-        bare = ImplicitShape(
-            level=lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 + p[:, 2] ** 2 - 1.0,
-            bbox=np.array([(-1.07, 1.07)] * 3),
-        )
-        cfg = QuadratureConfig(volume_resolution=96, refine_depth=2)
-        assert perimeters(bare, 1.0, cfg).total == pytest.approx(exact, rel=2e-3)
-        withp = ball(1.0)
-        assert perimeters(withp, 1.0, cfg).total == pytest.approx(exact, rel=1e-6)
-
-    def test_one_triangulation_per_call(self, monkeypatch):
-        calls = []
-        original = triangulate.marching_tetrahedra
-        monkeypatch.setattr(triangulate, "marching_tetrahedra", lambda *a: calls.append(a) or original(*a))
-        bare = replace(cylinder(1.0, 1.0), patches=None)
-        per = perimeters(bare, 1.0, QuadratureConfig(volume_resolution=32))
-        assert len(calls) == 1
-        assert len(per.sectors) == 4
-        assert per.total == pytest.approx(5 * math.pi, rel=3e-2)
+        assert perimeters(ball(1.0), 1.0, QuadratureConfig()).total == pytest.approx(exact, rel=1e-6)
 
     def test_patch_normals_are_unit(self):
         cfg = QuadratureConfig(surface_resolution=17)
@@ -353,12 +327,9 @@ class TestIsoperimetry:
             assert isoperimetric_deficit(shape, 1.0, fast_cfg) >= -0.01 * q_ref
 
     def test_zero_volume_rejected(self, fast_cfg):
-        empty = ImplicitShape(
-            level=lambda p: np.ones(len(np.atleast_2d(p))),
-            bbox=np.array([(-1, 1)] * 3),
-        )
+        # |x|^2 underflows to 0 on a ball of radius 1e-200
         with pytest.raises(DomainError):
-            isoperimetric_quotient(empty, 1.0, fast_cfg)
+            isoperimetric_quotient(ball(1e-200), 1.0, fast_cfg)
 
 
 class TestAnisotropicScale:
@@ -403,7 +374,7 @@ class TestPatchVolumeRoute:
             (box((1, 0.7, 0.9)), 3e-2),
         ):
             v_patch = weighted_volume(shape, 1.0, fast_cfg)
-            v_voxel = weighted_volume(replace(shape, patches=None), 1.0, fast_cfg)
+            v_voxel = voxel_integral(shape.level, shape.bbox, weighted(1.0), 64, 2)
             assert v_voxel == pytest.approx(v_patch, rel=rel)
 
     def test_box_closed_form_via_patches(self, fast_cfg):

@@ -103,17 +103,15 @@ class TestRadiusFromMeasure:
             m = sector_measure_of_radius(R, alpha)
             assert radius_from_measure(m, alpha) == pytest.approx(R, rel=1e-12)
 
-    def test_sector_measure_against_voxels(self, fast_cfg):
+    def test_sector_measure_against_voxels(self):
         # voxel quadrature of {r < R} in the first sector
-        from dataclasses import replace
-
         from grushin3d.shapes import ball_sector
+        from voxel_reference import voxel_integral, weighted
 
-        shape = replace(ball_sector(1.0, j=1), patches=None)  # r < 2 for alpha = 1
+        shape = ball_sector(1.0, j=1)  # r < 2 for alpha = 1
         vol = sector_measure_of_radius(2.0, 1.0)
-        from grushin3d import weighted_volume
-
-        assert weighted_volume(shape, 1.0, fast_cfg) == pytest.approx(vol, rel=5e-3)
+        voxels = voxel_integral(shape.level, shape.bbox, weighted(1.0), 64, 2)
+        assert voxels == pytest.approx(vol, rel=5e-3)
 
 
 class TestRearrange:

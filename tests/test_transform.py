@@ -1,11 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from grushin3d import AlphaParam, DomainError, QuadratureConfig, reference_ball
-from grushin3d.geometry import sector_index, voxel_integral
+from grushin3d.geometry import sector_index
 from grushin3d.shapes import ball, ball_sector
 from grushin3d.transform import (
     PolarTriple,
@@ -17,6 +16,7 @@ from grushin3d.transform import (
     pushforward_volume_check,
     unflatten_point,
 )
+from voxel_reference import unit, voxel_integral
 
 
 def small_sector_ball(alpha):
@@ -100,27 +100,27 @@ class TestReferenceBallImage:
 class TestPushforward:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_reference_sector_volume(self, alpha):
-        cfg = QuadratureConfig(volume_resolution=96, surface_resolution=128, refine_depth=2)
+        cfg = QuadratureConfig(surface_resolution=128)
         shape, vals = reference_ball(alpha, 1)
         rep = pushforward_volume_check(shape, alpha, cfg)
         assert rep.rel_gap <= 1e-3
         assert rep.weighted == pytest.approx(vals.volume, rel=5e-3)
 
     def test_reference_sector_perimeter(self):
-        cfg = QuadratureConfig(volume_resolution=64, surface_resolution=160, refine_depth=2)
+        cfg = QuadratureConfig(surface_resolution=160)
         shape, vals = reference_ball(1.0, 1)
         rep = pushforward_perimeter_check(shape, 1.0, cfg)
         assert rep.rel_gap <= 1e-2
         assert rep.weighted == pytest.approx(vals.sector_perimeter, rel=1e-3)
 
     def test_small_ball_far_from_axis(self):
-        cfg = QuadratureConfig(volume_resolution=96, surface_resolution=128, refine_depth=2)
+        cfg = QuadratureConfig(surface_resolution=128)
         shape = small_sector_ball(1.0)
         assert pushforward_volume_check(shape, 1.0, cfg).rel_gap <= 1e-3
         assert pushforward_perimeter_check(shape, 1.0, cfg).rel_gap <= 1e-2
 
     def test_scaled_sector_ball_half_radius(self):
-        cfg = QuadratureConfig(volume_resolution=64, surface_resolution=128, refine_depth=2)
+        cfg = QuadratureConfig(surface_resolution=128)
         shape = ball_sector(1.0, j=1, radius=0.5)
         rep = pushforward_perimeter_check(shape, 1.0, cfg)
         # spherical wedge of radius 1/2: area scales by 1/4
@@ -128,26 +128,18 @@ class TestPushforward:
         assert rep.rel_gap <= 1e-2
 
     def test_empty_shape(self):
-        from grushin3d import ImplicitShape
-
-        cfg = QuadratureConfig(volume_resolution=32, refine_depth=1)
-        empty = ImplicitShape(
-            level=lambda p: np.ones(len(np.atleast_2d(p))),
-            bbox=np.array([(0.1, 1.0), (0.1, 1.0), (-1.0, 1.0)]),
-        )
-        rep = pushforward_volume_check(empty, 1.0, cfg)
+        # both volumes of a ball sector of radius 1e-200 underflow to 0
+        rep = pushforward_volume_check(ball_sector(1.0, j=1, radius=1e-200), 1.0)
         assert (rep.weighted, rep.euclidean, rep.rel_gap) == (0.0, 0.0, 0.0)
 
     def test_shape_outside_sector_rejected(self):
-        cfg = QuadratureConfig(volume_resolution=32, refine_depth=1)
         with pytest.raises(DomainError):
-            pushforward_volume_check(ball(0.5), 1.0, cfg)  # straddles all sectors
+            pushforward_volume_check(ball(0.5), 1.0)  # straddles all sectors
 
     def test_flatten_shape_volume_identity(self):
         # direct check that the image's Lebesgue volume equals the weighted one
-        cfg = QuadratureConfig(volume_resolution=96, refine_depth=2)
         shape = small_sector_ball(0.5)
-        rep = pushforward_volume_check(shape, 0.5, cfg)
+        rep = pushforward_volume_check(shape, 0.5)
         flat = flatten_shape(shape, 0.5)
         assert flat.name.startswith("flat(")
         assert rep.euclidean > 0
@@ -199,10 +191,5 @@ class TestImagePatches:
     def test_patch_volume_matches_voxels(self, alpha, shape):
         rep = pushforward_volume_check(shape, alpha)
         flat = flatten_shape(shape, alpha)
-        cfg = QuadratureConfig(volume_resolution=64, refine_depth=3)
-        voxels = voxel_integral(flat.level, flat.bbox, lambda x1, x2: np.ones_like(x1 + x2), cfg)
+        voxels = voxel_integral(flat.level, flat.bbox, unit, 64, 3)
         assert abs(rep.euclidean - voxels) <= 1e-4 * voxels
-
-    def test_patch_free_source_gives_patch_free_image(self):
-        shape = replace(small_sector_ball(1.0), patches=None)
-        assert flatten_shape(shape, 1.0).patches is None

@@ -1,82 +1,105 @@
 """grushin3d: weighted isoperimetry, symmetrization, sharp Sobolev bounds
 and a finite-difference solver for the degenerate operator
--Delta_x - |x|^{2*alpha} d2/dy2 on R^3."""
+-Delta_x - |x|^{2*alpha} d2/dy2 on R^3.
+
+The package namespace is lazy (PEP 562): a public name, or a submodule
+that defines public names, imports its module on first access.  Importing
+the package or the CLI therefore loads no scipy; only the solver and
+``grids.resample`` do.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import (
-    ComputationError,
-    DegeneracyError,
-    DomainError,
-    GridFormatError,
-    IterationError,
-)
-from .geometry import (
-    AlphaParam,
-    ImplicitShape,
-    Perimeters,
-    QuadratureConfig,
-    SurfacePatch,
-    anisotropic_scale,
-    isoperimetric_deficit,
-    isoperimetric_quotient,
-    perimeters,
-    reference_ball,
-    reference_quotient,
-    sector_count,
-    sector_of_point,
-    weighted_volume,
-)
-from .grids import CellGrid, GridFunction3D, load_grid, save_grid
-from .pohozaev import (
-    PohozaevReport,
-    nonexistence_classify,
-    pohozaev_coefficient,
-    pohozaev_lhs,
-    pohozaev_residual,
-    pohozaev_rhs,
-    star_shaped_check,
-)
-from .rearrangement import (
-    DistributionFunction,
-    RadialProfile,
-    coarea_derivative_compare,
-    distribution_function,
-    grushin_energy,
-    polya_szego_gap,
-    radius_from_measure,
-    rearrange,
-    weighted_lq_norm,
-)
-from .shapes import ball, ball_sector, box, corpus_shapes, cylinder, ellipsoid, make_shape
-from .sobolev import (
-    ExtremalProfile,
-    RayleighReport,
-    critical_exponent,
-    minimize_rayleigh,
-    rayleigh_quotient,
-    scaling_exponent,
-    sobolev_lower_bound,
-    sobolev_lower_bound_alt,
-    talenti_constant_general,
-    talenti_radial_constant,
-)
-from .solver import (
-    Domain,
-    GrushinOperator,
-    Problem,
-    SolutionReport,
-    linear_solve,
-    poincare_constant,
-    solve_ground_state,
-)
-from .transform import (
-    PolarTriple,
-    flatten_point,
-    flatten_shape,
-    polar_to_flat_point,
-    polar_to_point,
-    pushforward_perimeter_check,
-    pushforward_volume_check,
-    unflatten_point,
-)
+# each public name, by the module that defines it
+_EXPORTS = {
+    "errors": ("ComputationError", "DegeneracyError", "DomainError", "GridFormatError", "IterationError"),
+    "geometry": (
+        "AlphaParam",
+        "ImplicitShape",
+        "Perimeters",
+        "QuadratureConfig",
+        "SurfacePatch",
+        "anisotropic_scale",
+        "isoperimetric_deficit",
+        "isoperimetric_quotient",
+        "perimeters",
+        "reference_ball",
+        "reference_quotient",
+        "sector_count",
+        "sector_of_point",
+        "weighted_volume",
+    ),
+    "grids": ("CellGrid", "GridFunction3D", "load_grid", "save_grid"),
+    "pohozaev": (
+        "PohozaevReport",
+        "nonexistence_classify",
+        "pohozaev_coefficient",
+        "pohozaev_lhs",
+        "pohozaev_residual",
+        "pohozaev_rhs",
+        "star_shaped_check",
+    ),
+    "rearrangement": (
+        "DistributionFunction",
+        "RadialProfile",
+        "coarea_derivative_compare",
+        "distribution_function",
+        "grushin_energy",
+        "polya_szego_gap",
+        "radius_from_measure",
+        "rearrange",
+        "weighted_lq_norm",
+    ),
+    "shapes": ("ball", "ball_sector", "box", "corpus_shapes", "cylinder", "ellipsoid", "make_shape"),
+    "sobolev": (
+        "ExtremalProfile",
+        "RayleighReport",
+        "critical_exponent",
+        "minimize_rayleigh",
+        "rayleigh_quotient",
+        "scaling_exponent",
+        "sobolev_lower_bound",
+        "sobolev_lower_bound_alt",
+        "talenti_constant_general",
+        "talenti_radial_constant",
+    ),
+    "solver": (
+        "Domain",
+        "GrushinOperator",
+        "Problem",
+        "SolutionReport",
+        "linear_solve",
+        "poincare_constant",
+        "solve_ground_state",
+    ),
+    "transform": (
+        "PolarTriple",
+        "flatten_point",
+        "flatten_shape",
+        "polar_to_flat_point",
+        "polar_to_point",
+        "pushforward_perimeter_check",
+        "pushforward_volume_check",
+        "unflatten_point",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -13,15 +13,20 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import io
 import math
 import os
 import sys
 import time
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, redirect_stdout, suppress
 
 import numpy as np
 
+# every module but the solver loads with the CLI, so no command pays for an
+# import while it runs; the solver loads scipy and is imported only where
+# a command solves
 from . import __version__
+from . import fields  # noqa: F401  (minimize_rayleigh imports it lazily: a circular import)
 from .errors import ComputationError, DomainError, GridFormatError
 from .geometry import (
     QuadratureConfig,
@@ -32,7 +37,24 @@ from .geometry import (
     _quotient,
 )
 from .grids import load_grid, save_grid
+from .pohozaev import nonexistence_classify, pohozaev_coefficient, pohozaev_residual
+from .rearrangement import (
+    RadialProfile,
+    distribution_function,
+    grushin_energy,
+    level_count,
+    weighted_lq_norm,
+)
 from .report import RunReport, write_csv
+from .shapes import SHAPE_BUILDERS, ball, ball_sector, make_shape
+from .sobolev import (
+    minimize_rayleigh,
+    sobolev_lower_bound,
+    sobolev_lower_bound_alt,
+    talenti_constant_general,
+    talenti_radial_constant,
+)
+from .transform import pushforward_perimeter_check, pushforward_volume_check
 
 USAGE_EXIT, INPUT_EXIT, NUMERICAL_EXIT = 2, 3, 4
 
@@ -52,8 +74,6 @@ _SHAPE_OPTIONS = {"radius": "radius", "halfheight": "half_height", "semiaxes": "
 
 
 def _shape_from_args(args):
-    from .shapes import SHAPE_BUILDERS, make_shape
-
     builder = SHAPE_BUILDERS.get(args.shape)
     takes = inspect.signature(builder).parameters if builder else {}
     params = {}
@@ -85,9 +105,6 @@ def cmd_geometry(args, rep: RunReport) -> None:
 
 
 def cmd_transform_check(args, rep: RunReport) -> None:
-    from .shapes import ball, ball_sector
-    from .transform import pushforward_perimeter_check, pushforward_volume_check
-
     ap = _as_alpha(args.alpha)
     cfg = QuadratureConfig(surface_resolution=args.surface_resolution)
     if args.shape == "ball-sector":
@@ -111,14 +128,6 @@ def cmd_transform_check(args, rep: RunReport) -> None:
 
 
 def cmd_rearrange(args, rep: RunReport) -> None:
-    from .rearrangement import (
-        RadialProfile,
-        distribution_function,
-        grushin_energy,
-        level_count,
-        weighted_lq_norm,
-    )
-
     ap = _as_alpha(args.alpha)
     level_count(args.levels)  # a bad count exits 2 before the grid is read
     grid = load_grid(args.input)
@@ -163,14 +172,6 @@ def cmd_rearrange(args, rep: RunReport) -> None:
 
 
 def cmd_sobolev(args, rep: RunReport) -> None:
-    from .sobolev import (
-        minimize_rayleigh,
-        sobolev_lower_bound,
-        sobolev_lower_bound_alt,
-        talenti_constant_general,
-        talenti_radial_constant,
-    )
-
     # equal keys (--alphas 1 1, or 0.5 0.5000001) would overwrite each other's results
     keys = [f"alpha_{a:g}" for a in args.alphas]
     if len(set(keys)) < len(keys):
@@ -244,19 +245,14 @@ def cmd_solve(args, rep: RunReport) -> None:
 
 
 def cmd_pohozaev(args, rep: RunReport) -> None:
-    from .pohozaev import (
-        nonexistence_classify,
-        pohozaev_coefficient,
-        pohozaev_residual,
-    )
-    from .solver import solve_ground_state
-
     ap = _as_alpha(args.alpha)
     coef = pohozaev_coefficient(args.p, ap)
     rep.results["coefficient"] = coef
     regime = nonexistence_classify(args.p)
     rep.results["classification"] = regime
     if args.solve:
+        from .solver import solve_ground_state
+
         if regime != "subcritical":
             raise DomainError("identity runs need a subcritical power p < 5")
         domain = _cube(args)
@@ -349,9 +345,32 @@ def _non_finite(items):
     return None
 
 
+def _write_stdout(text: str) -> int:
+    """Write ``text`` to stdout and flush: 0, or the usage-error exit code
+    when stdout cannot be written (a pipe whose reader has closed)."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except OSError as exc:
+        # the interpreter flushes stdout again at exit; that goes to devnull
+        with suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"usage error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return USAGE_EXIT
+    return 0
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse drops a failed write of --help or --version; they print here
+    # and end like a report does
+    shown = io.StringIO()
+    try:
+        with redirect_stdout(shown):
+            args = parser.parse_args(argv)
+    except SystemExit as exc:
+        exc.code = _write_stdout(shown.getvalue()) or exc.code
+        raise
     t0 = time.perf_counter()
     try:
         bad = _non_finite(vars(args).items())
@@ -382,15 +401,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # an unforeseen failure, MemoryError included
         print(f"numerical failure: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return NUMERICAL_EXIT
-    try:
-        print(text, flush=True)  # a closed pipe raises here, not at exit
-    except OSError as exc:
-        # the interpreter flushes stdout again at exit; that goes to devnull
-        with suppress(OSError):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"usage error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
-        return USAGE_EXIT
-    return 0 if rep.all_passed else 1
+    return _write_stdout(text + "\n") or (0 if rep.all_passed else 1)
 
 
 if __name__ == "__main__":

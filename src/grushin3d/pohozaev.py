@@ -24,14 +24,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import ImplicitShape, QuadratureConfig, _as_alpha, _patch_blocks
 from .grids import GridFunction3D
-from .solver import Domain
+
+if TYPE_CHECKING:  # the solver loads scipy; nothing here needs it at run time
+    from .solver import Domain
 
 __all__ = [
     "pohozaev_coefficient",
@@ -90,7 +92,7 @@ def star_shaped_check(
     swept block by block by ``_patch_blocks``.
     """
     a = _as_alpha(alpha).alpha
-    if isinstance(target, Domain):
+    if not isinstance(target, ImplicitShape):
         bbox = target.bbox
         m = float(
             min(

@@ -38,6 +38,11 @@ from .grids import GridFunction3D
 # at most 2^20 uniform levels: the level and measure arrays then take 8 MiB each
 MAX_LEVELS = 1 << 20
 
+# 5-point Gauss-Legendre nodes and weights on [-1, 1], used per linear
+# segment of a profile; built at import, so no run pays for importing
+# numpy.polynomial
+_GAUSS_LEGENDRE_5 = np.polynomial.legendre.leggauss(5)
+
 __all__ = [
     "DistributionFunction",
     "RadialProfile",
@@ -248,8 +253,7 @@ class RadialProfile:
         if q < 1:
             raise DomainError("q must be >= 1")
         s, v = self.nodes()
-        # 5-point Gauss-Legendre per linear segment
-        xg, wg = np.polynomial.legendre.leggauss(5)
+        xg, wg = _GAUSS_LEGENDRE_5
         a_, b_ = s[:-1], s[1:]
         mid, half = (a_ + b_) / 2.0, (b_ - a_) / 2.0
         r = mid[:, None] + half[:, None] * xg[None, :]

@@ -59,6 +59,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.fft import dst, idst
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import DegeneracyError, DomainError, IterationError
 from .geometry import AlphaParam, _as_alpha
@@ -172,8 +174,6 @@ class GrushinOperator:
         (T1 + mu_k |x1|^{2a}) (x) I + I (x) (T2 + mu_k |x2|^{2a}), solved in
         the eigenbases of the two tridiagonal factors.
         """
-        from scipy.fft import dst, idst
-
         if self._box_basis is None:
             self._box_basis = self._build_box_basis()
         V1, V2, inv = self._box_basis
@@ -189,8 +189,6 @@ class GrushinOperator:
     def _build_box_basis(self):
         """Per y-mode eigenbases of the x1 and x2 factors and the inverse
         eigenvalue sums: n3 (n1^2 + n2^2 + n1 n2) floats."""
-        from scipy.linalg import eigh_tridiagonal
-
         n3 = self.domain.dims[2]
         h = self.domain.spacing
         mu = _dirichlet_spectrum(n3, h[2], np.arange(1, n3 + 1))
@@ -655,8 +653,6 @@ def _lobpcg(op: GrushinOperator, x: np.ndarray, tol: float, max_iter: int):
     at most ``tol`` or after ``max_iter`` steps.  Returns (lambda, x), with
     ||x|| = 1.
     """
-    from scipy.linalg import eigh
-
     x = x / math.sqrt(_dot(x, x))
     ax = op(x)
     lam = _dot(x, ax)

@@ -18,6 +18,13 @@ from grushin3d.grids import GRID_MAGIC, load_grid, save_grid
 from grushin3d.rearrangement import distribution_function, polya_szego_gap, rearrange, weighted_lq_norm
 
 
+def subprocess_env(**extra):
+    """The environment of a child process that imports this package's sources."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
@@ -232,7 +239,9 @@ class TestRearrangeCommand:
         save_grid(grid, path)
         calls = []
         real = rearrangement.distribution_function
-        monkeypatch.setattr(rearrangement, "distribution_function", lambda *a, **k: calls.append(a) or real(*a, **k))
+        # the CLI's own name and the library's, which rearrange() calls
+        for module in (cli, rearrangement):
+            monkeypatch.setattr(module, "distribution_function", lambda *a, **k: calls.append(a) or real(*a, **k))
         code, rep = run_cli(["rearrange", "--input", str(path), "--alpha", "1", "--levels", "64"], capsys)
         assert code == 0
         assert len(calls) == 1
@@ -466,21 +475,31 @@ class TestBadInput:
             assert captured.err == f"usage error: cannot write {nowhere}: No such file or directory\n"
 
     def test_closed_stdout_is_usage_error(self):
-        # the reader of the pipe has closed its end before the report is printed
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run(
-                [sys.executable, "-m", "grushin3d.cli", "pohozaev", "--p", "3", "--alpha", "1"],
-                stdin=subprocess.DEVNULL, stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
-            )
-        finally:
-            os.close(write_end)
-        assert done.returncode == 2
-        assert done.stderr == "usage error: cannot write stdout: Broken pipe\n"
-        assert "Traceback" not in done.stderr
+        # the reader of the pipe has closed its end before the report, the
+        # help or the version is printed, with stdout buffered or not;
+        # argparse itself would drop the failed write and exit 0
+        for argv in (["pohozaev", "--p", "3", "--alpha", "1"], ["--help"], ["--version"]):
+            for unbuffered in ("", "1"):
+                read_end, write_end = os.pipe()
+                os.close(read_end)
+                try:
+                    done = subprocess.run(
+                        [sys.executable, "-m", "grushin3d.cli", *argv], stdin=subprocess.DEVNULL,
+                        stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(PYTHONUNBUFFERED=unbuffered),
+                        text=True,
+                    )
+                finally:
+                    os.close(write_end)
+                assert done.returncode == 2, (argv, unbuffered)
+                assert done.stderr == "usage error: cannot write stdout: Broken pipe\n", (argv, unbuffered)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"]])
+    def test_help_and_version_exit_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: grushin3d" if argv == ["--help"] else "grushin3d 0.1.0")
 
 
 # values a user might type, half of them in range and half small, junk,

@@ -1,0 +1,92 @@
+"""The lazy package namespace, and start-up without scipy."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import grushin3d
+from test_cli import subprocess_env
+
+# In a fresh process: import the CLI and build its parser, then run each
+# command in-process, and record the scipy modules loaded after each step.
+# Importing the solver comes last and must load scipy, which shows that the
+# probe sees what it looks for.
+NO_SCIPY_PROBE = r"""
+import contextlib, io, json, os, sys, tempfile
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+import grushin3d.cli as cli
+cli.build_parser()
+steps = [["import", 0, scipy_modules()]]
+
+from grushin3d.fields import cosine_bump, radial_field
+from grushin3d.grids import save_grid
+grid = os.path.join(tempfile.mkdtemp(), "bump.grid")
+save_grid(radial_field(cosine_bump, 1.0, 1.0, resolution=24), grid)
+
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([grid if a == "GRID" else a for a in argv])
+    steps.append([" ".join(argv), code, scipy_modules()])
+
+import grushin3d.solver
+steps.append(["import grushin3d.solver", 0, scipy_modules()])
+print(json.dumps(steps))
+"""
+
+SCIPY_FREE_RUNS = [
+    ["geometry", "--shape", "ball-sector", "--alpha", "1", "--surface-resolution", "32"],
+    ["transform-check", "--alpha", "1", "--surface-resolution", "32"],
+    ["rearrange", "--input", "GRID", "--alpha", "1", "--levels", "64"],
+    ["sobolev", "--minimize", "--resolution", "16"],
+    ["pohozaev", "--p", "3", "--alpha", "1"],
+]
+
+
+class TestStartupWithoutScipy:
+    def test_cli_and_paper_commands_load_no_scipy(self):
+        done = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_PROBE, json.dumps(SCIPY_FREE_RUNS)],
+            stdin=subprocess.DEVNULL, capture_output=True, env=subprocess_env(), text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        steps = json.loads(done.stdout)
+        *runs, (_, _, after_solver) = steps
+        assert len(runs) == 1 + len(SCIPY_FREE_RUNS)
+        for step, code, scipy in runs:
+            assert code == 0, step
+            assert scipy == [], step
+        assert "scipy.fft" in after_solver and "scipy.linalg" in after_solver
+
+
+class TestLazyNamespace:
+    def test_every_public_name_resolves(self):
+        assert len(set(grushin3d.__all__)) == len(grushin3d.__all__)
+        for name in grushin3d.__all__:
+            obj = getattr(grushin3d, name)
+            module = importlib.import_module(obj.__module__)
+            assert module.__name__.startswith("grushin3d.")
+            assert getattr(module, name) is obj
+
+    def test_dir_lists_public_names_and_submodules(self):
+        listed = dir(grushin3d)
+        assert set(grushin3d.__all__) <= set(listed)
+        assert {*grushin3d._EXPORTS, "__version__"} <= set(listed)
+
+    @pytest.mark.parametrize("name", ["solver", "sobolev", "errors"])
+    def test_submodule_attribute(self, name):
+        assert getattr(grushin3d, name) is importlib.import_module(f"grushin3d.{name}")
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            grushin3d.no_such_name  # noqa: B018
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from grushin3d import *", namespace)
+        assert set(grushin3d.__all__) <= set(namespace)

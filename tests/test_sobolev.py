@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
-from grushin3d import AlphaParam, DomainError
+from grushin3d import AlphaParam, DomainError, sobolev
 from grushin3d.fields import (
     SectorExtremalFamily,
     cosine_bump,
@@ -16,6 +17,7 @@ from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import grushin_energy, weighted_lq_norm
 from grushin3d.sobolev import (
     ExtremalProfile,
+    _fminbound,
     _golden_min,
     critical_exponent,
     minimize_rayleigh,
@@ -71,6 +73,49 @@ class TestTalentiConstant:
         base = talenti_constant_general(2, 3, a=1.0, b=1.0)
         # r -> c r is the same as scaling (a, b) jointly
         assert talenti_constant_general(2, 3, a=1.0, b=4.0) == pytest.approx(base, abs=1e-5)
+
+    @pytest.mark.parametrize("p,m", [(2.0, 3.0), (2.0, 4.0), (1.5, 3.0)])
+    def test_exp_sinh_rule_matches_adaptive_quadrature(self, p, m):
+        # the fixed 257-node rule against scipy's adaptive quad on [0, inf)
+        # for the nine (a, b) pairs of the sobolev command
+        for a in (0.5, 1.0, 2.0):
+            for b in (0.5, 1.0, 2.0):
+                prof = ExtremalProfile(a=a, b=b, p=p, m=m)
+                num = quad(lambda r: r ** (m - 1) * abs(prof.derivative(r)) ** p, 0, np.inf)[0]
+                den = quad(lambda r: r ** (m - 1) * prof(r) ** prof.q, 0, np.inf)[0]
+                ref = num ** (1 / p) / den ** (1 / prof.q)
+                assert abs(talenti_constant_general(p, m, a=a, b=b) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("p,m", [(1.5, 2.0), (1.5, 3.0), (2.0, 3.0), (1.5, 4.0), (2.5, 4.0)])
+    def test_exp_sinh_rule_at_the_edges_of_its_range(self, p, m):
+        # the corners of 1.5 <= p <= (m+1)/2 <= 2.5 and of a, b in [1e-3, 1e3],
+        # against the Beta-function values of both integrals (the quotient
+        # does not depend on a, b)
+        pc = p / (p - 1)
+
+        def beta(s, t):
+            return math.exp(math.lgamma(s) + math.lgamma(t) - math.lgamma(s + t))
+
+        num = ((m - p) / (p - 1)) ** p * beta((m + pc) / pc, m - (m + pc) / pc) / pc
+        den = beta(m / pc, m - m / pc) / pc
+        ref = num ** (1 / p) / den ** ((m - p) / (m * p))
+        for a in (1e-3, 0.5, 1.0, 2.0, 1e3):
+            for b in (1e-3, 0.5, 1.0, 2.0, 1e3):
+                assert abs(talenti_constant_general(p, m, a=a, b=b) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize(
+        "p,m",
+        [
+            (1.4999, 3.0),  # below p = 1.5
+            (1.05, 3.0),  # r^{p'-1} overflows at the outer nodes
+            (2.0001, 3.0),  # above p = (m+1)/2
+            (2.9, 3.0),  # tail far from decayed by the last node
+            (2.5, 4.0001),  # above m = 4
+        ],
+    )
+    def test_rejects_parameters_outside_the_rule_range(self, p, m):
+        with pytest.raises(DomainError, match="quadrature rule needs"):
+            talenti_constant_general(p, m)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
@@ -279,3 +324,58 @@ class TestBrentSearch:
         rep = minimize_rayleigh(1.0, resolution=16)
         assert rep.evaluations == len(seen)
         assert rep.estimate == seen[rep.profile_scale] == min(seen.values())
+
+
+def same_bits(got, res):
+    """_fminbound's (x, f(x), nfev) equal scipy's result bit for bit."""
+    x, fun, nfev = got
+    return float(x).hex() == float(res.x).hex() and float(fun).hex() == float(res.fun).hex() and nfev == res.nfev
+
+
+class TestBoundedBrentPort:
+    """``_fminbound`` reproduces scipy's bounded minimize_scalar."""
+
+    @staticmethod
+    def scipy_bounded(fn, lo, hi):
+        options = {"xatol": sobolev._BRENT_XATOL, "maxiter": sobolev._BRENT_MAXFUN}
+        return minimize_scalar(fn, bounds=(lo, hi), method="bounded", options=options)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    def test_sector_rayleigh_objective(self, alpha):
+        family = SectorExtremalFamily(alpha, resolution=16)
+
+        def fn(log_b):
+            return family.quotient(math.exp(log_b)).quotient
+
+        lo, hi = math.log(0.5), math.log(32.0)
+        assert same_bits(_fminbound(fn, lo, hi), self.scipy_bounded(fn, lo, hi))
+
+    @pytest.mark.parametrize(
+        "fn,lo,hi",
+        [
+            # smooth interior minima: mostly parabolic steps, one clamped
+            # where the step would land within tol of the bracket's end
+            (lambda x: (x - 0.3) ** 2, -1.0, 2.0),
+            (lambda x: (x - 0.3) ** 4 + 0.1 * x, -1.0, 2.0),
+            (math.cos, 0.0, 10.0),
+            # kinks: rejected parabolas fall back to golden sections
+            (lambda x: abs(x - 0.3), -1.0, 2.0),
+            (lambda x: math.sqrt(abs(x - 0.3)), -1.0, 2.0),
+            # minimum on the lower bound: golden steps close in on it
+            (lambda x: x, 0.0, 1.0),
+            (math.exp, -2.0, 3.0),
+        ],
+    )
+    def test_analytic_functions(self, fn, lo, hi):
+        assert same_bits(_fminbound(fn, lo, hi), self.scipy_bounded(fn, lo, hi))
+
+    @pytest.mark.parametrize("maxfun", [1, 2, 5])
+    def test_stops_at_maxfun(self, maxfun, monkeypatch):
+        # a tolerance that cannot be met before the evaluation budget runs out
+        monkeypatch.setattr(sobolev, "_BRENT_XATOL", 1e-12)
+        monkeypatch.setattr(sobolev, "_BRENT_MAXFUN", maxfun)
+        fn = lambda x: (x - 0.3) ** 2  # noqa: E731
+        got = _fminbound(fn, -1.0, 2.0)
+        res = self.scipy_bounded(fn, -1.0, 2.0)
+        assert res.status == 1 and got[2] == max(maxfun, 2)
+        assert same_bits(got, res)

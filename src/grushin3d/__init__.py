@@ -6,6 +6,12 @@ The package namespace is lazy (PEP 562): a public name, or a submodule
 that defines public names, imports its module on first access.  Importing
 the package or the CLI therefore loads no scipy; only the solver and
 ``grids.resample`` do.
+
+``_EXPORTS`` is the package API and the one list of public names; no
+submodule defines ``__all__``.  A name is in it only when a CLI command,
+an acceptance criterion or a benchmark operation calls it directly, or
+when it is an exception or a return type of such a call.  Other
+module-level names are helpers of their own module.
 """
 
 import importlib
@@ -25,43 +31,28 @@ _EXPORTS = {
         "isoperimetric_deficit",
         "isoperimetric_quotient",
         "perimeters",
-        "reference_ball",
         "reference_quotient",
         "sector_count",
-        "sector_of_point",
         "weighted_volume",
     ),
     "grids": ("CellGrid", "GridFunction3D", "load_grid", "save_grid"),
-    "pohozaev": (
-        "PohozaevReport",
-        "nonexistence_classify",
-        "pohozaev_coefficient",
-        "pohozaev_lhs",
-        "pohozaev_residual",
-        "pohozaev_rhs",
-        "star_shaped_check",
-    ),
+    "pohozaev": ("PohozaevReport", "nonexistence_classify", "pohozaev_coefficient", "pohozaev_residual"),
     "rearrangement": (
         "DistributionFunction",
         "RadialProfile",
-        "coarea_derivative_compare",
         "distribution_function",
         "grushin_energy",
         "polya_szego_gap",
-        "radius_from_measure",
         "rearrange",
         "weighted_lq_norm",
     ),
     "shapes": ("ball", "ball_sector", "box", "corpus_shapes", "cylinder", "ellipsoid", "make_shape"),
     "sobolev": (
-        "ExtremalProfile",
         "RayleighReport",
-        "critical_exponent",
         "minimize_rayleigh",
         "rayleigh_quotient",
         "scaling_exponent",
         "sobolev_lower_bound",
-        "sobolev_lower_bound_alt",
         "talenti_constant_general",
         "talenti_radial_constant",
     ),
@@ -74,16 +65,7 @@ _EXPORTS = {
         "poincare_constant",
         "solve_ground_state",
     ),
-    "transform": (
-        "PolarTriple",
-        "flatten_point",
-        "flatten_shape",
-        "polar_to_flat_point",
-        "polar_to_point",
-        "pushforward_perimeter_check",
-        "pushforward_volume_check",
-        "unflatten_point",
-    ),
+    "transform": ("pushforward_perimeter_check", "pushforward_volume_check"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

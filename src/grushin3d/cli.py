@@ -50,7 +50,6 @@ from .shapes import SHAPE_BUILDERS, ball, ball_sector, make_shape
 from .sobolev import (
     minimize_rayleigh,
     sobolev_lower_bound,
-    sobolev_lower_bound_alt,
     talenti_constant_general,
     talenti_radial_constant,
 )
@@ -192,19 +191,17 @@ def cmd_sobolev(args, rep: RunReport) -> None:
     for alpha, key in zip(args.alphas, keys):
         ap = _as_alpha(alpha)
         L = sobolev_lower_bound(ap)
-        Lp = sobolev_lower_bound_alt(ap)
         rep.results[f"{key}_n"] = float(ap.sector_count)
         rep.results[f"{key}_lower_bound"] = L
-        rep.results[f"{key}_lower_bound_alt"] = Lp
         ray = float("nan")
         if args.minimize:
             ray = minimize_rayleigh(ap, resolution=args.resolution).estimate
             rep.results[f"{key}_rayleigh_min"] = ray
             rep.add_check(f"{key}_rayleigh_above_bound", ray, L * 0.97, ">=")
-        rows.append([float(alpha), ap.sector_count, D, L, Lp, ray])
+        rows.append([float(alpha), ap.sector_count, D, L, ray])
     if args.csv:
         with _writing(args.csv):
-            write_csv(args.csv, ["alpha", "n_alpha", "D", "L_derived", "L_alt", "rayleigh_min"], rows)
+            write_csv(args.csv, ["alpha", "n_alpha", "D", "L_derived", "rayleigh_min"], rows)
 
 
 def _cube(args):

@@ -15,15 +15,6 @@ from .grids import CellGrid, GridFunction3D
 from .rearrangement import anisotropic_radius
 from .sobolev import RayleighReport, rayleigh_quotient
 
-__all__ = [
-    "compact_bump",
-    "cosine_bump",
-    "radial_field",
-    "SectorExtremalFamily",
-    "sector_extremal_grid",
-    "random_bump_corpus",
-]
-
 # the sector extremals are cut off at r = 20
 TRUNCATION_RADIUS = 20.0
 

@@ -36,30 +36,13 @@ memory is bounded by the block, not by the resolution.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-
-__all__ = [
-    "AlphaParam",
-    "SurfacePatch",
-    "ImplicitShape",
-    "QuadratureConfig",
-    "sector_count",
-    "sector_of_point",
-    "sector_index",
-    "weighted_volume",
-    "Perimeters",
-    "perimeters",
-    "reference_ball",
-    "reference_quotient",
-    "isoperimetric_quotient",
-    "isoperimetric_deficit",
-    "anisotropic_scale",
-]
 
 # fraction of a sector width within which a sample counts as lying on a wall
 _WALL_TOL = 1e-12
@@ -123,12 +106,6 @@ def sector_index(points: np.ndarray, alpha) -> np.ndarray:
     return np.where((r > 0) & ~on_wall, idx, 0)
 
 
-def sector_of_point(p, alpha) -> Optional[int]:
-    """Sector index of a single point, or None on walls / the y-axis."""
-    j = int(sector_index(np.asarray(p, dtype=float)[None, :], alpha)[0])
-    return j if j > 0 else None
-
-
 # largest surface_resolution: m^2 = 2^28 nodes per patch in 8192 blocks; a
 # sweep's memory is bounded but its time grows like m^2
 _MAX_SURFACE_RESOLUTION = 1 << 14
@@ -138,16 +115,18 @@ _MAX_SURFACE_RESOLUTION = 1 << 14
 class QuadratureConfig:
     """Resolution of patch quadrature.
 
-    ``surface_resolution`` is m, the midpoint nodes per patch axis, from 1
-    to 16384 (``_MAX_SURFACE_RESOLUTION``).  Patch sums run in blocks of
-    32768 nodes (``_PATCH_BLOCK``), which bounds memory whatever the
-    resolution; their partial sums are reduced in block order.
+    ``surface_resolution`` is m, the midpoint nodes per patch axis, an
+    integer from 1 to 16384 (``_MAX_SURFACE_RESOLUTION``).  Patch sums run
+    in blocks of 32768 nodes (``_PATCH_BLOCK``), which bounds memory
+    whatever the resolution; their partial sums are reduced in block order.
     """
 
     surface_resolution: int = 256
 
     def __post_init__(self):
         m = self.surface_resolution
+        if not isinstance(m, numbers.Integral):
+            raise DomainError(f"surface_resolution must be an integer, got {m!r}")
         if m < 1:
             raise DomainError(f"surface_resolution must be positive, got {m}")
         if m > _MAX_SURFACE_RESOLUTION:
@@ -330,20 +309,6 @@ def reference_ball_values(alpha) -> ReferenceBallValues:
         volume=2.0 * math.pi * (a + 1.0) / (3.0 * n),
         sector_perimeter=2.0 * (a + 1.0) * math.pi / n,
     )
-
-
-def reference_ball(alpha, j: int = 1):
-    """The unit anisotropic ball sector B_j plus its analytic measures.
-
-    B_j = { |x|^{2a+2}/(a+1)^2 + y^2 < 1 } intersected with sector j.  The
-    shape is returned with analytic patches (curved cap plus two flat walls).
-    """
-    from .shapes import ball_sector
-
-    ap = _as_alpha(alpha)
-    if not 1 <= j <= ap.num_sectors:
-        raise DomainError(f"sector index {j} outside 1..{ap.num_sectors}")
-    return ball_sector(ap, j), reference_ball_values(ap)
 
 
 def reference_quotient(alpha) -> float:

@@ -54,8 +54,6 @@ import numpy as np
 
 from .errors import DomainError, GridFormatError
 
-__all__ = ["CellGrid", "GridFunction3D", "load_grid", "save_grid", "resample", "GRID_MAGIC", "MAX_CELLS"]
-
 GRID_MAGIC = "grushin-grid v1"
 
 # values per formatted block in save_grid; bounds the block's memory

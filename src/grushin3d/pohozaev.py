@@ -35,17 +35,6 @@ from .grids import GridFunction3D
 if TYPE_CHECKING:  # the solver loads scipy; nothing here needs it at run time
     from .solver import Domain
 
-__all__ = [
-    "pohozaev_coefficient",
-    "nonexistence_classify",
-    "StarShapedReport",
-    "star_shaped_check",
-    "pohozaev_lhs",
-    "pohozaev_rhs",
-    "PohozaevReport",
-    "pohozaev_residual",
-]
-
 CRITICAL_POWER = 5.0
 
 

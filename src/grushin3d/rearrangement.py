@@ -43,22 +43,6 @@ MAX_LEVELS = 1 << 20
 # numpy.polynomial
 _GAUSS_LEGENDRE_5 = np.polynomial.legendre.leggauss(5)
 
-__all__ = [
-    "DistributionFunction",
-    "RadialProfile",
-    "anisotropic_radius",
-    "sector_measure_of_radius",
-    "radius_from_measure",
-    "level_count",
-    "distribution_function",
-    "rearrange",
-    "weighted_lq_norm",
-    "grushin_energy",
-    "polya_szego_gap",
-    "CoareaComparison",
-    "coarea_derivative_compare",
-]
-
 
 def anisotropic_radius(x1, x2, y, alpha) -> np.ndarray:
     a = _as_alpha(alpha).alpha
@@ -321,42 +305,3 @@ def polya_szego_gap(u: GridFunction3D, alpha, levels=None) -> float:
     ap = _as_alpha(alpha)
     profile = rearrange(u, ap, levels)
     return grushin_energy(u, ap) - profile.dirichlet_energy()
-
-
-@dataclass(frozen=True)
-class CoareaComparison:
-    """Numerical -lambda'(t) for u and its rearrangement at one level."""
-
-    lhs: float  # from the field's distribution function
-    rhs: float  # from the profile's exact measure function
-    plateau_detected: bool
-
-
-def coarea_derivative_compare(u: GridFunction3D, alpha, t: float) -> CoareaComparison:
-    """Estimate integral of |x|^{2a}/|grad u| over {u = t} on both sides.
-
-    Both sides are the negative derivative of a distribution function,
-    taken as a difference quotient over [t - dt, t + dt] with dt = 5 % of
-    max u; they agree wherever the level t is not a plateau value of u.
-    A plateau is flagged when the band between the two ends holds more than
-    1 % of the measure above its lower end and the quarter-width band
-    keeps more than 60 % of that mass.
-    """
-    ap = _as_alpha(alpha)
-    top = float(u.masked_values().max(initial=0.0))
-    if not 0.0 < t < top:
-        raise DomainError(f"level t={t} must lie strictly between 0 and max u={top}")
-    dt = 0.05 * top
-    lo, hi = max(t - dt, top * 1e-12), min(t + dt, top * (1 - 1e-12))
-    narrow = distribution_function(u, ap, levels=np.array(sorted({lo, hi, t - dt / 4, t + dt / 4})))
-    lam = dict(zip(narrow.levels, narrow.measures))
-    lhs = (lam[lo] - lam[hi]) / (hi - lo)
-    profile = rearrange(u, ap)
-    rhs = (profile.measure_above(lo) - profile.measure_above(hi)) / (hi - lo)
-    # a plateau is an atom of the value distribution: its band mass does not
-    # shrink with the window, unlike the O(window) mass of a smooth level
-    band = lam[lo] - lam[hi]
-    band_quarter = lam[t - dt / 4] - lam[t + dt / 4]
-    scale = float(max(lam.values()))
-    plateau = band > 0.01 * max(scale, 1e-300) and band_quarter > 0.6 * band
-    return CoareaComparison(float(lhs), float(rhs), bool(plateau))

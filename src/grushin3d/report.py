@@ -15,8 +15,6 @@ from typing import Optional
 
 from . import __version__
 
-__all__ = ["Check", "RunReport", "write_csv"]
-
 
 @dataclass(frozen=True)
 class Check:
@@ -58,7 +56,6 @@ class RunReport:
     results: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     wall_time_s: Optional[float] = None
-    version: str = __version__
 
     def add_check(self, name, value, threshold, op) -> Check:
         chk = Check(name, float(value), float(threshold), op)
@@ -77,7 +74,7 @@ class RunReport:
             "results": self.results,
             "checks": [c.as_dict() for c in self.checks],
             "all_passed": self.all_passed,
-            "meta": {"version": self.version, "wall_time_s": self.wall_time_s},
+            "meta": {"version": __version__, "wall_time_s": self.wall_time_s},
         }
 
     def to_json(self) -> str:

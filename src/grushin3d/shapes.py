@@ -15,17 +15,6 @@ import numpy as np
 from .errors import DomainError
 from .geometry import ImplicitShape, SurfacePatch, _as_alpha
 
-__all__ = [
-    "ball",
-    "ellipsoid",
-    "cylinder",
-    "box",
-    "ball_sector",
-    "make_shape",
-    "corpus_shapes",
-    "SHAPE_BUILDERS",
-]
-
 _PAD = 1.0731  # bbox padding factor; non-round so flat faces avoid grid planes
 
 

@@ -21,9 +21,7 @@ gives the lower bound for the best constant at q = 6:
     L(alpha) = (2 pi / n(a))^{1/3} (a+1)^{1/3} D.
 
 The +1/3 exponents follow from the 1D reduction and are confirmed by
-direct quadrature of the extremal profile; an alternative normalisation
-with inverted (-1/3) prefactor exponents also circulates, so that variant
-is computed and exposed alongside the verified value for comparison.
+direct quadrature of the extremal profile.
 """
 
 from __future__ import annotations
@@ -37,19 +35,6 @@ from .errors import DomainError
 from .geometry import _as_alpha
 from .grids import GridFunction3D
 from .rearrangement import grushin_energy, weighted_lq_norm
-
-__all__ = [
-    "ExtremalProfile",
-    "RayleighReport",
-    "talenti_radial_constant",
-    "talenti_constant_general",
-    "sobolev_lower_bound",
-    "sobolev_lower_bound_alt",
-    "rayleigh_quotient",
-    "scaling_exponent",
-    "critical_exponent",
-    "minimize_rayleigh",
-]
 
 
 @dataclass(frozen=True)
@@ -143,28 +128,12 @@ def sobolev_lower_bound(alpha) -> float:
     )
 
 
-def sobolev_lower_bound_alt(alpha) -> float:
-    """The same bound with inverted prefactor exponents (-1/3 instead of
-    +1/3), reported alongside the derived value for transparency."""
-    ap = _as_alpha(alpha)
-    return (
-        (2.0 * math.pi / ap.sector_count) ** (-1.0 / 3.0)
-        * (ap.alpha + 1.0) ** (-1.0 / 3.0)
-        * talenti_radial_constant()
-    )
-
-
 def scaling_exponent(q: float, alpha) -> float:
     """Exponent of the Rayleigh quotient under the anisotropic dilation."""
     if q <= 0:
         raise DomainError("q must be positive")
     a = _as_alpha(alpha).alpha
     return (3.0 * a + 3.0) / q - (a + 1.0) / 2.0
-
-
-def critical_exponent() -> int:
-    """The unique q with scaling_exponent(q, alpha) = 0 for every alpha."""
-    return 6
 
 
 @dataclass(frozen=True)

@@ -66,16 +66,6 @@ from .errors import DegeneracyError, DomainError, IterationError
 from .geometry import AlphaParam, _as_alpha
 from .grids import CellGrid, GridFunction3D, check_grid
 
-__all__ = [
-    "Domain",
-    "SolutionReport",
-    "GrushinOperator",
-    "linear_solve",
-    "Problem",
-    "solve_ground_state",
-    "poincare_constant",
-]
-
 
 @dataclass(frozen=True)
 class Domain(CellGrid):

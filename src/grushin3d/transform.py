@@ -1,13 +1,11 @@
 """Sector flattening maps that turn weighted measures into Euclidean ones.
 
-Work inside the first angular sector, theta in (0, pi/n(a)).  Two polar
-parametrisations of that wedge are glued into the flattening map:
+Work inside the first angular sector, theta in (0, pi/n(a)).  In polar
+coordinates (r, theta, y) the flattening map is
 
-    polar_to_point:      (r, theta, y)   -> (r cos theta, r sin theta, y)
-    polar_to_flat_point: (r, theta, eta) -> (r^{a+1} cos((a+1) theta) / (a+1),
-                                             r^{a+1} sin((a+1) theta) / (a+1), eta)
+    flatten_point: (r, theta, y) -> (r^{a+1} cos((a+1) theta) / (a+1),
+                                     r^{a+1} sin((a+1) theta) / (a+1), y);
 
-Composing the second with the inverse of the first gives ``flatten_point``;
 it sends the sector onto the wider wedge of opening (a+1) pi / n(a), maps
 the reference ball sector onto the Euclidean unit-ball wedge, and satisfies
 
@@ -23,11 +21,6 @@ cof(DF) (d_s x d_t) in closed form (Nanson's formula, ``_cofactor``).  The
 volume check measures on those image patches, and the perimeter check
 applies the same cofactor to the source patches' normals, so neither
 samples the image, whose bbox grows like r^{a+1}.
-
-Composition-order note: the flattening direction is the map that composes
-"flat polar" after "inverse cartesian polar", acting on points of the
-original sector.  Both directions are exported so callers never have to
-guess the convention.
 """
 
 from __future__ import annotations
@@ -49,41 +42,6 @@ from .geometry import (
     weighted_volume,
 )
 
-__all__ = [
-    "PolarTriple",
-    "polar_to_point",
-    "polar_to_flat_point",
-    "flatten_point",
-    "unflatten_point",
-    "flatten_shape",
-    "PushforwardReport",
-    "pushforward_volume_check",
-    "pushforward_perimeter_check",
-]
-
-
-@dataclass(frozen=True)
-class PolarTriple:
-    """Polar coordinates (r, theta, y) of a first-sector point."""
-
-    r: float
-    theta: float
-    y: float
-
-
-def polar_to_point(t: PolarTriple) -> np.ndarray:
-    """Cartesian point of the polar triple (the wedge parametrisation)."""
-    return np.array([t.r * np.cos(t.theta), t.r * np.sin(t.theta), t.y])
-
-
-def polar_to_flat_point(t: PolarTriple, alpha) -> np.ndarray:
-    """Point of the flattened wedge assigned to the polar triple."""
-    ap = _as_alpha(alpha)
-    a = ap.alpha
-    rad = t.r ** (a + 1.0) / (a + 1.0)
-    ang = (a + 1.0) * t.theta
-    return np.array([rad * np.cos(ang), rad * np.sin(ang), t.y])
-
 
 def _split_polar(pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -103,6 +61,7 @@ def flatten_point(p, alpha, check_sector: bool = True):
     ang = (a + 1.0) * theta
     out = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), pts[:, 2]])
     return out[0] if np.asarray(p).ndim == 1 else out
+
 
 def unflatten_point(p, alpha, check_sector: bool = True):
     """Inverse of flatten_point, defined on the flattened wedge."""

@@ -15,14 +15,12 @@ from grushin3d import (
     isoperimetric_deficit,
     isoperimetric_quotient,
     perimeters,
-    reference_ball,
     reference_quotient,
     sector_count,
-    sector_of_point,
     weighted_volume,
 )
 from grushin3d import geometry
-from grushin3d.geometry import sector_index
+from grushin3d.geometry import reference_ball_values, sector_index
 from grushin3d.grids import CellGrid
 from grushin3d.shapes import ball, ball_sector, box, corpus_shapes, cylinder, ellipsoid, make_shape
 from voxel_reference import REFINE_CHUNK, refine_chunk, voxel_integral, weighted
@@ -78,20 +76,34 @@ class TestSectorCount:
 
 
 class TestSectorOfPoint:
+    """``sector_index``: the 1-based sector of each point, 0 on a wall or
+    the y-axis."""
+
     def test_examples(self):
-        assert sector_of_point((1.0, 1.0, 0.0), 1.0) == 1
-        assert sector_of_point((-1.0, 1e-4, 5.0), 1.0) == 2
-        assert sector_of_point((0.0, 0.0, 1.0), 1.0) is None
+        pts = np.array([(1.0, 1.0, 0.0), (-1.0, 1e-4, 5.0), (0.0, 0.0, 1.0)])
+        assert list(sector_index(pts, 1.0)) == [1, 2, 0]
 
     def test_walls_excluded(self):
-        assert sector_of_point((1.0, 0.0, 0.0), 1.0) is None
-        assert sector_of_point((0.0, 1.0, 0.0), 1.0) is None
+        pts = np.array([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+        assert list(sector_index(pts, 1.0)) == [0, 0]
 
     def test_covers_all_sectors(self):
         ap = AlphaParam(2.0)
         thetas = (np.arange(ap.num_sectors) + 0.5) * ap.sector_width
         pts = np.column_stack([np.cos(thetas), np.sin(thetas), np.zeros_like(thetas)])
         assert list(sector_index(pts, ap)) == list(range(1, ap.num_sectors + 1))
+
+
+class TestQuadratureConfig:
+    @pytest.mark.parametrize("m", [2.5, 2.0, "8", None])
+    def test_non_integral_resolution_rejected(self, m):
+        # a float m would reach range() in _patch_blocks and raise TypeError there
+        with pytest.raises(DomainError, match="must be an integer"):
+            QuadratureConfig(surface_resolution=m)
+
+    def test_numpy_integer_accepted(self, fast_cfg):
+        cfg = QuadratureConfig(surface_resolution=np.int64(fast_cfg.surface_resolution))
+        assert weighted_volume(ball(1.0), 1.0, cfg) == weighted_volume(ball(1.0), 1.0, fast_cfg)
 
 
 class TestWeightedVolume:
@@ -110,7 +122,8 @@ class TestWeightedVolume:
         assert vol == pytest.approx(oracle_hi, rel=2e-2)
 
     def test_reference_sector_value(self, fast_cfg):
-        shape, vals = reference_ball(1.0, 1)
+        shape = ball_sector(1.0, 1)
+        vals = reference_ball_values(1.0)
         assert vals.volume == pytest.approx(2 * math.pi / 3, abs=1e-15)
         assert weighted_volume(shape, 1.0, fast_cfg) == pytest.approx(vals.volume, rel=5e-3)
 
@@ -240,7 +253,8 @@ class TestPatchBlocks:
 
 class TestSectorPerimeter:
     def test_reference_sector_values(self, fast_cfg):
-        shape, vals = reference_ball(1.0, 1)
+        shape = ball_sector(1.0, 1)
+        vals = reference_ball_values(1.0)
         assert vals.sector_perimeter == pytest.approx(2 * math.pi, abs=1e-15)
         assert perimeters(shape, 1.0, fast_cfg).sectors[0] == pytest.approx(2 * math.pi, rel=1e-4)
 
@@ -256,7 +270,7 @@ class TestSectorPerimeter:
 
     def test_index_range_checked(self, fast_cfg):
         # the quotient reads the sector a shape is marked with
-        shape, _ = reference_ball(1.0, 1)
+        shape = ball_sector(1.0, 1)
         for bad in (0, 5):
             with pytest.raises(DomainError):
                 isoperimetric_quotient(replace(shape, sector=bad), 1.0, fast_cfg)
@@ -283,13 +297,14 @@ class TestReferenceBall:
         ],
     )
     def test_analytic_record(self, alpha, vol, per):
-        _, vals = reference_ball(alpha, 1)
+        vals = reference_ball_values(alpha)
         assert vals.volume == pytest.approx(vol, abs=1e-14)
         assert vals.sector_perimeter == pytest.approx(per, abs=1e-14)
 
     def test_quadrature_agrees(self, fast_cfg):
         for alpha in (0.5, 2.0):
-            shape, vals = reference_ball(alpha, 1)
+            shape = ball_sector(alpha, 1)
+            vals = reference_ball_values(alpha)
             assert weighted_volume(shape, alpha, fast_cfg) == pytest.approx(vals.volume, rel=8e-3)
             assert perimeters(shape, alpha, fast_cfg).sectors[0] == pytest.approx(
                 vals.sector_perimeter, rel=1e-3
@@ -301,7 +316,7 @@ class TestIsoperimetry:
         assert reference_quotient(1.0) == pytest.approx(3 * math.sqrt(2 * math.pi), abs=1e-12)
 
     def test_ball_sector_quotient(self, fast_cfg):
-        shape, _ = reference_ball(1.0, 1)
+        shape = ball_sector(1.0, 1)
         q = isoperimetric_quotient(shape, 1.0, fast_cfg)
         assert q == pytest.approx(3 * math.sqrt(2 * math.pi), rel=5e-3)
 
@@ -314,7 +329,7 @@ class TestIsoperimetry:
         assert deficit > 10.0
 
     def test_reference_deficit_near_zero(self, fast_cfg):
-        shape, _ = reference_ball(1.0, 1)
+        shape = ball_sector(1.0, 1)
         q_ref = reference_quotient(1.0)
         assert abs(isoperimetric_deficit(shape, 1.0, fast_cfg)) <= 0.01 * q_ref
 

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -67,11 +68,18 @@ class TestStartupWithoutScipy:
 class TestLazyNamespace:
     def test_every_public_name_resolves(self):
         assert len(set(grushin3d.__all__)) == len(grushin3d.__all__)
-        for name in grushin3d.__all__:
-            obj = getattr(grushin3d, name)
-            module = importlib.import_module(obj.__module__)
-            assert module.__name__.startswith("grushin3d.")
-            assert getattr(module, name) is obj
+        for module_name, names in grushin3d._EXPORTS.items():
+            module = importlib.import_module(f"grushin3d.{module_name}")
+            for name in names:
+                obj = getattr(grushin3d, name)
+                # defined in the module it is listed under, not merely imported there
+                assert obj.__module__ == module.__name__, name
+                assert getattr(module, name) is obj
+
+    def test_no_submodule_defines_all(self):
+        for path in pathlib.Path(grushin3d.__file__).parent.glob("*.py"):
+            if path.name != "__init__.py":
+                assert "__all__" not in path.read_text(), path.name
 
     def test_dir_lists_public_names_and_submodules(self):
         listed = dir(grushin3d)

@@ -12,7 +12,6 @@ from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import (
     MAX_LEVELS,
     anisotropic_radius,
-    coarea_derivative_compare,
     distribution_function,
     grushin_energy,
     polya_szego_gap,
@@ -263,36 +262,6 @@ class TestPolyaSzego:
         for field in random_bump_corpus(5, resolution=48):
             gap = polya_szego_gap(field, ap)
             assert gap >= -0.02 * grushin_energy(field, ap)
-
-
-class TestCoarea:
-    def test_radial_mid_levels_agree(self):
-        ap = AlphaParam(1.0)
-        u = radial_field(cosine_bump, ap, 1.0, resolution=96)
-        for t in (0.3, 0.5, 0.7):
-            rep = coarea_derivative_compare(u, ap, t)
-            assert not rep.plateau_detected
-            assert rep.lhs == pytest.approx(rep.rhs, rel=5e-2)
-
-    def test_plateau_flagged(self):
-        # terraced radial field: constant at level 0.5 on a fat annulus,
-        # rising to 1.5 inside, so the plateau sits strictly below the max
-        terraced = lambda rho: np.minimum(2 * cosine_bump(rho), 0.5) + np.maximum(  # noqa: E731
-            2 * cosine_bump(rho) - 1.0, 0.0
-        )
-        u = radial_field(terraced, 1.0, 1.0, resolution=48)
-        rep = coarea_derivative_compare(u, 1.0, 0.5)
-        assert rep.plateau_detected
-
-    def test_zero_field_rejected(self):
-        grid = GridFunction3D(np.array([(-1, 1)] * 3), np.zeros((8, 8, 8)))
-        with pytest.raises(DomainError):
-            coarea_derivative_compare(grid, 1.0, 0.5)
-
-    def test_level_out_of_range_rejected(self):
-        u = radial_field(cosine_bump, 1.0, 1.0, resolution=32)
-        with pytest.raises(DomainError):
-            coarea_derivative_compare(u, 1.0, 2.0)
 
 
 class TestAnisotropicRadius:

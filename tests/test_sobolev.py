@@ -19,12 +19,10 @@ from grushin3d.sobolev import (
     ExtremalProfile,
     _fminbound,
     _golden_min,
-    critical_exponent,
     minimize_rayleigh,
     rayleigh_quotient,
     scaling_exponent,
     sobolev_lower_bound,
-    sobolev_lower_bound_alt,
     talenti_constant_general,
     talenti_radial_constant,
 )
@@ -138,7 +136,6 @@ class TestLowerBound:
     def test_known_values(self):
         assert sobolev_lower_bound(1.0) == pytest.approx(1.857650, abs=1e-6)
         assert sobolev_lower_bound(0.5) == pytest.approx(1.687787, abs=1e-6)
-        assert sobolev_lower_bound_alt(1.0) == pytest.approx(0.545562, abs=1e-6)
 
     def test_alpha_two_equals_alpha_one(self):
         # n jumps from 2 to 3 exactly as (alpha+1) goes 2 to 3: the bound is equal
@@ -155,9 +152,6 @@ class TestScalingExponent:
         assert scaling_exponent(2, 1.0) == pytest.approx(2.0, abs=1e-14)
         assert scaling_exponent(6, 0.5) == 0.0
         assert scaling_exponent(6, 3.0) == 0.0
-
-    def test_critical_exponent(self):
-        assert critical_exponent() == 6
 
     def test_one_dim_radial_family_measured(self):
         # measured exponent of the quotient under the anisotropic dilation,

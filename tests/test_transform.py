@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from grushin3d import AlphaParam, DomainError, QuadratureConfig, reference_ball
-from grushin3d.geometry import sector_index
+from grushin3d import AlphaParam, DomainError, QuadratureConfig
+from grushin3d.geometry import reference_ball_values, sector_index
 from grushin3d.shapes import ball, ball_sector
 from grushin3d.transform import (
-    PolarTriple,
     flatten_point,
     flatten_shape,
-    polar_to_flat_point,
-    polar_to_point,
     pushforward_perimeter_check,
     pushforward_volume_check,
     unflatten_point,
@@ -25,22 +22,6 @@ def small_sector_ball(alpha):
     width = ap.sector_width
     ctr = (math.cos(width / 2), math.sin(width / 2), 0.0)
     return ball(0.3 * math.sin(width / 2), center=ctr)
-
-
-class TestPolarMaps:
-    def test_cartesian_map(self):
-        p = polar_to_point(PolarTriple(1.0, math.pi / 4, 0.0))
-        assert np.allclose(p, [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0], atol=1e-15)
-
-    def test_flat_map_quarter_turn(self):
-        # alpha = 1: angle doubles, radius becomes r^2/2
-        p = polar_to_flat_point(PolarTriple(1.0, math.pi / 4, 0.0), 1.0)
-        assert np.allclose(p, [0.0, 0.5, 0.0], atol=1e-15)
-
-    def test_flat_map_radius(self):
-        p = polar_to_flat_point(PolarTriple(2.0, 1e-9, 3.0), 1.0)
-        assert p[0] == pytest.approx(2.0, rel=1e-12)
-        assert p[2] == 3.0
 
 
 class TestFlattenRoundTrip:
@@ -78,7 +59,7 @@ class TestFlattenRoundTrip:
 class TestReferenceBallImage:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_cap_maps_to_unit_sphere(self, alpha, midpoint_st):
-        shape, _ = reference_ball(alpha, 1)
+        shape = ball_sector(alpha, 1)
         cap = shape.patches[0]
         st, _ = midpoint_st(cap, 40)
         pts = cap.param(st)
@@ -88,7 +69,7 @@ class TestReferenceBallImage:
 
     def test_image_wedge_angle(self, midpoint_st):
         ap = AlphaParam(2.0)
-        shape, _ = reference_ball(ap, 1)
+        shape = ball_sector(ap, 1)
         cap = shape.patches[0]
         st, _ = midpoint_st(cap, 60)
         image = flatten_point(cap.param(st), ap, check_sector=False)
@@ -101,14 +82,16 @@ class TestPushforward:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_reference_sector_volume(self, alpha):
         cfg = QuadratureConfig(surface_resolution=128)
-        shape, vals = reference_ball(alpha, 1)
+        shape = ball_sector(alpha, 1)
+        vals = reference_ball_values(alpha)
         rep = pushforward_volume_check(shape, alpha, cfg)
         assert rep.rel_gap <= 1e-3
         assert rep.weighted == pytest.approx(vals.volume, rel=5e-3)
 
     def test_reference_sector_perimeter(self):
         cfg = QuadratureConfig(surface_resolution=160)
-        shape, vals = reference_ball(1.0, 1)
+        shape = ball_sector(1.0, 1)
+        vals = reference_ball_values(1.0)
         rep = pushforward_perimeter_check(shape, 1.0, cfg)
         assert rep.rel_gap <= 1e-2
         assert rep.weighted == pytest.approx(vals.sector_perimeter, rel=1e-3)
@@ -147,7 +130,7 @@ class TestPushforward:
 
 def _image_shapes():
     for alpha in (0.5, 1.0, 2.0):
-        yield alpha, reference_ball(alpha, 1)[0]
+        yield alpha, ball_sector(alpha, 1)
         yield alpha, small_sector_ball(alpha)
 
 

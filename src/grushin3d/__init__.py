@@ -11,7 +11,8 @@ the package or the CLI therefore loads no scipy; only the solver and
 submodule defines ``__all__``.  A name is in it only when a CLI command,
 an acceptance criterion or a benchmark operation calls it directly, or
 when it is an exception or a return type of such a call.  Other
-module-level names are helpers of their own module.
+module-level names are helpers of their own module; ``grids.resample``
+is one, since only a test fixture calls it.
 """
 
 import importlib
@@ -21,6 +22,7 @@ __version__ = "0.1.0"
 # each public name, by the module that defines it
 _EXPORTS = {
     "errors": ("ComputationError", "DegeneracyError", "DomainError", "GridFormatError", "IterationError"),
+    "fields": ("cosine_bump", "radial_field", "random_bump_corpus", "sector_extremal_grid"),
     "geometry": (
         "AlphaParam",
         "ImplicitShape",

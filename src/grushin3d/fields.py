@@ -1,22 +1,19 @@
 """Grid-function corpus: radial profiles, sector grids, random bumps.
 
 These builders feed the rearrangement, Sobolev and embedding checks.  All
-randomness is seeded, so corpora are reproducible.
+randomness is seeded, so corpora are reproducible.  The sector grids come
+from ``sobolev.SectorExtremalFamily``, the family the Rayleigh search
+runs over; this module only samples one member of it.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .geometry import _as_alpha, sector_index
+from .geometry import _as_alpha
 from .grids import CellGrid, GridFunction3D
 from .rearrangement import anisotropic_radius
-from .sobolev import RayleighReport, rayleigh_quotient
-
-# the sector extremals are cut off at r = 20
-TRUNCATION_RADIUS = 20.0
+from .sobolev import SectorExtremalFamily
 
 
 def compact_bump(rho):
@@ -59,79 +56,9 @@ def radial_field(profile, alpha, support_radius: float, resolution: int = 96) ->
     return GridFunction3D.from_callable(fn, bbox, (resolution, resolution, resolution))
 
 
-class SectorExtremalFamily:
-    """Truncated radial extremals on one first-sector grid.
-
-    The grid, the anisotropic radius r at the cell centres and the sector
-    mask are built once; ``family(b)`` samples
-
-        u = (1 + b r^2)^{-1/2} - (1 + b R^2)^{-1/2}, clipped at zero,
-
-    with R = ``TRUNCATION_RADIUS``, on that grid.  The grid covers the
-    sector's bounding box and the mask keeps cells whose centres lie
-    strictly inside the sector, so the Rayleigh quotient approximates the
-    sector quotient of the profile.  Every call returns a new array of
-    values; the radius and the mask are read-only and shared by all
-    returned grids.
-
-    ``quotient`` gives the Rayleigh quotient of the same field at the
-    critical exponent q = 6.  Every member is even in y and the grid is
-    centred on y = 0, so at even resolution n it samples u only on the
-    planes k >= n/2 - 1 (a view of r): the integrals run over k >= n/2,
-    plane n/2 - 1 is the mirror neighbour of the y-differences and is
-    masked out, and both integrals are doubled.  The cell centres are
-    mirror images only up to rounding, so the quotient moves in its last
-    bits.  At odd n it is ``rayleigh_quotient`` of the full grid, the
-    reference.
-    """
-
-    def __init__(self, alpha, resolution: int = 128):
-        ap = _as_alpha(alpha)
-        aa = ap.alpha
-        R = TRUNCATION_RADIUS
-        rx = R ** (1.0 / (aa + 1.0))
-        ry = R / (aa + 1.0)
-        width = ap.sector_width
-        x2max = rx * math.sin(width) if width < math.pi / 2 else rx
-        n = int(resolution)
-        cells = CellGrid([(0.0, rx), (0.0, x2max), (-ry, ry)], (n, n, n))
-        X1, X2, Y = cells.centers(sparse=True)
-        r = anisotropic_radius(X1, X2, Y, ap)
-        r.flags.writeable = False
-        # sector membership depends on (x1, x2) only
-        x1x2 = np.stack(np.broadcast_arrays(X1[:, :, 0], X2[:, :, 0]), axis=-1)
-        sector = (sector_index(x1x2, ap) == 1)[:, :, None]
-        self.alpha, self.cells, self.r, self.mask = ap, cells, r, np.broadcast_to(sector, r.shape)
-        self._half = None
-        if n % 2 == 0:
-            # planes n/2 - 1 .. n - 1; the first is the mirror plane, inactive
-            m = n // 2 - 1
-            half_mask = np.repeat(sector, n - m, axis=2)
-            half_mask[:, :, 0] = False
-            ylo = cells.bbox[2, 0] + m * cells.spacing[2]
-            self._half = CellGrid([(0.0, rx), (0.0, x2max), (ylo, ry)], (n, n, n - m), half_mask)
-            self._half_r = r[:, :, m:]
-
-    @staticmethod
-    def _profile(r, b) -> np.ndarray:
-        R = TRUNCATION_RADIUS
-        return np.maximum((1.0 + b * r * r) ** -0.5 - (1.0 + b * R * R) ** -0.5, 0.0)
-
-    def __call__(self, b: float = 4.0) -> GridFunction3D:
-        return GridFunction3D(self.cells.bbox, self._profile(self.r, b), self.mask)
-
-    def quotient(self, b: float = 4.0) -> RayleighReport:
-        """Rayleigh quotient of ``self(b)`` at q = 6, on the y >= 0 half of
-        the grid when the resolution is even."""
-        if self._half is None:
-            return rayleigh_quotient(self(b), 6, self.alpha)
-        u = self._profile(self._half_r, b)
-        return rayleigh_quotient(GridFunction3D(self._half.bbox, u, self._half.mask), 6, self.alpha, copies=2)
-
-
 def sector_extremal_grid(alpha, b: float = 4.0, resolution: int = 128) -> GridFunction3D:
     """One truncated radial extremal on a first-sector grid; see
-    ``SectorExtremalFamily``, which builds the grid."""
+    ``sobolev.SectorExtremalFamily``, which builds the grid."""
     return SectorExtremalFamily(alpha, resolution)(b)
 
 

@@ -32,7 +32,7 @@ digits in int64, reads the digits from a table of four-digit groups and
 lays each exponent out by ``%g``'s rules.  Zeros are written directly;
 every other value (|x| <= 1e-6, subnormals included, and |x| >= 1e17) is
 formatted on its own with ``%``.  ``load_grid`` checks the three header
-lines, then parses the body with one ``np.loadtxt`` call and keeps the
+lines (a bbox entry or extent that is not finite fails at line 3), then parses the body with one ``np.loadtxt`` call and keeps the
 result only when it holds exactly n1*n2*n3 finite values.  Anything else
 (a ragged layout, a token that ``loadtxt`` rejects but ``float`` accepts,
 such as ``1_0``, a wrong count, a non-finite value) goes through the
@@ -64,18 +64,31 @@ _BLOCK_VALUES = 1 << 13
 MAX_CELLS = 256**3
 
 
+def _bbox_fault(bbox) -> Optional[str]:
+    """What is wrong with a (3, 2) bbox, or None: every entry and every
+    extent hi - lo must be finite, and every hi above its lo."""
+    with np.errstate(over="ignore"):
+        extent = bbox[:, 1] - bbox[:, 0]
+    if not (np.all(np.isfinite(bbox)) and np.all(np.isfinite(extent))):
+        return "bbox entries and extents must be finite"
+    if not np.all(bbox[:, 1] > bbox[:, 0]):
+        return "degenerate bbox"
+    return None
+
+
 def check_grid(bbox, dims, mask=None):
     """(bbox, dims, mask) as a (3, 2) float array, three ints and a bool
     array or None; raises DomainError unless they describe a grid of at
-    most ``MAX_CELLS`` cells."""
+    most ``MAX_CELLS`` cells on a finite, nondegenerate box."""
     bbox = np.asarray(bbox, dtype=float).reshape(3, 2)
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or min(dims) < 1:
         raise DomainError(f"grid needs three positive dims, got {dims}")
     if math.prod(dims) > MAX_CELLS:
         raise DomainError(f"grid {dims} has more than {MAX_CELLS} = 256^3 cells")
-    if not np.all(bbox[:, 1] > bbox[:, 0]):
-        raise DomainError("degenerate bbox")
+    fault = _bbox_fault(bbox)
+    if fault:
+        raise DomainError(fault)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != dims:
@@ -375,8 +388,9 @@ def load_grid(path) -> GridFunction3D:
     if len(bvals) != 6:
         raise GridFormatError("bbox needs six numbers", line=3)
     bbox = np.array(bvals).reshape(3, 2)
-    if not np.all(bbox[:, 1] > bbox[:, 0]):
-        raise GridFormatError("bbox is degenerate", line=3)
+    fault = _bbox_fault(bbox)
+    if fault:
+        raise GridFormatError(fault, line=3)
 
     total = dims[0] * dims[1] * dims[2]
     vals = _parse_body_bulk(lines, total)

@@ -27,7 +27,6 @@ weighted Lq norms collapse to 1D integrals:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -268,14 +267,10 @@ def _grid_gradients(u: GridFunction3D):
     return g
 
 
-def grushin_energy(u: Union[GridFunction3D, RadialProfile], alpha=None) -> float:
-    """Dirichlet energy of the degenerate gradient.
-
-    Grid case: central differences on the raw value array, weighted voxel
-    sum over active cells.  Radial case: the 1D sector formula.
-    """
-    if isinstance(u, RadialProfile):
-        return u.dirichlet_energy()
+def grushin_energy(u: GridFunction3D, alpha) -> float:
+    """Dirichlet energy of the degenerate gradient: central differences on
+    the raw value array, weighted voxel sum over active cells.  A radial
+    profile's energy is ``RadialProfile.dirichlet_energy``."""
     ap = _as_alpha(alpha)
     ux1, ux2, uy = _grid_gradients(u)
     # ux1^2 + ux2^2 + w uy^2, squared, weighted and added in place
@@ -287,10 +282,9 @@ def grushin_energy(u: Union[GridFunction3D, RadialProfile], alpha=None) -> float
     return u.active_sum(dens) * u.cell_volume
 
 
-def weighted_lq_norm(u: Union[GridFunction3D, RadialProfile], q: float, alpha=None) -> float:
-    """(integral of |x|^{2a} |u|^q)^{1/q} over active cells / the profile."""
-    if isinstance(u, RadialProfile):
-        return u.lq_norm(q)
+def weighted_lq_norm(u: GridFunction3D, q: float, alpha) -> float:
+    """(integral of |x|^{2a} |u|^q)^{1/q} over active cells; a radial
+    profile's norm is ``RadialProfile.lq_norm``."""
     if q < 1:
         raise DomainError("q must be >= 1")
     ap = _as_alpha(alpha)

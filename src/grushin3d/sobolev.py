@@ -21,7 +21,12 @@ gives the lower bound for the best constant at q = 6:
     L(alpha) = (2 pi / n(a))^{1/3} (a+1)^{1/3} D.
 
 The +1/3 exponents follow from the 1D reduction and are confirmed by
-direct quadrature of the extremal profile.
+direct quadrature of the extremal profile (``talenti_constant_general``).
+
+The grid side of the bound lives here too: ``SectorExtremalFamily`` samples
+the extremal, truncated at r = ``TRUNCATION_RADIUS``, on one first-sector
+grid, and ``minimize_rayleigh`` searches its concentration b for the
+smallest grid Rayleigh quotient.
 """
 
 from __future__ import annotations
@@ -32,48 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import _as_alpha
-from .grids import GridFunction3D
-from .rearrangement import grushin_energy, weighted_lq_norm
-
-
-@dataclass(frozen=True)
-class ExtremalProfile:
-    """phi(r) = (a + b r^{p'})^{1 - m/p}; the (p, m) = (2, 3) case is
-    (a + b r^2)^{-1/2}, the equality profile of the radial inequality."""
-
-    a: float = 1.0
-    b: float = 1.0
-    p: float = 2.0
-    m: float = 3.0
-
-    def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise DomainError("profile parameters a, b must be positive")
-        if not 1.0 < self.p < self.m:
-            raise DomainError("need 1 < p < m")
-
-    @property
-    def p_conj(self) -> float:
-        return self.p / (self.p - 1.0)
-
-    @property
-    def q(self) -> float:
-        return self.m * self.p / (self.m - self.p)
-
-    def __call__(self, r):
-        return (self.a + self.b * np.asarray(r) ** self.p_conj) ** (1.0 - self.m / self.p)
-
-    def derivative(self, r):
-        r = np.asarray(r)
-        inner = self.a + self.b * r**self.p_conj
-        return (
-            (1.0 - self.m / self.p)
-            * self.b
-            * self.p_conj
-            * r ** (self.p_conj - 1.0)
-            * inner ** (-self.m / self.p)
-        )
+from .geometry import _as_alpha, sector_index
+from .grids import CellGrid, GridFunction3D
+from .rearrangement import anisotropic_radius, grushin_energy, weighted_lq_norm
 
 
 def talenti_radial_constant() -> float:
@@ -87,34 +53,30 @@ def talenti_radial_constant() -> float:
 
 # exp-sinh rule on [0, inf) (Takahasi & Mori 1974): r = exp(pi/2 sinh t),
 # trapezoidal in t with step 1/32 on [-4, 4]; the nodes run from 2e-19 to
-# 4e18 and the weights carry dr/dt.  The numerator's tail decays like
-# r^{-1-(m-p)/(p-1)}, which is below rounding by 4e18 only for p <= (m+1)/2;
-# for p near 1 the profile turns too sharply for the step, and for large m
-# or p' the powers of r overflow at the outer nodes
+# 4e18 and the weights carry dr/dt.  The numerator's integrand decays like
+# r^{-2}, so its tail beyond the last node is below rounding
 _DE_STEP = 1.0 / 32.0
 _DE_T = np.arange(-128, 129) * _DE_STEP
 _DE_NODES = np.exp(0.5 * np.pi * np.sinh(_DE_T))
 _DE_WEIGHTS = _DE_STEP * 0.5 * np.pi * np.cosh(_DE_T) * _DE_NODES
 
 
-def talenti_constant_general(p: float, m: float, a: float = 1.0, b: float = 1.0) -> float:
-    """Radial quotient of the extremal profile by quadrature.
+def talenti_constant_general(a: float = 1.0, b: float = 1.0) -> float:
+    """Radial quotient of the extremal phi(r) = (a + b r^2)^{-1/2} by quadrature.
 
     No closed form is assumed; this is the oracle route.  Both integrals
-    over [0, inf) are sums over the fixed 257-node exp-sinh rule.  It is
-    accurate to 1e-14 relative for 1.5 <= p <= (m+1)/2 <= 2.5 (which holds
-    (p, m) = (2, 3)) and a, b in [1e-3, 1e3]; a (p, m) outside that range
-    raises DomainError, since there the truncated tail or an overflow at the
-    outer nodes would give a wrong value.
+    over [0, inf), of r^2 phi'^2 and r^2 phi^6, are sums over the fixed
+    257-node exp-sinh rule, accurate to 1e-14 relative for a, b in
+    [1e-3, 1e3].  Raises DomainError unless a and b are positive and finite.
     """
-    prof = ExtremalProfile(a=a, b=b, p=p, m=m)
-    if not 1.5 <= p <= 0.5 * (m + 1.0) <= 2.5:
-        raise DomainError(f"quadrature rule needs 1.5 <= p <= (m+1)/2 <= 2.5, got p = {p}, m = {m}")
-    q = prof.q
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise DomainError(f"profile parameters a, b must be positive and finite, got a = {a}, b = {b}")
     r = _DE_NODES
-    num = np.sum(r ** (m - 1.0) * np.abs(prof.derivative(r)) ** p * _DE_WEIGHTS)
-    den = np.sum(r ** (m - 1.0) * prof(r) ** q * _DE_WEIGHTS)
-    return float(num ** (1.0 / p) / den ** (1.0 / q))
+    inner = a + b * r**2.0
+    dphi = -b * r * inner**-1.5
+    num = np.sum(r**2.0 * np.abs(dphi) ** 2.0 * _DE_WEIGHTS)
+    den = np.sum(r**2.0 * (inner**-0.5) ** 6.0 * _DE_WEIGHTS)
+    return float(num**0.5 / den ** (1.0 / 6.0))
 
 
 def sobolev_lower_bound(alpha) -> float:
@@ -159,34 +121,85 @@ def rayleigh_quotient(u: GridFunction3D, q: float, alpha, copies: int = 1) -> Ra
     return RayleighReport(num, den, math.sqrt(num) / den, ap.alpha, q)
 
 
+# the sector extremals are cut off at r = 20
+TRUNCATION_RADIUS = 20.0
+
+
+class SectorExtremalFamily:
+    """Truncated radial extremals on one first-sector grid.
+
+    The grid, the anisotropic radius r at the cell centres and the sector
+    mask are built once; ``family(b)`` samples
+
+        u = (1 + b r^2)^{-1/2} - (1 + b R^2)^{-1/2}, clipped at zero,
+
+    with R = ``TRUNCATION_RADIUS``, on that grid.  The grid covers the
+    sector's bounding box and the mask keeps cells whose centres lie
+    strictly inside the sector, so the Rayleigh quotient approximates the
+    sector quotient of the profile.  Every call returns a new array of
+    values; the radius and the mask are read-only and shared by all
+    returned grids.
+
+    ``quotient`` gives the Rayleigh quotient of the same field at the
+    critical exponent q = 6.  Every member is even in y and the grid is
+    centred on y = 0, so at even resolution n it samples u only on the
+    planes k >= n/2 - 1 (a view of r): the integrals run over k >= n/2,
+    plane n/2 - 1 is the mirror neighbour of the y-differences and is
+    masked out, and both integrals are doubled.  The cell centres are
+    mirror images only up to rounding, so the quotient moves in its last
+    bits.  At odd n it is ``rayleigh_quotient`` of the full grid, the
+    reference.
+    """
+
+    def __init__(self, alpha, resolution: int = 128):
+        ap = _as_alpha(alpha)
+        aa = ap.alpha
+        R = TRUNCATION_RADIUS
+        rx = R ** (1.0 / (aa + 1.0))
+        ry = R / (aa + 1.0)
+        width = ap.sector_width
+        x2max = rx * math.sin(width) if width < math.pi / 2 else rx
+        n = int(resolution)
+        cells = CellGrid([(0.0, rx), (0.0, x2max), (-ry, ry)], (n, n, n))
+        X1, X2, Y = cells.centers(sparse=True)
+        r = anisotropic_radius(X1, X2, Y, ap)
+        r.flags.writeable = False
+        # sector membership depends on (x1, x2) only
+        x1x2 = np.stack(np.broadcast_arrays(X1[:, :, 0], X2[:, :, 0]), axis=-1)
+        sector = (sector_index(x1x2, ap) == 1)[:, :, None]
+        self.alpha, self.cells, self.r, self.mask = ap, cells, r, np.broadcast_to(sector, r.shape)
+        self._half = None
+        if n % 2 == 0:
+            # planes n/2 - 1 .. n - 1; the first is the mirror plane, inactive
+            m = n // 2 - 1
+            half_mask = np.repeat(sector, n - m, axis=2)
+            half_mask[:, :, 0] = False
+            ylo = cells.bbox[2, 0] + m * cells.spacing[2]
+            self._half = CellGrid([(0.0, rx), (0.0, x2max), (ylo, ry)], (n, n, n - m), half_mask)
+            self._half_r = r[:, :, m:]
+
+    @staticmethod
+    def _profile(r, b) -> np.ndarray:
+        R = TRUNCATION_RADIUS
+        return np.maximum((1.0 + b * r * r) ** -0.5 - (1.0 + b * R * R) ** -0.5, 0.0)
+
+    def __call__(self, b: float = 4.0) -> GridFunction3D:
+        return GridFunction3D(self.cells.bbox, self._profile(self.r, b), self.mask)
+
+    def quotient(self, b: float = 4.0) -> RayleighReport:
+        """Rayleigh quotient of ``self(b)`` at q = 6, on the y >= 0 half of
+        the grid when the resolution is even."""
+        if self._half is None:
+            return rayleigh_quotient(self(b), 6, self.alpha)
+        u = self._profile(self._half_r, b)
+        return rayleigh_quotient(GridFunction3D(self._half.bbox, u, self._half.mask), 6, self.alpha, copies=2)
+
+
 @dataclass(frozen=True)
 class RayleighMinimum:
     estimate: float
     profile_scale: float
     evaluations: int
-
-
-def _golden_min(fn, lo, hi, tol=1e-3, max_iter=60):
-    """Deterministic golden-section minimiser on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = lo, hi
-    c = b_ - invphi * (b_ - a_)
-    d = a_ + invphi * (b_ - a_)
-    fc, fd = fn(c), fn(d)
-    n = 2
-    for _ in range(max_iter):
-        if b_ - a_ < tol:
-            break
-        if fc < fd:
-            b_, d, fd = d, c, fc
-            c = b_ - invphi * (b_ - a_)
-            fc = fn(c)
-        else:
-            a_, c, fc = c, d, fd
-            d = a_ + invphi * (b_ - a_)
-            fd = fn(d)
-        n += 1
-    return (c, fc, n) if fc < fd else (d, fd, n)
 
 
 # minimize_rayleigh's Brent search: tolerance on log b, evaluation cap
@@ -275,7 +288,7 @@ def minimize_rayleigh(alpha, resolution: int = 96) -> RayleighMinimum:
 
     The quotient is taken at the critical exponent q = 6; for any other q
     the infimum is 0 or degenerate by the anisotropic scaling law.  The
-    family is ``fields.SectorExtremalFamily``, the truncated radial
+    family is ``SectorExtremalFamily``, the truncated radial
     extremal (1 + b r^2)^{-1/2} on one sector grid, built once, and each
     quotient is the family's ``quotient``: at even ``resolution`` it is
     taken on the y >= 0 half of the grid, which the y -> -y symmetry of
@@ -283,11 +296,9 @@ def minimize_rayleigh(alpha, resolution: int = 96) -> RayleighMinimum:
     ``rayleigh_quotient`` of the full grid); at odd ``resolution`` it is
     that full-grid quotient.  The concentration b is found by Brent's
     bounded search ``_fminbound`` (parabolic steps with golden-section
-    fallback, to 1e-3 on log b in [log 0.5, log 32]); ``_golden_min`` is the
-    reference it replaced.  Deterministic throughout.
+    fallback, to 1e-3 on log b in [log 0.5, log 32]); the tests check it
+    against scipy's golden-section search.  Deterministic throughout.
     """
-    from .fields import SectorExtremalFamily
-
     family = SectorExtremalFamily(alpha, resolution)
     log_b, fun, nfev = _fminbound(
         lambda log_b: family.quotient(math.exp(log_b)).quotient, math.log(0.5), math.log(32.0)

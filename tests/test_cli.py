@@ -15,7 +15,7 @@ from grushin3d import AlphaParam, cli, geometry, rearrangement, shapes
 from grushin3d.cli import main
 from grushin3d.fields import cosine_bump, radial_field
 from grushin3d.grids import GRID_MAGIC, load_grid, save_grid
-from grushin3d.rearrangement import distribution_function, polya_szego_gap, rearrange, weighted_lq_norm
+from grushin3d.rearrangement import distribution_function, polya_szego_gap, rearrange
 
 
 def subprocess_env(**extra):
@@ -254,7 +254,7 @@ class TestRearrangeCommand:
         assert res["equimeasurability_gap"] == float(np.max(np.abs(dist.measures - prof.measure_above(dist.levels))))
         assert res["energy_profile"] == prof.dirichlet_energy()
         for q in (2, 4, 6):
-            assert res[f"l{q}_norm_profile"] == weighted_lq_norm(prof, q, ap)
+            assert res[f"l{q}_norm_profile"] == prof.lq_norm(q)
 
     def test_zero_field(self, tmp_path, capsys):
         from grushin3d.grids import GridFunction3D
@@ -365,6 +365,9 @@ SOLVE = ["solve", "--alpha", "1", "--q", "4", "--grid", "8"]
 SMALL_GRID = f"{GRID_MAGIC}\n2 2 2\n-1 1 -1 1 -1 1\n0 0 0 0 0 1 0 0\n".encode()
 # a header one cell over the cap, and a body that is never parsed
 OVER_CAP_GRID = f"{GRID_MAGIC}\n257 256 256\n-1 1 -1 1 -1 1\n0\n".encode()
+# bbox lines with an infinite entry, and with an extent that overflows
+INFINITE_BBOX_GRID = f"{GRID_MAGIC}\n2 2 2\n-inf inf -1 1 -1 1\n0 0 0 0 0 1 0 0\n".encode()
+HUGE_BBOX_GRID = f"{GRID_MAGIC}\n2 2 2\n-1e308 1e308 -1 1 -1 1\n0 0 0 0 0 1 0 0\n".encode()
 
 
 # the stderr line of bad-input cases whose diagnosis is not a file or a non-finite result
@@ -386,6 +389,7 @@ BAD_INPUT_LINES = {
     "sobolev --alphas 1 1": "usage error: --alphas must give distinct report keys, got alpha_1 alpha_1\n",
     "solve --alpha 1 --q 4 --grid 8 --half-width 1e-300":
         "usage error: --half-width 1e-300 is too small for --grid 8: 1/h^2 is not finite\n",
+    "solve --alpha 1 --q 4 --grid 8 --half-width 1e308": "usage error: bbox entries and extents must be finite\n",
     "pohozaev --p 3 --alpha 1 --solve --grid 8 --half-width 1e-300":
         "usage error: --half-width 1e-300 is too small for --grid 8: 1/h^2 is not finite\n",
 }
@@ -452,6 +456,11 @@ class TestBadInput:
             # a half-width so small that the couplings 1/h^2 overflow
             (["solve", "--alpha", "1", "--q", "4", "--grid", "8", "--half-width", "1e-300"], None, 2),
             (["pohozaev", "--p", "3", "--alpha", "1", "--solve", "--grid", "8", "--half-width", "1e-300"], None, 2),
+            # a bbox that is not finite, or whose extent is not: refused at line 3
+            (["rearrange", "--alpha", "1", "--input", "FILE"], INFINITE_BBOX_GRID, 3),
+            (["rearrange", "--alpha", "1", "--input", "FILE"], HUGE_BBOX_GRID, 3),
+            # the cube [-1e308, 1e308]^3 has an extent that overflows
+            (["solve", "--alpha", "1", "--q", "4", "--grid", "8", "--half-width", "1e308"], None, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

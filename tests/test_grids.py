@@ -26,6 +26,15 @@ class TestContainer:
         with pytest.raises(DomainError):
             GridFunction3D(np.array([(-1, 1)] * 3), np.full((2, 2, 2), np.nan))
 
+    @pytest.mark.parametrize("x1", [(-np.inf, np.inf), (0.0, np.inf), (-1e308, 1e308), (np.nan, 1.0)])
+    def test_rejects_nonfinite_bbox(self, x1):
+        # an infinite entry, or finite entries whose extent overflows
+        bbox = np.array([x1, (-1, 1), (-1, 1)])
+        with pytest.raises(DomainError, match="bbox entries and extents must be finite"):
+            GridFunction3D(bbox, np.zeros((2, 2, 2)))
+        with pytest.raises(DomainError, match="bbox entries and extents must be finite"):
+            grids.CellGrid(bbox, (2, 2, 2))
+
     def test_rejects_bad_mask_shape(self):
         with pytest.raises(DomainError):
             GridFunction3D(
@@ -100,6 +109,15 @@ class TestFileFormat:
         path = tmp_path / "bad.txt"
         path.write_text(f"{GRID_MAGIC}\n2 2 2\n0 1 0 1\n")
         with pytest.raises(GridFormatError) as err:
+            load_grid(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("bbox", ["-inf inf -1 1 -1 1", "-1e308 1e308 -1 1 -1 1", "0 1 0 1 nan 1"])
+    def test_nonfinite_bbox(self, tmp_path, bbox):
+        # rejected at the bbox line; the malformed body is never parsed
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{GRID_MAGIC}\n2 2 2\n{bbox}\nnot-a-number\n")
+        with pytest.raises(GridFormatError, match="bbox entries and extents must be finite") as err:
             load_grid(path)
         assert err.value.line == 3
 

@@ -65,6 +65,36 @@ class TestStartupWithoutScipy:
         assert "scipy.fft" in after_solver and "scipy.linalg" in after_solver
 
 
+# In a fresh process: import FIRST, then the CLI, build its parser and run
+# `sobolev --minimize` in-process; print whether grushin3d.fields is loaded.
+IMPORT_ORDER_PROBE = r"""
+import contextlib, importlib, io, sys
+
+importlib.import_module(sys.argv[1])
+import grushin3d.cli as cli
+cli.build_parser()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["sobolev", "--minimize", "--resolution", "8"])
+print(code, "grushin3d.fields" in sys.modules)
+"""
+
+
+class TestNoImportCycle:
+    """``sobolev`` holds the whole Rayleigh search, so neither it nor the CLI
+    needs ``fields``, and every import order works."""
+
+    @pytest.mark.parametrize("first", ["grushin3d.cli", "grushin3d.fields", "grushin3d.sobolev"])
+    def test_sobolev_command_without_fields(self, first):
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_ORDER_PROBE, first],
+            stdin=subprocess.DEVNULL, capture_output=True, env=subprocess_env(), text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        code, fields_loaded = done.stdout.split()
+        assert code == "0"
+        assert fields_loaded == str(first == "grushin3d.fields")
+
+
 class TestLazyNamespace:
     def test_every_public_name_resolves(self):
         assert len(set(grushin3d.__all__)) == len(grushin3d.__all__)

@@ -6,19 +6,12 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from grushin3d import AlphaParam, DomainError, sobolev
-from grushin3d.fields import (
-    SectorExtremalFamily,
-    cosine_bump,
-    radial_field,
-    random_bump_corpus,
-    sector_extremal_grid,
-)
+from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus, sector_extremal_grid
 from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import grushin_energy, weighted_lq_norm
 from grushin3d.sobolev import (
-    ExtremalProfile,
+    SectorExtremalFamily,
     _fminbound,
-    _golden_min,
     minimize_rayleigh,
     rayleigh_quotient,
     scaling_exponent,
@@ -41,7 +34,7 @@ class TestTalentiConstant:
         assert num**0.5 / den ** (1 / 6) == pytest.approx(CLOSED_FORM, abs=1e-12)
 
     def test_quadrature_family_invariance(self):
-        vals = [talenti_constant_general(2, 3, a=a, b=b) for a in (0.5, 1, 2) for b in (0.5, 1, 2)]
+        vals = [talenti_constant_general(a, b) for a in (0.5, 1, 2) for b in (0.5, 1, 2)]
         assert max(vals) - min(vals) <= 1e-5
         assert all(abs(v - CLOSED_FORM) <= 1e-9 for v in vals)
 
@@ -59,67 +52,43 @@ class TestTalentiConstant:
         )
 
     def test_general_parameters(self):
-        assert talenti_constant_general(2, 3) == pytest.approx(CLOSED_FORM, abs=1e-5)
-        # (p, m) = (2, 4): no closed form assumed, only reproducibility
-        v1 = talenti_constant_general(2.0, 4.0)
-        prof = ExtremalProfile(p=2.0, m=4.0)
-        num = quad(lambda r: r**3 * prof.derivative(r) ** 2, 0, np.inf, limit=400)[0]
-        den = quad(lambda r: r**3 * prof(r) ** prof.q, 0, np.inf, limit=400)[0]
-        assert v1 == pytest.approx(num**0.5 / den ** (1 / prof.q), abs=1e-5)
+        # the defaults a = b = 1 give the closed form
+        assert talenti_constant_general() == talenti_constant_general(1.0, 1.0)
+        assert talenti_constant_general() == pytest.approx(CLOSED_FORM, rel=1e-14, abs=0.0)
 
     def test_profile_rescaling_invariance(self):
-        base = talenti_constant_general(2, 3, a=1.0, b=1.0)
+        base = talenti_constant_general(a=1.0, b=1.0)
         # r -> c r is the same as scaling (a, b) jointly
-        assert talenti_constant_general(2, 3, a=1.0, b=4.0) == pytest.approx(base, abs=1e-5)
+        assert talenti_constant_general(a=1.0, b=4.0) == pytest.approx(base, abs=1e-5)
 
-    @pytest.mark.parametrize("p,m", [(2.0, 3.0), (2.0, 4.0), (1.5, 3.0)])
-    def test_exp_sinh_rule_matches_adaptive_quadrature(self, p, m):
+    def test_exp_sinh_rule_matches_adaptive_quadrature(self):
         # the fixed 257-node rule against scipy's adaptive quad on [0, inf)
         # for the nine (a, b) pairs of the sobolev command
         for a in (0.5, 1.0, 2.0):
             for b in (0.5, 1.0, 2.0):
-                prof = ExtremalProfile(a=a, b=b, p=p, m=m)
-                num = quad(lambda r: r ** (m - 1) * abs(prof.derivative(r)) ** p, 0, np.inf)[0]
-                den = quad(lambda r: r ** (m - 1) * prof(r) ** prof.q, 0, np.inf)[0]
-                ref = num ** (1 / p) / den ** (1 / prof.q)
-                assert abs(talenti_constant_general(p, m, a=a, b=b) - ref) <= 1e-14 * ref
+                num = quad(lambda r: r**2 * (b * r * (a + b * r * r) ** -1.5) ** 2, 0, np.inf)[0]
+                den = quad(lambda r: r**2 * (a + b * r * r) ** -3, 0, np.inf)[0]
+                ref = num**0.5 / den ** (1 / 6)
+                assert abs(talenti_constant_general(a, b) - ref) <= 1e-14 * ref
 
-    @pytest.mark.parametrize("p,m", [(1.5, 2.0), (1.5, 3.0), (2.0, 3.0), (1.5, 4.0), (2.5, 4.0)])
-    def test_exp_sinh_rule_at_the_edges_of_its_range(self, p, m):
-        # the corners of 1.5 <= p <= (m+1)/2 <= 2.5 and of a, b in [1e-3, 1e3],
-        # against the Beta-function values of both integrals (the quotient
-        # does not depend on a, b)
-        pc = p / (p - 1)
-
+    def test_exp_sinh_rule_at_the_edges_of_its_range(self):
+        # the corners of a, b in [1e-3, 1e3] against the Beta-function
+        # values of both integrals, which do not depend on a, b:
+        # int r^4 (1+r^2)^-3 = B(5/2, 1/2) / 2, int r^2 (1+r^2)^-3 = B(3/2, 3/2) / 2
         def beta(s, t):
             return math.exp(math.lgamma(s) + math.lgamma(t) - math.lgamma(s + t))
 
-        num = ((m - p) / (p - 1)) ** p * beta((m + pc) / pc, m - (m + pc) / pc) / pc
-        den = beta(m / pc, m - m / pc) / pc
-        ref = num ** (1 / p) / den ** ((m - p) / (m * p))
+        ref = (beta(2.5, 0.5) / 2) ** 0.5 / (beta(1.5, 1.5) / 2) ** (1 / 6)
         for a in (1e-3, 0.5, 1.0, 2.0, 1e3):
             for b in (1e-3, 0.5, 1.0, 2.0, 1e3):
-                assert abs(talenti_constant_general(p, m, a=a, b=b) - ref) <= 1e-14 * ref
-
-    @pytest.mark.parametrize(
-        "p,m",
-        [
-            (1.4999, 3.0),  # below p = 1.5
-            (1.05, 3.0),  # r^{p'-1} overflows at the outer nodes
-            (2.0001, 3.0),  # above p = (m+1)/2
-            (2.9, 3.0),  # tail far from decayed by the last node
-            (2.5, 4.0001),  # above m = 4
-        ],
-    )
-    def test_rejects_parameters_outside_the_rule_range(self, p, m):
-        with pytest.raises(DomainError, match="quadrature rule needs"):
-            talenti_constant_general(p, m)
+                assert abs(talenti_constant_general(a, b) - ref) <= 1e-14 * ref
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(DomainError):
-            talenti_constant_general(3, 2)
-        with pytest.raises(DomainError):
-            ExtremalProfile(a=-1.0)
+        # a NaN fails every comparison, so it is rejected like 0 and -1
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            for a, b in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(DomainError, match="positive and finite"):
+                    talenti_constant_general(a, b)
 
 
 class TestLowerBound:
@@ -286,14 +255,18 @@ class TestHalfGridQuotient:
 
 
 def golden_reference(alpha, resolution):
-    """Reference search: golden section on log b, a fresh grid per value."""
+    """Reference search: scipy's golden section on log b, a fresh grid per
+    value; returns (log b, quotient, evaluations)."""
     ap = AlphaParam(alpha)
 
     def quotient(log_b):
         u = sector_extremal_grid(ap, b=math.exp(log_b), resolution=resolution)
         return rayleigh_quotient(u, 6, ap).quotient
 
-    return _golden_min(quotient, math.log(0.5), math.log(32.0))
+    res = minimize_scalar(
+        quotient, bracket=(math.log(0.5), math.log(32.0)), method="golden", options={"xtol": 1e-3}
+    )
+    return res.x, res.fun, res.nfev
 
 
 class TestBrentSearch:

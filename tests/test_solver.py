@@ -161,6 +161,14 @@ class TestDomain:
         with pytest.raises(DomainError):
             Domain(np.array([(-1, 1)] * 3), (256, 256, 257))
 
+    @pytest.mark.parametrize("x1", [(-np.inf, np.inf), (-1e308, 1e308), (-1.0, np.nan)])
+    def test_bbox_must_be_finite(self, x1):
+        # an infinite entry, or finite entries whose extent overflows
+        with pytest.raises(DomainError, match="must be finite"):
+            Domain(np.array([x1, (-1, 1), (-1, 1)]), (4, 4, 4))
+        with pytest.raises(DomainError, match="must be finite"):
+            Domain.cube(x1[1], 8)
+
     def test_origin_cell_must_be_active(self):
         mask = np.ones((4, 4, 4), dtype=bool)
         mask[2, 2, 2] = False

@@ -13,6 +13,10 @@ an acceptance criterion or a benchmark operation calls it directly, or
 when it is an exception or a return type of such a call.  Other
 module-level names are helpers of their own module; ``grids.resample``
 is one, since only a test fixture calls it.
+
+Parameters are plain values: alpha is a float wherever it is taken, checked
+in one place (a bad alpha raises the same DomainError everywhere), and the
+sector count n(alpha) is ``sector_count(alpha)``, never a second argument.
 """
 
 import importlib
@@ -24,7 +28,6 @@ _EXPORTS = {
     "errors": ("ComputationError", "DegeneracyError", "DomainError", "GridFormatError", "IterationError"),
     "fields": ("cosine_bump", "radial_field", "random_bump_corpus", "sector_extremal_grid"),
     "geometry": (
-        "AlphaParam",
         "ImplicitShape",
         "Perimeters",
         "QuadratureConfig",

@@ -32,11 +32,12 @@ from .geometry import (
     perimeters,
     reference_quotient,
     weighted_volume,
-    _as_alpha,
+    _alpha,
     _quotient,
+    sector_count,
 )
 from .grids import load_grid, save_grid
-from .pohozaev import nonexistence_classify, pohozaev_coefficient, pohozaev_residual
+from .pohozaev import CRITICAL_POWER, nonexistence_classify, pohozaev_coefficient, pohozaev_residual
 from .rearrangement import (
     RadialProfile,
     distribution_function,
@@ -83,18 +84,18 @@ def _shape_from_args(args):
 
 
 def cmd_geometry(args, rep: RunReport) -> None:
-    ap = _as_alpha(args.alpha)
+    a = _alpha(args.alpha)
     shape = _shape_from_args(args)
     cfg = QuadratureConfig(surface_resolution=args.surface_resolution)
     rep.resolutions = {"surface_resolution": cfg.surface_resolution}
-    vol = weighted_volume(shape, ap, cfg)
-    per = perimeters(shape, ap, cfg)
+    vol = weighted_volume(shape, a, cfg)
+    per = perimeters(shape, a, cfg)
     rep.results["weighted_volume"] = vol
     rep.results["weighted_perimeter"] = per.total
     for j, part in enumerate(per.sectors, start=1):
         rep.results[f"sector_perimeter_{j}"] = part
     q = _quotient(shape, per, vol)
-    q_ref = reference_quotient(ap)
+    q_ref = reference_quotient(a)
     deficit = q - q_ref
     rep.results["isoperimetric_quotient"] = q
     rep.results["reference_quotient"] = q_ref
@@ -103,22 +104,22 @@ def cmd_geometry(args, rep: RunReport) -> None:
 
 
 def cmd_transform_check(args, rep: RunReport) -> None:
-    ap = _as_alpha(args.alpha)
+    a = _alpha(args.alpha)
     cfg = QuadratureConfig(surface_resolution=args.surface_resolution)
     if args.shape == "ball-sector":
-        shape = ball_sector(ap, j=1)
+        shape = ball_sector(a, j=1)
     elif args.shape == "small-ball":
-        half = ap.sector_width / 2
+        half = math.pi / sector_count(a) / 2
         shape = ball(0.35 * np.sin(half), center=(np.cos(half), np.sin(half), 0.0))
     else:
         raise DomainError(f"transform-check shape must be ball-sector or small-ball, got {args.shape!r}")
     rep.resolutions = {"surface_resolution": cfg.surface_resolution}
-    volchk = pushforward_volume_check(shape, ap, cfg)
+    volchk = pushforward_volume_check(shape, a, cfg)
     rep.results["volume_weighted"] = volchk.weighted
     rep.results["volume_euclidean"] = volchk.euclidean
     rep.results["volume_rel_gap"] = volchk.rel_gap
     rep.add_check("volume_pushforward_gap", volchk.rel_gap, 1e-3, "<=")
-    perchk = pushforward_perimeter_check(shape, ap, cfg)
+    perchk = pushforward_perimeter_check(shape, a, cfg)
     rep.results["perimeter_weighted"] = perchk.weighted
     rep.results["perimeter_euclidean"] = perchk.euclidean
     rep.results["perimeter_rel_gap"] = perchk.rel_gap
@@ -126,15 +127,15 @@ def cmd_transform_check(args, rep: RunReport) -> None:
 
 
 def cmd_rearrange(args, rep: RunReport) -> None:
-    ap = _as_alpha(args.alpha)
+    a = _alpha(args.alpha)
     level_count(args.levels)  # a bad count exits 2 before the grid is read
     grid = load_grid(args.input)
     if np.any(grid.values < 0):
         raise GridFormatError("rearrangement input must be nonnegative")
     rep.resolutions = {"dims": list(grid.dims), "levels": args.levels}
     # one sort of the cells serves both the profile and the equimeasurability check
-    dist = distribution_function(grid, ap, args.levels)
-    profile = RadialProfile.from_distribution(dist, ap)
+    dist = distribution_function(grid, a, args.levels)
+    profile = RadialProfile.from_distribution(dist, a)
     top = dist.top
     rep.results["max_input"] = top
     rep.results["max_profile"] = profile.max_value if top > 0 else 0.0
@@ -147,14 +148,14 @@ def cmd_rearrange(args, rep: RunReport) -> None:
     rep.add_check("equimeasurability", gap, 0.01 * max(support, 1e-300), "<=")
 
     for q in (2, 4, 6):
-        n_u = weighted_lq_norm(grid, q, ap)
+        n_u = weighted_lq_norm(grid, q, a)
         n_p = profile.lq_norm(q) if top > 0 else 0.0
         rep.results[f"l{q}_norm_input"] = n_u
         rep.results[f"l{q}_norm_profile"] = n_p
         if n_u > 0:
             rep.add_check(f"l{q}_norm_preserved", abs(n_p - n_u) / n_u, 0.01, "<=")
 
-    e_u = grushin_energy(grid, ap)
+    e_u = grushin_energy(grid, a)
     e_p = profile.dirichlet_energy() if top > 0 else 0.0
     gap_e = e_u - e_p
     rep.results["energy_input"] = e_u
@@ -186,16 +187,17 @@ def cmd_sobolev(args, rep: RunReport) -> None:
 
     rows = []
     for alpha, key in zip(args.alphas, keys):
-        ap = _as_alpha(alpha)
-        L = sobolev_lower_bound(ap)
-        rep.results[f"{key}_n"] = float(ap.sector_count)
+        a = _alpha(alpha)
+        n = sector_count(a)
+        L = sobolev_lower_bound(a)
+        rep.results[f"{key}_n"] = float(n)
         rep.results[f"{key}_lower_bound"] = L
         ray = float("nan")
         if args.minimize:
-            ray = minimize_rayleigh(ap, resolution=args.resolution).estimate
+            ray = minimize_rayleigh(a, resolution=args.resolution).estimate
             rep.results[f"{key}_rayleigh_min"] = ray
             rep.add_check(f"{key}_rayleigh_above_bound", ray, L * 0.97, ">=")
-        rows.append([float(alpha), ap.sector_count, D, L, ray])
+        rows.append([a, n, D, L, ray])
     if args.csv:
         with _writing(args.csv):
             write_csv(args.csv, ["alpha", "n_alpha", "D", "L_derived", "rayleigh_min"], rows)
@@ -217,10 +219,10 @@ def _cube(args):
 def cmd_solve(args, rep: RunReport) -> None:
     from .solver import solve_ground_state
 
-    ap = _as_alpha(args.alpha)
+    a = _alpha(args.alpha)
     domain = _cube(args)
     rep.resolutions = {"grid": args.grid}
-    sol = solve_ground_state(domain, args.q, ap, args.tol)
+    sol = solve_ground_state(domain, args.q, a, args.tol)
     unorm = float(np.sqrt(np.sum(sol.u.values**2) * domain.cell_volume))
     rep.results["energy"] = sol.energy
     rep.results["weak_residual"] = sol.gradient_norm
@@ -239,19 +241,18 @@ def cmd_solve(args, rep: RunReport) -> None:
 
 
 def cmd_pohozaev(args, rep: RunReport) -> None:
-    ap = _as_alpha(args.alpha)
-    coef = pohozaev_coefficient(args.p, ap)
+    a = _alpha(args.alpha)
+    coef = pohozaev_coefficient(args.p, a)
     rep.results["coefficient"] = coef
-    regime = nonexistence_classify(args.p)
-    rep.results["classification"] = regime
+    rep.results["classification"] = nonexistence_classify(args.p)
     if args.solve:
         from .solver import solve_ground_state
 
-        if regime != "subcritical":
-            raise DomainError("identity runs need a subcritical power p < 5")
-        domain = _cube(args)
-        sol = solve_ground_state(domain, args.p + 1.0, ap, args.tol)
-        por = pohozaev_residual(sol.u, args.p, domain, ap)
+        # the solver's exponent q = p + 1 needs 2 < q, the identity p < 5
+        if not 1.0 < args.p < CRITICAL_POWER:
+            raise DomainError(f"identity runs need 1 < --p < 5, got --p {args.p!r}")
+        sol = solve_ground_state(_cube(args), args.p + 1.0, a, args.tol)
+        por = pohozaev_residual(sol.u, args.p, a)
         rep.resolutions = {"grid": args.grid}
         rep.results["lhs"] = por.lhs
         rep.results["rhs"] = por.rhs

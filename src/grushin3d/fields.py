@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import _as_alpha
+from .geometry import _alpha
 from .grids import CellGrid, GridFunction3D
 from .rearrangement import anisotropic_radius
 from .sobolev import SectorExtremalFamily
@@ -43,14 +43,13 @@ def radial_field(profile, alpha, support_radius: float, resolution: int = 96) ->
     the support are zero.  The box is the smallest axis-aligned one around
     the anisotropic ball, padded by 12 %.
     """
-    ap = _as_alpha(alpha)
-    a = ap.alpha
+    a = _alpha(alpha)
     rx = support_radius ** (1.0 / (a + 1.0)) * 1.12
     ry = support_radius / (a + 1.0) * 1.12
     bbox = np.array([(-rx, rx), (-rx, rx), (-ry, ry)])
 
     def fn(X1, X2, Y):
-        r = anisotropic_radius(X1, X2, Y, ap)
+        r = anisotropic_radius(X1, X2, Y, a)
         return profile(r / support_radius)
 
     return GridFunction3D.from_callable(fn, bbox, (resolution, resolution, resolution))

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -64,27 +64,12 @@ def sector_count(alpha: float) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class AlphaParam:
-    """Degeneracy exponent together with its derived sector count."""
-
-    alpha: float
-    sector_count: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sector_count", sector_count(self.alpha))
-
-    @property
-    def sector_width(self) -> float:
-        return math.pi / self.sector_count
-
-    @property
-    def num_sectors(self) -> int:
-        return 2 * self.sector_count
-
-
-def _as_alpha(alpha) -> AlphaParam:
-    return alpha if isinstance(alpha, AlphaParam) else AlphaParam(float(alpha))
+def _alpha(alpha) -> float:
+    """``alpha`` as a float, rejected by ``sector_count`` unless it is
+    positive, finite and at most ``MAX_SECTOR_COUNT - 1``."""
+    a = float(alpha)
+    sector_count(a)
+    return a
 
 
 def sector_index(points: np.ndarray, alpha) -> np.ndarray:
@@ -93,16 +78,16 @@ def sector_index(points: np.ndarray, alpha) -> np.ndarray:
     Returns an integer array with the 1-based sector index of each point,
     0 where the point lies on the y-axis or on a sector wall.
     """
-    ap = _as_alpha(alpha)
+    n = sector_count(_alpha(alpha))
     pts = np.asarray(points, dtype=float)
     x1, x2 = pts[..., 0], pts[..., 1]
     r = np.hypot(x1, x2)
     theta = np.mod(np.arctan2(x2, x1), 2.0 * np.pi)
-    w = theta / ap.sector_width
+    w = theta / (math.pi / n)
     frac = w - np.floor(w)
     on_wall = (frac <= _WALL_TOL) | (frac >= 1.0 - _WALL_TOL)
     idx = np.floor(w).astype(int) + 1
-    idx = np.clip(idx, 1, ap.num_sectors)
+    idx = np.clip(idx, 1, 2 * n)
     return np.where((r > 0) & ~on_wall, idx, 0)
 
 
@@ -187,7 +172,7 @@ def weighted_volume(shape: ImplicitShape, alpha, cfg: QuadratureConfig = Quadrat
     equals the flux of |x|^{2a} (x1, x2, 0) / (2a + 2) through the shape's
     patches.
     """
-    a = _as_alpha(alpha).alpha
+    a = _alpha(alpha)
 
     def flux(points, normals):
         r2 = points[:, 0] ** 2 + points[:, 1] ** 2
@@ -276,15 +261,16 @@ def perimeters(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureCo
     Each (patch, block) contributes one partial to the total and one to
     every sector, reduced in block order.
     """
-    ap = _as_alpha(alpha)
-    density = _area_integrand(ap.alpha)
+    a = _alpha(alpha)
+    n = sector_count(a)
+    density = _area_integrand(a)
     partials = []
     for pts, nu, area, dst in _patch_blocks(shape, cfg):
         vals = density(pts, nu) * area
-        idx = sector_index(pts, ap)
+        idx = sector_index(pts, a)
         # a stable sort keeps each sector's nodes in block order, as a mask would
         order = np.argsort(idx, kind="stable")
-        parts = np.split(vals[order], np.searchsorted(idx[order], np.arange(1, ap.num_sectors + 1)))[1:]
+        parts = np.split(vals[order], np.searchsorted(idx[order], np.arange(1, 2 * n + 1)))[1:]
         partials.append([float(np.sum(v)) * dst for v in (vals, *parts)])
     total, *sectors = (float(np.sum(col)) for col in zip(*partials))
     return Perimeters(total, tuple(sectors))
@@ -303,8 +289,8 @@ class ReferenceBallValues:
 
 
 def reference_ball_values(alpha) -> ReferenceBallValues:
-    ap = _as_alpha(alpha)
-    a, n = ap.alpha, ap.sector_count
+    a = _alpha(alpha)
+    n = sector_count(a)
     return ReferenceBallValues(
         volume=2.0 * math.pi * (a + 1.0) / (3.0 * n),
         sector_perimeter=2.0 * (a + 1.0) * math.pi / n,
@@ -355,9 +341,9 @@ def anisotropic_scale(shape: ImplicitShape, lam: float, alpha) -> ImplicitShape:
     """
     if not lam > 0:
         raise DomainError(f"scale factor must be positive, got {lam}")
-    ap = _as_alpha(alpha)
+    a = _alpha(alpha)
     lam = float(lam)
-    lam_y = lam ** (ap.alpha + 1.0)
+    lam_y = lam ** (a + 1.0)
     scale = np.array([lam, lam, lam_y])
     inv = 1.0 / scale
     level = shape.level

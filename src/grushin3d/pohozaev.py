@@ -15,25 +15,23 @@ coefficient vanishes exactly at p = 5 and is negative beyond, so on
 domains star-shaped for the anisotropic dilation no nontrivial solution
 can exist for p > 5.
 
-Boundary integrals are evaluated on box domains only, where face normals
-are exact; the normal derivative uses the second-order one-sided stencil
-through the homogeneous boundary value.
+Boundary integrals are evaluated on unmasked grids only, whose box faces
+have exact normals; the box, its spacing and the weight are read from the
+solution grid itself.  The normal derivative uses the second-order
+one-sided stencil through the homogeneous boundary value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ImplicitShape, QuadratureConfig, _as_alpha, _patch_blocks
-from .grids import GridFunction3D
-
-if TYPE_CHECKING:  # the solver loads scipy; nothing here needs it at run time
-    from .solver import Domain
+from .geometry import ImplicitShape, QuadratureConfig, _alpha, _patch_blocks
+from .grids import CellGrid, GridFunction3D
 
 CRITICAL_POWER = 5.0
 
@@ -42,7 +40,7 @@ def pohozaev_coefficient(p: float, alpha) -> float:
     """(3a+3)/(p+1) - (a+1)/2; zero exactly at p = 5 for every alpha."""
     if not 1 <= p < math.inf:
         raise DomainError(f"p must be finite and >= 1, got {p}")
-    a = _as_alpha(alpha).alpha
+    a = _alpha(alpha)
     return (3.0 * a + 3.0) / (p + 1.0) - (a + 1.0) / 2.0
 
 
@@ -69,18 +67,18 @@ class StarShapedReport:
 
 
 def star_shaped_check(
-    target: Union[ImplicitShape, Domain], alpha, cfg: QuadratureConfig = QuadratureConfig()
+    target: Union[ImplicitShape, CellGrid], alpha, cfg: QuadratureConfig = QuadratureConfig()
 ) -> StarShapedReport:
     """Evaluate g = x1 nu1 + x2 nu2 + (1+a) y nu3 over the boundary.
 
     The domain is star-shaped for the anisotropic dilation iff g >= 0
-    everywhere on the boundary (and the origin lies inside).  On a box
-    domain g is constant on each face, sign * coef * bbox[axis, side] with
+    everywhere on the boundary (and the origin lies inside).  On a grid's
+    box g is constant on each face, sign * coef * bbox[axis, side] with
     coef = 1 + a on the y faces, so the minimum is taken over the six
     faces; a shape takes the minimum of g over its patch midpoint nodes,
     swept block by block by ``_patch_blocks``.
     """
-    a = _as_alpha(alpha).alpha
+    a = _alpha(alpha)
     if not isinstance(target, ImplicitShape):
         bbox = target.bbox
         m = float(
@@ -104,9 +102,9 @@ def star_shaped_check(
 
 def pohozaev_lhs(u: GridFunction3D, p: float, alpha) -> float:
     """Coefficient times the weighted interior integral of |u|^{p+1}."""
-    ap = _as_alpha(alpha)
-    coef = pohozaev_coefficient(p, ap)
-    w = u.weight2d(ap.alpha)[:, :, None]
+    a = _alpha(alpha)
+    coef = pohozaev_coefficient(p, a)
+    w = u.weight2d(a)[:, :, None]
     integral = u.active_sum(w * np.abs(u.values) ** (p + 1.0)) * u.cell_volume
     return coef * integral
 
@@ -122,23 +120,23 @@ def _face_normal_derivative(values: np.ndarray, axis: int, side: int, h: float) 
     return (9.0 * u1 - u2) / (3.0 * h)
 
 
-def pohozaev_rhs(u: GridFunction3D, domain: Domain, alpha) -> float:
+def pohozaev_rhs(u: GridFunction3D, alpha) -> float:
     """One half of the weighted boundary flux of the solution.
 
     1/2 int over bd of (X . nu)(nu1^2 + nu2^2 + |x|^{2a} nu3^2) (du/dnu)^2,
-    by midpoint quadrature over the box faces.
+    by midpoint quadrature over the faces of u's box; u must be unmasked.
     """
-    if domain.mask is not None:
+    if u.mask is not None:
         raise DomainError("boundary quadrature is defined for box domains only")
-    a = _as_alpha(alpha).alpha
-    h = domain.spacing
+    a = _alpha(alpha)
+    h = u.spacing
     total = 0.0
     for axis in range(3):
         area = float(np.prod([h[k] for k in range(3) if k != axis]))
         # X . nu is constant on a face; only the y-faces carry |x|^{2a}
-        wmag = domain.weight2d(a) if axis == 2 else 1.0
+        wmag = u.weight2d(a) if axis == 2 else 1.0
         for side, sign in ((0, -1.0), (1, 1.0)):
-            coord = domain.bbox[axis, side]
+            coord = u.bbox[axis, side]
             dd = _face_normal_derivative(u.values, axis, side, h[axis])
             g = ((1.0 + a) * coord if axis == 2 else coord) * sign
             total += float(np.sum(g * wmag * dd**2)) * area
@@ -155,12 +153,13 @@ class PohozaevReport:
     trivial: bool
 
 
-def pohozaev_residual(u: GridFunction3D, p: float, domain: Domain, alpha) -> PohozaevReport:
-    """Relative defect of the dilation identity plus the star-shape verdict."""
-    ap = _as_alpha(alpha)
-    lhs = pohozaev_lhs(u, p, ap)
-    rhs = pohozaev_rhs(u, domain, ap)
-    star = star_shaped_check(domain, ap)
+def pohozaev_residual(u: GridFunction3D, p: float, alpha) -> PohozaevReport:
+    """Relative defect of the dilation identity plus the star-shape verdict
+    of u's box."""
+    a = _alpha(alpha)
+    lhs = pohozaev_lhs(u, p, a)
+    rhs = pohozaev_rhs(u, a)
+    star = star_shaped_check(u, a)
     trivial = float(np.max(np.abs(u.values))) == 0.0
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-14)
-    return PohozaevReport(lhs, rhs, pohozaev_coefficient(p, ap), residual, star, trivial)
+    return PohozaevReport(lhs, rhs, pohozaev_coefficient(p, a), residual, star, trivial)

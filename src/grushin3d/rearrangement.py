@@ -26,12 +26,13 @@ weighted Lq norms collapse to 1D integrals:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import AlphaParam, _as_alpha
+from .geometry import _alpha, sector_count
 from .grids import GridFunction3D
 
 # at most 2^20 uniform levels: the level and measure arrays then take 8 MiB each
@@ -44,24 +45,24 @@ _GAUSS_LEGENDRE_5 = np.polynomial.legendre.leggauss(5)
 
 
 def anisotropic_radius(x1, x2, y, alpha) -> np.ndarray:
-    a = _as_alpha(alpha).alpha
+    a = _alpha(alpha)
     r2 = np.asarray(x1) ** 2 + np.asarray(x2) ** 2
     return np.sqrt(r2 ** (a + 1.0) + (a + 1.0) ** 2 * np.asarray(y) ** 2)
 
 
 def sector_measure_of_radius(R, alpha) -> float:
     """Weighted measure of {r < R} inside one sector: 2 pi R^3 / (3 n (a+1)^2)."""
-    ap = _as_alpha(alpha)
-    return 2.0 * np.pi * np.asarray(R) ** 3 / (3.0 * ap.sector_count * (ap.alpha + 1.0) ** 2)
+    a = _alpha(alpha)
+    return 2.0 * np.pi * np.asarray(R) ** 3 / (3.0 * sector_count(a) * (a + 1.0) ** 2)
 
 
 def radius_from_measure(m, alpha):
     """Inverse of sector_measure_of_radius; cube-root homogeneous."""
-    ap = _as_alpha(alpha)
+    a = _alpha(alpha)
     m = np.asarray(m, dtype=float)
     if np.any(m < 0):
         raise DomainError("measure must be nonnegative")
-    out = (3.0 * ap.sector_count * (ap.alpha + 1.0) ** 2 * m / (2.0 * np.pi)) ** (1.0 / 3.0)
+    out = (3.0 * sector_count(a) * (a + 1.0) ** 2 * m / (2.0 * np.pi)) ** (1.0 / 3.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -75,20 +76,22 @@ class DistributionFunction:
     top: float
 
 
-def _sorted_cell_data(u: GridFunction3D, alpha: AlphaParam, floor: float):
+def _sorted_cell_data(u: GridFunction3D, alpha: float, floor: float):
     """Values above ``floor`` and their weighted cell measures, sorted by
     value descending (stably, so in C order among equal values)."""
     vals = u.masked_values().ravel()
     above = np.flatnonzero(vals > floor)
     order = above[np.argsort(-vals[above], kind="stable")]
     # the weight is constant along y, the fastest axis of the C order
-    w = u.weight2d(alpha.alpha).ravel()[order // u.dims[2]]
+    w = u.weight2d(alpha).ravel()[order // u.dims[2]]
     return vals[order], w * u.cell_volume
 
 
 def level_count(levels) -> int:
-    """``levels`` as a count of uniform levels, from 1 to ``MAX_LEVELS``;
-    raises DomainError otherwise."""
+    """``levels`` as a count of uniform levels, an integer from 1 to
+    ``MAX_LEVELS``; raises DomainError otherwise."""
+    if not isinstance(levels, numbers.Integral):
+        raise DomainError(f"levels must be an integer count, got {levels!r}")
     K = int(levels)
     if K < 1:
         raise DomainError(f"levels must be a positive count, got {levels}")
@@ -97,30 +100,22 @@ def level_count(levels) -> int:
     return K
 
 
-def distribution_function(u: GridFunction3D, alpha, levels=None) -> DistributionFunction:
+def distribution_function(u: GridFunction3D, alpha, levels: int = 256) -> DistributionFunction:
     """lambda(t) = |{u > t}|_w by weighted voxel sums on the superlevel sets.
 
-    ``levels``: an int (count of uniform levels in (0, max u], at most
-    ``MAX_LEVELS``), an explicit increasing array, or None for the default
-    256.
+    ``levels`` is the count K of uniform levels top/K, 2 top/K, ..., top in
+    (0, max u], from 1 to ``MAX_LEVELS``; a zero field has the one level 0.
     """
-    ap = _as_alpha(alpha)
-    if levels is None:
-        levels = 256
-    K = level_count(levels) if np.isscalar(levels) else None
+    a = _alpha(alpha)
+    K = level_count(levels)
     vals = u.masked_values()
     if np.any(vals < 0):
         raise DomainError("rearrangement requires a nonnegative field")
     top = float(vals.max(initial=0.0))
-    if K is not None:
-        lv = np.linspace(top / K, top, K) if top > 0 else np.zeros(1)
-    else:
-        lv = np.asarray(levels, dtype=float)
-        if np.any(np.diff(lv) <= 0):
-            raise DomainError("levels must be strictly increasing")
+    lv = np.linspace(top / K, top, K) if top > 0 else np.zeros(1)
     # no level counts a cell at or below the lowest level, so only the cells
     # above it are sorted
-    sorted_vals, sorted_meas = _sorted_cell_data(u, ap, lv[0])
+    sorted_vals, sorted_meas = _sorted_cell_data(u, a, lv[0])
     cum = np.concatenate([[0.0], np.cumsum(sorted_meas)])
     # measure of {u > t}: cells strictly above t (values sorted descending)
     counts = np.searchsorted(-sorted_vals, -lv, side="left")
@@ -138,9 +133,10 @@ class RadialProfile:
 
     radii: np.ndarray  # increasing, len K
     values: np.ndarray  # decreasing, len K
-    alpha: AlphaParam
+    alpha: float
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
         r = np.asarray(self.radii, dtype=float)
         v = np.asarray(self.values, dtype=float)
         if r.shape != v.shape or r.ndim != 1 or len(r) == 0:
@@ -157,19 +153,19 @@ class RadialProfile:
         """The profile whose superlevel set {phi > t_k} is the anisotropic
         ball of weighted sector measure lambda(t_k), level by level.
 
-        The top level is max u itself when the levels are a count, so the
-        profile then attains max u exactly on its innermost interval.  A
-        zero field gives the zero profile on [0, tiny).
+        The top level is max u itself, so the profile attains max u exactly
+        on its innermost interval.  A zero field gives the zero profile on
+        [0, tiny).
         """
-        ap = _as_alpha(alpha)
-        zero = cls(np.array([np.finfo(float).tiny]), np.array([0.0]), ap)
+        a = _alpha(alpha)
+        zero = cls(np.array([np.finfo(float).tiny]), np.array([0.0]), a)
         if dist.top == 0.0:
             return zero
         lv, meas = dist.levels, dist.measures
-        radii_desc = radius_from_measure(meas, ap)  # nonincreasing with level
+        radii_desc = radius_from_measure(meas, a)  # nonincreasing with level
         # interval [R_k, R_{k-1}) carries value t_k; innermost interval keeps max u
         b = radii_desc[:-1][::-1]  # R_{K-1} ... R_1  (increasing)
-        support = radius_from_measure(meas[0], ap)
+        support = radius_from_measure(meas[0], a)
         b = np.append(b, support)
         v = lv[::-1]  # t_K ... t_1  (decreasing)
         # empty intervals (equal consecutive radii) belong to the earlier, larger
@@ -178,7 +174,7 @@ class RadialProfile:
         b, v = b[keep], v[keep]
         if len(b) == 0:
             return zero
-        return cls(b, v, ap)
+        return cls(b, v, a)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -229,7 +225,7 @@ class RadialProfile:
         ok = (ds_w > 0) & (np.diff(s) > 1e-9 * self.support_radius)
         slope = (v[j2] - v[j1])[ok] / ds_w[ok]
         cubes = np.diff(s**3)[ok] / 3.0
-        return float(2.0 * np.pi / self.alpha.sector_count * np.sum(slope**2 * cubes))
+        return float(2.0 * np.pi / sector_count(self.alpha) * np.sum(slope**2 * cubes))
 
     def lq_norm(self, q: float) -> float:
         """((2 pi / (n (a+1)^2)) int r^2 |phi|^q dr)^{1/q}, linear interpolant."""
@@ -244,19 +240,18 @@ class RadialProfile:
         frac = (r - a_[:, None]) / np.where(half[:, None] > 0, 2 * half[:, None], 1.0)
         vals = va[:, None] + (vb - va)[:, None] * frac
         seg = np.sum(wg[None, :] * r**2 * np.abs(vals) ** q, axis=1) * half
-        ap = self.alpha
-        integral = 2.0 * np.pi / (ap.sector_count * (ap.alpha + 1.0) ** 2) * float(np.sum(seg))
+        a = self.alpha
+        integral = 2.0 * np.pi / (sector_count(a) * (a + 1.0) ** 2) * float(np.sum(seg))
         return integral ** (1.0 / q)
 
 
-def rearrange(u: GridFunction3D, alpha, levels=None) -> RadialProfile:
-    """Weighted decreasing rearrangement of u as a radial step profile.
-
-    Levels default to 256 uniform values in (0, max u]; see
+def rearrange(u: GridFunction3D, alpha, levels: int = 256) -> RadialProfile:
+    """Weighted decreasing rearrangement of u as a radial step profile on
+    ``levels`` uniform levels in (0, max u]; see
     ``RadialProfile.from_distribution``.
     """
-    ap = _as_alpha(alpha)
-    return RadialProfile.from_distribution(distribution_function(u, ap, levels), ap)
+    a = _alpha(alpha)
+    return RadialProfile.from_distribution(distribution_function(u, a, levels), a)
 
 
 def _grid_gradients(u: GridFunction3D):
@@ -271,13 +266,13 @@ def grushin_energy(u: GridFunction3D, alpha) -> float:
     """Dirichlet energy of the degenerate gradient: central differences on
     the raw value array, weighted voxel sum over active cells.  A radial
     profile's energy is ``RadialProfile.dirichlet_energy``."""
-    ap = _as_alpha(alpha)
+    a = _alpha(alpha)
     ux1, ux2, uy = _grid_gradients(u)
     # ux1^2 + ux2^2 + w uy^2, squared, weighted and added in place
     dens = np.square(ux1, out=ux1)
     dens += np.square(ux2, out=ux2)
     np.square(uy, out=uy)
-    uy *= u.weight2d(ap.alpha)[:, :, None]
+    uy *= u.weight2d(a)[:, :, None]
     dens += uy
     return u.active_sum(dens) * u.cell_volume
 
@@ -287,15 +282,15 @@ def weighted_lq_norm(u: GridFunction3D, q: float, alpha) -> float:
     profile's norm is ``RadialProfile.lq_norm``."""
     if q < 1:
         raise DomainError("q must be >= 1")
-    ap = _as_alpha(alpha)
+    a = _alpha(alpha)
     dens = np.abs(u.values)
     dens **= q
-    dens *= u.weight2d(ap.alpha)[:, :, None]
+    dens *= u.weight2d(a)[:, :, None]
     return (u.active_sum(dens) * u.cell_volume) ** (1.0 / q)
 
 
-def polya_szego_gap(u: GridFunction3D, alpha, levels=None) -> float:
+def polya_szego_gap(u: GridFunction3D, alpha, levels: int = 256) -> float:
     """energy(u) - energy(u*); nonnegative up to discretisation noise."""
-    ap = _as_alpha(alpha)
-    profile = rearrange(u, ap, levels)
-    return grushin_energy(u, ap) - profile.dirichlet_energy()
+    a = _alpha(alpha)
+    profile = rearrange(u, a, levels)
+    return grushin_energy(u, a) - profile.dirichlet_energy()

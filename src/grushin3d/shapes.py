@@ -13,9 +13,11 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ImplicitShape, SurfacePatch, _as_alpha
+from .geometry import ImplicitShape, SurfacePatch, _alpha, sector_count
 
-_PAD = 1.0731  # bbox padding factor; non-round so flat faces avoid grid planes
+# bbox padding factor; non-round so flat faces avoid the cell planes of the
+# voxel reference in tests/voxel_reference.py, the only code that grids a bbox
+_PAD = 1.0731
 
 
 def ellipsoid(semiaxes=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> ImplicitShape:
@@ -150,9 +152,9 @@ def ball_sector(alpha, j: int = 1, radius: float = 1.0) -> ImplicitShape:
     shape.  Patches: the curved cap inside the sector plus two flat walls.
     ``radius`` equals the Euclidean radius of the shape's flattened image.
     """
-    ap = _as_alpha(alpha)
-    a, n = ap.alpha, ap.sector_count
-    if not 1 <= j <= ap.num_sectors:
+    a = _alpha(alpha)
+    n = sector_count(a)
+    if not 1 <= j <= 2 * n:
         raise DomainError(f"sector index {j} outside 1..{2 * n}")
     if radius <= 0:
         raise DomainError("radius must be positive")
@@ -213,7 +215,8 @@ def ball_sector(alpha, j: int = 1, radius: float = 1.0) -> ImplicitShape:
 
     def padded(lo_, hi_):
         # axis-aligned sector walls sit exactly on bbox faces, which keeps
-        # a voxel sum over the bbox bias-free there
+        # the voxel reference of the tests (tests/voxel_reference.py)
+        # bias-free there
         lo_ = 0.0 if abs(lo_) < 1e-12 * rx else lo_ - pad
         hi_ = 0.0 if abs(hi_) < 1e-12 * rx else hi_ + pad
         return (lo_, hi_)
@@ -247,7 +250,7 @@ def make_shape(name: str, **params) -> ImplicitShape:
 
 def corpus_shapes(alpha) -> list[ImplicitShape]:
     """The standard sweep corpus: >= 12 shapes covering all supported kinds."""
-    ap = _as_alpha(alpha)
+    a = _alpha(alpha)
     return [
         ellipsoid((1.0, 1.0, 1.0)),
         ellipsoid((1.3, 0.8, 0.6)),
@@ -259,6 +262,6 @@ def corpus_shapes(alpha) -> list[ImplicitShape]:
         box((1.2, 0.7, 0.9)),
         ball(0.8, center=(0.5, 0.0, 0.0)),
         ball(0.6, center=(0.4, 0.4, 0.3)),
-        ball_sector(ap, j=1),
-        ball_sector(ap, j=min(2, ap.num_sectors)),
+        ball_sector(a, j=1),
+        ball_sector(a, j=2),
     ]

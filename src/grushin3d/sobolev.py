@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import _as_alpha, sector_index
+from .geometry import _alpha, sector_count, sector_index
 from .grids import CellGrid, GridFunction3D
 from .rearrangement import anisotropic_radius, grushin_energy, weighted_lq_norm
 
@@ -67,10 +67,11 @@ def talenti_constant_general(a: float = 1.0, b: float = 1.0) -> float:
     No closed form is assumed; this is the oracle route.  Both integrals
     over [0, inf), of r^2 phi'^2 and r^2 phi^6, are sums over the fixed
     257-node exp-sinh rule, accurate to 1e-14 relative for a, b in
-    [1e-3, 1e3].  Raises DomainError unless a and b are positive and finite.
+    [1e-3, 1e3].  Outside that range the rule's nodes miss the profile's
+    scale, so it raises DomainError there (NaN included).
     """
-    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-        raise DomainError(f"profile parameters a, b must be positive and finite, got a = {a}, b = {b}")
+    if not (1e-3 <= a <= 1e3 and 1e-3 <= b <= 1e3):
+        raise DomainError(f"profile parameters a, b must lie in [1e-3, 1e3], got a = {a}, b = {b}")
     r = _DE_NODES
     inner = a + b * r**2.0
     dphi = -b * r * inner**-1.5
@@ -82,10 +83,10 @@ def talenti_constant_general(a: float = 1.0, b: float = 1.0) -> float:
 def sobolev_lower_bound(alpha) -> float:
     """L(alpha) = (2 pi / n)^{1/3} (a+1)^{1/3} D, the verified lower bound
     for the best constant of the critical weighted Sobolev inequality."""
-    ap = _as_alpha(alpha)
+    a = _alpha(alpha)
     return (
-        (2.0 * math.pi / ap.sector_count) ** (1.0 / 3.0)
-        * (ap.alpha + 1.0) ** (1.0 / 3.0)
+        (2.0 * math.pi / sector_count(a)) ** (1.0 / 3.0)
+        * (a + 1.0) ** (1.0 / 3.0)
         * talenti_radial_constant()
     )
 
@@ -94,7 +95,7 @@ def scaling_exponent(q: float, alpha) -> float:
     """Exponent of the Rayleigh quotient under the anisotropic dilation."""
     if q <= 0:
         raise DomainError("q must be positive")
-    a = _as_alpha(alpha).alpha
+    a = _alpha(alpha)
     return (3.0 * a + 3.0) / q - (a + 1.0) / 2.0
 
 
@@ -113,12 +114,12 @@ def rayleigh_quotient(u: GridFunction3D, q: float, alpha, copies: int = 1) -> Ra
     ``copies`` counts both integrals that many times: a grid that holds one
     of two mirror-image halves of a field passes 2 and gets the quotient of
     the whole field."""
-    ap = _as_alpha(alpha)
-    num = copies * grushin_energy(u, ap)
-    den = copies ** (1.0 / q) * weighted_lq_norm(u, q, ap)
+    a = _alpha(alpha)
+    num = copies * grushin_energy(u, a)
+    den = copies ** (1.0 / q) * weighted_lq_norm(u, q, a)
     if den == 0.0:
         raise DomainError("Rayleigh quotient of the zero function")
-    return RayleighReport(num, den, math.sqrt(num) / den, ap.alpha, q)
+    return RayleighReport(num, den, math.sqrt(num) / den, a, q)
 
 
 # the sector extremals are cut off at r = 20
@@ -152,22 +153,21 @@ class SectorExtremalFamily:
     """
 
     def __init__(self, alpha, resolution: int = 128):
-        ap = _as_alpha(alpha)
-        aa = ap.alpha
+        a = _alpha(alpha)
         R = TRUNCATION_RADIUS
-        rx = R ** (1.0 / (aa + 1.0))
-        ry = R / (aa + 1.0)
-        width = ap.sector_width
+        rx = R ** (1.0 / (a + 1.0))
+        ry = R / (a + 1.0)
+        width = math.pi / sector_count(a)
         x2max = rx * math.sin(width) if width < math.pi / 2 else rx
         n = int(resolution)
         cells = CellGrid([(0.0, rx), (0.0, x2max), (-ry, ry)], (n, n, n))
         X1, X2, Y = cells.centers(sparse=True)
-        r = anisotropic_radius(X1, X2, Y, ap)
+        r = anisotropic_radius(X1, X2, Y, a)
         r.flags.writeable = False
         # sector membership depends on (x1, x2) only
         x1x2 = np.stack(np.broadcast_arrays(X1[:, :, 0], X2[:, :, 0]), axis=-1)
-        sector = (sector_index(x1x2, ap) == 1)[:, :, None]
-        self.alpha, self.cells, self.r, self.mask = ap, cells, r, np.broadcast_to(sector, r.shape)
+        sector = (sector_index(x1x2, a) == 1)[:, :, None]
+        self.alpha, self.cells, self.r, self.mask = a, cells, r, np.broadcast_to(sector, r.shape)
         self._half = None
         if n % 2 == 0:
             # planes n/2 - 1 .. n - 1; the first is the mirror plane, inactive

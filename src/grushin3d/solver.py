@@ -63,7 +63,7 @@ from scipy.fft import dst, idst
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import DegeneracyError, DomainError, IterationError
-from .geometry import AlphaParam, _as_alpha
+from .geometry import _alpha
 from .grids import CellGrid, GridFunction3D, check_grid
 
 
@@ -125,8 +125,8 @@ class GrushinOperator:
 
     def __init__(self, domain: Domain, alpha):
         self.domain = domain
-        self.alpha = _as_alpha(alpha)
-        self.weight2d = domain.weight2d(self.alpha.alpha)
+        self.alpha = _alpha(alpha)
+        self.weight2d = domain.weight2d(self.alpha)
         self._mask = domain.mask
         self._box_basis = None
         h = domain.spacing
@@ -185,7 +185,7 @@ class GrushinOperator:
         lams, vecs = [], []
         for axis in (0, 1):
             n = self.domain.dims[axis]
-            wx = np.abs(self.domain.axis_centers(axis)) ** (2.0 * self.alpha.alpha)
+            wx = np.abs(self.domain.axis_centers(axis)) ** (2.0 * self.alpha)
             diag = (2 + _dirichlet_faces(np.ones(n, dtype=bool), 0)) / h[axis] ** 2
             off = np.full(n - 1, -1.0 / h[axis] ** 2)
             lam, V = np.empty((n3, n)), np.empty((n3, n, n))
@@ -285,7 +285,7 @@ class Problem:
     """
 
     domain: Domain
-    alpha: AlphaParam  # a float is converted
+    alpha: float
     q: float
     op: GrushinOperator = field(init=False, repr=False)
 
@@ -294,10 +294,10 @@ class Problem:
         # written so that NaN fails too
         if not 2.0 < q < math.inf:
             raise DomainError(f"power exponent needs 2 < q < inf, got q={q}")
-        ap = _as_alpha(self.alpha)
-        op = GrushinOperator(self.domain, ap)
+        a = _alpha(self.alpha)
+        op = GrushinOperator(self.domain, a)
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "alpha", ap)
+        object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "_weight", op.weight2d[:, :, None])
         object.__setattr__(self, "_active", self.domain.active())

@@ -13,7 +13,9 @@ the reference ball sector onto the Euclidean unit-ball wedge, and satisfies
     relative weighted perimeter of E = Euclidean area of flatten(bd E)
 
 for sets E contained in the closed sector.  ``unflatten_point`` is its
-inverse; round trips are exact to ~1e-12.
+inverse; round trips are exact to ~1e-12.  Neither map checks that its
+points lie in the sector or the wedge; the pushforward checks admit a
+shape only after ``_require_in_sector`` has found it in the sector.
 
 ``flatten_shape`` carries a shape's analytic patches to the image: each
 image patch is flatten_point o param, with tangent cross product
@@ -31,13 +33,13 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
-    AlphaParam,
     ImplicitShape,
     QuadratureConfig,
     SurfacePatch,
-    _as_alpha,
+    _alpha,
     patch_surface_integral,
     perimeters,
+    sector_count,
     sector_index,
     weighted_volume,
 )
@@ -50,29 +52,20 @@ def _split_polar(pts):
     return pts, r, theta
 
 
-def flatten_point(p, alpha, check_sector: bool = True):
+def flatten_point(p, alpha):
     """Measure-flattening map on (arrays of) first-sector points."""
-    ap = _as_alpha(alpha)
-    a = ap.alpha
+    a = _alpha(alpha)
     pts, r, theta = _split_polar(p)
-    if check_sector and np.any(sector_index(pts, ap) != 1):
-        raise DomainError("point not strictly inside the first sector")
     rad = r ** (a + 1.0) / (a + 1.0)
     ang = (a + 1.0) * theta
     out = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), pts[:, 2]])
     return out[0] if np.asarray(p).ndim == 1 else out
 
 
-def unflatten_point(p, alpha, check_sector: bool = True):
+def unflatten_point(p, alpha):
     """Inverse of flatten_point, defined on the flattened wedge."""
-    ap = _as_alpha(alpha)
-    a = ap.alpha
+    a = _alpha(alpha)
     pts, rad, ang = _split_polar(p)
-    if check_sector:
-        width = (a + 1.0) * ap.sector_width
-        bad = (rad <= 0) | (ang <= 0) | (ang >= width)
-        if np.any(bad):
-            raise DomainError("point not strictly inside the flattened wedge")
     r = ((a + 1.0) * rad) ** (1.0 / (a + 1.0))
     theta = ang / (a + 1.0)
     out = np.column_stack([r * np.cos(theta), r * np.sin(theta), pts[:, 2]])
@@ -94,13 +87,13 @@ def _cofactor(points, v, a):
     )
 
 
-def _image_patch(patch: SurfacePatch, ap: AlphaParam) -> SurfacePatch:
+def _image_patch(patch: SurfacePatch, a: float) -> SurfacePatch:
     """Image of a first-sector patch under the flattening map, with the
     tangent cross product carried by ``_cofactor``."""
     param, cross = patch.param, patch.cross
     return SurfacePatch(
-        param=lambda st: flatten_point(param(st), ap, check_sector=False),
-        cross=lambda st: _cofactor(param(st), cross(st), ap.alpha),
+        param=lambda st: flatten_point(param(st), a),
+        cross=lambda st: _cofactor(param(st), cross(st), a),
         s_range=patch.s_range,
         t_range=patch.t_range,
     )
@@ -111,26 +104,27 @@ def flatten_shape(shape: ImplicitShape, alpha) -> ImplicitShape:
 
     The image carries the images of the shape's patches, one per patch.
     """
-    ap = _as_alpha(alpha)
-    a = ap.alpha
+    a = _alpha(alpha)
+    width = (a + 1.0) * (np.pi / sector_count(a))
     level = shape.level
 
     def flat_level(pts):
         pts = np.asarray(pts, dtype=float)
-        orig = unflatten_point(pts.reshape(-1, 3), ap, check_sector=False)
+        orig = unflatten_point(pts.reshape(-1, 3), a)
         vals = level(orig.reshape(pts.shape))
         # outside the image wedge nothing is inside the image shape
         ang = np.arctan2(pts[..., 1], pts[..., 0])
-        outside = (ang <= 0.0) | (ang >= (a + 1.0) * ap.sector_width)
+        outside = (ang <= 0.0) | (ang >= width)
         return np.where(outside, np.maximum(vals, 1.0), vals)
 
     rx = float(np.max(np.abs(shape.bbox[0]))), float(np.max(np.abs(shape.bbox[1])))
     rmax = np.hypot(*rx) ** (a + 1.0) / (a + 1.0)
     pad = 1.0239 * rmax
     # the image wedge lies in {xi2 >= 0}; putting that wall exactly on the
-    # bbox face keeps a voxel sum over the bbox bias-free along it
+    # bbox face keeps the voxel reference of the tests
+    # (tests/voxel_reference.py) bias-free along it
     bbox = np.array([(-pad, pad), (0.0, pad), tuple(shape.bbox[2])])
-    patches = [_image_patch(p, ap) for p in shape.patches]
+    patches = [_image_patch(p, a) for p in shape.patches]
     return ImplicitShape(flat_level, bbox, patches=patches, name=f"flat({shape.name})")
 
 
@@ -179,16 +173,16 @@ def pushforward_perimeter_check(
     the gap measures rounding; the tests check the closed-form cofactor
     against finite differences.
     """
-    ap = _as_alpha(alpha)
-    _require_in_sector(shape, ap)
-    weighted = perimeters(shape, ap, cfg).sectors[0]
+    a = _alpha(alpha)
+    _require_in_sector(shape, a)
+    weighted = perimeters(shape, a, cfg).sectors[0]
 
     def image_area(points, normals):
         # nodes outside sector 1, its walls included, weigh nothing: only
         # sector-1 nodes get a cofactor
-        inside = sector_index(points, ap) == 1
+        inside = sector_index(points, a) == 1
         out = np.zeros(len(points))
-        out[inside] = np.linalg.norm(_cofactor(points[inside], normals[inside], ap.alpha), axis=1)
+        out[inside] = np.linalg.norm(_cofactor(points[inside], normals[inside], a), axis=1)
         return out
 
     euclidean = patch_surface_integral(shape, image_area, cfg)
@@ -201,13 +195,13 @@ _CONTAINMENT_SAMPLES = 17
 
 def _require_in_sector(shape: ImplicitShape, alpha) -> None:
     """Sampled containment check: inside points must lie in the closed sector."""
-    ap = _as_alpha(alpha)
-    axes = [np.linspace(a, b, _CONTAINMENT_SAMPLES) for a, b in shape.bbox]
+    width = np.pi / sector_count(_alpha(alpha))
+    axes = [np.linspace(lo, hi, _CONTAINMENT_SAMPLES) for lo, hi in shape.bbox]
     G1, G2, G3 = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([G1.ravel(), G2.ravel(), G3.ravel()])
     inside = pts[shape.level(pts) < 0]
     if len(inside) == 0:
         return
     theta = np.mod(np.arctan2(inside[:, 1], inside[:, 0]), 2.0 * np.pi)
-    if np.any(theta > ap.sector_width * (1 + 1e-9)):
+    if np.any(theta > width * (1 + 1e-9)):
         raise DomainError(f"shape {shape.name!r} is not contained in the first sector")

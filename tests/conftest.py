@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from grushin3d import AlphaParam, QuadratureConfig
+from grushin3d import QuadratureConfig
 from grushin3d.grids import resample
 from grushin3d.solver import Domain, solve_ground_state
 
@@ -40,7 +40,7 @@ def ground_states():
     """Ground states of the q = 4, alpha = 1 cube problem, warm-started up
     the resolution ladder and cached for the whole session."""
     cache = {}
-    ap = AlphaParam(1.0)
+    alpha = 1.0
 
     def get(n, tol=1e-6):
         if n in cache:
@@ -51,7 +51,7 @@ def ground_states():
         if smaller:
             src = cache[max(smaller)]
             initial = resample(src.u, (n, n, n), domain.bbox).values
-        cache[n] = solve_ground_state(domain, 4.0, ap, tol, initial=initial)
+        cache[n] = solve_ground_state(domain, 4.0, alpha, tol, initial=initial)
         return cache[n]
 
     return get

@@ -12,11 +12,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from grushin3d import (
-    AlphaParam,
     QuadratureConfig,
     isoperimetric_deficit,
     perimeters,
     reference_quotient,
+    sector_count,
     weighted_volume,
 )
 from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus, sector_extremal_grid
@@ -71,10 +71,9 @@ def test_criterion_02_sobolev_lower_bound_vs_grid():
     details = []
     ok = True
     for alpha in ALPHAS:
-        ap = AlphaParam(alpha)
-        L = sobolev_lower_bound(ap)
-        u = sector_extremal_grid(ap, b=4.0, resolution=128)
-        q = rayleigh_quotient(u, 6, ap).quotient
+        L = sobolev_lower_bound(alpha)
+        u = sector_extremal_grid(alpha, b=4.0, resolution=128)
+        q = rayleigh_quotient(u, 6, alpha).quotient
         rel = abs(q - L) / L
         ok &= rel <= 0.03
         details.append(f"a={alpha}: |{q:.4f}-{L:.4f}|/L={rel:.2%}")
@@ -130,8 +129,7 @@ def test_criterion_04_scaling_laws():
     worst_ray = 0.0
     exact_zero = True
     for alpha in ALPHAS:
-        ap = AlphaParam(alpha)
-        n = ap.sector_count
+        n = sector_count(alpha)
         mu = 2.0 ** (alpha + 1.0)
         for q in (2.0, 4.0, 6.0):
 
@@ -162,10 +160,9 @@ def test_criterion_05_polya_szego():
     details = []
     ok = True
     for alpha in ALPHAS:
-        ap = AlphaParam(alpha)
-        u = radial_field(cosine_bump, ap, 1.0, resolution=96)
-        ratio = rearrange(u, ap).dirichlet_energy() / grushin_energy(u, ap)
-        target = (2.0 * ap.sector_count) ** (-2.0 / 3.0)
+        u = radial_field(cosine_bump, alpha, 1.0, resolution=96)
+        ratio = rearrange(u, alpha).dirichlet_energy() / grushin_energy(u, alpha)
+        target = (2.0 * sector_count(alpha)) ** (-2.0 / 3.0)
         rel = abs(ratio - target) / target
         ok &= rel <= 0.02
         details.append(f"a={alpha}: {rel:.2%}")
@@ -187,16 +184,15 @@ def test_criterion_06_rearrangement_fidelity():
     ok = True
     details = []
     for alpha in (0.5, 1.0):
-        ap = AlphaParam(alpha)
-        u = radial_field(cosine_bump, ap, 1.0, resolution=96)
-        profile = rearrange(u, ap)
-        dist = distribution_function(u, ap)
+        u = radial_field(cosine_bump, alpha, 1.0, resolution=96)
+        profile = rearrange(u, alpha)
+        dist = distribution_function(u, alpha)
         gap = float(np.abs(dist.measures - profile.measure_above(dist.levels)).max())
         support = float(dist.measures[0])
         ok &= gap <= 0.01 * support
         worst_norm = 0.0
         for q in (2, 4, 6):
-            nu = weighted_lq_norm(u, q, ap)
+            nu = weighted_lq_norm(u, q, alpha)
             npf = profile.lq_norm(q)
             worst_norm = max(worst_norm, abs(npf - nu) / nu)
         ok &= worst_norm <= 0.01
@@ -212,15 +208,14 @@ def test_criterion_07_transform_identities():
     ok = True
     worst_v = worst_p = 0.0
     for alpha in ALPHAS:
-        ap = AlphaParam(alpha)
-        width = ap.sector_width
+        width = math.pi / sector_count(alpha)
         shapes = [
-            ball_sector(ap, j=1),
+            ball_sector(alpha, j=1),
             ball(0.3 * math.sin(width / 2), center=(math.cos(width / 2), math.sin(width / 2), 0.0)),
         ]
         for shape in shapes:
-            v = pushforward_volume_check(shape, ap, cfg).rel_gap
-            p = pushforward_perimeter_check(shape, ap, cfg).rel_gap
+            v = pushforward_volume_check(shape, alpha, cfg).rel_gap
+            p = pushforward_perimeter_check(shape, alpha, cfg).rel_gap
             worst_v = max(worst_v, v)
             worst_p = max(worst_p, p)
             ok &= v <= 1e-3 and p <= 1e-2
@@ -228,11 +223,11 @@ def test_criterion_07_transform_identities():
 
 
 def test_criterion_08_solver_correctness(ground_states):
-    ap = AlphaParam(1.0)
+    alpha = 1.0
     errs = []
     for n in (12, 24, 48, 96):
         dom = Domain.cube(1.0, n)
-        op = GrushinOperator(dom, ap)
+        op = GrushinOperator(dom, alpha)
         X1, X2, Y = dom.centers()
         c = lambda z: np.cos(np.pi * z / 2)  # noqa: E731
         u_exact = c(X1) * c(X2) * c(Y)
@@ -242,7 +237,7 @@ def test_criterion_08_solver_correctness(ground_states):
     order = math.log2(errs[0] / errs[-1]) / 3.0
 
     dom = Domain.cube(1.0, 24)
-    prob = Problem(dom, ap, 4.0)
+    prob = Problem(dom, alpha, 4.0)
     rng = np.random.default_rng(6)
     grad_rel = 0.0
     for _ in range(3):
@@ -283,11 +278,11 @@ def test_criterion_09_pohozaev_identity(ground_states):
         and pohozaev_coefficient(4.9, 1.0) > 0
         and pohozaev_coefficient(5.1, 1.0) < 0
     )
-    ap = AlphaParam(1.0)
+    alpha = 1.0
     residuals = {}
     for n in (64, 96):
         sol = ground_states(n)
-        residuals[n] = pohozaev_residual(sol.u, 3.0, Domain.cube(1.0, n), ap).residual
+        residuals[n] = pohozaev_residual(sol.u, 3.0, alpha).residual
     ok = exact_zero and signs and residuals[64] <= 0.10 and residuals[96] < residuals[64]
     report(
         9,
@@ -298,14 +293,14 @@ def test_criterion_09_pohozaev_identity(ground_states):
 
 
 def test_criterion_10_embedding_property():
-    ap = AlphaParam(1.0)
+    alpha = 1.0
     fields = random_bump_corpus(50, resolution=48)
-    L = sobolev_lower_bound(ap)
+    L = sobolev_lower_bound(alpha)
     violations = 0
     worst = 0.0
     for field in fields:
-        lhs = weighted_lq_norm(field, 6, ap)
-        rhs = math.sqrt(grushin_energy(field, ap)) / L * 1.02
+        lhs = weighted_lq_norm(field, 6, alpha)
+        rhs = math.sqrt(grushin_energy(field, alpha)) / L * 1.02
         worst = max(worst, lhs / rhs)
         violations += lhs > rhs
     ok = violations == 0
@@ -313,7 +308,7 @@ def test_criterion_10_embedding_property():
 
 
 def test_criterion_11_norm_equivalence():
-    ap = AlphaParam(1.0)
+    alpha = 1.0
     domains = {
         "cube": Domain.cube(1.0, 24),
         "slab": Domain(np.array([(-1.0, 1.0), (-0.8, 0.8), (-1.3, 1.3)]), (24, 24, 24)),
@@ -322,9 +317,9 @@ def test_criterion_11_norm_equivalence():
     ok = True
     details = []
     for name, dom in domains.items():
-        lam = poincare_constant(dom, ap)
+        lam = poincare_constant(dom, alpha)
         finer = Domain(dom.bbox, tuple(d * 3 // 2 for d in dom.dims))
-        lam_f = poincare_constant(finer, ap)
+        lam_f = poincare_constant(finer, alpha)
         rel = abs(lam_f - lam) / lam_f
         ok &= lam > 0 and rel <= 0.01
         details.append(f"{name}: lam1={lam:.4f} drift={rel:.2%}")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushin3d import AlphaParam, cli, geometry, rearrangement, shapes
+from grushin3d import cli, geometry, rearrangement, shapes
 from grushin3d.cli import main
 from grushin3d.fields import cosine_bump, radial_field
 from grushin3d.grids import GRID_MAGIC, load_grid, save_grid
@@ -208,7 +208,7 @@ class TestShapeFromArgs:
 
 class TestRearrangeCommand:
     def test_radial_bump_energy_ratio(self, tmp_path, capsys):
-        grid = radial_field(cosine_bump, AlphaParam(1.0), 1.0, resolution=64)
+        grid = radial_field(cosine_bump, 1.0, 1.0, resolution=64)
         path = tmp_path / "bump.grid"
         save_grid(grid, path)
         csv_path = tmp_path / "profile.csv"
@@ -225,16 +225,16 @@ class TestRearrangeCommand:
         assert header == "r,phi"
 
     def test_polya_szego_gap_matches_library(self, tmp_path, capsys):
-        grid = radial_field(cosine_bump, AlphaParam(1.0), 1.0, resolution=24)
+        grid = radial_field(cosine_bump, 1.0, 1.0, resolution=24)
         path = tmp_path / "bump.grid"
         save_grid(grid, path)
         code, rep = run_cli(["rearrange", "--input", str(path), "--alpha", "1", "--levels", "64"], capsys)
         assert code == 0
-        gap = polya_szego_gap(load_grid(path), AlphaParam(1.0), 64)
+        gap = polya_szego_gap(load_grid(path), 1.0, 64)
         assert rep["results"]["polya_szego_gap"] == pytest.approx(gap, abs=1e-12 * max(abs(gap), 1.0))
 
     def test_one_distribution_per_run(self, tmp_path, capsys, monkeypatch):
-        grid = radial_field(cosine_bump, AlphaParam(1.0), 1.0, resolution=24)
+        grid = radial_field(cosine_bump, 1.0, 1.0, resolution=24)
         path = tmp_path / "bump.grid"
         save_grid(grid, path)
         calls = []
@@ -246,8 +246,8 @@ class TestRearrangeCommand:
         assert code == 0
         assert len(calls) == 1
         # the same numbers as the library's rearrange and distribution_function called apart
-        u, ap = load_grid(path), AlphaParam(1.0)
-        prof, dist = rearrange(u, ap, 64), distribution_function(u, ap, 64)
+        u, alpha = load_grid(path), 1.0
+        prof, dist = rearrange(u, alpha, 64), distribution_function(u, alpha, 64)
         res = rep["results"]
         assert res["max_profile"] == prof.max_value
         assert res["support_measure"] == float(dist.measures[0])
@@ -392,6 +392,7 @@ BAD_INPUT_LINES = {
     "solve --alpha 1 --q 4 --grid 8 --half-width 1e308": "usage error: bbox entries and extents must be finite\n",
     "pohozaev --p 3 --alpha 1 --solve --grid 8 --half-width 1e-300":
         "usage error: --half-width 1e-300 is too small for --grid 8: 1/h^2 is not finite\n",
+    "pohozaev --p 1 --alpha 1 --solve": "usage error: identity runs need 1 < --p < 5, got --p 1.0\n",
 }
 
 
@@ -461,6 +462,8 @@ class TestBadInput:
             (["rearrange", "--alpha", "1", "--input", "FILE"], HUGE_BBOX_GRID, 3),
             # the cube [-1e308, 1e308]^3 has an extent that overflows
             (["solve", "--alpha", "1", "--q", "4", "--grid", "8", "--half-width", "1e308"], None, 2),
+            # the solver's q = p + 1 needs p > 1; the message names --p, not q
+            (["pohozaev", "--p", "1", "--alpha", "1", "--solve"], None, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grushin3d import (
-    AlphaParam,
     DomainError,
     ImplicitShape,
     QuadratureConfig,
@@ -57,7 +56,7 @@ class TestSectorCount:
         with pytest.raises(DomainError, match="got 16383.000000000002"):
             sector_count(16383.000000000002)
         with pytest.raises(DomainError):
-            AlphaParam(1e300)
+            sector_count(1e300)
 
     def test_alpha_near_integers(self):
         # alpha + 1.0 rounds these to an integer, but n >= alpha + 1 holds
@@ -88,10 +87,10 @@ class TestSectorOfPoint:
         assert list(sector_index(pts, 1.0)) == [0, 0]
 
     def test_covers_all_sectors(self):
-        ap = AlphaParam(2.0)
-        thetas = (np.arange(ap.num_sectors) + 0.5) * ap.sector_width
+        n = sector_count(2.0)
+        thetas = (np.arange(2 * n) + 0.5) * (math.pi / n)
         pts = np.column_stack([np.cos(thetas), np.sin(thetas), np.zeros_like(thetas)])
-        assert list(sector_index(pts, ap)) == list(range(1, ap.num_sectors + 1))
+        assert list(sector_index(pts, 2.0)) == list(range(1, 2 * n + 1))
 
 
 class TestQuadratureConfig:
@@ -260,11 +259,11 @@ class TestSectorPerimeter:
 
     @pytest.mark.parametrize("alpha, j", [(1.0, 1), (1.0, 2), (2.5, 3)])
     def test_ball_sector_reads_zero_elsewhere(self, alpha, j, fast_cfg):
-        ap = AlphaParam(alpha)
-        per = perimeters(ball_sector(ap, j), ap, fast_cfg)
-        assert len(per.sectors) == ap.num_sectors
+        per = perimeters(ball_sector(alpha, j), alpha, fast_cfg)
+        n = sector_count(alpha)
+        assert len(per.sectors) == 2 * n
         assert per.sectors[j - 1] > 0.0
-        assert [p for k, p in enumerate(per.sectors, start=1) if k != j] == [0.0] * (ap.num_sectors - 1)
+        assert [p for k, p in enumerate(per.sectors, start=1) if k != j] == [0.0] * (2 * n - 1)
         # the two walls count in the total only
         assert per.total > per.sectors[j - 1]
 

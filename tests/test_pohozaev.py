@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grushin3d import AlphaParam, DomainError, anisotropic_scale
+from grushin3d import DomainError, anisotropic_scale
 from grushin3d.pohozaev import (
     nonexistence_classify,
     pohozaev_coefficient,
@@ -15,9 +15,10 @@ from grushin3d.pohozaev import (
     star_shaped_check,
 )
 from grushin3d.shapes import ball, ellipsoid
+from grushin3d.grids import GridFunction3D
 from grushin3d.solver import Domain
 
-AP = AlphaParam(1.0)
+ALPHA = 1.0
 
 
 def cosine_field(domain):
@@ -61,30 +62,30 @@ class TestClassification:
 
 class TestStarShaped:
     def test_cube(self):
-        rep = star_shaped_check(Domain.cube(1.0, 8), AP)
+        rep = star_shaped_check(Domain.cube(1.0, 8), ALPHA)
         assert rep.verdict
         assert rep.min_value == pytest.approx(1.0, abs=1e-12)
 
     def test_box_faces(self):
         # g is sign * coef * bbox[axis, side] on each face, coef = 1 + a on y faces
         dom = Domain(np.array([(-1.0, 2.0), (-0.5, 3.0), (-0.2, 1.0)]), (4, 4, 4))
-        assert star_shaped_check(dom, AP).min_value == 2.0 * 0.2
-        assert star_shaped_check(dom, AlphaParam(2.0)).min_value == 0.5
+        assert star_shaped_check(dom, ALPHA).min_value == 2.0 * 0.2
+        assert star_shaped_check(dom, 2.0).min_value == 0.5
 
     def test_origin_ball(self):
-        rep = star_shaped_check(ball(1.0), AP)
+        rep = star_shaped_check(ball(1.0), ALPHA)
         assert rep.verdict
         assert rep.min_value >= 1.0 - 1e-6
 
     def test_offset_ball_rejected(self):
         with pytest.raises(DomainError):
-            star_shaped_check(ball(1.0, center=(10.0, 0.0, 0.0)), AP)
+            star_shaped_check(ball(1.0, center=(10.0, 0.0, 0.0)), ALPHA)
 
     def test_invariant_under_anisotropic_scaling(self):
         shape = ellipsoid((1.0, 0.8, 0.6))
-        rep = star_shaped_check(shape, AP)
-        scaled = anisotropic_scale(shape, 2.0, AP)
-        rep2 = star_shaped_check(scaled, AP)
+        rep = star_shaped_check(shape, ALPHA)
+        scaled = anisotropic_scale(shape, 2.0, ALPHA)
+        rep2 = star_shaped_check(scaled, ALPHA)
         assert rep.verdict and rep2.verdict
         assert rep2.min_value > 0
 
@@ -93,13 +94,21 @@ class TestBoundaryIntegral:
     def test_zero_solution(self):
         dom = Domain.cube(1.0, 16)
         zero = dom.grid_function(np.zeros(dom.dims))
-        assert pohozaev_rhs(zero, dom, AP) == 0.0
-        assert pohozaev_lhs(zero, 3.0, AP) == 0.0
+        assert pohozaev_rhs(zero, ALPHA) == 0.0
+        assert pohozaev_lhs(zero, 3.0, ALPHA) == 0.0
+
+    def test_box_read_from_the_field(self):
+        # a plain grid function on the cube's box gives the domain's numbers
+        dom = Domain.cube(1.0, 16)
+        u = cosine_field(dom)
+        plain = GridFunction3D(dom.bbox, u.values)
+        assert pohozaev_rhs(plain, ALPHA) == pohozaev_rhs(u, ALPHA)
+        assert star_shaped_check(plain, ALPHA) == star_shaped_check(dom, ALPHA)
 
     def test_critical_coefficient_kills_lhs(self):
         dom = Domain.cube(1.0, 16)
         u = cosine_field(dom)
-        assert pohozaev_lhs(u, 5.0, AP) == 0.0
+        assert pohozaev_lhs(u, 5.0, ALPHA) == 0.0
 
     def test_flux_of_analytic_field(self):
         # half the weighted boundary flux of the cosine bump has the closed
@@ -122,7 +131,7 @@ class TestBoundaryIntegral:
         )[0]
         exact_half_flux = 0.5 * (4 * face_x + 2 * face_y)
         dom = Domain.cube(1.0, 64)
-        rhs = pohozaev_rhs(cosine_field(dom), dom, AP)
+        rhs = pohozaev_rhs(cosine_field(dom), ALPHA)
         assert rhs == pytest.approx(exact_half_flux, rel=5e-3)
 
     def test_dilation_identity_on_analytic_field(self):
@@ -142,15 +151,14 @@ class TestBoundaryIntegral:
         vol = dom.cell_volume
         lhs = float(np.sum(Lu * M)) * vol
         Q = float(np.sum(ux1**2 + ux2**2 + w * uy**2)) * vol
-        half_flux = pohozaev_rhs(dom.grid_function(u), dom, AP)
+        half_flux = pohozaev_rhs(dom.grid_function(u), ALPHA)
         assert lhs == pytest.approx(-Q - half_flux, rel=2e-3)
 
 
 class TestResidualOnSolutions:
     def test_converged_subcritical_solution(self, ground_states):
         sol = ground_states(48)
-        dom = Domain.cube(1.0, 48)
-        rep = pohozaev_residual(sol.u, 3.0, dom, AP)
+        rep = pohozaev_residual(sol.u, 3.0, ALPHA)
         assert not rep.trivial
         assert rep.star_shaped.verdict
         assert rep.coefficient == pytest.approx(0.5)
@@ -159,7 +167,7 @@ class TestResidualOnSolutions:
     def test_trivial_flagged(self):
         dom = Domain.cube(1.0, 8)
         zero = dom.grid_function(np.zeros(dom.dims))
-        rep = pohozaev_residual(zero, 3.0, dom, AP)
+        rep = pohozaev_residual(zero, 3.0, ALPHA)
         assert rep.trivial
         assert rep.residual == 0.0
 
@@ -168,4 +176,4 @@ class TestResidualOnSolutions:
         dom = Domain(np.array([(-1, 1)] * 3), (8, 8, 8), mask=mask)
         zero = dom.grid_function(np.zeros(dom.dims))
         with pytest.raises(DomainError):
-            pohozaev_rhs(zero, dom, AP)
+            pohozaev_rhs(zero, ALPHA)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from grushin3d import AlphaParam, DomainError
+from grushin3d import DomainError, sector_count
 from grushin3d.fields import compact_bump, cosine_bump, radial_field, random_bump_corpus
 from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import (
@@ -41,36 +41,48 @@ class TestDistributionFunction:
         with pytest.raises(DomainError, match="at most 1048576"):
             distribution_function(grid, 1.0, MAX_LEVELS + 1)
 
+    @pytest.mark.parametrize(
+        "levels", [2.7, math.nan, None, np.array([0.25, 0.5])], ids=["float", "nan", "None", "array"]
+    )
+    def test_levels_must_be_a_count(self, levels):
+        grid = GridFunction3D(np.array([(-1, 1)] * 3), np.ones((2, 2, 2)))
+        with pytest.raises(DomainError, match="integer count"):
+            distribution_function(grid, 1.0, levels)
+
     def test_plateau_cylinder(self):
         # indicator of the unit cylinder: lambda(t) = weighted volume pi below 1
+        # at every level t = k/100 < 1, and 0 at the top level t = 1
         grid = cylinder_indicator(96)
-        dist = distribution_function(grid, 1.0, levels=np.array([0.25, 0.5, 0.99]))
-        assert np.allclose(dist.measures, math.pi, rtol=2e-2)
-        top = distribution_function(grid, 1.0, levels=np.array([1.0]))
-        assert top.measures[0] == 0.0
+        dist = distribution_function(grid, 1.0, levels=100)
+        assert dist.levels[-1] == 1.0
+        assert np.allclose(dist.measures[:-1], math.pi, rtol=2e-2)
+        assert dist.measures[-1] == 0.0
 
     def test_monotone_nonincreasing(self):
         for field in random_bump_corpus(3, resolution=32):
             dist = distribution_function(field, 1.0)
             assert np.all(np.diff(dist.measures) <= 1e-15)
 
-    @pytest.mark.parametrize("levels", [[-1.0, 0.0, 0.5], [0.0], [-2.0, -1.0], [0.0, 1e-300, 0.3]])
-    def test_levels_at_or_below_zero_match_full_sort(self, levels):
+    @pytest.mark.parametrize("field", ["random", "zero"])
+    @pytest.mark.parametrize("levels", [1, 7, 256], ids=lambda k: f"levels{k}")
+    def test_levels_at_or_below_zero_match_full_sort(self, levels, field):
         # only cells above the lowest level are sorted; a sort of every cell
-        # must give the same measures bit for bit, zeros counted where t < 0
+        # must give the same measures bit for bit (a zero field has the one
+        # level 0, above which no cell lies)
         rng = np.random.default_rng(8)
         values = np.maximum(rng.standard_normal((6, 8, 10)), 0.0)
+        if field == "zero":
+            values[...] = 0.0
         mask = rng.uniform(size=values.shape) < 0.9
         grid = GridFunction3D(np.array([(-1.0, 1.2), (-0.5, 1.0), (-1.0, 1.0)]), values, mask)
         vals = grid.masked_values().ravel()
         weights = np.broadcast_to(grid.weight2d(1.0)[:, :, None], grid.dims).ravel()
         order = np.argsort(-vals, kind="stable")
         cum = np.concatenate([[0.0], np.cumsum(weights[order] * grid.cell_volume)])
-        counts = [np.count_nonzero(vals > t) for t in levels]
-        dist = distribution_function(grid, 1.0, levels=np.array(levels))
+        dist = distribution_function(grid, 1.0, levels=levels)
+        counts = [np.count_nonzero(vals > t) for t in dist.levels]
         assert dist.measures.tobytes() == cum[counts].tobytes()
-        if levels[0] < 0:
-            assert dist.measures[0] == cum[-1]  # every cell, zeros included
+        assert len(dist.levels) == (levels if field == "random" else 1)
 
     def test_rejects_negative_values(self):
         grid = GridFunction3D(np.array([(-1, 1)] * 3), -np.ones((4, 4, 4)))
@@ -120,7 +132,7 @@ class TestRearrange:
         assert prof.max_value == 0.0
         assert prof.dirichlet_energy() == 0.0
 
-    @pytest.mark.parametrize("levels", [None, 8, np.array([0.1, 0.2]), np.array([-1.0, 0.5])])
+    @pytest.mark.parametrize("levels", [1, 8, 256])
     def test_zero_field_gives_tiny_profile(self, levels):
         grid = GridFunction3D(np.array([(-1, 1)] * 3), np.zeros((4, 4, 4)))
         prof = rearrange(grid, 1.0, levels)
@@ -134,11 +146,11 @@ class TestRearrange:
 
     def test_radial_profile_law(self):
         # radial nonincreasing u = g(r): profile is g(r / (2n)^{1/3})
-        ap = AlphaParam(1.0)
-        u = radial_field(cosine_bump, ap, 1.0, resolution=96)
-        prof = rearrange(u, ap)
+        alpha = 1.0
+        u = radial_field(cosine_bump, alpha, 1.0, resolution=96)
+        prof = rearrange(u, alpha)
         rs = np.linspace(0.05, 1.5, 40)
-        expected = cosine_bump(rs / (2 * ap.sector_count) ** (1 / 3))
+        expected = cosine_bump(rs / (2 * sector_count(alpha)) ** (1 / 3))
         assert np.abs(prof(rs) - expected).max() <= 6e-3  # one level step + grid noise
 
     def test_profile_monotone_right_continuous(self):
@@ -153,10 +165,10 @@ class TestRearrange:
                 assert prof(prof.radii[mid]) == prof.values[mid + 1]
 
     def test_equimeasurability_at_levels(self):
-        ap = AlphaParam(1.0)
-        u = radial_field(compact_bump, ap, 1.0, resolution=64)
-        prof = rearrange(u, ap)
-        dist = distribution_function(u, ap)
+        alpha = 1.0
+        u = radial_field(compact_bump, alpha, 1.0, resolution=64)
+        prof = rearrange(u, alpha)
+        dist = distribution_function(u, alpha)
         gap = np.abs(dist.measures - prof.measure_above(dist.levels)).max()
         assert gap <= 1e-12 * dist.measures[0]
 
@@ -178,10 +190,10 @@ class TestNorms:
 
     @pytest.mark.parametrize("q", [2, 4, 6])
     def test_rearrangement_preserves_norms(self, q):
-        ap = AlphaParam(1.0)
-        u = radial_field(cosine_bump, ap, 1.0, resolution=96)
-        prof = rearrange(u, ap)
-        n_u = weighted_lq_norm(u, q, ap)
+        alpha = 1.0
+        u = radial_field(cosine_bump, alpha, 1.0, resolution=96)
+        prof = rearrange(u, alpha)
+        n_u = weighted_lq_norm(u, q, alpha)
         n_p = prof.lq_norm(q)
         assert n_p == pytest.approx(n_u, rel=1e-2)
 
@@ -194,23 +206,22 @@ class TestGrushinEnergy:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_full_space_radial_identity(self, alpha):
         # for u = g(r) the full-space energy is 4 pi int r^2 g'(r)^2 dr
-        ap = AlphaParam(alpha)
-        u = radial_field(cosine_bump, ap, 1.0, resolution=96)
+        u = radial_field(cosine_bump, alpha, 1.0, resolution=96)
         eps = 1e-7
         gp = lambda r: (cosine_bump(r + eps) - cosine_bump(r - eps)) / (2 * eps)  # noqa: E731
         exact = 4 * math.pi * quad(lambda r: r * r * gp(r) ** 2, 0, 1, limit=200)[0]
-        assert grushin_energy(u, ap) == pytest.approx(exact, rel=2e-2)
+        assert grushin_energy(u, alpha) == pytest.approx(exact, rel=2e-2)
 
     def test_richardson_order(self):
         # smooth bump: grid energy converges at order >= 1.8
-        ap = AlphaParam(1.0)
+        alpha = 1.0
         eps = 1e-7
         gp = lambda r: (cosine_bump(r + eps) - cosine_bump(r - eps)) / (2 * eps)  # noqa: E731
         exact = 4 * math.pi * quad(lambda r: r * r * gp(r) ** 2, 0, 1, limit=200)[0]
         errs = []
         for n in (32, 64, 128):
-            u = radial_field(cosine_bump, ap, 1.0, resolution=n)
-            errs.append(abs(grushin_energy(u, ap) - exact))
+            u = radial_field(cosine_bump, alpha, 1.0, resolution=n)
+            errs.append(abs(grushin_energy(u, alpha) - exact))
         order = math.log2(errs[0] / errs[2]) / 2
         assert order >= 1.8
 
@@ -246,11 +257,10 @@ def test_quotients_match_masked_copy_sums(grid):
 class TestPolyaSzego:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_radial_family_ratio(self, alpha):
-        ap = AlphaParam(alpha)
-        u = radial_field(cosine_bump, ap, 1.0, resolution=96)
-        prof = rearrange(u, ap)
-        ratio = prof.dirichlet_energy() / grushin_energy(u, ap)
-        target = (2.0 * ap.sector_count) ** (-2.0 / 3.0)
+        u = radial_field(cosine_bump, alpha, 1.0, resolution=96)
+        prof = rearrange(u, alpha)
+        ratio = prof.dirichlet_energy() / grushin_energy(u, alpha)
+        target = (2.0 * sector_count(alpha)) ** (-2.0 / 3.0)
         assert ratio == pytest.approx(target, rel=2e-2)
 
     def test_zero_field(self):
@@ -258,10 +268,10 @@ class TestPolyaSzego:
         assert polya_szego_gap(grid, 1.0) == 0.0
 
     def test_random_bumps_gap_nonnegative(self):
-        ap = AlphaParam(1.0)
+        alpha = 1.0
         for field in random_bump_corpus(5, resolution=48):
-            gap = polya_szego_gap(field, ap)
-            assert gap >= -0.02 * grushin_energy(field, ap)
+            gap = polya_szego_gap(field, alpha)
+            assert gap >= -0.02 * grushin_energy(field, alpha)
 
 
 class TestAnisotropicRadius:

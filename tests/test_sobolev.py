@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from grushin3d import AlphaParam, DomainError, sobolev
+from grushin3d import DomainError, sector_count, sobolev
 from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus, sector_extremal_grid
 from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import grushin_energy, weighted_lq_norm
@@ -87,8 +87,20 @@ class TestTalentiConstant:
         # a NaN fails every comparison, so it is rejected like 0 and -1
         for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
             for a, b in ((bad, 1.0), (1.0, bad)):
-                with pytest.raises(DomainError, match="positive and finite"):
+                with pytest.raises(DomainError, match=r"must lie in \[1e-3, 1e3\]"):
                     talenti_constant_general(a, b)
+
+    def test_rejects_parameters_outside_the_checked_range(self):
+        # the rule gave NaN, 0 and 1.2803 (true value 1.00671) on these
+        for a, b in ((1e300, 1.0), (1.0, 1e300), (1.0, 1e-300), (1e-300, 1.0)):
+            with pytest.raises(DomainError, match=r"must lie in \[1e-3, 1e3\]"):
+                talenti_constant_general(a, b)
+        for a, b in ((1.0, math.nextafter(1e3, math.inf)), (math.nextafter(1e-3, 0.0), 1.0)):
+            with pytest.raises(DomainError):
+                talenti_constant_general(a, b)
+        # both ends of the range are accepted
+        for a, b in ((1e-3, 1e-3), (1e-3, 1e3), (1e3, 1e-3), (1e3, 1e3)):
+            assert talenti_constant_general(a, b) == pytest.approx(CLOSED_FORM, rel=1e-14)
 
 
 class TestLowerBound:
@@ -129,8 +141,7 @@ class TestScalingExponent:
         phi = lambda r: np.where(r < 1.0, np.cos(np.pi * r / 2) ** 2, 0.0)  # noqa: E731
         dphi = lambda r: np.where(r < 1.0, -np.pi / 2 * np.sin(np.pi * r), 0.0)  # noqa: E731
         for alpha in (0.5, 1.0, 2.0):
-            ap = AlphaParam(alpha)
-            n = ap.sector_count
+            n = sector_count(alpha)
             mu = 2.0 ** (alpha + 1.0)
             for q in (2.0, 6.0):
 
@@ -150,16 +161,16 @@ class TestScalingExponent:
 
 class TestRayleighQuotient:
     def test_sector_extremal_close_to_bound(self):
-        ap = AlphaParam(1.0)
-        u = sector_extremal_grid(ap, b=4.0, resolution=96)
-        rep = rayleigh_quotient(u, 6, ap)
-        assert rep.quotient == pytest.approx(sobolev_lower_bound(ap), rel=3e-2)
+        alpha = 1.0
+        u = sector_extremal_grid(alpha, b=4.0, resolution=96)
+        rep = rayleigh_quotient(u, 6, alpha)
+        assert rep.quotient == pytest.approx(sobolev_lower_bound(alpha), rel=3e-2)
 
     def test_amplitude_invariance(self):
-        ap = AlphaParam(1.0)
-        u = sector_extremal_grid(ap, b=4.0, resolution=48)
-        r1 = rayleigh_quotient(u, 6, ap).quotient
-        r2 = rayleigh_quotient(GridFunction3D(u.bbox, 3.7 * u.values, u.mask), 6, ap).quotient
+        alpha = 1.0
+        u = sector_extremal_grid(alpha, b=4.0, resolution=48)
+        r1 = rayleigh_quotient(u, 6, alpha).quotient
+        r2 = rayleigh_quotient(GridFunction3D(u.bbox, 3.7 * u.values, u.mask), 6, alpha).quotient
         assert abs(r2 - r1) <= 1e-12 * r1
 
     def test_zero_rejected(self):
@@ -170,31 +181,31 @@ class TestRayleighQuotient:
     def test_grid_scaling_law(self):
         # resample the radial family anisotropically; quotient ratio follows
         # the scaling exponent to grid accuracy
-        ap = AlphaParam(1.0)
+        alpha = 1.0
         lam = 2.0
-        mu = lam ** (ap.alpha + 1.0)
-        u1 = radial_field(cosine_bump, ap, 1.0, resolution=96)
-        u2 = radial_field(lambda rho: cosine_bump(rho), ap, 1.0 / mu, resolution=96)
+        mu = lam ** (alpha + 1.0)
+        u1 = radial_field(cosine_bump, alpha, 1.0, resolution=96)
+        u2 = radial_field(lambda rho: cosine_bump(rho), alpha, 1.0 / mu, resolution=96)
         for q in (2.0, 6.0):
-            c1 = rayleigh_quotient(u1, q, ap).quotient
-            c2 = rayleigh_quotient(u2, q, ap).quotient
+            c1 = rayleigh_quotient(u1, q, alpha).quotient
+            c2 = rayleigh_quotient(u2, q, alpha).quotient
             measured = math.log(c2 / c1) / math.log(lam)
-            assert abs(measured - scaling_exponent(q, ap)) <= 1e-3
+            assert abs(measured - scaling_exponent(q, alpha)) <= 1e-3
 
     def test_sobolev_inequality_on_corpus(self):
-        ap = AlphaParam(1.0)
-        L = sobolev_lower_bound(ap)
+        alpha = 1.0
+        L = sobolev_lower_bound(alpha)
         for field in random_bump_corpus(10, resolution=48):
-            lhs = weighted_lq_norm(field, 6, ap)
-            rhs = math.sqrt(grushin_energy(field, ap)) / L
+            lhs = weighted_lq_norm(field, 6, alpha)
+            rhs = math.sqrt(grushin_energy(field, alpha)) / L
             assert lhs <= rhs * 1.02
 
 
 class TestMinimizeRayleigh:
     def test_extremal_family_minimum(self):
-        ap = AlphaParam(1.0)
-        rep = minimize_rayleigh(ap, resolution=64)
-        L = sobolev_lower_bound(ap)
+        alpha = 1.0
+        rep = minimize_rayleigh(alpha, resolution=64)
+        L = sobolev_lower_bound(alpha)
         assert rep.estimate == pytest.approx(L, rel=3e-2)
         assert rep.estimate >= L * 0.97
 
@@ -257,11 +268,10 @@ class TestHalfGridQuotient:
 def golden_reference(alpha, resolution):
     """Reference search: scipy's golden section on log b, a fresh grid per
     value; returns (log b, quotient, evaluations)."""
-    ap = AlphaParam(alpha)
 
     def quotient(log_b):
-        u = sector_extremal_grid(ap, b=math.exp(log_b), resolution=resolution)
-        return rayleigh_quotient(u, 6, ap).quotient
+        u = sector_extremal_grid(alpha, b=math.exp(log_b), resolution=resolution)
+        return rayleigh_quotient(u, 6, alpha).quotient
 
     res = minimize_scalar(
         quotient, bracket=(math.log(0.5), math.log(32.0)), method="golden", options={"xtol": 1e-3}

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import grushin3d
-from grushin3d import AlphaParam, DegeneracyError, DomainError, IterationError
+from grushin3d import DegeneracyError, DomainError, IterationError
 from grushin3d.fields import random_bump_corpus
 from grushin3d.grids import GridFunction3D
 from grushin3d.solver import (
@@ -28,7 +28,7 @@ from grushin3d.solver import (
 )
 from grushin3d.sobolev import sobolev_lower_bound
 
-AP = AlphaParam(1.0)
+ALPHA = 1.0
 
 
 def manufactured(domain):
@@ -238,7 +238,7 @@ class TestOperator:
 
     def test_exact_on_quadratics(self):
         dom = Domain.cube(1.0, 16)
-        op = GrushinOperator(dom, AP)
+        op = GrushinOperator(dom, ALPHA)
         X1, X2, Y = dom.centers()
         inner = (slice(2, -2),) * 3
         assert np.abs(op(X1)[inner]).max() <= 1e-12
@@ -247,7 +247,7 @@ class TestOperator:
 
     def test_symmetry_and_positivity(self):
         dom = Domain.cube(1.0, 12)
-        op = GrushinOperator(dom, AP)
+        op = GrushinOperator(dom, ALPHA)
         rng = np.random.default_rng(4)
         u = rng.standard_normal(dom.dims)
         v = rng.standard_normal(dom.dims)
@@ -260,7 +260,7 @@ class TestOperator:
         mask = np.ones((8, 8, 8), dtype=bool)
         mask[:2, :3, :2] = False
         dom = Domain(np.array([(-1, 1)] * 3), (8, 8, 8), mask=mask)
-        op = GrushinOperator(dom, AP)
+        op = GrushinOperator(dom, ALPHA)
         rng = np.random.default_rng(9)
         u = np.where(mask, rng.standard_normal(dom.dims), 0.0)
         v = np.where(mask, rng.standard_normal(dom.dims), 0.0)
@@ -278,15 +278,15 @@ class TestSolverConfig:
         dom = Domain.cube(1.0, 8)
         with pytest.raises(DomainError):
             if key == "cg_tol":
-                linear_solve(GrushinOperator(dom, AP), np.ones(dom.dims), bad)
+                linear_solve(GrushinOperator(dom, ALPHA), np.ones(dom.dims), bad)
             else:
-                solve_ground_state(dom, 4.0, AP, bad)
+                solve_ground_state(dom, 4.0, ALPHA, bad)
 
 
 class TestLinearSolve:
     def test_recovers_known_field(self):
         dom = Domain.cube(1.0, 16)
-        op = GrushinOperator(dom, AP)
+        op = GrushinOperator(dom, ALPHA)
         rng = np.random.default_rng(1)
         u_known = rng.standard_normal(dom.dims)
         x = linear_solve(op, op(u_known), 1e-12)
@@ -294,14 +294,14 @@ class TestLinearSolve:
 
     def test_zero_rhs(self):
         dom = Domain.cube(1.0, 8)
-        op = GrushinOperator(dom, AP)
+        op = GrushinOperator(dom, ALPHA)
         assert np.all(linear_solve(op, np.zeros(dom.dims)) == 0.0)
 
     def test_manufactured_convergence_order(self):
         errs = []
         for n in (12, 24, 48):
             dom = Domain.cube(1.0, n)
-            op = GrushinOperator(dom, AP)
+            op = GrushinOperator(dom, ALPHA)
             u_exact, rhs = manufactured(dom)
             u_h = linear_solve(op, rhs, 1e-11)
             errs.append(math.sqrt(float(np.sum((u_h - u_exact) ** 2)) * dom.cell_volume))
@@ -349,7 +349,7 @@ class TestLinearSolve:
         dom = Domain(np.array([(-1, 1)] * 3), (8, 8, 8), mask=mask)
         rhs = np.ones(dom.dims)
         for bad_rhs, x0 in ((np.full(dom.dims, np.nan), None), (rhs, np.full(dom.dims, np.nan))):
-            op = CountingOperator(GrushinOperator(dom, AP))
+            op = CountingOperator(GrushinOperator(dom, ALPHA))
             with pytest.raises(IterationError) as err:
                 linear_solve(op, bad_rhs, x0=x0)
             assert op.calls <= 1
@@ -359,7 +359,7 @@ class TestLinearSolve:
     def test_indefinite_operator_breaks_down(self, masked):
         mask = np.ones((8, 8, 8), dtype=bool) if masked else None
         dom = Domain(np.array([(-1, 1)] * 3), (8, 8, 8), mask=mask)
-        op = NegatedOperator(GrushinOperator(dom, AP))
+        op = NegatedOperator(GrushinOperator(dom, ALPHA))
         with pytest.raises(IterationError) as err:
             linear_solve(op, np.ones(dom.dims))
         assert op.calls <= 2
@@ -372,8 +372,8 @@ class TestLinearSolve:
         mask = np.ones((8, 8, 8), dtype=bool) if masked else None
         dom = Domain(np.array([(-1, 1)] * 3), (8, 8, 8), mask=mask)
         rhs = np.random.default_rng(2).standard_normal(dom.dims)
-        cold = CountingOperator(GrushinOperator(dom, AP))
-        warm = CountingOperator(GrushinOperator(dom, AP))
+        cold = CountingOperator(GrushinOperator(dom, ALPHA))
+        warm = CountingOperator(GrushinOperator(dom, ALPHA))
         x_cold = linear_solve(cold, rhs)
         x_warm = linear_solve(warm, rhs, x0=np.zeros(dom.dims))
         assert np.array_equal(x_cold, x_warm)
@@ -381,7 +381,7 @@ class TestLinearSolve:
 
     def test_discrete_maximum_principle(self):
         dom = Domain.cube(1.0, 12)
-        op = GrushinOperator(dom, AP)
+        op = GrushinOperator(dom, ALPHA)
         rng = np.random.default_rng(3)
         rhs = rng.uniform(0.0, 1.0, dom.dims)
         x = linear_solve(op, rhs, 1e-12)
@@ -391,11 +391,11 @@ class TestLinearSolve:
 class TestEnergyAndGradient:
     def test_energy_zero_at_zero(self):
         dom = Domain.cube(1.0, 12)
-        assert Problem(dom, AP, 4.0).energy(np.zeros(dom.dims)) == 0.0
+        assert Problem(dom, ALPHA, 4.0).energy(np.zeros(dom.dims)) == 0.0
 
     def test_power_homogeneity(self):
         dom = Domain.cube(1.0, 12)
-        prob = Problem(dom, AP, 4.0)
+        prob = Problem(dom, ALPHA, 4.0)
         op = prob.op
         X1, X2, Y = dom.centers()
         v = np.exp(-3 * (X1**2 + X2**2 + Y**2))
@@ -410,13 +410,13 @@ class TestEnergyAndGradient:
         dom = Domain.cube(1.0, 12)
         X1, X2, Y = dom.centers()
         v = np.exp(-3 * ((X1 - 0.4) ** 2 + (X2 - 0.4) ** 2 + Y**2))
-        assert Problem(dom, AP, 4.0).energy(1e3 * v) < 0
+        assert Problem(dom, ALPHA, 4.0).energy(1e3 * v) < 0
 
     def test_gradient_matches_finite_differences(self):
         dom = Domain.cube(1.0, 12)
         rng = np.random.default_rng(8)
         for q in (4.0, 3.0):
-            prob = Problem(dom, AP, q)
+            prob = Problem(dom, ALPHA, q)
             u = rng.standard_normal(dom.dims) * 0.5
             v = rng.standard_normal(dom.dims)
             eps = 1e-5
@@ -426,7 +426,7 @@ class TestEnergyAndGradient:
 
     def test_gradient_zero_at_zero(self):
         dom = Domain.cube(1.0, 8)
-        assert np.all(Problem(dom, AP, 4.0).gradient(np.zeros(dom.dims)) == 0.0)
+        assert np.all(Problem(dom, ALPHA, 4.0).gradient(np.zeros(dom.dims)) == 0.0)
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
@@ -460,12 +460,12 @@ class TestEnergyAndGradient:
     @pytest.mark.parametrize("q", [2.0, 1.0, math.nan, math.inf])
     def test_problem_rejects_bad_exponents(self, q):
         with pytest.raises(DomainError):
-            Problem(Domain.cube(1.0, 8), AP, q)
+            Problem(Domain.cube(1.0, 8), ALPHA, q)
 
     def test_weak_residual_of_solved_system(self):
         # the manufactured right-hand side is met by a linear solve
         dom = Domain.cube(1.0, 16)
-        op = GrushinOperator(dom, AP)
+        op = GrushinOperator(dom, ALPHA)
         _, rhs = manufactured(dom)
         u = linear_solve(op, rhs, 1e-12)
         rel = math.sqrt(float(np.sum((op(u) - rhs) ** 2)) / float(np.sum(rhs**2)))
@@ -473,7 +473,7 @@ class TestEnergyAndGradient:
 
     def test_weak_residual_zero_function(self):
         dom = Domain.cube(1.0, 8)
-        assert Problem(dom, AP, 4.0).residual(np.zeros(dom.dims)) == 0.0
+        assert Problem(dom, ALPHA, 4.0).residual(np.zeros(dom.dims)) == 0.0
 
 
 def nehari_scale(prob, u):
@@ -484,7 +484,7 @@ def nehari_scale(prob, u):
 class TestNehari:
     def test_scale_one_when_balanced(self):
         dom = Domain.cube(1.0, 16)
-        prob = Problem(dom, AP, 4.0)
+        prob = Problem(dom, ALPHA, 4.0)
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.4) ** 2 + (X2 - 0.4) ** 2 + Y**2))
         t = nehari_scale(prob, u)
@@ -492,14 +492,14 @@ class TestNehari:
 
     def test_amplitude_scaling_law(self):
         dom = Domain.cube(1.0, 16)
-        prob = Problem(dom, AP, 4.0)
+        prob = Problem(dom, ALPHA, 4.0)
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.4) ** 2 + X2**2 + Y**2))
         assert nehari_scale(prob, 2 * u) == pytest.approx(nehari_scale(prob, u) / 2, rel=1e-12)
 
     def test_projection_annihilates_pairing(self):
         dom = Domain.cube(1.0, 16)
-        prob = Problem(dom, AP, 4.0)
+        prob = Problem(dom, ALPHA, 4.0)
         op = prob.op
         X1, X2, Y = dom.centers()
         u = np.exp(-4 * ((X1 - 0.3) ** 2 + (X2 + 0.2) ** 2 + Y**2))
@@ -512,19 +512,19 @@ class TestNehari:
     def test_zero_rejected(self):
         dom = Domain.cube(1.0, 8)
         with pytest.raises(DegeneracyError):
-            solve_ground_state(dom, 4.0, AP, initial=np.zeros(dom.dims))
+            solve_ground_state(dom, 4.0, ALPHA, initial=np.zeros(dom.dims))
 
 
 class TestGroundState:
     def test_small_run(self):
         dom = Domain.cube(1.0, 24)
         q = 4.0
-        sol = solve_ground_state(dom, q, AP, 1e-6)
+        sol = solve_ground_state(dom, q, ALPHA, 1e-6)
         assert sol.gradient_norm <= 1e-6
         assert sol.energy > 0
         assert float(np.abs(sol.u.values).max()) > 1.0
         # modulus has no larger energy: facewise |a - b| <= |a| + |b|
-        prob = Problem(dom, AP, q)
+        prob = Problem(dom, ALPHA, q)
         e_u = prob.energy(sol.u.values)
         e_abs = prob.energy(np.abs(sol.u.values))
         assert e_abs <= e_u + 1e-10
@@ -541,14 +541,14 @@ class TestGroundState:
             mask = X1**2 + X2**2 + Y**2 < 0.9**2
         dom = Domain(bbox, (16, 16, 16), mask)
         q = 4.0
-        sol = solve_ground_state(dom, q, AP, 1e-6)
-        prob = Problem(dom, AP, q)
+        sol = solve_ground_state(dom, q, ALPHA, 1e-6)
+        prob = Problem(dom, ALPHA, q)
         assert sol.gradient_norm == prob.residual(sol.u.values)
         assert sol.energy == pytest.approx(prob.energy(sol.u.values), rel=1e-12)
         assert sol.newton_steps > 0
         if masked:
             # the descent alone is the reference the Newton finish is tested against
-            ref = _ground_state(dom, q, AP, 1e-6, None, newton=False)
+            ref = _ground_state(dom, q, ALPHA, 1e-6, None, newton=False)
             assert ref.newton_steps == 0
             assert sol.energy == pytest.approx(ref.energy, rel=1e-12)
             assert np.abs(sol.u.values - ref.u.values).max() <= 1e-6 * np.abs(ref.u.values).max()
@@ -558,23 +558,22 @@ class TestGroundState:
         # on this ball the descent alone stalls near 4e-6; no descent reference
         # exists, so the witnesses are the Nehari identity, positivity and the
         # energy of a tighter solve
-        ap = AlphaParam(alpha)
         dom = ball_domain(16, 0.9)
-        sol = solve_ground_state(dom, q, ap, 1e-6)
+        sol = solve_ground_state(dom, q, alpha, 1e-6)
         assert sol.gradient_norm <= 1e-6 and sol.newton_steps > 0
         assert sol.nehari_residual <= 1e-12 * sol.energy
         assert float(sol.u.values.min()) >= 0.0
-        tight = solve_ground_state(dom, q, ap, 1e-8)
+        tight = solve_ground_state(dom, q, alpha, 1e-8)
         assert sol.energy == pytest.approx(tight.energy, rel=1e-12)
 
     def test_newton_finish_converges_where_descent_stalls(self):
         # at alpha = 0.5, q = 3 the descent alone stalls near 2.8e-4
-        ap = AlphaParam(0.5)
+        alpha = 0.5
         dom = Domain.cube(1.0, 16)
         q = 3.0
         with pytest.raises(IterationError):
-            _ground_state(dom, q, ap, 1e-6, None, newton=False)
-        sol = solve_ground_state(dom, q, ap, 1e-6)
+            _ground_state(dom, q, alpha, 1e-6, None, newton=False)
+        sol = solve_ground_state(dom, q, alpha, 1e-6)
         assert sol.gradient_norm <= 1e-6
         assert sol.newton_steps > 0 and sol.minres_iterations >= sol.newton_steps
         assert sol.nehari_residual <= 1e-12 * sol.energy
@@ -584,10 +583,9 @@ class TestGroundState:
         "alpha, q", [(a, q) for a in (0.5, 1.0, 2.0) for q in (3.0, 4.0, 5.0) if (a, q) != (0.5, 3.0)]
     )
     def test_newton_finish_matches_descent(self, alpha, q):
-        ap = AlphaParam(alpha)
         dom = Domain.cube(1.0, 16)
-        sol = solve_ground_state(dom, q, ap, 1e-6)
-        ref = _ground_state(dom, q, ap, 1e-6, None, newton=False)
+        sol = solve_ground_state(dom, q, alpha, 1e-6)
+        ref = _ground_state(dom, q, alpha, 1e-6, None, newton=False)
         assert sol.newton_steps > 0
         assert ref.newton_steps == ref.minres_iterations == 0
         assert sol.energy == pytest.approx(ref.energy, rel=1e-12)
@@ -613,12 +611,12 @@ class TestGroundState:
         dom = Domain.cube(1.0, 8)
         for q in (2.0, 6.0, 7.0):
             with pytest.raises(DomainError):
-                solve_ground_state(dom, q, AP)
+                solve_ground_state(dom, q, ALPHA)
 
     def test_zero_initial_guess_degenerate(self):
         dom = Domain.cube(1.0, 8)
         with pytest.raises(DegeneracyError):
-            solve_ground_state(dom, 4.0, AP, initial=np.zeros(dom.dims))
+            solve_ground_state(dom, 4.0, ALPHA, initial=np.zeros(dom.dims))
 
 
 class TestMinres:
@@ -654,7 +652,7 @@ class TestMinres:
         assert np.linalg.norm(x.ravel() - ref) <= 1e-10 * np.linalg.norm(ref)
 
     def test_zero_rhs(self):
-        op = GrushinOperator(Domain.cube(1.0, 8), AP)
+        op = GrushinOperator(Domain.cube(1.0, 8), ALPHA)
         x, iters = _minres(op, op._precondition, np.zeros(op.domain.dims))
         assert iters == 0 and np.all(x == 0.0)
 
@@ -698,21 +696,21 @@ class TestPoincare:
 
     def test_iteration_limit(self):
         with pytest.raises(IterationError) as info:
-            poincare_constant(ball_domain(16), AP, max_iter=1)
+            poincare_constant(ball_domain(16), ALPHA, max_iter=1)
         assert math.isfinite(info.value.last_residual) and info.value.last_residual > 1e-9
 
     def test_without_search_direction(self, monkeypatch):
         # a Gram limit of 1 drops p at every step: preconditioned steepest
         # descent, slower but converging to the same eigenvalue
         dom = ball_domain(16)
-        ref = poincare_constant(dom, AP)
+        ref = poincare_constant(dom, ALPHA)
         monkeypatch.setattr(grushin3d.solver, "_GRAM_COND_LIMIT", 1.0)
-        assert poincare_constant(dom, AP) == pytest.approx(ref, rel=1e-9)
+        assert poincare_constant(dom, ALPHA) == pytest.approx(ref, rel=1e-9)
 
     @pytest.mark.parametrize("max_iter", [0, -1, 2.5])
     def test_rejects_bad_iteration_limit(self, max_iter):
         with pytest.raises(DomainError):
-            poincare_constant(Domain.cube(1.0, 8), AP, max_iter=max_iter)
+            poincare_constant(Domain.cube(1.0, 8), ALPHA, max_iter=max_iter)
 
     def test_operator_applications(self, monkeypatch):
         calls = []
@@ -723,18 +721,18 @@ class TestPoincare:
             return apply(self, u)
 
         monkeypatch.setattr(GrushinOperator, "__call__", counting)
-        poincare_constant(ball_domain(32), AP)
+        poincare_constant(ball_domain(32), ALPHA)
         assert 0 < len(calls) <= 100
 
     def test_positive_and_domain_monotone(self):
-        lam1 = poincare_constant(Domain.cube(1.0, 16), AP)
-        lam2 = poincare_constant(Domain.cube(2.0, 16), AP)
+        lam1 = poincare_constant(Domain.cube(1.0, 16), ALPHA)
+        lam2 = poincare_constant(Domain.cube(2.0, 16), ALPHA)
         assert lam1 > 0 and lam2 > 0
         assert lam2 < lam1
 
     def test_resolution_stability(self):
-        lam_a = poincare_constant(Domain.cube(1.0, 24), AP)
-        lam_b = poincare_constant(Domain.cube(1.0, 36), AP)
+        lam_a = poincare_constant(Domain.cube(1.0, 24), ALPHA)
+        lam_b = poincare_constant(Domain.cube(1.0, 36), ALPHA)
         assert lam_b == pytest.approx(lam_a, rel=1e-2)
 
 
@@ -778,8 +776,8 @@ class TestBlasThreadCount:
 def critical_ratios(dom, fields):
     """L_w(alpha) ||u||_{L6_w} / ||grad_G u|| per field, with the stencil's
     own gradient: the critical embedding bounds each by 1."""
-    prob = Problem(dom, AP, 6.0)
-    L = sobolev_lower_bound(AP)
+    prob = Problem(dom, ALPHA, 6.0)
+    L = sobolev_lower_bound(ALPHA)
     us = [f.values for f in fields]
     return np.array([prob.power_term(u) ** (1.0 / 6.0) * L / math.sqrt(prob.op.quadratic_form(u)) for u in us])
 
@@ -796,7 +794,7 @@ class TestEmbedding:
 
         dom = Domain.cube(1.0, 32)
         X1, X2, Y = dom.centers()
-        r = anisotropic_radius(X1, X2, Y, AP)
+        r = anisotropic_radius(X1, X2, Y, ALPHA)
         shift = (1 + 4 * 1.0) ** -0.5  # truncation radius 1 fits in the cube
         extremal = dom.grid_function(np.maximum((1 + 4 * r * r) ** -0.5 - shift, 0.0))
         ratios = critical_ratios(dom, random_bump_corpus(6, resolution=32) + [extremal])

@@ -29,16 +29,15 @@ _EXPORTS = {
     "fields": ("cosine_bump", "radial_field", "random_bump_corpus", "sector_extremal_grid"),
     "geometry": (
         "ImplicitShape",
-        "Perimeters",
+        "Measures",
         "QuadratureConfig",
         "SurfacePatch",
         "anisotropic_scale",
         "isoperimetric_deficit",
         "isoperimetric_quotient",
-        "perimeters",
+        "measure",
         "reference_quotient",
         "sector_count",
-        "weighted_volume",
     ),
     "grids": ("CellGrid", "GridFunction3D", "load_grid", "save_grid"),
     "pohozaev": ("PohozaevReport", "nonexistence_classify", "pohozaev_coefficient", "pohozaev_residual"),
@@ -70,7 +69,7 @@ _EXPORTS = {
         "poincare_constant",
         "solve_ground_state",
     ),
-    "transform": ("pushforward_perimeter_check", "pushforward_volume_check"),
+    "transform": ("pushforward_checks",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

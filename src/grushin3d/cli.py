@@ -27,15 +27,7 @@ import numpy as np
 # imported only where a command solves
 from . import __version__
 from .errors import ComputationError, DomainError, GridFormatError
-from .geometry import (
-    QuadratureConfig,
-    perimeters,
-    reference_quotient,
-    weighted_volume,
-    _alpha,
-    _quotient,
-    sector_count,
-)
+from .geometry import QuadratureConfig, _alpha, _quotient, measure, reference_quotient, sector_count
 from .grids import load_grid, save_grid
 from .pohozaev import CRITICAL_POWER, nonexistence_classify, pohozaev_coefficient, pohozaev_residual
 from .rearrangement import (
@@ -53,7 +45,7 @@ from .sobolev import (
     talenti_constant_general,
     talenti_radial_constant,
 )
-from .transform import pushforward_perimeter_check, pushforward_volume_check
+from .transform import pushforward_checks
 
 USAGE_EXIT, INPUT_EXIT, NUMERICAL_EXIT = 2, 3, 4
 
@@ -88,13 +80,12 @@ def cmd_geometry(args, rep: RunReport) -> None:
     shape = _shape_from_args(args)
     cfg = QuadratureConfig(surface_resolution=args.surface_resolution)
     rep.resolutions = {"surface_resolution": cfg.surface_resolution}
-    vol = weighted_volume(shape, a, cfg)
-    per = perimeters(shape, a, cfg)
-    rep.results["weighted_volume"] = vol
-    rep.results["weighted_perimeter"] = per.total
-    for j, part in enumerate(per.sectors, start=1):
+    measures = measure(shape, a, cfg)
+    rep.results["weighted_volume"] = measures.volume
+    rep.results["weighted_perimeter"] = measures.perimeter
+    for j, part in enumerate(measures.sectors, start=1):
         rep.results[f"sector_perimeter_{j}"] = part
-    q = _quotient(shape, per, vol)
+    q = _quotient(shape, measures)
     q_ref = reference_quotient(a)
     deficit = q - q_ref
     rep.results["isoperimetric_quotient"] = q
@@ -114,12 +105,11 @@ def cmd_transform_check(args, rep: RunReport) -> None:
     else:
         raise DomainError(f"transform-check shape must be ball-sector or small-ball, got {args.shape!r}")
     rep.resolutions = {"surface_resolution": cfg.surface_resolution}
-    volchk = pushforward_volume_check(shape, a, cfg)
+    volchk, perchk = pushforward_checks(shape, a, cfg)
     rep.results["volume_weighted"] = volchk.weighted
     rep.results["volume_euclidean"] = volchk.euclidean
     rep.results["volume_rel_gap"] = volchk.rel_gap
     rep.add_check("volume_pushforward_gap", volchk.rel_gap, 1e-3, "<=")
-    perchk = pushforward_perimeter_check(shape, a, cfg)
     rep.results["perimeter_weighted"] = perchk.weighted
     rep.results["perimeter_euclidean"] = perchk.euclidean
     rep.results["perimeter_rel_gap"] = perchk.rel_gap

@@ -24,13 +24,12 @@ it is measured on those patches alone: surface integrals by midpoint
 quadrature over the patches, and volumes through the divergence identity,
 as a flux through the same patches.
 
-Each measure evaluates the boundary once: ``weighted_volume`` sweeps the
-patch nodes for the flux, and ``perimeters`` sweeps them for the weighted
-perimeter and all 2n(a) relative sector perimeters together, classifying
-every node by sector as it goes.  Every patch sweep in the package, here
-and in ``transform`` and ``pohozaev``, draws its nodes from
-``_patch_blocks``, which builds them block by block, so patch quadrature
-memory is bounded by the block, not by the resolution.
+A command sweeps the boundary once: ``measure`` takes the volume flux, the
+weighted perimeter and all 2n(a) relative sector perimeters from one pass
+over the patch nodes, classifying every node by sector as it goes.  Every
+patch sweep in the package, here and in ``transform`` and ``pohozaev``,
+draws its nodes from ``_patch_blocks``, which builds them block by block,
+so patch quadrature memory is bounded by the block, not by the resolution.
 """
 
 from __future__ import annotations
@@ -164,25 +163,19 @@ class ImplicitShape:
             raise DomainError(f"shape {self.name!r} carries no surface patches")
 
 
-def weighted_volume(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:
-    """Weighted volume vol_w(E).
-
-    Measured through the divergence identity:
-    div(|x|^{2a} (x1, x2, 0)) = (2a + 2) |x|^{2a}, so the weighted volume
-    equals the flux of |x|^{2a} (x1, x2, 0) / (2a + 2) through the shape's
-    patches.
-    """
-    a = _alpha(alpha)
+def _volume_flux(alpha: float):
+    """|x|^{2a} (x1 nu1 + x2 nu2) / (2a + 2), whose flux through bd(E) is
+    vol_w(E), as div(|x|^{2a} (x1, x2, 0)) = (2a + 2) |x|^{2a}."""
 
     def flux(points, normals):
         r2 = points[:, 0] ** 2 + points[:, 1] ** 2
         return (
-            r2**a
+            r2**alpha
             * (points[:, 0] * normals[:, 0] + points[:, 1] * normals[:, 1])
-            / (2.0 * a + 2.0)
+            / (2.0 * alpha + 2.0)
         )
 
-    return patch_surface_integral(shape, flux, cfg)
+    return flux
 
 
 def _area_integrand(alpha: float):
@@ -232,48 +225,58 @@ def _patch_blocks(shape: ImplicitShape, cfg: QuadratureConfig):
             yield pts, cross / area[:, None], area, ds * dt
 
 
-def patch_surface_integral(shape: ImplicitShape, integrand, cfg: QuadratureConfig) -> float:
-    """Sum of integrand(points, unit normals) * dH^2 over the shape's patches.
+def _sweep(shape: ImplicitShape, cfg: QuadratureConfig, partials) -> list[float]:
+    """One sweep of the shape's patch nodes.  ``partials(points, unit
+    normals, area elements)`` gives a sequence of sums over one block; each
+    is scaled by ds*dt, and each entry's partials are reduced in block
+    order.  A block's arrays die before the next block's are made."""
+    rows = [[float(v) * dst for v in partials(pts, nu, area)] for pts, nu, area, dst in _patch_blocks(shape, cfg)]
+    return [float(np.sum(col)) for col in zip(*rows)]
 
-    One partial per block, reduced in block order.
-    """
-    partials = [float(np.sum(integrand(pts, nu) * area)) * dst for pts, nu, area, dst in _patch_blocks(shape, cfg)]
-    return float(np.sum(partials))
+
+def patch_surface_integral(shape: ImplicitShape, integrand, cfg: QuadratureConfig) -> float:
+    """Sum of integrand(points, unit normals) * dH^2 over the shape's patches."""
+    (total,) = _sweep(shape, cfg, lambda pts, nu, area: [np.sum(integrand(pts, nu) * area)])
+    return total
 
 
 @dataclass(frozen=True)
-class Perimeters:
-    """Weighted perimeter per_w(E) and the relative perimeter of each sector.
+class Measures:
+    """Weighted volume vol_w(E), weighted perimeter per_w(E) and the relative
+    perimeter of each sector.
 
     ``sectors[j - 1]`` is the weighted area of bd(E) strictly inside the open
-    sector j; boundary on a sector wall or on the y-axis counts in ``total``
-    only.
+    sector j; boundary on a sector wall or on the y-axis counts in
+    ``perimeter`` only.
     """
 
-    total: float
+    volume: float
+    perimeter: float
     sectors: tuple[float, ...]
 
 
-def perimeters(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> Perimeters:
-    """Weighted perimeter and all 2n(a) sector perimeters from one sweep of
-    the shape's patch midpoints.
+def measure(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> Measures:
+    """Weighted volume, weighted perimeter and all 2n(a) sector perimeters
+    from one sweep of the shape's patch midpoints.
 
-    Each (patch, block) contributes one partial to the total and one to
-    every sector, reduced in block order.
+    The volume is the flux of ``_volume_flux``.  Each (patch, block) gives
+    one partial to the volume, the perimeter and every sector.
     """
     a = _alpha(alpha)
     n = sector_count(a)
-    density = _area_integrand(a)
-    partials = []
-    for pts, nu, area, dst in _patch_blocks(shape, cfg):
+    flux, density = _volume_flux(a), _area_integrand(a)
+
+    def partials(pts, nu, area):
+        volume = np.sum(flux(pts, nu) * area)
         vals = density(pts, nu) * area
         idx = sector_index(pts, a)
         # a stable sort keeps each sector's nodes in block order, as a mask would
         order = np.argsort(idx, kind="stable")
         parts = np.split(vals[order], np.searchsorted(idx[order], np.arange(1, 2 * n + 1)))[1:]
-        partials.append([float(np.sum(v)) * dst for v in (vals, *parts)])
-    total, *sectors = (float(np.sum(col)) for col in zip(*partials))
-    return Perimeters(total, tuple(sectors))
+        return [volume, np.sum(vals), *map(np.sum, parts)]
+
+    volume, perimeter, *sectors = _sweep(shape, cfg, partials)
+    return Measures(volume, perimeter, tuple(sectors))
 
 
 # ---------------------------------------------------------------------------
@@ -310,22 +313,23 @@ def isoperimetric_quotient(shape: ImplicitShape, alpha, cfg: QuadratureConfig = 
     (sector walls excluded) enters the quotient; that is the quantity the
     sharp sector comparison bounds from below.
     """
-    return _quotient(shape, perimeters(shape, alpha, cfg), weighted_volume(shape, alpha, cfg))
+    return _quotient(shape, measure(shape, alpha, cfg))
 
 
-def _quotient(shape: ImplicitShape, per: Perimeters, vol: float) -> float:
-    """per^{3/2} / vol for measures already computed; rejects a zero volume.
+def _quotient(shape: ImplicitShape, measures: Measures) -> float:
+    """per^{3/2} / vol for measures already taken; rejects a zero volume.
 
     A sector shape enters through the relative perimeter of its sector, any
     other shape through its whole weighted perimeter.
     """
+    vol, n = measures.volume, len(measures.sectors)
     if vol <= 0.0:
         raise DomainError(f"shape {shape.name!r} has zero weighted volume")
     if shape.sector is None:
-        return per.total**1.5 / vol
-    if not 1 <= shape.sector <= len(per.sectors):
-        raise DomainError(f"sector index {shape.sector} outside 1..{len(per.sectors)}")
-    return per.sectors[shape.sector - 1] ** 1.5 / vol
+        return measures.perimeter**1.5 / vol
+    if not 1 <= shape.sector <= n:
+        raise DomainError(f"sector index {shape.sector} outside 1..{n}")
+    return measures.sectors[shape.sector - 1] ** 1.5 / vol
 
 
 def isoperimetric_deficit(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:

@@ -72,14 +72,16 @@ def star_shaped_check(
     """Evaluate g = x1 nu1 + x2 nu2 + (1+a) y nu3 over the boundary.
 
     The domain is star-shaped for the anisotropic dilation iff g >= 0
-    everywhere on the boundary (and the origin lies inside).  On a grid's
-    box g is constant on each face, sign * coef * bbox[axis, side] with
-    coef = 1 + a on the y faces, so the minimum is taken over the six
-    faces; a shape takes the minimum of g over its patch midpoint nodes,
-    swept block by block by ``_patch_blocks``.
+    everywhere on the boundary (and the origin lies inside).  A grid must be
+    unmasked: on its box g is constant on each face, sign * coef *
+    bbox[axis, side] with coef = 1 + a on the y faces, so the minimum is
+    taken over the six faces; a shape takes the minimum of g over its patch
+    midpoint nodes, swept block by block by ``_patch_blocks``.
     """
     a = _alpha(alpha)
     if not isinstance(target, ImplicitShape):
+        if target.mask is not None:
+            raise DomainError("the star-shaped check is defined for box domains only")
         bbox = target.bbox
         m = float(
             min(

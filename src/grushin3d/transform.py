@@ -22,7 +22,8 @@ image patch is flatten_point o param, with tangent cross product
 cof(DF) (d_s x d_t) in closed form (Nanson's formula, ``_cofactor``).  The
 volume check measures on those image patches, and the perimeter check
 applies the same cofactor to the source patches' normals, so neither
-samples the image, whose bbox grows like r^{a+1}.
+samples the image, whose bbox grows like r^{a+1}.  ``pushforward_checks``
+runs both checks on one sweep of the source and one of the image patches.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from .geometry import (
     QuadratureConfig,
     SurfacePatch,
     _alpha,
+    _area_integrand,
+    _sweep,
+    _volume_flux,
     patch_surface_integral,
-    perimeters,
     sector_count,
     sector_index,
-    weighted_volume,
 )
+from .grids import _bbox_fault
 
 
 def _split_polar(pts):
@@ -145,48 +148,45 @@ def _euclidean_flux(points, normals):
     return np.sum(points * normals, axis=1) / 3.0
 
 
-def pushforward_volume_check(
+def pushforward_checks(
     shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()
-) -> PushforwardReport:
-    """Compare vol_w(E) with the Lebesgue volume of the flattened image.
+) -> tuple[PushforwardReport, PushforwardReport]:
+    """(volume, perimeter) reports: vol_w(E) against the Lebesgue volume of
+    the flattened image, and the relative weighted perimeter against the
+    flattened Euclidean area.
 
     |F(E)| is the flux of xi / 3 through the image patches, by the same
     midpoint quadrature as the weighted side but with the 3D identity
     div(xi) = 3 (the 2D flux of (xi1, xi2) / 2 equals the weighted flux
     node by node, which would make the check vacuous).
-    """
-    _require_in_sector(shape, alpha)
-    weighted = weighted_volume(shape, alpha, cfg)
-    euclidean = patch_surface_integral(flatten_shape(shape, alpha), _euclidean_flux, cfg)
-    return PushforwardReport(weighted, euclidean, _gap(weighted, euclidean))
 
-
-def pushforward_perimeter_check(
-    shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()
-) -> PushforwardReport:
-    """Compare the relative weighted perimeter with the flattened Euclidean area.
-
-    The Euclidean side is the area of the image of bd(E) inside sector 1:
-    a patch integral over the source nodes of |cof(DF) nu|, which is the
+    The Euclidean area is that of the image of bd(E) inside sector 1: a
+    patch integral over the source nodes of |cof(DF) nu|, which is the
     image's area element per unit source area, on the nodes in sector 1
     and 0 elsewhere.  That equals the weighted integrand node by node, so
-    the gap measures rounding; the tests check the closed-form cofactor
-    against finite differences.
+    the perimeter gap measures rounding; the tests check the closed-form
+    cofactor against finite differences.
     """
     a = _alpha(alpha)
     _require_in_sector(shape, a)
-    weighted = perimeters(shape, a, cfg).sectors[0]
+    flux, density = _volume_flux(a), _area_integrand(a)
 
-    def image_area(points, normals):
-        # nodes outside sector 1, its walls included, weigh nothing: only
-        # sector-1 nodes get a cofactor
-        inside = sector_index(points, a) == 1
-        out = np.zeros(len(points))
-        out[inside] = np.linalg.norm(_cofactor(points[inside], normals[inside], a), axis=1)
-        return out
+    def partials(pts, nu, area):
+        volume = np.sum(flux(pts, nu) * area)
+        # nodes outside sector 1, its walls included, weigh nothing on
+        # either perimeter side: only sector-1 nodes get a cofactor
+        inside = sector_index(pts, a) == 1
+        perimeter = np.sum((density(pts, nu) * area)[inside])
+        image = np.zeros(len(pts))
+        image[inside] = np.linalg.norm(_cofactor(pts[inside], nu[inside], a), axis=1)
+        return volume, perimeter, np.sum(image * area)
 
-    euclidean = patch_surface_integral(shape, image_area, cfg)
-    return PushforwardReport(weighted, euclidean, _gap(weighted, euclidean))
+    volume, perimeter, image_area = _sweep(shape, cfg, partials)
+    image_volume = patch_surface_integral(flatten_shape(shape, a), _euclidean_flux, cfg)
+    return (
+        PushforwardReport(volume, image_volume, _gap(volume, image_volume)),
+        PushforwardReport(perimeter, image_area, _gap(perimeter, image_area)),
+    )
 
 
 # level-function samples per bbox axis of the containment check
@@ -194,8 +194,12 @@ _CONTAINMENT_SAMPLES = 17
 
 
 def _require_in_sector(shape: ImplicitShape, alpha) -> None:
-    """Sampled containment check: inside points must lie in the closed sector."""
+    """Sampled containment check: inside points must lie in the closed sector.
+    A bbox that is not finite is refused, as its samples would be NaN."""
     width = np.pi / sector_count(_alpha(alpha))
+    fault = _bbox_fault(shape.bbox)
+    if fault:
+        raise DomainError(f"shape {shape.name!r}: {fault}")
     axes = [np.linspace(lo, hi, _CONTAINMENT_SAMPLES) for lo, hi in shape.bbox]
     G1, G2, G3 = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([G1.ravel(), G2.ravel(), G3.ravel()])

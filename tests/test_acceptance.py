@@ -14,10 +14,9 @@ from scipy.integrate import quad
 from grushin3d import (
     QuadratureConfig,
     isoperimetric_deficit,
-    perimeters,
+    measure,
     reference_quotient,
     sector_count,
-    weighted_volume,
 )
 from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus, sector_extremal_grid
 from grushin3d.geometry import anisotropic_scale
@@ -109,17 +108,9 @@ def test_criterion_04_scaling_laws():
     shape = ellipsoid((1.3, 0.8, 0.6))
     worst_vol = worst_per = 0.0
     for alpha in ALPHAS:
-        scaled = anisotropic_scale(shape, 2.0, alpha)
-        ev = abs(
-            math.log2(weighted_volume(scaled, alpha, cfg) / weighted_volume(shape, alpha, cfg))
-            - (3 * alpha + 3)
-        )
-        ep = abs(
-            math.log2(
-                perimeters(scaled, alpha, cfg).total / perimeters(shape, alpha, cfg).total
-            )
-            - (2 * alpha + 2)
-        )
+        m1, m2 = measure(shape, alpha, cfg), measure(anisotropic_scale(shape, 2.0, alpha), alpha, cfg)
+        ev = abs(math.log2(m2.volume / m1.volume) - (3 * alpha + 3))
+        ep = abs(math.log2(m2.perimeter / m1.perimeter) - (2 * alpha + 2))
         worst_vol = max(worst_vol, ev)
         worst_per = max(worst_per, ep)
 
@@ -202,7 +193,7 @@ def test_criterion_06_rearrangement_fidelity():
 
 def test_criterion_07_transform_identities():
     from grushin3d.shapes import ball
-    from grushin3d.transform import pushforward_perimeter_check, pushforward_volume_check
+    from grushin3d.transform import pushforward_checks
 
     cfg = QuadratureConfig(surface_resolution=192)
     ok = True
@@ -214,8 +205,7 @@ def test_criterion_07_transform_identities():
             ball(0.3 * math.sin(width / 2), center=(math.cos(width / 2), math.sin(width / 2), 0.0)),
         ]
         for shape in shapes:
-            v = pushforward_volume_check(shape, alpha, cfg).rel_gap
-            p = pushforward_perimeter_check(shape, alpha, cfg).rel_gap
+            v, p = (rep.rel_gap for rep in pushforward_checks(shape, alpha, cfg))
             worst_v = max(worst_v, v)
             worst_p = max(worst_p, p)
             ok &= v <= 1e-3 and p <= 1e-2

@@ -21,12 +21,11 @@ from grushin3d.geometry import (
     anisotropic_scale,
     isoperimetric_deficit,
     isoperimetric_quotient,
-    perimeters,
+    measure,
     reference_ball_values,
     reference_quotient,
     sector_count,
     sector_index,
-    weighted_volume,
 )
 from grushin3d.pohozaev import (
     pohozaev_coefficient,
@@ -55,13 +54,7 @@ from grushin3d.sobolev import (
     sobolev_lower_bound,
 )
 from grushin3d.solver import Domain, GrushinOperator, Problem, poincare_constant, solve_ground_state
-from grushin3d.transform import (
-    flatten_point,
-    flatten_shape,
-    pushforward_perimeter_check,
-    pushforward_volume_check,
-    unflatten_point,
-)
+from grushin3d.transform import flatten_point, flatten_shape, pushforward_checks, unflatten_point
 
 CFG = QuadratureConfig(surface_resolution=8)
 FIELD = random_bump_corpus(1, resolution=8, seed=3)[0]
@@ -92,8 +85,7 @@ ENTRY_POINTS = {
     "fields.sector_extremal_grid": lambda a: sector_extremal_grid(a, resolution=6).values,
     "geometry.sector_count": sector_count,
     "geometry.sector_index": lambda a: sector_index(POINTS, a),
-    "geometry.weighted_volume": lambda a: weighted_volume(SMALL_BALL, a, CFG),
-    "geometry.perimeters": lambda a: perimeters(SMALL_BALL, a, CFG),
+    "geometry.measure": lambda a: measure(SMALL_BALL, a, CFG),
     "geometry.reference_ball_values": reference_ball_values,
     "geometry.reference_quotient": reference_quotient,
     "geometry.isoperimetric_quotient": lambda a: isoperimetric_quotient(SMALL_BALL, a, CFG),
@@ -130,8 +122,7 @@ ENTRY_POINTS = {
     "transform.flatten_point": lambda a: flatten_point(POINTS, a),
     "transform.unflatten_point": lambda a: unflatten_point(POINTS, a),
     "transform.flatten_shape": lambda a: _shape_bits(flatten_shape(SMALL_BALL, a)),
-    "transform.pushforward_volume_check": lambda a: pushforward_volume_check(SMALL_BALL, a, CFG),
-    "transform.pushforward_perimeter_check": lambda a: pushforward_perimeter_check(SMALL_BALL, a, CFG),
+    "transform.pushforward_checks": lambda a: pushforward_checks(SMALL_BALL, a, CFG),
 }
 
 # a result record: it carries the alpha of the call that made it

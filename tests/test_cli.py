@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushin3d import cli, geometry, rearrangement, shapes
+from grushin3d import cli, geometry, rearrangement, shapes, transform
 from grushin3d.cli import main
 from grushin3d.fields import cosine_bump, radial_field
 from grushin3d.grids import GRID_MAGIC, load_grid, save_grid
@@ -32,6 +32,21 @@ def run_cli(args, capsys):
 
 
 FAST_GEO = ["--surface-resolution", "96"]
+
+
+def count_calls(monkeypatch, name, original):
+    """The argument tuples of every call to ``original``, spied under
+    ``name`` in each package module that holds it."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("grushin3d.") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 class TestGeometryCommand:
@@ -97,18 +112,11 @@ class TestGeometryCommand:
         ],
     )
     def test_each_measure_computed_once(self, shape_args, num_sectors, monkeypatch, capsys):
-        calls = {"_patch_blocks": 0}
-        original = geometry._patch_blocks
-
-        def spy(*a, **kw):
-            calls["_patch_blocks"] += 1
-            return original(*a, **kw)
-
-        monkeypatch.setattr(geometry, "_patch_blocks", spy)
+        sweeps = count_calls(monkeypatch, "_patch_blocks", geometry._patch_blocks)
         code, rep = run_cli(["geometry", *shape_args, *FAST_GEO], capsys)
         assert code == 0
-        # one sweep of the patch nodes for the volume, one for every perimeter
-        assert calls == {"_patch_blocks": 2}
+        # one sweep of the patch nodes gives the volume and every perimeter
+        assert len(sweeps) == 1
         res = rep["results"]
         assert sorted(k for k in res if k.startswith("sector_perimeter_")) == sorted(
             f"sector_perimeter_{j}" for j in range(1, num_sectors + 1)
@@ -143,6 +151,24 @@ class TestTransformCheckCommand:
         assert code == 0
         assert rep["results"]["volume_rel_gap"] <= 1e-3
         assert rep["results"]["volume_euclidean"] == pytest.approx(2 * math.pi / 3, rel=1e-3)
+
+    def test_largest_alpha(self, capsys):
+        # the image bbox is not finite at alpha = 16383; only the source
+        # shape is checked for containment, and its bbox is finite
+        code, rep = run_cli(["transform-check", "--alpha", "16383", "--surface-resolution", "32"], capsys)
+        assert code == 0
+        assert rep["results"]["perimeter_rel_gap"] <= 1e-12
+
+    @pytest.mark.parametrize("shape", ["ball-sector", "small-ball"])
+    def test_source_and_image_swept_once(self, shape, monkeypatch, capsys):
+        sweeps = count_calls(monkeypatch, "_patch_blocks", geometry._patch_blocks)
+        checks = count_calls(monkeypatch, "_require_in_sector", transform._require_in_sector)
+        code, _ = run_cli(["transform-check", "--alpha", "1", "--shape", shape, *FAST_GEO], capsys)
+        assert code == 0
+        assert len(checks) == 1
+        # one sweep of the source patches for both weighted sides and the
+        # image area, one of the image patches for the Lebesgue volume
+        assert [sweep[0].name.startswith("flat(") for sweep in sweeps] == [False, True]
 
 
 class TestPatchOnlyCli:

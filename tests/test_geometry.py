@@ -13,10 +13,9 @@ from grushin3d import (
     anisotropic_scale,
     isoperimetric_deficit,
     isoperimetric_quotient,
-    perimeters,
+    measure,
     reference_quotient,
     sector_count,
-    weighted_volume,
 )
 from grushin3d import geometry
 from grushin3d.geometry import reference_ball_values, sector_index
@@ -102,14 +101,14 @@ class TestQuadratureConfig:
 
     def test_numpy_integer_accepted(self, fast_cfg):
         cfg = QuadratureConfig(surface_resolution=np.int64(fast_cfg.surface_resolution))
-        assert weighted_volume(ball(1.0), 1.0, cfg) == weighted_volume(ball(1.0), 1.0, fast_cfg)
+        assert measure(ball(1.0), 1.0, cfg).volume == measure(ball(1.0), 1.0, fast_cfg).volume
 
 
 class TestWeightedVolume:
     def test_cylinder_closed_form(self, fast_cfg):
         # int over the unit cylinder of |x|^2 = 2 pi * 2 * int_0^1 s^3 ds = pi
         shape = cylinder(1.0, 1.0)
-        vol = weighted_volume(shape, 1.0, fast_cfg)
+        vol = measure(shape, 1.0, fast_cfg).volume
         assert vol == pytest.approx(math.pi, rel=5e-3)
 
     def test_against_midpoint_oracle(self):
@@ -124,11 +123,11 @@ class TestWeightedVolume:
         shape = ball_sector(1.0, 1)
         vals = reference_ball_values(1.0)
         assert vals.volume == pytest.approx(2 * math.pi / 3, abs=1e-15)
-        assert weighted_volume(shape, 1.0, fast_cfg) == pytest.approx(vals.volume, rel=5e-3)
+        assert measure(shape, 1.0, fast_cfg).volume == pytest.approx(vals.volume, rel=5e-3)
 
     def test_empty_shape(self, fast_cfg):
         # |x|^2 and the area elements underflow to 0 on a ball of radius 1e-200
-        assert weighted_volume(ball(1e-200), 1.0, fast_cfg) == 0.0
+        assert measure(ball(1e-200), 1.0, fast_cfg).volume == 0.0
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(DomainError):
@@ -155,9 +154,33 @@ class TestWeightedVolume:
         monkeypatch.setattr(geometry, "_patch_blocks", lambda *a: sweeps.append(a) or original(*a))
         shapes = corpus_shapes(alpha)
         for shape in shapes:
-            assert weighted_volume(shape, alpha, fast_cfg) > 0.0
-        # one sweep of the patch nodes per volume
+            measures = measure(shape, alpha, fast_cfg)
+            assert measures.volume > 0.0 and measures.perimeter > 0.0
+        # one sweep of the patch nodes per shape gives all of its measures
         assert len(sweeps) == len(shapes)
+
+
+class TestMeasure:
+    @pytest.mark.parametrize("alpha", [0.5, 2.5])
+    def test_one_sweep_matches_one_sweep_per_measure(self, alpha):
+        # reference: a patch_surface_integral per measure; at m = 192 each
+        # patch spans two blocks, whose partials both routes reduce in order
+        cfg = QuadratureConfig(surface_resolution=192)
+        flux, density = geometry._volume_flux(alpha), geometry._area_integrand(alpha)
+        for shape in corpus_shapes(alpha):
+            measures = measure(shape, alpha, cfg)
+            assert measures.volume == geometry.patch_surface_integral(shape, flux, cfg)
+            assert measures.perimeter == geometry.patch_surface_integral(shape, density, cfg)
+
+    @pytest.mark.parametrize("shape", [ellipsoid((1.3, 0.8, 0.6)), ball_sector(2.5, 3)], ids=["ellipsoid", "sector-3"])
+    def test_sector_split_matches_masked_integrals(self, shape, fast_cfg):
+        measures = measure(shape, 2.5, fast_cfg)
+        for j, part in enumerate(measures.sectors, start=1):
+
+            def in_sector(points, normals, j=j):
+                return np.where(sector_index(points, 2.5) == j, geometry._area_integrand(2.5)(points, normals), 0.0)
+
+            assert part == pytest.approx(geometry.patch_surface_integral(shape, in_sector, fast_cfg), rel=1e-13)
 
 
 class TestRefinementChunks:
@@ -182,7 +205,7 @@ class TestWeightedPerimeter:
     def test_cylinder_closed_form(self, fast_cfg):
         # lateral 4 pi plus two caps of pi/2 each
         shape = cylinder(1.0, 1.0)
-        per = perimeters(shape, 1.0, fast_cfg).total
+        per = measure(shape, 1.0, fast_cfg).perimeter
         assert per == pytest.approx(5 * math.pi, rel=1e-4)
 
     def test_ball_patches_vs_closed_form(self):
@@ -191,7 +214,7 @@ class TestWeightedPerimeter:
         from scipy.integrate import quad
 
         exact = 2 * math.pi * quad(lambda c: (1 - c * c) * math.sqrt(1 + c * c), -1, 1)[0]
-        assert perimeters(ball(1.0), 1.0, QuadratureConfig()).total == pytest.approx(exact, rel=1e-6)
+        assert measure(ball(1.0), 1.0, QuadratureConfig()).perimeter == pytest.approx(exact, rel=1e-6)
 
     def test_patch_normals_are_unit(self):
         cfg = QuadratureConfig(surface_resolution=17)
@@ -255,17 +278,17 @@ class TestSectorPerimeter:
         shape = ball_sector(1.0, 1)
         vals = reference_ball_values(1.0)
         assert vals.sector_perimeter == pytest.approx(2 * math.pi, abs=1e-15)
-        assert perimeters(shape, 1.0, fast_cfg).sectors[0] == pytest.approx(2 * math.pi, rel=1e-4)
+        assert measure(shape, 1.0, fast_cfg).sectors[0] == pytest.approx(2 * math.pi, rel=1e-4)
 
     @pytest.mark.parametrize("alpha, j", [(1.0, 1), (1.0, 2), (2.5, 3)])
     def test_ball_sector_reads_zero_elsewhere(self, alpha, j, fast_cfg):
-        per = perimeters(ball_sector(alpha, j), alpha, fast_cfg)
+        per = measure(ball_sector(alpha, j), alpha, fast_cfg)
         n = sector_count(alpha)
         assert len(per.sectors) == 2 * n
         assert per.sectors[j - 1] > 0.0
         assert [p for k, p in enumerate(per.sectors, start=1) if k != j] == [0.0] * (2 * n - 1)
         # the two walls count in the total only
-        assert per.total > per.sectors[j - 1]
+        assert per.perimeter > per.sectors[j - 1]
 
     def test_index_range_checked(self, fast_cfg):
         # the quotient reads the sector a shape is marked with
@@ -281,9 +304,9 @@ class TestSectorPerimeter:
             for shape in corpus_shapes(alpha):
                 if shape.sector is not None:
                     continue
-                per = perimeters(shape, alpha, fast_cfg)
-                assert sum(per.sectors) == pytest.approx(per.total, rel=1e-12)
-                assert per.total**1.5 >= sum(p**1.5 for p in per.sectors) - 1e-9
+                per = measure(shape, alpha, fast_cfg)
+                assert sum(per.sectors) == pytest.approx(per.perimeter, rel=1e-12)
+                assert per.perimeter**1.5 >= sum(p**1.5 for p in per.sectors) - 1e-9
 
 
 class TestReferenceBall:
@@ -304,10 +327,9 @@ class TestReferenceBall:
         for alpha in (0.5, 2.0):
             shape = ball_sector(alpha, 1)
             vals = reference_ball_values(alpha)
-            assert weighted_volume(shape, alpha, fast_cfg) == pytest.approx(vals.volume, rel=8e-3)
-            assert perimeters(shape, alpha, fast_cfg).sectors[0] == pytest.approx(
-                vals.sector_perimeter, rel=1e-3
-            )
+            measures = measure(shape, alpha, fast_cfg)
+            assert measures.volume == pytest.approx(vals.volume, rel=8e-3)
+            assert measures.sectors[0] == pytest.approx(vals.sector_perimeter, rel=1e-3)
 
 
 class TestIsoperimetry:
@@ -358,12 +380,9 @@ class TestAnisotropicScale:
     def test_measured_scaling_exponents(self, alpha, fast_cfg):
         shape = ellipsoid((1.3, 0.8, 0.6))
         scaled = anisotropic_scale(shape, 2.0, alpha)
-        v1 = weighted_volume(shape, alpha, fast_cfg)
-        v2 = weighted_volume(scaled, alpha, fast_cfg)
-        assert abs(math.log2(v2 / v1) - (3 * alpha + 3)) <= 1e-3
-        p1 = perimeters(shape, alpha, fast_cfg).total
-        p2 = perimeters(scaled, alpha, fast_cfg).total
-        assert abs(math.log2(p2 / p1) - (2 * alpha + 2)) <= 1e-3
+        m1, m2 = measure(shape, alpha, fast_cfg), measure(scaled, alpha, fast_cfg)
+        assert abs(math.log2(m2.volume / m1.volume) - (3 * alpha + 3)) <= 1e-3
+        assert abs(math.log2(m2.perimeter / m1.perimeter) - (2 * alpha + 2)) <= 1e-3
 
     def test_quotient_invariance(self, fast_cfg):
         shape = ellipsoid((1.1, 0.9, 0.8))
@@ -387,7 +406,7 @@ class TestPatchVolumeRoute:
             (ellipsoid((1.3, 0.8, 0.6)), 6e-3),
             (box((1, 0.7, 0.9)), 3e-2),
         ):
-            v_patch = weighted_volume(shape, 1.0, fast_cfg)
+            v_patch = measure(shape, 1.0, fast_cfg).volume
             v_voxel = voxel_integral(shape.level, shape.bbox, weighted(1.0), 64, 2)
             assert v_voxel == pytest.approx(v_patch, rel=rel)
 
@@ -396,11 +415,11 @@ class TestPatchVolumeRoute:
         # midpoint quadrature of the quadratic flux carries an O(h^2) error
         a1, a2, a3 = 1.0, 0.7, 0.9
         exact = 8 * a1 * a2 * a3 * (a1**2 + a2**2) / 3
-        v = weighted_volume(box((a1, a2, a3)), 1.0, fast_cfg)
+        v = measure(box((a1, a2, a3)), 1.0, fast_cfg).volume
         assert v == pytest.approx(exact, rel=1e-4)
 
     def test_cylinder_exact(self, fast_cfg):
-        assert weighted_volume(cylinder(1.0, 1.0), 1.0, fast_cfg) == pytest.approx(
+        assert measure(cylinder(1.0, 1.0), 1.0, fast_cfg).volume == pytest.approx(
             math.pi, rel=1e-12
         )
 

@@ -72,6 +72,16 @@ class TestStarShaped:
         assert star_shaped_check(dom, ALPHA).min_value == 2.0 * 0.2
         assert star_shaped_check(dom, 2.0).min_value == 0.5
 
+    def test_masked_grid_rejected(self):
+        # the box faces are not the boundary of a masked grid: 8 cells
+        # inside |x1|, |x2|, |y| < 0.3 would read as the whole cube's 1.0
+        dom = Domain.cube(1.0, 8)
+        x1, x2, y = dom.centers()
+        mask = (np.abs(x1) < 0.3) & (np.abs(x2) < 0.3) & (np.abs(y) < 0.3)
+        assert mask.sum() == 8
+        with pytest.raises(DomainError, match="box domains only"):
+            star_shaped_check(Domain(dom.bbox, dom.dims, mask), ALPHA)
+
     def test_origin_ball(self):
         rep = star_shaped_check(ball(1.0), ALPHA)
         assert rep.verdict

@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from grushin3d import DomainError, QuadratureConfig, sector_count
+from grushin3d import DomainError, ImplicitShape, QuadratureConfig, measure, sector_count
 from grushin3d.geometry import reference_ball_values, sector_index
 from grushin3d.shapes import ball, ball_sector
-from grushin3d.transform import (
-    flatten_point,
-    flatten_shape,
-    pushforward_perimeter_check,
-    pushforward_volume_check,
-    unflatten_point,
-)
+from grushin3d.transform import flatten_point, flatten_shape, pushforward_checks, unflatten_point
 from voxel_reference import unit, voxel_integral
 
 
@@ -76,7 +70,7 @@ class TestPushforward:
         cfg = QuadratureConfig(surface_resolution=128)
         shape = ball_sector(alpha, 1)
         vals = reference_ball_values(alpha)
-        rep = pushforward_volume_check(shape, alpha, cfg)
+        rep, _ = pushforward_checks(shape, alpha, cfg)
         assert rep.rel_gap <= 1e-3
         assert rep.weighted == pytest.approx(vals.volume, rel=5e-3)
 
@@ -84,37 +78,46 @@ class TestPushforward:
         cfg = QuadratureConfig(surface_resolution=160)
         shape = ball_sector(1.0, 1)
         vals = reference_ball_values(1.0)
-        rep = pushforward_perimeter_check(shape, 1.0, cfg)
+        _, rep = pushforward_checks(shape, 1.0, cfg)
         assert rep.rel_gap <= 1e-2
         assert rep.weighted == pytest.approx(vals.sector_perimeter, rel=1e-3)
 
     def test_small_ball_far_from_axis(self):
         cfg = QuadratureConfig(surface_resolution=128)
         shape = small_sector_ball(1.0)
-        assert pushforward_volume_check(shape, 1.0, cfg).rel_gap <= 1e-3
-        assert pushforward_perimeter_check(shape, 1.0, cfg).rel_gap <= 1e-2
+        volume, perimeter = pushforward_checks(shape, 1.0, cfg)
+        assert volume.rel_gap <= 1e-3
+        assert perimeter.rel_gap <= 1e-2
 
     def test_scaled_sector_ball_half_radius(self):
         cfg = QuadratureConfig(surface_resolution=128)
         shape = ball_sector(1.0, j=1, radius=0.5)
-        rep = pushforward_perimeter_check(shape, 1.0, cfg)
+        _, rep = pushforward_checks(shape, 1.0, cfg)
         # spherical wedge of radius 1/2: area scales by 1/4
         assert rep.euclidean == pytest.approx(0.25 * 2 * math.pi, rel=1e-3)
         assert rep.rel_gap <= 1e-2
 
     def test_empty_shape(self):
         # both volumes of a ball sector of radius 1e-200 underflow to 0
-        rep = pushforward_volume_check(ball_sector(1.0, j=1, radius=1e-200), 1.0)
+        rep, _ = pushforward_checks(ball_sector(1.0, j=1, radius=1e-200), 1.0)
         assert (rep.weighted, rep.euclidean, rep.rel_gap) == (0.0, 0.0, 0.0)
 
     def test_shape_outside_sector_rejected(self):
         with pytest.raises(DomainError):
-            pushforward_volume_check(ball(0.5), 1.0)  # straddles all sectors
+            pushforward_checks(ball(0.5), 1.0)  # straddles all sectors
+
+    @pytest.mark.parametrize("bbox", [[(0, math.inf), (0, 1), (-1, 1)], [(-1e308, 1e308), (0, 1), (-1, 1)]])
+    def test_shape_with_infinite_bbox_rejected(self, bbox):
+        # the containment samples would be NaN and none would count as inside
+        inner = ball(0.2, center=(0.5, 0.1, 0.0))
+        shape = ImplicitShape(inner.level, np.array(bbox, dtype=float), inner.patches)
+        with pytest.raises(DomainError, match="must be finite"):
+            pushforward_checks(shape, 1.0, QuadratureConfig(surface_resolution=8))
 
     def test_flatten_shape_volume_identity(self):
         # direct check that the image's Lebesgue volume equals the weighted one
         shape = small_sector_ball(0.5)
-        rep = pushforward_volume_check(shape, 0.5)
+        rep, _ = pushforward_checks(shape, 0.5)
         flat = flatten_shape(shape, 0.5)
         assert flat.name.startswith("flat(")
         assert rep.euclidean > 0
@@ -159,12 +162,23 @@ class TestImagePatches:
             st, dst = midpoint_st(patch, m)
             st = st[sector_index(patch.param(st), alpha) == 1]
             total += float(np.sum(np.linalg.norm(image.cross(st), axis=1))) * dst
-        rep = pushforward_perimeter_check(shape, alpha, QuadratureConfig(surface_resolution=m))
+        _, rep = pushforward_checks(shape, alpha, QuadratureConfig(surface_resolution=m))
         assert abs(rep.euclidean - total) <= 1e-14 * total
 
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
     def test_patch_volume_matches_voxels(self, alpha, shape):
-        rep = pushforward_volume_check(shape, alpha)
+        rep, _ = pushforward_checks(shape, alpha)
         flat = flatten_shape(shape, alpha)
         voxels = voxel_integral(flat.level, flat.bbox, unit, 64, 3)
         assert abs(rep.euclidean - voxels) <= 1e-4 * voxels
+
+    @pytest.mark.parametrize("m", [7, 192])
+    @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
+    def test_weighted_sides_match_measure(self, alpha, shape, m):
+        # reference: the geometry sweep, whose sector split sorts the nodes
+        # where the source sweep masks them; both keep block order
+        cfg = QuadratureConfig(surface_resolution=m)
+        volume, perimeter = pushforward_checks(shape, alpha, cfg)
+        measures = measure(shape, alpha, cfg)
+        assert volume.weighted == measures.volume
+        assert perimeter.weighted == measures.sectors[0]

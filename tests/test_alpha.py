@@ -129,6 +129,22 @@ ENTRY_POINTS = {
 NOT_ENTRY_POINTS = {"sobolev.RayleighReport"}
 
 
+def _perimeters(a):
+    m = measure(SMALL_BALL, a, CFG)
+    return m.perimeter, m.sectors
+
+
+# each measure that ``measure`` and ``pushforward_checks`` compute in one
+# sweep, read from its part of the result and checked on its own
+MEASURE_PARTS = {
+    "geometry.weighted_volume": lambda a: measure(SMALL_BALL, a, CFG).volume,
+    "geometry.perimeters": _perimeters,
+    "transform.pushforward_volume_check": lambda a: pushforward_checks(SMALL_BALL, a, CFG)[0],
+    "transform.pushforward_perimeter_check": lambda a: pushforward_checks(SMALL_BALL, a, CFG)[1],
+}
+CASES = {**ENTRY_POINTS, **MEASURE_PARTS}
+
+
 def _takes_alpha(obj):
     try:
         return "alpha" in inspect.signature(obj).parameters
@@ -170,15 +186,15 @@ def test_table_covers_every_public_alpha_callable():
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 16383.5], ids=repr)
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("entry", sorted(CASES))
 def test_bad_alpha_raises_domain_error(entry, bad):
     with pytest.raises(DomainError, match="alpha must be"):
-        ENTRY_POINTS[entry](bad)
+        CASES[entry](bad)
 
 
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("entry", sorted(CASES))
 def test_int_and_numpy_alpha_give_the_float_bits(entry):
-    call = ENTRY_POINTS[entry]
+    call = CASES[entry]
     ref = _bits(call(1.0))
     assert _bits(call(1)) == ref
     assert _bits(call(np.float64(1.0))) == ref

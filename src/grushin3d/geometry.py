@@ -30,6 +30,9 @@ over the patch nodes, classifying every node by sector as it goes.  Every
 patch sweep in the package, here and in ``transform`` and ``pohozaev``,
 draws its nodes from ``_patch_blocks``, which builds them block by block,
 so patch quadrature memory is bounded by the block, not by the resolution.
+A block is evaluated on the product of the parameter rows it spans and the
+whole t axis, so a function of s alone or of t alone (the sines and cosines
+of the spherical and polar patches) runs on m values, not on every node.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
+from .grids import _bbox_fault
 
 # fraction of a sector width within which a sample counts as lying on a wall
 _WALL_TOL = 1e-12
@@ -103,6 +107,8 @@ class QuadratureConfig:
     integer from 1 to 16384 (``_MAX_SURFACE_RESOLUTION``).  Patch sums run
     in blocks of 32768 nodes (``_PATCH_BLOCK``), which bounds memory
     whatever the resolution; their partial sums are reduced in block order.
+    A block is evaluated on the whole parameter rows it spans, at most
+    32768 + 2(m - 1) nodes.
     """
 
     surface_resolution: int = 256
@@ -121,22 +127,33 @@ class QuadratureConfig:
 class SurfacePatch:
     """Analytic parametrisation of one boundary piece.
 
-    ``param`` maps an (m, 2) array of (s, t) parameters to (m, 3) points;
-    ``cross`` returns the outward-oriented tangent cross product
+    ``param(s, t)`` maps parameter arrays s and t that broadcast to a
+    common shape to points of shape ``shape + (3,)``; ``cross(s, t)``
+    returns, in the same shape, the outward-oriented tangent cross product
     d(param)/ds x d(param)/dt (unnormalised).  Its direction is the unit
-    normal and its magnitude the Hausdorff area Jacobian.  Quadrature
-    nodes on the patch come from ``_patch_blocks`` alone.
+    normal and its magnitude the Hausdorff area Jacobian.  Both act node by
+    node: a column of s against a row of t gives, bit for bit, the values
+    of the flattened node arrays, while a function of s alone runs once per
+    row.  ``_stack`` assembles the result from broadcast components.
+    Quadrature nodes on the patch come from ``_patch_blocks`` alone.
     """
 
-    param: Callable[[np.ndarray], np.ndarray]
-    cross: Callable[[np.ndarray], np.ndarray]
+    param: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    cross: Callable[[np.ndarray, np.ndarray], np.ndarray]
     s_range: tuple[float, float]
     t_range: tuple[float, float]
 
 
+def _stack(s, t, x, y, z) -> np.ndarray:
+    """Components x, y and z, each broadcast against the parameters s and
+    t, stacked into an array of shape ``broadcast(s, t).shape + (3,)``."""
+    return np.stack(np.broadcast_arrays(s, t, x, y, z)[2:], axis=-1)
+
+
 @dataclass(frozen=True)
 class ImplicitShape:
-    """Bounded open set E = {level < 0} inside an axis-aligned bbox.
+    """Bounded open set E = {level < 0} inside an axis-aligned bbox, whose
+    entries and extents must be finite.
 
     ``level`` must be vectorised: (m, 3) points -> (m,) values, negative
     strictly inside, positive strictly outside; containment checks sample
@@ -157,8 +174,9 @@ class ImplicitShape:
     def __post_init__(self):
         bbox = np.asarray(self.bbox, dtype=float).reshape(3, 2)
         object.__setattr__(self, "bbox", bbox)
-        if not np.all(bbox[:, 1] > bbox[:, 0]):
-            raise DomainError(f"degenerate bbox {bbox.tolist()}")
+        fault = _bbox_fault(bbox)
+        if fault:
+            raise DomainError(f"shape {self.name!r}: {fault}")
         if not self.patches:
             raise DomainError(f"shape {self.name!r} carries no surface patches")
 
@@ -199,22 +217,26 @@ def _patch_blocks(shape: ImplicitShape, cfg: QuadratureConfig):
     """Midpoint nodes of the shape's patches, one block of 32768 at a time.
 
     Node k of an m x m patch sits at (s_k, t_k) = (s_ax[k // m], t_ax[k % m])
-    on the cell-centre axes, and each block is built from its own range of
-    k, so memory stays O(block) at any resolution.  This is the one place
-    that turns a patch into nodes.  Yields (points, unit normals, area
-    elements, ds*dt) per (patch, block), in patch order; nodes whose area
-    element vanishes are dropped.
+    on the cell-centre axes.  Each block is the range of k from one cut to
+    the next; it is evaluated on the rows of s it spans against the whole t
+    axis, then cut out, so memory stays O(block + m) at any resolution.
+    This is the one place that turns a patch into nodes.  Yields (points,
+    unit normals, area elements, ds*dt) per (patch, block), in patch order;
+    nodes whose area element vanishes are dropped.
     """
     m = cfg.surface_resolution
     for patch in shape.patches:
         (s0, s1), (t0, t1) = patch.s_range, patch.t_range
         ds, dt = (s1 - s0) / m, (t1 - t0) / m
         s_ax = s0 + (np.arange(m) + 0.5) * ds
-        t_ax = t0 + (np.arange(m) + 0.5) * dt
+        t_row = (t0 + (np.arange(m) + 0.5) * dt)[None, :]
         for start in range(0, m * m, _PATCH_BLOCK):
-            i, j = np.divmod(np.arange(start, min(start + _PATCH_BLOCK, m * m)), m)
-            st = np.column_stack([s_ax[i], t_ax[j]])
-            pts, cross = patch.param(st), patch.cross(st)
+            stop = min(start + _PATCH_BLOCK, m * m)
+            i0, i1 = start // m, -(-stop // m)
+            s_col = s_ax[i0:i1, None]
+            cut = slice(start - i0 * m, stop - i0 * m)
+            pts = patch.param(s_col, t_row).reshape(-1, 3)[cut]
+            cross = patch.cross(s_col, t_row).reshape(-1, 3)[cut]
             # the sum np.linalg.norm would reduce, in its order, without its
             # generic-reduction overhead
             c0, c1, c2 = cross.T
@@ -369,8 +391,8 @@ def anisotropic_scale(shape: ImplicitShape, lam: float, alpha) -> ImplicitShape:
 def _scale_patch(patch: SurfacePatch, scale, cof) -> SurfacePatch:
     param, cross = patch.param, patch.cross
     return SurfacePatch(
-        param=lambda st: param(st) * scale,
-        cross=lambda st: cross(st) * cof,
+        param=lambda s, t: param(s, t) * scale,
+        cross=lambda s, t: cross(s, t) * cof,
         s_range=patch.s_range,
         t_range=patch.t_range,
     )

@@ -2,8 +2,11 @@
 
 Every builder returns an ImplicitShape whose ``level`` is vectorised and
 whose ``patches`` carry exact parametrisations, so surface quadrature is
-limited only by the midpoint rule, not by the shape description.  Shapes
-are addressable by name through ``make_shape`` for the CLI.
+limited only by the midpoint rule, not by the shape description.  Each
+patch takes broadcast (s, t) arrays (see ``SurfacePatch``) and computes
+every function of one parameter on that parameter's own array, so a sweep
+evaluates them once per row or column of nodes.  Shapes are addressable
+by name through ``make_shape`` for the CLI.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ImplicitShape, SurfacePatch, _alpha, sector_count
+from .geometry import ImplicitShape, SurfacePatch, _alpha, _stack, sector_count
 
 # bbox padding factor; non-round so flat faces avoid the cell planes of the
 # voxel reference in tests/voxel_reference.py, the only code that grids a bbox
@@ -35,20 +38,18 @@ def ellipsoid(semiaxes=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> ImplicitShape
             - 1.0
         )
 
-    def param(st):
-        s, t = st[:, 0], st[:, 1]
-        return np.column_stack(
-            [cx + a * np.sin(s) * np.cos(t), cy + b * np.sin(s) * np.sin(t), cz + c * np.cos(s)]
-        )
+    def param(s, t):
+        sin_s = np.sin(s)
+        return _stack(s, t, cx + a * sin_s * np.cos(t), cy + b * sin_s * np.sin(t), cz + c * np.cos(s))
 
-    def cross(st):
-        s, t = st[:, 0], st[:, 1]
-        return np.column_stack(
-            [
-                b * c * np.sin(s) ** 2 * np.cos(t),
-                a * c * np.sin(s) ** 2 * np.sin(t),
-                a * b * np.sin(s) * np.cos(s),
-            ]
+    def cross(s, t):
+        sin_s = np.sin(s)
+        return _stack(
+            s,
+            t,
+            b * c * sin_s**2 * np.cos(t),
+            a * c * sin_s**2 * np.sin(t),
+            a * b * sin_s * np.cos(s),
         )
 
     patch = SurfacePatch(param, cross, (0.0, math.pi), (0.0, 2.0 * math.pi))
@@ -76,29 +77,22 @@ def cylinder(radius=1.0, half_height=1.0, center=(0.0, 0.0, 0.0)) -> ImplicitSha
         rad = np.hypot(p[..., 0] - cx, p[..., 1] - cy) - R
         return np.maximum(rad, np.abs(p[..., 2] - cz) - H)
 
-    def lateral_param(st):
-        t, z = st[:, 0], st[:, 1]
-        return np.column_stack([cx + R * np.cos(t), cy + R * np.sin(t), z])
+    def lateral_param(t, z):
+        return _stack(t, z, cx + R * np.cos(t), cy + R * np.sin(t), z)
 
-    def lateral_cross(st):
-        t = st[:, 0]
-        return np.column_stack([R * np.cos(t), R * np.sin(t), np.zeros_like(t)])
+    def lateral_cross(t, z):
+        return _stack(t, z, R * np.cos(t), R * np.sin(t), 0.0)
 
     patches = [
         SurfacePatch(lateral_param, lateral_cross, (0.0, 2.0 * math.pi), (cz - H, cz + H))
     ]
     for sign in (1.0, -1.0):
 
-        def cap_param(st, sign=sign):
-            rho, t = st[:, 0], st[:, 1]
-            return np.column_stack(
-                [cx + rho * np.cos(t), cy + rho * np.sin(t), np.full_like(rho, cz + sign * H)]
-            )
+        def cap_param(rho, t, sign=sign):
+            return _stack(rho, t, cx + rho * np.cos(t), cy + rho * np.sin(t), cz + sign * H)
 
-        def cap_cross(st, sign=sign):
-            rho = st[:, 0]
-            z = np.zeros_like(rho)
-            return np.column_stack([z, z, sign * rho])
+        def cap_cross(rho, t, sign=sign):
+            return _stack(rho, t, 0.0, 0.0, sign * rho)
 
         patches.append(SurfacePatch(cap_param, cap_cross, (0.0, R), (0.0, 2.0 * math.pi)))
 
@@ -125,17 +119,16 @@ def box(half_widths=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> ImplicitShape:
         t_axes = [ax for ax in range(3) if ax != axis]
         for sign in (1.0, -1.0):
 
-            def param(st, axis=axis, sign=sign, t_axes=t_axes):
-                out = np.empty((len(st), 3))
-                out[:, axis] = ctr[axis] + sign * hw[axis]
-                out[:, t_axes[0]] = st[:, 0]
-                out[:, t_axes[1]] = st[:, 1]
-                return out
+            def param(s, t, axis=axis, sign=sign, t_axes=t_axes):
+                comps = [0.0] * 3
+                comps[axis] = ctr[axis] + sign * hw[axis]
+                comps[t_axes[0]], comps[t_axes[1]] = s, t
+                return _stack(s, t, *comps)
 
-            def cross(st, axis=axis, sign=sign):
-                out = np.zeros((len(st), 3))
-                out[:, axis] = sign  # unit outward normal, area element 1
-                return out
+            def cross(s, t, axis=axis, sign=sign):
+                comps = [0.0] * 3
+                comps[axis] = sign  # unit outward normal, area element 1
+                return _stack(s, t, *comps)
 
             ranges = [(ctr[a] - hw[a], ctr[a] + hw[a]) for a in t_axes]
             patches.append(SurfacePatch(param, cross, tuple(ranges[0]), tuple(ranges[1])))
@@ -175,18 +168,14 @@ def ball_sector(alpha, j: int = 1, radius: float = 1.0) -> ImplicitShape:
     def cap_radius(s):
         return (rho * np.sin(s)) ** (1.0 / (a + 1.0))
 
-    def cap_param(st):
-        s, t = st[:, 0], st[:, 1]
+    def cap_param(s, t):
         R = cap_radius(s)
-        return np.column_stack([R * np.cos(t), R * np.sin(t), z_scale * np.cos(s)])
+        return _stack(s, t, R * np.cos(t), R * np.sin(t), z_scale * np.cos(s))
 
-    def cap_cross(st):
-        s, t = st[:, 0], st[:, 1]
-        R = cap_radius(s)
-        dR = R * np.cos(s) / ((a + 1.0) * np.sin(s))
-        return np.column_stack(
-            [z_scale * R * np.sin(s) * np.cos(t), z_scale * R * np.sin(s) * np.sin(t), R * dR]
-        )
+    def cap_cross(s, t):
+        R, sin_s = cap_radius(s), np.sin(s)
+        dR = R * np.cos(s) / ((a + 1.0) * sin_s)
+        return _stack(s, t, z_scale * R * sin_s * np.cos(t), z_scale * R * sin_s * np.sin(t), R * dR)
 
     patches = [SurfacePatch(cap_param, cap_cross, (0.0, math.pi), (th0, th1))]
 
@@ -194,16 +183,14 @@ def ball_sector(alpha, j: int = 1, radius: float = 1.0) -> ImplicitShape:
         ct, st_ = math.cos(theta_w), math.sin(theta_w)
         normal = outward_sign * np.array([st_, -ct, 0.0])
 
-        def wall_param(uv, ct=ct, st_=st_):
-            u, v = uv[:, 0], uv[:, 1]
+        def wall_param(u, v, ct=ct, st_=st_):
             rr = (rho * u * np.sin(v)) ** (1.0 / (a + 1.0))
-            return np.column_stack([rr * ct, rr * st_, z_scale * u * np.cos(v)])
+            return _stack(u, v, rr * ct, rr * st_, z_scale * u * np.cos(v))
 
-        def wall_cross(uv, normal=normal):
-            u, v = uv[:, 0], uv[:, 1]
+        def wall_cross(u, v, normal=normal):
             rr = (rho * u * np.sin(v)) ** (1.0 / (a + 1.0))
             jac = z_scale * z_scale * u * rr ** (-a)
-            return normal[None, :] * jac[:, None]
+            return jac[..., None] * normal
 
         patches.append(SurfacePatch(wall_param, wall_cross, (0.0, 1.0), (0.0, math.pi)))
 

@@ -13,17 +13,18 @@ the reference ball sector onto the Euclidean unit-ball wedge, and satisfies
     relative weighted perimeter of E = Euclidean area of flatten(bd E)
 
 for sets E contained in the closed sector.  ``unflatten_point`` is its
-inverse; round trips are exact to ~1e-12.  Neither map checks that its
-points lie in the sector or the wedge; the pushforward checks admit a
-shape only after ``_require_in_sector`` has found it in the sector.
+inverse; round trips are exact to ~1e-12.  Both act on arrays of points
+of any shape ``(..., 3)``.  Neither map checks that its points lie in the
+sector or the wedge; the pushforward checks admit a shape only after
+``_require_in_sector`` has found it in the sector.
 
-``flatten_shape`` carries a shape's analytic patches to the image: each
-image patch is flatten_point o param, with tangent cross product
-cof(DF) (d_s x d_t) in closed form (Nanson's formula, ``_cofactor``).  The
-volume check measures on those image patches, and the perimeter check
-applies the same cofactor to the source patches' normals, so neither
-samples the image, whose bbox grows like r^{a+1}.  ``pushforward_checks``
-runs both checks on one sweep of the source and one of the image patches.
+The image of a patch is flatten_point o param, with tangent cross product
+cof(DF) (d_s x d_t) in closed form (Nanson's formula, ``_cofactor``).
+``pushforward_checks`` applies that cofactor to the source patches'
+normals, so both checks run on one sweep of the source nodes and neither
+samples the image, whose bbox grows like r^{a+1}.  ``flatten_shape``
+builds the image shape with image patches; the tests measure on those as
+the reference of the fused sweep.
 """
 
 from __future__ import annotations
@@ -41,28 +42,25 @@ from .geometry import (
     _area_integrand,
     _sweep,
     _volume_flux,
-    patch_surface_integral,
     sector_count,
     sector_index,
 )
-from .grids import _bbox_fault
 
 
 def _split_polar(pts):
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    theta = np.arctan2(pts[:, 1], pts[:, 0])
+    pts = np.asarray(pts, dtype=float)
+    r = np.hypot(pts[..., 0], pts[..., 1])
+    theta = np.arctan2(pts[..., 1], pts[..., 0])
     return pts, r, theta
 
 
 def flatten_point(p, alpha):
-    """Measure-flattening map on (arrays of) first-sector points."""
+    """Measure-flattening map on first-sector points of shape (..., 3)."""
     a = _alpha(alpha)
     pts, r, theta = _split_polar(p)
     rad = r ** (a + 1.0) / (a + 1.0)
     ang = (a + 1.0) * theta
-    out = np.column_stack([rad * np.cos(ang), rad * np.sin(ang), pts[:, 2]])
-    return out[0] if np.asarray(p).ndim == 1 else out
+    return np.stack([rad * np.cos(ang), rad * np.sin(ang), pts[..., 2]], axis=-1)
 
 
 def unflatten_point(p, alpha):
@@ -71,8 +69,7 @@ def unflatten_point(p, alpha):
     pts, rad, ang = _split_polar(p)
     r = ((a + 1.0) * rad) ** (1.0 / (a + 1.0))
     theta = ang / (a + 1.0)
-    out = np.column_stack([r * np.cos(theta), r * np.sin(theta), pts[:, 2]])
-    return out[0] if np.asarray(p).ndim == 1 else out
+    return np.stack([r * np.cos(theta), r * np.sin(theta), pts[..., 2]], axis=-1)
 
 
 def _cofactor(points, v, a):
@@ -85,9 +82,8 @@ def _cofactor(points, v, a):
     """
     _, r, theta = _split_polar(points)
     ra, cos, sin = r**a, np.cos(a * theta), np.sin(a * theta)
-    return np.column_stack(
-        [ra * (cos * v[:, 0] - sin * v[:, 1]), ra * (sin * v[:, 0] + cos * v[:, 1]), ra * ra * v[:, 2]]
-    )
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([ra * (cos * vx - sin * vy), ra * (sin * vx + cos * vy), ra * ra * vz], axis=-1)
 
 
 def _image_patch(patch: SurfacePatch, a: float) -> SurfacePatch:
@@ -95,8 +91,8 @@ def _image_patch(patch: SurfacePatch, a: float) -> SurfacePatch:
     tangent cross product carried by ``_cofactor``."""
     param, cross = patch.param, patch.cross
     return SurfacePatch(
-        param=lambda st: flatten_point(param(st), a),
-        cross=lambda st: _cofactor(param(st), cross(st), a),
+        param=lambda s, t: flatten_point(param(s, t), a),
+        cross=lambda s, t: _cofactor(param(s, t), cross(s, t), a),
         s_range=patch.s_range,
         t_range=patch.t_range,
     )
@@ -106,6 +102,9 @@ def flatten_shape(shape: ImplicitShape, alpha) -> ImplicitShape:
     """Implicit description of the flattened image of a first-sector shape.
 
     The image carries the images of the shape's patches, one per patch.
+    Its bbox grows like r^{a+1}; where that overflows (a unit shape at
+    a = 16383, say), ``ImplicitShape`` refuses the image with a
+    ``DomainError``.
     """
     a = _alpha(alpha)
     width = (a + 1.0) * (np.pi / sector_count(a))
@@ -113,15 +112,15 @@ def flatten_shape(shape: ImplicitShape, alpha) -> ImplicitShape:
 
     def flat_level(pts):
         pts = np.asarray(pts, dtype=float)
-        orig = unflatten_point(pts.reshape(-1, 3), a)
-        vals = level(orig.reshape(pts.shape))
+        vals = level(unflatten_point(pts, a))
         # outside the image wedge nothing is inside the image shape
         ang = np.arctan2(pts[..., 1], pts[..., 0])
         outside = (ang <= 0.0) | (ang >= width)
         return np.where(outside, np.maximum(vals, 1.0), vals)
 
     rx = float(np.max(np.abs(shape.bbox[0]))), float(np.max(np.abs(shape.bbox[1])))
-    rmax = np.hypot(*rx) ** (a + 1.0) / (a + 1.0)
+    with np.errstate(over="ignore"):  # an infinite bbox is refused below
+        rmax = np.hypot(*rx) ** (a + 1.0) / (a + 1.0)
     pad = 1.0239 * rmax
     # the image wedge lies in {xi2 >= 0}; putting that wall exactly on the
     # bbox face keeps the voxel reference of the tests
@@ -155,10 +154,15 @@ def pushforward_checks(
     the flattened image, and the relative weighted perimeter against the
     flattened Euclidean area.
 
-    |F(E)| is the flux of xi / 3 through the image patches, by the same
-    midpoint quadrature as the weighted side but with the 3D identity
-    div(xi) = 3 (the 2D flux of (xi1, xi2) / 2 equals the weighted flux
-    node by node, which would make the check vacuous).
+    Both image measures come from the source nodes, on the same sweep as
+    the weighted sides: by Nanson's formula cof(DF) nu dA is the image's
+    vector area element at the image F(node) of a source node.
+
+    |F(E)| is the flux of xi / 3 through the image of bd(E), the sum of
+    F(node) . cof(DF) nu dA / 3, by the same midpoint quadrature as the
+    weighted side but with the 3D identity div(xi) = 3 (the 2D flux of
+    (xi1, xi2) / 2 equals the weighted flux node by node, which would make
+    the check vacuous).
 
     The Euclidean area is that of the image of bd(E) inside sector 1: a
     patch integral over the source nodes of |cof(DF) nu|, which is the
@@ -174,15 +178,15 @@ def pushforward_checks(
     def partials(pts, nu, area):
         volume = np.sum(flux(pts, nu) * area)
         # nodes outside sector 1, its walls included, weigh nothing on
-        # either perimeter side: only sector-1 nodes get a cofactor
+        # either perimeter side
         inside = sector_index(pts, a) == 1
         perimeter = np.sum((density(pts, nu) * area)[inside])
-        image = np.zeros(len(pts))
-        image[inside] = np.linalg.norm(_cofactor(pts[inside], nu[inside], a), axis=1)
-        return volume, perimeter, np.sum(image * area)
+        cof = _cofactor(pts, nu, a)
+        image_area = np.sum(np.where(inside, np.linalg.norm(cof, axis=1), 0.0) * area)
+        image_volume = np.sum(_euclidean_flux(flatten_point(pts, a), cof) * area)
+        return volume, perimeter, image_area, image_volume
 
-    volume, perimeter, image_area = _sweep(shape, cfg, partials)
-    image_volume = patch_surface_integral(flatten_shape(shape, a), _euclidean_flux, cfg)
+    volume, perimeter, image_area, image_volume = _sweep(shape, cfg, partials)
     return (
         PushforwardReport(volume, image_volume, _gap(volume, image_volume)),
         PushforwardReport(perimeter, image_area, _gap(perimeter, image_area)),
@@ -194,12 +198,10 @@ _CONTAINMENT_SAMPLES = 17
 
 
 def _require_in_sector(shape: ImplicitShape, alpha) -> None:
-    """Sampled containment check: inside points must lie in the closed sector.
-    A bbox that is not finite is refused, as its samples would be NaN."""
+    """Sampled containment check: inside points must lie in the closed
+    sector.  The samples span the shape's bbox, which ``ImplicitShape``
+    keeps finite."""
     width = np.pi / sector_count(_alpha(alpha))
-    fault = _bbox_fault(shape.bbox)
-    if fault:
-        raise DomainError(f"shape {shape.name!r}: {fault}")
     axes = [np.linspace(lo, hi, _CONTAINMENT_SAMPLES) for lo, hi in shape.bbox]
     G1, G2, G3 = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([G1.ravel(), G2.ravel(), G3.ravel()])

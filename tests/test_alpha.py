@@ -73,8 +73,8 @@ def _shape_bits(shape):
     out = [shape.bbox, shape.level(POINTS)]
     for patch in shape.patches:
         (s0, s1), (t0, t1) = patch.s_range, patch.t_range
-        st = np.array([[s0 + 0.3 * (s1 - s0), t0 + 0.6 * (t1 - t0)]])
-        out += [patch.param(st), patch.cross(st)]
+        s, t = np.array([s0 + 0.3 * (s1 - s0)]), np.array([t0 + 0.6 * (t1 - t0)])
+        out += [patch.param(s, t), patch.cross(s, t)]
     return out
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -153,22 +154,45 @@ class TestTransformCheckCommand:
         assert rep["results"]["volume_euclidean"] == pytest.approx(2 * math.pi / 3, rel=1e-3)
 
     def test_largest_alpha(self, capsys):
-        # the image bbox is not finite at alpha = 16383; only the source
-        # shape is checked for containment, and its bbox is finite
+        # the image of the ball sector spans r^{16384} at alpha = 16383; both
+        # image measures come from the source nodes, and only the source
+        # shape, whose bbox is finite, is checked for containment
         code, rep = run_cli(["transform-check", "--alpha", "16383", "--surface-resolution", "32"], capsys)
         assert code == 0
         assert rep["results"]["perimeter_rel_gap"] <= 1e-12
 
     @pytest.mark.parametrize("shape", ["ball-sector", "small-ball"])
     def test_source_and_image_swept_once(self, shape, monkeypatch, capsys):
-        sweeps = count_calls(monkeypatch, "_patch_blocks", geometry._patch_blocks)
+        sweeps, calls = [], []
+        original = geometry._patch_blocks
+
+        def counted(patch, k):
+            def param(s, t):
+                calls.append(("param", k))
+                return patch.param(s, t)
+
+            def cross(s, t):
+                calls.append(("cross", k))
+                return patch.cross(s, t)
+
+            return dataclasses.replace(patch, param=param, cross=cross)
+
+        def spy(shape_, cfg):
+            sweeps.append(shape_)
+            patches = [counted(p, k) for k, p in enumerate(shape_.patches)]
+            return original(dataclasses.replace(shape_, patches=patches), cfg)
+
+        monkeypatch.setattr(geometry, "_patch_blocks", spy)
         checks = count_calls(monkeypatch, "_require_in_sector", transform._require_in_sector)
-        code, _ = run_cli(["transform-check", "--alpha", "1", "--shape", shape, *FAST_GEO], capsys)
+        # 300^2 nodes per patch: three blocks
+        code, _ = run_cli(["transform-check", "--alpha", "1", "--shape", shape, "--surface-resolution", "300"], capsys)
         assert code == 0
         assert len(checks) == 1
-        # one sweep of the source patches for both weighted sides and the
-        # image area, one of the image patches for the Lebesgue volume
-        assert [sweep[0].name.startswith("flat(") for sweep in sweeps] == [False, True]
+        # one sweep of the source patches gives both weighted sides and both
+        # image measures; each block evaluates its patch once
+        assert len(sweeps) == 1 and not sweeps[0].name.startswith("flat(")
+        patches = len(sweeps[0].patches)
+        assert calls == [(f, k) for k in range(patches) for _ in range(3) for f in ("param", "cross")]
 
 
 class TestPatchOnlyCli:
@@ -490,6 +514,9 @@ class TestBadInput:
             (["solve", "--alpha", "1", "--q", "4", "--grid", "8", "--half-width", "1e308"], None, 2),
             # the solver's q = p + 1 needs p > 1; the message names --p, not q
             (["pohozaev", "--p", "1", "--alpha", "1", "--solve"], None, 2),
+            # a finite shape whose bbox extent overflows is refused when it is
+            # built (at 1e200 the bbox is finite and only the measures overflow)
+            (["geometry", "--shape", "ellipsoid", "--alpha", "1", "--semiaxes", "1e308", "1", "1"], None, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

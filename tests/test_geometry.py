@@ -21,6 +21,7 @@ from grushin3d import geometry
 from grushin3d.geometry import reference_ball_values, sector_index
 from grushin3d.grids import CellGrid
 from grushin3d.shapes import ball, ball_sector, box, corpus_shapes, cylinder, ellipsoid, make_shape
+from grushin3d.transform import flatten_shape
 from voxel_reference import REFINE_CHUNK, refine_chunk, voxel_integral, weighted
 
 
@@ -227,28 +228,56 @@ class TestWeightedPerimeter:
 def half_degenerate_square():
     """A flat unit square whose area element vanishes for s < 1/2."""
     patch = geometry.SurfacePatch(
-        param=lambda st_: np.column_stack([st_, np.zeros(len(st_))]),
-        cross=lambda st_: np.column_stack([np.zeros((len(st_), 2)), (st_[:, 0] > 0.5).astype(float)]),
+        param=lambda s, t: geometry._stack(s, t, s, t, 0.0),
+        cross=lambda s, t: geometry._stack(s, t, 0.0, 0.0, (s > 0.5).astype(float)),
         s_range=(0.0, 1.0),
         t_range=(0.0, 1.0),
     )
     return ImplicitShape(level=lambda p: np.ones(len(p)), bbox=np.array([(0, 1), (0, 1), (-1, 1)]), patches=[patch])
 
 
+def _contract_patches():
+    for alpha in (0.5, 1.0, 2.5):
+        for k, shape in enumerate(corpus_shapes(alpha)):
+            yield f"corpus{k}-{shape.name}-{alpha}", shape
+        yield f"scaled-{alpha}", anisotropic_scale(ellipsoid((1.3, 0.8, 0.6)), 1.7, alpha)
+        yield f"scaled-sector-{alpha}", anisotropic_scale(ball_sector(alpha), 0.6, alpha)
+        yield f"flat-sector-{alpha}", flatten_shape(ball_sector(alpha), alpha)
+        yield f"flat-ball-{alpha}", flatten_shape(ball(0.2, center=(0.7, 0.3, 0.0)), alpha)
+    yield "half-degenerate", half_degenerate_square()
+
+
+class TestPatchContract:
+    @pytest.mark.parametrize("shape", [pytest.param(s, id=i) for i, s in _contract_patches()])
+    def test_rows_match_nodes(self, shape, midpoint_st):
+        # a column of s against a row of t gives, bit for bit, what the
+        # flattened node arrays give node by node
+        m = 37
+        for patch in shape.patches:
+            nodes, _ = midpoint_st(patch, m)
+            s, t = nodes[::m, 0], nodes[:m, 1]
+            for f in (patch.param, patch.cross):
+                rows = f(s[:, None], t[None, :])
+                assert rows.shape == (m, m, 3)
+                assert np.array_equal(rows.reshape(-1, 3), f(*nodes.T))
+
+
 class TestPatchBlocks:
-    @pytest.mark.parametrize("m", [96, 300])
+    @pytest.mark.parametrize("m", [96, 256, 300])
     @pytest.mark.parametrize(
         "shape",
         [ellipsoid((1.3, 0.8, 0.6)), ball_sector(1.0), half_degenerate_square()],
         ids=["ellipsoid", "ball-sector", "half-degenerate"],
     )
     def test_blocks_match_whole_patch_reference(self, shape, m, midpoint_st):
-        rows = []
+        # one block at m = 96, two that end on row boundaries at m = 256,
+        # and three at m = 300, whose cuts fall inside rows
+        evaluated = []
 
         def spied(patch):
-            def param(st_):
-                rows.append(len(st_))
-                return patch.param(st_)
+            def param(s, t):
+                evaluated.append(np.broadcast(s, t).size)
+                return patch.param(s, t)
 
             return replace(patch, param=param)
 
@@ -260,17 +289,18 @@ class TestPatchBlocks:
             nodes, dst = midpoint_st(patch, m)
             for s in range(0, m * m, block):
                 st_ = nodes[s : s + block]
-                cross = patch.cross(st_)
+                cross = patch.cross(*st_.T)
                 area = np.linalg.norm(cross, axis=1)
                 ok = area > 0
                 pts, nu, got_area, got_dst = next(blocks)
-                assert np.array_equal(pts, patch.param(st_)[ok])
+                assert np.array_equal(pts, patch.param(*st_.T)[ok])
                 assert np.array_equal(nu, cross[ok] / area[ok, None])
                 assert np.array_equal(got_area, area[ok])
                 assert got_dst == dst
         assert next(blocks, None) is None
-        assert max(rows) <= block
-        assert sum(rows) == len(shape.patches) * m * m
+        # each block is evaluated on the whole rows it spans
+        assert len(evaluated) == len(shape.patches) * -(-m * m // block)
+        assert max(evaluated) <= block + 2 * (m - 1)
 
 
 class TestSectorPerimeter:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from grushin3d import DomainError, ImplicitShape, QuadratureConfig, measure, sector_count
-from grushin3d.geometry import reference_ball_values, sector_index
+from grushin3d.geometry import patch_surface_integral, reference_ball_values, sector_index
 from grushin3d.shapes import ball, ball_sector
-from grushin3d.transform import flatten_point, flatten_shape, pushforward_checks, unflatten_point
+from grushin3d.transform import _euclidean_flux, flatten_point, flatten_shape, pushforward_checks, unflatten_point
 from voxel_reference import unit, voxel_integral
 
 
@@ -48,7 +48,7 @@ class TestReferenceBallImage:
         shape = ball_sector(alpha, 1)
         cap = shape.patches[0]
         st, _ = midpoint_st(cap, 40)
-        pts = cap.param(st)
+        pts = cap.param(*st.T)
         image = flatten_point(pts, alpha)
         radii = np.linalg.norm(image, axis=1)
         assert np.abs(radii - 1.0).max() <= 1e-10
@@ -58,7 +58,7 @@ class TestReferenceBallImage:
         shape = ball_sector(alpha, 1)
         cap = shape.patches[0]
         st, _ = midpoint_st(cap, 60)
-        image = flatten_point(cap.param(st), alpha)
+        image = flatten_point(cap.param(*st.T), alpha)
         ang = np.arctan2(image[:, 1], image[:, 0])
         width = (alpha + 1.0) * (math.pi / sector_count(alpha))
         assert ang.min() > 0 and ang.max() < width
@@ -108,11 +108,16 @@ class TestPushforward:
 
     @pytest.mark.parametrize("bbox", [[(0, math.inf), (0, 1), (-1, 1)], [(-1e308, 1e308), (0, 1), (-1, 1)]])
     def test_shape_with_infinite_bbox_rejected(self, bbox):
-        # the containment samples would be NaN and none would count as inside
+        # the shape is refused when it is built: containment samples on its
+        # bbox would be NaN, and none would count as inside
         inner = ball(0.2, center=(0.5, 0.1, 0.0))
-        shape = ImplicitShape(inner.level, np.array(bbox, dtype=float), inner.patches)
         with pytest.raises(DomainError, match="must be finite"):
-            pushforward_checks(shape, 1.0, QuadratureConfig(surface_resolution=8))
+            ImplicitShape(inner.level, np.array(bbox, dtype=float), inner.patches)
+
+    def test_image_with_infinite_bbox_rejected(self):
+        # the image bbox grows like r^{a+1}; the checks never build the image
+        with pytest.raises(DomainError, match="must be finite"):
+            flatten_shape(ball_sector(16383.0, 1), 16383.0)
 
     def test_flatten_shape_volume_identity(self):
         # direct check that the image's Lebesgue volume equals the weighted one
@@ -141,16 +146,16 @@ class TestImagePatches:
             ht = (patch.t_range[1] - patch.t_range[0]) / 64 * 1e-4
 
             def f(st_):
-                return flatten_point(patch.param(st_), alpha)
+                return flatten_point(patch.param(*st_.T), alpha)
 
             ds = (f(st + [hs, 0.0]) - f(st - [hs, 0.0])) / (2 * hs)
             dt = (f(st + [0.0, ht]) - f(st - [0.0, ht])) / (2 * ht)
             fd = np.cross(ds, dt)
-            closed = image.cross(st)
+            closed = image.cross(*st.T)
             sign = np.sign(np.sum(fd * closed))  # patches may be parametrised inward
             err = np.linalg.norm(closed - sign * fd, axis=1) / np.linalg.norm(closed, axis=1)
             assert err.max() <= 1e-6
-            assert np.array_equal(image.param(st), f(st))
+            assert np.array_equal(image.param(*st.T), f(st))
 
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
     def test_perimeter_check_matches_per_patch_loop(self, alpha, shape, midpoint_st):
@@ -160,8 +165,8 @@ class TestImagePatches:
         total = 0.0
         for patch, image in zip(shape.patches, flatten_shape(shape, alpha).patches):
             st, dst = midpoint_st(patch, m)
-            st = st[sector_index(patch.param(st), alpha) == 1]
-            total += float(np.sum(np.linalg.norm(image.cross(st), axis=1))) * dst
+            st = st[sector_index(patch.param(*st.T), alpha) == 1]
+            total += float(np.sum(np.linalg.norm(image.cross(*st.T), axis=1))) * dst
         _, rep = pushforward_checks(shape, alpha, QuadratureConfig(surface_resolution=m))
         assert abs(rep.euclidean - total) <= 1e-14 * total
 
@@ -182,3 +187,22 @@ class TestImagePatches:
         measures = measure(shape, alpha, cfg)
         assert volume.weighted == measures.volume
         assert perimeter.weighted == measures.sectors[0]
+
+
+def _transform_check_shapes(alpha):
+    """The two shapes of the transform-check command."""
+    half = math.pi / sector_count(alpha) / 2
+    return ball_sector(alpha, 1), ball(0.35 * math.sin(half), center=(math.cos(half), math.sin(half), 0.0))
+
+
+class TestFusedImageVolume:
+    @pytest.mark.parametrize("m", [7, 96, 256])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 400.0])
+    def test_matches_image_patch_flux(self, alpha, m):
+        # reference: the flux of xi / 3 through the image patches, swept on
+        # their own; the fused sweep takes it from the source nodes
+        cfg = QuadratureConfig(surface_resolution=m)
+        for shape in _transform_check_shapes(alpha):
+            ref = patch_surface_integral(flatten_shape(shape, alpha), _euclidean_flux, cfg)
+            rep, _ = pushforward_checks(shape, alpha, cfg)
+            assert abs(rep.euclidean - ref) <= 1e-14 * abs(ref)

@@ -176,7 +176,7 @@ class ImplicitShape:
         object.__setattr__(self, "bbox", bbox)
         fault = _bbox_fault(bbox)
         if fault:
-            raise DomainError(f"shape {self.name!r}: {fault}")
+            raise DomainError(f"shape {self.name!r}: {fault} {bbox.tolist()}")
         if not self.patches:
             raise DomainError(f"shape {self.name!r} carries no surface patches")
 

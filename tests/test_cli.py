@@ -35,14 +35,15 @@ def run_cli(args, capsys):
 FAST_GEO = ["--surface-resolution", "96"]
 
 
-def count_calls(monkeypatch, name, original):
+def count_calls(monkeypatch, name, original, wrap=None):
     """The argument tuples of every call to ``original``, spied under
-    ``name`` in each package module that holds it."""
+    ``name`` in each package module that holds it; ``wrap``, if given,
+    maps them to the arguments that ``original`` receives."""
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return original(*args, **kwargs)
+        return original(*(wrap(*args) if wrap else args), **kwargs)
 
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("grushin3d.") and getattr(module, name, None) is original:
@@ -163,8 +164,7 @@ class TestTransformCheckCommand:
 
     @pytest.mark.parametrize("shape", ["ball-sector", "small-ball"])
     def test_source_and_image_swept_once(self, shape, monkeypatch, capsys):
-        sweeps, calls = [], []
-        original = geometry._patch_blocks
+        calls = []
 
         def counted(patch, k):
             def param(s, t):
@@ -177,12 +177,11 @@ class TestTransformCheckCommand:
 
             return dataclasses.replace(patch, param=param, cross=cross)
 
-        def spy(shape_, cfg):
-            sweeps.append(shape_)
+        def with_counted_patches(shape_, cfg):
             patches = [counted(p, k) for k, p in enumerate(shape_.patches)]
-            return original(dataclasses.replace(shape_, patches=patches), cfg)
+            return dataclasses.replace(shape_, patches=patches), cfg
 
-        monkeypatch.setattr(geometry, "_patch_blocks", spy)
+        sweeps = count_calls(monkeypatch, "_patch_blocks", geometry._patch_blocks, wrap=with_counted_patches)
         checks = count_calls(monkeypatch, "_require_in_sector", transform._require_in_sector)
         # 300^2 nodes per patch: three blocks
         code, _ = run_cli(["transform-check", "--alpha", "1", "--shape", shape, "--surface-resolution", "300"], capsys)
@@ -190,8 +189,8 @@ class TestTransformCheckCommand:
         assert len(checks) == 1
         # one sweep of the source patches gives both weighted sides and both
         # image measures; each block evaluates its patch once
-        assert len(sweeps) == 1 and not sweeps[0].name.startswith("flat(")
-        patches = len(sweeps[0].patches)
+        assert len(sweeps) == 1 and not sweeps[0][0].name.startswith("flat(")
+        patches = len(sweeps[0][0].patches)
         assert calls == [(f, k) for k in range(patches) for _ in range(3) for f in ("param", "cross")]
 
 

@@ -236,42 +236,31 @@ def half_degenerate_square():
     return ImplicitShape(level=lambda p: np.ones(len(p)), bbox=np.array([(0, 1), (0, 1), (-1, 1)]), patches=[patch])
 
 
-def _contract_patches():
+def _block_cases():
+    """(shape, m): three cuts of the block reference shapes, and m = 37 on
+    the patches of every other shape family."""
+    for name, shape in [
+        ("ellipsoid", ellipsoid((1.3, 0.8, 0.6))),
+        ("ball-sector", ball_sector(1.0)),
+        ("half-degenerate", half_degenerate_square()),
+    ]:
+        for m in (96, 256, 300):
+            yield pytest.param(shape, m, id=f"{name}-{m}")
     for alpha in (0.5, 1.0, 2.5):
         for k, shape in enumerate(corpus_shapes(alpha)):
-            yield f"corpus{k}-{shape.name}-{alpha}", shape
-        yield f"scaled-{alpha}", anisotropic_scale(ellipsoid((1.3, 0.8, 0.6)), 1.7, alpha)
-        yield f"scaled-sector-{alpha}", anisotropic_scale(ball_sector(alpha), 0.6, alpha)
-        yield f"flat-sector-{alpha}", flatten_shape(ball_sector(alpha), alpha)
-        yield f"flat-ball-{alpha}", flatten_shape(ball(0.2, center=(0.7, 0.3, 0.0)), alpha)
-    yield "half-degenerate", half_degenerate_square()
-
-
-class TestPatchContract:
-    @pytest.mark.parametrize("shape", [pytest.param(s, id=i) for i, s in _contract_patches()])
-    def test_rows_match_nodes(self, shape, midpoint_st):
-        # a column of s against a row of t gives, bit for bit, what the
-        # flattened node arrays give node by node
-        m = 37
-        for patch in shape.patches:
-            nodes, _ = midpoint_st(patch, m)
-            s, t = nodes[::m, 0], nodes[:m, 1]
-            for f in (patch.param, patch.cross):
-                rows = f(s[:, None], t[None, :])
-                assert rows.shape == (m, m, 3)
-                assert np.array_equal(rows.reshape(-1, 3), f(*nodes.T))
+            yield pytest.param(shape, 37, id=f"corpus{k}-{shape.name}-{alpha}")
+        yield pytest.param(anisotropic_scale(ellipsoid((1.3, 0.8, 0.6)), 1.7, alpha), 37, id=f"scaled-{alpha}")
+        yield pytest.param(anisotropic_scale(ball_sector(alpha), 0.6, alpha), 37, id=f"scaled-sector-{alpha}")
+        yield pytest.param(flatten_shape(ball_sector(alpha), alpha), 37, id=f"flat-sector-{alpha}")
+        yield pytest.param(flatten_shape(ball(0.2, center=(0.7, 0.3, 0.0)), alpha), 37, id=f"flat-ball-{alpha}")
 
 
 class TestPatchBlocks:
-    @pytest.mark.parametrize("m", [96, 256, 300])
-    @pytest.mark.parametrize(
-        "shape",
-        [ellipsoid((1.3, 0.8, 0.6)), ball_sector(1.0), half_degenerate_square()],
-        ids=["ellipsoid", "ball-sector", "half-degenerate"],
-    )
+    @pytest.mark.parametrize("shape, m", list(_block_cases()))
     def test_blocks_match_whole_patch_reference(self, shape, m, midpoint_st):
-        # one block at m = 96, two that end on row boundaries at m = 256,
-        # and three at m = 300, whose cuts fall inside rows
+        # one block at m = 37 and 96, two that end on row boundaries at
+        # m = 256, and three at m = 300, whose cuts fall inside rows; the
+        # blocks evaluate whole rows, the reference node by node
         evaluated = []
 
         def spied(patch):

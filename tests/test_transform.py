@@ -128,8 +128,8 @@ class TestPushforward:
         assert rep.euclidean > 0
 
 
-def _image_shapes():
-    for alpha in (0.5, 1.0, 2.0):
+def _image_shapes(alphas=(0.5, 1.0, 2.0)):
+    for alpha in alphas:
         yield alpha, ball_sector(alpha, 1)
         yield alpha, small_sector_ball(alpha)
 
@@ -177,32 +177,18 @@ class TestImagePatches:
         voxels = voxel_integral(flat.level, flat.bbox, unit, 64, 3)
         assert abs(rep.euclidean - voxels) <= 1e-4 * voxels
 
-    @pytest.mark.parametrize("m", [7, 192])
-    @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
+    @pytest.mark.parametrize("m", [7, 96, 192, 256])
+    @pytest.mark.parametrize("alpha, shape", list(_image_shapes((0.5, 1.0, 2.0, 400.0))))
     def test_weighted_sides_match_measure(self, alpha, shape, m):
-        # reference: the geometry sweep, whose sector split sorts the nodes
-        # where the source sweep masks them; both keep block order
+        # reference for the weighted sides: the geometry sweep, whose sector
+        # split sorts the nodes where the source sweep masks them; both keep
+        # block order.  Reference for the image volume: the flux of xi / 3
+        # through the image patches, swept on their own
         cfg = QuadratureConfig(surface_resolution=m)
         volume, perimeter = pushforward_checks(shape, alpha, cfg)
         measures = measure(shape, alpha, cfg)
         assert volume.weighted == measures.volume
         assert perimeter.weighted == measures.sectors[0]
+        image = patch_surface_integral(flatten_shape(shape, alpha), _euclidean_flux, cfg)
+        assert abs(volume.euclidean - image) <= 1e-14 * abs(image)
 
-
-def _transform_check_shapes(alpha):
-    """The two shapes of the transform-check command."""
-    half = math.pi / sector_count(alpha) / 2
-    return ball_sector(alpha, 1), ball(0.35 * math.sin(half), center=(math.cos(half), math.sin(half), 0.0))
-
-
-class TestFusedImageVolume:
-    @pytest.mark.parametrize("m", [7, 96, 256])
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 400.0])
-    def test_matches_image_patch_flux(self, alpha, m):
-        # reference: the flux of xi / 3 through the image patches, swept on
-        # their own; the fused sweep takes it from the source nodes
-        cfg = QuadratureConfig(surface_resolution=m)
-        for shape in _transform_check_shapes(alpha):
-            ref = patch_surface_integral(flatten_shape(shape, alpha), _euclidean_flux, cfg)
-            rep, _ = pushforward_checks(shape, alpha, cfg)
-            assert abs(rep.euclidean - ref) <= 1e-14 * abs(ref)

@@ -17,6 +17,8 @@ is one, since only a test fixture calls it.
 Parameters are plain values: alpha is a float wherever it is taken, checked
 in one place (a bad alpha raises the same DomainError everywhere), and the
 sector count n(alpha) is ``sector_count(alpha)``, never a second argument.
+Counts are ints, checked in one place too: a bool, a float such as 2.0 or
+a count out of range raises the same DomainError, and none is rounded.
 """
 
 import importlib
@@ -30,7 +32,6 @@ _EXPORTS = {
     "geometry": (
         "ImplicitShape",
         "Measures",
-        "QuadratureConfig",
         "SurfacePatch",
         "anisotropic_scale",
         "isoperimetric_deficit",

@@ -27,19 +27,20 @@ import numpy as np
 # imported only where a command solves
 from . import __version__
 from .errors import ComputationError, DomainError, GridFormatError
-from .geometry import QuadratureConfig, _alpha, _quotient, measure, reference_quotient, sector_count
-from .grids import load_grid, save_grid
+from .geometry import _alpha, _quotient, measure, reference_quotient, sector_count
+from .grids import _count, load_grid, save_grid
 from .pohozaev import CRITICAL_POWER, nonexistence_classify, pohozaev_coefficient, pohozaev_residual
 from .rearrangement import (
+    MAX_LEVELS,
     RadialProfile,
     distribution_function,
     grushin_energy,
-    level_count,
     weighted_lq_norm,
 )
 from .report import RunReport, write_csv
 from .shapes import SHAPE_BUILDERS, ball, ball_sector, make_shape
 from .sobolev import (
+    MAX_RESOLUTION,
     minimize_rayleigh,
     sobolev_lower_bound,
     talenti_constant_general,
@@ -65,12 +66,16 @@ _SHAPE_OPTIONS = {"radius": "radius", "halfheight": "half_height", "semiaxes": "
 
 
 def _shape_from_args(args):
+    """The --shape, built from the shape options given; one that the shape
+    does not take is a usage error, except --alpha, which every run gives."""
     builder = SHAPE_BUILDERS.get(args.shape)
     takes = inspect.signature(builder).parameters if builder else {}
     params = {}
     for option, name in _SHAPE_OPTIONS.items():
         value = getattr(args, option)
-        if name in takes and value is not None:
+        if value is not None and builder and name not in takes and option != "alpha":
+            raise DomainError(f"--{option.replace('_', '-')} does not apply to --shape {args.shape}")
+        if value is not None and name in takes:
             params[name] = tuple(value) if isinstance(value, list) else value
     return make_shape(args.shape, **params)
 
@@ -78,9 +83,8 @@ def _shape_from_args(args):
 def cmd_geometry(args, rep: RunReport) -> None:
     a = _alpha(args.alpha)
     shape = _shape_from_args(args)
-    cfg = QuadratureConfig(surface_resolution=args.surface_resolution)
-    rep.resolutions = {"surface_resolution": cfg.surface_resolution}
-    measures = measure(shape, a, cfg)
+    rep.resolutions = {"surface_resolution": args.surface_resolution}
+    measures = measure(shape, a, args.surface_resolution)
     rep.results["weighted_volume"] = measures.volume
     rep.results["weighted_perimeter"] = measures.perimeter
     for j, part in enumerate(measures.sectors, start=1):
@@ -96,7 +100,6 @@ def cmd_geometry(args, rep: RunReport) -> None:
 
 def cmd_transform_check(args, rep: RunReport) -> None:
     a = _alpha(args.alpha)
-    cfg = QuadratureConfig(surface_resolution=args.surface_resolution)
     if args.shape == "ball-sector":
         shape = ball_sector(a, j=1)
     elif args.shape == "small-ball":
@@ -104,8 +107,8 @@ def cmd_transform_check(args, rep: RunReport) -> None:
         shape = ball(0.35 * np.sin(half), center=(np.cos(half), np.sin(half), 0.0))
     else:
         raise DomainError(f"transform-check shape must be ball-sector or small-ball, got {args.shape!r}")
-    rep.resolutions = {"surface_resolution": cfg.surface_resolution}
-    volchk, perchk = pushforward_checks(shape, a, cfg)
+    rep.resolutions = {"surface_resolution": args.surface_resolution}
+    volchk, perchk = pushforward_checks(shape, a, args.surface_resolution)
     rep.results["volume_weighted"] = volchk.weighted
     rep.results["volume_euclidean"] = volchk.euclidean
     rep.results["volume_rel_gap"] = volchk.rel_gap
@@ -118,7 +121,7 @@ def cmd_transform_check(args, rep: RunReport) -> None:
 
 def cmd_rearrange(args, rep: RunReport) -> None:
     a = _alpha(args.alpha)
-    level_count(args.levels)  # a bad count exits 2 before the grid is read
+    _count(args.levels, "levels", 1, MAX_LEVELS)  # a bad count exits 2 before the grid is read
     grid = load_grid(args.input)
     if np.any(grid.values < 0):
         raise GridFormatError("rearrangement input must be nonnegative")
@@ -128,25 +131,25 @@ def cmd_rearrange(args, rep: RunReport) -> None:
     profile = RadialProfile.from_distribution(dist, a)
     top = dist.top
     rep.results["max_input"] = top
-    rep.results["max_profile"] = profile.max_value if top > 0 else 0.0
+    rep.results["max_profile"] = profile.max_value
     rep.add_check("max_preserved", abs(rep.results["max_profile"] - top), 0.0, "<=")
 
-    support = float(dist.measures[0]) if len(dist.measures) else 0.0
-    gap = float(np.max(np.abs(dist.measures - profile.measure_above(dist.levels)))) if top > 0 else 0.0
+    support = float(dist.measures[0])
+    gap = float(np.max(np.abs(dist.measures - profile.measure_above(dist.levels))))
     rep.results["support_measure"] = support
     rep.results["equimeasurability_gap"] = gap
     rep.add_check("equimeasurability", gap, 0.01 * max(support, 1e-300), "<=")
 
     for q in (2, 4, 6):
         n_u = weighted_lq_norm(grid, q, a)
-        n_p = profile.lq_norm(q) if top > 0 else 0.0
+        n_p = profile.lq_norm(q)
         rep.results[f"l{q}_norm_input"] = n_u
         rep.results[f"l{q}_norm_profile"] = n_p
         if n_u > 0:
             rep.add_check(f"l{q}_norm_preserved", abs(n_p - n_u) / n_u, 0.01, "<=")
 
     e_u = grushin_energy(grid, a)
-    e_p = profile.dirichlet_energy() if top > 0 else 0.0
+    e_p = profile.dirichlet_energy()
     gap_e = e_u - e_p
     rep.results["energy_input"] = e_u
     rep.results["energy_profile"] = e_p
@@ -165,6 +168,7 @@ def cmd_sobolev(args, rep: RunReport) -> None:
     keys = [f"alpha_{a:g}" for a in args.alphas]
     if len(set(keys)) < len(keys):
         raise DomainError(f"--alphas must give distinct report keys, got {' '.join(keys)}")
+    _count(args.resolution, "resolution", 2, MAX_RESOLUTION)  # checked with --minimize or without
     rep.resolutions = {"rayleigh_resolution": args.resolution}
     D = talenti_radial_constant()
     rep.results["talenti_closed_form"] = D
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--semiaxes", type=float, nargs=3, default=None)
     g.add_argument("--half-widths", type=float, nargs=3, default=None)
     g.add_argument("--center", type=float, nargs=3, default=None)
-    g.add_argument("--sector", type=int, default=1)
+    g.add_argument("--sector", type=int, default=None)
     _add_quad_args(g)
     g.set_defaults(func=cmd_geometry)
 

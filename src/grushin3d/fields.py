@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import _alpha
-from .grids import CellGrid, GridFunction3D
+from .grids import MAX_CELLS, CellGrid, GridFunction3D, _count
 from .rearrangement import anisotropic_radius
 from .sobolev import SectorExtremalFamily
 
@@ -65,10 +65,12 @@ def random_bump_corpus(count: int, resolution: int = 64, seed: int = 20250809) -
     """Deterministic corpus of nonnegative smooth compactly supported fields.
 
     Each field is a sum of three positive bumps with random centres, widths
-    and amplitudes, supported strictly inside the box [-1, 1]^3.
+    and amplitudes, supported strictly inside the box [-1, 1]^3.  The
+    corpus, like one grid, holds at most ``MAX_CELLS`` cells.
     """
     rng = np.random.default_rng(seed)
     cells = CellGrid([(-1.0, 1.0)] * 3, (resolution,) * 3)
+    count = _count(count, "count", 1, MAX_CELLS // resolution**3)
     X1, X2, Y = cells.centers(sparse=True)
     out = []
     for _ in range(count):

@@ -38,14 +38,13 @@ of the spherical and polar patches) runs on m values, not on every node.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .grids import _bbox_fault
+from .grids import _bbox_fault, _count
 
 # fraction of a sector width within which a sample counts as lying on a wall
 _WALL_TOL = 1e-12
@@ -97,30 +96,6 @@ def sector_index(points: np.ndarray, alpha) -> np.ndarray:
 # largest surface_resolution: m^2 = 2^28 nodes per patch in 8192 blocks; a
 # sweep's memory is bounded but its time grows like m^2
 _MAX_SURFACE_RESOLUTION = 1 << 14
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Resolution of patch quadrature.
-
-    ``surface_resolution`` is m, the midpoint nodes per patch axis, an
-    integer from 1 to 16384 (``_MAX_SURFACE_RESOLUTION``).  Patch sums run
-    in blocks of 32768 nodes (``_PATCH_BLOCK``), which bounds memory
-    whatever the resolution; their partial sums are reduced in block order.
-    A block is evaluated on the whole parameter rows it spans, at most
-    32768 + 2(m - 1) nodes.
-    """
-
-    surface_resolution: int = 256
-
-    def __post_init__(self):
-        m = self.surface_resolution
-        if not isinstance(m, numbers.Integral):
-            raise DomainError(f"surface_resolution must be an integer, got {m!r}")
-        if m < 1:
-            raise DomainError(f"surface_resolution must be positive, got {m}")
-        if m > _MAX_SURFACE_RESOLUTION:
-            raise DomainError(f"surface_resolution must be at most {_MAX_SURFACE_RESOLUTION}, got {m}")
 
 
 @dataclass(frozen=True)
@@ -209,22 +184,26 @@ def _area_integrand(alpha: float):
 
 
 # midpoint nodes per patch block; blocks cut the patch's flat node order (s
-# slowest) every 32768 nodes whatever m, and the partial sums follow the cuts
+# slowest) every 32768 nodes whatever m, so they bound a sweep's memory at
+# any resolution, and the partial sums follow the cuts
 _PATCH_BLOCK = 1 << 15
 
 
-def _patch_blocks(shape: ImplicitShape, cfg: QuadratureConfig):
+def _patch_blocks(shape: ImplicitShape, surface_resolution: int):
     """Midpoint nodes of the shape's patches, one block of 32768 at a time.
 
-    Node k of an m x m patch sits at (s_k, t_k) = (s_ax[k // m], t_ax[k % m])
-    on the cell-centre axes.  Each block is the range of k from one cut to
-    the next; it is evaluated on the rows of s it spans against the whole t
-    axis, then cut out, so memory stays O(block + m) at any resolution.
-    This is the one place that turns a patch into nodes.  Yields (points,
-    unit normals, area elements, ds*dt) per (patch, block), in patch order;
-    nodes whose area element vanishes are dropped.
+    ``surface_resolution`` is m, the midpoint nodes per patch axis, a count
+    from 1 to ``_MAX_SURFACE_RESOLUTION``, checked once per sweep before the
+    first block.  Node k of an m x m patch sits at (s_k, t_k) =
+    (s_ax[k // m], t_ax[k % m]) on the cell-centre axes.  Each block is the
+    range of k from one cut to the next; it is evaluated on the rows of s
+    it spans against the whole t axis, at most 32768 + 2(m - 1) nodes, then
+    cut out, so memory stays O(block + m) at any resolution.  This is the
+    one place that turns a patch into nodes.  Yields (points, unit normals,
+    area elements, ds*dt) per (patch, block), in patch order; nodes whose
+    area element vanishes are dropped.
     """
-    m = cfg.surface_resolution
+    m = _count(surface_resolution, "surface_resolution", 1, _MAX_SURFACE_RESOLUTION)
     for patch in shape.patches:
         (s0, s1), (t0, t1) = patch.s_range, patch.t_range
         ds, dt = (s1 - s0) / m, (t1 - t0) / m
@@ -247,18 +226,19 @@ def _patch_blocks(shape: ImplicitShape, cfg: QuadratureConfig):
             yield pts, cross / area[:, None], area, ds * dt
 
 
-def _sweep(shape: ImplicitShape, cfg: QuadratureConfig, partials) -> list[float]:
+def _sweep(shape: ImplicitShape, surface_resolution: int, partials) -> list[float]:
     """One sweep of the shape's patch nodes.  ``partials(points, unit
     normals, area elements)`` gives a sequence of sums over one block; each
     is scaled by ds*dt, and each entry's partials are reduced in block
     order.  A block's arrays die before the next block's are made."""
-    rows = [[float(v) * dst for v in partials(pts, nu, area)] for pts, nu, area, dst in _patch_blocks(shape, cfg)]
+    blocks = _patch_blocks(shape, surface_resolution)
+    rows = [[float(v) * dst for v in partials(pts, nu, area)] for pts, nu, area, dst in blocks]
     return [float(np.sum(col)) for col in zip(*rows)]
 
 
-def patch_surface_integral(shape: ImplicitShape, integrand, cfg: QuadratureConfig) -> float:
+def patch_surface_integral(shape: ImplicitShape, integrand, surface_resolution: int = 256) -> float:
     """Sum of integrand(points, unit normals) * dH^2 over the shape's patches."""
-    (total,) = _sweep(shape, cfg, lambda pts, nu, area: [np.sum(integrand(pts, nu) * area)])
+    (total,) = _sweep(shape, surface_resolution, lambda pts, nu, area: [np.sum(integrand(pts, nu) * area)])
     return total
 
 
@@ -277,7 +257,7 @@ class Measures:
     sectors: tuple[float, ...]
 
 
-def measure(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> Measures:
+def measure(shape: ImplicitShape, alpha, surface_resolution: int = 256) -> Measures:
     """Weighted volume, weighted perimeter and all 2n(a) sector perimeters
     from one sweep of the shape's patch midpoints.
 
@@ -297,7 +277,7 @@ def measure(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfi
         parts = np.split(vals[order], np.searchsorted(idx[order], np.arange(1, 2 * n + 1)))[1:]
         return [volume, np.sum(vals), *map(np.sum, parts)]
 
-    volume, perimeter, *sectors = _sweep(shape, cfg, partials)
+    volume, perimeter, *sectors = _sweep(shape, surface_resolution, partials)
     return Measures(volume, perimeter, tuple(sectors))
 
 
@@ -328,14 +308,14 @@ def reference_quotient(alpha) -> float:
     return vals.sector_perimeter**1.5 / vals.volume
 
 
-def isoperimetric_quotient(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:
+def isoperimetric_quotient(shape: ImplicitShape, alpha, surface_resolution: int = 256) -> float:
     """per_w(E)^{3/2} / vol_w(E).
 
     For shapes marked as contained in one sector the relative perimeter
     (sector walls excluded) enters the quotient; that is the quantity the
     sharp sector comparison bounds from below.
     """
-    return _quotient(shape, measure(shape, alpha, cfg))
+    return _quotient(shape, measure(shape, alpha, surface_resolution))
 
 
 def _quotient(shape: ImplicitShape, measures: Measures) -> float:
@@ -349,14 +329,12 @@ def _quotient(shape: ImplicitShape, measures: Measures) -> float:
         raise DomainError(f"shape {shape.name!r} has zero weighted volume")
     if shape.sector is None:
         return measures.perimeter**1.5 / vol
-    if not 1 <= shape.sector <= n:
-        raise DomainError(f"sector index {shape.sector} outside 1..{n}")
-    return measures.sectors[shape.sector - 1] ** 1.5 / vol
+    return measures.sectors[_count(shape.sector, "sector index", 1, n) - 1] ** 1.5 / vol
 
 
-def isoperimetric_deficit(shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()) -> float:
+def isoperimetric_deficit(shape: ImplicitShape, alpha, surface_resolution: int = 256) -> float:
     """Quotient of the shape minus the sharp reference value (>= 0 in theory)."""
-    return isoperimetric_quotient(shape, alpha, cfg) - reference_quotient(alpha)
+    return isoperimetric_quotient(shape, alpha, surface_resolution) - reference_quotient(alpha)
 
 
 def anisotropic_scale(shape: ImplicitShape, lam: float, alpha) -> ImplicitShape:

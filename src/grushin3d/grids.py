@@ -46,6 +46,7 @@ a usage error (exit 2).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -76,16 +77,36 @@ def _bbox_fault(bbox) -> Optional[str]:
     return None
 
 
+def _count(value, name: str, lo: int, hi: int) -> int:
+    """``value`` as an int; raises DomainError unless it is a
+    ``numbers.Integral`` other than a bool, from ``lo`` to ``hi``.  Every
+    count the package takes is checked here, and none is rounded."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer count, got {value!r}")
+    if value < lo:
+        raise DomainError(f"{name} must be at least {lo}, got {value}")
+    if value > hi:
+        raise DomainError(f"{name} must be at most {hi}, got {value}")
+    return int(value)
+
+
+def _grid_dims(dims) -> tuple:
+    """Three grid dims as ints, at most ``MAX_CELLS`` cells in all, or DomainError."""
+    dims = tuple(dims)
+    if len(dims) != 3:
+        raise DomainError(f"grid needs three dims, got {dims}")
+    dims = tuple(_count(d, "grid dims", 1, MAX_CELLS) for d in dims)
+    if math.prod(dims) > MAX_CELLS:
+        raise DomainError(f"grid {dims} has more than {MAX_CELLS} = 256^3 cells")
+    return dims
+
+
 def check_grid(bbox, dims, mask=None):
     """(bbox, dims, mask) as a (3, 2) float array, three ints and a bool
     array or None; raises DomainError unless they describe a grid of at
     most ``MAX_CELLS`` cells on a finite, nondegenerate box."""
     bbox = np.asarray(bbox, dtype=float).reshape(3, 2)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or min(dims) < 1:
-        raise DomainError(f"grid needs three positive dims, got {dims}")
-    if math.prod(dims) > MAX_CELLS:
-        raise DomainError(f"grid {dims} has more than {MAX_CELLS} = 256^3 cells")
+    dims = _grid_dims(dims)
     fault = _bbox_fault(bbox)
     if fault:
         raise DomainError(fault)
@@ -377,10 +398,10 @@ def load_grid(path) -> GridFunction3D:
         dims = tuple(int(tok) for tok in lines[1].split())
     except ValueError:
         raise GridFormatError("dimensions must be integers", line=2) from None
-    if len(dims) != 3 or min(dims) < 1:
-        raise GridFormatError("need three positive dimensions", line=2)
-    if math.prod(dims) > MAX_CELLS:
-        raise GridFormatError(f"grid {dims} has more than {MAX_CELLS} = 256^3 cells", line=2)
+    try:
+        dims = _grid_dims(dims)
+    except DomainError as exc:
+        raise GridFormatError(str(exc), line=2) from None
     try:
         bvals = [float(tok) for tok in lines[2].split()]
     except ValueError:

@@ -30,7 +30,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ImplicitShape, QuadratureConfig, _alpha, _patch_blocks
+from .geometry import ImplicitShape, _alpha, _patch_blocks
 from .grids import CellGrid, GridFunction3D
 
 CRITICAL_POWER = 5.0
@@ -67,7 +67,7 @@ class StarShapedReport:
 
 
 def star_shaped_check(
-    target: Union[ImplicitShape, CellGrid], alpha, cfg: QuadratureConfig = QuadratureConfig()
+    target: Union[ImplicitShape, CellGrid], alpha, surface_resolution: int = 256
 ) -> StarShapedReport:
     """Evaluate g = x1 nu1 + x2 nu2 + (1+a) y nu3 over the boundary.
 
@@ -96,7 +96,7 @@ def star_shaped_check(
     if shape.level(np.zeros((1, 3)))[0] >= 0:
         raise DomainError("star-shapedness is relative to the origin, which must lie inside")
     m = math.inf
-    for pts, nu, _, _ in _patch_blocks(shape, cfg):
+    for pts, nu, _, _ in _patch_blocks(shape, surface_resolution):
         g = pts[:, 0] * nu[:, 0] + pts[:, 1] * nu[:, 1] + (1.0 + a) * pts[:, 2] * nu[:, 2]
         m = min(m, float(g.min(initial=math.inf)))
     return StarShapedReport(m >= -1e-10, m)

@@ -26,14 +26,13 @@ weighted Lq norms collapse to 1D integrals:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .geometry import _alpha, sector_count
-from .grids import GridFunction3D
+from .grids import GridFunction3D, _count
 
 # at most 2^20 uniform levels: the level and measure arrays then take 8 MiB each
 MAX_LEVELS = 1 << 20
@@ -87,19 +86,6 @@ def _sorted_cell_data(u: GridFunction3D, alpha: float, floor: float):
     return vals[order], w * u.cell_volume
 
 
-def level_count(levels) -> int:
-    """``levels`` as a count of uniform levels, an integer from 1 to
-    ``MAX_LEVELS``; raises DomainError otherwise."""
-    if not isinstance(levels, numbers.Integral):
-        raise DomainError(f"levels must be an integer count, got {levels!r}")
-    K = int(levels)
-    if K < 1:
-        raise DomainError(f"levels must be a positive count, got {levels}")
-    if K > MAX_LEVELS:
-        raise DomainError(f"levels must be at most {MAX_LEVELS}, got {levels}")
-    return K
-
-
 def distribution_function(u: GridFunction3D, alpha, levels: int = 256) -> DistributionFunction:
     """lambda(t) = |{u > t}|_w by weighted voxel sums on the superlevel sets.
 
@@ -107,7 +93,7 @@ def distribution_function(u: GridFunction3D, alpha, levels: int = 256) -> Distri
     (0, max u], from 1 to ``MAX_LEVELS``; a zero field has the one level 0.
     """
     a = _alpha(alpha)
-    K = level_count(levels)
+    K = _count(levels, "levels", 1, MAX_LEVELS)
     vals = u.masked_values()
     if np.any(vals < 0):
         raise DomainError("rearrangement requires a nonnegative field")

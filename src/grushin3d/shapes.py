@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import ImplicitShape, SurfacePatch, _alpha, _stack, sector_count
+from .grids import _count
 
 # bbox padding factor; non-round so flat faces avoid the cell planes of the
 # voxel reference in tests/voxel_reference.py, the only code that grids a bbox
@@ -147,8 +148,7 @@ def ball_sector(alpha, j: int = 1, radius: float = 1.0) -> ImplicitShape:
     """
     a = _alpha(alpha)
     n = sector_count(a)
-    if not 1 <= j <= 2 * n:
-        raise DomainError(f"sector index {j} outside 1..{2 * n}")
+    j = _count(j, "sector index", 1, 2 * n)
     if radius <= 0:
         raise DomainError("radius must be positive")
     rho = float(radius) * (a + 1.0)

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import _alpha, sector_count, sector_index
-from .grids import CellGrid, GridFunction3D
+from .grids import CellGrid, GridFunction3D, _count
 from .rearrangement import anisotropic_radius, grushin_energy, weighted_lq_norm
 
 
@@ -113,8 +113,9 @@ def rayleigh_quotient(u: GridFunction3D, q: float, alpha, copies: int = 1) -> Ra
 
     ``copies`` counts both integrals that many times: a grid that holds one
     of two mirror-image halves of a field passes 2 and gets the quotient of
-    the whole field."""
+    the whole field.  It is a count from 1 to 2^53, so exact as a float."""
     a = _alpha(alpha)
+    copies = _count(copies, "copies", 1, 2**53)
     num = copies * grushin_energy(u, a)
     den = copies ** (1.0 / q) * weighted_lq_norm(u, q, a)
     if den == 0.0:
@@ -124,6 +125,9 @@ def rayleigh_quotient(u: GridFunction3D, q: float, alpha, copies: int = 1) -> Ra
 
 # the sector extremals are cut off at r = 20
 TRUNCATION_RADIUS = 20.0
+
+# cells per axis of a sector grid: energies need 2, and 256^3 is grids.MAX_CELLS
+MAX_RESOLUTION = 256
 
 
 class SectorExtremalFamily:
@@ -159,7 +163,7 @@ class SectorExtremalFamily:
         ry = R / (a + 1.0)
         width = math.pi / sector_count(a)
         x2max = rx * math.sin(width) if width < math.pi / 2 else rx
-        n = int(resolution)
+        n = _count(resolution, "resolution", 2, MAX_RESOLUTION)
         cells = CellGrid([(0.0, rx), (0.0, x2max), (-ry, ry)], (n, n, n))
         X1, X2, Y = cells.centers(sparse=True)
         r = anisotropic_radius(X1, X2, Y, a)

@@ -54,7 +54,6 @@ on the active cells, Knyazev 2001) against ARPACK Lanczos.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -64,7 +63,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import DegeneracyError, DomainError, IterationError
 from .geometry import _alpha
-from .grids import CellGrid, GridFunction3D, check_grid
+from .grids import CellGrid, GridFunction3D, _count, check_grid
 
 
 @dataclass(frozen=True)
@@ -601,6 +600,10 @@ def _line_quadratic(Au, Ad, u, d, vol):
     return _dot(u, Au) * vol, 2.0 * _dot(d, Au) * vol, _dot(d, Ad) * vol
 
 
+# each LOBPCG step applies the operator once, so the cap bounds a run's time
+_MAX_LOBPCG_STEPS = 10**5
+
+
 def poincare_constant(domain: Domain, alpha, max_iter: int = 200) -> float:
     """Smallest eigenvalue lambda_1 of the discrete operator, the constant of
     ||u||_L2 <= lambda_1^{-1/2} ||grad_G u||.
@@ -611,10 +614,10 @@ def poincare_constant(domain: Domain, alpha, max_iter: int = 200) -> float:
     ||A x - lambda x|| <= 1e-9 lambda ||x||: its absolute tolerance is 1e-9
     times the lowest -Delta_x eigenvalue of the bounding box, a lower bound
     of lambda_1 for every mask.  Raises IterationError when max_iter steps do
-    not get there, DomainError unless max_iter is a positive integer.
+    not get there, DomainError unless max_iter is a count from 1 to
+    ``_MAX_LOBPCG_STEPS``.
     """
-    if not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise DomainError(f"max_iter must be a positive integer, got {max_iter!r}")
+    max_iter = _count(max_iter, "max_iter", 1, _MAX_LOBPCG_STEPS)
     op = GrushinOperator(domain, alpha)
     h, n = domain.spacing, domain.dims
     lower = sum(_dirichlet_spectrum(n[i], h[i], 1) for i in (0, 1))

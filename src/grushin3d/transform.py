@@ -36,7 +36,6 @@ import numpy as np
 from .errors import DomainError
 from .geometry import (
     ImplicitShape,
-    QuadratureConfig,
     SurfacePatch,
     _alpha,
     _area_integrand,
@@ -148,7 +147,7 @@ def _euclidean_flux(points, normals):
 
 
 def pushforward_checks(
-    shape: ImplicitShape, alpha, cfg: QuadratureConfig = QuadratureConfig()
+    shape: ImplicitShape, alpha, surface_resolution: int = 256
 ) -> tuple[PushforwardReport, PushforwardReport]:
     """(volume, perimeter) reports: vol_w(E) against the Lebesgue volume of
     the flattened image, and the relative weighted perimeter against the
@@ -186,7 +185,7 @@ def pushforward_checks(
         image_volume = np.sum(_euclidean_flux(flatten_point(pts, a), cof) * area)
         return volume, perimeter, image_area, image_volume
 
-    volume, perimeter, image_area, image_volume = _sweep(shape, cfg, partials)
+    volume, perimeter, image_area, image_volume = _sweep(shape, surface_resolution, partials)
     return (
         PushforwardReport(volume, image_volume, _gap(volume, image_volume)),
         PushforwardReport(perimeter, image_area, _gap(perimeter, image_area)),

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from grushin3d import QuadratureConfig
 from grushin3d.grids import resample
 from grushin3d.solver import Domain, solve_ground_state
 
@@ -17,8 +16,8 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")
-def fast_cfg():
-    return QuadratureConfig(surface_resolution=128)
+def fast_m():
+    return 128
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,6 @@ import numpy as np
 from scipy.integrate import quad
 
 from grushin3d import (
-    QuadratureConfig,
     isoperimetric_deficit,
     measure,
     reference_quotient,
@@ -80,7 +79,7 @@ def test_criterion_02_sobolev_lower_bound_vs_grid():
 
 
 def test_criterion_03_isoperimetric_sweep():
-    cfg = QuadratureConfig(surface_resolution=192)
+    m = 192
     worst = math.inf
     ref_gap = 0.0
     count = 0
@@ -88,11 +87,11 @@ def test_criterion_03_isoperimetric_sweep():
     for alpha in ALPHAS:
         q_ref = reference_quotient(alpha)
         for shape in corpus_shapes(alpha):
-            deficit = isoperimetric_deficit(shape, alpha, cfg)
+            deficit = isoperimetric_deficit(shape, alpha, m)
             count += 1
             worst = min(worst, deficit / q_ref)
             ok &= deficit >= -0.01 * q_ref
-        ref_deficit = isoperimetric_deficit(ball_sector(alpha, j=1), alpha, cfg)
+        ref_deficit = isoperimetric_deficit(ball_sector(alpha, j=1), alpha, m)
         ref_gap = max(ref_gap, abs(ref_deficit) / q_ref)
         ok &= abs(ref_deficit) <= 0.01 * q_ref
     report(
@@ -104,11 +103,11 @@ def test_criterion_03_isoperimetric_sweep():
 
 
 def test_criterion_04_scaling_laws():
-    cfg = QuadratureConfig(surface_resolution=192)
+    m = 192
     shape = ellipsoid((1.3, 0.8, 0.6))
     worst_vol = worst_per = 0.0
     for alpha in ALPHAS:
-        m1, m2 = measure(shape, alpha, cfg), measure(anisotropic_scale(shape, 2.0, alpha), alpha, cfg)
+        m1, m2 = measure(shape, alpha, m), measure(anisotropic_scale(shape, 2.0, alpha), alpha, m)
         ev = abs(math.log2(m2.volume / m1.volume) - (3 * alpha + 3))
         ep = abs(math.log2(m2.perimeter / m1.perimeter) - (2 * alpha + 2))
         worst_vol = max(worst_vol, ev)
@@ -195,7 +194,7 @@ def test_criterion_07_transform_identities():
     from grushin3d.shapes import ball
     from grushin3d.transform import pushforward_checks
 
-    cfg = QuadratureConfig(surface_resolution=192)
+    m = 192
     ok = True
     worst_v = worst_p = 0.0
     for alpha in ALPHAS:
@@ -205,7 +204,7 @@ def test_criterion_07_transform_identities():
             ball(0.3 * math.sin(width / 2), center=(math.cos(width / 2), math.sin(width / 2), 0.0)),
         ]
         for shape in shapes:
-            v, p = (rep.rel_gap for rep in pushforward_checks(shape, alpha, cfg))
+            v, p = (rep.rel_gap for rep in pushforward_checks(shape, alpha, m))
             worst_v = max(worst_v, v)
             worst_p = max(worst_p, p)
             ok &= v <= 1e-3 and p <= 1e-2

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import grushin3d
-from grushin3d import DomainError, QuadratureConfig
+from grushin3d import DomainError
 from grushin3d.fields import radial_field, random_bump_corpus, sector_extremal_grid
 from grushin3d.geometry import (
     anisotropic_scale,
@@ -56,7 +56,7 @@ from grushin3d.sobolev import (
 from grushin3d.solver import Domain, GrushinOperator, Problem, poincare_constant, solve_ground_state
 from grushin3d.transform import flatten_point, flatten_shape, pushforward_checks, unflatten_point
 
-CFG = QuadratureConfig(surface_resolution=8)
+RESOLUTION = 8
 FIELD = random_bump_corpus(1, resolution=8, seed=3)[0]
 CUBE = Domain.cube(1.0, 8)
 U = np.random.default_rng(4).uniform(size=CUBE.dims)
@@ -85,11 +85,11 @@ ENTRY_POINTS = {
     "fields.sector_extremal_grid": lambda a: sector_extremal_grid(a, resolution=6).values,
     "geometry.sector_count": sector_count,
     "geometry.sector_index": lambda a: sector_index(POINTS, a),
-    "geometry.measure": lambda a: measure(SMALL_BALL, a, CFG),
+    "geometry.measure": lambda a: measure(SMALL_BALL, a, RESOLUTION),
     "geometry.reference_ball_values": reference_ball_values,
     "geometry.reference_quotient": reference_quotient,
-    "geometry.isoperimetric_quotient": lambda a: isoperimetric_quotient(SMALL_BALL, a, CFG),
-    "geometry.isoperimetric_deficit": lambda a: isoperimetric_deficit(SMALL_BALL, a, CFG),
+    "geometry.isoperimetric_quotient": lambda a: isoperimetric_quotient(SMALL_BALL, a, RESOLUTION),
+    "geometry.isoperimetric_deficit": lambda a: isoperimetric_deficit(SMALL_BALL, a, RESOLUTION),
     "geometry.anisotropic_scale": lambda a: _shape_bits(anisotropic_scale(SMALL_BALL, 1.5, a)),
     "pohozaev.pohozaev_coefficient": lambda a: pohozaev_coefficient(3.0, a),
     "pohozaev.star_shaped_check": lambda a: star_shaped_check(CUBE, a),
@@ -122,7 +122,7 @@ ENTRY_POINTS = {
     "transform.flatten_point": lambda a: flatten_point(POINTS, a),
     "transform.unflatten_point": lambda a: unflatten_point(POINTS, a),
     "transform.flatten_shape": lambda a: _shape_bits(flatten_shape(SMALL_BALL, a)),
-    "transform.pushforward_checks": lambda a: pushforward_checks(SMALL_BALL, a, CFG),
+    "transform.pushforward_checks": lambda a: pushforward_checks(SMALL_BALL, a, RESOLUTION),
 }
 
 # a result record: it carries the alpha of the call that made it
@@ -130,17 +130,17 @@ NOT_ENTRY_POINTS = {"sobolev.RayleighReport"}
 
 
 def _perimeters(a):
-    m = measure(SMALL_BALL, a, CFG)
+    m = measure(SMALL_BALL, a, RESOLUTION)
     return m.perimeter, m.sectors
 
 
 # each measure that ``measure`` and ``pushforward_checks`` compute in one
 # sweep, read from its part of the result and checked on its own
 MEASURE_PARTS = {
-    "geometry.weighted_volume": lambda a: measure(SMALL_BALL, a, CFG).volume,
+    "geometry.weighted_volume": lambda a: measure(SMALL_BALL, a, RESOLUTION).volume,
     "geometry.perimeters": _perimeters,
-    "transform.pushforward_volume_check": lambda a: pushforward_checks(SMALL_BALL, a, CFG)[0],
-    "transform.pushforward_perimeter_check": lambda a: pushforward_checks(SMALL_BALL, a, CFG)[1],
+    "transform.pushforward_volume_check": lambda a: pushforward_checks(SMALL_BALL, a, RESOLUTION)[0],
+    "transform.pushforward_perimeter_check": lambda a: pushforward_checks(SMALL_BALL, a, RESOLUTION)[1],
 }
 CASES = {**ENTRY_POINTS, **MEASURE_PARTS}
 

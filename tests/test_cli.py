@@ -123,7 +123,8 @@ class TestGeometryCommand:
         assert sorted(k for k in res if k.startswith("sector_perimeter_")) == sorted(
             f"sector_perimeter_{j}" for j in range(1, num_sectors + 1)
         )
-        sector = rep["params"]["sector"] if "ball-sector" in shape_args else None
+        # a ball sector without --sector is sector 1, ball_sector's default
+        sector = rep["params"]["sector"] or 1 if "ball-sector" in shape_args else None
         per = res["weighted_perimeter"] if sector is None else res[f"sector_perimeter_{sector}"]
         assert res["isoperimetric_quotient"] == per**1.5 / res["weighted_volume"]
 
@@ -177,9 +178,9 @@ class TestTransformCheckCommand:
 
             return dataclasses.replace(patch, param=param, cross=cross)
 
-        def with_counted_patches(shape_, cfg):
+        def with_counted_patches(shape_, m):
             patches = [counted(p, k) for k, p in enumerate(shape_.patches)]
-            return dataclasses.replace(shape_, patches=patches), cfg
+            return dataclasses.replace(shape_, patches=patches), m
 
         sweeps = count_calls(monkeypatch, "_patch_blocks", geometry._patch_blocks, wrap=with_counted_patches)
         checks = count_calls(monkeypatch, "_require_in_sector", transform._require_in_sector)
@@ -222,11 +223,12 @@ class TestPatchOnlyCli:
         assert err.value.code == 2
 
 
-# every shape flag, passed to every shape; each builder takes its own
-ALL_SHAPE_FLAGS = [
-    "--radius", "0.8", "--halfheight", "1.4", "--semiaxes", "1.3", "0.8", "0.6",
-    "--half-widths", "1.2", "0.7", "0.9", "--center", "0.5", "0.1", "-0.2", "--sector", "3",
-]
+# each shape flag, by the builder parameter it sets
+SHAPE_FLAGS = {
+    "radius": ["--radius", "0.8"], "half_height": ["--halfheight", "1.4"], "semiaxes": ["--semiaxes", "1.3", "0.8", "0.6"],
+    "half_widths": ["--half-widths", "1.2", "0.7", "0.9"], "center": ["--center", "0.5", "0.1", "-0.2"],
+    "j": ["--sector", "3"],
+}
 
 
 class TestShapeFromArgs:
@@ -241,7 +243,8 @@ class TestShapeFromArgs:
         ],
     )
     def test_cli_flags_build_the_direct_shape(self, name, builder, params):
-        args = cli.build_parser().parse_args(["geometry", "--shape", name, "--alpha", "1.5", *ALL_SHAPE_FLAGS])
+        flags = [flag for param in params if param != "alpha" for flag in SHAPE_FLAGS[param]]
+        args = cli.build_parser().parse_args(["geometry", "--shape", name, "--alpha", "1.5", *flags])
         via_cli, direct = cli._shape_from_args(args), builder(**params)
         assert via_cli.name == direct.name == name
         assert np.array_equal(via_cli.bbox, direct.bbox)
@@ -309,12 +312,18 @@ class TestRearrangeCommand:
         from grushin3d.grids import GridFunction3D
 
         grid = GridFunction3D(np.array([(-1.0, 1.0)] * 3), np.zeros((8, 8, 8)))
-        path = tmp_path / "zero.grid"
+        path, csv = tmp_path / "zero.grid", tmp_path / "zero.csv"
         save_grid(grid, path)
-        code, rep = run_cli(["rearrange", "--input", str(path), "--alpha", "1"], capsys)
+        code, rep = run_cli(["rearrange", "--input", str(path), "--alpha", "1", "--profile-csv", str(csv)], capsys)
         assert code == 0
-        assert rep["results"]["energy_input"] == 0.0
-        assert rep["results"]["polya_szego_gap"] == 0.0
+        # the zero profile gives 0.0 for every value, none of them -0.0, and
+        # one CSV row where its nodes() would give two
+        keys = ["energy", "l2_norm", "l4_norm", "l6_norm", "max"]
+        zeros = {f"{k}_{side}": 0.0 for k in keys for side in ("input", "profile")}
+        zeros.update(equimeasurability_gap=0.0, polya_szego_gap=0.0, support_measure=0.0)
+        assert json.dumps(rep["results"], sort_keys=True) == json.dumps({**zeros, "profile_csv_rows": 1.0}, sort_keys=True)
+        assert [c["value"] for c in rep["checks"]] == [0.0, 0.0, 0.0]
+        assert csv.read_text() == "r,phi\n0,0\n"
 
     def test_nan_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "nan.grid"
@@ -430,8 +439,7 @@ BAD_INPUT_LINES = {
     "solve --alpha 1 --q 4 --grid 8 --tol 0": "usage error: tolerance must be positive and finite, got 0.0\n",
     "solve --alpha 1 --q 4 --grid 100000":
         "usage error: grid (100000, 100000, 100000) has more than 16777216 = 256^3 cells\n",
-    "sobolev --alphas 1 --minimize --resolution 257":
-        "usage error: grid (257, 257, 257) has more than 16777216 = 256^3 cells\n",
+    "sobolev --alphas 1 --minimize --resolution 257": "usage error: resolution must be at most 256, got 257\n",
     "rearrange --alpha 1 --input FILE --levels 1048577": "usage error: levels must be at most 1048576, got 1048577\n",
     "sobolev --alphas 0.5 0.5000001":
         "usage error: --alphas must give distinct report keys, got alpha_0.5 alpha_0.5\n",
@@ -442,6 +450,14 @@ BAD_INPUT_LINES = {
     "pohozaev --p 3 --alpha 1 --solve --grid 8 --half-width 1e-300":
         "usage error: --half-width 1e-300 is too small for --grid 8: 1/h^2 is not finite\n",
     "pohozaev --p 1 --alpha 1 --solve": "usage error: identity runs need 1 < --p < 5, got --p 1.0\n",
+    "geometry --shape ball --alpha 1 --semiaxes 1 2 3": "usage error: --semiaxes does not apply to --shape ball\n",
+    "geometry --shape ellipsoid --alpha 1 --radius 5": "usage error: --radius does not apply to --shape ellipsoid\n",
+    "geometry --shape box --alpha 1 --sector 7": "usage error: --sector does not apply to --shape box\n",
+    "geometry --shape ball-sector --alpha 1 --center 0 0 0":
+        "usage error: --center does not apply to --shape ball-sector\n",
+    "sobolev --alphas 1 --resolution -5": "usage error: resolution must be at least 2, got -5\n",
+    "geometry --shape ball --alpha 1 --surface-resolution 0": "usage error: surface_resolution must be at least 1, got 0\n",
+    "geometry --shape ball-sector --alpha 1 --sector 5": "usage error: sector index must be at most 4, got 5\n",
 }
 
 
@@ -516,6 +532,15 @@ class TestBadInput:
             # a finite shape whose bbox extent overflows is refused when it is
             # built (at 1e200 the bbox is finite and only the measures overflow)
             (["geometry", "--shape", "ellipsoid", "--alpha", "1", "--semiaxes", "1e308", "1", "1"], None, 2),
+            # a shape option that the shape does not take; --alpha is every run's
+            (["geometry", "--shape", "ball", "--alpha", "1", "--semiaxes", "1", "2", "3"], None, 2),
+            (["geometry", "--shape", "ellipsoid", "--alpha", "1", "--radius", "5"], None, 2),
+            (["geometry", "--shape", "box", "--alpha", "1", "--sector", "7"], None, 2),
+            (["geometry", "--shape", "ball-sector", "--alpha", "1", "--center", "0", "0", "0"], None, 2),
+            # counts out of range, with --minimize or without
+            (["sobolev", "--alphas", "1", "--resolution", "-5"], None, 2),
+            (["geometry", "--shape", "ball", "--alpha", "1", "--surface-resolution", "0"], None, 2),
+            (["geometry", "--shape", "ball-sector", "--alpha", "1", "--sector", "5"], None, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from grushin3d import (
     DomainError,
     ImplicitShape,
-    QuadratureConfig,
     anisotropic_scale,
     isoperimetric_deficit,
     isoperimetric_quotient,
@@ -93,23 +92,11 @@ class TestSectorOfPoint:
         assert list(sector_index(pts, 2.0)) == list(range(1, 2 * n + 1))
 
 
-class TestQuadratureConfig:
-    @pytest.mark.parametrize("m", [2.5, 2.0, "8", None])
-    def test_non_integral_resolution_rejected(self, m):
-        # a float m would reach range() in _patch_blocks and raise TypeError there
-        with pytest.raises(DomainError, match="must be an integer"):
-            QuadratureConfig(surface_resolution=m)
-
-    def test_numpy_integer_accepted(self, fast_cfg):
-        cfg = QuadratureConfig(surface_resolution=np.int64(fast_cfg.surface_resolution))
-        assert measure(ball(1.0), 1.0, cfg).volume == measure(ball(1.0), 1.0, fast_cfg).volume
-
-
 class TestWeightedVolume:
-    def test_cylinder_closed_form(self, fast_cfg):
+    def test_cylinder_closed_form(self, fast_m):
         # int over the unit cylinder of |x|^2 = 2 pi * 2 * int_0^1 s^3 ds = pi
         shape = cylinder(1.0, 1.0)
-        vol = measure(shape, 1.0, fast_cfg).volume
+        vol = measure(shape, 1.0, fast_m).volume
         assert vol == pytest.approx(math.pi, rel=5e-3)
 
     def test_against_midpoint_oracle(self):
@@ -120,15 +107,15 @@ class TestWeightedVolume:
         assert abs(vol - oracle_hi) <= 2.5 * abs(oracle_hi - oracle_lo) + 1e-12
         assert vol == pytest.approx(oracle_hi, rel=2e-2)
 
-    def test_reference_sector_value(self, fast_cfg):
+    def test_reference_sector_value(self, fast_m):
         shape = ball_sector(1.0, 1)
         vals = reference_ball_values(1.0)
         assert vals.volume == pytest.approx(2 * math.pi / 3, abs=1e-15)
-        assert measure(shape, 1.0, fast_cfg).volume == pytest.approx(vals.volume, rel=5e-3)
+        assert measure(shape, 1.0, fast_m).volume == pytest.approx(vals.volume, rel=5e-3)
 
-    def test_empty_shape(self, fast_cfg):
+    def test_empty_shape(self, fast_m):
         # |x|^2 and the area elements underflow to 0 on a ball of radius 1e-200
-        assert measure(ball(1e-200), 1.0, fast_cfg).volume == 0.0
+        assert measure(ball(1e-200), 1.0, fast_m).volume == 0.0
 
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(DomainError):
@@ -149,13 +136,13 @@ class TestWeightedVolume:
         assert errs[128] <= errs[32] / 2.5
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_patch_shapes_take_the_patch_route(self, alpha, fast_cfg, monkeypatch):
+    def test_patch_shapes_take_the_patch_route(self, alpha, fast_m, monkeypatch):
         sweeps = []
         original = geometry._patch_blocks
         monkeypatch.setattr(geometry, "_patch_blocks", lambda *a: sweeps.append(a) or original(*a))
         shapes = corpus_shapes(alpha)
         for shape in shapes:
-            measures = measure(shape, alpha, fast_cfg)
+            measures = measure(shape, alpha, fast_m)
             assert measures.volume > 0.0 and measures.perimeter > 0.0
         # one sweep of the patch nodes per shape gives all of its measures
         assert len(sweeps) == len(shapes)
@@ -166,22 +153,22 @@ class TestMeasure:
     def test_one_sweep_matches_one_sweep_per_measure(self, alpha):
         # reference: a patch_surface_integral per measure; at m = 192 each
         # patch spans two blocks, whose partials both routes reduce in order
-        cfg = QuadratureConfig(surface_resolution=192)
+        m = 192
         flux, density = geometry._volume_flux(alpha), geometry._area_integrand(alpha)
         for shape in corpus_shapes(alpha):
-            measures = measure(shape, alpha, cfg)
-            assert measures.volume == geometry.patch_surface_integral(shape, flux, cfg)
-            assert measures.perimeter == geometry.patch_surface_integral(shape, density, cfg)
+            measures = measure(shape, alpha, m)
+            assert measures.volume == geometry.patch_surface_integral(shape, flux, m)
+            assert measures.perimeter == geometry.patch_surface_integral(shape, density, m)
 
     @pytest.mark.parametrize("shape", [ellipsoid((1.3, 0.8, 0.6)), ball_sector(2.5, 3)], ids=["ellipsoid", "sector-3"])
-    def test_sector_split_matches_masked_integrals(self, shape, fast_cfg):
-        measures = measure(shape, 2.5, fast_cfg)
+    def test_sector_split_matches_masked_integrals(self, shape, fast_m):
+        measures = measure(shape, 2.5, fast_m)
         for j, part in enumerate(measures.sectors, start=1):
 
             def in_sector(points, normals, j=j):
                 return np.where(sector_index(points, 2.5) == j, geometry._area_integrand(2.5)(points, normals), 0.0)
 
-            assert part == pytest.approx(geometry.patch_surface_integral(shape, in_sector, fast_cfg), rel=1e-13)
+            assert part == pytest.approx(geometry.patch_surface_integral(shape, in_sector, fast_m), rel=1e-13)
 
 
 class TestRefinementChunks:
@@ -203,10 +190,10 @@ class TestRefinementChunks:
 
 
 class TestWeightedPerimeter:
-    def test_cylinder_closed_form(self, fast_cfg):
+    def test_cylinder_closed_form(self, fast_m):
         # lateral 4 pi plus two caps of pi/2 each
         shape = cylinder(1.0, 1.0)
-        per = measure(shape, 1.0, fast_cfg).perimeter
+        per = measure(shape, 1.0, fast_m).perimeter
         assert per == pytest.approx(5 * math.pi, rel=1e-4)
 
     def test_ball_patches_vs_closed_form(self):
@@ -215,12 +202,12 @@ class TestWeightedPerimeter:
         from scipy.integrate import quad
 
         exact = 2 * math.pi * quad(lambda c: (1 - c * c) * math.sqrt(1 + c * c), -1, 1)[0]
-        assert measure(ball(1.0), 1.0, QuadratureConfig()).perimeter == pytest.approx(exact, rel=1e-6)
+        assert measure(ball(1.0), 1.0).perimeter == pytest.approx(exact, rel=1e-6)
 
     def test_patch_normals_are_unit(self):
-        cfg = QuadratureConfig(surface_resolution=17)
+        m = 17
         for shape in (ellipsoid((1.3, 0.8, 0.6)), cylinder(0.7, 1.4), box((1, 0.7, 0.9)), ball_sector(1.0)):
-            for _, nu, _, _ in geometry._patch_blocks(shape, cfg):
+            for _, nu, _, _ in geometry._patch_blocks(shape, m):
                 norms = np.linalg.norm(nu, axis=1)
                 assert np.abs(norms - 1.0).max() <= 1e-12
 
@@ -271,7 +258,7 @@ class TestPatchBlocks:
             return replace(patch, param=param)
 
         spy = replace(shape, patches=[spied(p) for p in shape.patches])
-        blocks = geometry._patch_blocks(spy, QuadratureConfig(surface_resolution=m))
+        blocks = geometry._patch_blocks(spy, m)
         block = 1 << 15
         for patch in shape.patches:
             # the reference builds all m^2 nodes at once, then cuts 32768-node blocks
@@ -293,15 +280,15 @@ class TestPatchBlocks:
 
 
 class TestSectorPerimeter:
-    def test_reference_sector_values(self, fast_cfg):
+    def test_reference_sector_values(self, fast_m):
         shape = ball_sector(1.0, 1)
         vals = reference_ball_values(1.0)
         assert vals.sector_perimeter == pytest.approx(2 * math.pi, abs=1e-15)
-        assert measure(shape, 1.0, fast_cfg).sectors[0] == pytest.approx(2 * math.pi, rel=1e-4)
+        assert measure(shape, 1.0, fast_m).sectors[0] == pytest.approx(2 * math.pi, rel=1e-4)
 
     @pytest.mark.parametrize("alpha, j", [(1.0, 1), (1.0, 2), (2.5, 3)])
-    def test_ball_sector_reads_zero_elsewhere(self, alpha, j, fast_cfg):
-        per = measure(ball_sector(alpha, j), alpha, fast_cfg)
+    def test_ball_sector_reads_zero_elsewhere(self, alpha, j, fast_m):
+        per = measure(ball_sector(alpha, j), alpha, fast_m)
         n = sector_count(alpha)
         assert len(per.sectors) == 2 * n
         assert per.sectors[j - 1] > 0.0
@@ -309,21 +296,21 @@ class TestSectorPerimeter:
         # the two walls count in the total only
         assert per.perimeter > per.sectors[j - 1]
 
-    def test_index_range_checked(self, fast_cfg):
+    def test_index_range_checked(self, fast_m):
         # the quotient reads the sector a shape is marked with
         shape = ball_sector(1.0, 1)
         for bad in (0, 5):
             with pytest.raises(DomainError):
-                isoperimetric_quotient(replace(shape, sector=bad), 1.0, fast_cfg)
+                isoperimetric_quotient(replace(shape, sector=bad), 1.0, fast_m)
 
-    def test_additivity_and_superadditivity(self, fast_cfg):
+    def test_additivity_and_superadditivity(self, fast_m):
         # no corpus shape but the ball sectors has boundary on a sector wall,
         # so its sector parts add up to the whole perimeter
         for alpha in (0.5, 1.0, 2.0):
             for shape in corpus_shapes(alpha):
                 if shape.sector is not None:
                     continue
-                per = measure(shape, alpha, fast_cfg)
+                per = measure(shape, alpha, fast_m)
                 assert sum(per.sectors) == pytest.approx(per.perimeter, rel=1e-12)
                 assert per.perimeter**1.5 >= sum(p**1.5 for p in per.sectors) - 1e-9
 
@@ -342,11 +329,11 @@ class TestReferenceBall:
         assert vals.volume == pytest.approx(vol, abs=1e-14)
         assert vals.sector_perimeter == pytest.approx(per, abs=1e-14)
 
-    def test_quadrature_agrees(self, fast_cfg):
+    def test_quadrature_agrees(self, fast_m):
         for alpha in (0.5, 2.0):
             shape = ball_sector(alpha, 1)
             vals = reference_ball_values(alpha)
-            measures = measure(shape, alpha, fast_cfg)
+            measures = measure(shape, alpha, fast_m)
             assert measures.volume == pytest.approx(vals.volume, rel=8e-3)
             assert measures.sectors[0] == pytest.approx(vals.sector_perimeter, rel=1e-3)
 
@@ -355,36 +342,36 @@ class TestIsoperimetry:
     def test_reference_quotient_closed_form(self):
         assert reference_quotient(1.0) == pytest.approx(3 * math.sqrt(2 * math.pi), abs=1e-12)
 
-    def test_ball_sector_quotient(self, fast_cfg):
+    def test_ball_sector_quotient(self, fast_m):
         shape = ball_sector(1.0, 1)
-        q = isoperimetric_quotient(shape, 1.0, fast_cfg)
+        q = isoperimetric_quotient(shape, 1.0, fast_m)
         assert q == pytest.approx(3 * math.sqrt(2 * math.pi), rel=5e-3)
 
-    def test_cylinder_quotient_and_deficit(self, fast_cfg):
+    def test_cylinder_quotient_and_deficit(self, fast_m):
         shape = cylinder(1.0, 1.0)
-        q = isoperimetric_quotient(shape, 1.0, fast_cfg)
+        q = isoperimetric_quotient(shape, 1.0, fast_m)
         assert q == pytest.approx((5 * math.pi) ** 1.5 / math.pi, rel=6e-3)
-        deficit = isoperimetric_deficit(shape, 1.0, fast_cfg)
+        deficit = isoperimetric_deficit(shape, 1.0, fast_m)
         assert deficit == pytest.approx(q - 3 * math.sqrt(2 * math.pi), rel=1e-9)
         assert deficit > 10.0
 
-    def test_reference_deficit_near_zero(self, fast_cfg):
+    def test_reference_deficit_near_zero(self, fast_m):
         shape = ball_sector(1.0, 1)
         q_ref = reference_quotient(1.0)
-        assert abs(isoperimetric_deficit(shape, 1.0, fast_cfg)) <= 0.01 * q_ref
+        assert abs(isoperimetric_deficit(shape, 1.0, fast_m)) <= 0.01 * q_ref
 
-    def test_small_ellipsoid_sweep_nonnegative(self, fast_cfg):
+    def test_small_ellipsoid_sweep_nonnegative(self, fast_m):
         rng = np.random.default_rng(7)
         q_ref = reference_quotient(1.0)
         for _ in range(3):
             axes = rng.uniform(0.5, 1.5, size=3)
             shape = ellipsoid(tuple(axes))
-            assert isoperimetric_deficit(shape, 1.0, fast_cfg) >= -0.01 * q_ref
+            assert isoperimetric_deficit(shape, 1.0, fast_m) >= -0.01 * q_ref
 
-    def test_zero_volume_rejected(self, fast_cfg):
+    def test_zero_volume_rejected(self, fast_m):
         # |x|^2 underflows to 0 on a ball of radius 1e-200
         with pytest.raises(DomainError):
-            isoperimetric_quotient(ball(1e-200), 1.0, fast_cfg)
+            isoperimetric_quotient(ball(1e-200), 1.0, fast_m)
 
 
 class TestAnisotropicScale:
@@ -396,18 +383,18 @@ class TestAnisotropicScale:
         assert np.allclose(scaled.bbox, shape.bbox)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_measured_scaling_exponents(self, alpha, fast_cfg):
+    def test_measured_scaling_exponents(self, alpha, fast_m):
         shape = ellipsoid((1.3, 0.8, 0.6))
         scaled = anisotropic_scale(shape, 2.0, alpha)
-        m1, m2 = measure(shape, alpha, fast_cfg), measure(scaled, alpha, fast_cfg)
+        m1, m2 = measure(shape, alpha, fast_m), measure(scaled, alpha, fast_m)
         assert abs(math.log2(m2.volume / m1.volume) - (3 * alpha + 3)) <= 1e-3
         assert abs(math.log2(m2.perimeter / m1.perimeter) - (2 * alpha + 2)) <= 1e-3
 
-    def test_quotient_invariance(self, fast_cfg):
+    def test_quotient_invariance(self, fast_m):
         shape = ellipsoid((1.1, 0.9, 0.8))
         scaled = anisotropic_scale(shape, 1.7, 1.0)
-        q1 = isoperimetric_quotient(shape, 1.0, fast_cfg)
-        q2 = isoperimetric_quotient(scaled, 1.0, fast_cfg)
+        q1 = isoperimetric_quotient(shape, 1.0, fast_m)
+        q2 = isoperimetric_quotient(scaled, 1.0, fast_m)
         assert q2 == pytest.approx(q1, rel=2e-3)
 
     def test_rejects_nonpositive_factor(self):
@@ -416,7 +403,7 @@ class TestAnisotropicScale:
 
 
 class TestPatchVolumeRoute:
-    def test_divergence_identity_matches_voxels(self, fast_cfg):
+    def test_divergence_identity_matches_voxels(self, fast_m):
         # flat axis-aligned faces (box) sit at one fixed grid offset, so the
         # voxel route carries a systematic O(h/2^depth) bias there; curved
         # shapes average it out
@@ -425,20 +412,20 @@ class TestPatchVolumeRoute:
             (ellipsoid((1.3, 0.8, 0.6)), 6e-3),
             (box((1, 0.7, 0.9)), 3e-2),
         ):
-            v_patch = measure(shape, 1.0, fast_cfg).volume
+            v_patch = measure(shape, 1.0, fast_m).volume
             v_voxel = voxel_integral(shape.level, shape.bbox, weighted(1.0), 64, 2)
             assert v_voxel == pytest.approx(v_patch, rel=rel)
 
-    def test_box_closed_form_via_patches(self, fast_cfg):
+    def test_box_closed_form_via_patches(self, fast_m):
         # int over the box of |x|^2 has the closed form V (a1^2 + a2^2)/3;
         # midpoint quadrature of the quadratic flux carries an O(h^2) error
         a1, a2, a3 = 1.0, 0.7, 0.9
         exact = 8 * a1 * a2 * a3 * (a1**2 + a2**2) / 3
-        v = measure(box((a1, a2, a3)), 1.0, fast_cfg).volume
+        v = measure(box((a1, a2, a3)), 1.0, fast_m).volume
         assert v == pytest.approx(exact, rel=1e-4)
 
-    def test_cylinder_exact(self, fast_cfg):
-        assert measure(cylinder(1.0, 1.0), 1.0, fast_cfg).volume == pytest.approx(
+    def test_cylinder_exact(self, fast_m):
+        assert measure(cylinder(1.0, 1.0), 1.0, fast_m).volume == pytest.approx(
             math.pi, rel=1e-12
         )
 

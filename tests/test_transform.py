@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grushin3d import DomainError, ImplicitShape, QuadratureConfig, measure, sector_count
+from grushin3d import DomainError, ImplicitShape, measure, sector_count
 from grushin3d.geometry import patch_surface_integral, reference_ball_values, sector_index
 from grushin3d.shapes import ball, ball_sector
 from grushin3d.transform import _euclidean_flux, flatten_point, flatten_shape, pushforward_checks, unflatten_point
@@ -67,32 +67,32 @@ class TestReferenceBallImage:
 class TestPushforward:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_reference_sector_volume(self, alpha):
-        cfg = QuadratureConfig(surface_resolution=128)
+        m = 128
         shape = ball_sector(alpha, 1)
         vals = reference_ball_values(alpha)
-        rep, _ = pushforward_checks(shape, alpha, cfg)
+        rep, _ = pushforward_checks(shape, alpha, m)
         assert rep.rel_gap <= 1e-3
         assert rep.weighted == pytest.approx(vals.volume, rel=5e-3)
 
     def test_reference_sector_perimeter(self):
-        cfg = QuadratureConfig(surface_resolution=160)
+        m = 160
         shape = ball_sector(1.0, 1)
         vals = reference_ball_values(1.0)
-        _, rep = pushforward_checks(shape, 1.0, cfg)
+        _, rep = pushforward_checks(shape, 1.0, m)
         assert rep.rel_gap <= 1e-2
         assert rep.weighted == pytest.approx(vals.sector_perimeter, rel=1e-3)
 
     def test_small_ball_far_from_axis(self):
-        cfg = QuadratureConfig(surface_resolution=128)
+        m = 128
         shape = small_sector_ball(1.0)
-        volume, perimeter = pushforward_checks(shape, 1.0, cfg)
+        volume, perimeter = pushforward_checks(shape, 1.0, m)
         assert volume.rel_gap <= 1e-3
         assert perimeter.rel_gap <= 1e-2
 
     def test_scaled_sector_ball_half_radius(self):
-        cfg = QuadratureConfig(surface_resolution=128)
+        m = 128
         shape = ball_sector(1.0, j=1, radius=0.5)
-        _, rep = pushforward_checks(shape, 1.0, cfg)
+        _, rep = pushforward_checks(shape, 1.0, m)
         # spherical wedge of radius 1/2: area scales by 1/4
         assert rep.euclidean == pytest.approx(0.25 * 2 * math.pi, rel=1e-3)
         assert rep.rel_gap <= 1e-2
@@ -167,7 +167,7 @@ class TestImagePatches:
             st, dst = midpoint_st(patch, m)
             st = st[sector_index(patch.param(*st.T), alpha) == 1]
             total += float(np.sum(np.linalg.norm(image.cross(*st.T), axis=1))) * dst
-        _, rep = pushforward_checks(shape, alpha, QuadratureConfig(surface_resolution=m))
+        _, rep = pushforward_checks(shape, alpha, m)
         assert abs(rep.euclidean - total) <= 1e-14 * total
 
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
@@ -184,11 +184,10 @@ class TestImagePatches:
         # split sorts the nodes where the source sweep masks them; both keep
         # block order.  Reference for the image volume: the flux of xi / 3
         # through the image patches, swept on their own
-        cfg = QuadratureConfig(surface_resolution=m)
-        volume, perimeter = pushforward_checks(shape, alpha, cfg)
-        measures = measure(shape, alpha, cfg)
+        volume, perimeter = pushforward_checks(shape, alpha, m)
+        measures = measure(shape, alpha, m)
         assert volume.weighted == measures.volume
         assert perimeter.weighted == measures.sectors[0]
-        image = patch_surface_integral(flatten_shape(shape, alpha), _euclidean_flux, cfg)
+        image = patch_surface_integral(flatten_shape(shape, alpha), _euclidean_flux, m)
         assert abs(volume.euclidean - image) <= 1e-14 * abs(image)
 

@@ -33,6 +33,11 @@ so patch quadrature memory is bounded by the block, not by the resolution.
 A block is evaluated on the product of the parameter rows it spans and the
 whole t axis, so a function of s alone or of t alone (the sines and cosines
 of the spherical and polar patches) runs on m values, not on every node.
+A sweep computes each node's polar frame once, r^2 = x1^2 + x2^2, (r^2)^a
+(``_radial``), r = hypot(x1, x2) and theta = arctan2(x2, x1) (``_polar``),
+and hands it to the flux, the density and the sector test; the point-based
+``sector_index``, ``_volume_flux`` and ``_area_integrand`` wrap the same
+kernels, so each node value has the same bits on either route.
 """
 
 from __future__ import annotations
@@ -74,6 +79,33 @@ def _alpha(alpha) -> float:
     return a
 
 
+def _wrap_angle(theta):
+    """An angle theta in [-pi, pi], as ``arctan2`` gives it, moved to [0, 2 pi].
+
+    Bit for bit ``np.mod(theta, 2 pi)`` on that range, -0 included (both
+    give +0), with an add and a select in place of np.mod's division.  The
+    one definition of a point's angle from the positive x1-axis.
+    """
+    return np.where(theta < 0, theta + 2.0 * np.pi, theta + 0.0)
+
+
+def _polar(points):
+    """r = hypot(x1, x2) and theta = arctan2(x2, x1) of points of shape (..., 3)."""
+    x1, x2 = points[..., 0], points[..., 1]
+    return np.hypot(x1, x2), np.arctan2(x2, x1)
+
+
+def _sectors(r, theta, n):
+    """``sector_index`` of points given by their polar frame (r, theta) for
+    n(a) = n."""
+    w = _wrap_angle(theta) / (math.pi / n)
+    floor = np.floor(w)
+    frac = w - floor
+    on_wall = (frac <= _WALL_TOL) | (frac >= 1.0 - _WALL_TOL)
+    idx = np.clip(floor.astype(int) + 1, 1, 2 * n)
+    return np.where((r > 0) & ~on_wall, idx, 0)
+
+
 def sector_index(points: np.ndarray, alpha) -> np.ndarray:
     """Vectorised sector classification.
 
@@ -81,16 +113,7 @@ def sector_index(points: np.ndarray, alpha) -> np.ndarray:
     0 where the point lies on the y-axis or on a sector wall.
     """
     n = sector_count(_alpha(alpha))
-    pts = np.asarray(points, dtype=float)
-    x1, x2 = pts[..., 0], pts[..., 1]
-    r = np.hypot(x1, x2)
-    theta = np.mod(np.arctan2(x2, x1), 2.0 * np.pi)
-    w = theta / (math.pi / n)
-    frac = w - np.floor(w)
-    on_wall = (frac <= _WALL_TOL) | (frac >= 1.0 - _WALL_TOL)
-    idx = np.floor(w).astype(int) + 1
-    idx = np.clip(idx, 1, 2 * n)
-    return np.where((r > 0) & ~on_wall, idx, 0)
+    return _sectors(*_polar(np.asarray(points, dtype=float)), n)
 
 
 # largest surface_resolution: m^2 = 2^28 nodes per patch in 8192 blocks; a
@@ -156,17 +179,28 @@ class ImplicitShape:
             raise DomainError(f"shape {self.name!r} carries no surface patches")
 
 
+def _radial(points, alpha: float):
+    """r^2 = x1^2 + x2^2 and (r^2)^a of points of shape (N, 3)."""
+    r2 = points[:, 0] ** 2 + points[:, 1] ** 2
+    return r2, r2**alpha
+
+
+def _flux_at(points, normals, r2a, alpha: float):
+    """``_volume_flux`` given (r^2)^a of the points."""
+    return r2a * (points[:, 0] * normals[:, 0] + points[:, 1] * normals[:, 1]) / (2.0 * alpha + 2.0)
+
+
+def _density_at(normals, r2, r2a, alpha: float):
+    """``_area_integrand`` given r^2 and (r^2)^a of the points."""
+    return r2 ** (alpha / 2.0) * np.sqrt(normals[:, 0] ** 2 + normals[:, 1] ** 2 + r2a * normals[:, 2] ** 2)
+
+
 def _volume_flux(alpha: float):
     """|x|^{2a} (x1 nu1 + x2 nu2) / (2a + 2), whose flux through bd(E) is
     vol_w(E), as div(|x|^{2a} (x1, x2, 0)) = (2a + 2) |x|^{2a}."""
 
     def flux(points, normals):
-        r2 = points[:, 0] ** 2 + points[:, 1] ** 2
-        return (
-            r2**alpha
-            * (points[:, 0] * normals[:, 0] + points[:, 1] * normals[:, 1])
-            / (2.0 * alpha + 2.0)
-        )
+        return _flux_at(points, normals, _radial(points, alpha)[1], alpha)
 
     return flux
 
@@ -175,10 +209,7 @@ def _area_integrand(alpha: float):
     """Weighted surface density |x|^a sqrt(nu1^2 + nu2^2 + |x|^{2a} nu3^2)."""
 
     def integrand(points, normals):
-        r2 = points[:, 0] ** 2 + points[:, 1] ** 2
-        return r2 ** (alpha / 2.0) * np.sqrt(
-            normals[:, 0] ** 2 + normals[:, 1] ** 2 + r2**alpha * normals[:, 2] ** 2
-        )
+        return _density_at(normals, *_radial(points, alpha), alpha)
 
     return integrand
 
@@ -262,19 +293,24 @@ def measure(shape: ImplicitShape, alpha, surface_resolution: int = 256) -> Measu
     from one sweep of the shape's patch midpoints.
 
     The volume is the flux of ``_volume_flux``.  Each (patch, block) gives
-    one partial to the volume, the perimeter and every sector.
+    one partial to the volume, the perimeter and every sector, from one
+    polar frame per node.
     """
     a = _alpha(alpha)
     n = sector_count(a)
-    flux, density = _volume_flux(a), _area_integrand(a)
+    needles = np.arange(1, 2 * n + 1, dtype=np.uint16)
 
     def partials(pts, nu, area):
-        volume = np.sum(flux(pts, nu) * area)
-        vals = density(pts, nu) * area
-        idx = sector_index(pts, a)
-        # a stable sort keeps each sector's nodes in block order, as a mask would
-        order = np.argsort(idx, kind="stable")
-        parts = np.split(vals[order], np.searchsorted(idx[order], np.arange(1, 2 * n + 1)))[1:]
+        r2, r2a = _radial(pts, a)
+        volume = np.sum(_flux_at(pts, nu, r2a, a) * area)
+        vals = _density_at(nu, r2, r2a, a) * area
+        # sector keys run to 2n <= 2 MAX_SECTOR_COUNT = 2^15, so they fit
+        # uint16, which numpy sorts by radix: the stable permutation of the
+        # int64 keys.  It keeps each sector's nodes in block order, as a
+        # mask would
+        keys = _sectors(*_polar(pts), n).astype(np.uint16)
+        order = np.argsort(keys, kind="stable")
+        parts = np.split(vals[order], np.searchsorted(keys[order], needles))[1:]
         return [volume, np.sum(vals), *map(np.sum, parts)]
 
     volume, perimeter, *sectors = _sweep(shape, surface_resolution, partials)

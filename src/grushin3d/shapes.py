@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ImplicitShape, SurfacePatch, _alpha, _stack, sector_count
+from .geometry import ImplicitShape, SurfacePatch, _alpha, _stack, _wrap_angle, sector_count
 from .grids import _count
 
 # bbox padding factor; non-round so flat faces avoid the cell planes of the
@@ -161,7 +161,7 @@ def ball_sector(alpha, j: int = 1, radius: float = 1.0) -> ImplicitShape:
         x1, x2, y = p[..., 0], p[..., 1], p[..., 2]
         r2 = x1 * x1 + x2 * x2
         rad = r2 ** (a + 1.0) + (a + 1.0) ** 2 * y * y - rho * rho
-        theta = np.mod(np.arctan2(x2, x1), 2.0 * np.pi)
+        theta = _wrap_angle(np.arctan2(x2, x1))
         wedge = np.maximum(th0 - theta, theta - th1)
         return np.maximum(rad, np.where(r2 > 0, wedge, 0.0))
 

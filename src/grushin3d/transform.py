@@ -22,7 +22,10 @@ The image of a patch is flatten_point o param, with tangent cross product
 cof(DF) (d_s x d_t) in closed form (Nanson's formula, ``_cofactor``).
 ``pushforward_checks`` applies that cofactor to the source patches'
 normals, so both checks run on one sweep of the source nodes and neither
-samples the image, whose bbox grows like r^{a+1}.  ``flatten_shape``
+samples the image, whose bbox grows like r^{a+1}.  Each node's polar
+frame (r, theta) is computed once and shared by the sector test, the
+cofactor and the flattened point; ``flatten_point`` and ``_cofactor``
+wrap the same kernels (``_flat_at``, ``_cofactor_at``).  ``flatten_shape``
 builds the image shape with image patches; the tests measure on those as
 the reference of the fused sweep.
 """
@@ -38,28 +41,34 @@ from .geometry import (
     ImplicitShape,
     SurfacePatch,
     _alpha,
-    _area_integrand,
+    _density_at,
+    _flux_at,
+    _polar,
+    _radial,
+    _sectors,
     _sweep,
-    _volume_flux,
+    _wrap_angle,
     sector_count,
-    sector_index,
 )
 
 
 def _split_polar(pts):
     pts = np.asarray(pts, dtype=float)
-    r = np.hypot(pts[..., 0], pts[..., 1])
-    theta = np.arctan2(pts[..., 1], pts[..., 0])
-    return pts, r, theta
+    return (pts, *_polar(pts))
+
+
+def _flat_at(r, theta, a):
+    """The first two components of ``flatten_point`` at the polar frame (r, theta)."""
+    rad = r ** (a + 1.0) / (a + 1.0)
+    ang = (a + 1.0) * theta
+    return rad * np.cos(ang), rad * np.sin(ang)
 
 
 def flatten_point(p, alpha):
     """Measure-flattening map on first-sector points of shape (..., 3)."""
     a = _alpha(alpha)
     pts, r, theta = _split_polar(p)
-    rad = r ** (a + 1.0) / (a + 1.0)
-    ang = (a + 1.0) * theta
-    return np.stack([rad * np.cos(ang), rad * np.sin(ang), pts[..., 2]], axis=-1)
+    return np.stack([*_flat_at(r, theta, a), pts[..., 2]], axis=-1)
 
 
 def unflatten_point(p, alpha):
@@ -80,9 +89,14 @@ def _cofactor(points, v, a):
     tangent cross product (or a normal) of the source to the image.
     """
     _, r, theta = _split_polar(points)
+    return np.stack(_cofactor_at(r, theta, v, a), axis=-1)
+
+
+def _cofactor_at(r, theta, v, a):
+    """The three components of ``_cofactor`` at the polar frame (r, theta)."""
     ra, cos, sin = r**a, np.cos(a * theta), np.sin(a * theta)
     vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack([ra * (cos * vx - sin * vy), ra * (sin * vx + cos * vy), ra * ra * vz], axis=-1)
+    return ra * (cos * vx - sin * vy), ra * (sin * vx + cos * vy), ra * ra * vz
 
 
 def _image_patch(patch: SurfacePatch, a: float) -> SurfacePatch:
@@ -172,17 +186,23 @@ def pushforward_checks(
     """
     a = _alpha(alpha)
     _require_in_sector(shape, a)
-    flux, density = _volume_flux(a), _area_integrand(a)
+    n = sector_count(a)
 
     def partials(pts, nu, area):
-        volume = np.sum(flux(pts, nu) * area)
+        # the block's polar frame, computed once per node
+        r2, r2a = _radial(pts, a)
+        r, theta = _polar(pts)
+        volume = np.sum(_flux_at(pts, nu, r2a, a) * area)
         # nodes outside sector 1, its walls included, weigh nothing on
         # either perimeter side
-        inside = sector_index(pts, a) == 1
-        perimeter = np.sum((density(pts, nu) * area)[inside])
-        cof = _cofactor(pts, nu, a)
-        image_area = np.sum(np.where(inside, np.linalg.norm(cof, axis=1), 0.0) * area)
-        image_volume = np.sum(_euclidean_flux(flatten_point(pts, a), cof) * area)
+        inside = _sectors(r, theta, n) == 1
+        perimeter = np.sum((_density_at(nu, r2, r2a, a) * area)[inside])
+        c0, c1, c2 = _cofactor_at(r, theta, nu, a)
+        f0, f1 = _flat_at(r, theta, a)
+        # |cof| and F . cof associate as np.linalg.norm(axis=1) and
+        # np.sum(axis=1) do on the stacked (N, 3) rows
+        image_area = np.sum(np.where(inside, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), 0.0) * area)
+        image_volume = np.sum((f0 * c0 + f1 * c1 + pts[:, 2] * c2) / 3.0 * area)
         return volume, perimeter, image_area, image_volume
 
     volume, perimeter, image_area, image_volume = _sweep(shape, surface_resolution, partials)
@@ -207,6 +227,6 @@ def _require_in_sector(shape: ImplicitShape, alpha) -> None:
     inside = pts[shape.level(pts) < 0]
     if len(inside) == 0:
         return
-    theta = np.mod(np.arctan2(inside[:, 1], inside[:, 0]), 2.0 * np.pi)
+    theta = _wrap_angle(np.arctan2(inside[:, 1], inside[:, 0]))
     if np.any(theta > width * (1 + 1e-9)):
         raise DomainError(f"shape {shape.name!r} is not contained in the first sector")

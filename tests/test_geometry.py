@@ -91,6 +91,14 @@ class TestSectorOfPoint:
         pts = np.column_stack([np.cos(thetas), np.sin(thetas), np.zeros_like(thetas)])
         assert list(sector_index(pts, 2.0)) == list(range(1, 2 * n + 1))
 
+    def test_angle_reduction_matches_np_mod(self):
+        # every angle arctan2 can give, reduced to [0, 2 pi], keeps the bits
+        # np.mod gives it, signed zeros included
+        special = [0.0, -0.0, math.pi, -math.pi, 5e-324, -5e-324, np.nextafter(-math.pi, 0.0)]
+        draws = np.random.default_rng(30).uniform(-math.pi, math.pi, 10**5)
+        theta = np.concatenate([special, draws])
+        assert geometry._wrap_angle(theta).tobytes() == np.mod(theta, 2.0 * math.pi).tobytes()
+
 
 class TestWeightedVolume:
     def test_cylinder_closed_form(self, fast_m):

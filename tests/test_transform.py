@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from grushin3d import DomainError, ImplicitShape, measure, sector_count
+from grushin3d import DomainError, ImplicitShape, geometry, measure, sector_count, transform
 from grushin3d.geometry import patch_surface_integral, reference_ball_values, sector_index
-from grushin3d.shapes import ball, ball_sector
+from grushin3d.shapes import ball, ball_sector, corpus_shapes
 from grushin3d.transform import _euclidean_flux, flatten_point, flatten_shape, pushforward_checks, unflatten_point
 from voxel_reference import unit, voxel_integral
 
@@ -191,3 +191,108 @@ class TestImagePatches:
         image = patch_surface_integral(flatten_shape(shape, alpha), _euclidean_flux, m)
         assert abs(volume.euclidean - image) <= 1e-14 * abs(image)
 
+
+def _composed_sectors(points, a):
+    """Sector of each node from its own hypot and np.mod(arctan2), with an
+    int64 index: the reference of the polar frame's sector test."""
+    n = sector_count(a)
+    r = np.hypot(points[:, 0], points[:, 1])
+    w = np.mod(np.arctan2(points[:, 1], points[:, 0]), 2.0 * np.pi) / (math.pi / n)
+    frac = w - np.floor(w)
+    on_wall = (frac <= 1e-12) | (frac >= 1.0 - 1e-12)
+    idx = np.clip(np.floor(w).astype(np.int64) + 1, 1, 2 * n)
+    return np.where((r > 0) & ~on_wall, idx, 0)
+
+
+def _composed_measure(a):
+    """measure's partials, each node function computing its own polar values."""
+    n = sector_count(a)
+    flux, density = geometry._volume_flux(a), geometry._area_integrand(a)
+
+    def partials(pts, nu, area):
+        vals = density(pts, nu) * area
+        idx = _composed_sectors(pts, a)
+        order = np.argsort(idx, kind="stable")
+        parts = np.split(vals[order], np.searchsorted(idx[order], np.arange(1, 2 * n + 1)))[1:]
+        return [np.sum(flux(pts, nu) * area), np.sum(vals), *map(np.sum, parts)]
+
+    return partials
+
+
+def _composed_pushforward(a):
+    """pushforward_checks' partials from stacked point and cofactor arrays."""
+    flux, density = geometry._volume_flux(a), geometry._area_integrand(a)
+
+    def partials(pts, nu, area):
+        inside = _composed_sectors(pts, a) == 1
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        theta = np.arctan2(pts[:, 1], pts[:, 0])
+        ra, cos, sin = r**a, np.cos(a * theta), np.sin(a * theta)
+        vx, vy, vz = nu.T
+        cof = np.stack([ra * (cos * vx - sin * vy), ra * (sin * vx + cos * vy), ra * ra * vz], axis=-1)
+        rad, ang = r ** (a + 1.0) / (a + 1.0), (a + 1.0) * theta
+        image = np.stack([rad * np.cos(ang), rad * np.sin(ang), pts[:, 2]], axis=-1)
+        return (
+            np.sum(flux(pts, nu) * area),
+            np.sum((density(pts, nu) * area)[inside]),
+            np.sum(np.where(inside, np.linalg.norm(cof, axis=1), 0.0) * area),
+            np.sum(np.sum(image * cof, axis=1) / 3.0 * area),
+        )
+
+    return partials
+
+
+def _handed_partials(monkeypatch, module, run):
+    """The partials that ``run()`` hands to ``module._sweep``."""
+    handed = []
+    monkeypatch.setattr(module, "_sweep", lambda shape, m, partials: handed.append(partials) or [1.0] * 4)
+    run()
+    monkeypatch.undo()
+    return handed[0]
+
+
+def _nodes_agree(shape, fused, composed, m=7):
+    """Both partials on every node of the shape alone, bit for bit."""
+    for pts, nu, area, _ in geometry._patch_blocks(shape, m):
+        for k in range(len(area)):
+            node = pts[k : k + 1], nu[k : k + 1], area[k : k + 1]
+            if np.array(fused(*node)).tobytes() != np.array(composed(*node)).tobytes():
+                return False
+    return True
+
+
+IMAGE_ALPHAS = (0.5, 1.0, 2.5, 400.0)
+
+
+class TestPolarFrame:
+    """The fused sweeps compute each node's polar frame once; every node
+    value, and so every sum, keeps the bits of the per-function
+    composition.  A one-ulp change at a node can vanish in a sum, so the
+    node values are compared on their own too."""
+
+    @pytest.mark.parametrize("m", [7, 192])
+    @pytest.mark.parametrize("alpha", IMAGE_ALPHAS)
+    def test_measure_matches_composition(self, alpha, m):
+        for shape in corpus_shapes(alpha):
+            got = measure(shape, alpha, m)
+            assert [got.volume, got.perimeter, *got.sectors] == geometry._sweep(shape, m, _composed_measure(alpha))
+
+    @pytest.mark.parametrize("m", [7, 192])
+    @pytest.mark.parametrize("alpha, shape", list(_image_shapes(IMAGE_ALPHAS)))
+    def test_pushforward_matches_composition(self, alpha, shape, m):
+        volume, perimeter = pushforward_checks(shape, alpha, m)
+        got = [volume.weighted, perimeter.weighted, perimeter.euclidean, volume.euclidean]
+        assert got == geometry._sweep(shape, m, _composed_pushforward(alpha))
+
+    # at alpha = 400 every node alone splits into 804 sectors, a second per
+    # shape; the sums above cover it
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_measure_node_values_match_composition(self, alpha, monkeypatch):
+        for shape in corpus_shapes(alpha):
+            fused = _handed_partials(monkeypatch, geometry, lambda: measure(shape, alpha, 7))
+            assert _nodes_agree(shape, fused, _composed_measure(alpha)), shape.name
+
+    @pytest.mark.parametrize("alpha, shape", list(_image_shapes(IMAGE_ALPHAS)))
+    def test_pushforward_node_values_match_composition(self, alpha, shape, monkeypatch):
+        fused = _handed_partials(monkeypatch, transform, lambda: pushforward_checks(shape, alpha, 7))
+        assert _nodes_agree(shape, fused, _composed_pushforward(alpha))

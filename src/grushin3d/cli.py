@@ -27,7 +27,7 @@ import numpy as np
 # imported only where a command solves
 from . import __version__
 from .errors import ComputationError, DomainError, GridFormatError
-from .geometry import _alpha, _quotient, measure, reference_quotient, sector_count
+from .geometry import _alpha, _quotient, _quotient_perimeter, measure, reference_quotient, sector_count
 from .grids import _count, load_grid, save_grid
 from .pohozaev import CRITICAL_POWER, nonexistence_classify, pohozaev_coefficient, pohozaev_residual
 from .rearrangement import (
@@ -46,7 +46,7 @@ from .sobolev import (
     talenti_constant_general,
     talenti_radial_constant,
 )
-from .transform import pushforward_checks
+from .transform import _gap, pushforward_checks
 
 USAGE_EXIT, INPUT_EXIT, NUMERICAL_EXIT = 2, 3, 4
 
@@ -80,11 +80,24 @@ def _shape_from_args(args):
     return make_shape(args.shape, **params)
 
 
+def _rel_change(fine, coarse) -> float:
+    """Quadrature error indicator: the largest relative change of the
+    weighted volume, the perimeter and the quotient per^{3/2} / vol from a
+    coarse sweep's (volume, perimeter) to a fine one's.  A zero volume
+    leaves the quotient out; the volume's change is then 1 unless both
+    volumes are 0."""
+    pairs = list(zip(fine, coarse))
+    if 0.0 not in (fine[0], coarse[0]):
+        pairs.append(tuple(per**1.5 / vol for vol, per in (fine, coarse)))
+    return max(_gap(f, c) for f, c in pairs)
+
+
 def cmd_geometry(args, rep: RunReport) -> None:
     a = _alpha(args.alpha)
     shape = _shape_from_args(args)
-    rep.resolutions = {"surface_resolution": args.surface_resolution}
-    measures = measure(shape, a, args.surface_resolution)
+    m = args.surface_resolution
+    rep.resolutions = {"surface_resolution": m}
+    measures = measure(shape, a, m)
     rep.results["weighted_volume"] = measures.volume
     rep.results["weighted_perimeter"] = measures.perimeter
     for j, part in enumerate(measures.sectors, start=1):
@@ -95,6 +108,10 @@ def cmd_geometry(args, rep: RunReport) -> None:
     rep.results["isoperimetric_quotient"] = q
     rep.results["reference_quotient"] = q_ref
     rep.results["isoperimetric_deficit"] = deficit
+    coarse = measure(shape, a, -(-m // 2))
+    rep.results["quadrature_rel_change"] = _rel_change(
+        *((ms.volume, _quotient_perimeter(shape, ms)) for ms in (measures, coarse))
+    )
     rep.add_check("deficit_nonnegative", deficit, -0.01 * q_ref, ">=")
 
 
@@ -107,8 +124,9 @@ def cmd_transform_check(args, rep: RunReport) -> None:
         shape = ball(0.35 * np.sin(half), center=(np.cos(half), np.sin(half), 0.0))
     else:
         raise DomainError(f"transform-check shape must be ball-sector or small-ball, got {args.shape!r}")
-    rep.resolutions = {"surface_resolution": args.surface_resolution}
-    volchk, perchk = pushforward_checks(shape, a, args.surface_resolution)
+    m = args.surface_resolution
+    rep.resolutions = {"surface_resolution": m}
+    volchk, perchk = pushforward_checks(shape, a, m)
     rep.results["volume_weighted"] = volchk.weighted
     rep.results["volume_euclidean"] = volchk.euclidean
     rep.results["volume_rel_gap"] = volchk.rel_gap
@@ -117,6 +135,10 @@ def cmd_transform_check(args, rep: RunReport) -> None:
     rep.results["perimeter_euclidean"] = perchk.euclidean
     rep.results["perimeter_rel_gap"] = perchk.rel_gap
     rep.add_check("perimeter_pushforward_gap", perchk.rel_gap, 1e-2, "<=")
+    coarse_vol, coarse_per = pushforward_checks(shape, a, -(-m // 2))
+    rep.results["quadrature_rel_change"] = _rel_change(
+        (volchk.weighted, perchk.weighted), (coarse_vol.weighted, coarse_per.weighted)
+    )
 
 
 def cmd_rearrange(args, rep: RunReport) -> None:
@@ -259,7 +281,13 @@ def cmd_pohozaev(args, rep: RunReport) -> None:
 def _add_quad_args(p):
     # every CLI shape and its flattened image carry analytic patches, so
     # patch quadrature alone sets the accuracy
-    p.add_argument("--surface-resolution", type=int, default=256, help="midpoint nodes per patch axis")
+    p.add_argument(
+        "--surface-resolution",
+        type=int,
+        default=64,
+        help="Gauss nodes per patch axis, 1 to 1024; each panel between sector walls and axis points "
+        "takes ceil(m / panels) of them",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,13 +20,18 @@ computes all of those quantities numerically and evaluates the corresponding
 isoperimetric deficit.
 
 Every shape carries analytic surface patches that cover its boundary, and
-it is measured on those patches alone: surface integrals by midpoint
-quadrature over the patches, and volumes through the divergence identity,
-as a flux through the same patches.
+it is measured on those patches alone: surface integrals by a tensor
+Gauss-Legendre rule over the patches, and volumes through the divergence
+identity, as a flux through the same patches.  Each patch axis is cut into
+panels at the parameter lines where the integrand has a kink (a sector
+wall, or the y-axis piercing the patch, given by ``SurfacePatch.breaks``),
+so the rule sees a smooth integrand on every panel and converges
+spectrally, not as O(1/m^2) or, across a wall, O(1/m).
 
-A command sweeps the boundary once: ``measure`` takes the volume flux, the
+``measure`` sweeps the boundary once: it takes the volume flux, the
 weighted perimeter and all 2n(a) relative sector perimeters from one pass
-over the patch nodes, classifying every node by sector as it goes.  Every
+over the patch nodes, classifying every node by sector as it goes and
+summing each sector with one ``np.bincount`` per block.  Every
 patch sweep in the package, here and in ``transform`` and ``pohozaev``,
 draws its nodes from ``_patch_blocks``, which builds them block by block,
 so patch quadrature memory is bounded by the block, not by the resolution.
@@ -42,8 +47,9 @@ kernels, so each node value has the same bits on either route.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -116,9 +122,10 @@ def sector_index(points: np.ndarray, alpha) -> np.ndarray:
     return _sectors(*_polar(np.asarray(points, dtype=float)), n)
 
 
-# largest surface_resolution: m^2 = 2^28 nodes per patch in 8192 blocks; a
-# sweep's memory is bounded but its time grows like m^2
-_MAX_SURFACE_RESOLUTION = 1 << 14
+# largest surface_resolution: the Gauss rule on m nodes costs O(m^3) to
+# build (0.13 s at m = 1024, 0.9 s at 2048), and a sweep's time grows
+# like m^2 while its memory stays bounded by the block
+_MAX_SURFACE_RESOLUTION = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -134,12 +141,19 @@ class SurfacePatch:
     of the flattened node arrays, while a function of s alone runs once per
     row.  ``_stack`` assembles the result from broadcast components.
     Quadrature nodes on the patch come from ``_patch_blocks`` alone.
+
+    ``breaks(n)`` returns (s values, t values): the parameter lines on
+    which the y-axis pierces the patch and, unless n is None, on which a
+    sector wall of n(a) = n lies; by default there are none.  A sweep cuts
+    each axis into Gauss panels there; values outside the open parameter
+    range are ignored.
     """
 
     param: Callable[[np.ndarray, np.ndarray], np.ndarray]
     cross: Callable[[np.ndarray, np.ndarray], np.ndarray]
     s_range: tuple[float, float]
     t_range: tuple[float, float]
+    breaks: Callable[[Optional[int]], tuple[Sequence[float], Sequence[float]]] = lambda n: ((), ())
 
 
 def _stack(s, t, x, y, z) -> np.ndarray:
@@ -214,63 +228,95 @@ def _area_integrand(alpha: float):
     return integrand
 
 
-# midpoint nodes per patch block; blocks cut the patch's flat node order (s
-# slowest) every 32768 nodes whatever m, so they bound a sweep's memory at
-# any resolution, and the partial sums follow the cuts
+# patch nodes per block; blocks cut the patch's flat node order (s slowest)
+# every 32768 nodes whatever m, so they bound a sweep's memory at any
+# resolution, and the partial sums follow the cuts
 _PATCH_BLOCK = 1 << 15
 
 
-def _patch_blocks(shape: ImplicitShape, surface_resolution: int):
-    """Midpoint nodes of the shape's patches, one block of 32768 at a time.
+@functools.lru_cache(maxsize=64)
+def _gauss_rule(q: int):
+    """Gauss-Legendre nodes and weights of q points on [-1, 1], read-only
+    as every sweep shares them."""
+    x, w = np.polynomial.legendre.leggauss(q)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
-    ``surface_resolution`` is m, the midpoint nodes per patch axis, a count
+
+def _panel_axis(lo: float, hi: float, cuts, m: int):
+    """Gauss nodes and weights on [lo, hi] cut into panels at the ``cuts``
+    inside it: each of the k panels takes ceil(m / k) nodes, at most
+    m + k - 1 in all, and no node lies on a cut."""
+    edges = np.array([lo, *sorted({float(c) for c in cuts if lo < c < hi}), hi])
+    x, w = _gauss_rule(-(-m // (len(edges) - 1)))
+    mid, half = (edges[1:] + edges[:-1])[:, None] / 2.0, np.diff(edges)[:, None] / 2.0
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _patch_blocks(shape: ImplicitShape, surface_resolution: int, n: Optional[int] = None):
+    """Gauss nodes of the shape's patches, one block of 32768 at a time.
+
+    ``surface_resolution`` is m, the Gauss nodes per patch axis, a count
     from 1 to ``_MAX_SURFACE_RESOLUTION``, checked once per sweep before the
-    first block.  Node k of an m x m patch sits at (s_k, t_k) =
-    (s_ax[k // m], t_ax[k % m]) on the cell-centre axes.  Each block is the
-    range of k from one cut to the next; it is evaluated on the rows of s
-    it spans against the whole t axis, at most 32768 + 2(m - 1) nodes, then
-    cut out, so memory stays O(block + m) at any resolution.  This is the
-    one place that turns a patch into nodes.  Yields (points, unit normals,
-    area elements, ds*dt) per (patch, block), in patch order; nodes whose
-    area element vanishes are dropped.
+    first block.  Each patch axis is cut into panels at the patch's
+    ``breaks(n)`` (``_panel_axis``), so an axis of ms or mt nodes has at
+    most m + k - 1 of them.  Node k of a patch sits at (s_k, t_k) =
+    (s_ax[k // mt], t_ax[k % mt]).  Each block is the range of k from one
+    cut to the next; it is evaluated on the rows of s it spans against the
+    whole t axis, at most 32768 + 2(mt - 1) nodes, then cut out, so memory
+    stays O(block + mt) at any resolution.  This is the one place that
+    turns a patch into nodes.  Yields (points, unit normals, weighted area
+    elements) per (patch, block), in patch order, the Gauss weights folded
+    into the area element; nodes whose area element vanishes are dropped.
     """
     m = _count(surface_resolution, "surface_resolution", 1, _MAX_SURFACE_RESOLUTION)
     for patch in shape.patches:
-        (s0, s1), (t0, t1) = patch.s_range, patch.t_range
-        ds, dt = (s1 - s0) / m, (t1 - t0) / m
-        s_ax = s0 + (np.arange(m) + 0.5) * ds
-        t_row = (t0 + (np.arange(m) + 0.5) * dt)[None, :]
-        for start in range(0, m * m, _PATCH_BLOCK):
-            stop = min(start + _PATCH_BLOCK, m * m)
-            i0, i1 = start // m, -(-stop // m)
+        s_cuts, t_cuts = patch.breaks(n)
+        s_ax, s_w = _panel_axis(*patch.s_range, s_cuts, m)
+        t_ax, t_w = _panel_axis(*patch.t_range, t_cuts, m)
+        t_row, mt = t_ax[None, :], len(t_ax)
+        for start in range(0, len(s_ax) * mt, _PATCH_BLOCK):
+            stop = min(start + _PATCH_BLOCK, len(s_ax) * mt)
+            i0, i1 = start // mt, -(-stop // mt)
             s_col = s_ax[i0:i1, None]
-            cut = slice(start - i0 * m, stop - i0 * m)
+            cut = slice(start - i0 * mt, stop - i0 * mt)
             pts = patch.param(s_col, t_row).reshape(-1, 3)[cut]
             cross = patch.cross(s_col, t_row).reshape(-1, 3)[cut]
+            weight = (s_w[i0:i1, None] * t_w).reshape(-1)[cut]
             # the sum np.linalg.norm would reduce, in its order, without its
             # generic-reduction overhead
             c0, c1, c2 = cross.T
             area = np.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
             ok = area > 0
             if not ok.all():  # masking copies every array, so only when needed
-                pts, cross, area = pts[ok], cross[ok], area[ok]
-            yield pts, cross / area[:, None], area, ds * dt
+                pts, cross, area, weight = pts[ok], cross[ok], area[ok], weight[ok]
+            yield pts, cross / area[:, None], area * weight
 
 
-def _sweep(shape: ImplicitShape, surface_resolution: int, partials) -> list[float]:
-    """One sweep of the shape's patch nodes.  ``partials(points, unit
-    normals, area elements)`` gives a sequence of sums over one block; each
-    is scaled by ds*dt, and each entry's partials are reduced in block
-    order.  A block's arrays die before the next block's are made."""
-    blocks = _patch_blocks(shape, surface_resolution)
-    rows = [[float(v) * dst for v in partials(pts, nu, area)] for pts, nu, area, dst in blocks]
-    return [float(np.sum(col)) for col in zip(*rows)]
+def _sweep(shape: ImplicitShape, surface_resolution: int, partials, n: Optional[int] = None) -> list[float]:
+    """One sweep of the shape's patch nodes, panels cut at the breaks of
+    n(a) = n.  ``partials(points, unit normals, weighted area elements)``
+    gives a sequence of sums over one block, added to the running sums in
+    block order.  A block's arrays die before the next block's are made,
+    so a sweep holds one block and one row of sums (2n(a) + 2 in
+    ``measure``) at a time."""
+    total = 0.0
+    for block in _patch_blocks(shape, surface_resolution, n):
+        total = total + np.asarray(partials(*block), dtype=float)
+    return total.tolist()
 
 
-def patch_surface_integral(shape: ImplicitShape, integrand, surface_resolution: int = 256) -> float:
-    """Sum of integrand(points, unit normals) * dH^2 over the shape's patches."""
-    (total,) = _sweep(shape, surface_resolution, lambda pts, nu, area: [np.sum(integrand(pts, nu) * area)])
+def patch_surface_integral(shape: ImplicitShape, integrand, surface_resolution: int = 64) -> float:
+    """Sum of integrand(points, unit normals) * dH^2 over the shape's
+    patches, with panels cut where the y-axis pierces them."""
+    (total,) = _sweep(shape, surface_resolution, lambda pts, nu, w: [np.sum(integrand(pts, nu) * w)])
     return total
+
+
+def _sector_sums(keys, vals, n: int):
+    """Sums of ``vals`` over the nodes of each sector 1..2n (``keys`` from
+    ``_sectors``), each in node order."""
+    return np.bincount(keys, weights=vals, minlength=2 * n + 1)[1:]
 
 
 @dataclass(frozen=True)
@@ -288,9 +334,10 @@ class Measures:
     sectors: tuple[float, ...]
 
 
-def measure(shape: ImplicitShape, alpha, surface_resolution: int = 256) -> Measures:
+def measure(shape: ImplicitShape, alpha, surface_resolution: int = 64) -> Measures:
     """Weighted volume, weighted perimeter and all 2n(a) sector perimeters
-    from one sweep of the shape's patch midpoints.
+    from one sweep of the shape's patch nodes, panels cut at the sector
+    walls.
 
     The volume is the flux of ``_volume_flux``.  Each (patch, block) gives
     one partial to the volume, the perimeter and every sector, from one
@@ -298,22 +345,14 @@ def measure(shape: ImplicitShape, alpha, surface_resolution: int = 256) -> Measu
     """
     a = _alpha(alpha)
     n = sector_count(a)
-    needles = np.arange(1, 2 * n + 1, dtype=np.uint16)
 
-    def partials(pts, nu, area):
+    def partials(pts, nu, weight):
         r2, r2a = _radial(pts, a)
-        volume = np.sum(_flux_at(pts, nu, r2a, a) * area)
-        vals = _density_at(nu, r2, r2a, a) * area
-        # sector keys run to 2n <= 2 MAX_SECTOR_COUNT = 2^15, so they fit
-        # uint16, which numpy sorts by radix: the stable permutation of the
-        # int64 keys.  It keeps each sector's nodes in block order, as a
-        # mask would
-        keys = _sectors(*_polar(pts), n).astype(np.uint16)
-        order = np.argsort(keys, kind="stable")
-        parts = np.split(vals[order], np.searchsorted(keys[order], needles))[1:]
-        return [volume, np.sum(vals), *map(np.sum, parts)]
+        vals = _density_at(nu, r2, r2a, a) * weight
+        sectors = _sector_sums(_sectors(*_polar(pts), n), vals, n)
+        return np.concatenate(([np.sum(_flux_at(pts, nu, r2a, a) * weight), np.sum(vals)], sectors))
 
-    volume, perimeter, *sectors = _sweep(shape, surface_resolution, partials)
+    volume, perimeter, *sectors = _sweep(shape, surface_resolution, partials, n)
     return Measures(volume, perimeter, tuple(sectors))
 
 
@@ -344,7 +383,7 @@ def reference_quotient(alpha) -> float:
     return vals.sector_perimeter**1.5 / vals.volume
 
 
-def isoperimetric_quotient(shape: ImplicitShape, alpha, surface_resolution: int = 256) -> float:
+def isoperimetric_quotient(shape: ImplicitShape, alpha, surface_resolution: int = 64) -> float:
     """per_w(E)^{3/2} / vol_w(E).
 
     For shapes marked as contained in one sector the relative perimeter
@@ -355,20 +394,21 @@ def isoperimetric_quotient(shape: ImplicitShape, alpha, surface_resolution: int 
 
 
 def _quotient(shape: ImplicitShape, measures: Measures) -> float:
-    """per^{3/2} / vol for measures already taken; rejects a zero volume.
-
-    A sector shape enters through the relative perimeter of its sector, any
-    other shape through its whole weighted perimeter.
-    """
-    vol, n = measures.volume, len(measures.sectors)
-    if vol <= 0.0:
+    """per^{3/2} / vol for measures already taken; rejects a zero volume."""
+    if measures.volume <= 0.0:
         raise DomainError(f"shape {shape.name!r} has zero weighted volume")
+    return _quotient_perimeter(shape, measures) ** 1.5 / measures.volume
+
+
+def _quotient_perimeter(shape: ImplicitShape, measures: Measures) -> float:
+    """The perimeter that enters the quotient: the relative perimeter of a
+    sector shape's sector, any other shape's whole weighted perimeter."""
     if shape.sector is None:
-        return measures.perimeter**1.5 / vol
-    return measures.sectors[_count(shape.sector, "sector index", 1, n) - 1] ** 1.5 / vol
+        return measures.perimeter
+    return measures.sectors[_count(shape.sector, "sector index", 1, len(measures.sectors)) - 1]
 
 
-def isoperimetric_deficit(shape: ImplicitShape, alpha, surface_resolution: int = 256) -> float:
+def isoperimetric_deficit(shape: ImplicitShape, alpha, surface_resolution: int = 64) -> float:
     """Quotient of the shape minus the sharp reference value (>= 0 in theory)."""
     return isoperimetric_quotient(shape, alpha, surface_resolution) - reference_quotient(alpha)
 
@@ -403,10 +443,6 @@ def anisotropic_scale(shape: ImplicitShape, lam: float, alpha) -> ImplicitShape:
 
 
 def _scale_patch(patch: SurfacePatch, scale, cof) -> SurfacePatch:
+    # equal scales of x1 and x2 keep every node's angle, so the breaks stay
     param, cross = patch.param, patch.cross
-    return SurfacePatch(
-        param=lambda s, t: param(s, t) * scale,
-        cross=lambda s, t: cross(s, t) * cof,
-        s_range=patch.s_range,
-        t_range=patch.t_range,
-    )
+    return replace(patch, param=lambda s, t: param(s, t) * scale, cross=lambda s, t: cross(s, t) * cof)

@@ -67,7 +67,7 @@ class StarShapedReport:
 
 
 def star_shaped_check(
-    target: Union[ImplicitShape, CellGrid], alpha, surface_resolution: int = 256
+    target: Union[ImplicitShape, CellGrid], alpha, surface_resolution: int = 64
 ) -> StarShapedReport:
     """Evaluate g = x1 nu1 + x2 nu2 + (1+a) y nu3 over the boundary.
 
@@ -76,7 +76,7 @@ def star_shaped_check(
     unmasked: on its box g is constant on each face, sign * coef *
     bbox[axis, side] with coef = 1 + a on the y faces, so the minimum is
     taken over the six faces; a shape takes the minimum of g over its patch
-    midpoint nodes, swept block by block by ``_patch_blocks``.
+    Gauss nodes, swept block by block by ``_patch_blocks``.
     """
     a = _alpha(alpha)
     if not isinstance(target, ImplicitShape):
@@ -96,7 +96,7 @@ def star_shaped_check(
     if shape.level(np.zeros((1, 3)))[0] >= 0:
         raise DomainError("star-shapedness is relative to the origin, which must lie inside")
     m = math.inf
-    for pts, nu, _, _ in _patch_blocks(shape, surface_resolution):
+    for pts, nu, _ in _patch_blocks(shape, surface_resolution):
         g = pts[:, 0] * nu[:, 0] + pts[:, 1] * nu[:, 1] + (1.0 + a) * pts[:, 2] * nu[:, 2]
         m = min(m, float(g.min(initial=math.inf)))
     return StarShapedReport(m >= -1e-10, m)

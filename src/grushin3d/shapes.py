@@ -2,11 +2,14 @@
 
 Every builder returns an ImplicitShape whose ``level`` is vectorised and
 whose ``patches`` carry exact parametrisations, so surface quadrature is
-limited only by the midpoint rule, not by the shape description.  Each
+limited only by the Gauss rule, not by the shape description.  Each
 patch takes broadcast (s, t) arrays (see ``SurfacePatch``) and computes
 every function of one parameter on that parameter's own array, so a sweep
 evaluates them once per row or column of nodes.  Shapes are addressable
-by name through ``make_shape`` for the CLI.
+by name through ``make_shape`` for the CLI.  Each builder also gives its
+patches' ``breaks``: the parameter lines of the sector walls where a patch
+is centred on the y-axis, and the points where the y-axis pierces a patch
+off it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,12 @@ from .grids import _count
 # bbox padding factor; non-round so flat faces avoid the cell planes of the
 # voxel reference in tests/voxel_reference.py, the only code that grids a bbox
 _PAD = 1.0731
+
+
+def _walls(n):
+    """cos and sin of the 2n sector wall angles k pi / n."""
+    theta = np.arange(2 * n) * (math.pi / n)
+    return np.cos(theta), np.sin(theta)
 
 
 def ellipsoid(semiaxes=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> ImplicitShape:
@@ -53,7 +62,22 @@ def ellipsoid(semiaxes=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> ImplicitShape
             a * b * sin_s * np.cos(s),
         )
 
-    patch = SurfacePatch(param, cross, (0.0, math.pi), (0.0, 2.0 * math.pi))
+    def breaks(n):
+        if cx == 0.0 and cy == 0.0:
+            # a wall theta_k meets the surface on the line t = t_k where
+            # (a cos t, b sin t) points along theta_k
+            if n is None:
+                return (), ()
+            cos, sin = _walls(n)
+            return (), _wrap_angle(np.arctan2(a * sin, b * cos))
+        # the axis meets the surface where sin(s) (cos t, sin t) = -(cx/a, cy/b)
+        rho = math.hypot(cx / a, cy / b)
+        if rho > 1.0:
+            return (), ()
+        s_axis = math.asin(rho)
+        return (s_axis, math.pi - s_axis), (float(_wrap_angle(math.atan2(-cy / b, -cx / a))),)
+
+    patch = SurfacePatch(param, cross, (0.0, math.pi), (0.0, 2.0 * math.pi), breaks)
     bbox = [
         (cx - _PAD * a, cx + _PAD * a),
         (cy - _PAD * b, cy + _PAD * b),
@@ -84,8 +108,21 @@ def cylinder(radius=1.0, half_height=1.0, center=(0.0, 0.0, 0.0)) -> ImplicitSha
     def lateral_cross(t, z):
         return _stack(t, z, R * np.cos(t), R * np.sin(t), 0.0)
 
+    on_axis = cx == 0.0 and cy == 0.0
+
+    def wall_angles(n):
+        # on a cylinder centred on the axis a wall theta_k is the line t = theta_k
+        return np.arange(2 * n) * (math.pi / n) if on_axis and n is not None else ()
+
+    def cap_breaks(n):
+        if on_axis or math.hypot(cx, cy) >= R:
+            return (), wall_angles(n)
+        return (math.hypot(cx, cy),), (float(_wrap_angle(math.atan2(-cy, -cx))),)
+
     patches = [
-        SurfacePatch(lateral_param, lateral_cross, (0.0, 2.0 * math.pi), (cz - H, cz + H))
+        SurfacePatch(
+            lateral_param, lateral_cross, (0.0, 2.0 * math.pi), (cz - H, cz + H), lambda n: (wall_angles(n), ())
+        )
     ]
     for sign in (1.0, -1.0):
 
@@ -95,7 +132,7 @@ def cylinder(radius=1.0, half_height=1.0, center=(0.0, 0.0, 0.0)) -> ImplicitSha
         def cap_cross(rho, t, sign=sign):
             return _stack(rho, t, 0.0, 0.0, sign * rho)
 
-        patches.append(SurfacePatch(cap_param, cap_cross, (0.0, R), (0.0, 2.0 * math.pi)))
+        patches.append(SurfacePatch(cap_param, cap_cross, (0.0, R), (0.0, 2.0 * math.pi), cap_breaks))
 
     bbox = [
         (cx - _PAD * R, cx + _PAD * R),
@@ -131,8 +168,24 @@ def box(half_widths=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> ImplicitShape:
                 comps[axis] = sign  # unit outward normal, area element 1
                 return _stack(s, t, *comps)
 
+            def breaks(n, axis=axis, sign=sign):
+                face = ctr[axis] + sign * hw[axis]
+                if axis == 2:
+                    # a horizontal face (s, t) = (x1, x2): the axis pierces it at (0, 0)
+                    return (0.0,), (0.0,)
+                # a vertical face x_axis = face, s the other horizontal
+                # coordinate: the wall ray along u meets it at s = face u_s / u_axis
+                if face == 0.0:
+                    return (0.0,), ()
+                if n is None:
+                    return (), ()
+                cos, sin = _walls(n)
+                u_face, u_s = (cos, sin) if axis == 0 else (sin, cos)
+                hit = u_face * face > 0
+                return face / u_face[hit] * u_s[hit], ()
+
             ranges = [(ctr[a] - hw[a], ctr[a] + hw[a]) for a in t_axes]
-            patches.append(SurfacePatch(param, cross, tuple(ranges[0]), tuple(ranges[1])))
+            patches.append(SurfacePatch(param, cross, tuple(ranges[0]), tuple(ranges[1]), breaks))
 
     bbox = [(ctr[i] - _PAD * hw[i], ctr[i] + _PAD * hw[i]) for i in range(3)]
     return ImplicitShape(level, np.array(bbox), patches=patches, name="box")
@@ -177,6 +230,8 @@ def ball_sector(alpha, j: int = 1, radius: float = 1.0) -> ImplicitShape:
         dR = R * np.cos(s) / ((a + 1.0) * sin_s)
         return _stack(s, t, z_scale * R * sin_s * np.cos(t), z_scale * R * sin_s * np.sin(t), R * dR)
 
+    # no breaks: the cap lies in one sector, and the axis and the walls
+    # bound every patch
     patches = [SurfacePatch(cap_param, cap_cross, (0.0, math.pi), (th0, th1))]
 
     for theta_w, outward_sign in ((th0, 1.0), (th1, -1.0)):

@@ -32,7 +32,7 @@ the reference of the fused sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .geometry import (
     _flux_at,
     _polar,
     _radial,
+    _sector_sums,
     _sectors,
     _sweep,
     _wrap_angle,
@@ -101,13 +102,15 @@ def _cofactor_at(r, theta, v, a):
 
 def _image_patch(patch: SurfacePatch, a: float) -> SurfacePatch:
     """Image of a first-sector patch under the flattening map, with the
-    tangent cross product carried by ``_cofactor``."""
-    param, cross = patch.param, patch.cross
-    return SurfacePatch(
+    tangent cross product carried by ``_cofactor``.  The map keeps the
+    y-axis, so the image keeps the source's axis breaks; it moves the
+    sector walls, so it drops the source's wall breaks."""
+    param, cross, breaks = patch.param, patch.cross, patch.breaks
+    return replace(
+        patch,
         param=lambda s, t: flatten_point(param(s, t), a),
         cross=lambda s, t: _cofactor(param(s, t), cross(s, t), a),
-        s_range=patch.s_range,
-        t_range=patch.t_range,
+        breaks=lambda n: breaks(None),
     )
 
 
@@ -161,7 +164,7 @@ def _euclidean_flux(points, normals):
 
 
 def pushforward_checks(
-    shape: ImplicitShape, alpha, surface_resolution: int = 256
+    shape: ImplicitShape, alpha, surface_resolution: int = 64
 ) -> tuple[PushforwardReport, PushforwardReport]:
     """(volume, perimeter) reports: vol_w(E) against the Lebesgue volume of
     the flattened image, and the relative weighted perimeter against the
@@ -172,7 +175,7 @@ def pushforward_checks(
     vector area element at the image F(node) of a source node.
 
     |F(E)| is the flux of xi / 3 through the image of bd(E), the sum of
-    F(node) . cof(DF) nu dA / 3, by the same midpoint quadrature as the
+    F(node) . cof(DF) nu dA / 3, by the same Gauss quadrature as the
     weighted side but with the 3D identity div(xi) = 3 (the 2D flux of
     (xi1, xi2) / 2 equals the weighted flux node by node, which would make
     the check vacuous).
@@ -182,30 +185,32 @@ def pushforward_checks(
     image's area element per unit source area, on the nodes in sector 1
     and 0 elsewhere.  That equals the weighted integrand node by node, so
     the perimeter gap measures rounding; the tests check the closed-form
-    cofactor against finite differences.
+    cofactor against finite differences.  The sweep cuts its panels at the
+    sector walls, and both perimeter sides sum sector 1 as ``measure``
+    does.
     """
     a = _alpha(alpha)
     _require_in_sector(shape, a)
     n = sector_count(a)
 
-    def partials(pts, nu, area):
+    def partials(pts, nu, weight):
         # the block's polar frame, computed once per node
         r2, r2a = _radial(pts, a)
         r, theta = _polar(pts)
-        volume = np.sum(_flux_at(pts, nu, r2a, a) * area)
+        volume = np.sum(_flux_at(pts, nu, r2a, a) * weight)
         # nodes outside sector 1, its walls included, weigh nothing on
         # either perimeter side
-        inside = _sectors(r, theta, n) == 1
-        perimeter = np.sum((_density_at(nu, r2, r2a, a) * area)[inside])
+        keys = _sectors(r, theta, n)
+        perimeter = _sector_sums(keys, _density_at(nu, r2, r2a, a) * weight, n)[0]
         c0, c1, c2 = _cofactor_at(r, theta, nu, a)
         f0, f1 = _flat_at(r, theta, a)
         # |cof| and F . cof associate as np.linalg.norm(axis=1) and
         # np.sum(axis=1) do on the stacked (N, 3) rows
-        image_area = np.sum(np.where(inside, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2), 0.0) * area)
-        image_volume = np.sum((f0 * c0 + f1 * c1 + pts[:, 2] * c2) / 3.0 * area)
+        image_area = _sector_sums(keys, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2) * weight, n)[0]
+        image_volume = np.sum((f0 * c0 + f1 * c1 + pts[:, 2] * c2) / 3.0 * weight)
         return volume, perimeter, image_area, image_volume
 
-    volume, perimeter, image_area, image_volume = _sweep(shape, surface_resolution, partials)
+    volume, perimeter, image_area, image_volume = _sweep(shape, surface_resolution, partials, n)
     return (
         PushforwardReport(volume, image_volume, _gap(volume, image_volume)),
         PushforwardReport(perimeter, image_area, _gap(perimeter, image_area)),

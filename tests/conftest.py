@@ -1,6 +1,5 @@
 import os
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -18,20 +17,6 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 @pytest.fixture(scope="session")
 def fast_m():
     return 128
-
-
-@pytest.fixture(scope="session")
-def midpoint_st():
-    """Reference product-midpoint nodes of a patch, s slowest, built whole
-    with np.meshgrid, and the cell weight ds*dt."""
-
-    def nodes(patch, m):
-        (s0, s1), (t0, t1) = patch.s_range, patch.t_range
-        ds, dt = (s1 - s0) / m, (t1 - t0) / m
-        S, T = np.meshgrid(s0 + (np.arange(m) + 0.5) * ds, t0 + (np.arange(m) + 0.5) * dt, indexing="ij")
-        return np.column_stack([S.ravel(), T.ravel()]), ds * dt
-
-    return nodes
 
 
 @pytest.fixture(scope="session")

@@ -117,8 +117,9 @@ class TestGeometryCommand:
         sweeps = count_calls(monkeypatch, "_patch_blocks", geometry._patch_blocks)
         code, rep = run_cli(["geometry", *shape_args, *FAST_GEO], capsys)
         assert code == 0
-        # one sweep of the patch nodes gives the volume and every perimeter
-        assert len(sweeps) == 1
+        # one sweep of the patch nodes gives the volume and every perimeter,
+        # and one at half the resolution the quadrature error indicator
+        assert [args[1:] for args in sweeps] == [(96, num_sectors // 2), (48, num_sectors // 2)]
         res = rep["results"]
         assert sorted(k for k in res if k.startswith("sector_perimeter_")) == sorted(
             f"sector_perimeter_{j}" for j in range(1, num_sectors + 1)
@@ -127,6 +128,38 @@ class TestGeometryCommand:
         sector = rep["params"]["sector"] or 1 if "ball-sector" in shape_args else None
         per = res["weighted_perimeter"] if sector is None else res[f"sector_perimeter_{sector}"]
         assert res["isoperimetric_quotient"] == per**1.5 / res["weighted_volume"]
+
+    @pytest.mark.parametrize(
+        "shape_args, shape",
+        [
+            (
+                ["--shape", "ellipsoid", "--alpha", "0.5", "--semiaxes", "1.3", "0.8", "0.6"],
+                shapes.ellipsoid((1.3, 0.8, 0.6)),
+            ),
+            (["--shape", "ball-sector", "--alpha", "2.5", "--sector", "3"], shapes.ball_sector(2.5, 3)),
+        ],
+        ids=["ellipsoid", "sector-3"],
+    )
+    @pytest.mark.parametrize("m", [7, 64])
+    def test_quadrature_rel_change(self, shape_args, shape, m, capsys):
+        # the largest relative change of the volume, the perimeter that
+        # enters the quotient and the quotient from ceil(m / 2) to m; a
+        # report value, not a check
+        code, rep = run_cli(["geometry", *shape_args, "--surface-resolution", str(m)], capsys)
+        assert code == 0
+        alpha = rep["params"]["alpha"]
+        pairs = []
+        for ms in (geometry.measure(shape, alpha, m), geometry.measure(shape, alpha, -(-m // 2))):
+            per = ms.perimeter if shape.sector is None else ms.sectors[shape.sector - 1]
+            pairs.append((ms.volume, per, per**1.5 / ms.volume))
+        want = max(abs(f - c) / max(abs(f), abs(c)) for f, c in zip(*pairs))
+        assert rep["results"]["quadrature_rel_change"] == want
+        assert want > 0.0 and "quadrature_rel_change" not in {c["name"] for c in rep["checks"]}
+
+    def test_quadrature_rel_change_without_a_volume(self):
+        # a zero volume leaves the quotient out: the volume's change is 1
+        assert cli._rel_change((1.0, 2.0), (0.0, 1.0)) == 1.0
+        assert cli._rel_change((0.0, 2.0), (0.0, 1.0)) == 0.5
 
     def test_zero_volume_is_usage_error(self, capsys):
         # |x|^2 underflows to 0 on a ball of radius 1e-200
@@ -146,6 +179,16 @@ class TestTransformCheckCommand:
         assert code == 0
         assert rep["results"]["volume_rel_gap"] <= 1e-3
         assert rep["results"]["perimeter_rel_gap"] <= 1e-2
+
+    @pytest.mark.parametrize("shape", ["ball-sector", "small-ball"])
+    def test_default_resolution_at_rounding(self, shape, capsys):
+        # neither shape has a kink inside a panel: the volume gap and the
+        # change from m = 32 to 64 are rounding
+        code, rep = run_cli(["transform-check", "--alpha", "1", "--shape", shape], capsys)
+        assert code == 0
+        assert rep["results"]["volume_rel_gap"] <= 1e-13
+        assert rep["results"]["quadrature_rel_change"] <= 1e-13
+        assert "quadrature_rel_change" not in {c["name"] for c in rep["checks"]}
 
     def test_large_alpha(self, capsys):
         # the image of the ball sector spans ~1e11 at alpha = 400; its
@@ -178,21 +221,25 @@ class TestTransformCheckCommand:
 
             return dataclasses.replace(patch, param=param, cross=cross)
 
-        def with_counted_patches(shape_, m):
+        def with_counted_patches(shape_, m, n):
             patches = [counted(p, k) for k, p in enumerate(shape_.patches)]
-            return dataclasses.replace(shape_, patches=patches), m
+            return dataclasses.replace(shape_, patches=patches), m, n
 
         sweeps = count_calls(monkeypatch, "_patch_blocks", geometry._patch_blocks, wrap=with_counted_patches)
         checks = count_calls(monkeypatch, "_require_in_sector", transform._require_in_sector)
-        # 300^2 nodes per patch: three blocks
+        # 300^2 nodes per patch: three blocks, and one block of 150^2 in the
+        # sweep at half the resolution (neither shape has a break)
         code, _ = run_cli(["transform-check", "--alpha", "1", "--shape", shape, "--surface-resolution", "300"], capsys)
         assert code == 0
-        assert len(checks) == 1
+        assert len(checks) == 2
         # one sweep of the source patches gives both weighted sides and both
-        # image measures; each block evaluates its patch once
-        assert len(sweeps) == 1 and not sweeps[0][0].name.startswith("flat(")
+        # image measures, and one at half the resolution the quadrature
+        # error indicator; each block evaluates its patch once
+        assert [args[1:] for args in sweeps] == [(300, 2), (150, 2)]
+        assert not any(args[0].name.startswith("flat(") for args in sweeps)
         patches = len(sweeps[0][0].patches)
-        assert calls == [(f, k) for k in range(patches) for _ in range(3) for f in ("param", "cross")]
+        evaluations = [(f, k) for blocks in (3, 1) for k in range(patches) for _ in range(blocks) for f in ("param", "cross")]
+        assert calls == evaluations
 
 
 class TestPatchOnlyCli:
@@ -431,7 +478,7 @@ HUGE_BBOX_GRID = f"{GRID_MAGIC}\n2 2 2\n-1e308 1e308 -1 1 -1 1\n0 0 0 0 0 1 0 0\
 # the stderr line of bad-input cases whose diagnosis is not a file or a non-finite result
 BAD_INPUT_LINES = {
     "geometry --shape ball --alpha 1 --surface-resolution 10000000":
-        "usage error: surface_resolution must be at most 16384, got 10000000\n",
+        "usage error: surface_resolution must be at most 1024, got 10000000\n",
     "solve --alpha 1 --q 4 --grid 8 --half-width 1e300":
         "numerical failure: OverflowError: (34, 'Numerical result out of range')\n",
     "geometry --shape ball --alpha 1e300": "usage error: alpha must be at most 16383, got 1e+300\n",
@@ -505,7 +552,7 @@ class TestBadInput:
             # finite inputs whose measures overflow: no NaN report, exit 4
             (["geometry", "--shape", "ellipsoid", "--alpha", "1", "--semiaxes", "1e200", "1", "1"], None, 4),
             (["geometry", "--shape", "ball-sector", "--alpha", "1", "--radius", "1e300"], None, 4),
-            # 10^14 midpoint nodes per patch: above the resolution cap
+            # 10^14 Gauss nodes per patch: above the resolution cap
             (["geometry", "--shape", "ball", "--alpha", "1", "--surface-resolution", "10000000"], None, 2),
             # failures no check foresees: one line naming the exception, exit 4
             (["solve", "--alpha", "1", "--q", "4", "--grid", "8", "--half-width", "1e300"], None, 4),

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from grushin3d.geometry import reference_ball_values, sector_index
 from grushin3d.grids import CellGrid
 from grushin3d.shapes import ball, ball_sector, box, corpus_shapes, cylinder, ellipsoid, make_shape
 from grushin3d.transform import flatten_shape
+from patch_reference import gauss_axis, gauss_st, midpoint_measure
 from voxel_reference import REFINE_CHUNK, refine_chunk, voxel_integral, weighted
 
 
@@ -156,17 +158,23 @@ class TestWeightedVolume:
         assert len(sweeps) == len(shapes)
 
 
+def _integral(shape, integrand, m, n):
+    """``patch_surface_integral`` with panels cut at the sector walls of n."""
+    (total,) = geometry._sweep(shape, m, lambda pts, nu, w: [np.sum(integrand(pts, nu) * w)], n)
+    return total
+
+
 class TestMeasure:
     @pytest.mark.parametrize("alpha", [0.5, 2.5])
     def test_one_sweep_matches_one_sweep_per_measure(self, alpha):
-        # reference: a patch_surface_integral per measure; at m = 192 each
+        # reference: a sweep per measure on the same panels; at m = 192 each
         # patch spans two blocks, whose partials both routes reduce in order
-        m = 192
+        m, n = 192, sector_count(alpha)
         flux, density = geometry._volume_flux(alpha), geometry._area_integrand(alpha)
         for shape in corpus_shapes(alpha):
             measures = measure(shape, alpha, m)
-            assert measures.volume == geometry.patch_surface_integral(shape, flux, m)
-            assert measures.perimeter == geometry.patch_surface_integral(shape, density, m)
+            assert measures.volume == _integral(shape, flux, m, n)
+            assert measures.perimeter == _integral(shape, density, m, n)
 
     @pytest.mark.parametrize("shape", [ellipsoid((1.3, 0.8, 0.6)), ball_sector(2.5, 3)], ids=["ellipsoid", "sector-3"])
     def test_sector_split_matches_masked_integrals(self, shape, fast_m):
@@ -176,7 +184,7 @@ class TestMeasure:
             def in_sector(points, normals, j=j):
                 return np.where(sector_index(points, 2.5) == j, geometry._area_integrand(2.5)(points, normals), 0.0)
 
-            assert part == pytest.approx(geometry.patch_surface_integral(shape, in_sector, fast_m), rel=1e-13)
+            assert part == pytest.approx(_integral(shape, in_sector, fast_m, sector_count(2.5)), rel=1e-13)
 
 
 class TestRefinementChunks:
@@ -215,7 +223,7 @@ class TestWeightedPerimeter:
     def test_patch_normals_are_unit(self):
         m = 17
         for shape in (ellipsoid((1.3, 0.8, 0.6)), cylinder(0.7, 1.4), box((1, 0.7, 0.9)), ball_sector(1.0)):
-            for _, nu, _, _ in geometry._patch_blocks(shape, m):
+            for _, nu, _ in geometry._patch_blocks(shape, m):
                 norms = np.linalg.norm(nu, axis=1)
                 assert np.abs(norms - 1.0).max() <= 1e-12
 
@@ -232,59 +240,148 @@ def half_degenerate_square():
 
 
 def _block_cases():
-    """(shape, m): three cuts of the block reference shapes, and m = 37 on
-    the patches of every other shape family."""
+    """(shape, m, n): three cuts of the block reference shapes, and m = 37 on
+    the patches of every other shape family, panels cut at the breaks of n."""
     for name, shape in [
         ("ellipsoid", ellipsoid((1.3, 0.8, 0.6))),
         ("ball-sector", ball_sector(1.0)),
         ("half-degenerate", half_degenerate_square()),
     ]:
         for m in (96, 256, 300):
-            yield pytest.param(shape, m, id=f"{name}-{m}")
+            yield pytest.param(shape, m, 2, id=f"{name}-{m}")
     for alpha in (0.5, 1.0, 2.5):
+        n = sector_count(alpha)
         for k, shape in enumerate(corpus_shapes(alpha)):
-            yield pytest.param(shape, 37, id=f"corpus{k}-{shape.name}-{alpha}")
-        yield pytest.param(anisotropic_scale(ellipsoid((1.3, 0.8, 0.6)), 1.7, alpha), 37, id=f"scaled-{alpha}")
-        yield pytest.param(anisotropic_scale(ball_sector(alpha), 0.6, alpha), 37, id=f"scaled-sector-{alpha}")
-        yield pytest.param(flatten_shape(ball_sector(alpha), alpha), 37, id=f"flat-sector-{alpha}")
-        yield pytest.param(flatten_shape(ball(0.2, center=(0.7, 0.3, 0.0)), alpha), 37, id=f"flat-ball-{alpha}")
+            yield pytest.param(shape, 37, n, id=f"corpus{k}-{shape.name}-{alpha}")
+        yield pytest.param(anisotropic_scale(ellipsoid((1.3, 0.8, 0.6)), 1.7, alpha), 37, n, id=f"scaled-{alpha}")
+        yield pytest.param(anisotropic_scale(ball_sector(alpha), 0.6, alpha), 37, n, id=f"scaled-sector-{alpha}")
+        yield pytest.param(flatten_shape(ball_sector(alpha), alpha), 37, n, id=f"flat-sector-{alpha}")
+        yield pytest.param(flatten_shape(ball(0.2, center=(0.7, 0.3, 0.0)), alpha), 37, n, id=f"flat-ball-{alpha}")
+    # the axis pierces the off-centre balls: panels in s and in t
+    yield pytest.param(ball(0.6, center=(0.4, 0.4, 0.3)), 300, None, id="off-centre-ball-300")
+    # 2n = 802 walls: 803 one-node panels on the t axis
+    yield pytest.param(ellipsoid((1.3, 0.8, 0.6)), 64, sector_count(400.0), id="ellipsoid-alpha400")
 
 
 class TestPatchBlocks:
-    @pytest.mark.parametrize("shape, m", list(_block_cases()))
-    def test_blocks_match_whole_patch_reference(self, shape, m, midpoint_st):
+    @pytest.mark.parametrize("shape, m, n", list(_block_cases()))
+    def test_blocks_match_whole_patch_reference(self, shape, m, n):
         # one block at m = 37 and 96, two that end on row boundaries at
         # m = 256, and three at m = 300, whose cuts fall inside rows; the
         # blocks evaluate whole rows, the reference node by node
         evaluated = []
 
-        def spied(patch):
+        def spied(patch, k):
             def param(s, t):
-                evaluated.append(np.broadcast(s, t).size)
+                evaluated.append((k, np.broadcast(s, t).size))
                 return patch.param(s, t)
 
             return replace(patch, param=param)
 
-        spy = replace(shape, patches=[spied(p) for p in shape.patches])
-        blocks = geometry._patch_blocks(spy, m)
+        spy = replace(shape, patches=[spied(p, k) for k, p in enumerate(shape.patches)])
+        blocks = geometry._patch_blocks(spy, m, n)
         block = 1 << 15
-        for patch in shape.patches:
-            # the reference builds all m^2 nodes at once, then cuts 32768-node blocks
-            nodes, dst = midpoint_st(patch, m)
-            for s in range(0, m * m, block):
-                st_ = nodes[s : s + block]
+        for k, patch in enumerate(shape.patches):
+            # the reference builds every Gauss node at once, then cuts 32768-node blocks
+            st, weight = gauss_st(patch, m, n)
+            for start in range(0, len(st), block):
+                st_, w_ = st[start : start + block], weight[start : start + block]
                 cross = patch.cross(*st_.T)
                 area = np.linalg.norm(cross, axis=1)
                 ok = area > 0
-                pts, nu, got_area, got_dst = next(blocks)
+                pts, nu, got = next(blocks)
                 assert np.array_equal(pts, patch.param(*st_.T)[ok])
                 assert np.array_equal(nu, cross[ok] / area[ok, None])
-                assert np.array_equal(got_area, area[ok])
-                assert got_dst == dst
+                assert np.array_equal(got, area[ok] * w_[ok])
+            # each block is evaluated on the whole rows it spans
+            mt = len(gauss_axis(*patch.t_range, patch.breaks(n)[1], m)[0])
+            sizes = [size for j, size in evaluated if j == k]
+            assert len(sizes) == -(-len(st) // block)
+            assert max(sizes) <= block + 2 * (mt - 1)
         assert next(blocks, None) is None
-        # each block is evaluated on the whole rows it spans
-        assert len(evaluated) == len(shape.patches) * -(-m * m // block)
-        assert max(evaluated) <= block + 2 * (m - 1)
+
+    @pytest.mark.parametrize("m", [1, 7, 64, 1024])
+    @pytest.mark.parametrize(
+        "cuts",
+        [(), (0.5,), (0.7, -1.0, 0.3, 0.3, 2.0, 0.0, 1.0), tuple(np.linspace(0.0, 1.0, 803)[1:-1])],
+        ids=["none", "one", "repeated-and-outside", "801"],
+    )
+    def test_panel_axis(self, cuts, m):
+        nodes, weights = geometry._panel_axis(0.0, 1.0, cuts, m)
+        want_nodes, want_weights = gauss_axis(0.0, 1.0, cuts, m)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        # k panels of ceil(m / k) nodes: at most m + k - 1, none on a cut
+        inner = sorted({c for c in cuts if 0.0 < c < 1.0})
+        assert len(nodes) <= m + len(inner)
+        edges = np.searchsorted(nodes, inner)
+        assert np.array_equal(np.diff([0, *edges, len(nodes)]), [-(-m // (len(inner) + 1))] * (len(inner) + 1))
+        assert not set(nodes) & set(inner) and 0.0 < nodes.min() and nodes.max() < 1.0
+        assert math.fsum(weights) == pytest.approx(1.0, rel=1e-14)
+
+
+class TestGaussRule:
+    """The Gauss panels against the midpoint rule they replace, and the
+    values the split at the walls makes exact to rounding."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_within_the_midpoint_doubling_difference(self, alpha):
+        # the midpoint rule's m = 96 vs 192 difference bounds its own error
+        # at 192; where it is exact to rounding the bound is 1e-12.  Sector
+        # parts are left out: a wall that cuts a midpoint cell makes that
+        # rule's error O(1/m) and erratic
+        for shape in corpus_shapes(alpha):
+            gauss = measure(shape, alpha)
+            coarse, fine = midpoint_measure(shape, alpha, 96), midpoint_measure(shape, alpha, 192)
+            for name in ("volume", "perimeter"):
+                g, c, f = (getattr(ms, name) for ms in (gauss, coarse, fine))
+                assert abs(g - f) <= abs(c - f) + 1e-12 * abs(f), (shape.name, name)
+
+    def test_unit_ball_sectors_agree(self):
+        # alpha = 2: six sectors, equal by symmetry; the midpoint rule at
+        # m = 256 put them 2.3% apart
+        sectors = measure(ball(1.0), 2.0).sectors
+        assert len(sectors) == 6
+        assert max(sectors) - min(sectors) <= 1e-12 * min(sectors)
+
+    @pytest.mark.parametrize(
+        "alpha, shape",
+        [
+            *((alpha, ellipsoid((1.3, 0.8, 0.6))) for alpha in (0.5, 1.0, 2.5)),
+            *((alpha, cylinder(0.7, 1.4)) for alpha in (0.5, 1.0, 2.5)),
+            # alpha = 1: every wall of the box is a parameter line of its faces
+            (1.0, box((1.2, 0.7, 0.9))),
+            (1.0, box((1.0, 1.0, 1.0), center=(1.0, 0.5, 0.0))),
+        ],
+    )
+    def test_sectors_converge_where_the_walls_are_breaks(self, alpha, shape):
+        # a wall inside a panel would leave an O(1/m) error, ~1e-2 here
+        got, ref = (np.array(measure(shape, alpha, m).sectors) for m in (64, 256))
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 7.3, 400.0])
+    def test_ball_sector_closed_forms(self, alpha):
+        shape = ball_sector(alpha)
+        ref = reference_ball_values(alpha)
+        measures = measure(shape, alpha)
+        assert measures.volume == pytest.approx(ref.volume, rel=1e-13)
+        assert measures.sectors[0] == pytest.approx(ref.sector_perimeter, rel=1e-13)
+        assert isoperimetric_quotient(shape, alpha) == pytest.approx(reference_quotient(alpha), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5])
+    def test_off_centre_ball_perimeter(self, alpha):
+        # panels cut at the two points where the axis pierces the sphere
+        shape = ball(0.6, center=(0.4, 0.4, 0.3))
+        assert measure(shape, alpha).perimeter == pytest.approx(measure(shape, alpha, 1024).perimeter, rel=1e-6)
+
+    def test_largest_alpha_ball_sector_is_fast(self):
+        # 2n = 32768 sectors summed by one bincount per block; the sort and
+        # split it replaced took 1.09 s at the former default m = 256
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            measure(ball_sector(16383, 1), 16383)
+            times.append(time.perf_counter() - start)
+        assert min(times) <= 0.5
 
 
 class TestSectorPerimeter:

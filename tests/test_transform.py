@@ -7,6 +7,7 @@ from grushin3d import DomainError, ImplicitShape, geometry, measure, sector_coun
 from grushin3d.geometry import patch_surface_integral, reference_ball_values, sector_index
 from grushin3d.shapes import ball, ball_sector, corpus_shapes
 from grushin3d.transform import _euclidean_flux, flatten_point, flatten_shape, pushforward_checks, unflatten_point
+from patch_reference import gauss_st, midpoint_st
 from voxel_reference import unit, voxel_integral
 
 
@@ -44,7 +45,7 @@ class TestFlattenRoundTrip:
 
 class TestReferenceBallImage:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_cap_maps_to_unit_sphere(self, alpha, midpoint_st):
+    def test_cap_maps_to_unit_sphere(self, alpha):
         shape = ball_sector(alpha, 1)
         cap = shape.patches[0]
         st, _ = midpoint_st(cap, 40)
@@ -53,7 +54,7 @@ class TestReferenceBallImage:
         radii = np.linalg.norm(image, axis=1)
         assert np.abs(radii - 1.0).max() <= 1e-10
 
-    def test_image_wedge_angle(self, midpoint_st):
+    def test_image_wedge_angle(self):
         alpha = 2.0
         shape = ball_sector(alpha, 1)
         cap = shape.patches[0]
@@ -136,7 +137,7 @@ def _image_shapes(alphas=(0.5, 1.0, 2.0)):
 
 class TestImagePatches:
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
-    def test_cross_matches_central_differences(self, alpha, shape, midpoint_st):
+    def test_cross_matches_central_differences(self, alpha, shape):
         # reference: finite-difference tangents of flatten_point o param
         flat = flatten_shape(shape, alpha)
         assert len(flat.patches) == len(shape.patches)
@@ -158,15 +159,15 @@ class TestImagePatches:
             assert np.array_equal(image.param(*st.T), f(st))
 
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes()))
-    def test_perimeter_check_matches_per_patch_loop(self, alpha, shape, midpoint_st):
+    def test_perimeter_check_matches_per_patch_loop(self, alpha, shape):
         # reference: the image patches' area elements summed patch by patch
-        # over the source nodes that lie in sector 1
+        # over the source's Gauss nodes that lie in sector 1
         m = 300
         total = 0.0
         for patch, image in zip(shape.patches, flatten_shape(shape, alpha).patches):
-            st, dst = midpoint_st(patch, m)
-            st = st[sector_index(patch.param(*st.T), alpha) == 1]
-            total += float(np.sum(np.linalg.norm(image.cross(*st.T), axis=1))) * dst
+            st, weight = gauss_st(patch, m, sector_count(alpha))
+            inside = sector_index(patch.param(*st.T), alpha) == 1
+            total += float(np.sum(np.linalg.norm(image.cross(*st[inside].T), axis=1) * weight[inside]))
         _, rep = pushforward_checks(shape, alpha, m)
         assert abs(rep.euclidean - total) <= 1e-14 * total
 
@@ -181,9 +182,9 @@ class TestImagePatches:
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes((0.5, 1.0, 2.0, 400.0))))
     def test_weighted_sides_match_measure(self, alpha, shape, m):
         # reference for the weighted sides: the geometry sweep, whose sector
-        # split sorts the nodes where the source sweep masks them; both keep
-        # block order.  Reference for the image volume: the flux of xi / 3
-        # through the image patches, swept on their own
+        # sums both sweeps share.  Reference for the image volume: the flux
+        # of xi / 3 through the image patches, swept on their own; neither
+        # shape has a break, so both sweeps take the same nodes
         volume, perimeter = pushforward_checks(shape, alpha, m)
         measures = measure(shape, alpha, m)
         assert volume.weighted == measures.volume
@@ -211,10 +212,8 @@ def _composed_measure(a):
 
     def partials(pts, nu, area):
         vals = density(pts, nu) * area
-        idx = _composed_sectors(pts, a)
-        order = np.argsort(idx, kind="stable")
-        parts = np.split(vals[order], np.searchsorted(idx[order], np.arange(1, 2 * n + 1)))[1:]
-        return [np.sum(flux(pts, nu) * area), np.sum(vals), *map(np.sum, parts)]
+        parts = np.bincount(_composed_sectors(pts, a), weights=vals, minlength=2 * n + 1)[1:]
+        return [np.sum(flux(pts, nu) * area), np.sum(vals), *parts]
 
     return partials
 
@@ -224,7 +223,7 @@ def _composed_pushforward(a):
     flux, density = geometry._volume_flux(a), geometry._area_integrand(a)
 
     def partials(pts, nu, area):
-        inside = _composed_sectors(pts, a) == 1
+        idx = _composed_sectors(pts, a)
         r = np.hypot(pts[:, 0], pts[:, 1])
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         ra, cos, sin = r**a, np.cos(a * theta), np.sin(a * theta)
@@ -234,8 +233,8 @@ def _composed_pushforward(a):
         image = np.stack([rad * np.cos(ang), rad * np.sin(ang), pts[:, 2]], axis=-1)
         return (
             np.sum(flux(pts, nu) * area),
-            np.sum((density(pts, nu) * area)[inside]),
-            np.sum(np.where(inside, np.linalg.norm(cof, axis=1), 0.0) * area),
+            np.bincount(idx, weights=density(pts, nu) * area, minlength=2)[1],
+            np.bincount(idx, weights=np.linalg.norm(cof, axis=1) * area, minlength=2)[1],
             np.sum(np.sum(image * cof, axis=1) / 3.0 * area),
         )
 
@@ -245,7 +244,7 @@ def _composed_pushforward(a):
 def _handed_partials(monkeypatch, module, run):
     """The partials that ``run()`` hands to ``module._sweep``."""
     handed = []
-    monkeypatch.setattr(module, "_sweep", lambda shape, m, partials: handed.append(partials) or [1.0] * 4)
+    monkeypatch.setattr(module, "_sweep", lambda shape, m, partials, n: handed.append(partials) or [1.0] * 4)
     run()
     monkeypatch.undo()
     return handed[0]
@@ -253,7 +252,7 @@ def _handed_partials(monkeypatch, module, run):
 
 def _nodes_agree(shape, fused, composed, m=7):
     """Both partials on every node of the shape alone, bit for bit."""
-    for pts, nu, area, _ in geometry._patch_blocks(shape, m):
+    for pts, nu, area in geometry._patch_blocks(shape, m):
         for k in range(len(area)):
             node = pts[k : k + 1], nu[k : k + 1], area[k : k + 1]
             if np.array(fused(*node)).tobytes() != np.array(composed(*node)).tobytes():
@@ -275,14 +274,15 @@ class TestPolarFrame:
     def test_measure_matches_composition(self, alpha, m):
         for shape in corpus_shapes(alpha):
             got = measure(shape, alpha, m)
-            assert [got.volume, got.perimeter, *got.sectors] == geometry._sweep(shape, m, _composed_measure(alpha))
+            want = geometry._sweep(shape, m, _composed_measure(alpha), sector_count(alpha))
+            assert [got.volume, got.perimeter, *got.sectors] == want
 
     @pytest.mark.parametrize("m", [7, 192])
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes(IMAGE_ALPHAS)))
     def test_pushforward_matches_composition(self, alpha, shape, m):
         volume, perimeter = pushforward_checks(shape, alpha, m)
         got = [volume.weighted, perimeter.weighted, perimeter.euclidean, volume.euclidean]
-        assert got == geometry._sweep(shape, m, _composed_pushforward(alpha))
+        assert got == geometry._sweep(shape, m, _composed_pushforward(alpha), sector_count(alpha))
 
     # at alpha = 400 every node alone splits into 804 sectors, a second per
     # shape; the sums above cover it

@@ -4,15 +4,14 @@ and a finite-difference solver for the degenerate operator
 
 The package namespace is lazy (PEP 562): a public name, or a submodule
 that defines public names, imports its module on first access.  Importing
-the package or the CLI therefore loads no scipy; only the solver and
-``grids.resample`` do.
+the package or the CLI therefore loads no scipy; only the solver does.
 
 ``_EXPORTS`` is the package API and the one list of public names; no
 submodule defines ``__all__``.  A name is in it only when a CLI command,
 an acceptance criterion or a benchmark operation calls it directly, or
 when it is an exception or a return type of such a call.  Other
-module-level names are helpers of their own module; ``grids.resample``
-is one, since only a test fixture calls it.
+module-level names are helpers that the package itself uses; code that
+only tests call lives in ``tests/``.
 
 Parameters are plain values: alpha is a float wherever it is taken, checked
 in one place (a bad alpha raises the same DomainError everywhere), and the

@@ -135,9 +135,10 @@ def cmd_transform_check(args, rep: RunReport) -> None:
     rep.results["perimeter_euclidean"] = perchk.euclidean
     rep.results["perimeter_rel_gap"] = perchk.rel_gap
     rep.add_check("perimeter_pushforward_gap", perchk.rel_gap, 1e-2, "<=")
-    coarse_vol, coarse_per = pushforward_checks(shape, a, -(-m // 2))
+    # the weighted sides are measure's volume and sector-1 perimeter
+    coarse = measure(shape, a, -(-m // 2))
     rep.results["quadrature_rel_change"] = _rel_change(
-        (volchk.weighted, perchk.weighted), (coarse_vol.weighted, coarse_per.weighted)
+        (volchk.weighted, perchk.weighted), (coarse.volume, coarse.sectors[0])
     )
 
 

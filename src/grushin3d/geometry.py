@@ -32,17 +32,17 @@ spectrally, not as O(1/m^2) or, across a wall, O(1/m).
 weighted perimeter and all 2n(a) relative sector perimeters from one pass
 over the patch nodes, classifying every node by sector as it goes and
 summing each sector with one ``np.bincount`` per block.  Every
-patch sweep in the package, here and in ``transform`` and ``pohozaev``,
-draws its nodes from ``_patch_blocks``, which builds them block by block,
-so patch quadrature memory is bounded by the block, not by the resolution.
+patch sweep in the package (``measure`` here, ``pushforward_checks`` in
+``transform``) draws its nodes from ``_patch_blocks``, which builds them
+block by block, so patch quadrature memory is bounded by the block, not by
+the resolution.
 A block is evaluated on the product of the parameter rows it spans and the
 whole t axis, so a function of s alone or of t alone (the sines and cosines
 of the spherical and polar patches) runs on m values, not on every node.
 A sweep computes each node's polar frame once, r^2 = x1^2 + x2^2, (r^2)^a
 (``_radial``), r = hypot(x1, x2) and theta = arctan2(x2, x1) (``_polar``),
-and hands it to the flux, the density and the sector test; the point-based
-``sector_index``, ``_volume_flux`` and ``_area_integrand`` wrap the same
-kernels, so each node value has the same bits on either route.
+and hands it to the flux (``_flux_at``), the density (``_density_at``) and
+the sector test (``_sectors``, which the point-based ``sector_index`` wraps).
 """
 
 from __future__ import annotations
@@ -200,32 +200,16 @@ def _radial(points, alpha: float):
 
 
 def _flux_at(points, normals, r2a, alpha: float):
-    """``_volume_flux`` given (r^2)^a of the points."""
+    """|x|^{2a} (x1 nu1 + x2 nu2) / (2a + 2) given (r^2)^a of the points: its
+    flux through bd(E) is vol_w(E), as div(|x|^{2a} (x1, x2, 0)) =
+    (2a + 2) |x|^{2a}."""
     return r2a * (points[:, 0] * normals[:, 0] + points[:, 1] * normals[:, 1]) / (2.0 * alpha + 2.0)
 
 
 def _density_at(normals, r2, r2a, alpha: float):
-    """``_area_integrand`` given r^2 and (r^2)^a of the points."""
+    """Weighted surface density |x|^a sqrt(nu1^2 + nu2^2 + |x|^{2a} nu3^2)
+    given r^2 and (r^2)^a of the points."""
     return r2 ** (alpha / 2.0) * np.sqrt(normals[:, 0] ** 2 + normals[:, 1] ** 2 + r2a * normals[:, 2] ** 2)
-
-
-def _volume_flux(alpha: float):
-    """|x|^{2a} (x1 nu1 + x2 nu2) / (2a + 2), whose flux through bd(E) is
-    vol_w(E), as div(|x|^{2a} (x1, x2, 0)) = (2a + 2) |x|^{2a}."""
-
-    def flux(points, normals):
-        return _flux_at(points, normals, _radial(points, alpha)[1], alpha)
-
-    return flux
-
-
-def _area_integrand(alpha: float):
-    """Weighted surface density |x|^a sqrt(nu1^2 + nu2^2 + |x|^{2a} nu3^2)."""
-
-    def integrand(points, normals):
-        return _density_at(normals, *_radial(points, alpha), alpha)
-
-    return integrand
 
 
 # patch nodes per block; blocks cut the patch's flat node order (s slowest)
@@ -306,13 +290,6 @@ def _sweep(shape: ImplicitShape, surface_resolution: int, partials, n: Optional[
     return total.tolist()
 
 
-def patch_surface_integral(shape: ImplicitShape, integrand, surface_resolution: int = 64) -> float:
-    """Sum of integrand(points, unit normals) * dH^2 over the shape's
-    patches, with panels cut where the y-axis pierces them."""
-    (total,) = _sweep(shape, surface_resolution, lambda pts, nu, w: [np.sum(integrand(pts, nu) * w)])
-    return total
-
-
 def _sector_sums(keys, vals, n: int):
     """Sums of ``vals`` over the nodes of each sector 1..2n (``keys`` from
     ``_sectors``), each in node order."""
@@ -339,7 +316,7 @@ def measure(shape: ImplicitShape, alpha, surface_resolution: int = 64) -> Measur
     from one sweep of the shape's patch nodes, panels cut at the sector
     walls.
 
-    The volume is the flux of ``_volume_flux``.  Each (patch, block) gives
+    The volume is the flux of ``_flux_at``.  Each (patch, block) gives
     one partial to the volume, the perimeter and every sector, from one
     polar frame per node.
     """

@@ -191,22 +191,6 @@ class GridFunction3D(CellGrid):
         return cls(cells.bbox, np.asarray(fn(*cells.centers()), dtype=float), cells.mask)
 
 
-def resample(grid: GridFunction3D, dims, bbox=None) -> GridFunction3D:
-    """Trilinear resampling onto a new cell-centred grid (zero outside)."""
-    from scipy.interpolate import RegularGridInterpolator
-
-    cells = CellGrid(grid.bbox if bbox is None else bbox, dims)
-    interp = RegularGridInterpolator(
-        tuple(grid.axis_centers(ax) for ax in range(3)),
-        grid.values,
-        bounds_error=False,
-        fill_value=0.0,
-    )
-    X1, X2, Y = cells.centers()
-    vals = interp(np.column_stack([X1.ravel(), X2.ravel(), Y.ravel()])).reshape(cells.dims)
-    return GridFunction3D(cells.bbox, vals)
-
-
 def _format_row(values) -> str:
     """One line of values, each formatted on its own with 17 significant digits."""
     return " ".join(f"{v:.17g}" for v in values) + "\n"

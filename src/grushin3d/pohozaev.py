@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ImplicitShape, _alpha, _patch_blocks
+from .geometry import _alpha
 from .grids import CellGrid, GridFunction3D
 
 CRITICAL_POWER = 5.0
@@ -66,39 +65,26 @@ class StarShapedReport:
     min_value: float
 
 
-def star_shaped_check(
-    target: Union[ImplicitShape, CellGrid], alpha, surface_resolution: int = 64
-) -> StarShapedReport:
-    """Evaluate g = x1 nu1 + x2 nu2 + (1+a) y nu3 over the boundary.
+def star_shaped_check(grid: CellGrid, alpha) -> StarShapedReport:
+    """Evaluate g = x1 nu1 + x2 nu2 + (1+a) y nu3 over the boundary of an
+    unmasked grid's box.
 
     The domain is star-shaped for the anisotropic dilation iff g >= 0
-    everywhere on the boundary (and the origin lies inside).  A grid must be
-    unmasked: on its box g is constant on each face, sign * coef *
-    bbox[axis, side] with coef = 1 + a on the y faces, so the minimum is
-    taken over the six faces; a shape takes the minimum of g over its patch
-    Gauss nodes, swept block by block by ``_patch_blocks``.
+    everywhere on the boundary (and the origin lies inside).  On the box g
+    is constant on each face, sign * coef * bbox[axis, side] with
+    coef = 1 + a on the y faces, so the minimum is taken over the six faces.
     """
     a = _alpha(alpha)
-    if not isinstance(target, ImplicitShape):
-        if target.mask is not None:
-            raise DomainError("the star-shaped check is defined for box domains only")
-        bbox = target.bbox
-        m = float(
-            min(
-                sign * ((1.0 + a) if axis == 2 else 1.0) * bbox[axis, side]
-                for axis in range(3)
-                for side, sign in ((0, -1.0), (1, 1.0))
-            )
+    if grid.mask is not None:
+        raise DomainError("the star-shaped check is defined for box domains only")
+    bbox = grid.bbox
+    m = float(
+        min(
+            sign * ((1.0 + a) if axis == 2 else 1.0) * bbox[axis, side]
+            for axis in range(3)
+            for side, sign in ((0, -1.0), (1, 1.0))
         )
-        return StarShapedReport(m >= -1e-10, m)
-
-    shape = target
-    if shape.level(np.zeros((1, 3)))[0] >= 0:
-        raise DomainError("star-shapedness is relative to the origin, which must lie inside")
-    m = math.inf
-    for pts, nu, _ in _patch_blocks(shape, surface_resolution):
-        g = pts[:, 0] * nu[:, 0] + pts[:, 1] * nu[:, 1] + (1.0 + a) * pts[:, 2] * nu[:, 2]
-        m = min(m, float(g.min(initial=math.inf)))
+    )
     return StarShapedReport(m >= -1e-10, m)
 
 

@@ -3,8 +3,8 @@ import os
 import pytest
 from hypothesis import settings
 
-from grushin3d.grids import resample
 from grushin3d.solver import Domain, solve_ground_state
+from grid_reference import resample
 
 ALPHAS = (0.5, 1.0, 2.0)
 

@@ -54,7 +54,7 @@ from grushin3d.sobolev import (
     sobolev_lower_bound,
 )
 from grushin3d.solver import Domain, GrushinOperator, Problem, poincare_constant, solve_ground_state
-from grushin3d.transform import flatten_point, flatten_shape, pushforward_checks, unflatten_point
+from grushin3d.transform import pushforward_checks
 
 RESOLUTION = 8
 FIELD = random_bump_corpus(1, resolution=8, seed=3)[0]
@@ -119,9 +119,6 @@ ENTRY_POINTS = {
     "solver.Problem": lambda a: Problem(CUBE, a, 4.0).evaluate(U),
     "solver.solve_ground_state": lambda a: solve_ground_state(CUBE, 4.0, a, 1e-4).u.values,
     "solver.poincare_constant": lambda a: poincare_constant(CUBE, a),
-    "transform.flatten_point": lambda a: flatten_point(POINTS, a),
-    "transform.unflatten_point": lambda a: unflatten_point(POINTS, a),
-    "transform.flatten_shape": lambda a: _shape_bits(flatten_shape(SMALL_BALL, a)),
     "transform.pushforward_checks": lambda a: pushforward_checks(SMALL_BALL, a, RESOLUTION),
 }
 

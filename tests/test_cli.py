@@ -231,10 +231,11 @@ class TestTransformCheckCommand:
         # sweep at half the resolution (neither shape has a break)
         code, _ = run_cli(["transform-check", "--alpha", "1", "--shape", shape, "--surface-resolution", "300"], capsys)
         assert code == 0
-        assert len(checks) == 2
+        # the containment check runs once, in the fine sweep
+        assert len(checks) == 1
         # one sweep of the source patches gives both weighted sides and both
-        # image measures, and one at half the resolution the quadrature
-        # error indicator; each block evaluates its patch once
+        # image measures, and one measure sweep at half the resolution the
+        # quadrature error indicator; each block evaluates its patch once
         assert [args[1:] for args in sweeps] == [(300, 2), (150, 2)]
         assert not any(args[0].name.startswith("flat(") for args in sweeps)
         patches = len(sweeps[0][0].patches)

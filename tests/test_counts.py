@@ -21,10 +21,8 @@ from grushin3d.geometry import (
     isoperimetric_deficit,
     isoperimetric_quotient,
     measure,
-    patch_surface_integral,
 )
-from grushin3d.grids import MAX_CELLS, CellGrid, GridFunction3D, check_grid, resample
-from grushin3d.pohozaev import star_shaped_check
+from grushin3d.grids import MAX_CELLS, CellGrid, GridFunction3D, check_grid
 from grushin3d.rearrangement import MAX_LEVELS, distribution_function, polya_szego_gap, rearrange
 from grushin3d.shapes import ball, ball_sector
 from grushin3d.sobolev import MAX_RESOLUTION, SectorExtremalFamily, minimize_rayleigh, rayleigh_quotient
@@ -36,10 +34,6 @@ FIELD = random_bump_corpus(1, resolution=8, seed=3)[0]
 BOX = np.array([(-1.0, 1.0)] * 3)
 CUBE = Domain.cube(1.0, 8)
 SMALL_BALL = ball(0.2, center=(0.7, 0.3, 0.0))
-
-
-def _weight(points, normals):
-    return points[:, 0] ** 2 * normals[:, 0]
 
 
 def _bump(X1, X2, Y):
@@ -56,21 +50,14 @@ ENTRY_POINTS = {
     "geometry.isoperimetric_deficit:surface_resolution": (
         8, _MAX_SURFACE_RESOLUTION, lambda m: isoperimetric_deficit(SMALL_BALL, 1.0, m)
     ),
-    "geometry.patch_surface_integral:surface_resolution": (
-        8, _MAX_SURFACE_RESOLUTION, lambda m: patch_surface_integral(SMALL_BALL, _weight, m)
-    ),
     "transform.pushforward_checks:surface_resolution": (
         8, _MAX_SURFACE_RESOLUTION, lambda m: pushforward_checks(SMALL_BALL, 1.0, m)
-    ),
-    "pohozaev.star_shaped_check:surface_resolution": (
-        8, _MAX_SURFACE_RESOLUTION, lambda m: star_shaped_check(ball(0.5), 1.0, m)
     ),
     "grids.check_grid:dims": (4, MAX_CELLS, lambda n: check_grid(BOX, (1, n, 1))[1]),
     "grids.CellGrid:dims": (4, MAX_CELLS, lambda n: CellGrid(BOX, (n, 1, 1)).centers()),
     "grids.GridFunction3D.from_callable:dims": (
         4, MAX_CELLS, lambda n: GridFunction3D.from_callable(_bump, BOX, (1, 1, n)).values
     ),
-    "grids.resample:dims": (4, MAX_CELLS, lambda n: resample(FIELD, (n, 1, 1)).values),
     "solver.Domain:dims": (4, MAX_CELLS, lambda n: Domain(BOX, (2, 2, n)).centers()),
     "solver.Domain.cube:n": (8, MAX_RESOLUTION, lambda n: Domain.cube(1.0, n).centers()),
     "rearrangement.distribution_function:levels": (16, MAX_LEVELS, lambda k: distribution_function(FIELD, 1.0, k)),

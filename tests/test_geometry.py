@@ -21,8 +21,7 @@ from grushin3d import geometry
 from grushin3d.geometry import reference_ball_values, sector_index
 from grushin3d.grids import CellGrid
 from grushin3d.shapes import ball, ball_sector, box, corpus_shapes, cylinder, ellipsoid, make_shape
-from grushin3d.transform import flatten_shape
-from patch_reference import gauss_axis, gauss_st, midpoint_measure
+from patch_reference import area_integrand, flatten_shape, gauss_axis, gauss_st, midpoint_measure, volume_flux
 from voxel_reference import REFINE_CHUNK, refine_chunk, voxel_integral, weighted
 
 
@@ -159,7 +158,8 @@ class TestWeightedVolume:
 
 
 def _integral(shape, integrand, m, n):
-    """``patch_surface_integral`` with panels cut at the sector walls of n."""
+    """The patch integral of ``integrand`` by the package's own sweep, panels
+    cut at the sector walls of n."""
     (total,) = geometry._sweep(shape, m, lambda pts, nu, w: [np.sum(integrand(pts, nu) * w)], n)
     return total
 
@@ -170,7 +170,7 @@ class TestMeasure:
         # reference: a sweep per measure on the same panels; at m = 192 each
         # patch spans two blocks, whose partials both routes reduce in order
         m, n = 192, sector_count(alpha)
-        flux, density = geometry._volume_flux(alpha), geometry._area_integrand(alpha)
+        flux, density = volume_flux(alpha), area_integrand(alpha)
         for shape in corpus_shapes(alpha):
             measures = measure(shape, alpha, m)
             assert measures.volume == _integral(shape, flux, m, n)
@@ -182,7 +182,7 @@ class TestMeasure:
         for j, part in enumerate(measures.sectors, start=1):
 
             def in_sector(points, normals, j=j):
-                return np.where(sector_index(points, 2.5) == j, geometry._area_integrand(2.5)(points, normals), 0.0)
+                return np.where(sector_index(points, 2.5) == j, area_integrand(2.5)(points, normals), 0.0)
 
             assert part == pytest.approx(_integral(shape, in_sector, fast_m, sector_count(2.5)), rel=1e-13)
 

@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 
 from grushin3d import DomainError, GridFormatError, grids
 from grushin3d.fields import random_bump_corpus
-from grushin3d.grids import GRID_MAGIC, GridFunction3D, load_grid, resample, save_grid
+from grushin3d.grids import GRID_MAGIC, GridFunction3D, load_grid, save_grid
 from grushin3d.rearrangement import distribution_function, grushin_energy, weighted_lq_norm
+from grid_reference import resample
 
 
 @pytest.fixture

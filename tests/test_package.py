@@ -1,5 +1,7 @@
-"""The lazy package namespace, and start-up without scipy."""
+"""The lazy package namespace, start-up without scipy, and no test-only
+code in the package."""
 
+import ast
 import importlib
 import json
 import pathlib
@@ -128,3 +130,47 @@ class TestLazyNamespace:
         namespace = {}
         exec("from grushin3d import *", namespace)
         assert set(grushin3d.__all__) <= set(namespace)
+
+
+SOURCES = {path.name: ast.parse(path.read_text()) for path in pathlib.Path(grushin3d.__file__).parent.glob("*.py")}
+
+
+class TestNoTestOnlyCode:
+    """Every module-level function and class of the package is public API or
+    is used by the package itself; references that only tests call live in
+    ``tests/``."""
+
+    def test_every_definition_is_exported_or_used(self):
+        exported = {name for names in grushin3d._EXPORTS.values() for name in names}
+        used = set()
+        for tree in SOURCES.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+        unused = [
+            f"{module}:{node.name}"
+            for module, tree in SOURCES.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and node.name not in exported | used
+        ]
+        assert unused == []
+
+    def test_only_the_solver_imports_scipy(self):
+        importers = set()
+        for module, tree in SOURCES.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.partition(".")[0] == "scipy" for name in names):
+                    importers.add(module)
+        assert importers == {"solver.py"}

@@ -4,10 +4,21 @@ import numpy as np
 import pytest
 
 from grushin3d import DomainError, ImplicitShape, geometry, measure, sector_count, transform
-from grushin3d.geometry import patch_surface_integral, reference_ball_values, sector_index
+from grushin3d.geometry import reference_ball_values, sector_index
 from grushin3d.shapes import ball, ball_sector, corpus_shapes
-from grushin3d.transform import _euclidean_flux, flatten_point, flatten_shape, pushforward_checks, unflatten_point
-from patch_reference import gauss_st, midpoint_st
+from grushin3d.transform import pushforward_checks
+from patch_reference import (
+    area_integrand,
+    cofactor,
+    euclidean_flux,
+    flatten_point,
+    flatten_shape,
+    gauss_st,
+    midpoint_st,
+    patch_integral,
+    unflatten_point,
+    volume_flux,
+)
 from voxel_reference import unit, voxel_integral
 
 
@@ -183,13 +194,13 @@ class TestImagePatches:
     def test_weighted_sides_match_measure(self, alpha, shape, m):
         # reference for the weighted sides: the geometry sweep, whose sector
         # sums both sweeps share.  Reference for the image volume: the flux
-        # of xi / 3 through the image patches, swept on their own; neither
-        # shape has a break, so both sweeps take the same nodes
+        # of xi / 3 through the image patches, on their whole Gauss grids;
+        # neither shape has a break, so both take the same nodes
         volume, perimeter = pushforward_checks(shape, alpha, m)
         measures = measure(shape, alpha, m)
         assert volume.weighted == measures.volume
         assert perimeter.weighted == measures.sectors[0]
-        image = patch_surface_integral(flatten_shape(shape, alpha), _euclidean_flux, m)
+        image = patch_integral(flatten_shape(shape, alpha), euclidean_flux, m)
         assert abs(volume.euclidean - image) <= 1e-14 * abs(image)
 
 
@@ -208,7 +219,7 @@ def _composed_sectors(points, a):
 def _composed_measure(a):
     """measure's partials, each node function computing its own polar values."""
     n = sector_count(a)
-    flux, density = geometry._volume_flux(a), geometry._area_integrand(a)
+    flux, density = volume_flux(a), area_integrand(a)
 
     def partials(pts, nu, area):
         vals = density(pts, nu) * area
@@ -220,17 +231,11 @@ def _composed_measure(a):
 
 def _composed_pushforward(a):
     """pushforward_checks' partials from stacked point and cofactor arrays."""
-    flux, density = geometry._volume_flux(a), geometry._area_integrand(a)
+    flux, density = volume_flux(a), area_integrand(a)
 
     def partials(pts, nu, area):
         idx = _composed_sectors(pts, a)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        ra, cos, sin = r**a, np.cos(a * theta), np.sin(a * theta)
-        vx, vy, vz = nu.T
-        cof = np.stack([ra * (cos * vx - sin * vy), ra * (sin * vx + cos * vy), ra * ra * vz], axis=-1)
-        rad, ang = r ** (a + 1.0) / (a + 1.0), (a + 1.0) * theta
-        image = np.stack([rad * np.cos(ang), rad * np.sin(ang), pts[:, 2]], axis=-1)
+        cof, image = cofactor(pts, nu, a), flatten_point(pts, a)
         return (
             np.sum(flux(pts, nu) * area),
             np.bincount(idx, weights=density(pts, nu) * area, minlength=2)[1],

@@ -134,6 +134,67 @@ class TestLazyNamespace:
 
 SOURCES = {path.name: ast.parse(path.read_text()) for path in pathlib.Path(grushin3d.__file__).parent.glob("*.py")}
 
+# the references that only tests call, by the module that held them
+MOVED_TO_TESTS = {
+    "transform.py": [
+        "flatten_point",
+        "unflatten_point",
+        "_split_polar",
+        "_cofactor",
+        "_image_patch",
+        "flatten_shape",
+        "_euclidean_flux",
+    ],
+    "geometry.py": ["_volume_flux", "_area_integrand", "patch_surface_integral"],
+    "grids.py": ["resample"],
+}
+
+
+def _unused(sources):
+    """module:name of each module-level function or class that is neither
+    exported nor used by the modules in ``sources``; dunders are exempt."""
+    exported = {name for names in grushin3d._EXPORTS.values() for name in names}
+    used = set()
+    for tree in sources.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [
+        f"{module}:{node.name}"
+        for module, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in exported | used
+    ]
+
+
+def _scipy_importers(sources):
+    """The modules in ``sources`` with an ``import scipy...`` or
+    ``from scipy... import`` statement."""
+    importers = set()
+    for module, tree in sources.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "scipy" for name in names):
+                importers.add(module)
+    return importers
+
+
+def _with_source(module, code):
+    """SOURCES with ``code`` appended to ``module``."""
+    path = pathlib.Path(grushin3d.__file__).parent / module
+    return {**SOURCES, module: ast.parse(path.read_text() + "\n\n" + code)}
+
 
 class TestNoTestOnlyCode:
     """Every module-level function and class of the package is public API or
@@ -141,36 +202,19 @@ class TestNoTestOnlyCode:
     ``tests/``."""
 
     def test_every_definition_is_exported_or_used(self):
-        exported = {name for names in grushin3d._EXPORTS.values() for name in names}
-        used = set()
-        for tree in SOURCES.values():
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    used.add(node.name)
-        unused = [
-            f"{module}:{node.name}"
-            for module, tree in SOURCES.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and node.name not in exported | used
-        ]
-        assert unused == []
+        assert _unused(SOURCES) == []
 
     def test_only_the_solver_imports_scipy(self):
-        importers = set()
-        for module, tree in SOURCES.items():
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                else:
-                    continue
-                if any(name.partition(".")[0] == "scipy" for name in names):
-                    importers.add(module)
-        assert importers == {"solver.py"}
+        assert _scipy_importers(SOURCES) == {"solver.py"}
+
+    @pytest.mark.parametrize(
+        "module, name", [(module, name) for module, names in MOVED_TO_TESTS.items() for name in names]
+    )
+    def test_a_reference_put_back_is_caught(self, module, name):
+        sources = _with_source(module, f"def {name}(points, alpha):\n    return points\n")
+        assert _unused(sources) == [f"{module}:{name}"]
+
+    @pytest.mark.parametrize("module", sorted(set(SOURCES) - {"solver.py"}))
+    def test_a_scipy_import_elsewhere_is_caught(self, module):
+        sources = _with_source(module, "from scipy.interpolate import RegularGridInterpolator\n")
+        assert _scipy_importers(sources) == {"solver.py", module}

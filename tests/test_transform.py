@@ -265,6 +265,54 @@ def _nodes_agree(shape, fused, composed, m=7):
     return True
 
 
+def _kernel_nodes(alpha, m=33):
+    """Points and unit normals of every Gauss node of the corpus shapes and
+    ``ball_sector`` at alpha."""
+    blocks = [
+        (pts, nu)
+        for shape in [*corpus_shapes(alpha), ball_sector(alpha)]
+        for pts, nu, _ in geometry._patch_blocks(shape, m, sector_count(alpha))
+    ]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+def _same_bits(got, want):
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+KERNEL_ALPHAS = (0.5, 1.0, 2.5, 7.3, 400.0)
+
+
+class TestReferenceKernels:
+    """Each fused kernel, fed the polar frame or r^2 that its sweep
+    computes once, gives the bits of the reference node function, which
+    computes its own; so the references check the sweeps with ``==``."""
+
+    @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+    def test_flat_at_matches_flatten_point(self, alpha):
+        pts, _ = _kernel_nodes(alpha)
+        want = flatten_point(pts, alpha)
+        assert _same_bits(np.stack(transform._flat_at(*geometry._polar(pts), alpha), axis=-1), want[:, :2])
+
+    @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+    def test_cofactor_at_matches_cofactor(self, alpha):
+        pts, nu = _kernel_nodes(alpha)
+        got = np.stack(transform._cofactor_at(*geometry._polar(pts), nu, alpha), axis=-1)
+        assert _same_bits(got, cofactor(pts, nu, alpha))
+
+    @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+    def test_flux_at_matches_volume_flux(self, alpha):
+        pts, nu = _kernel_nodes(alpha)
+        _, r2a = geometry._radial(pts, alpha)
+        assert _same_bits(geometry._flux_at(pts, nu, r2a, alpha), volume_flux(alpha)(pts, nu))
+
+    @pytest.mark.parametrize("alpha", KERNEL_ALPHAS)
+    def test_density_at_matches_area_integrand(self, alpha):
+        pts, nu = _kernel_nodes(alpha)
+        got = geometry._density_at(nu, *geometry._radial(pts, alpha), alpha)
+        assert _same_bits(got, area_integrand(alpha)(pts, nu))
+
+
 IMAGE_ALPHAS = (0.5, 1.0, 2.5, 400.0)
 
 

@@ -149,7 +149,8 @@ def cmd_rearrange(args, rep: RunReport) -> None:
     if np.any(grid.values < 0):
         raise GridFormatError("rearrangement input must be nonnegative")
     rep.resolutions = {"dims": list(grid.dims), "levels": args.levels}
-    # one sort of the cells serves both the profile and the equimeasurability check
+    # one count of the cells into levels serves both the profile and the
+    # equimeasurability check
     dist = distribution_function(grid, a, args.levels)
     profile = RadialProfile.from_distribution(dist, a)
     top = dist.top

@@ -11,7 +11,11 @@ weighted sector measure
 
     m(R) = 2 pi R^3 / (3 n(a) (a+1)^2)
 
-matches |{u > t}|_w level by level.  phi is nonincreasing and
+matches |{u > t}|_w level by level.  Those measures come from counting
+the cells into the K levels (a bucket per cell by binary search, one
+weighted bincount, a cumulative sum over the buckets): O(N log K) for N
+cells, with no sort.  Radii that differ only by the rounding of those
+sums are merged as exact ties are.  phi is nonincreasing and
 right-continuous by construction.  The rearranged field never increases
 the Grushin Dirichlet energy
 
@@ -22,6 +26,9 @@ weighted Lq norms collapse to 1D integrals:
 
     E(phi on sector) = (2 pi / n) integral r^2 phi'(r)^2 dr
     int |x|^{2a} |phi|^q = (2 pi / (n (a+1)^2)) integral r^2 |phi|^q dr
+
+On the grid, ``weighted_lq_norm`` powers |u| by multiplication when q is a
+small integer, and by ``np.power`` otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +43,14 @@ from .grids import GridFunction3D, _count
 
 # at most 2^20 uniform levels: the level and measure arrays then take 8 MiB each
 MAX_LEVELS = 1 << 20
+
+# radii closer than this fraction of the support radius are ties: a profile
+# merges them, and the energy leaves out segments that thin
+_TIE = 1e-9
+
+# integer exponents q up to this are powered by multiplication; each squaring
+# doubles the relative rounding error, so |u|^q stays within about q ulps
+_MAX_INT_POWER = 16
 
 # 5-point Gauss-Legendre nodes and weights on [-1, 1], used per linear
 # segment of a profile; built at import, so no run pays for importing
@@ -75,22 +90,15 @@ class DistributionFunction:
     top: float
 
 
-def _sorted_cell_data(u: GridFunction3D, alpha: float, floor: float):
-    """Values above ``floor`` and their weighted cell measures, sorted by
-    value descending (stably, so in C order among equal values)."""
-    vals = u.masked_values().ravel()
-    above = np.flatnonzero(vals > floor)
-    order = above[np.argsort(-vals[above], kind="stable")]
-    # the weight is constant along y, the fastest axis of the C order
-    w = u.weight2d(alpha).ravel()[order // u.dims[2]]
-    return vals[order], w * u.cell_volume
-
-
 def distribution_function(u: GridFunction3D, alpha, levels: int = 256) -> DistributionFunction:
     """lambda(t) = |{u > t}|_w by weighted voxel sums on the superlevel sets.
 
     ``levels`` is the count K of uniform levels top/K, 2 top/K, ..., top in
     (0, max u], from 1 to ``MAX_LEVELS``; a zero field has the one level 0.
+    The cells are counted into levels, not sorted: each cell above the
+    lowest level falls in the bucket j of the levels below its value, the
+    weighted cell measures are summed per bucket in C order, and
+    lambda(t_k) is the sum of the buckets above k, in O(N log K).
     """
     a = _alpha(alpha)
     K = _count(levels, "levels", 1, MAX_LEVELS)
@@ -100,12 +108,16 @@ def distribution_function(u: GridFunction3D, alpha, levels: int = 256) -> Distri
     top = float(vals.max(initial=0.0))
     lv = np.linspace(top / K, top, K) if top > 0 else np.zeros(1)
     # no level counts a cell at or below the lowest level, so only the cells
-    # above it are sorted
-    sorted_vals, sorted_meas = _sorted_cell_data(u, a, lv[0])
-    cum = np.concatenate([[0.0], np.cumsum(sorted_meas)])
-    # measure of {u > t}: cells strictly above t (values sorted descending)
-    counts = np.searchsorted(-sorted_vals, -lv, side="left")
-    return DistributionFunction(lv, cum[counts], top)
+    # above it are bucketed
+    flat = vals.ravel()
+    above = np.flatnonzero(flat > lv[0])
+    j = np.searchsorted(lv, flat[above], side="left")
+    # the weight is constant along y, the fastest axis of the C order
+    w = u.weight2d(a).ravel()[above // u.dims[2]]
+    buckets = np.bincount(j, weights=w, minlength=len(lv) + 1)
+    # measure of {u > t_k}: the cells in buckets j > k
+    measures = np.cumsum(buckets[::-1])[::-1][1:] * u.cell_volume
+    return DistributionFunction(lv, measures, top)
 
 
 @dataclass(frozen=True)
@@ -155,8 +167,11 @@ class RadialProfile:
         b = np.append(b, support)
         v = lv[::-1]  # t_K ... t_1  (decreasing)
         # empty intervals (equal consecutive radii) belong to the earlier, larger
-        # value; drop the later duplicate
-        keep = np.concatenate([[True], b[1:] > b[:-1]]) & (b > 0)
+        # value; drop the later duplicate.  A radius within _TIE of the support
+        # radius above the one before it is a tie too: its measure differs from
+        # an exact tie's only by the rounding of the sums, which would otherwise
+        # decide whether a sliver segment enters the energy's secant windows
+        keep = np.concatenate([[True], np.diff(b) > _TIE * support]) & (b > 0)
         b, v = b[keep], v[keep]
         if len(b) == 0:
             return zero
@@ -198,9 +213,10 @@ class RadialProfile:
         Adjacent-node secants square the level-measurement
         noise of the breakpoint radii into a systematic positive bias;
         widening the secant suppresses that while staying exact for
-        linear stretches.  Segments thinner than 1e-9 of the support
+        linear stretches.  Segments thinner than ``_TIE`` of the support
         radius are value jumps below level resolution and are excluded,
-        which can only lower the reported energy, never inflate it.
+        which can only lower the reported energy, never inflate it; a
+        profile from ``from_distribution`` has merged such radii already.
         """
         s, v = self.nodes()
         n = len(s)
@@ -208,7 +224,7 @@ class RadialProfile:
         j1 = np.maximum(idx - 3, 0)
         j2 = np.minimum(idx + 4, n - 1)
         ds_w = s[j2] - s[j1]
-        ok = (ds_w > 0) & (np.diff(s) > 1e-9 * self.support_radius)
+        ok = (ds_w > 0) & (np.diff(s) > _TIE * self.support_radius)
         slope = (v[j2] - v[j1])[ok] / ds_w[ok]
         cubes = np.diff(s**3)[ok] / 3.0
         return float(2.0 * np.pi / sector_count(self.alpha) * np.sum(slope**2 * cubes))
@@ -263,14 +279,31 @@ def grushin_energy(u: GridFunction3D, alpha) -> float:
     return u.active_sum(dens) * u.cell_volume
 
 
+def _int_power(x: np.ndarray, n: int) -> np.ndarray:
+    """x^n for an integer n >= 1 by repeated squaring, overwriting x; at
+    most one more array is allocated (for odd factors)."""
+    acc = None
+    while n > 1:
+        if n & 1:
+            acc = x.copy() if acc is None else np.multiply(acc, x, out=acc)
+        np.square(x, out=x)
+        n >>= 1
+    return x if acc is None else np.multiply(x, acc, out=x)
+
+
 def weighted_lq_norm(u: GridFunction3D, q: float, alpha) -> float:
     """(integral of |x|^{2a} |u|^q)^{1/q} over active cells; a radial
-    profile's norm is ``RadialProfile.lq_norm``."""
+    profile's norm is ``RadialProfile.lq_norm``.  An integer q up to 16
+    (the CLI's 2, 4 and 6) powers |u| by multiplication, any other q by
+    ``np.power``."""
     if q < 1:
         raise DomainError("q must be >= 1")
     a = _alpha(alpha)
     dens = np.abs(u.values)
-    dens **= q
+    if float(q).is_integer() and q <= _MAX_INT_POWER:
+        dens = _int_power(dens, int(q))
+    else:
+        dens **= q
     dens *= u.weight2d(a)[:, :, None]
     return (u.active_sum(dens) * u.cell_volume) ** (1.0 / q)
 

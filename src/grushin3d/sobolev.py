@@ -143,7 +143,8 @@ class SectorExtremalFamily:
     strictly inside the sector, so the Rayleigh quotient approximates the
     sector quotient of the profile.  Every call returns a new array of
     values; the radius and the mask are read-only and shared by all
-    returned grids.
+    returned grids.  Each sample is built in one buffer, as the reciprocal
+    of a square root (no ``pow``).
 
     ``quotient`` gives the Rayleigh quotient of the same field at the
     critical exponent q = 6.  Every member is even in y and the grid is
@@ -185,7 +186,13 @@ class SectorExtremalFamily:
     @staticmethod
     def _profile(r, b) -> np.ndarray:
         R = TRUNCATION_RADIUS
-        return np.maximum((1.0 + b * r * r) ** -0.5 - (1.0 + b * R * R) ** -0.5, 0.0)
+        u = b * r
+        u *= r
+        u += 1.0
+        np.sqrt(u, out=u)
+        np.reciprocal(u, out=u)
+        u -= 1.0 / math.sqrt(1.0 + b * R * R)
+        return np.maximum(u, 0.0, out=u)
 
     def __call__(self, b: float = 4.0) -> GridFunction3D:
         return GridFunction3D(self.cells.bbox, self._profile(self.r, b), self.mask)

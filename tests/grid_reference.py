@@ -1,10 +1,13 @@
-"""Trilinear resampling of grid functions by scipy's interpolator, which
-warm-starts the solver fixtures on a finer grid."""
+"""References for grid functions: trilinear resampling by scipy's
+interpolator, which warm-starts the solver fixtures on a finer grid, and
+the distribution function by a sort of the cells, which the level count of
+``rearrangement.distribution_function`` replaces."""
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from grushin3d.grids import CellGrid, GridFunction3D
+from grushin3d.rearrangement import DistributionFunction
 
 
 def resample(grid, dims, bbox=None):
@@ -19,3 +22,18 @@ def resample(grid, dims, bbox=None):
     X1, X2, Y = cells.centers()
     vals = interp(np.column_stack([X1.ravel(), X2.ravel(), Y.ravel()])).reshape(cells.dims)
     return GridFunction3D(cells.bbox, vals)
+
+
+def sorted_distribution(u, alpha, levels=256):
+    """lambda(t_k) = |{u > t_k}|_w on the levels of ``distribution_function``,
+    from a stable sort of every active cell by value, descending: the
+    cumulative sum of the weighted cell measures, read at the count of
+    cells above each level."""
+    vals = u.masked_values().ravel()
+    top = float(vals.max(initial=0.0))
+    lv = np.linspace(top / levels, top, levels) if top > 0 else np.zeros(1)
+    weights = np.broadcast_to(u.weight2d(alpha)[:, :, None], u.dims).ravel()
+    order = np.argsort(-vals, kind="stable")
+    cum = np.concatenate([[0.0], np.cumsum(weights[order] * u.cell_volume)])
+    counts = np.searchsorted(-vals[order], -lv, side="left")
+    return DistributionFunction(lv, cum[counts], top)

@@ -11,6 +11,8 @@ from grushin3d.fields import compact_bump, cosine_bump, radial_field, random_bum
 from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import (
     MAX_LEVELS,
+    DistributionFunction,
+    RadialProfile,
     anisotropic_radius,
     distribution_function,
     grushin_energy,
@@ -20,6 +22,7 @@ from grushin3d.rearrangement import (
     sector_measure_of_radius,
     weighted_lq_norm,
 )
+from grid_reference import sorted_distribution
 
 
 def cylinder_indicator(resolution=64):
@@ -63,26 +66,44 @@ class TestDistributionFunction:
             dist = distribution_function(field, 1.0)
             assert np.all(np.diff(dist.measures) <= 1e-15)
 
-    @pytest.mark.parametrize("field", ["random", "zero"])
-    @pytest.mark.parametrize("levels", [1, 7, 256], ids=lambda k: f"levels{k}")
-    def test_levels_at_or_below_zero_match_full_sort(self, levels, field):
-        # only cells above the lowest level are sorted; a sort of every cell
-        # must give the same measures bit for bit (a zero field has the one
-        # level 0, above which no cell lies)
+    @pytest.mark.parametrize("field", ["dyadic", "zero"])
+    @pytest.mark.parametrize("levels", [1, 7, 8, 256], ids=lambda k: f"levels{k}")
+    def test_counts_match_full_sort_on_dyadic_grid(self, levels, field):
+        # on [-1, 1]^3 with n = 8 and alpha = 1 every weighted cell measure
+        # (x1^2 + x2^2) / 64 and every partial sum of them is exact, so the
+        # level count and a sort of every cell must agree bit for bit; the
+        # values are multiples of 1/16 up to 1, so many tie with each other
+        # and, at 8 levels, with the levels themselves (a zero field has the
+        # one level 0, above which no cell lies)
         rng = np.random.default_rng(8)
-        values = np.maximum(rng.standard_normal((6, 8, 10)), 0.0)
+        values = rng.integers(0, 17, size=(8, 8, 8)) / 16.0
+        values[0, 0, 0] = 1.0
         if field == "zero":
             values[...] = 0.0
         mask = rng.uniform(size=values.shape) < 0.9
-        grid = GridFunction3D(np.array([(-1.0, 1.2), (-0.5, 1.0), (-1.0, 1.0)]), values, mask)
-        vals = grid.masked_values().ravel()
-        weights = np.broadcast_to(grid.weight2d(1.0)[:, :, None], grid.dims).ravel()
-        order = np.argsort(-vals, kind="stable")
-        cum = np.concatenate([[0.0], np.cumsum(weights[order] * grid.cell_volume)])
+        grid = GridFunction3D(np.array([(-1.0, 1.0)] * 3), values, mask)
         dist = distribution_function(grid, 1.0, levels=levels)
-        counts = [np.count_nonzero(vals > t) for t in dist.levels]
-        assert dist.measures.tobytes() == cum[counts].tobytes()
-        assert len(dist.levels) == (levels if field == "random" else 1)
+        ref = sorted_distribution(grid, 1.0, levels)
+        assert dist.levels.tobytes() == ref.levels.tobytes()
+        assert dist.measures.tobytes() == ref.measures.tobytes()
+        assert dist.top == ref.top
+        assert len(dist.levels) == (levels if field == "dyadic" else 1)
+
+    @pytest.mark.parametrize("levels", [1, 7, 256, 4096], ids=lambda k: f"levels{k}")
+    def test_counts_match_full_sort_on_random_grid(self, levels):
+        # the two routes add the same positive cell measures in other orders,
+        # so each level's measure may differ by the rounding of N additions:
+        # at most 2 N eps relative for N cells
+        rng = np.random.default_rng(8)
+        values = np.maximum(rng.standard_normal((6, 8, 10)), 0.0)
+        mask = rng.uniform(size=values.shape) < 0.9
+        grid = GridFunction3D(np.array([(-1.0, 1.2), (-0.5, 1.0), (-1.0, 1.0)]), values, mask)
+        dist = distribution_function(grid, 1.0, levels=levels)
+        ref = sorted_distribution(grid, 1.0, levels)
+        assert dist.levels.tobytes() == ref.levels.tobytes()
+        bound = 2 * values.size * np.finfo(float).eps
+        assert np.all(np.abs(dist.measures - ref.measures) <= bound * ref.measures)
+        assert np.count_nonzero(ref.measures) == levels - 1  # every level below the top
 
     def test_rejects_negative_values(self):
         grid = GridFunction3D(np.array([(-1, 1)] * 3), -np.ones((4, 4, 4)))
@@ -163,6 +184,21 @@ class TestRearrange:
             mid = len(prof.radii) // 2
             if mid + 1 < len(prof.values):
                 assert prof(prof.radii[mid]) == prof.values[mid + 1]
+
+    def test_near_tie_radii_merge_like_exact_ties(self):
+        # two levels whose measures tie exactly, and the same two 1 ulp apart,
+        # as a reordered sum can leave them: the later radius is dropped in
+        # both cases, so the profiles and their energies agree byte for byte
+        levels = np.linspace(0.125, 1.0, 8)
+        tie = [2.0, 1.7, 1.4, 0.5, 0.5, 0.3, 0.1, 0.02]
+        near = list(tie)
+        near[3] = np.nextafter(0.5, np.inf)
+        assert radius_from_measure(near[3], 1.0) != radius_from_measure(near[4], 1.0)
+        a, b = (RadialProfile.from_distribution(DistributionFunction(levels, np.array(m), 1.0), 1.0) for m in (tie, near))
+        assert len(a.radii) == len(levels) - 2  # the tie and the repeated support radius
+        assert a.radii.tobytes() == b.radii.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.dirichlet_energy() == b.dirichlet_energy()
 
     def test_equimeasurability_at_levels(self):
         alpha = 1.0
@@ -249,9 +285,15 @@ def test_quotients_match_masked_copy_sums(grid):
     ux1, ux2, uy = np.gradient(grid.values, *grid.spacing, edge_order=2)
     energy = float(np.sum((ux1**2 + ux2**2 + w * uy**2)[active])) * grid.cell_volume
     assert grushin_energy(grid, 1.0) == energy
-    for q in (2.0, 3.5, 6.0):
+    # an integer q powers |u| by multiplication: each squaring doubles the
+    # rounding error of a term, so a term is within q ulps of libm's pow and
+    # the norm within 1e-14 relative; any other q calls pow itself
+    for q in (2.0, 3.0, 3.5, 4.0, 5.0, 6.0, 20.0):
         norm = (float(np.sum((w * np.abs(grid.values) ** q)[active])) * grid.cell_volume) ** (1.0 / q)
-        assert weighted_lq_norm(grid, q, 1.0) == norm
+        if q.is_integer() and q <= 16:
+            assert weighted_lq_norm(grid, q, 1.0) == pytest.approx(norm, rel=1e-14, abs=0.0)
+        else:
+            assert weighted_lq_norm(grid, q, 1.0) == norm
 
 
 class TestPolyaSzego:

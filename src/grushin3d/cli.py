@@ -25,7 +25,7 @@ import numpy as np
 # the CLI loads every module its commands use except the solver, so no
 # command pays for an import while it runs; the solver loads scipy and is
 # imported only where a command solves
-from . import __version__
+from . import __version__, geometry, pohozaev, rearrangement, sobolev
 from .errors import ComputationError, DomainError, GridFormatError
 from .geometry import _alpha, _quotient, _quotient_perimeter, measure, reference_quotient, sector_count
 from .grids import _count, load_grid, save_grid
@@ -221,24 +221,11 @@ def cmd_sobolev(args, rep: RunReport) -> None:
             write_csv(args.csv, ["alpha", "n_alpha", "D", "L_derived", "rayleigh_min"], rows)
 
 
-def _cube(args):
-    """The solver's cube of --half-width and --grid; a half-width whose
-    couplings 1/h^2 are not finite is a usage error."""
-    from .solver import Domain
-
-    domain = Domain.cube(args.half_width, args.grid)
-    if not np.all(np.isfinite(1.0 / domain.spacing**2)):
-        raise DomainError(
-            f"--half-width {args.half_width!r} is too small for --grid {args.grid}: 1/h^2 is not finite"
-        )
-    return domain
-
-
 def cmd_solve(args, rep: RunReport) -> None:
-    from .solver import solve_ground_state
+    from .solver import Domain, solve_ground_state
 
     a = _alpha(args.alpha)
-    domain = _cube(args)
+    domain = Domain.cube(args.half_width, args.grid)
     rep.resolutions = {"grid": args.grid}
     sol = solve_ground_state(domain, args.q, a, args.tol)
     unorm = float(np.sqrt(np.sum(sol.u.values**2) * domain.cell_volume))
@@ -264,12 +251,12 @@ def cmd_pohozaev(args, rep: RunReport) -> None:
     rep.results["coefficient"] = coef
     rep.results["classification"] = nonexistence_classify(args.p)
     if args.solve:
-        from .solver import solve_ground_state
+        from .solver import Domain, solve_ground_state
 
         # the solver's exponent q = p + 1 needs 2 < q, the identity p < 5
         if not 1.0 < args.p < CRITICAL_POWER:
             raise DomainError(f"identity runs need 1 < --p < 5, got --p {args.p!r}")
-        sol = solve_ground_state(_cube(args), args.p + 1.0, a, args.tol)
+        sol = solve_ground_state(Domain.cube(args.half_width, args.grid), args.p + 1.0, a, args.tol)
         por = pohozaev_residual(sol.u, args.p, a)
         rep.resolutions = {"grid": args.grid}
         rep.results["lhs"] = por.lhs
@@ -286,9 +273,9 @@ def _add_quad_args(p):
     p.add_argument(
         "--surface-resolution",
         type=int,
-        default=64,
-        help="Gauss nodes per patch axis, 1 to 1024; each panel between sector walls and axis points "
-        "takes ceil(m / panels) of them",
+        default=geometry.DEFAULT_SURFACE_RESOLUTION,
+        help=f"Gauss nodes per patch axis, 1 to {geometry.MAX_SURFACE_RESOLUTION}; each panel between sector walls and "
+        "axis points takes ceil(m / panels) of them",
     )
 
 
@@ -321,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rearrange", help="weighted decreasing rearrangement of a grid function")
     r.add_argument("--input", required=True, help="grid function file (grushin-grid v1)")
     r.add_argument("--alpha", type=float, required=True)
-    r.add_argument("--levels", type=int, default=256)
+    r.add_argument("--levels", type=int, default=rearrangement.DEFAULT_LEVELS)
     r.add_argument("--profile-csv", default=None)
     r.set_defaults(func=cmd_rearrange)
 
     s = sub.add_parser("sobolev", help="radial constant, lower bounds, Rayleigh minimisation")
     s.add_argument("--alphas", type=float, nargs="+", default=[0.5, 1.0, 2.0])
-    s.add_argument("--resolution", type=int, default=96)
+    s.add_argument("--resolution", type=int, default=sobolev.DEFAULT_RAYLEIGH_RESOLUTION)
     s.add_argument("--minimize", action=argparse.BooleanOptionalAction, default=False)
     s.add_argument("--csv", default=None)
     s.set_defaults(func=cmd_sobolev)
@@ -337,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--q", type=float, required=True)
     so.add_argument("--grid", type=int, default=48)
     so.add_argument("--half-width", type=float, default=1.0)
-    so.add_argument("--tol", type=float, default=1e-6)
+    so.add_argument("--tol", type=float, default=pohozaev.DEFAULT_GROUND_STATE_TOL)
     so.add_argument("--solution-out", default=None)
     so.set_defaults(func=cmd_solve)
 
@@ -347,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--solve", action=argparse.BooleanOptionalAction, default=False)
     po.add_argument("--grid", type=int, default=64)
     po.add_argument("--half-width", type=float, default=1.0)
-    po.add_argument("--tol", type=float, default=1e-6)
+    po.add_argument("--tol", type=float, default=pohozaev.DEFAULT_GROUND_STATE_TOL)
     po.set_defaults(func=cmd_pohozaev)
 
     for p in (g, t, r, s, so, po):

@@ -28,17 +28,17 @@ wall, or the y-axis piercing the patch, given by ``SurfacePatch.breaks``),
 so the rule sees a smooth integrand on every panel and converges
 spectrally, not as O(1/m^2) or, across a wall, O(1/m).
 
-``measure`` sweeps the boundary once: it takes the volume flux, the
-weighted perimeter and all 2n(a) relative sector perimeters from one pass
-over the patch nodes, classifying every node by sector as it goes and
-summing each sector with one ``np.bincount`` per block.  Every
-patch sweep in the package (``measure`` here, ``pushforward_checks`` in
-``transform``) draws its nodes from ``_patch_blocks``, which builds them
-block by block, so patch quadrature memory is bounded by the block, not by
-the resolution.
-A block is evaluated on the product of the parameter rows it spans and the
-whole t axis, so a function of s alone or of t alone (the sines and cosines
-of the spherical and polar patches) runs on m values, not on every node.
+The patch nodes are the only samples of a shape that the package takes,
+swept with the panels of ``breaks(n)`` at n = n(a): ``measure`` takes the
+volume flux, the weighted perimeter and all 2n(a) relative sector
+perimeters from one pass over them, classifying every node by sector and
+summing each sector with one ``np.bincount`` per block, and
+``pushforward_checks`` in ``transform`` also checks on them that the shape
+lies in the first sector.  Every sweep draws its nodes from
+``_patch_blocks`` a block of whole parameter rows at a time, so patch
+quadrature memory is bounded by the block, not by the resolution, and a
+function of s alone or of t alone (the sines and cosines of the spherical
+and polar patches) runs on m values, not on every node.
 A sweep computes each node's polar frame once, r^2 = x1^2 + x2^2, (r^2)^a
 (``_radial``), r = hypot(x1, x2) and theta = arctan2(x2, x1) (``_polar``),
 and hands it to the flux (``_flux_at``), the density (``_density_at``) and
@@ -125,7 +125,10 @@ def sector_index(points: np.ndarray, alpha) -> np.ndarray:
 # largest surface_resolution: the Gauss rule on m nodes costs O(m^3) to
 # build (0.13 s at m = 1024, 0.9 s at 2048), and a sweep's time grows
 # like m^2 while its memory stays bounded by the block
-_MAX_SURFACE_RESOLUTION = 1 << 10
+MAX_SURFACE_RESOLUTION = 1 << 10
+
+# Gauss nodes per patch axis when a caller gives none
+DEFAULT_SURFACE_RESOLUTION = 64
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,8 @@ class SurfacePatch:
     Quadrature nodes on the patch come from ``_patch_blocks`` alone.
 
     ``breaks(n)`` returns (s values, t values): the parameter lines on
-    which the y-axis pierces the patch and, unless n is None, on which a
-    sector wall of n(a) = n lies; by default there are none.  A sweep cuts
+    which the y-axis pierces the patch or a sector wall of n(a) = n lies;
+    by default there are none.  Every sweep passes its n(a).  A sweep cuts
     each axis into Gauss panels there; values outside the open parameter
     range are ignored.
     """
@@ -153,7 +156,7 @@ class SurfacePatch:
     cross: Callable[[np.ndarray, np.ndarray], np.ndarray]
     s_range: tuple[float, float]
     t_range: tuple[float, float]
-    breaks: Callable[[Optional[int]], tuple[Sequence[float], Sequence[float]]] = lambda n: ((), ())
+    breaks: Callable[[int], tuple[Sequence[float], Sequence[float]]] = lambda n: ((), ())
 
 
 def _stack(s, t, x, y, z) -> np.ndarray:
@@ -168,13 +171,13 @@ class ImplicitShape:
     entries and extents must be finite.
 
     ``level`` must be vectorised: (m, 3) points -> (m,) values, negative
-    strictly inside, positive strictly outside; containment checks sample
-    it.  ``patches`` is required and must cover the whole of bd(E),
-    outward oriented: the weighted perimeter and the divergence-identity
-    volume are both computed from them alone, so a missing piece silently
-    falsifies both.  ``sector`` marks shapes contained in the closure of
-    one angular sector; for those the isoperimetric quotient uses the
-    relative (wall-free) perimeter.
+    strictly inside, positive strictly outside.  ``patches`` is required
+    and must cover the whole of bd(E), outward oriented: the weighted
+    perimeter, the divergence-identity volume and the sector containment
+    check of ``pushforward_checks`` read them alone, so a missing piece
+    silently falsifies each.  ``sector`` marks shapes contained in the
+    closure of one angular sector; for those the isoperimetric quotient
+    uses the relative (wall-free) perimeter.
     """
 
     level: Callable[[np.ndarray], np.ndarray]
@@ -212,9 +215,9 @@ def _density_at(normals, r2, r2a, alpha: float):
     return r2 ** (alpha / 2.0) * np.sqrt(normals[:, 0] ** 2 + normals[:, 1] ** 2 + r2a * normals[:, 2] ** 2)
 
 
-# patch nodes per block; blocks cut the patch's flat node order (s slowest)
-# every 32768 nodes whatever m, so they bound a sweep's memory at any
-# resolution, and the partial sums follow the cuts
+# patch nodes per block: a block takes max(1, 32768 // mt) whole s-rows of
+# mt nodes each, at most max(32768, mt) nodes whatever m, so blocks bound a
+# sweep's memory at any resolution, and the partial sums follow the rows
 _PATCH_BLOCK = 1 << 15
 
 
@@ -237,36 +240,34 @@ def _panel_axis(lo: float, hi: float, cuts, m: int):
     return (mid + half * x).ravel(), (half * w).ravel()
 
 
-def _patch_blocks(shape: ImplicitShape, surface_resolution: int, n: Optional[int] = None):
-    """Gauss nodes of the shape's patches, one block of 32768 at a time.
+def _patch_blocks(shape: ImplicitShape, surface_resolution: int, n: int):
+    """Gauss nodes of the shape's patches, a block of whole rows at a time.
 
     ``surface_resolution`` is m, the Gauss nodes per patch axis, a count
-    from 1 to ``_MAX_SURFACE_RESOLUTION``, checked once per sweep before the
+    from 1 to ``MAX_SURFACE_RESOLUTION``, checked once per sweep before the
     first block.  Each patch axis is cut into panels at the patch's
     ``breaks(n)`` (``_panel_axis``), so an axis of ms or mt nodes has at
     most m + k - 1 of them.  Node k of a patch sits at (s_k, t_k) =
-    (s_ax[k // mt], t_ax[k % mt]).  Each block is the range of k from one
-    cut to the next; it is evaluated on the rows of s it spans against the
-    whole t axis, at most 32768 + 2(mt - 1) nodes, then cut out, so memory
-    stays O(block + mt) at any resolution.  This is the one place that
-    turns a patch into nodes.  Yields (points, unit normals, weighted area
-    elements) per (patch, block), in patch order, the Gauss weights folded
-    into the area element; nodes whose area element vanishes are dropped.
+    (s_ax[k // mt], t_ax[k % mt]).  A block is max(1, 32768 // mt)
+    consecutive rows of s against the whole t axis, at most
+    max(32768, mt) nodes, so memory stays bounded at any resolution.  This
+    is the one place that turns a patch into nodes.  Yields (points, unit
+    normals, weighted area elements) per (patch, block), in patch order,
+    the Gauss weights folded into the area element; nodes whose area
+    element vanishes are dropped.
     """
-    m = _count(surface_resolution, "surface_resolution", 1, _MAX_SURFACE_RESOLUTION)
+    m = _count(surface_resolution, "surface_resolution", 1, MAX_SURFACE_RESOLUTION)
     for patch in shape.patches:
         s_cuts, t_cuts = patch.breaks(n)
         s_ax, s_w = _panel_axis(*patch.s_range, s_cuts, m)
         t_ax, t_w = _panel_axis(*patch.t_range, t_cuts, m)
-        t_row, mt = t_ax[None, :], len(t_ax)
-        for start in range(0, len(s_ax) * mt, _PATCH_BLOCK):
-            stop = min(start + _PATCH_BLOCK, len(s_ax) * mt)
-            i0, i1 = start // mt, -(-stop // mt)
-            s_col = s_ax[i0:i1, None]
-            cut = slice(start - i0 * mt, stop - i0 * mt)
-            pts = patch.param(s_col, t_row).reshape(-1, 3)[cut]
-            cross = patch.cross(s_col, t_row).reshape(-1, 3)[cut]
-            weight = (s_w[i0:i1, None] * t_w).reshape(-1)[cut]
+        t_row = t_ax[None, :]
+        rows = max(1, _PATCH_BLOCK // len(t_ax))
+        for i0 in range(0, len(s_ax), rows):
+            s_col = s_ax[i0 : i0 + rows, None]
+            pts = patch.param(s_col, t_row).reshape(-1, 3)
+            cross = patch.cross(s_col, t_row).reshape(-1, 3)
+            weight = (s_w[i0 : i0 + rows, None] * t_w).reshape(-1)
             # the sum np.linalg.norm would reduce, in its order, without its
             # generic-reduction overhead
             c0, c1, c2 = cross.T
@@ -277,7 +278,7 @@ def _patch_blocks(shape: ImplicitShape, surface_resolution: int, n: Optional[int
             yield pts, cross / area[:, None], area * weight
 
 
-def _sweep(shape: ImplicitShape, surface_resolution: int, partials, n: Optional[int] = None) -> list[float]:
+def _sweep(shape: ImplicitShape, surface_resolution: int, partials, n: int) -> list[float]:
     """One sweep of the shape's patch nodes, panels cut at the breaks of
     n(a) = n.  ``partials(points, unit normals, weighted area elements)``
     gives a sequence of sums over one block, added to the running sums in
@@ -311,7 +312,7 @@ class Measures:
     sectors: tuple[float, ...]
 
 
-def measure(shape: ImplicitShape, alpha, surface_resolution: int = 64) -> Measures:
+def measure(shape: ImplicitShape, alpha, surface_resolution: int = DEFAULT_SURFACE_RESOLUTION) -> Measures:
     """Weighted volume, weighted perimeter and all 2n(a) sector perimeters
     from one sweep of the shape's patch nodes, panels cut at the sector
     walls.
@@ -360,7 +361,9 @@ def reference_quotient(alpha) -> float:
     return vals.sector_perimeter**1.5 / vals.volume
 
 
-def isoperimetric_quotient(shape: ImplicitShape, alpha, surface_resolution: int = 64) -> float:
+def isoperimetric_quotient(
+    shape: ImplicitShape, alpha, surface_resolution: int = DEFAULT_SURFACE_RESOLUTION
+) -> float:
     """per_w(E)^{3/2} / vol_w(E).
 
     For shapes marked as contained in one sector the relative perimeter
@@ -385,7 +388,9 @@ def _quotient_perimeter(shape: ImplicitShape, measures: Measures) -> float:
     return measures.sectors[_count(shape.sector, "sector index", 1, len(measures.sectors)) - 1]
 
 
-def isoperimetric_deficit(shape: ImplicitShape, alpha, surface_resolution: int = 64) -> float:
+def isoperimetric_deficit(
+    shape: ImplicitShape, alpha, surface_resolution: int = DEFAULT_SURFACE_RESOLUTION
+) -> float:
     """Quotient of the shape minus the sharp reference value (>= 0 in theory)."""
     return isoperimetric_quotient(shape, alpha, surface_resolution) - reference_quotient(alpha)
 

@@ -34,6 +34,10 @@ from .grids import CellGrid, GridFunction3D
 
 CRITICAL_POWER = 5.0
 
+# weak-residual tolerance of a ground-state solve when a caller gives none;
+# here, not in the solver, so the CLI reads it without loading scipy
+DEFAULT_GROUND_STATE_TOL = 1e-6
+
 
 def pohozaev_coefficient(p: float, alpha) -> float:
     """(3a+3)/(p+1) - (a+1)/2; zero exactly at p = 5 for every alpha."""

@@ -44,6 +44,9 @@ from .grids import GridFunction3D, _count
 # at most 2^20 uniform levels: the level and measure arrays then take 8 MiB each
 MAX_LEVELS = 1 << 20
 
+# uniform levels of a rearrangement when a caller gives none
+DEFAULT_LEVELS = 256
+
 # radii closer than this fraction of the support radius are ties: a profile
 # merges them, and the energy leaves out segments that thin
 _TIE = 1e-9
@@ -83,18 +86,21 @@ def radius_from_measure(m, alpha):
 @dataclass(frozen=True)
 class DistributionFunction:
     """Weighted measures lambda(t_k) = |{u > t_k}|_w at increasing levels,
-    and the field's maximum ``top`` (0 for a zero field)."""
+    and ``top``, the field's weighted essential supremum: its largest value
+    on cells whose weight |x|^{2a} is positive (0 for a zero field).  That
+    is max u whenever no cell centre lies on the y-axis, as on every grid
+    with even x1 and x2 counts; a cell of weight 0 measures nothing."""
 
     levels: np.ndarray
     measures: np.ndarray
     top: float
 
 
-def distribution_function(u: GridFunction3D, alpha, levels: int = 256) -> DistributionFunction:
+def distribution_function(u: GridFunction3D, alpha, levels: int = DEFAULT_LEVELS) -> DistributionFunction:
     """lambda(t) = |{u > t}|_w by weighted voxel sums on the superlevel sets.
 
     ``levels`` is the count K of uniform levels top/K, 2 top/K, ..., top in
-    (0, max u], from 1 to ``MAX_LEVELS``; a zero field has the one level 0.
+    (0, top], from 1 to ``MAX_LEVELS``; a zero field has the one level 0.
     The cells are counted into levels, not sorted: each cell above the
     lowest level falls in the bucket j of the levels below its value, the
     weighted cell measures are summed per bucket in C order, and
@@ -105,7 +111,8 @@ def distribution_function(u: GridFunction3D, alpha, levels: int = 256) -> Distri
     vals = u.masked_values()
     if np.any(vals < 0):
         raise DomainError("rearrangement requires a nonnegative field")
-    top = float(vals.max(initial=0.0))
+    weight = u.weight2d(a)
+    top = float(np.max(vals, axis=2, initial=0.0)[weight > 0].max(initial=0.0))
     lv = np.linspace(top / K, top, K) if top > 0 else np.zeros(1)
     # no level counts a cell at or below the lowest level, so only the cells
     # above it are bucketed
@@ -113,7 +120,7 @@ def distribution_function(u: GridFunction3D, alpha, levels: int = 256) -> Distri
     above = np.flatnonzero(flat > lv[0])
     j = np.searchsorted(lv, flat[above], side="left")
     # the weight is constant along y, the fastest axis of the C order
-    w = u.weight2d(a).ravel()[above // u.dims[2]]
+    w = weight.ravel()[above // u.dims[2]]
     buckets = np.bincount(j, weights=w, minlength=len(lv) + 1)
     # measure of {u > t_k}: the cells in buckets j > k
     measures = np.cumsum(buckets[::-1])[::-1][1:] * u.cell_volume
@@ -151,9 +158,9 @@ class RadialProfile:
         """The profile whose superlevel set {phi > t_k} is the anisotropic
         ball of weighted sector measure lambda(t_k), level by level.
 
-        The top level is max u itself, so the profile attains max u exactly
-        on its innermost interval.  A zero field gives the zero profile on
-        [0, tiny).
+        The top level is ``dist.top`` itself, so the profile attains the
+        weighted essential supremum exactly on its innermost interval.  A
+        zero field gives the zero profile on [0, tiny).
         """
         a = _alpha(alpha)
         zero = cls(np.array([np.finfo(float).tiny]), np.array([0.0]), a)
@@ -161,7 +168,7 @@ class RadialProfile:
             return zero
         lv, meas = dist.levels, dist.measures
         radii_desc = radius_from_measure(meas, a)  # nonincreasing with level
-        # interval [R_k, R_{k-1}) carries value t_k; innermost interval keeps max u
+        # interval [R_k, R_{k-1}) carries value t_k; innermost interval keeps top
         b = radii_desc[:-1][::-1]  # R_{K-1} ... R_1  (increasing)
         support = radius_from_measure(meas[0], a)
         b = np.append(b, support)
@@ -247,9 +254,9 @@ class RadialProfile:
         return integral ** (1.0 / q)
 
 
-def rearrange(u: GridFunction3D, alpha, levels: int = 256) -> RadialProfile:
+def rearrange(u: GridFunction3D, alpha, levels: int = DEFAULT_LEVELS) -> RadialProfile:
     """Weighted decreasing rearrangement of u as a radial step profile on
-    ``levels`` uniform levels in (0, max u]; see
+    ``levels`` uniform levels in (0, top]; see
     ``RadialProfile.from_distribution``.
     """
     a = _alpha(alpha)
@@ -308,7 +315,7 @@ def weighted_lq_norm(u: GridFunction3D, q: float, alpha) -> float:
     return (u.active_sum(dens) * u.cell_volume) ** (1.0 / q)
 
 
-def polya_szego_gap(u: GridFunction3D, alpha, levels: int = 256) -> float:
+def polya_szego_gap(u: GridFunction3D, alpha, levels: int = DEFAULT_LEVELS) -> float:
     """energy(u) - energy(u*); nonnegative up to discretisation noise."""
     a = _alpha(alpha)
     profile = rearrange(u, a, levels)

@@ -66,8 +66,6 @@ def ellipsoid(semiaxes=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> ImplicitShape
         if cx == 0.0 and cy == 0.0:
             # a wall theta_k meets the surface on the line t = t_k where
             # (a cos t, b sin t) points along theta_k
-            if n is None:
-                return (), ()
             cos, sin = _walls(n)
             return (), _wrap_angle(np.arctan2(a * sin, b * cos))
         # the axis meets the surface where sin(s) (cos t, sin t) = -(cx/a, cy/b)
@@ -112,7 +110,7 @@ def cylinder(radius=1.0, half_height=1.0, center=(0.0, 0.0, 0.0)) -> ImplicitSha
 
     def wall_angles(n):
         # on a cylinder centred on the axis a wall theta_k is the line t = theta_k
-        return np.arange(2 * n) * (math.pi / n) if on_axis and n is not None else ()
+        return np.arange(2 * n) * (math.pi / n) if on_axis else ()
 
     def cap_breaks(n):
         if on_axis or math.hypot(cx, cy) >= R:
@@ -177,8 +175,6 @@ def box(half_widths=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> ImplicitShape:
                 # coordinate: the wall ray along u meets it at s = face u_s / u_axis
                 if face == 0.0:
                     return (0.0,), ()
-                if n is None:
-                    return (), ()
                 cos, sin = _walls(n)
                 u_face, u_s = (cos, sin) if axis == 0 else (sin, cos)
                 hit = u_face * face > 0

@@ -129,6 +129,9 @@ TRUNCATION_RADIUS = 20.0
 # cells per axis of a sector grid: energies need 2, and 256^3 is grids.MAX_CELLS
 MAX_RESOLUTION = 256
 
+# cells per axis of minimize_rayleigh's sector grid when a caller gives none
+DEFAULT_RAYLEIGH_RESOLUTION = 96
+
 
 class SectorExtremalFamily:
     """Truncated radial extremals on one first-sector grid.
@@ -294,7 +297,7 @@ def _fminbound(fn, lo, hi):
     return xf, fx, num
 
 
-def minimize_rayleigh(alpha, resolution: int = 96) -> RayleighMinimum:
+def minimize_rayleigh(alpha, resolution: int = DEFAULT_RAYLEIGH_RESOLUTION) -> RayleighMinimum:
     """Minimise the sector-grid Rayleigh quotient over the extremal family.
 
     The quotient is taken at the critical exponent q = 6; for any other q

@@ -64,6 +64,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from .errors import DegeneracyError, DomainError, IterationError
 from .geometry import _alpha
 from .grids import CellGrid, GridFunction3D, _count, check_grid
+from .pohozaev import DEFAULT_GROUND_STATE_TOL
 
 
 @dataclass(frozen=True)
@@ -73,9 +74,9 @@ class Domain(CellGrid):
     ``mask`` selects active cells; None means the full box.  Dirichlet data
     lives on the faces between active and inactive/outside cells.  The cell
     geometry is ``CellGrid``'s; a domain adds the solver's rules: the origin
-    strictly inside, even x1/x2 counts and an active origin cell.  Like every
-    grid it has at most ``grids.MAX_CELLS`` cells, checked before any field
-    is allocated.
+    strictly inside, even x1/x2 counts, finite couplings 1/h^2 and an active
+    origin cell.  Like every grid it has at most ``grids.MAX_CELLS`` cells,
+    checked before any field is allocated.
     """
 
     bbox: np.ndarray  # (3, 2)
@@ -90,6 +91,9 @@ class Domain(CellGrid):
             raise DomainError("domain must contain the origin strictly inside")
         if self.dims[0] % 2 or self.dims[1] % 2:
             raise DomainError("dims in x1 and x2 must be even (centres off the y-axis)")
+        with np.errstate(over="ignore", divide="ignore", under="ignore"):
+            if not np.all(np.isfinite(1.0 / self.spacing**2)):
+                raise DomainError(f"cell spacing {float(self.spacing.min())!r} is too small: 1/h^2 is not finite")
         if self.mask is not None:
             ctr = np.floor((0 - bbox[:, 0]) / self.spacing).astype(int)
             if not self.mask[tuple(ctr)]:
@@ -362,7 +366,7 @@ def solve_ground_state(
     domain: Domain,
     q: float,
     alpha,
-    tol: float = 1e-6,
+    tol: float = DEFAULT_GROUND_STATE_TOL,
     initial: Optional[np.ndarray] = None,
 ) -> SolutionReport:
     """Nehari-projected preconditioned descent with a Newton finish, for the

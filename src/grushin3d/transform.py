@@ -12,8 +12,10 @@ the reference ball sector onto the Euclidean unit-ball wedge, and satisfies
     vol_w(E) = |F(E)|        (Lebesgue volume),
     relative weighted perimeter of E = Euclidean area of F(bd E)
 
-for sets E contained in the closed sector.  ``_require_in_sector`` admits a
-shape only after finding it in the sector.
+for sets E contained in the closed sector.  ``pushforward_checks`` refuses
+a shape when a node of its sweep lies strictly outside sector 1, off its
+walls.  Checking bd(E) is enough: a bounded open set lies in the convex
+hull of its boundary, and the sector, of width pi/n(a) <= pi/2, is convex.
 
 The image of a patch is F o param, with tangent cross product
 cof(DF) (d_s x d_t) in closed form (Nanson's formula, ``_cofactor_at``).
@@ -32,6 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import (
+    DEFAULT_SURFACE_RESOLUTION,
     ImplicitShape,
     _alpha,
     _density_at,
@@ -41,7 +44,6 @@ from .geometry import (
     _sector_sums,
     _sectors,
     _sweep,
-    _wrap_angle,
     sector_count,
 )
 
@@ -81,7 +83,7 @@ def _gap(a, b, eps=1e-300):
 
 
 def pushforward_checks(
-    shape: ImplicitShape, alpha, surface_resolution: int = 64
+    shape: ImplicitShape, alpha, surface_resolution: int = DEFAULT_SURFACE_RESOLUTION
 ) -> tuple[PushforwardReport, PushforwardReport]:
     """(volume, perimeter) reports: vol_w(E) against the Lebesgue volume of
     the flattened image, and the relative weighted perimeter against the
@@ -104,10 +106,10 @@ def pushforward_checks(
     the perimeter gap measures rounding; the tests check the closed-form
     cofactor against finite differences.  The sweep cuts its panels at the
     sector walls, and both perimeter sides sum sector 1 as ``measure``
-    does.
+    does.  A node strictly outside sector 1, off its walls, raises a
+    ``DomainError`` once the sweep is done.
     """
     a = _alpha(alpha)
-    _require_in_sector(shape, a)
     n = sector_count(a)
 
     def partials(pts, nu, weight):
@@ -116,7 +118,7 @@ def pushforward_checks(
         r, theta = _polar(pts)
         volume = np.sum(_flux_at(pts, nu, r2a, a) * weight)
         # nodes outside sector 1, its walls included, weigh nothing on
-        # either perimeter side
+        # either perimeter side; those off its walls (keys > 1) are counted
         keys = _sectors(r, theta, n)
         perimeter = _sector_sums(keys, _density_at(nu, r2, r2a, a) * weight, n)[0]
         c0, c1, c2 = _cofactor_at(r, theta, nu, a)
@@ -125,30 +127,13 @@ def pushforward_checks(
         # np.sum(axis=1) do on the stacked (N, 3) rows
         image_area = _sector_sums(keys, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2) * weight, n)[0]
         image_volume = np.sum((f0 * c0 + f1 * c1 + pts[:, 2] * c2) / 3.0 * weight)
-        return volume, perimeter, image_area, image_volume
+        return volume, perimeter, image_area, image_volume, np.count_nonzero(keys > 1)
 
-    volume, perimeter, image_area, image_volume = _sweep(shape, surface_resolution, partials, n)
+    volume, perimeter, image_area, image_volume, outside = _sweep(shape, surface_resolution, partials, n)
+    if outside:
+        raise DomainError(f"shape {shape.name!r} is not contained in the first sector")
     return (
         PushforwardReport(volume, image_volume, _gap(volume, image_volume)),
         PushforwardReport(perimeter, image_area, _gap(perimeter, image_area)),
     )
 
-
-# level-function samples per bbox axis of the containment check
-_CONTAINMENT_SAMPLES = 17
-
-
-def _require_in_sector(shape: ImplicitShape, alpha) -> None:
-    """Sampled containment check: inside points must lie in the closed
-    sector.  The samples span the shape's bbox, which ``ImplicitShape``
-    keeps finite."""
-    width = np.pi / sector_count(_alpha(alpha))
-    axes = [np.linspace(lo, hi, _CONTAINMENT_SAMPLES) for lo, hi in shape.bbox]
-    G1, G2, G3 = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([G1.ravel(), G2.ravel(), G3.ravel()])
-    inside = pts[shape.level(pts) < 0]
-    if len(inside) == 0:
-        return
-    theta = _wrap_angle(np.arctan2(inside[:, 1], inside[:, 0]))
-    if np.any(theta > width * (1 + 1e-9)):
-        raise DomainError(f"shape {shape.name!r} is not contained in the first sector")

@@ -28,11 +28,12 @@ def sorted_distribution(u, alpha, levels=256):
     """lambda(t_k) = |{u > t_k}|_w on the levels of ``distribution_function``,
     from a stable sort of every active cell by value, descending: the
     cumulative sum of the weighted cell measures, read at the count of
-    cells above each level."""
+    cells above each level.  The top level is the largest value on a cell
+    of positive weight."""
     vals = u.masked_values().ravel()
-    top = float(vals.max(initial=0.0))
-    lv = np.linspace(top / levels, top, levels) if top > 0 else np.zeros(1)
     weights = np.broadcast_to(u.weight2d(alpha)[:, :, None], u.dims).ravel()
+    top = float(vals[weights > 0].max(initial=0.0))
+    lv = np.linspace(top / levels, top, levels) if top > 0 else np.zeros(1)
     order = np.argsort(-vals, kind="stable")
     cum = np.concatenate([[0.0], np.cumsum(weights[order] * u.cell_volume)])
     counts = np.searchsorted(-vals[order], -lv, side="left")

@@ -7,7 +7,8 @@ independent check of ``geometry.measure``, whose midpoint error is
 O(1/m^2), or O(1/m) in a sector that a wall cuts.  ``gauss_st`` builds
 every Gauss node and weight of a patch at once, panel by panel, as the
 reference of the block-by-block ``geometry._patch_blocks``, and
-``patch_integral`` sums an integrand over those nodes.
+``patch_integral`` sums an integrand over those nodes.  Both take the
+n(a) whose sector walls cut the panels, as every sweep does.
 
 The node functions below share no kernel with the fused sweeps of
 ``geometry`` and ``transform``: each computes its own r^2, hypot and
@@ -15,12 +16,11 @@ arctan2.  They are written in the fused kernels' operation order, so each
 node value has the kernels' bits.
 """
 
-import dataclasses
 import math
 
 import numpy as np
 
-from grushin3d import DomainError, ImplicitShape
+from grushin3d import DomainError, ImplicitShape, SurfacePatch
 from grushin3d.geometry import Measures, sector_count, sector_index
 from grushin3d.pohozaev import StarShapedReport
 
@@ -84,15 +84,15 @@ def cofactor(points, v, alpha):
 
 
 def _image_patch(patch, alpha):
-    """Image of a first-sector patch under the flattening map.  The map
-    keeps the y-axis, so the image keeps the source's axis breaks; it
-    moves the sector walls, so it drops the source's wall breaks."""
-    param, cross, breaks = patch.param, patch.cross, patch.breaks
-    return dataclasses.replace(
-        patch,
-        param=lambda s, t: flatten_point(param(s, t), alpha),
-        cross=lambda s, t: cofactor(param(s, t), cross(s, t), alpha),
-        breaks=lambda n: breaks(None),
+    """Image of a first-sector patch under the flattening map, without
+    breaks: the map moves the sector walls, and no source patch that the
+    tests flatten is pierced by the y-axis."""
+    param, cross = patch.param, patch.cross
+    return SurfacePatch(
+        lambda s, t: flatten_point(param(s, t), alpha),
+        lambda s, t: cofactor(param(s, t), cross(s, t), alpha),
+        patch.s_range,
+        patch.t_range,
     )
 
 
@@ -170,7 +170,7 @@ def gauss_axis(lo, hi, cuts, m):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def gauss_st(patch, m, n=None):
+def gauss_st(patch, m, n):
     """Tensor Gauss nodes (s, t) of a patch, s slowest, panels cut at the
     patch's breaks of n(a) = n, and the product weight of each node."""
     s_cuts, t_cuts = patch.breaks(n)
@@ -180,7 +180,7 @@ def gauss_st(patch, m, n=None):
     return np.column_stack([S.ravel(), T.ravel()]), np.outer(s_w, t_w).ravel()
 
 
-def patch_integral(shape, integrand, m, n=None):
+def patch_integral(shape, integrand, m, n):
     """Sum of integrand(points, unit normals) * dH^2 over the shape's
     patches, on each patch's whole Gauss grid, panels cut at its breaks of
     n(a) = n."""
@@ -199,7 +199,7 @@ def shape_star_check(shape, alpha, m=64):
         raise DomainError("star-shapedness is relative to the origin, which must lie inside")
     low = math.inf
     for patch in shape.patches:
-        pts, nu, _ = _nodes(patch, *gauss_st(patch, m))
+        pts, nu, _ = _nodes(patch, *gauss_st(patch, m, sector_count(alpha)))
         g = pts[:, 0] * nu[:, 0] + pts[:, 1] * nu[:, 1] + (1.0 + alpha) * pts[:, 2] * nu[:, 2]
         low = min(low, float(g.min(initial=math.inf)))
     return StarShapedReport(low >= -1e-10, low)

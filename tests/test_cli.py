@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushin3d import cli, geometry, rearrangement, shapes, transform
+from grushin3d import cli, geometry, rearrangement, shapes
 from grushin3d.cli import main
 from grushin3d.fields import cosine_bump, radial_field
 from grushin3d.grids import GRID_MAGIC, load_grid, save_grid
@@ -190,6 +190,31 @@ class TestTransformCheckCommand:
         assert rep["results"]["quadrature_rel_change"] <= 1e-13
         assert "quadrature_rel_change" not in {c["name"] for c in rep["checks"]}
 
+    @pytest.mark.parametrize(
+        "alpha, shape, values",
+        [
+            ("0.5", "ball-sector", (1.5707963267948988, 1.5707963267948988, 4.712388980384696, 4.712388980384696)),
+            ("0.5", "small-ball", (0.06388597581771563, 0.0638859758177157, 0.7730717472009682, 0.7730717472009683)),
+            ("1", "ball-sector", (2.0943951023931984, 2.0943951023931984, 6.2831853071795845, 6.2831853071795845)),
+            ("1", "small-ball", (0.06505185893996378, 0.06505185893996382, 0.783182680451228, 0.7831826804512283)),
+            ("2.5", "ball-sector", (1.8325957145940484, 1.8325957145940484, 5.497787143782118, 5.497787143782118)),
+            ("2.5", "small-ball", (0.010518962001760486, 0.0105189620017605, 0.23270151557566587, 0.2327015155756659)),
+            ("400", "ball-sector", (2.0943951023931824, 2.094395102393186, 6.2831853071795605, 6.283185307179558)),
+            (
+                "400",
+                "small-ball",
+                (1.2150205412327078e-08, 1.2150205412327157e-08, 2.573811192227678e-05, 2.5738111922276802e-05),
+            ),
+        ],
+    )
+    def test_own_shapes_accepted_with_their_values(self, alpha, shape, values, capsys):
+        # both shapes lie in sector 1 at every alpha; their values are
+        # pinned to the bit
+        code, rep = run_cli(["transform-check", "--alpha", alpha, "--shape", shape], capsys)
+        assert code == 0
+        keys = ("volume_weighted", "volume_euclidean", "perimeter_weighted", "perimeter_euclidean")
+        assert tuple(rep["results"][k] for k in keys) == values
+
     def test_large_alpha(self, capsys):
         # the image of the ball sector spans ~1e11 at alpha = 400; its
         # patches still see the unit half-ball
@@ -200,8 +225,8 @@ class TestTransformCheckCommand:
 
     def test_largest_alpha(self, capsys):
         # the image of the ball sector spans r^{16384} at alpha = 16383; both
-        # image measures come from the source nodes, and only the source
-        # shape, whose bbox is finite, is checked for containment
+        # image measures and the containment check come from the source
+        # nodes
         code, rep = run_cli(["transform-check", "--alpha", "16383", "--surface-resolution", "32"], capsys)
         assert code == 0
         assert rep["results"]["perimeter_rel_gap"] <= 1e-12
@@ -226,13 +251,14 @@ class TestTransformCheckCommand:
             return dataclasses.replace(shape_, patches=patches), m, n
 
         sweeps = count_calls(monkeypatch, "_patch_blocks", geometry._patch_blocks, wrap=with_counted_patches)
-        checks = count_calls(monkeypatch, "_require_in_sector", transform._require_in_sector)
-        # 300^2 nodes per patch: three blocks, and one block of 150^2 in the
-        # sweep at half the resolution (neither shape has a break)
+        reductions = count_calls(monkeypatch, "_sweep", geometry._sweep)
+        # 300^2 nodes per patch: three blocks of whole rows, and one block of
+        # 150^2 in the sweep at half the resolution (neither shape has a break)
         code, _ = run_cli(["transform-check", "--alpha", "1", "--shape", shape, "--surface-resolution", "300"], capsys)
         assert code == 0
-        # the containment check runs once, in the fine sweep
-        assert len(checks) == 1
+        # two sweeps in all: the sector-1 containment check rides on the
+        # fine one, pushforward_checks', and takes no samples of its own
+        assert [args[2].__qualname__.partition(".")[0] for args in reductions] == ["pushforward_checks", "measure"]
         # one sweep of the source patches gives both weighted sides and both
         # image measures, and one measure sweep at half the resolution the
         # quadrature error indicator; each block evaluates its patch once
@@ -277,6 +303,36 @@ SHAPE_FLAGS = {
     "half_widths": ["--half-widths", "1.2", "0.7", "0.9"], "center": ["--center", "0.5", "0.1", "-0.2"],
     "j": ["--sector", "3"],
 }
+
+
+class TestDefaults:
+    def test_options_and_signatures_read_one_constant(self):
+        # each default a CLI option shares with a library signature is one
+        # named constant of the module that owns it
+        import inspect
+
+        from grushin3d import pohozaev, solver, sobolev, transform
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        parse = cli.build_parser().parse_args
+        surface = geometry.DEFAULT_SURFACE_RESOLUTION
+        assert parse(["geometry", "--shape", "ball", "--alpha", "1"]).surface_resolution == surface
+        assert parse(["transform-check", "--alpha", "1"]).surface_resolution == surface
+        for fn in (geometry.measure, geometry.isoperimetric_quotient, geometry.isoperimetric_deficit):
+            assert default(fn, "surface_resolution") == surface
+        assert default(transform.pushforward_checks, "surface_resolution") == surface
+        levels = rearrangement.DEFAULT_LEVELS
+        assert parse(["rearrange", "--input", "x", "--alpha", "1"]).levels == levels
+        for fn in (rearrangement.distribution_function, rearrangement.rearrange, rearrangement.polya_szego_gap):
+            assert default(fn, "levels") == levels
+        resolution = sobolev.DEFAULT_RAYLEIGH_RESOLUTION
+        assert parse(["sobolev"]).resolution == default(sobolev.minimize_rayleigh, "resolution") == resolution
+        tol = pohozaev.DEFAULT_GROUND_STATE_TOL
+        assert parse(["solve", "--alpha", "1", "--q", "4"]).tol == tol
+        assert parse(["pohozaev", "--p", "3", "--alpha", "1"]).tol == tol
+        assert default(solver.solve_ground_state, "tol") == tol
 
 
 class TestShapeFromArgs:
@@ -372,6 +428,38 @@ class TestRearrangeCommand:
         assert json.dumps(rep["results"], sort_keys=True) == json.dumps({**zeros, "profile_csv_rows": 1.0}, sort_keys=True)
         assert [c["value"] for c in rep["checks"]] == [0.0, 0.0, 0.0]
         assert csv.read_text() == "r,phi\n0,0\n"
+
+    def test_maximum_on_the_axis_is_a_null_set(self, tmp_path, capsys):
+        # 3^3 cells of [-1.5, 1.5]^3: the 1.0 on the centre column sits on
+        # the y-axis, where the weight is 0, so the weighted essential
+        # supremum is 0.5 and the profile keeps it
+        from grushin3d.grids import GridFunction3D
+
+        values = np.full((3, 3, 3), 0.5)
+        values[1, 1, :] = 1.0
+        path = tmp_path / "centre.grid"
+        save_grid(GridFunction3D(np.array([(-1.5, 1.5)] * 3), values), path)
+        _, rep = run_cli(["rearrange", "--input", str(path), "--alpha", "1", "--levels", "4"], capsys)
+        assert rep["results"]["max_input"] == rep["results"]["max_profile"] == 0.5
+        passed = {c["name"]: c["passed"] for c in rep["checks"]}
+        assert passed["max_preserved"] and passed["equimeasurability"] and passed["polya_szego"]
+
+    def test_spike_on_the_axis_passes_every_check(self, tmp_path, capsys):
+        # a smooth bump on an odd grid with 2.0 on the centre column, which
+        # lies on the y-axis: the spike weighs nothing, so every check,
+        # max_preserved included, compares the bump alone
+        from grushin3d.grids import CellGrid, GridFunction3D
+
+        n = 49
+        cells = CellGrid(np.array([(-1.5, 1.5)] * 3), (n, n, n))
+        r2 = sum(c**2 for c in cells.centers(sparse=True))
+        values = np.where(r2 < 1.0, np.cos(0.5 * np.pi * np.sqrt(r2)) ** 2, 0.0)
+        values[n // 2, n // 2, :] = 2.0
+        path = tmp_path / "spike.grid"
+        save_grid(GridFunction3D(cells.bbox, values), path)
+        code, rep = run_cli(["rearrange", "--input", str(path), "--alpha", "1"], capsys)
+        assert code == 0 and all(c["passed"] for c in rep["checks"])
+        assert rep["results"]["max_input"] == float(np.max(values[values < 2.0]))
 
     def test_nan_file_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "nan.grid"
@@ -493,10 +581,10 @@ BAD_INPUT_LINES = {
         "usage error: --alphas must give distinct report keys, got alpha_0.5 alpha_0.5\n",
     "sobolev --alphas 1 1": "usage error: --alphas must give distinct report keys, got alpha_1 alpha_1\n",
     "solve --alpha 1 --q 4 --grid 8 --half-width 1e-300":
-        "usage error: --half-width 1e-300 is too small for --grid 8: 1/h^2 is not finite\n",
+        "usage error: cell spacing 2.5e-301 is too small: 1/h^2 is not finite\n",
     "solve --alpha 1 --q 4 --grid 8 --half-width 1e308": "usage error: bbox entries and extents must be finite\n",
     "pohozaev --p 3 --alpha 1 --solve --grid 8 --half-width 1e-300":
-        "usage error: --half-width 1e-300 is too small for --grid 8: 1/h^2 is not finite\n",
+        "usage error: cell spacing 2.5e-301 is too small: 1/h^2 is not finite\n",
     "pohozaev --p 1 --alpha 1 --solve": "usage error: identity runs need 1 < --p < 5, got --p 1.0\n",
     "geometry --shape ball --alpha 1 --semiaxes 1 2 3": "usage error: --semiaxes does not apply to --shape ball\n",
     "geometry --shape ellipsoid --alpha 1 --radius 5": "usage error: --radius does not apply to --shape ellipsoid\n",

@@ -17,7 +17,7 @@ import grushin3d
 from grushin3d import DomainError
 from grushin3d.fields import radial_field, random_bump_corpus, sector_extremal_grid
 from grushin3d.geometry import (
-    _MAX_SURFACE_RESOLUTION,
+    MAX_SURFACE_RESOLUTION,
     isoperimetric_deficit,
     isoperimetric_quotient,
     measure,
@@ -43,15 +43,15 @@ def _bump(X1, X2, Y):
 # every public count parameter, as "module.name:parameter", with a valid
 # value, the largest valid value and a call with that one count varied
 ENTRY_POINTS = {
-    "geometry.measure:surface_resolution": (8, _MAX_SURFACE_RESOLUTION, lambda m: measure(SMALL_BALL, 1.0, m)),
+    "geometry.measure:surface_resolution": (8, MAX_SURFACE_RESOLUTION, lambda m: measure(SMALL_BALL, 1.0, m)),
     "geometry.isoperimetric_quotient:surface_resolution": (
-        8, _MAX_SURFACE_RESOLUTION, lambda m: isoperimetric_quotient(SMALL_BALL, 1.0, m)
+        8, MAX_SURFACE_RESOLUTION, lambda m: isoperimetric_quotient(SMALL_BALL, 1.0, m)
     ),
     "geometry.isoperimetric_deficit:surface_resolution": (
-        8, _MAX_SURFACE_RESOLUTION, lambda m: isoperimetric_deficit(SMALL_BALL, 1.0, m)
+        8, MAX_SURFACE_RESOLUTION, lambda m: isoperimetric_deficit(SMALL_BALL, 1.0, m)
     ),
     "transform.pushforward_checks:surface_resolution": (
-        8, _MAX_SURFACE_RESOLUTION, lambda m: pushforward_checks(SMALL_BALL, 1.0, m)
+        8, MAX_SURFACE_RESOLUTION, lambda m: pushforward_checks(SMALL_BALL, 1.0, m)
     ),
     "grids.check_grid:dims": (4, MAX_CELLS, lambda n: check_grid(BOX, (1, n, 1))[1]),
     "grids.CellGrid:dims": (4, MAX_CELLS, lambda n: CellGrid(BOX, (n, 1, 1)).centers()),

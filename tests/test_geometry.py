@@ -223,7 +223,7 @@ class TestWeightedPerimeter:
     def test_patch_normals_are_unit(self):
         m = 17
         for shape in (ellipsoid((1.3, 0.8, 0.6)), cylinder(0.7, 1.4), box((1, 0.7, 0.9)), ball_sector(1.0)):
-            for _, nu, _ in geometry._patch_blocks(shape, m):
+            for _, nu, _ in geometry._patch_blocks(shape, m, 2):
                 norms = np.linalg.norm(nu, axis=1)
                 assert np.abs(norms - 1.0).max() <= 1e-12
 
@@ -258,17 +258,18 @@ def _block_cases():
         yield pytest.param(flatten_shape(ball_sector(alpha), alpha), 37, n, id=f"flat-sector-{alpha}")
         yield pytest.param(flatten_shape(ball(0.2, center=(0.7, 0.3, 0.0)), alpha), 37, n, id=f"flat-ball-{alpha}")
     # the axis pierces the off-centre balls: panels in s and in t
-    yield pytest.param(ball(0.6, center=(0.4, 0.4, 0.3)), 300, None, id="off-centre-ball-300")
-    # 2n = 802 walls: 803 one-node panels on the t axis
+    yield pytest.param(ball(0.6, center=(0.4, 0.4, 0.3)), 300, 2, id="off-centre-ball-300")
+    # 2n = 802 walls, one of them at t = 0: 802 one-node panels on the t axis
     yield pytest.param(ellipsoid((1.3, 0.8, 0.6)), 64, sector_count(400.0), id="ellipsoid-alpha400")
 
 
 class TestPatchBlocks:
     @pytest.mark.parametrize("shape, m, n", list(_block_cases()))
     def test_blocks_match_whole_patch_reference(self, shape, m, n):
-        # one block at m = 37 and 96, two that end on row boundaries at
-        # m = 256, and three at m = 300, whose cuts fall inside rows; the
-        # blocks evaluate whole rows, the reference node by node
+        # one block at m = 37 and 96, two of 128 rows at m = 256, and three
+        # of 109, 109 and 82 rows at m = 300; at alpha = 400 a block of the
+        # ellipsoid is 40 rows of 802 nodes.  The blocks evaluate whole
+        # rows, the reference node by node
         evaluated = []
 
         def spied(patch, k):
@@ -282,10 +283,13 @@ class TestPatchBlocks:
         blocks = geometry._patch_blocks(spy, m, n)
         block = 1 << 15
         for k, patch in enumerate(shape.patches):
-            # the reference builds every Gauss node at once, then cuts 32768-node blocks
+            # the reference builds every Gauss node at once, then cuts it
+            # into blocks of max(1, 32768 // mt) whole rows of mt nodes
             st, weight = gauss_st(patch, m, n)
-            for start in range(0, len(st), block):
-                st_, w_ = st[start : start + block], weight[start : start + block]
+            mt = len(gauss_axis(*patch.t_range, patch.breaks(n)[1], m)[0])
+            rows = max(1, block // mt)
+            for start in range(0, len(st), rows * mt):
+                st_, w_ = st[start : start + rows * mt], weight[start : start + rows * mt]
                 cross = patch.cross(*st_.T)
                 area = np.linalg.norm(cross, axis=1)
                 ok = area > 0
@@ -293,11 +297,11 @@ class TestPatchBlocks:
                 assert np.array_equal(pts, patch.param(*st_.T)[ok])
                 assert np.array_equal(nu, cross[ok] / area[ok, None])
                 assert np.array_equal(got, area[ok] * w_[ok])
-            # each block is evaluated on the whole rows it spans
-            mt = len(gauss_axis(*patch.t_range, patch.breaks(n)[1], m)[0])
+            # each block is evaluated on exactly its own rows
             sizes = [size for j, size in evaluated if j == k]
-            assert len(sizes) == -(-len(st) // block)
-            assert max(sizes) <= block + 2 * (mt - 1)
+            assert len(sizes) == -(-len(st) // (rows * mt))
+            assert sum(sizes) == len(st)
+            assert max(sizes) <= max(block, mt)
         assert next(blocks, None) is None
 
     @pytest.mark.parametrize("m", [1, 7, 64, 1024])

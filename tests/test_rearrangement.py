@@ -105,6 +105,22 @@ class TestDistributionFunction:
         assert np.all(np.abs(dist.measures - ref.measures) <= bound * ref.measures)
         assert np.count_nonzero(ref.measures) == levels - 1  # every level below the top
 
+    def test_top_is_the_weighted_essential_supremum(self):
+        # on 3^3 cells of [-1.5, 1.5]^3 the centre column lies on the y-axis,
+        # where the weight |x|^{2a} is 0: its 1.0 measures nothing, and the
+        # levels end at 0.5, the largest value of positive weight
+        values = np.full((3, 3, 3), 0.5)
+        values[1, 1, :] = 1.0
+        grid = GridFunction3D(np.array([(-1.5, 1.5)] * 3), values)
+        dist = distribution_function(grid, 1.0, levels=4)
+        ref = sorted_distribution(grid, 1.0, 4)
+        assert dist.top == ref.top == 0.5
+        assert dist.levels.tobytes() == ref.levels.tobytes()
+        assert dist.measures.tobytes() == ref.measures.tobytes()
+        # an even grid has no centre on the axis: the top is max u
+        for field in random_bump_corpus(2, resolution=16):
+            assert distribution_function(field, 1.0).top == float(field.values.max())
+
     def test_rejects_negative_values(self):
         grid = GridFunction3D(np.array([(-1, 1)] * 3), -np.ones((4, 4, 4)))
         with pytest.raises(DomainError):

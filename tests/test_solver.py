@@ -169,6 +169,22 @@ class TestDomain:
         with pytest.raises(DomainError, match="must be finite"):
             Domain.cube(x1[1], 8)
 
+    @pytest.mark.parametrize("half_width", [1e-160, 1e-200])
+    @pytest.mark.parametrize(
+        "run",
+        [lambda dom: solve_ground_state(dom, 4.0, 1.0), lambda dom: poincare_constant(dom, 1.0)],
+        ids=["solve_ground_state", "poincare_constant"],
+    )
+    def test_couplings_must_be_finite(self, half_width, run):
+        # the cells of such a cube are finite, but 1/h^2 overflows: the
+        # domain is refused before the solver would fail on it (with a
+        # DegeneracyError, an IterationError or scipy's ValueError)
+        with pytest.raises(DomainError, match=r"1/h\^2 is not finite"):
+            run(Domain.cube(half_width, 8))
+        # one thin axis is enough
+        with pytest.raises(DomainError, match=r"1/h\^2 is not finite"):
+            run(Domain(np.array([(-1.0, 1.0), (-1.0, 1.0), (-half_width, half_width)]), (8, 8, 8)))
+
     def test_origin_cell_must_be_active(self):
         mask = np.ones((4, 4, 4), dtype=bool)
         mask[2, 2, 2] = False

@@ -5,7 +5,7 @@ import pytest
 
 from grushin3d import DomainError, ImplicitShape, geometry, measure, sector_count, transform
 from grushin3d.geometry import reference_ball_values, sector_index
-from grushin3d.shapes import ball, ball_sector, corpus_shapes
+from grushin3d.shapes import ball, ball_sector, corpus_shapes, ellipsoid
 from grushin3d.transform import pushforward_checks
 from patch_reference import (
     area_integrand,
@@ -118,10 +118,29 @@ class TestPushforward:
         with pytest.raises(DomainError):
             pushforward_checks(ball(0.5), 1.0)  # straddles all sectors
 
+    @pytest.mark.parametrize("m", [16, 64])
+    def test_sliver_outside_sector_rejected(self, m):
+        # the ellipsoid dips 0.01 below x2 = 0, into sector 4, and some of
+        # its patch nodes lie there
+        shape = ellipsoid((0.5, 0.3, 0.5), center=(1.0, 0.29, 0.0))
+        outside = sum(
+            int(np.count_nonzero(sector_index(pts, 1.0) > 1)) for pts, _, _ in geometry._patch_blocks(shape, m, 2)
+        )
+        assert outside > 0
+        with pytest.raises(DomainError, match="not contained in the first sector"):
+            pushforward_checks(shape, 1.0, m)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.5, 400.0])
+    def test_sector_shapes_on_the_walls_accepted(self, alpha):
+        # the ball sector's wall patches lie on both walls of sector 1, and
+        # a sector-j ball sector is refused for every j > 1
+        pushforward_checks(ball_sector(alpha, 1), alpha, 16)
+        with pytest.raises(DomainError, match="not contained in the first sector"):
+            pushforward_checks(ball_sector(alpha, 2), alpha, 16)
+
     @pytest.mark.parametrize("bbox", [[(0, math.inf), (0, 1), (-1, 1)], [(-1e308, 1e308), (0, 1), (-1, 1)]])
     def test_shape_with_infinite_bbox_rejected(self, bbox):
-        # the shape is refused when it is built: containment samples on its
-        # bbox would be NaN, and none would count as inside
+        # the shape is refused when it is built
         inner = ball(0.2, center=(0.5, 0.1, 0.0))
         with pytest.raises(DomainError, match="must be finite"):
             ImplicitShape(inner.level, np.array(bbox, dtype=float), inner.patches)
@@ -200,7 +219,7 @@ class TestImagePatches:
         measures = measure(shape, alpha, m)
         assert volume.weighted == measures.volume
         assert perimeter.weighted == measures.sectors[0]
-        image = patch_integral(flatten_shape(shape, alpha), euclidean_flux, m)
+        image = patch_integral(flatten_shape(shape, alpha), euclidean_flux, m, sector_count(alpha))
         assert abs(volume.euclidean - image) <= 1e-14 * abs(image)
 
 
@@ -230,7 +249,8 @@ def _composed_measure(a):
 
 
 def _composed_pushforward(a):
-    """pushforward_checks' partials from stacked point and cofactor arrays."""
+    """pushforward_checks' partials from stacked point and cofactor arrays,
+    with the count of nodes outside sector 1 and off its walls."""
     flux, density = volume_flux(a), area_integrand(a)
 
     def partials(pts, nu, area):
@@ -241,23 +261,25 @@ def _composed_pushforward(a):
             np.bincount(idx, weights=density(pts, nu) * area, minlength=2)[1],
             np.bincount(idx, weights=np.linalg.norm(cof, axis=1) * area, minlength=2)[1],
             np.sum(np.sum(image * cof, axis=1) / 3.0 * area),
+            np.count_nonzero(idx > 1),
         )
 
     return partials
 
 
 def _handed_partials(monkeypatch, module, run):
-    """The partials that ``run()`` hands to ``module._sweep``."""
+    """The partials that ``run()`` hands to ``module._sweep``; the stand-in
+    sweep reports no node outside sector 1."""
     handed = []
-    monkeypatch.setattr(module, "_sweep", lambda shape, m, partials, n: handed.append(partials) or [1.0] * 4)
+    monkeypatch.setattr(module, "_sweep", lambda shape, m, partials, n: handed.append(partials) or [1.0] * 4 + [0.0])
     run()
     monkeypatch.undo()
     return handed[0]
 
 
-def _nodes_agree(shape, fused, composed, m=7):
+def _nodes_agree(shape, fused, composed, n, m=7):
     """Both partials on every node of the shape alone, bit for bit."""
-    for pts, nu, area in geometry._patch_blocks(shape, m):
+    for pts, nu, area in geometry._patch_blocks(shape, m, n):
         for k in range(len(area)):
             node = pts[k : k + 1], nu[k : k + 1], area[k : k + 1]
             if np.array(fused(*node)).tobytes() != np.array(composed(*node)).tobytes():
@@ -334,7 +356,7 @@ class TestPolarFrame:
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes(IMAGE_ALPHAS)))
     def test_pushforward_matches_composition(self, alpha, shape, m):
         volume, perimeter = pushforward_checks(shape, alpha, m)
-        got = [volume.weighted, perimeter.weighted, perimeter.euclidean, volume.euclidean]
+        got = [volume.weighted, perimeter.weighted, perimeter.euclidean, volume.euclidean, 0.0]
         assert got == geometry._sweep(shape, m, _composed_pushforward(alpha), sector_count(alpha))
 
     # at alpha = 400 every node alone splits into 804 sectors, a second per
@@ -343,9 +365,9 @@ class TestPolarFrame:
     def test_measure_node_values_match_composition(self, alpha, monkeypatch):
         for shape in corpus_shapes(alpha):
             fused = _handed_partials(monkeypatch, geometry, lambda: measure(shape, alpha, 7))
-            assert _nodes_agree(shape, fused, _composed_measure(alpha)), shape.name
+            assert _nodes_agree(shape, fused, _composed_measure(alpha), sector_count(alpha)), shape.name
 
     @pytest.mark.parametrize("alpha, shape", list(_image_shapes(IMAGE_ALPHAS)))
     def test_pushforward_node_values_match_composition(self, alpha, shape, monkeypatch):
         fused = _handed_partials(monkeypatch, transform, lambda: pushforward_checks(shape, alpha, 7))
-        assert _nodes_agree(shape, fused, _composed_pushforward(alpha))
+        assert _nodes_agree(shape, fused, _composed_pushforward(alpha), sector_count(alpha))

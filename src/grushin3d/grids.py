@@ -26,25 +26,32 @@ trip is bit-exact.
 ``save_grid`` formats the values in blocks of ``_BLOCK_VALUES`` with a
 numpy kernel whose bytes equal those of formatting each value on its own
 with ``'%.17g'`` (``_format_row``, the reference, which still writes the
-bbox line).  For 1e-6 < |x| < 1e17 the kernel scales |x| by an exact
-power of ten with Dekker's exact two-product, rounds half-even to 17
-digits in int64, reads the digits from a table of four-digit groups and
-lays each exponent out by ``%g``'s rules.  Zeros are written directly;
-every other value (|x| <= 1e-6, subnormals included, and |x| >= 1e17) is
-formatted on its own with ``%``.  ``load_grid`` checks the three header
-lines (a bbox entry or extent that is not finite fails at line 3), then parses the body with one ``np.loadtxt`` call and keeps the
-result only when it holds exactly n1*n2*n3 finite values.  Anything else
-(a ragged layout, a token that ``loadtxt`` rejects but ``float`` accepts,
-such as ``1_0``, a wrong count, a non-finite value) goes through the
-per-line reference parser ``_parse_body``, which gives the values or the
-``GridFormatError`` and line number.  The values are then copied once
-into C order, so that sums over the loaded grid need no copy of their own.
-A path ``save_grid`` cannot write raises ``OSError``; the CLI reports it as
-a usage error (exit 2).
+bbox line), and writes the bytes in binary mode.  For every normal |x| the
+kernel scales |x| into [1e16, 1e17) by 10^p held as a double-double, with
+Dekker's exact two-product; the product is exact where 10^p is a double
+(1e-6 < |x| < 1e17) and within a proven bound elsewhere.  It rounds
+half-even to 17 digits in int64, reads the digits from a table of
+four-digit groups and lays each exponent out by ``%g``'s rules, up to
+three exponent digits.  Zeros are written directly; subnormals, and the
+rare rounded products that lie within the bound of a half-integer, are
+formatted on their own with ``%``.  ``load_grid`` reads the three header
+lines (a bbox entry or extent that is not finite fails at line 3) and
+hands the body to one ``np.loadtxt`` call that reads the file itself,
+keeping the result only when it holds exactly n1*n2*n3 finite values.
+Anything else (a header line that ``str.splitlines`` splits where file
+iteration does not, a ragged layout, a token that ``loadtxt`` rejects but
+``float`` accepts, such as ``1_0``, a wrong count, a non-finite value)
+goes through the reference route: the whole file split by
+``str.splitlines`` and the per-line parser ``_parse_body``, which gives
+the values or the ``GridFormatError`` and line number.  The values are
+then copied once into C order, so that sums over the loaded grid need no
+copy of their own.  A path ``save_grid`` cannot write raises ``OSError``;
+the CLI reports it as a usage error (exit 2).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import warnings
@@ -198,16 +205,53 @@ def _format_row(values) -> str:
 
 # -- the block writer: '%.17g' for whole arrays
 #
-# For 1e-6 < |x| < 1e17 the power 10^p, p = 16 - X <= 22, is an exact double,
-# so Dekker's two-product gives x * 10^p exactly as hi + lo and its 17 digits
-# follow by integer rounding.  Each value becomes a cell of _CELL bytes plus a
-# separator, padded with NULs anywhere; deleting the NULs leaves the text.
+# A normal double a > 0 with decimal exponent X is scaled to v = a * 10^p,
+# p = 16 - X, in [1e16, 1e17) as (a * 2^s) * T, where T = 10^p / 2^s lies in
+# [1, 2) and is held as a double-double T_hi + T_lo (a table built on first
+# use).  Scaling by 2^s is exact, and Dekker's two-product gives
+# (a * 2^s) * T_hi exactly as hi + lo; lo then takes (a * 2^s) * T_lo,
+# rounded.  For 0 <= p <= 22 (1e-6 < a < 1e17) 10^p is a double, T_lo = 0
+# and hi + lo is v exactly, so its 17 digits follow by integer rounding,
+# half-even.  Elsewhere hi + lo is within _TIE_BOUND of v: a value whose lo
+# lies that close to a half-integer is formatted with '%', as subnormals
+# are.  Each value becomes a cell of _CELL bytes plus a separator, padded
+# with NULs anywhere; deleting the NULs leaves the text.
 
 _CELL = 24  # the widest '%.17g' text: '-2.2250738585072014e-308'
 _SPLIT = 134217729.0  # 2^27 + 1 splits a double into two 26-bit halves
-_POW10 = np.array([float(10**p) for p in range(23)])
-_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
+_MIN_NORMAL = np.finfo(float).tiny
+# decimal exponents of the power table: a normal double has -308 <= X <= 308
+# (log10 misses by one only next to a power of ten, inside that range)
+_X_MIN, _X_MAX = -308, 308
+# |lo - (v - hi)| <= 2.5 * 2^-49: the rounding of (a 2^s) T_lo (|.| < 16)
+# and of its sum with lo (|.| < 32), and (a 2^s) < 2^57 times the error of
+# T_hi + T_lo (< 2^-106)
+_TIE_BOUND = 2.0**-47
+
+
+@functools.cache
+def _scaled_powers():
+    """For X = _X_MIN .. _X_MAX: the shift s (int32, which np.ldexp takes
+    fast) and T = 10^(16-X) / 2^s in [1, 2) as the double-double
+    T_hi + T_lo, with T_hi split in two 26-bit halves for the two-product.
+    Exact integer arithmetic and correctly rounded divisions; built on the
+    first write, so that importing the module costs nothing."""
+    shift, T_hi, T_lo = [], [], []
+    for X in range(_X_MIN, _X_MAX + 1):
+        p = 16 - X
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        s = num.bit_length() - den.bit_length()
+        if num << max(-s, 0) < den << max(s, 0):
+            s -= 1
+        N, D = num << max(-s, 0), den << max(s, 0)
+        hi = N / D
+        m, d = hi.as_integer_ratio()
+        shift.append(s)
+        T_hi.append(hi)
+        T_lo.append((N * d - m * D) / (D * d))
+    T_hi = np.array(T_hi)
+    T_hh = _SPLIT * T_hi - (_SPLIT * T_hi - T_hi)
+    return np.array(shift, np.int32), T_hi, T_hh, T_hi - T_hh, np.array(T_lo)
 
 
 def _digit_groups():
@@ -226,17 +270,22 @@ def _digit_groups():
 _GROUPS = _digit_groups()
 
 # columns of a digit row: constants, the 17 digits (a lead digit, then four
-# groups of four that start on a uint32 word), the characters of an exponent
-_NUL, _POINT, _ZERO, _LEAD, _E, _MINUS, _PLUS, _CHARS = 0, 1, 2, 3, 20, 21, 22, 24
-_DIGIT_ROW = np.zeros(36, np.uint8)
+# groups of four that start on a uint32 word) and the exponent's characters
+_NUL, _POINT, _ZERO, _LEAD, _E, _MINUS, _PLUS = 0, 1, 2, 3, 20, 21, 22
+_DIGIT_ROW = np.zeros(24, np.uint8)
 _DIGIT_ROW[[_POINT, _ZERO, _E, _MINUS, _PLUS]] = np.frombuffer(b".0e-+", np.uint8)
-_DIGIT_ROW[_CHARS : _CHARS + 10] = np.frombuffer(b"0123456789", np.uint8)
+
+# text columns of a scientific exponent's three digits, the first NUL for
+# |X| < 100
+_EXP_DIGITS = 20
 
 
 def _cell_layout(X):
     """Cell columns 1.._CELL-1 of a value with decimal exponent X (column 0
     holds the sign), as digit-row columns, and the index of a point that
-    '%g' drops when no fraction digit follows it (or None)."""
+    '%g' drops when no fraction digit follows it (or None).  The scientific
+    layout (X < -4 or X > 16) leaves the exponent's digits NUL: they are
+    filled per value."""
     digits = list(range(_LEAD, _LEAD + 17))
     point = None
     if 0 <= X < 17:
@@ -249,30 +298,35 @@ def _cell_layout(X):
     else:
         point = 1
         cols = [digits[0], _POINT] + digits[1:] + [_E, _MINUS if X < 0 else _PLUS]
-        cols += [_CHARS + abs(X) // 10, _CHARS + abs(X) % 10]
     return np.array(cols + [_NUL] * (_CELL - 1 - len(cols)), dtype=np.intp), point
 
 
-_LAYOUTS = [_cell_layout(X) for X in range(-6, 18)]
+# one layout per exponent -5 (every X <= -5) to 17 (every X >= 17)
+_LAYOUTS = [_cell_layout(X) for X in range(-5, 18)]
 
 
-def _two_product(a, p):
-    """(hi, lo) with hi + lo == a * 10^p exactly (Dekker, 1971)."""
-    c = _SPLIT * a
-    a_hi = c - (c - a)
-    a_lo = a - a_hi
-    hi = a * _POW10[p]
-    P_hi, P_lo = _POW10_HI[p], _POW10_LO[p]
-    lo = ((a_hi * P_hi - hi) + a_hi * P_lo + a_lo * P_hi) + a_lo * P_lo
+def _scale(a, X):
+    """(hi, lo): hi + lo approximates a * 10^(16-X), exactly where the table
+    holds 10^(16-X) as one double."""
+    shift, T_hi, T_hh, T_hl, T_lo = _scaled_powers()
+    i = X - _X_MIN
+    b = np.ldexp(a, shift[i])
+    c = _SPLIT * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    hi = b * T_hi[i]
+    lo = ((b_hi * T_hh[i] - hi) + b_hi * T_hl[i] + b_lo * T_hh[i]) + b_lo * T_hl[i]
+    lo += b * T_lo[i]
     return hi, lo
 
 
 def _seventeen_digits(a):
-    """(N, X) with 10^16 <= N < 10^17 and N * 10^(X-16) the value of
-    1e-6 < a < 1e17 rounded half-even to 17 significant digits."""
+    """(N, X, near) with 10^16 <= N < 10^17 and N * 10^(X-16) the normal
+    double a > 0 rounded half-even to 17 significant digits, except where
+    ``near`` is set: there the scaled value lies within _TIE_BOUND of a
+    half-integer and its rounding is not certain."""
     X = np.floor(np.log10(a)).astype(np.intp)
-    np.clip(X, -6, 16, out=X)  # keeps 10^(16 - X) in the exact table
-    hi, lo = _two_product(a, 16 - X)
+    hi, lo = _scale(a, X)
     # log10 can miss by one next to a power of ten: then hi + lo leaves
     # [1e16, 1e17) and the value is scaled again
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
@@ -280,23 +334,27 @@ def _seventeen_digits(a):
     fix = np.flatnonzero(low | high)
     if fix.size:
         X[fix] += np.where(high[fix], 1, -1)
-        hi[fix], lo[fix] = _two_product(a[fix], 16 - X[fix])
+        hi[fix], lo[fix] = _scale(a[fix], X[fix])
     # hi >= 1e16 > 2^53 is an even integer, so rint (half-even) of lo rounds
     # hi + lo half-even
-    N = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    rounded = np.rint(lo)
+    # outside -6 <= X <= 16, 10^(16-X) is no double and lo is rounded
+    near = (np.abs(lo - rounded) >= 0.5 - _TIE_BOUND) & ((X < -6) | (X > 16))
+    N = hi.astype(np.int64) + rounded.astype(np.int64)
     # a carry to the next power of ten (the doubles nearest below 1e-14 and
-    # 1e98 have one; none between 1e-6 and 1e17 does)
+    # 1e98 have one)
     carry = N == 10**17
     N[carry] = 10**16
     X += carry
-    return N, X
+    return N, X, near
 
 
-def _lay_out(a):
-    """(order, text): row i of the uint8 array ``text`` is '%.17g' of
-    a[order[i]] (1e-6 < a < 1e17), NUL-padded to _CELL - 1 bytes."""
-    N, X = _seventeen_digits(a)
-    order = np.argsort(X.astype(np.int8), kind="stable")
+def _lay_out(N, X):
+    """(order, text): row i of the uint8 array ``text`` is the '%.17g' text
+    of the value with digits N[order[i]] and exponent X[order[i]],
+    NUL-padded to _CELL - 1 bytes."""
+    key = np.clip(X + 5, 0, len(_LAYOUTS) - 1).astype(np.int8)
+    order = np.argsort(key, kind="stable")
     N = N[order]
     rows = np.empty((N.size, _DIGIT_ROW.size), np.uint8)
     rows[:] = _DIGIT_ROW
@@ -309,13 +367,13 @@ def _lay_out(a):
     for k in (3, 2, 1, 0):
         words[:, 1 + k] = _GROUPS[groups[k] + 10000 * zero_after]
         zero_after &= groups[k] == 0
-    # the values are sorted by exponent, and each exponent has one layout
+    # the values are sorted by layout
     text = np.empty((N.size, _CELL - 1), np.uint8)
     start = 0
-    for exp, count in enumerate(np.bincount(X + 6, minlength=len(_LAYOUTS)).tolist(), start=-6):
+    for exp, count in enumerate(np.bincount(key, minlength=len(_LAYOUTS)).tolist(), start=-5):
         if not count:
             continue
-        cols, point = _LAYOUTS[exp + 6]
+        cols, point = _LAYOUTS[exp + 5]
         part = text[start : start + count]
         np.take(rows[start : start + count], cols, axis=1, out=part)
         if 0 < exp < 17:
@@ -324,6 +382,11 @@ def _lay_out(a):
             np.maximum(ints, ord("0"), out=ints)
         if point is not None:
             part[:, point] = np.where(part[:, point + 1], ord("."), 0)
+        if not -5 < exp < 17:
+            e = np.abs(X[order[start : start + count]])
+            part[:, _EXP_DIGITS] = np.where(e >= 100, e // 100 + ord("0"), 0)
+            part[:, _EXP_DIGITS + 1] = e // 10 % 10 + ord("0")
+            part[:, _EXP_DIGITS + 2] = e % 10 + ord("0")
         start += count
     return order, text
 
@@ -338,12 +401,16 @@ def _format_block(values, start, n1) -> bytes:
     cells[:, _CELL] = ord(" ")
     cells[(n1 - 1 - start) % n1 :: n1, _CELL] = ord("\n")
     mag = np.abs(values)
-    fast = (mag > 1e-6) & (mag < 1e17)
-    rows = np.flatnonzero(fast)
+    each = mag < _MIN_NORMAL  # zeros and subnormals
+    rows = np.flatnonzero(~each)
     if rows.size:
-        order, text = _lay_out(mag[rows])
+        N, X, near = _seventeen_digits(mag[rows])
+        if near.any():
+            each[rows[near]] = True
+            rows, N, X = rows[~near], N[~near], X[~near]
+        order, text = _lay_out(N, X)
         cells[rows[order], 1:_CELL] = text
-    rows = np.flatnonzero(~fast & (mag != 0))
+    rows = np.flatnonzero(each & (mag != 0))
     if rows.size:
         cells[rows, :_CELL] = _format_each(values[rows])
     return cells.tobytes().translate(None, b"\0")
@@ -360,20 +427,34 @@ def _format_each(values) -> np.ndarray:
 def save_grid(grid: GridFunction3D, path) -> None:
     n1, n2, n3 = grid.dims
     flat = grid.values.ravel(order="F")  # x1 fastest, then x2, then y
-    with open(path, "w") as fh:
-        fh.write(GRID_MAGIC + "\n")
-        fh.write(f"{n1} {n2} {n3}\n")
-        fh.write(_format_row(grid.bbox.ravel()))
+    with open(path, "wb") as fh:
+        fh.write(f"{GRID_MAGIC}\n{n1} {n2} {n3}\n{_format_row(grid.bbox.ravel())}".encode())
         for start in range(0, flat.size, _BLOCK_VALUES):
-            fh.write(_format_block(flat[start : start + _BLOCK_VALUES], start, n1).decode("ascii"))
+            fh.write(_format_block(flat[start : start + _BLOCK_VALUES], start, n1))
 
 
 def load_grid(path) -> GridFunction3D:
+    loaded = _load_bulk(path)
+    if loaded is None:
+        lines = _read_lines(path)
+        bbox, dims = _parse_header(lines)
+        vals = _parse_body(lines, math.prod(dims))
+    else:
+        bbox, dims, vals = loaded
+    return GridFunction3D(bbox, np.ascontiguousarray(vals.reshape(dims, order="F")))
+
+
+def _read_lines(path) -> list:
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            return fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise GridFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_header(lines):
+    """(bbox, dims) from the first three of ``lines``; raises
+    GridFormatError at line 1, 2 or 3."""
     if not lines or lines[0].strip() != GRID_MAGIC:
         raise GridFormatError(f"expected header {GRID_MAGIC!r}", line=1)
     if len(lines) < 3:
@@ -396,28 +477,34 @@ def load_grid(path) -> GridFunction3D:
     fault = _bbox_fault(bbox)
     if fault:
         raise GridFormatError(fault, line=3)
-
-    total = dims[0] * dims[1] * dims[2]
-    vals = _parse_body_bulk(lines, total)
-    if vals is None:
-        vals = _parse_body(lines, total)
-    del lines  # free the text before the values are copied into C order
-    return GridFunction3D(bbox, np.ascontiguousarray(vals.reshape(dims, order="F")))
+    return bbox, dims
 
 
-def _parse_body_bulk(lines, total):
-    """The body values in one C-level parse, or None when they are not
-    exactly ``total`` finite numbers in a layout ``loadtxt`` reads."""
+def _load_bulk(path):
+    """(bbox, dims, values) with the body parsed by one C-level ``loadtxt``
+    that reads the file itself, or None: then the reference route decides.
+    The header must be three lines that ``str.splitlines`` splits where
+    file iteration does, so that the body starts at the reference's line
+    4, and it must parse; the body must be exactly n1*n2*n3 finite numbers
+    in a layout ``loadtxt`` reads."""
+    try:
+        with open(path) as fh:
+            head = [fh.readline() for _ in range(3)]
+        if "".join(head).splitlines(keepends=True) != head:
+            return None
+        bbox, dims = _parse_header(head)
+    except (OSError, ValueError):  # GridFormatError and UnicodeDecodeError too
+        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an empty body warns
             # comments=None: a '#' must be a malformed value, as in _parse_body
-            vals = np.loadtxt(lines[3:], dtype=float, comments=None, ndmin=2)
+            vals = np.loadtxt(path, dtype=float, comments=None, ndmin=2, skiprows=3)
     except Exception:
         return None
-    if vals.size != total or not np.all(np.isfinite(vals)):
+    if vals.size != math.prod(dims) or not np.all(np.isfinite(vals)):
         return None
-    return vals.ravel()
+    return bbox, dims, vals.ravel()
 
 
 def _parse_body(lines, total) -> np.ndarray:

@@ -1,7 +1,9 @@
 """References for grid functions: trilinear resampling by scipy's
-interpolator, which warm-starts the solver fixtures on a finer grid, and
-the distribution function by a sort of the cells, which the level count of
-``rearrangement.distribution_function`` replaces."""
+interpolator, which warm-starts the solver fixtures on a finer grid, the
+distribution function by a sort of the cells, which the level count of
+``rearrangement.distribution_function`` replaces, and the grid energy from
+the three ``np.gradient`` arrays, which the one-buffer density of
+``rearrangement.grushin_energy`` replaces."""
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -38,3 +40,12 @@ def sorted_distribution(u, alpha, levels=256):
     cum = np.concatenate([[0.0], np.cumsum(weights[order] * u.cell_volume)])
     counts = np.searchsorted(-vals[order], -lv, side="left")
     return DistributionFunction(lv, cum[counts], top)
+
+
+def gradient_energy(u, alpha):
+    """The Grushin energy from the three full ``np.gradient`` arrays (edge
+    order 2, or 1 when an axis has 2 cells): ux1^2 + ux2^2 + |x|^{2a} uy^2,
+    summed over a masked copy of the active cells in C order."""
+    ux1, ux2, uy = np.gradient(u.values, *u.spacing, edge_order=2 if min(u.dims) >= 3 else 1)
+    dens = ux1**2 + ux2**2 + uy**2 * u.weight2d(alpha)[:, :, None]
+    return float(np.sum(dens[u.active()])) * u.cell_volume

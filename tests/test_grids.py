@@ -1,4 +1,6 @@
+import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -150,8 +152,8 @@ HEADER = f"{GRID_MAGIC}\n"
 # values and their '%.17g' text: half-even ties, the switch to scientific
 # notation below 1e-4 (log10 also puts 9.9999999999999991e-05 one decade too
 # high) and at 1e17, a 17-digit carry to the next power of ten (1e-14 is
-# 9.99999999999999998819e-15; no double the vectorised path formats carries),
-# signed zeros, subnormals and large exponents
+# 9.99999999999999998819e-15, which the kernel rounds up to 1e-14), signed
+# zeros, subnormals, and large exponents with three digits
 PINNED = [
     (26215 * 2.0**-18, "0.10000228881835938"),
     (26217 * 2.0**-18, "0.10000991821289062"),
@@ -166,6 +168,9 @@ PINNED = [
     (5e-324, "4.9406564584124654e-324"),
     (-5e-324, "-4.9406564584124654e-324"),
     (1e308, "1e+308"),
+    (-1.2345e-123, "-1.2345000000000001e-123"),
+    (2.2250738585072014e-308, "2.2250738585072014e-308"),
+    (1.7976931348623157e308, "1.7976931348623157e+308"),
 ]
 
 
@@ -237,28 +242,62 @@ class TestBulkWrite:
         assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
 
     def test_values_next_to_powers_of_ten(self, tmp_path):
-        # log10 misses the exponent of some of these by one
-        bits = np.array([10.0**k for k in range(-7, 19)]).view(np.int64)
+        # log10 misses the exponent of some of these by one; 1e-307 .. 1e308
+        # spans every normal exponent, one-, two- and three-digit
+        bits = np.array([float(f"1e{k}") for k in range(-307, 309)]).view(np.int64)
         near = (bits[:, None] + np.arange(-64, 65)).view(np.float64)
-        grid = GridFunction3D(BBOX, np.concatenate([near, -near]).reshape(-1, 26, 129))
+        grid = GridFunction3D(BBOX, np.concatenate([near, -near]).reshape(-1, 8, 129))
+        save_grid(grid, tmp_path / "grid.txt")
+        assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
+
+    def test_random_bit_patterns_of_every_exponent(self, tmp_path):
+        rng = np.random.default_rng(8)
+        exponents = np.repeat(np.arange(1, 2047, dtype=np.int64), 40)
+        mantissas = rng.integers(0, 1 << 52, exponents.size, dtype=np.int64)
+        signs = rng.integers(0, 2, exponents.size, dtype=np.int64) << 63
+        values = (signs | exponents << 52 | mantissas).view(np.float64)
+        grid = GridFunction3D(BBOX, values.reshape(40, 31, 66))
         save_grid(grid, tmp_path / "grid.txt")
         assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
 
     def test_half_even_ties(self, tmp_path):
         # m 2^-(p+1) * 10^p = m 5^p / 2 with m odd lies halfway between two
-        # 17-digit integers when 1e16 <= m 5^p / 2 < 1e17
+        # 17-digit integers when 1e16 <= m 5^p / 2 < 1e17; at p = 23 and 24
+        # 10^p is no double, and these ties go to the per-value fallback
         rng = np.random.default_rng(4)
         ties = []
-        for p in range(23):
+        for p in range(25):
             lo, hi = int(2e16) // 5**p + 1, min(int(2e17) // 5**p, 2**53)
             if lo < hi:
                 ties += [float(int(m) | 1) * 2.0 ** -(p + 1) for m in rng.integers(lo, hi, 40)]
-        grid = GridFunction3D(BBOX, np.array(ties).reshape(1, 1, -1))
+        ties = np.array(ties)
+        # where 10^p is a double the kernel rounds the exact ties itself
+        assert grids._seventeen_digits(ties)[2].tolist() == (ties < 1e-6).tolist()
+        grid = GridFunction3D(BBOX, ties.reshape(1, 1, -1))
+        save_grid(grid, tmp_path / "grid.txt")
+        assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
+
+    def test_powers_exact_where_ten_to_the_p_is_a_double(self):
+        exact = np.flatnonzero(grids._scaled_powers()[4] == 0) + grids._X_MIN
+        assert exact.tolist() == list(range(-6, 17))
+
+    def test_near_half_ties_of_rounded_powers(self, tmp_path):
+        # for p >= 23 the kernel rounds a * 10^p; next to a half-integer it
+        # must format the value with '%' or still round it right
+        rng = np.random.default_rng(9)
+        values = [near_half_tie(p, int(m)) for p in range(23, 324) for m in rng.integers(2**52, 2**53, 3)]
+        values = np.array([v for v in values if v is not None])
+        assert values.size > 600 and grids._seventeen_digits(values)[2].any()
+        values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, 1.0)])
+        grid = GridFunction3D(BBOX, values.reshape(1, 1, -1))
         save_grid(grid, tmp_path / "grid.txt")
         assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
 
     def test_fallback_formats_few_values_of_a_bump_field(self, tmp_path):
+        # only the subnormals and the flagged near-ties reach the fallback
         grid = random_bump_corpus(1, resolution=96, seed=7)[0]
+        mag = np.abs(grid.values)
+        near = grids._seventeen_digits(mag[mag >= np.finfo(float).tiny])[2]
         counts = []
 
         def counted(values, format_each=grids._format_each):
@@ -267,8 +306,41 @@ class TestBulkWrite:
 
         with mock.patch.object(grids, "_format_each", counted):
             save_grid(grid, tmp_path / "grid.txt")
-        assert 0 < sum(counts) < 0.1 * grid.values.size
+        subnormal = np.count_nonzero((mag > 0) & (mag < np.finfo(float).tiny))
+        assert subnormal > 0 and sum(counts) == subnormal + np.count_nonzero(near)
         assert (tmp_path / "grid.txt").read_bytes() == reference_bytes(grid)
+
+
+def near_half_tie(p, m_mid):
+    """A double a = m 2^-(s+p) with m near ``m_mid`` whose a * 10^p = m 5^p / 2^s
+    lies in [1e16, 1e17) within 2^-47 of a half-integer, or None.
+
+    The m with m 5^p = M/2 + r (mod M = 2^s) form a lattice in (m, r); a
+    Lagrange-Gauss reduced basis, weighted so that a range of 2^51 in m and
+    a distance of 2^-48 M in r weigh alike, and Babai's rounding give the
+    lattice point next to (m_mid, M/2)."""
+    s = (5**p * m_mid // (3 * 10**16)).bit_length()
+    M = 1 << s
+    u, v = (M, 5**p % M << 99), (0, M << 99)
+    dot = lambda a, b: a[0] * b[0] + a[1] * b[1]  # noqa: E731
+    while True:
+        if dot(u, u) > dot(v, v):
+            u, v = v, u
+        q = round(Fraction(dot(u, v), dot(u, u)))
+        if q == 0:
+            break
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+    t = (m_mid * M, M << 98)
+    det = u[0] * v[1] - u[1] * v[0]
+    x = round(Fraction(t[0] * v[1] - t[1] * v[0], det))
+    y = round(Fraction(u[0] * t[1] - u[1] * t[0], det))
+    m = (x * u[0] + y * v[0]) // M
+    scaled = Fraction(m * 5**p, M)
+    if not (0 < m < 2**53 and 10**16 <= scaled < 10**17):
+        return None
+    if abs(scaled - math.floor(scaled) - Fraction(1, 2)) > Fraction(1, 2**47):
+        return None
+    return math.ldexp(m, -(s + p))
 
 
 # tokens loadtxt reads where the reference parser rejects them: a '#' that
@@ -276,7 +348,12 @@ class TestBulkWrite:
 HAZARD_TOKENS = ["#", "nan", "inf", "1e400", "-1e400"]
 ODD_TOKENS = HAZARD_TOKENS + ["1_0", "\u0661\u0662", "0x10", "1,5", "+.5", "5.", "1e", "--1", "\u00a0", "\u200b", "\x00", "'1'"]
 NUMBER = st.one_of(FINITE.map(lambda v: f"{v:.17g}"), FINITE.map(repr), st.integers(-(10**6), 10**6).map(str))
-SEPARATOR = st.sampled_from([" ", "  ", "\t", "\n", "\n\n", " \n ", "\n\t\n", "\r\n"])
+# the line breaks of str.splitlines, among them those that file iteration
+# and loadtxt do not split lines at
+SEPARATOR = st.sampled_from(
+    [" ", "  ", "\t", "\n", "\n\n", " \n ", "\n\t\n", "\r\n", "\r"]
+    + ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", " \x0c\n"]
+)
 
 
 class TestBulkRead:
@@ -307,6 +384,26 @@ class TestBulkRead:
         expected = parse_outcome(lambda: grids._parse_body(lines, total))
         assert actual == expected
 
+    @pytest.mark.parametrize("line", [0, 1, 2])
+    @pytest.mark.parametrize("brk", ["\x0c", "\x1e", "\x85", "\u2028", "\r"])
+    def test_header_line_break_as_reference(self, line, brk, tmp_path):
+        # a break that only str.splitlines sees before a header line's newline
+        # adds a blank line there: the reference reads the next header line
+        # from it, and a read that splits at newlines alone must not differ
+        lines = [GRID_MAGIC, "2 1 1", "0 1 0 1 0 1", "1 2"]
+        lines[line] += brk
+        path = tmp_path / "grid.txt"
+        path.write_text("\n".join(lines) + "\n", newline="")
+
+        def reference():
+            text = grids._read_lines(path)
+            dims = grids._parse_header(text)[1]
+            return grids._parse_body(text, math.prod(dims))
+
+        actual = parse_outcome(lambda: load_grid(path).values.ravel(order="F"))
+        assert actual == parse_outcome(reference)
+        assert actual[0] == ("ok" if brk == "\r" or line == 2 else "error")
+
     def test_well_formed_file_skips_reference_parser(self, small_grid, tmp_path, monkeypatch):
         save_grid(small_grid, tmp_path / "grid.txt")
         monkeypatch.setattr(grids, "_parse_body", mock.Mock(side_effect=AssertionError("reference parser used")))
@@ -334,7 +431,7 @@ class TestLoadedLayout:
         path = tmp_path / "grid.txt"
         save_grid(grid, path)
         if not bulk:
-            monkeypatch.setattr(grids, "_parse_body_bulk", lambda lines, total: None)
+            monkeypatch.setattr(grids, "_load_bulk", lambda path: None)
         values = load_grid(path).values
         lines = path.read_text().splitlines()
         assert values.flags.c_contiguous

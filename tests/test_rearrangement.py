@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
-from grushin3d import DomainError, sector_count
+from grushin3d import DomainError, rearrangement, sector_count
 from grushin3d.fields import compact_bump, cosine_bump, radial_field, random_bump_corpus
 from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import (
@@ -22,7 +23,7 @@ from grushin3d.rearrangement import (
     sector_measure_of_radius,
     weighted_lq_norm,
 )
-from grid_reference import sorted_distribution
+from grid_reference import gradient_energy, sorted_distribution
 
 
 def cylinder_indicator(resolution=64):
@@ -250,7 +251,32 @@ class TestNorms:
         assert n_p == pytest.approx(n_u, rel=1e-2)
 
 
+@st.composite
+def energy_grids(draw):
+    """Grids of 2 to 7 cells per axis (edge order 1 where an axis has 2),
+    C- or F-ordered values, unequal spacings, with or without a mask."""
+    dims = draw(st.tuples(*[st.integers(2, 7)] * 3))
+    values = draw(arrays(np.float64, dims, elements=st.floats(-1e3, 1e3)))
+    if draw(st.booleans()):
+        values = np.asfortranarray(values)
+    lo = np.array(draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3)))
+    width = np.array(draw(st.tuples(*[st.floats(0.125, 3.0)] * 3)))
+    mask = draw(st.none() | arrays(np.bool_, dims))
+    return GridFunction3D(np.column_stack([lo, lo + width]), values, mask)
+
+
 class TestGrushinEnergy:
+    @given(energy_grids(), st.sampled_from([0.5, 1.0, 2.0, 7.3]))
+    def test_equals_gradient_route(self, u, alpha):
+        assert grushin_energy(u, alpha) == gradient_energy(u, alpha)
+
+    def test_scratch_blocks_span_the_grid(self, monkeypatch):
+        # blocks of 1, 2 and 3 x1 slabs, the last one short
+        u = random_bump_corpus(1, resolution=7, seed=2)[0]
+        for cells in (1, 98, 147):
+            monkeypatch.setattr(rearrangement, "_ENERGY_BLOCK_CELLS", cells)
+            assert grushin_energy(u, 1.0) == gradient_energy(u, 1.0)
+
     def test_zero_field(self):
         grid = GridFunction3D(np.array([(-1, 1)] * 3), np.zeros((8, 8, 8)))
         assert grushin_energy(grid, 1.0) == 0.0
@@ -298,9 +324,7 @@ def test_quotients_match_masked_copy_sums(grid):
     # the reference: whole arrays, then a masked copy of the density, in C order
     active = np.ones(grid.dims, bool) if grid.mask is None else grid.mask
     w = grid.weight2d(1.0)[:, :, None]
-    ux1, ux2, uy = np.gradient(grid.values, *grid.spacing, edge_order=2)
-    energy = float(np.sum((ux1**2 + ux2**2 + w * uy**2)[active])) * grid.cell_volume
-    assert grushin_energy(grid, 1.0) == energy
+    assert grushin_energy(grid, 1.0) == gradient_energy(grid, 1.0)
     # an integer q powers |u| by multiplication: each squaring doubles the
     # rounding error of a term, so a term is within q ulps of libm's pow and
     # the norm within 1e-14 relative; any other q calls pow itself

@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sobolev", help="radial constant, lower bounds, Rayleigh minimisation")
     s.add_argument("--alphas", type=float, nargs="+", default=[0.5, 1.0, 2.0])
     s.add_argument("--resolution", type=int, default=sobolev.DEFAULT_RAYLEIGH_RESOLUTION)
-    s.add_argument("--minimize", action=argparse.BooleanOptionalAction, default=False)
+    s.add_argument("--minimize", action="store_true")
     s.add_argument("--csv", default=None)
     s.set_defaults(func=cmd_sobolev)
 
@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     po = sub.add_parser("pohozaev", help="dilation identity coefficient / residual")
     po.add_argument("--p", type=float, required=True)
     po.add_argument("--alpha", type=float, required=True)
-    po.add_argument("--solve", action=argparse.BooleanOptionalAction, default=False)
+    po.add_argument("--solve", action="store_true")
     po.add_argument("--grid", type=int, default=64)
     po.add_argument("--half-width", type=float, default=1.0)
     po.add_argument("--tol", type=float, default=pohozaev.DEFAULT_GROUND_STATE_TOL)

@@ -55,7 +55,7 @@ def radial_field(profile, alpha, support_radius: float, resolution: int = 96) ->
     return GridFunction3D.from_callable(fn, bbox, (resolution, resolution, resolution))
 
 
-def sector_extremal_grid(alpha, b: float = 4.0, resolution: int = 128) -> GridFunction3D:
+def sector_extremal_grid(alpha, b: float = 4.0, *, resolution: int) -> GridFunction3D:
     """One truncated radial extremal on a first-sector grid; see
     ``sobolev.SectorExtremalFamily``, which builds the grid."""
     return SectorExtremalFamily(alpha, resolution)(b)

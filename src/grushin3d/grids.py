@@ -23,12 +23,13 @@ Text format (version 1):
 All numbers are written with 17 significant digits so a write/read round
 trip is bit-exact.
 
-``save_grid`` formats the values in blocks of ``_BLOCK_VALUES`` with a
-numpy kernel whose bytes equal those of formatting each value on its own
-with ``'%.17g'`` (``_format_row``, the reference, which still writes the
-bbox line), and writes the bytes in binary mode.  For every normal |x| the
-kernel scales |x| into [1e16, 1e17) by 10^p held as a double-double, with
-Dekker's exact two-product; the product is exact where 10^p is a double
+``save_grid`` formats the bbox line, and the values in blocks of
+``_BLOCK_VALUES``, with a numpy kernel whose bytes equal those of
+formatting each value on its own with ``'%.17g'`` (the reference is
+``format_row`` in ``tests/grid_reference.py``), and writes the bytes in
+binary mode.  For every normal |x| the kernel scales |x| into
+[1e16, 1e17) by 10^p held as a double-double, with Dekker's exact
+two-product; the product is exact where 10^p is a double
 (1e-6 < |x| < 1e17) and within a proven bound elsewhere.  It rounds
 half-even to 17 digits in int64, reads the digits from a table of
 four-digit groups and lays each exponent out by ``%g``'s rules, up to
@@ -196,11 +197,6 @@ class GridFunction3D(CellGrid):
     def from_callable(cls, fn, bbox, dims, mask=None) -> "GridFunction3D":
         cells = CellGrid(bbox, dims, mask)
         return cls(cells.bbox, np.asarray(fn(*cells.centers()), dtype=float), cells.mask)
-
-
-def _format_row(values) -> str:
-    """One line of values, each formatted on its own with 17 significant digits."""
-    return " ".join(f"{v:.17g}" for v in values) + "\n"
 
 
 # -- the block writer: '%.17g' for whole arrays
@@ -428,7 +424,8 @@ def save_grid(grid: GridFunction3D, path) -> None:
     n1, n2, n3 = grid.dims
     flat = grid.values.ravel(order="F")  # x1 fastest, then x2, then y
     with open(path, "wb") as fh:
-        fh.write(f"{GRID_MAGIC}\n{n1} {n2} {n3}\n{_format_row(grid.bbox.ravel())}".encode())
+        fh.write(f"{GRID_MAGIC}\n{n1} {n2} {n3}\n".encode())
+        fh.write(_format_block(grid.bbox.ravel(), 0, 6))
         for start in range(0, flat.size, _BLOCK_VALUES):
             fh.write(_format_block(flat[start : start + _BLOCK_VALUES], start, n1))
 

@@ -160,7 +160,7 @@ class SectorExtremalFamily:
     reference.
     """
 
-    def __init__(self, alpha, resolution: int = 128):
+    def __init__(self, alpha, resolution: int):
         a = _alpha(alpha)
         R = TRUNCATION_RADIUS
         rx = R ** (1.0 / (a + 1.0))

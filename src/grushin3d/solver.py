@@ -103,7 +103,7 @@ class Domain(CellGrid):
         return GridFunction3D(self.bbox, values, self.mask)
 
     @classmethod
-    def cube(cls, half_width: float = 1.0, n: int = 48) -> "Domain":
+    def cube(cls, half_width: float, n: int) -> "Domain":
         b = float(half_width)
         return cls(np.array([(-b, b)] * 3), (n, n, n))
 
@@ -303,12 +303,11 @@ class Problem:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "_weight", op.weight2d[:, :, None])
-        object.__setattr__(self, "_active", self.domain.active())
 
     def energy(self, u: np.ndarray) -> float:
         """Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV."""
         Fvals = self._weight * np.abs(u) ** self.q / self.q
-        return 0.5 * self.op.quadratic_form(u) - float(np.sum(Fvals[self._active])) * self.domain.cell_volume
+        return 0.5 * self.op.quadratic_form(u) - self.domain.active_sum(Fvals) * self.domain.cell_volume
 
     def evaluate(self, u: np.ndarray):
         """(A u, f(., u), the L2 gradient density A u - f(., u)); the
@@ -333,7 +332,7 @@ class Problem:
 
     def power_term(self, u: np.ndarray) -> float:
         """sum |x|^{2a} |u|^q dV."""
-        return float(np.sum((self._weight * np.abs(u) ** self.q)[self._active])) * self.domain.cell_volume
+        return self.domain.active_sum(self._weight * np.abs(u) ** self.q) * self.domain.cell_volume
 
     def nehari_factor(self, a: float, b: float) -> float:
         """t with t v on the Nehari set, given a = <A v, v> dV and

@@ -1,6 +1,8 @@
-"""References for grid functions: trilinear resampling by scipy's
-interpolator, which warm-starts the solver fixtures on a finer grid, the
-distribution function by a sort of the cells, which the level count of
+"""References for grid functions: one line of values, each formatted on
+its own with ``'%.17g'``, which the block formatter of ``grids.save_grid``
+replaces, trilinear resampling by scipy's interpolator, which warm-starts
+the solver fixtures on a finer grid, the distribution function by a sort
+of the cells, which the level count of
 ``rearrangement.distribution_function`` replaces, and the grid energy from
 the three ``np.gradient`` arrays, which the one-buffer density of
 ``rearrangement.grushin_energy`` replaces."""
@@ -10,6 +12,11 @@ from scipy.interpolate import RegularGridInterpolator
 
 from grushin3d.grids import CellGrid, GridFunction3D
 from grushin3d.rearrangement import DistributionFunction
+
+
+def format_row(values) -> str:
+    """One line of values, each formatted on its own with 17 significant digits."""
+    return " ".join(f"{v:.17g}" for v in values) + "\n"
 
 
 def resample(grid, dims, bbox=None):

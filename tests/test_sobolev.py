@@ -233,7 +233,7 @@ class TestSectorExtremalFamily:
 
 
 class TestHalfGridQuotient:
-    @pytest.mark.parametrize("resolution", [2, 3, 4, 25, 32])
+    @pytest.mark.parametrize("resolution", [2, 3, 4, 25, 32, 96])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_matches_full_grid(self, alpha, resolution):
         # even n: the y >= 0 half with its mirror plane; odd n: the full grid

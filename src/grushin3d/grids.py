@@ -2,8 +2,9 @@
 
 The grid geometry lives here, once: ``CellGrid`` is a box of n1 x n2 x n3
 cells ordered [i, j, k] for (x1, x2, y), with an optional mask of active
-cells.  It gives the spacing, the cell volume, the cell centres and the
-weight |x|^{2a} at the centres.  The solver's ``Domain`` and the field
+cells.  It gives the spacing, the cell volume, the cell centres, the
+weight |x|^{2a} at the centres and ``power_integral``, the package's one
+sum of |x|^{2a} |v|^q dV.  The solver's ``Domain`` and the field
 container ``GridFunction3D`` both take their geometry from it, so every
 grid quantity of the package is computed by the same arithmetic.
 
@@ -72,6 +73,10 @@ _BLOCK_VALUES = 1 << 13
 # the solver holds a few dozen of them
 MAX_CELLS = 256**3
 
+# integer exponents q up to this are powered by multiplication; each squaring
+# doubles the relative rounding error, so |v|^q stays within about q ulps
+_MAX_INT_POWER = 16
+
 
 def _bbox_fault(bbox) -> Optional[str]:
     """What is wrong with a (3, 2) bbox, or None: every entry and every
@@ -107,6 +112,18 @@ def _grid_dims(dims) -> tuple:
     if math.prod(dims) > MAX_CELLS:
         raise DomainError(f"grid {dims} has more than {MAX_CELLS} = 256^3 cells")
     return dims
+
+
+def _int_power(x: np.ndarray, n: int) -> np.ndarray:
+    """x^n for an integer n >= 1 by repeated squaring, overwriting x; at
+    most one more array is allocated (for odd factors)."""
+    acc = None
+    while n > 1:
+        if n & 1:
+            acc = x.copy() if acc is None else np.multiply(acc, x, out=acc)
+        np.square(x, out=x)
+        n >>= 1
+    return x if acc is None else np.multiply(x, acc, out=x)
 
 
 def check_grid(bbox, dims, mask=None):
@@ -170,6 +187,21 @@ class CellGrid:
         x1 = self.axis_centers(0)
         x2 = self.axis_centers(1)
         return (x1[:, None] ** 2 + x2[None, :] ** 2) ** alpha
+
+    def power_integral(self, values, q, alpha: float) -> float:
+        """Sum over the active cells of |x|^{2*alpha} |values|^q dV, for
+        1 <= q < inf.  An integer q up to ``_MAX_INT_POWER`` powers |values|
+        by multiplication, any other q by ``np.power``."""
+        # written so that NaN fails too
+        if not 1 <= q < math.inf:
+            raise DomainError(f"power exponent needs 1 <= q < inf, got q={q}")
+        dens = np.abs(values)
+        if float(q).is_integer() and q <= _MAX_INT_POWER:
+            dens = _int_power(dens, int(q))
+        else:
+            dens **= q
+        dens *= self.weight2d(alpha)[:, :, None]
+        return self.active_sum(dens) * self.cell_volume
 
 
 @dataclass

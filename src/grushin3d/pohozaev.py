@@ -93,12 +93,10 @@ def star_shaped_check(grid: CellGrid, alpha) -> StarShapedReport:
 
 
 def pohozaev_lhs(u: GridFunction3D, p: float, alpha) -> float:
-    """Coefficient times the weighted interior integral of |u|^{p+1}."""
+    """Coefficient times the weighted interior integral of |u|^{p+1},
+    ``u.power_integral``."""
     a = _alpha(alpha)
-    coef = pohozaev_coefficient(p, a)
-    w = u.weight2d(a)[:, :, None]
-    integral = u.active_sum(w * np.abs(u.values) ** (p + 1.0)) * u.cell_volume
-    return coef * integral
+    return pohozaev_coefficient(p, a) * u.power_integral(u.values, p + 1.0, a)
 
 
 def _face_normal_derivative(values: np.ndarray, axis: int, side: int, h: float) -> np.ndarray:

@@ -27,12 +27,13 @@ weighted Lq norms collapse to 1D integrals:
     E(phi on sector) = (2 pi / n) integral r^2 phi'(r)^2 dr
     int |x|^{2a} |phi|^q = (2 pi / (n (a+1)^2)) integral r^2 |phi|^q dr
 
-On the grid, ``weighted_lq_norm`` powers |u| by multiplication when q is a
-small integer, and by ``np.power`` otherwise.
+On the grid, ``weighted_lq_norm`` is the q-th root of the grid's
+``power_integral``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,6 @@ DEFAULT_LEVELS = 256
 # radii closer than this fraction of the support radius are ties: a profile
 # merges them, and the energy leaves out segments that thin
 _TIE = 1e-9
-
-# integer exponents q up to this are powered by multiplication; each squaring
-# doubles the relative rounding error, so |u|^q stays within about q ulps
-_MAX_INT_POWER = 16
 
 # cells of grushin_energy's scratch block (512 KiB): whole x1 slabs, at
 # least one
@@ -242,8 +239,9 @@ class RadialProfile:
 
     def lq_norm(self, q: float) -> float:
         """((2 pi / (n (a+1)^2)) int r^2 |phi|^q dr)^{1/q}, linear interpolant."""
-        if q < 1:
-            raise DomainError("q must be >= 1")
+        # written so that NaN fails too
+        if not 1 <= q < math.inf:
+            raise DomainError(f"q must be finite and >= 1, got {q}")
         s, v = self.nodes()
         xg, wg = _GAUSS_LEGENDRE_5
         a_, b_ = s[:-1], s[1:]
@@ -319,33 +317,11 @@ def grushin_energy(u: GridFunction3D, alpha) -> float:
     return u.active_sum(dens) * u.cell_volume
 
 
-def _int_power(x: np.ndarray, n: int) -> np.ndarray:
-    """x^n for an integer n >= 1 by repeated squaring, overwriting x; at
-    most one more array is allocated (for odd factors)."""
-    acc = None
-    while n > 1:
-        if n & 1:
-            acc = x.copy() if acc is None else np.multiply(acc, x, out=acc)
-        np.square(x, out=x)
-        n >>= 1
-    return x if acc is None else np.multiply(x, acc, out=x)
-
-
 def weighted_lq_norm(u: GridFunction3D, q: float, alpha) -> float:
-    """(integral of |x|^{2a} |u|^q)^{1/q} over active cells; a radial
-    profile's norm is ``RadialProfile.lq_norm``.  An integer q up to 16
-    (the CLI's 2, 4 and 6) powers |u| by multiplication, any other q by
-    ``np.power``."""
-    if q < 1:
-        raise DomainError("q must be >= 1")
-    a = _alpha(alpha)
-    dens = np.abs(u.values)
-    if float(q).is_integer() and q <= _MAX_INT_POWER:
-        dens = _int_power(dens, int(q))
-    else:
-        dens **= q
-    dens *= u.weight2d(a)[:, :, None]
-    return (u.active_sum(dens) * u.cell_volume) ** (1.0 / q)
+    """(integral of |x|^{2a} |u|^q)^{1/q} over active cells, the q-th root
+    of ``u.power_integral``; a radial profile's norm is
+    ``RadialProfile.lq_norm``."""
+    return u.power_integral(u.values, q, _alpha(alpha)) ** (1.0 / q)
 
 
 def polya_szego_gap(u: GridFunction3D, alpha, levels: int = DEFAULT_LEVELS) -> float:

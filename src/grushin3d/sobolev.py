@@ -93,8 +93,9 @@ def sobolev_lower_bound(alpha) -> float:
 
 def scaling_exponent(q: float, alpha) -> float:
     """Exponent of the Rayleigh quotient under the anisotropic dilation."""
-    if q <= 0:
-        raise DomainError("q must be positive")
+    # written so that NaN fails too
+    if not 0 < q < math.inf:
+        raise DomainError(f"q must be positive and finite, got {q}")
     a = _alpha(alpha)
     return (3.0 * a + 3.0) / q - (a + 1.0) / 2.0
 
@@ -117,7 +118,7 @@ def rayleigh_quotient(u: GridFunction3D, q: float, alpha, copies: int = 1) -> Ra
     a = _alpha(alpha)
     copies = _count(copies, "copies", 1, 2**53)
     num = copies * grushin_energy(u, a)
-    den = copies ** (1.0 / q) * weighted_lq_norm(u, q, a)
+    den = weighted_lq_norm(u, q, a) * copies ** (1.0 / q)
     if den == 0.0:
         raise DomainError("Rayleigh quotient of the zero function")
     return RayleighReport(num, den, math.sqrt(num) / den, a, q)

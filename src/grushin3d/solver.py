@@ -21,16 +21,17 @@ the energy functional
 
     Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV,   F = |x|^{2a} |u|^q / q,
 
-its gradient A u - f(., u) (the exact derivative of the discrete energy),
-the weak residual and the Nehari scaling.  Ground states are computed by
+its sum of |x|^{2a} |u|^q dV taken by ``CellGrid.power_integral``, its
+gradient A u - f(., u) (the exact derivative of the discrete energy), the
+weak residual and the Nehari scaling.  Ground states are computed by
 preconditioned descent on the Nehari manifold: move toward A^{-1} f(u),
 line-search on Phi, rescale so <Phi'(u), u> = 0.  The descent converges
 only linearly, so it is finished by Newton steps on A u - f(u) = 0, each
 solved by MINRES (the Jacobian A - f'(u) is indefinite at a mountain-pass
 point) and projected back onto the Nehari set: the descent-then-Newton
-split of Choi & McKenna.  The descent alone stays as the reference the
-Newton finish is tested against.  The solver loop uses the same
-``Problem`` methods, so its reported residual is the one
+split of Choi & McKenna.  The descent alone (every Newton try rejected)
+is the reference the Newton finish is tested against.  The solver loop
+uses the same ``Problem`` methods, so its reported residual is the one
 ``Problem.residual`` computes.
 
 Linear systems are solved by conjugate gradients, preconditioned with the
@@ -63,7 +64,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 
 from .errors import DegeneracyError, DomainError, IterationError
 from .geometry import _alpha
-from .grids import CellGrid, GridFunction3D, _count, check_grid
+from .grids import CellGrid, GridFunction3D, check_grid
 from .pohozaev import DEFAULT_GROUND_STATE_TOL
 
 
@@ -284,7 +285,8 @@ class Problem:
 
     f(x, y, u) = w |u|^{q-2} u and F(x, y, u) = w |u|^q / q, with the weight
     w = |x|^{2a} = ``op.weight2d`` at the cell centres.  Integrals run over
-    active cells with the cell volume dV.
+    active cells with the cell volume dV; sum w |u|^q dV is ``power_term``,
+    the domain's ``power_integral``.
     """
 
     domain: Domain
@@ -298,22 +300,19 @@ class Problem:
         if not 2.0 < q < math.inf:
             raise DomainError(f"power exponent needs 2 < q < inf, got q={q}")
         a = _alpha(self.alpha)
-        op = GrushinOperator(self.domain, a)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "_weight", op.weight2d[:, :, None])
+        object.__setattr__(self, "op", GrushinOperator(self.domain, a))
 
     def energy(self, u: np.ndarray) -> float:
-        """Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV."""
-        Fvals = self._weight * np.abs(u) ** self.q / self.q
-        return 0.5 * self.op.quadratic_form(u) - self.domain.active_sum(Fvals) * self.domain.cell_volume
+        """Phi(u) = 1/2 <A u, u> dV - power_term(u) / q."""
+        return 0.5 * self.op.quadratic_form(u) - self.power_term(u) / self.q
 
     def evaluate(self, u: np.ndarray):
         """(A u, f(., u), the L2 gradient density A u - f(., u)); the
         gradient is zero on inactive cells."""
         Au = self.op(u)
-        fu = self._weight * np.abs(u) ** (self.q - 2.0) * u
+        fu = self.op.weight2d[:, :, None] * np.abs(u) ** (self.q - 2.0) * u
         g = Au - fu
         if self.domain.mask is not None:
             g = np.where(self.domain.mask, g, 0.0)
@@ -331,8 +330,8 @@ class Problem:
         return self.norm(self.gradient(u))
 
     def power_term(self, u: np.ndarray) -> float:
-        """sum |x|^{2a} |u|^q dV."""
-        return self.domain.active_sum(self._weight * np.abs(u) ** self.q) * self.domain.cell_volume
+        """sum |x|^{2a} |u|^q dV, the domain's ``power_integral``."""
+        return self.domain.power_integral(u, self.q, self.alpha)
 
     def nehari_factor(self, a: float, b: float) -> float:
         """t with t v on the Nehari set, given a = <A v, v> dV and
@@ -380,15 +379,11 @@ def solve_ground_state(
     the initial residual: it is kept when it halves the residual and stays
     in the positive cone, so Newton steps are guarded by the residual, not
     by the energy.  A rejected try sets the gate to a tenth of the residual,
-    and that outer step descends instead.  ``iterations`` counts outer
-    steps, Newton or descent.  Boxes and masked domains take the same path.
+    and that outer step descends instead from the same u, so with every
+    try rejected the iterates are the descent's alone.  ``iterations``
+    counts outer steps, Newton or descent.  Boxes and masked domains take
+    the same path.
     """
-    return _ground_state(domain, q, alpha, tol, initial, newton=True)
-
-
-def _ground_state(domain, q, alpha, tol, initial, newton):
-    """The solver loop; ``newton=False`` is the descent alone, the reference
-    the Newton finish is tested against."""
     _check_tol(tol)
     if not 2.0 < q < 6.0:
         raise DomainError(f"subcritical existence run needs 2 < q < 6, got q={q}")
@@ -413,8 +408,7 @@ def _ground_state(domain, q, alpha, tol, initial, newton):
     u = nehari_factor(op.quadratic_form(u), b_term(u)) * u
     Au, fu, residual = evaluate(u)
     sqrt_vol = math.sqrt(vol)
-    # Newton is tried while residual <= gate; -1 never lets it
-    gate = residual if newton else -1.0
+    gate = residual  # Newton is tried while residual <= gate
     newton_steps = minres_iterations = 0
 
     def inner_tol(f):
@@ -515,7 +509,7 @@ def _newton_step(prob: Problem, u: np.ndarray, rhs: np.ndarray):
     u + delta has no finite, nonzero Nehari multiple.
     """
     op, q = prob.op, prob.q
-    fprime = (q - 1.0) * prob._weight * np.abs(u) ** (q - 2.0)
+    fprime = (q - 1.0) * op.weight2d[:, :, None] * np.abs(u) ** (q - 2.0)
     delta, iters = _minres(lambda x: op(x) - fprime * x, op._precondition, rhs)
     cand = u + delta
     a, b = op.quadratic_form(cand), prob.power_term(cand)
@@ -603,11 +597,11 @@ def _line_quadratic(Au, Ad, u, d, vol):
     return _dot(u, Au) * vol, 2.0 * _dot(d, Au) * vol, _dot(d, Ad) * vol
 
 
-# each LOBPCG step applies the operator once, so the cap bounds a run's time
-_MAX_LOBPCG_STEPS = 10**5
+# LOBPCG steps of poincare_constant; each applies the operator once
+_LOBPCG_MAX_ITER = 200
 
 
-def poincare_constant(domain: Domain, alpha, max_iter: int = 200) -> float:
+def poincare_constant(domain: Domain, alpha) -> float:
     """Smallest eigenvalue lambda_1 of the discrete operator, the constant of
     ||u||_L2 <= lambda_1^{-1/2} ||grad_G u||.
 
@@ -616,20 +610,18 @@ def poincare_constant(domain: Domain, alpha, max_iter: int = 200) -> float:
     started from the ones vector, so runs are deterministic.  It stops once
     ||A x - lambda x|| <= 1e-9 lambda ||x||: its absolute tolerance is 1e-9
     times the lowest -Delta_x eigenvalue of the bounding box, a lower bound
-    of lambda_1 for every mask.  Raises IterationError when max_iter steps do
-    not get there, DomainError unless max_iter is a count from 1 to
-    ``_MAX_LOBPCG_STEPS``.
+    of lambda_1 for every mask.  Raises IterationError when
+    ``_LOBPCG_MAX_ITER`` steps do not get there.
     """
-    max_iter = _count(max_iter, "max_iter", 1, _MAX_LOBPCG_STEPS)
     op = GrushinOperator(domain, alpha)
     h, n = domain.spacing, domain.dims
     lower = sum(_dirichlet_spectrum(n[i], h[i], 1) for i in (0, 1))
-    lam, x = _lobpcg(op, domain.active().astype(float), 1e-9 * lower, max_iter)
+    lam, x = _lobpcg(op, domain.active().astype(float), 1e-9 * lower, _LOBPCG_MAX_ITER)
     r = op(x) - lam * x
     rel = math.sqrt(_dot(r, r) / _dot(x, x)) / abs(lam)
     # written so that NaN fails too
     if not rel <= 1e-9:
-        raise IterationError(f"LOBPCG did not converge in {max_iter} iterations", last_residual=rel)
+        raise IterationError(f"LOBPCG did not converge in {_LOBPCG_MAX_ITER} iterations", last_residual=rel)
     return lam
 
 

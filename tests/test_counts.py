@@ -1,10 +1,10 @@
 """Counts are plain integers everywhere: one check, the same at every entry point.
 
 Every count the package takes (patch nodes per axis, grid dims, levels,
-iteration and copy counts, grid resolutions, a corpus size and a sector
-index) goes through ``grids._count``: a bool, a float (2.0 included), a
-string, None or a count out of range raises DomainError before any work,
-and no count is rounded.  A numpy integer gives the bits of the same int.
+copy counts, grid resolutions, a corpus size and a sector index) goes
+through ``grids._count``: a bool, a float (2.0 included), a string, None
+or a count out of range raises DomainError before any work, and no count
+is rounded.  A numpy integer gives the bits of the same int.
 """
 
 import importlib
@@ -26,13 +26,12 @@ from grushin3d.grids import MAX_CELLS, CellGrid, GridFunction3D, check_grid
 from grushin3d.rearrangement import MAX_LEVELS, distribution_function, polya_szego_gap, rearrange
 from grushin3d.shapes import ball, ball_sector
 from grushin3d.sobolev import MAX_RESOLUTION, SectorExtremalFamily, minimize_rayleigh, rayleigh_quotient
-from grushin3d.solver import _MAX_LOBPCG_STEPS, Domain, poincare_constant
+from grushin3d.solver import Domain
 from grushin3d.transform import pushforward_checks
 from test_alpha import _bits
 
 FIELD = random_bump_corpus(1, resolution=8, seed=3)[0]
 BOX = np.array([(-1.0, 1.0)] * 3)
-CUBE = Domain.cube(1.0, 8)
 SMALL_BALL = ball(0.2, center=(0.7, 0.3, 0.0))
 
 
@@ -63,7 +62,6 @@ ENTRY_POINTS = {
     "rearrangement.distribution_function:levels": (16, MAX_LEVELS, lambda k: distribution_function(FIELD, 1.0, k)),
     "rearrangement.rearrange:levels": (16, MAX_LEVELS, lambda k: rearrange(FIELD, 1.0, k)),
     "rearrangement.polya_szego_gap:levels": (16, MAX_LEVELS, lambda k: polya_szego_gap(FIELD, 1.0, k)),
-    "solver.poincare_constant:max_iter": (200, _MAX_LOBPCG_STEPS, lambda k: poincare_constant(CUBE, 1.0, k)),
     "sobolev.rayleigh_quotient:copies": (2, 2**53, lambda k: rayleigh_quotient(FIELD, 6, 1.0, copies=k)),
     "sobolev.SectorExtremalFamily:resolution": (6, MAX_RESOLUTION, lambda n: SectorExtremalFamily(1.0, n).quotient()),
     "sobolev.minimize_rayleigh:resolution": (6, MAX_RESOLUTION, lambda n: minimize_rayleigh(1.0, resolution=n)),
@@ -82,7 +80,7 @@ ENTRY_POINTS = {
 }
 
 # the parameters that hold a count
-COUNT_PARAMETERS = {"surface_resolution", "dims", "n", "levels", "max_iter", "copies", "resolution", "count", "j"}
+COUNT_PARAMETERS = {"surface_resolution", "dims", "n", "levels", "copies", "resolution", "count", "j"}
 # a result record: its levels are the level values, not a count
 NOT_COUNTS = {"rearrangement.DistributionFunction:levels"}
 

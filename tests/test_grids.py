@@ -13,7 +13,9 @@ from hypothesis.extra.numpy import arrays
 from grushin3d import DomainError, GridFormatError, grids
 from grushin3d.fields import random_bump_corpus
 from grushin3d.grids import GRID_MAGIC, GridFunction3D, load_grid, save_grid
+from grushin3d.pohozaev import pohozaev_coefficient, pohozaev_lhs
 from grushin3d.rearrangement import distribution_function, grushin_energy, weighted_lq_norm
+from grushin3d.solver import Domain, Problem
 from grid_reference import format_row, resample
 
 
@@ -447,6 +449,32 @@ class TestLoadedLayout:
         for q in (2, 6):
             assert weighted_lq_norm(f_grid, q, 1.0) == weighted_lq_norm(c_grid, q, 1.0)
         assert grushin_energy(f_grid, 1.0) == grushin_energy(c_grid, 1.0)
+
+
+class TestPowerIntegral:
+    """``CellGrid.power_integral`` is the one weighted power integral: the
+    solver's power term, the Pohozaev left side and the weighted Lq norm
+    are it, bit for bit."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("q", [3.0, 4.0, 6.0, 3.5])
+    def test_callers_are_the_power_integral(self, q, masked):
+        bbox = np.array([(-1.0, 1.2), (-0.8, 0.9), (-1.3, 1.1)])
+        rng = np.random.default_rng(4)
+        mask = None
+        if masked:
+            mask = rng.uniform(size=(12, 16, 10)) < 0.9
+            mask[4:7, 6:9, 4:7] = True  # around the origin cell
+        dom = Domain(bbox, (12, 16, 10), mask)
+        u = rng.standard_normal(dom.dims)
+        g = dom.grid_function(u)
+        for a in (0.5, 1.0, 2.0):
+            integral = dom.power_integral(u, q, a)
+            assert Problem(dom, a, q).power_term(u) == integral
+            assert g.power_integral(g.values, q, a) == integral
+            p = q - 1.0
+            assert pohozaev_lhs(g, p, a) == pohozaev_coefficient(p, a) * integral
+            assert weighted_lq_norm(g, q, a) == integral ** (1 / q)
 
 
 class TestResample:

@@ -23,6 +23,7 @@ from grushin3d.rearrangement import (
     sector_measure_of_radius,
     weighted_lq_norm,
 )
+from grushin3d.sobolev import rayleigh_quotient, scaling_exponent
 from grid_reference import gradient_energy, sorted_distribution
 
 
@@ -240,6 +241,24 @@ class TestNorms:
         grid = cylinder_indicator(16)
         with pytest.raises(DomainError):
             weighted_lq_norm(grid, 0.5, 1.0)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g, q: g.power_integral(g.values, q, 1.0),
+            lambda g, q: weighted_lq_norm(g, q, 1.0),
+            lambda g, q: rayleigh_quotient(g, q, 1.0),
+            lambda g, q: RadialProfile(np.array([0.5, 1.0]), np.array([2.0, 1.0]), 1.0).lq_norm(q),
+            lambda g, q: scaling_exponent(q, 1.0),
+        ],
+        ids=["power_integral", "weighted_lq_norm", "rayleigh_quotient", "profile_lq_norm", "scaling_exponent"],
+    )
+    def test_rejects_exponents_out_of_range(self, call, q):
+        # each exponent check is written so that NaN fails too, and runs
+        # before q is used (1 / q at q = 0)
+        with pytest.raises(DomainError):
+            call(cylinder_indicator(16), q)
 
     @pytest.mark.parametrize("q", [2, 4, 6])
     def test_rearrangement_preserves_norms(self, q):

@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 # each public name, by the module that defines it
 _EXPORTS = {
     "errors": ("ComputationError", "DegeneracyError", "DomainError", "GridFormatError", "IterationError"),
-    "fields": ("cosine_bump", "radial_field", "random_bump_corpus", "sector_extremal_grid"),
+    "fields": ("cosine_bump", "radial_field", "random_bump_corpus"),
     "geometry": (
         "ImplicitShape",
         "Measures",
@@ -53,6 +53,7 @@ _EXPORTS = {
     "shapes": ("ball", "ball_sector", "box", "corpus_shapes", "cylinder", "ellipsoid", "make_shape"),
     "sobolev": (
         "RayleighReport",
+        "SectorExtremalFamily",
         "minimize_rayleigh",
         "rayleigh_quotient",
         "scaling_exponent",

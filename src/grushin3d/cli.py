@@ -144,8 +144,11 @@ def cmd_transform_check(args, rep: RunReport) -> None:
 
 def cmd_rearrange(args, rep: RunReport) -> None:
     a = _alpha(args.alpha)
-    _count(args.levels, "levels", 1, MAX_LEVELS)  # a bad count exits 2 before the grid is read
+    _count(args.levels, "levels", 2, MAX_LEVELS)  # a bad count exits 2 before the grid is read
     grid = load_grid(args.input)
+    # the grid energies need two cells on each axis; the file is at fault
+    if min(grid.dims) < 2:
+        raise GridFormatError(f"rearrangement needs at least 2 cells per axis, got dims {grid.dims}", line=2)
     if np.any(grid.values < 0):
         raise GridFormatError("rearrangement input must be nonnegative")
     rep.resolutions = {"dims": list(grid.dims), "levels": args.levels}
@@ -262,9 +265,9 @@ def cmd_pohozaev(args, rep: RunReport) -> None:
         rep.results["lhs"] = por.lhs
         rep.results["rhs"] = por.rhs
         rep.results["identity_residual"] = por.residual
-        rep.results["star_shaped_min"] = por.star_shaped.min_value
+        rep.results["star_shaped_min"] = por.star_shaped
         rep.add_check("identity_residual", por.residual, 0.10, "<=")
-        rep.add_check("star_shaped", por.star_shaped.min_value, -1e-10, ">=")
+        rep.add_check("star_shaped", por.star_shaped, -1e-10, ">=")
 
 
 def _add_quad_args(p):
@@ -402,7 +405,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except ComputationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        last = getattr(exc, "last_residual", None)
+        tail = "" if last is None else f" (last residual {last:.3e})"
+        print(f"numerical failure: {exc}{tail}", file=sys.stderr)
         return NUMERICAL_EXIT
     except Exception as exc:  # an unforeseen failure, MemoryError included
         print(f"numerical failure: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)

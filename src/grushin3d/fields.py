@@ -1,9 +1,9 @@
-"""Grid-function corpus: radial profiles, sector grids, random bumps.
+"""Grid-function corpus: radial profiles and random bumps.
 
 These builders feed the rearrangement, Sobolev and embedding checks.  All
-randomness is seeded, so corpora are reproducible.  The sector grids come
-from ``sobolev.SectorExtremalFamily``, the family the Rayleigh search
-runs over; this module only samples one member of it.
+randomness is seeded, so corpora are reproducible.  The sector extremal
+grids are ``sobolev.SectorExtremalFamily``, the family the Rayleigh
+search runs over.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 from .geometry import _alpha
 from .grids import MAX_CELLS, CellGrid, GridFunction3D, _count
 from .rearrangement import anisotropic_radius
-from .sobolev import SectorExtremalFamily
 
 
 def compact_bump(rho):
@@ -53,12 +52,6 @@ def radial_field(profile, alpha, support_radius: float, resolution: int = 96) ->
         return profile(r / support_radius)
 
     return GridFunction3D.from_callable(fn, bbox, (resolution, resolution, resolution))
-
-
-def sector_extremal_grid(alpha, b: float = 4.0, *, resolution: int) -> GridFunction3D:
-    """One truncated radial extremal on a first-sector grid; see
-    ``sobolev.SectorExtremalFamily``, which builds the grid."""
-    return SectorExtremalFamily(alpha, resolution)(b)
 
 
 def random_bump_corpus(count: int, resolution: int = 64, seed: int = 20250809) -> list[GridFunction3D]:

@@ -11,14 +11,16 @@ The boundary side is one half of the weighted flux integral; the factor
 1/2 is forced by the divergence computation (the alpha = 0 case reduces to
 the classical three-dimensional identity) and is confirmed here by the
 machine check of the underlying identity on analytic fields.  The left
-coefficient vanishes exactly at p = 5 and is negative beyond, so on
-domains star-shaped for the anisotropic dilation no nontrivial solution
-can exist for p > 5.
+coefficient is the dilation's scaling exponent at q = p + 1,
+``sobolev.scaling_exponent(p + 1, a)``: it vanishes exactly at p = 5 and
+is negative beyond, so on domains star-shaped for the dilation (X . nu >= 0
+on the boundary) no nontrivial solution can exist for p > 5.
 
-Boundary integrals are evaluated on unmasked grids only, whose box faces
-have exact normals; the box, its spacing and the weight are read from the
-solution grid itself.  The normal derivative uses the second-order
-one-sided stencil through the homogeneous boundary value.
+Boundary terms are evaluated on unmasked grids only, whose box faces have
+exact normals; the box, its spacing and the weight are read from the
+solution grid itself; one face loop, ``_dilation_faces``, gives X . nu to
+the star-shape margin and the flux.  The normal derivative uses the
+second-order one-sided stencil through the homogeneous boundary value.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from .errors import DomainError
 from .geometry import _alpha
 from .grids import CellGrid, GridFunction3D
+from .sobolev import scaling_exponent
 
 CRITICAL_POWER = 5.0
 
@@ -39,12 +42,16 @@ CRITICAL_POWER = 5.0
 DEFAULT_GROUND_STATE_TOL = 1e-6
 
 
-def pohozaev_coefficient(p: float, alpha) -> float:
-    """(3a+3)/(p+1) - (a+1)/2; zero exactly at p = 5 for every alpha."""
+def _check_power(p: float) -> None:
     if not 1 <= p < math.inf:
         raise DomainError(f"p must be finite and >= 1, got {p}")
-    a = _alpha(alpha)
-    return (3.0 * a + 3.0) / (p + 1.0) - (a + 1.0) / 2.0
+
+
+def pohozaev_coefficient(p: float, alpha) -> float:
+    """(3a+3)/(p+1) - (a+1)/2, the dilation's scaling exponent at
+    q = p + 1; zero exactly at p = 5 for every alpha."""
+    _check_power(p)
+    return scaling_exponent(p + 1.0, alpha)
 
 
 def nonexistence_classify(p: float) -> str:
@@ -54,8 +61,7 @@ def nonexistence_classify(p: float) -> str:
     star-shaped domains; the artifact reports the regime, it does not
     attempt a numerical nonexistence proof.
     """
-    if not 1 <= p < math.inf:
-        raise DomainError(f"p must be finite and >= 1, got {p}")
+    _check_power(p)
     if p < CRITICAL_POWER:
         return "subcritical"
     if p == CRITICAL_POWER:
@@ -63,33 +69,26 @@ def nonexistence_classify(p: float) -> str:
     return "supercritical"
 
 
-@dataclass(frozen=True)
-class StarShapedReport:
-    verdict: bool
-    min_value: float
+def _dilation_faces(grid: CellGrid, a: float):
+    """(axis, side, X . nu) on each face of an unmasked grid's box.
 
-
-def star_shaped_check(grid: CellGrid, alpha) -> StarShapedReport:
-    """Evaluate g = x1 nu1 + x2 nu2 + (1+a) y nu3 over the boundary of an
-    unmasked grid's box.
-
-    The domain is star-shaped for the anisotropic dilation iff g >= 0
-    everywhere on the boundary (and the origin lies inside).  On the box g
-    is constant on each face, sign * coef * bbox[axis, side] with
-    coef = 1 + a on the y faces, so the minimum is taken over the six faces.
-    """
-    a = _alpha(alpha)
+    X . nu = x1 nu1 + x2 nu2 + (1+a) y nu3 is constant on a face: the face
+    coordinate times its outward sign, times 1 + a on the y faces."""
     if grid.mask is not None:
-        raise DomainError("the star-shaped check is defined for box domains only")
-    bbox = grid.bbox
-    m = float(
-        min(
-            sign * ((1.0 + a) if axis == 2 else 1.0) * bbox[axis, side]
-            for axis in range(3)
-            for side, sign in ((0, -1.0), (1, 1.0))
-        )
-    )
-    return StarShapedReport(m >= -1e-10, m)
+        raise DomainError("the dilation's boundary terms are defined for box domains only")
+    for axis in range(3):
+        for side, sign in ((0, -1.0), (1, 1.0)):
+            coord = grid.bbox[axis, side]
+            yield axis, side, ((1.0 + a) * coord if axis == 2 else coord) * sign
+
+
+def star_shaped_check(grid: CellGrid, alpha) -> float:
+    """The minimum of X . nu over the boundary of an unmasked grid's box.
+
+    The domain is star-shaped for the anisotropic dilation iff X . nu >= 0
+    everywhere on the boundary (and the origin lies inside); on the box
+    the minimum is taken over the six faces."""
+    return float(min(g for _, _, g in _dilation_faces(grid, _alpha(alpha))))
 
 
 def pohozaev_lhs(u: GridFunction3D, p: float, alpha) -> float:
@@ -116,20 +115,15 @@ def pohozaev_rhs(u: GridFunction3D, alpha) -> float:
     1/2 int over bd of (X . nu)(nu1^2 + nu2^2 + |x|^{2a} nu3^2) (du/dnu)^2,
     by midpoint quadrature over the faces of u's box; u must be unmasked.
     """
-    if u.mask is not None:
-        raise DomainError("boundary quadrature is defined for box domains only")
     a = _alpha(alpha)
     h = u.spacing
     total = 0.0
-    for axis in range(3):
+    for axis, side, g in _dilation_faces(u, a):
         area = float(np.prod([h[k] for k in range(3) if k != axis]))
-        # X . nu is constant on a face; only the y-faces carry |x|^{2a}
+        # only the y-faces carry |x|^{2a}
         wmag = u.weight2d(a) if axis == 2 else 1.0
-        for side, sign in ((0, -1.0), (1, 1.0)):
-            coord = u.bbox[axis, side]
-            dd = _face_normal_derivative(u.values, axis, side, h[axis])
-            g = ((1.0 + a) * coord if axis == 2 else coord) * sign
-            total += float(np.sum(g * wmag * dd**2)) * area
+        dd = _face_normal_derivative(u.values, axis, side, h[axis])
+        total += float(np.sum(g * wmag * dd**2)) * area
     return 0.5 * total
 
 
@@ -137,19 +131,15 @@ def pohozaev_rhs(u: GridFunction3D, alpha) -> float:
 class PohozaevReport:
     lhs: float
     rhs: float
-    coefficient: float
     residual: float
-    star_shaped: StarShapedReport
-    trivial: bool
+    star_shaped: float  # min of X . nu over the box faces, star_shaped_check
 
 
 def pohozaev_residual(u: GridFunction3D, p: float, alpha) -> PohozaevReport:
-    """Relative defect of the dilation identity plus the star-shape verdict
+    """Relative defect of the dilation identity plus the star-shape margin
     of u's box."""
     a = _alpha(alpha)
     lhs = pohozaev_lhs(u, p, a)
     rhs = pohozaev_rhs(u, a)
-    star = star_shaped_check(u, a)
-    trivial = float(np.max(np.abs(u.values))) == 0.0
     residual = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-14)
-    return PohozaevReport(lhs, rhs, pohozaev_coefficient(p, a), residual, star, trivial)
+    return PohozaevReport(lhs, rhs, residual, star_shaped_check(u, a))

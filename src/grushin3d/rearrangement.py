@@ -160,13 +160,17 @@ class RadialProfile:
         ball of weighted sector measure lambda(t_k), level by level.
 
         The top level is ``dist.top`` itself, so the profile attains the
-        weighted essential supremum exactly on its innermost interval.  A
-        zero field gives the zero profile on [0, tiny).
+        weighted essential supremum exactly on its innermost interval, the
+        ball of measure lambda(t_{K-1}).  That takes K >= 2 levels: the only
+        level of K = 1 is the top, whose measure lambda(top) is 0.  A zero
+        field gives the zero profile on [0, tiny).
         """
         a = _alpha(alpha)
         zero = cls(np.array([np.finfo(float).tiny]), np.array([0.0]), a)
         if dist.top == 0.0:
             return zero
+        if len(dist.levels) < 2:
+            raise DomainError(f"a nonzero field needs at least 2 levels, got {len(dist.levels)}")
         lv, meas = dist.levels, dist.measures
         radii_desc = radius_from_measure(meas, a)  # nonincreasing with level
         # interval [R_k, R_{k-1}) carries value t_k; innermost interval keeps top
@@ -258,10 +262,11 @@ class RadialProfile:
 
 def rearrange(u: GridFunction3D, alpha, levels: int = DEFAULT_LEVELS) -> RadialProfile:
     """Weighted decreasing rearrangement of u as a radial step profile on
-    ``levels`` uniform levels in (0, top]; see
+    ``levels`` uniform levels in (0, top], from 2 to ``MAX_LEVELS``; see
     ``RadialProfile.from_distribution``.
     """
     a = _alpha(alpha)
+    _count(levels, "levels", 2, MAX_LEVELS)
     return RadialProfile.from_distribution(distribution_function(u, a, levels), a)
 
 
@@ -325,7 +330,8 @@ def weighted_lq_norm(u: GridFunction3D, q: float, alpha) -> float:
 
 
 def polya_szego_gap(u: GridFunction3D, alpha, levels: int = DEFAULT_LEVELS) -> float:
-    """energy(u) - energy(u*); nonnegative up to discretisation noise."""
+    """energy(u) - energy(u*) on ``levels`` uniform levels, from 2 to
+    ``MAX_LEVELS``; nonnegative up to discretisation noise."""
     a = _alpha(alpha)
     profile = rearrange(u, a, levels)
     return grushin_energy(u, a) - profile.dirichlet_energy()

@@ -6,7 +6,9 @@ The Rayleigh quotient
 
 is invariant under the anisotropic dilation (x, y) -> (l x, l^{a+1} y)
 exactly when q = 6, the critical exponent; for any other q the quotient
-scales by l^{(3a+3)/q - (a+1)/2} and its infimum degenerates.
+scales by l^{(3a+3)/q - (a+1)/2} and its infimum degenerates.  That
+exponent, ``scaling_exponent``, is also the coefficient of the Pohozaev
+identity at q = p + 1 (``pohozaev.pohozaev_coefficient``).
 
 For radial profiles phi(r), r = (|x|^{2a+2} + (a+1)^2 y^2)^{1/2}, the
 sector integrals collapse to 1D (see the rearrangement module), and the
@@ -25,8 +27,9 @@ direct quadrature of the extremal profile (``talenti_constant_general``).
 
 The grid side of the bound lives here too: ``SectorExtremalFamily`` samples
 the extremal, truncated at r = ``TRUNCATION_RADIUS``, on one first-sector
-grid, and ``minimize_rayleigh`` searches its concentration b for the
-smallest grid Rayleigh quotient.
+grid (``SectorExtremalFamily(alpha, n)(b)`` is one member as a grid), and
+``minimize_rayleigh`` searches its concentration b for the smallest grid
+Rayleigh quotient.
 """
 
 from __future__ import annotations

@@ -475,10 +475,7 @@ def solve_ground_state(
     if prob.norm(u) <= _COLLAPSE_THRESHOLD:
         raise DegeneracyError("solver collapsed onto the trivial solution")
     if residual > tol:
-        raise IterationError(
-            f"ground-state iteration stalled at residual {residual:.3e}",
-            last_residual=residual,
-        )
+        raise IterationError("ground-state iteration stalled", last_residual=residual)
 
     a = _dot(u, Au) * vol
     b = b_term(u)

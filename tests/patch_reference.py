@@ -22,7 +22,6 @@ import numpy as np
 
 from grushin3d import DomainError, ImplicitShape, SurfacePatch
 from grushin3d.geometry import Measures, sector_count, sector_index
-from grushin3d.pohozaev import StarShapedReport
 
 
 def volume_flux(alpha):
@@ -202,4 +201,4 @@ def shape_star_check(shape, alpha, m=64):
         pts, nu, _ = _nodes(patch, *gauss_st(patch, m, sector_count(alpha)))
         g = pts[:, 0] * nu[:, 0] + pts[:, 1] * nu[:, 1] + (1.0 + alpha) * pts[:, 2] * nu[:, 2]
         low = min(low, float(g.min(initial=math.inf)))
-    return StarShapedReport(low >= -1e-10, low)
+    return low

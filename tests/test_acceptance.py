@@ -17,7 +17,7 @@ from grushin3d import (
     reference_quotient,
     sector_count,
 )
-from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus, sector_extremal_grid
+from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus
 from grushin3d.geometry import anisotropic_scale
 from grushin3d.pohozaev import (
     nonexistence_classify,
@@ -33,6 +33,7 @@ from grushin3d.rearrangement import (
 )
 from grushin3d.shapes import ball_sector, corpus_shapes, ellipsoid
 from grushin3d.sobolev import (
+    SectorExtremalFamily,
     rayleigh_quotient,
     scaling_exponent,
     sobolev_lower_bound,
@@ -70,7 +71,7 @@ def test_criterion_02_sobolev_lower_bound_vs_grid():
     ok = True
     for alpha in ALPHAS:
         L = sobolev_lower_bound(alpha)
-        u = sector_extremal_grid(alpha, b=4.0, resolution=128)
+        u = SectorExtremalFamily(alpha, 128)(4.0)
         q = rayleigh_quotient(u, 6, alpha).quotient
         rel = abs(q - L) / L
         ok &= rel <= 0.03

@@ -16,7 +16,7 @@ import pytest
 
 import grushin3d
 from grushin3d import DomainError
-from grushin3d.fields import radial_field, random_bump_corpus, sector_extremal_grid
+from grushin3d.fields import radial_field, random_bump_corpus
 from grushin3d.geometry import (
     anisotropic_scale,
     isoperimetric_deficit,
@@ -82,7 +82,6 @@ def _shape_bits(shape):
 # each called with the one alpha argument varied
 ENTRY_POINTS = {
     "fields.radial_field": lambda a: radial_field(np.cos, a, 1.0, resolution=4).values,
-    "fields.sector_extremal_grid": lambda a: sector_extremal_grid(a, resolution=6).values,
     "geometry.sector_count": sector_count,
     "geometry.sector_index": lambda a: sector_index(POINTS, a),
     "geometry.measure": lambda a: measure(SMALL_BALL, a, RESOLUTION),

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -467,6 +468,20 @@ class TestRearrangeCommand:
         code, _ = run_cli(["rearrange", "--input", str(path), "--alpha", "1"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 2, 1), (1, 3, 2)])
+    def test_axis_of_one_cell_is_input_error(self, dims, tmp_path, capsys, monkeypatch):
+        # the grid energies need 2 cells per axis: the file is refused at its
+        # dimensions line before any level is counted
+        from grushin3d.grids import GridFunction3D
+
+        path = tmp_path / "thin.grid"
+        save_grid(GridFunction3D(np.array([(-1.0, 1.0)] * 3), np.ones(dims)), path)
+        calls = count_calls(monkeypatch, "distribution_function", distribution_function)
+        assert main(["rearrange", "--input", str(path), "--alpha", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and calls == []
+        assert captured.err == f"input error: line 2: rearrangement needs at least 2 cells per axis, got dims {dims}\n"
+
     def test_negative_field_is_input_error(self, tmp_path, capsys):
         from grushin3d.grids import GridFunction3D
 
@@ -494,6 +509,21 @@ class TestSobolevCommand:
 
 
 class TestSolveCommand:
+    @pytest.mark.parametrize(
+        "limit, message",
+        [("_CG_MAX_ITER", "CG did not reach 1e-06 in 1 iterations"), ("_OUTER_MAX_ITER", "ground-state iteration stalled")],
+    )
+    def test_failure_line_shows_the_last_residual(self, limit, message, capsys, monkeypatch):
+        # the residual an IterationError carries is printed once, after the message
+        from grushin3d import solver
+
+        monkeypatch.setattr(solver, limit, 1)
+        assert main(["solve", "--alpha", "0.5", "--q", "3", "--grid", "8"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(rf"numerical failure: {message} \(last residual \d\.\d{{3}}e[+-]\d+\)\n", captured.err)
+        assert captured.err.count("residual") == 1
+
     def test_small_ground_state(self, tmp_path, capsys):
         out = tmp_path / "solution.grid"
         code, rep = run_cli(
@@ -545,6 +575,9 @@ class TestPohozaevCommand:
         assert code == 2
 
     def test_subcritical_solve_satisfies_identity(self, capsys):
+        from grushin3d.pohozaev import star_shaped_check
+        from grushin3d.solver import Domain
+
         code, rep = run_cli(["pohozaev", "--p", "3", "--alpha", "1", "--solve", "--grid", "24"], capsys)
         assert code == 0
         assert rep["all_passed"]
@@ -553,6 +586,10 @@ class TestPohozaevCommand:
         assert res["star_shaped_min"] == 1.0
         assert res["lhs"] > 0 and res["rhs"] > 0
         assert rep["resolutions"] == {"grid": 24}
+        # the check reads the margin of the solution's box, the one -1e-10 threshold
+        check = {c["name"]: c for c in rep["checks"]}["star_shaped"]
+        assert check["value"] == star_shaped_check(Domain.cube(1.0, 24), 1.0)
+        assert check["threshold"] == -1e-10
 
 
 SOLVE = ["solve", "--alpha", "1", "--q", "4", "--grid", "8"]
@@ -577,6 +614,7 @@ BAD_INPUT_LINES = {
         "usage error: grid (100000, 100000, 100000) has more than 16777216 = 256^3 cells\n",
     "sobolev --alphas 1 --minimize --resolution 257": "usage error: resolution must be at most 256, got 257\n",
     "rearrange --alpha 1 --input FILE --levels 1048577": "usage error: levels must be at most 1048576, got 1048577\n",
+    "rearrange --alpha 1 --input FILE --levels 1": "usage error: levels must be at least 2, got 1\n",
     "sobolev --alphas 0.5 0.5000001":
         "usage error: --alphas must give distinct report keys, got alpha_0.5 alpha_0.5\n",
     "sobolev --alphas 1 1": "usage error: --alphas must give distinct report keys, got alpha_1 alpha_1\n",
@@ -677,6 +715,8 @@ class TestBadInput:
             (["sobolev", "--alphas", "1", "--resolution", "-5"], None, 2),
             (["geometry", "--shape", "ball", "--alpha", "1", "--surface-resolution", "0"], None, 2),
             (["geometry", "--shape", "ball-sector", "--alpha", "1", "--sector", "5"], None, 2),
+            # a single level, whose profile would be zero; refused before the grid is read
+            (["rearrange", "--alpha", "1", "--input", "FILE", "--levels", "1"], OVER_CAP_GRID, 2),
         ],
     )
     def test_exit_code_without_traceback(self, argv, file_bytes, code, tmp_path, capsys):

@@ -15,7 +15,7 @@ import pytest
 
 import grushin3d
 from grushin3d import DomainError
-from grushin3d.fields import radial_field, random_bump_corpus, sector_extremal_grid
+from grushin3d.fields import radial_field, random_bump_corpus
 from grushin3d.geometry import (
     MAX_SURFACE_RESOLUTION,
     isoperimetric_deficit,
@@ -65,9 +65,6 @@ ENTRY_POINTS = {
     "sobolev.rayleigh_quotient:copies": (2, 2**53, lambda k: rayleigh_quotient(FIELD, 6, 1.0, copies=k)),
     "sobolev.SectorExtremalFamily:resolution": (6, MAX_RESOLUTION, lambda n: SectorExtremalFamily(1.0, n).quotient()),
     "sobolev.minimize_rayleigh:resolution": (6, MAX_RESOLUTION, lambda n: minimize_rayleigh(1.0, resolution=n)),
-    "fields.sector_extremal_grid:resolution": (
-        6, MAX_RESOLUTION, lambda n: sector_extremal_grid(1.0, resolution=n).values
-    ),
     "fields.radial_field:resolution": (4, MAX_RESOLUTION, lambda n: radial_field(np.cos, 1.0, 1.0, resolution=n).values),
     "fields.random_bump_corpus:resolution": (
         8, MAX_RESOLUTION, lambda n: [u.values for u in random_bump_corpus(1, resolution=n, seed=3)]

@@ -171,12 +171,29 @@ class TestRearrange:
         assert prof.max_value == 0.0
         assert prof.dirichlet_energy() == 0.0
 
-    @pytest.mark.parametrize("levels", [1, 8, 256])
+    @pytest.mark.parametrize("levels", [8, 256])
     def test_zero_field_gives_tiny_profile(self, levels):
         grid = GridFunction3D(np.array([(-1, 1)] * 3), np.zeros((4, 4, 4)))
         prof = rearrange(grid, 1.0, levels)
         assert prof.radii.tolist() == [np.finfo(float).tiny]
         assert prof.values.tolist() == [0.0]
+
+    def test_one_level_is_refused(self):
+        # the one level of K = 1 is the top, and lambda(top) = 0: the profile
+        # would be zero although the field is not
+        u = random_bump_corpus(1, resolution=24, seed=7)[0]
+        for call in (
+            lambda: rearrange(u, 1.0, 1),
+            lambda: polya_szego_gap(u, 1.0, 1),
+            lambda: RadialProfile.from_distribution(distribution_function(u, 1.0, 1), 1.0),
+        ):
+            with pytest.raises(DomainError, match="at least 2"):
+                call()
+        top = distribution_function(u, 1.0, 2).top
+        assert rearrange(u, 1.0, 2).max_value == top > 0.8
+        # a zero field has the one level 0 whatever K is, and its zero profile
+        zero = GridFunction3D(u.bbox, np.zeros(u.dims))
+        assert RadialProfile.from_distribution(distribution_function(zero, 1.0, 1), 1.0).max_value == 0.0
 
     def test_max_preserved_exactly(self):
         u = radial_field(cosine_bump, 1.0, 1.0, resolution=48)

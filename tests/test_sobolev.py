@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from grushin3d import DomainError, sector_count, sobolev
-from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus, sector_extremal_grid
+from grushin3d.fields import cosine_bump, radial_field, random_bump_corpus
 from grushin3d.grids import GridFunction3D
 from grushin3d.rearrangement import grushin_energy, weighted_lq_norm
 from grushin3d.sobolev import (
@@ -162,13 +162,13 @@ class TestScalingExponent:
 class TestRayleighQuotient:
     def test_sector_extremal_close_to_bound(self):
         alpha = 1.0
-        u = sector_extremal_grid(alpha, b=4.0, resolution=96)
+        u = SectorExtremalFamily(alpha, 96)(4.0)
         rep = rayleigh_quotient(u, 6, alpha)
         assert rep.quotient == pytest.approx(sobolev_lower_bound(alpha), rel=3e-2)
 
     def test_amplitude_invariance(self):
         alpha = 1.0
-        u = sector_extremal_grid(alpha, b=4.0, resolution=48)
+        u = SectorExtremalFamily(alpha, 48)(4.0)
         r1 = rayleigh_quotient(u, 6, alpha).quotient
         r2 = rayleigh_quotient(GridFunction3D(u.bbox, 3.7 * u.values, u.mask), 6, alpha).quotient
         assert abs(r2 - r1) <= 1e-12 * r1
@@ -226,7 +226,7 @@ class TestSectorExtremalFamily:
         family = SectorExtremalFamily(alpha, resolution=32)
         for b in (0.7, 4.0, 22.77):
             got = family(b)
-            fresh = sector_extremal_grid(alpha, b=b, resolution=32)
+            fresh = SectorExtremalFamily(alpha, resolution=32)(b)
             assert same_grid(got, fresh)
         if alpha == 2.0:
             assert not got.mask.all()
@@ -259,7 +259,7 @@ class TestHalfGridQuotient:
 
     def test_copies_scale_the_quotient(self):
         # twice both integrals: the quotient grows by 2^(1/2 - 1/q)
-        u = sector_extremal_grid(1.0, b=4.0, resolution=16)
+        u = SectorExtremalFamily(1.0, 16)(4.0)
         one, two = rayleigh_quotient(u, 6, 1.0), rayleigh_quotient(u, 6, 1.0, copies=2)
         assert two.numerator_sq == 2 * one.numerator_sq
         assert two.quotient == pytest.approx(2 ** (1 / 3) * one.quotient, rel=1e-15)
@@ -270,7 +270,7 @@ def golden_reference(alpha, resolution):
     value; returns (log b, quotient, evaluations)."""
 
     def quotient(log_b):
-        u = sector_extremal_grid(alpha, b=math.exp(log_b), resolution=resolution)
+        u = SectorExtremalFamily(alpha, resolution)(math.exp(log_b))
         return rayleigh_quotient(u, 6, alpha).quotient
 
     res = minimize_scalar(

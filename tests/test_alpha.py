@@ -138,7 +138,10 @@ MEASURE_PARTS = {
     "transform.pushforward_volume_check": lambda a: pushforward_checks(SMALL_BALL, a, RESOLUTION)[0],
     "transform.pushforward_perimeter_check": lambda a: pushforward_checks(SMALL_BALL, a, RESOLUTION)[1],
 }
-CASES = {**ENTRY_POINTS, **MEASURE_PARTS}
+# the full grid a family builds; ``quotient`` at an even resolution reads
+# only the half grid, so the full grid is checked on its own
+GRID_PARTS = {"sobolev.SectorExtremalFamily.__call__": lambda a: SectorExtremalFamily(a, 6)(4.0).values}
+CASES = {**ENTRY_POINTS, **MEASURE_PARTS, **GRID_PARTS}
 
 
 def _takes_alpha(obj):

@@ -76,6 +76,15 @@ ENTRY_POINTS = {
     "shapes.ball_sector:j": (3, 4, lambda j: [ball_sector(1.0, j).bbox, ball_sector(1.0, j).sector]),
 }
 
+# the full grid a family builds; ``quotient`` at an even resolution reads
+# only the half grid, so the full grid is checked on its own
+GRID_PARTS = {
+    "sobolev.SectorExtremalFamily.__call__:resolution": (
+        6, MAX_RESOLUTION, lambda n: SectorExtremalFamily(1.0, n)().values
+    ),
+}
+CASES = {**ENTRY_POINTS, **GRID_PARTS}
+
 # the parameters that hold a count
 COUNT_PARAMETERS = {"surface_resolution", "dims", "n", "levels", "copies", "resolution", "count", "j"}
 # a result record: its levels are the level values, not a count
@@ -112,16 +121,16 @@ def test_table_covers_every_public_count_parameter():
 
 
 @pytest.mark.parametrize("bad", sorted(BAD))
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("entry", sorted(CASES))
 def test_bad_count_raises_domain_error(entry, bad):
-    _, hi, call = ENTRY_POINTS[entry]
+    _, hi, call = CASES[entry]
     with pytest.raises(DomainError):
         call(hi + 1 if bad == "hi+1" else BAD[bad])
 
 
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("entry", sorted(CASES))
 def test_numpy_integer_count_gives_the_int_bits(entry):
-    good, _, call = ENTRY_POINTS[entry]
+    good, _, call = CASES[entry]
     assert _bits(call(np.int64(good))) == _bits(call(good))
 
 

@@ -46,8 +46,13 @@ z = P M^{-1} P r, and is the identity on inactive ones, which keeps it SPD.
 MINRES and LOBPCG use the same preconditioner.  Both are written here and
 take every inner product as a numpy pairwise sum (``_dot``), like CG, so no
 long reduction goes to a threaded BLAS and the results do not depend on the
-BLAS thread count.  Tests check CG against a sparse direct solve of the
-stencil assembled entry by entry, MINRES against scipy's, and the Poincare
+BLAS thread count.  LOBPCG's 3x3 Rayleigh-Ritz problem is reduced by a numpy
+Cholesky factor, so scipy supplies only the DST and ``eigh_tridiagonal``.
+The three iterations update their vectors in place and the stencil builds
+no padded copy of its input, with the arithmetic of the copying forms, so
+each result keeps its bits.  Tests check the stencil against the padded
+form bit for bit and against a sparse matrix assembled entry by entry, CG
+against a sparse direct solve, MINRES against scipy's, and the Poincare
 constant lambda_1 (the smallest eigenvalue, from LOBPCG with block size 1
 on the active cells, Knyazev 2001) against ARPACK Lanczos.
 """
@@ -60,7 +65,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import dst, idst
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import DegeneracyError, DomainError, IterationError
 from .geometry import _alpha
@@ -124,6 +129,19 @@ def _dirichlet_spectrum(n: int, h: float, k):
     return 4.0 * np.sin(np.pi * k / (2 * n)) ** 2 / h**2
 
 
+def _neighbour_sum(u: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """out = u[i - 1] + u[i + 1] along ``axis``, a neighbour outside the box
+    counting as 0: the sum of a zero-padded copy of u, bit for bit, since
+    the edge cells take 0 + u (which turns -0 into +0) and not a bare copy."""
+    if u.shape[axis] == 1:
+        out.fill(0.0)
+        return
+    lead = (slice(None),) * axis
+    np.add(u[lead + (slice(None, -2),)], u[lead + (slice(2, None),)], out=out[lead + (slice(1, -1),)])
+    np.add(0.0, u[lead + (slice(1, 2),)], out=out[lead + (slice(None, 1),)])
+    np.add(u[lead + (slice(-2, -1),)], 0.0, out=out[lead + (slice(-1, None),)])
+
+
 class GrushinOperator:
     """Matrix-free SPD stencil for -Delta_x - |x|^{2a} d2/dy2 with Dirichlet faces."""
 
@@ -132,6 +150,7 @@ class GrushinOperator:
         self.alpha = _alpha(alpha)
         self.weight2d = domain.weight2d(self.alpha)
         self._mask = domain.mask
+        self._inactive = None if domain.mask is None else ~domain.mask
         self._box_basis = None
         h = domain.spacing
         # neighbour couplings 1/h^2 (times |x|^{2a} along y); D holds two per axis and one per ghost
@@ -144,13 +163,13 @@ class GrushinOperator:
         if self._mask is not None:
             u = np.where(self._mask, u, 0.0)
         out = self._diagonal * u
-        padded = np.pad(u, 1)  # a neighbour outside the box couples with 0
+        nsum = np.empty_like(out)
         for axis, c in enumerate(self._coupling):
-            lower, upper = [slice(1, -1)] * 3, [slice(1, -1)] * 3
-            lower[axis], upper[axis] = slice(None, -2), slice(2, None)
-            out -= c * (padded[tuple(lower)] + padded[tuple(upper)])
-        if self._mask is not None:
-            out = np.where(self._mask, out, 0.0)
+            _neighbour_sum(u, axis, nsum)
+            nsum *= c
+            out -= nsum
+        if self._inactive is not None:
+            np.copyto(out, 0.0, where=self._inactive)
         return out
 
     def quadratic_form(self, u: np.ndarray) -> float:
@@ -174,10 +193,11 @@ class GrushinOperator:
         g = r if self._mask is None else np.where(self._mask, r, 0.0)
         g = dst(g, type=2, axis=2, norm="ortho").transpose(2, 0, 1)
         g = V1.transpose(0, 2, 1) @ g @ V2
-        g = V1 @ (g * inv) @ V2.transpose(0, 2, 1)
+        g *= inv
+        g = V1 @ g @ V2.transpose(0, 2, 1)
         z = idst(g.transpose(1, 2, 0), type=2, axis=2, norm="ortho")
-        if self._mask is not None:
-            z = np.where(self._mask, z, r)
+        if self._inactive is not None:
+            np.copyto(z, r, where=self._inactive)
         return z
 
     def _build_box_basis(self):
@@ -224,7 +244,7 @@ def _check_tol(tol):
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """<a, b> as numpy's pairwise sum: one thread, the same bits whatever
     the BLAS thread count, unlike a BLAS ddot that splits long vectors."""
-    return float(np.sum(a * b))
+    return float(np.add.reduce(a * b, axis=None))
 
 
 def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=None):
@@ -252,7 +272,7 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=
         return x
     z = op._precondition(r)
     rz = _dot(r, z)
-    p = z.copy()
+    p, step = z, np.empty_like(b)  # z is a fresh array each step; step holds alpha_k p and alpha_k A p
     for _ in range(_CG_MAX_ITER):
         # comparisons with NaN are false, so these also catch non-finite values
         if not 0.0 < rz < math.inf:
@@ -262,14 +282,15 @@ def linear_solve(op: GrushinOperator, rhs: np.ndarray, tol: float = _CG_TOL, x0=
         if not 0.0 < pAp < math.inf:
             raise IterationError(f"CG broke down: <p, A p> = {pAp!r}", last_residual=math.sqrt(rs) / bnorm)
         alpha_k = rz / pAp
-        x += alpha_k * p
-        r -= alpha_k * Ap
+        x += np.multiply(p, alpha_k, out=step)
+        r -= np.multiply(Ap, alpha_k, out=step)
         rs = _dot(r, r)
         if math.sqrt(rs) <= tol * bnorm:
             return x
         z = op._precondition(r)
         rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise IterationError(
         f"CG did not reach {tol:g} in {_CG_MAX_ITER} iterations",
@@ -314,8 +335,8 @@ class Problem:
         Au = self.op(u)
         fu = self.op.weight2d[:, :, None] * np.abs(u) ** (self.q - 2.0) * u
         g = Au - fu
-        if self.domain.mask is not None:
-            g = np.where(self.domain.mask, g, 0.0)
+        if self.op._inactive is not None:
+            np.copyto(g, 0.0, where=self.op._inactive)
         return Au, fu, g
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
@@ -539,16 +560,19 @@ def _minres(apply, precondition, b):
     oldb, beta, dbar, epsln, phibar = 0.0, beta1, 0.0, 0.0, beta1
     tnorm2, gmax, gmin = 0.0, 0.0, np.finfo(float).max
     cs, sn = -1.0, 0.0
-    w, w2 = np.zeros_like(b), np.zeros_like(b)
+    # w1 only lends its buffer to the first update of w; v and tmp are
+    # scratch, so the vectors below are updated in place, in scipy's order
+    w1, w2, w = np.empty_like(b), np.zeros_like(b), np.zeros_like(b)
+    v, tmp = np.empty_like(b), np.empty_like(b)
     r2 = r1
     for itn in range(1, _MINRES_MAX_ITER + 1):
         # Lanczos step: v_k and the next preconditioned vector
-        v = (1.0 / beta) * y
+        np.multiply(y, 1.0 / beta, out=v)
         y = apply(v)
         if itn >= 2:
-            y -= (beta / oldb) * r1
+            y -= np.multiply(r1, beta / oldb, out=tmp)
         alfa = _dot(v, y)
-        y -= (alfa / beta) * r2
+        y -= np.multiply(r2, alfa / beta, out=tmp)
         r1, r2 = r2, y
         y = precondition(r2)
         oldb, beta = beta, _dot(r2, y)
@@ -568,9 +592,12 @@ def _minres(apply, precondition, b):
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
 
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x += phi * w
+        # w = (v - oldeps w1 - delta w2) / gamma in the buffer of the old w1
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(w1, oldeps, out=w), out=w)
+        w -= np.multiply(w2, delta, out=tmp)
+        w *= 1.0 / gamma
+        x += np.multiply(w, phi, out=tmp)
 
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
         anorm = math.sqrt(tnorm2)  # > 0: tnorm2 includes beta1^2
@@ -632,10 +659,11 @@ def _lobpcg(op: GrushinOperator, x: np.ndarray, tol: float, max_iter: int):
     ``op``, preconditioned with ``op._precondition``, from ``x``.
 
     Each step applies the operator once, to w = M r, and runs Rayleigh-Ritz
-    on span{x, w, p}: 3x3 Gram matrices from ``_dot`` and the generalised
-    eigenproblem by ``scipy.linalg.eigh``.  A x and A p are carried along as
-    the same combinations.  Stops when the residual of the unit vector x is
-    at most ``tol`` or after ``max_iter`` steps.  Returns (lambda, x), with
+    on span{x, w, p}: the symmetric 3x3 Gram and stiffness matrices from
+    the ``_dot`` products of their upper triangles, and the generalised
+    eigenproblem by ``_ritz_pairs``.  A x and A p are carried along as the
+    same combinations.  Stops when the residual of the unit vector x is at
+    most ``tol`` or after ``max_iter`` steps.  Returns (lambda, x), with
     ||x|| = 1.
     """
     x = x / math.sqrt(_dot(x, x))
@@ -643,12 +671,13 @@ def _lobpcg(op: GrushinOperator, x: np.ndarray, tol: float, max_iter: int):
     lam = _dot(x, ax)
     p = ap = None
     for _ in range(max_iter):
-        r = ax - lam * x
+        r = np.multiply(x, lam)
+        np.subtract(ax, r, out=r)
         if math.sqrt(_dot(r, r)) <= tol:
             break
         w = op._precondition(r)
         # r, and w and A w below, are dropped as soon as they are used, and
-        # x, A x, p and A p are updated in place: this sets the peak memory
+        # every vector is updated in place: this sets the peak memory
         del r
         w /= math.sqrt(_dot(w, w))
         aw = op(w)
@@ -656,21 +685,22 @@ def _lobpcg(op: GrushinOperator, x: np.ndarray, tol: float, max_iter: int):
         if p is not None:
             basis.append(p)
             images.append(ap)
-        gram = np.array([[_dot(u, v) for v in basis] for u in basis])
+        gram = _symmetric_products(basis, basis)
         if len(basis) == 3 and np.linalg.cond(gram) > _GRAM_COND_LIMIT:
             del basis[2], images[2]
             gram = gram[:2, :2]
-        stiff = np.array([[_dot(u, av) for av in images] for u in basis])
-        vals, vecs = eigh(0.5 * (stiff + stiff.T), gram)
+        vals, vecs = _ritz_pairs(_symmetric_products(basis, images), gram)
         c = vecs[:, 0]
         # the new direction p = c1 w + c2 p is the step away from x; x takes it
+        w *= c[1]
+        aw *= c[1]
         if len(c) == 3:
             p *= c[2]
-            p += c[1] * w
+            p += w
             ap *= c[2]
-            ap += c[1] * aw
+            ap += aw
         else:
-            p, ap = c[1] * w, c[1] * aw
+            p, ap = w, aw
         del w, aw, basis, images
         x *= c[0]
         x += p
@@ -684,3 +714,26 @@ def _lobpcg(op: GrushinOperator, x: np.ndarray, tol: float, max_iter: int):
         ap *= scale
         lam = float(vals[0])
     return lam, x
+
+
+def _symmetric_products(vectors, images) -> np.ndarray:
+    """The symmetric matrix m[i, j] = <vectors[i], images[j]>, with the
+    products of its upper triangle (i <= j) mirrored below the diagonal."""
+    k = len(vectors)
+    m = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            m[i, j] = m[j, i] = _dot(vectors[i], images[j])
+    return m
+
+
+def _ritz_pairs(a: np.ndarray, b: np.ndarray):
+    """Eigenpairs of the small generalised problem a c = theta b c, a
+    symmetric and b SPD, by Cholesky reduction: with b = L L^T, theta and
+    L^T c are the eigenpairs of L^{-1} a L^{-T}.  Returns (theta ascending,
+    C) with C^T b C = I; raises ``np.linalg.LinAlgError`` when b is not
+    positive definite.
+    """
+    linv = np.linalg.inv(np.linalg.cholesky(b))
+    vals, vecs = np.linalg.eigh(linv @ a @ linv.T)
+    return vals, linv.T @ vecs

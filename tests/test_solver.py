@@ -21,6 +21,7 @@ from grushin3d.solver import (
     _dirichlet_spectrum,
     _line_quadratic,
     _minres,
+    _ritz_pairs,
     linear_solve,
     poincare_constant,
     solve_ground_state,
@@ -82,6 +83,38 @@ def check_against_assembled(domain, alpha, seed=0):
     assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
     assert np.all(out[~domain.active()] == 0.0)
     assert np.all(op(np.zeros(domain.dims)) == 0.0)
+
+
+def padded_stencil(op, u):
+    """The stencil applied through a zero-padded copy of u, with one
+    lower + upper temporary per axis: the copying form that
+    ``GrushinOperator.__call__`` must match bit for bit."""
+    mask = op.domain.mask
+    if mask is not None:
+        u = np.where(mask, u, 0.0)
+    out = op._diagonal * u
+    padded = np.pad(u, 1)  # a neighbour outside the box couples with 0
+    for axis, c in enumerate(op._coupling):
+        lower, upper = [slice(1, -1)] * 3, [slice(1, -1)] * 3
+        lower[axis], upper[axis] = slice(None, -2), slice(2, None)
+        out -= c * (padded[tuple(lower)] + padded[tuple(upper)])
+    if mask is not None:
+        out = np.where(mask, out, 0.0)
+    return out
+
+
+def check_against_padded(domain, alpha, seed=0):
+    """op(u) equals ``padded_stencil`` exactly, signs of zeros included, on
+    random values with +0 and -0 sprinkled in and on all-zero inputs."""
+    op = GrushinOperator(domain, alpha)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(domain.dims)
+    u[rng.uniform(size=domain.dims) < 0.2] = 0.0
+    u[rng.uniform(size=domain.dims) < 0.2] = -0.0
+    for v in (u, -u, np.zeros(domain.dims), np.full(domain.dims, -0.0)):
+        out, ref = op(v), padded_stencil(op, v)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
 
 
 ANISOTROPIC_BOX = np.array([(-1.0, 1.2), (-0.8, 0.9), (-1.3, 1.1)])
@@ -226,6 +259,15 @@ class TestOperator:
     @given(masked_domains(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 2**32 - 1))
     def test_matches_assembled_on_drawn_masks(self, domain, alpha, seed):
         check_against_assembled(domain, alpha, seed)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("dims", [(12, 16, 10), (12, 16, 9), (4, 6, 2), (4, 6, 1)])
+    def test_equals_padded_form_on_boxes(self, dims, alpha):
+        check_against_padded(Domain(ANISOTROPIC_BOX, dims), alpha)
+
+    @given(masked_domains(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 2**32 - 1))
+    def test_equals_padded_form_on_drawn_masks(self, domain, alpha, seed):
+        check_against_padded(domain, alpha, seed)
 
     @given(masked_domains(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(0, 2**32 - 1))
     def test_masked_preconditioner_is_spd(self, domain, alpha, seed):
@@ -730,11 +772,41 @@ class TestPoincare:
 
     def test_without_search_direction(self, monkeypatch):
         # a Gram limit of 1 drops p at every step: preconditioned steepest
-        # descent, slower but converging to the same eigenvalue
+        # descent, slower but converging to the same eigenvalue; every
+        # Rayleigh-Ritz problem is then 2x2
         dom = ball_domain(16)
+        sizes = []
+
+        def recording(a, b):
+            sizes.append(len(a))
+            return _ritz_pairs(a, b)
+
+        monkeypatch.setattr(grushin3d.solver, "_ritz_pairs", recording)
         ref = poincare_constant(dom, ALPHA)
+        assert 3 in sizes
+        sizes.clear()
         monkeypatch.setattr(grushin3d.solver, "_GRAM_COND_LIMIT", 1.0)
         assert poincare_constant(dom, ALPHA) == pytest.approx(ref, rel=1e-9)
+        assert len(sizes) > 1 and set(sizes) == {2}
+
+    def test_inner_products_per_step(self, monkeypatch):
+        # a full step takes 16 products: ||r||, ||w||, the upper triangles
+        # of the 3x3 Gram and stiffness matrices, ||x|| and ||p||; the first
+        # step has no p and takes 10, and the start and the stopping test 3
+        op = CountingOperator(GrushinOperator(ball_domain(16), ALPHA))
+        dom = op.domain
+        calls = []
+        dot = grushin3d.solver._dot
+
+        def counting(a, b):
+            calls.append(None)
+            return dot(a, b)
+
+        monkeypatch.setattr(grushin3d.solver, "_dot", counting)
+        grushin3d.solver._lobpcg(op, dom.active().astype(float), 1e-9, 200)
+        steps = op.calls - 1
+        assert steps > 2
+        assert len(calls) == 3 + 10 + 16 * (steps - 1)
 
     def test_operator_applications(self, monkeypatch):
         calls = []
@@ -758,6 +830,31 @@ class TestPoincare:
         lam_a = poincare_constant(Domain.cube(1.0, 24), ALPHA)
         lam_b = poincare_constant(Domain.cube(1.0, 36), ALPHA)
         assert lam_b == pytest.approx(lam_a, rel=1e-2)
+
+
+class TestRitzPairs:
+    """The Cholesky-reduced Rayleigh-Ritz solve of LOBPCG against scipy's
+    generalised ``eigh`` on random symmetric / SPD pairs."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_scipy_eigh(self, k):
+        from scipy.linalg import eigh
+
+        rng = np.random.default_rng(k)
+        for _ in range(200):
+            m, g = rng.standard_normal((2, k, k))
+            a, b = m + m.T, g @ g.T + 0.1 * np.eye(k)
+            vals, vecs = _ritz_pairs(a, b)
+            ref = eigh(a, b, eigvals_only=True)
+            assert np.all(np.diff(vals) >= 0)
+            assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+            # b-orthonormal eigenvectors of a c = theta b c
+            assert np.abs(vecs.T @ b @ vecs - np.eye(k)).max() <= 1e-12
+            assert np.abs(a @ vecs - b @ vecs * vals).max() <= 1e-12 * np.abs(ref).max() * np.abs(vecs).max()
+
+    def test_rejects_indefinite_gram(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _ritz_pairs(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 def run_with_blas_threads(threads, args):

@@ -7,11 +7,13 @@ that defines public names, imports its module on first access.  Importing
 the package or the CLI therefore loads no scipy; only the solver does.
 
 ``_EXPORTS`` is the package API and the one list of public names; no
-submodule defines ``__all__``.  A name is in it only when a CLI command,
-an acceptance criterion or a benchmark operation calls it directly, or
-when it is an exception or a return type of such a call.  Other
-module-level names are helpers that the package itself uses; code that
-only tests call lives in ``tests/``.
+submodule defines ``__all__``.  A function is in it only when the CLI,
+an acceptance criterion or a benchmark module calls it, or the package
+reaches it from such a call (``make_shape``'s builder table, say); a class
+is in it when it is an exception or a type such a call takes or returns.
+Other module-level names are helpers that the package itself uses; code
+that only tests call lives in ``tests/``, and ``tests/test_package.py``
+checks both rules on the source.
 
 Parameters are plain values: alpha is a float wherever it is taken, checked
 in one place (a bad alpha raises the same DomainError everywhere), and the
@@ -32,7 +34,6 @@ _EXPORTS = {
         "ImplicitShape",
         "Measures",
         "SurfacePatch",
-        "anisotropic_scale",
         "isoperimetric_deficit",
         "isoperimetric_quotient",
         "measure",

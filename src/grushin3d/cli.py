@@ -155,6 +155,10 @@ def cmd_rearrange(args, rep: RunReport) -> None:
     # one count of the cells into levels serves both the profile and the
     # equimeasurability check
     dist = distribution_function(grid, a, args.levels)
+    # the cell holding the top value measures 0 only when the weighted cell
+    # measures underflow: the bbox is at fault, as nothing can be measured
+    if dist.top > 0 and dist.measures[0] == 0:
+        raise GridFormatError("cells too small to measure: every weighted cell measure underflows to 0", line=3)
     profile = RadialProfile.from_distribution(dist, a)
     top = dist.top
     rep.results["max_input"] = top

@@ -17,7 +17,11 @@ with n(a) >= a + 1.  Among all shapes, the anisotropic ball sector
 
 minimises the quotient per^{3/2} / vol at fixed weighted volume; this module
 computes all of those quantities numerically and evaluates the corresponding
-isoperimetric deficit.
+isoperimetric deficit.  The dilation (x1, x2, y) -> (l x1, l x2, l^{a+1} y)
+scales vol_w by l^{3a+3} and per_w by l^{2a+2} and keeps the quotient; it
+maps each shape of ``shapes`` to the same builder with dilated parameters
+(the ball sector B_j to ``ball_sector(a, j, radius=l^{a+1})``), so that
+builder makes the dilated shape.
 
 Every shape carries analytic surface patches that cover its boundary, and
 it is measured on those patches alone: surface integrals by a tensor
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -394,37 +398,3 @@ def isoperimetric_deficit(
     """Quotient of the shape minus the sharp reference value (>= 0 in theory)."""
     return isoperimetric_quotient(shape, alpha, surface_resolution) - reference_quotient(alpha)
 
-
-def anisotropic_scale(shape: ImplicitShape, lam: float, alpha) -> ImplicitShape:
-    """Image of the shape under (x1, x2, y) -> (lam x1, lam x2, lam^{a+1} y).
-
-    Weighted volume scales by lam^{3a+3} and weighted perimeter by
-    lam^{2a+2}; the isoperimetric quotient is invariant.
-    """
-    if not lam > 0:
-        raise DomainError(f"scale factor must be positive, got {lam}")
-    a = _alpha(alpha)
-    lam = float(lam)
-    lam_y = lam ** (a + 1.0)
-    scale = np.array([lam, lam, lam_y])
-    inv = 1.0 / scale
-    level = shape.level
-
-    def scaled_level(pts):
-        return level(np.asarray(pts, dtype=float) * inv)
-
-    # tangent cross products transform by the cofactor matrix of diag(scale)
-    cof = np.array([lam * lam_y, lam * lam_y, lam * lam])
-    return ImplicitShape(
-        level=scaled_level,
-        bbox=shape.bbox * scale[:, None],
-        patches=[_scale_patch(p, scale, cof) for p in shape.patches],
-        sector=shape.sector,
-        name=f"{shape.name}*scale({lam:g})",
-    )
-
-
-def _scale_patch(patch: SurfacePatch, scale, cof) -> SurfacePatch:
-    # equal scales of x1 and x2 keep every node's angle, so the breaks stay
-    param, cross = patch.param, patch.cross
-    return replace(patch, param=lambda s, t: param(s, t) * scale, cross=lambda s, t: cross(s, t) * cof)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import _alpha, sector_count
+from .geometry import _alpha, _gauss_rule, sector_count
 from .grids import GridFunction3D, _count
 
 # at most 2^20 uniform levels: the level and measure arrays then take 8 MiB each
@@ -56,10 +56,9 @@ _TIE = 1e-9
 # least one
 _ENERGY_BLOCK_CELLS = 1 << 16
 
-# 5-point Gauss-Legendre nodes and weights on [-1, 1], used per linear
-# segment of a profile; built at import, so no run pays for importing
-# numpy.polynomial
-_GAUSS_LEGENDRE_5 = np.polynomial.legendre.leggauss(5)
+# the 5-point Gauss rule on [-1, 1], used per linear segment of a profile;
+# taken at import, so no run pays for importing numpy.polynomial
+_GAUSS_LEGENDRE_5 = _gauss_rule(5)
 
 
 def anisotropic_radius(x1, x2, y, alpha) -> np.ndarray:

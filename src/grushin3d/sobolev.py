@@ -108,8 +108,6 @@ class RayleighReport:
     numerator_sq: float  # Grushin Dirichlet energy (squared numerator)
     denominator: float  # weighted Lq norm
     quotient: float
-    alpha: float
-    q: float
 
 
 def rayleigh_quotient(u: GridFunction3D, q: float, alpha, copies: int = 1) -> RayleighReport:
@@ -124,7 +122,7 @@ def rayleigh_quotient(u: GridFunction3D, q: float, alpha, copies: int = 1) -> Ra
     den = weighted_lq_norm(u, q, a) * copies ** (1.0 / q)
     if den == 0.0:
         raise DomainError("Rayleigh quotient of the zero function")
-    return RayleighReport(num, den, math.sqrt(num) / den, a, q)
+    return RayleighReport(num, den, math.sqrt(num) / den)
 
 
 # the sector extremals are cut off at r = 20

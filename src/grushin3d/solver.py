@@ -22,17 +22,17 @@ the energy functional
     Phi(u) = 1/2 <A u, u> dV - sum F(x, y, u) dV,   F = |x|^{2a} |u|^q / q,
 
 its sum of |x|^{2a} |u|^q dV taken by ``CellGrid.power_integral``, its
-gradient A u - f(., u) (the exact derivative of the discrete energy), the
-weak residual and the Nehari scaling.  Ground states are computed by
-preconditioned descent on the Nehari manifold: move toward A^{-1} f(u),
-line-search on Phi, rescale so <Phi'(u), u> = 0.  The descent converges
+gradient A u - f(., u) (the exact derivative of the discrete energy) and
+the Nehari scaling.  Ground states are computed by preconditioned descent
+on the Nehari manifold: move toward A^{-1} f(u), line-search on Phi,
+rescale so <Phi'(u), u> = 0.  The descent converges
 only linearly, so it is finished by Newton steps on A u - f(u) = 0, each
 solved by MINRES (the Jacobian A - f'(u) is indefinite at a mountain-pass
 point) and projected back onto the Nehari set: the descent-then-Newton
 split of Choi & McKenna.  The descent alone (every Newton try rejected)
 is the reference the Newton finish is tested against.  The solver loop
-uses the same ``Problem`` methods, so its reported residual is the one
-``Problem.residual`` computes.
+uses the same ``Problem`` methods, so its reported residual is
+``norm(gradient(u))``, the L2 norm of the gradient.
 
 Linear systems are solved by conjugate gradients, preconditioned with the
 exact inverse of the box operator whose weight is replaced by the separable
@@ -346,10 +346,6 @@ class Problem:
         """Discrete L2 norm (sum v^2 dV)^{1/2}."""
         return math.sqrt(_dot(v, v) * self.domain.cell_volume)
 
-    def residual(self, u: np.ndarray) -> float:
-        """Weak residual ||A u - f(., u)||, the norm of the gradient."""
-        return self.norm(self.gradient(u))
-
     def power_term(self, u: np.ndarray) -> float:
         """sum |x|^{2a} |u|^q dV, the domain's ``power_integral``."""
         return self.domain.power_integral(u, self.q, self.alpha)
@@ -640,7 +636,7 @@ def poincare_constant(domain: Domain, alpha) -> float:
     op = GrushinOperator(domain, alpha)
     h, n = domain.spacing, domain.dims
     lower = sum(_dirichlet_spectrum(n[i], h[i], 1) for i in (0, 1))
-    lam, x = _lobpcg(op, domain.active().astype(float), 1e-9 * lower, _LOBPCG_MAX_ITER)
+    lam, x = _lobpcg(op, domain.active().astype(float), 1e-9 * lower)
     r = op(x) - lam * x
     rel = math.sqrt(_dot(r, r) / _dot(x, x)) / abs(lam)
     # written so that NaN fails too
@@ -654,7 +650,7 @@ def poincare_constant(domain: Domain, alpha) -> float:
 _GRAM_COND_LIMIT = 1e10
 
 
-def _lobpcg(op: GrushinOperator, x: np.ndarray, tol: float, max_iter: int):
+def _lobpcg(op: GrushinOperator, x: np.ndarray, tol: float):
     """LOBPCG with block size 1 (Knyazev 2001) for the smallest eigenpair of
     ``op``, preconditioned with ``op._precondition``, from ``x``.
 
@@ -663,14 +659,14 @@ def _lobpcg(op: GrushinOperator, x: np.ndarray, tol: float, max_iter: int):
     the ``_dot`` products of their upper triangles, and the generalised
     eigenproblem by ``_ritz_pairs``.  A x and A p are carried along as the
     same combinations.  Stops when the residual of the unit vector x is at
-    most ``tol`` or after ``max_iter`` steps.  Returns (lambda, x), with
-    ||x|| = 1.
+    most ``tol`` or after ``_LOBPCG_MAX_ITER`` steps.  Returns (lambda, x),
+    with ||x|| = 1.
     """
     x = x / math.sqrt(_dot(x, x))
     ax = op(x)
     lam = _dot(x, ax)
     p = ap = None
-    for _ in range(max_iter):
+    for _ in range(_LOBPCG_MAX_ITER):
         r = np.multiply(x, lam)
         np.subtract(ax, r, out=r)
         if math.sqrt(_dot(r, r)) <= tol:

@@ -18,7 +18,6 @@ import grushin3d
 from grushin3d import DomainError
 from grushin3d.fields import radial_field, random_bump_corpus
 from grushin3d.geometry import (
-    anisotropic_scale,
     isoperimetric_deficit,
     isoperimetric_quotient,
     measure,
@@ -89,7 +88,6 @@ ENTRY_POINTS = {
     "geometry.reference_quotient": reference_quotient,
     "geometry.isoperimetric_quotient": lambda a: isoperimetric_quotient(SMALL_BALL, a, RESOLUTION),
     "geometry.isoperimetric_deficit": lambda a: isoperimetric_deficit(SMALL_BALL, a, RESOLUTION),
-    "geometry.anisotropic_scale": lambda a: _shape_bits(anisotropic_scale(SMALL_BALL, 1.5, a)),
     "pohozaev.pohozaev_coefficient": lambda a: pohozaev_coefficient(3.0, a),
     "pohozaev.star_shaped_check": lambda a: star_shaped_check(CUBE, a),
     "pohozaev.pohozaev_lhs": lambda a: pohozaev_lhs(SOLUTION, 3.0, a),
@@ -120,9 +118,6 @@ ENTRY_POINTS = {
     "solver.poincare_constant": lambda a: poincare_constant(CUBE, a),
     "transform.pushforward_checks": lambda a: pushforward_checks(SMALL_BALL, a, RESOLUTION),
 }
-
-# a result record: it carries the alpha of the call that made it
-NOT_ENTRY_POINTS = {"sobolev.RayleighReport"}
 
 
 def _perimeters(a):
@@ -181,7 +176,7 @@ def _bits(x):
 
 
 def test_table_covers_every_public_alpha_callable():
-    assert set(ENTRY_POINTS) == _public_alpha_callables() - NOT_ENTRY_POINTS
+    assert set(ENTRY_POINTS) == _public_alpha_callables()
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, 16383.5], ids=repr)

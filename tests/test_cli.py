@@ -482,6 +482,20 @@ class TestRearrangeCommand:
         assert captured.out == "" and calls == []
         assert captured.err == f"input error: line 2: rearrangement needs at least 2 cells per axis, got dims {dims}\n"
 
+    def test_cells_too_small_to_measure_is_input_error(self, tmp_path, capsys):
+        # cells of volume 1.25e-331 underflow to 0: every lambda(t_k) is 0,
+        # so the profile would be zero against a top value of 0.5
+        from grushin3d.grids import GridFunction3D
+
+        path = tmp_path / "tiny.grid"
+        save_grid(GridFunction3D(np.array([(-1e-110, 1e-110)] * 3), np.full((4, 4, 4), 0.5)), path)
+        assert main(["rearrange", "--input", str(path), "--alpha", "1", "--levels", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: line 3: cells too small to measure: every weighted cell measure underflows to 0\n"
+        )
+
     def test_negative_field_is_input_error(self, tmp_path, capsys):
         from grushin3d.grids import GridFunction3D
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from grushin3d import (
     DomainError,
     ImplicitShape,
-    anisotropic_scale,
     isoperimetric_deficit,
     isoperimetric_quotient,
     measure,
@@ -253,8 +252,10 @@ def _block_cases():
         n = sector_count(alpha)
         for k, shape in enumerate(corpus_shapes(alpha)):
             yield pytest.param(shape, 37, n, id=f"corpus{k}-{shape.name}-{alpha}")
-        yield pytest.param(anisotropic_scale(ellipsoid((1.3, 0.8, 0.6)), 1.7, alpha), 37, n, id=f"scaled-{alpha}")
-        yield pytest.param(anisotropic_scale(ball_sector(alpha), 0.6, alpha), 37, n, id=f"scaled-sector-{alpha}")
+        # images under the dilation (x, y) -> (lam x, lam^{a+1} y)
+        dilated = ellipsoid((1.3 * 1.7, 0.8 * 1.7, 0.6 * 1.7 ** (alpha + 1.0)))
+        yield pytest.param(dilated, 37, n, id=f"scaled-{alpha}")
+        yield pytest.param(ball_sector(alpha, radius=0.6 ** (alpha + 1.0)), 37, n, id=f"scaled-sector-{alpha}")
         yield pytest.param(flatten_shape(ball_sector(alpha), alpha), 37, n, id=f"flat-sector-{alpha}")
         yield pytest.param(flatten_shape(ball(0.2, center=(0.7, 0.3, 0.0)), alpha), 37, n, id=f"flat-ball-{alpha}")
     # the axis pierces the off-centre balls: panels in s and in t
@@ -483,32 +484,33 @@ class TestIsoperimetry:
             isoperimetric_quotient(ball(1e-200), 1.0, fast_m)
 
 
-class TestAnisotropicScale:
-    def test_identity_at_one(self):
-        shape = ellipsoid((1.2, 0.8, 0.9))
-        scaled = anisotropic_scale(shape, 1.0, 1.0)
-        pts = np.random.default_rng(3).uniform(-1, 1, size=(50, 3))
-        assert np.allclose(scaled.level(pts), shape.level(pts), atol=1e-14)
-        assert np.allclose(scaled.bbox, shape.bbox)
+# each builder shape at the dilation (x, y) -> (lam x, lam^{a+1} y), given
+# lam and ly = lam^{a+1}: the image of a builder shape is the same builder
+# with dilated parameters, the original at lam = ly = 1
+DILATED_SHAPES = {
+    "ellipsoid": lambda a, lam, ly: ellipsoid((1.3 * lam, 0.8 * lam, 0.6 * ly)),
+    "off-centre-ball": lambda a, lam, ly: ellipsoid((0.6 * lam, 0.6 * lam, 0.6 * ly), (0.4 * lam, 0.4 * lam, 0.3 * ly)),
+    "cylinder": lambda a, lam, ly: cylinder(0.7 * lam, 1.4 * ly),
+    "box": lambda a, lam, ly: box((1.2 * lam, 0.7 * lam, 0.9 * ly), (0.3 * lam, -0.2 * lam, 0.1 * ly)),
+    "ball-sector-2": lambda a, lam, ly: ball_sector(a, 2, radius=ly),
+}
 
-    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
-    def test_measured_scaling_exponents(self, alpha, fast_m):
-        shape = ellipsoid((1.3, 0.8, 0.6))
-        scaled = anisotropic_scale(shape, 2.0, alpha)
-        m1, m2 = measure(shape, alpha, fast_m), measure(scaled, alpha, fast_m)
-        assert abs(math.log2(m2.volume / m1.volume) - (3 * alpha + 3)) <= 1e-3
-        assert abs(math.log2(m2.perimeter / m1.perimeter) - (2 * alpha + 2)) <= 1e-3
 
-    def test_quotient_invariance(self, fast_m):
-        shape = ellipsoid((1.1, 0.9, 0.8))
-        scaled = anisotropic_scale(shape, 1.7, 1.0)
-        q1 = isoperimetric_quotient(shape, 1.0, fast_m)
-        q2 = isoperimetric_quotient(scaled, 1.0, fast_m)
-        assert q2 == pytest.approx(q1, rel=2e-3)
+class TestDilation:
+    """The dilation scales the weighted volume by lam^{3a+3} and the weighted
+    perimeter by lam^{2a+2}, and leaves the isoperimetric quotient as it is."""
 
-    def test_rejects_nonpositive_factor(self):
-        with pytest.raises(DomainError):
-            anisotropic_scale(ball(1.0), 0.0, 1.0)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 7.3])
+    @pytest.mark.parametrize("name", sorted(DILATED_SHAPES))
+    def test_builder_dilation_law(self, name, alpha):
+        m, lam = 64, 2.0
+        make = DILATED_SHAPES[name]
+        shape, dilated = make(alpha, 1.0, 1.0), make(alpha, lam, lam ** (alpha + 1.0))
+        m1, m2 = measure(shape, alpha, m), measure(dilated, alpha, m)
+        assert abs(math.log2(m2.volume / m1.volume) - (3 * alpha + 3)) <= 1e-12
+        assert abs(math.log2(m2.perimeter / m1.perimeter) - (2 * alpha + 2)) <= 1e-12
+        q1, q2 = isoperimetric_quotient(shape, alpha, m), isoperimetric_quotient(dilated, alpha, m)
+        assert abs(q2 - q1) <= 1e-12 * q1
 
 
 class TestPatchVolumeRoute:

@@ -150,19 +150,24 @@ MOVED_TO_TESTS = {
 }
 
 
+def _names(tree):
+    """Every name that ``tree`` reads, imports or looks up as an attribute."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
 def _unused(sources):
     """module:name of each module-level function or class that is neither
     exported nor used by the modules in ``sources``; dunders are exempt."""
     exported = {name for names in grushin3d._EXPORTS.values() for name in names}
-    used = set()
-    for tree in sources.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name)
+    used = set().union(*map(_names, sources.values()))
     return [
         f"{module}:{node.name}"
         for module, tree in sources.items()
@@ -170,6 +175,36 @@ def _unused(sources):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in exported | used
+    ]
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+# the callers an exported function must have: the CLI, the acceptance
+# criteria and the benchmark (the CLI is one of the package's modules)
+CALLERS = {
+    path.relative_to(REPO).as_posix(): ast.parse(path.read_text())
+    for path in [REPO / "tests" / "test_acceptance.py", *sorted((REPO / "bench").glob("*.py"))]
+}
+
+
+def _unreached(sources, exports):
+    """module.name of each exported function that no caller names: not the
+    CLI, an acceptance criterion, a benchmark module or the package outside
+    the function's own definition (a builder table, or another function of
+    its module).  Classes and exceptions are exempt."""
+    used = set().union(*map(_names, CALLERS.values()))
+    defined = set()
+    for module, tree in sources.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.add((module, node.name))
+                used |= _names(node) - {node.name}
+            else:
+                used |= _names(node)
+    return [
+        f"{module}.{name}" for module, names in exports.items() for name in names
+        if (f"{module}.py", name) in defined and name not in used
     ]
 
 
@@ -203,6 +238,15 @@ class TestNoTestOnlyCode:
 
     def test_every_definition_is_exported_or_used(self):
         assert _unused(SOURCES) == []
+
+    def test_every_exported_function_has_a_caller(self):
+        assert _unreached(SOURCES, grushin3d._EXPORTS) == []
+
+    def test_an_export_only_tests_call_is_caught(self):
+        # the dilation that shape builders now give, put back as a function
+        sources = _with_source("geometry.py", "def anisotropic_scale(shape, lam, alpha):\n    return shape\n")
+        exports = {**grushin3d._EXPORTS, "geometry": (*grushin3d._EXPORTS["geometry"], "anisotropic_scale")}
+        assert _unreached(sources, exports) == ["geometry.anisotropic_scale"]
 
     def test_only_the_solver_imports_scipy(self):
         assert _scipy_importers(SOURCES) == {"solver.py"}
